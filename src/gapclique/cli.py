@@ -337,12 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="master 64-bit seed")
     parser.add_argument("--config", default=None, help="JSON config file; flags override")
     parser.add_argument("--out-dir", default=None, help="output directory")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads (results never depend on this)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-vecsum", help="generate a vector-sum instance")
@@ -471,7 +465,7 @@ def resolve_args(args: argparse.Namespace) -> dict:
     path_keys = ("out", "instance", "reduction", "graph", "clique", "table")
     semantic = {}
     for key, value in vars(args).items():
-        if key in ("fn", "config", "out_dir", "threads"):
+        if key in ("fn", "config", "out_dir"):
             continue
         if value is None or value == 0 and key == "samples":
             value = config.get(key, per_command.get(key, DEFAULTS.get(key, value)))

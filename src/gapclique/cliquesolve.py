@@ -69,12 +69,6 @@ class DenseGraph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def validate_symmetric(self):
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if ((self.adj[u] >> v) & 1) != ((self.adj[v] >> u) & 1):
-                    raise ContractViolation(f"asymmetric adjacency at ({u}, {v})")
-
 
 def is_clique(graph: DenseGraph, vertices) -> bool:
     """True iff every pair of distinct listed vertices is adjacent."""
@@ -174,26 +168,44 @@ def max_clique_exact(
                 rest &= ~(1 << v)
         return out
 
-    def expand(stack: list[int], cand: int):
-        nonlocal best, best_size, nodes
+    def node(cand: int) -> list:
+        """Enter a search node: [candidate set, (vertex, color) in the
+        order still to branch on, taken from the end]."""
+        nonlocal nodes
         nodes += 1
         if deadline is not None and time.monotonic() > deadline:
             raise _TimeUp
-        for v, color in reversed(color_sort(cand)):
-            if len(stack) + color <= best_size:
-                return
+        return [cand, color_sort(cand)]
+
+    def expand():
+        # depth-first with an explicit stack of open nodes, since the clique
+        # size can exceed the recursion limit; stack[d] was chosen in
+        # nodes_open[d]
+        nonlocal best, best_size
+        stack: list[int] = []
+        nodes_open = [node((1 << n) - 1)]
+        while nodes_open:
+            top = nodes_open[-1]
+            cand, todo = top
+            if not todo or len(stack) + todo[-1][1] <= best_size:
+                nodes_open.pop()
+                if nodes_open:
+                    nodes_open[-1][0] &= ~(1 << stack.pop())
+                continue
+            v, _ = todo.pop()
             stack.append(v)
             nxt = cand & adj[v]
             if nxt:
-                expand(stack, nxt)
-            elif len(stack) > best_size:
+                nodes_open.append(node(nxt))
+                continue
+            if len(stack) > best_size:
                 best = stack.copy()
                 best_size = len(stack)
             stack.pop()
-            cand &= ~(1 << v)
+            top[0] = cand & ~(1 << v)
 
     try:
-        expand([], (1 << n) - 1)
+        expand()
         optimal = True
     except _TimeUp:
         optimal = False

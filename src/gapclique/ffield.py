@@ -1,16 +1,13 @@
 """Exact arithmetic over prime fields.
 
 Residues are plain Python ints kept canonically in [0, q), so equality is
-structural and nothing ever touches floating point.  Relative Hamming
-distances come back as exact fractions because every threshold they are
-compared against (2/3, 1/2, twice-kappa) is an exact rational.
+structural and nothing ever touches floating point.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ContractViolation
 
@@ -66,34 +63,6 @@ def next_prime(n: int) -> int:
     while not is_prime(c):
         c += 2
     return c
-
-
-@dataclass(frozen=True)
-class FieldParams:
-    """A prime modulus; all residue arithmetic happens in [0, q)."""
-
-    q: int
-
-    def __post_init__(self):
-        if not is_prime(self.q):
-            raise ContractViolation(f"modulus {self.q} is not prime")
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
-    def inv(self, a: int) -> int:
-        if a % self.q == 0:
-            raise ContractViolation("inversion of zero")
-        return pow(a, -1, self.q)
 
 
 @dataclass(frozen=True)
@@ -238,36 +207,6 @@ class FieldMatrix:
     def zeros(cls, q: int, rows: int, cols: int) -> "FieldMatrix":
         return cls(q, rows, cols, (0,) * (rows * cols))
 
-    def row(self, i: int) -> FieldVector:
-        c = self.cols
-        return FieldVector(self.q, self.entries[i * c : (i + 1) * c])
-
-
-def inner_product(a: FieldVector, b: FieldVector) -> int:
-    """Sum of coordinate products, reduced mod q."""
-    a._check_compatible(b)
-    return sum(x * y for x, y in zip(a.entries, b.entries)) % a.q
-
-
-def block_inner(a: FieldVector, b: BlockVector) -> FieldVector:
-    """Inner product of a against each block of b; output has one coordinate
-    per block."""
-    if b.width != a.dim:
-        raise ContractViolation(
-            f"block width {b.width} does not match vector dimension {a.dim}"
-        )
-    if b.q != a.q:
-        raise ContractViolation("modulus mismatch")
-    q = a.q
-    ae = a.entries
-    be = b.vec.entries
-    w = a.dim
-    out = []
-    for i in range(b.n_blocks):
-        base = i * w
-        out.append(sum(ae[j] * be[base + j] for j in range(w)) % q)
-    return FieldVector(q, tuple(out))
-
 
 def mat_vec(a: FieldMatrix, b: FieldVector) -> FieldVector:
     """Standard matrix-vector product mod q."""
@@ -288,26 +227,9 @@ def mat_vec(a: FieldMatrix, b: FieldVector) -> FieldVector:
     return FieldVector(q, tuple(out))
 
 
-def rel_hamming(x: FieldVector, y: FieldVector) -> Fraction:
-    """Fraction of coordinates where the vectors differ; exact rational."""
-    x._check_compatible(y)
-    diff = sum(1 for a, b in zip(x.entries, y.entries) if a != b)
-    return Fraction(diff, x.dim)
-
-
-def rel_weight(x: FieldVector) -> Fraction:
-    """Fraction of nonzero coordinates; exact rational."""
-    nz = sum(1 for a in x.entries if a != 0)
-    return Fraction(nz, x.dim)
-
-
 def sample_matrix(rng: random.Random, rows: int, cols: int, q: int) -> FieldMatrix:
     """Matrix with entries drawn i.i.d. uniform on [0, q)."""
     return FieldMatrix(q, rows, cols, tuple(rng.randrange(q) for _ in range(rows * cols)))
-
-
-def sample_vector(rng: random.Random, q: int, dim: int) -> FieldVector:
-    return FieldVector.uniform(rng, q, dim)
 
 
 def rank_tuple(q: int, t: tuple[int, ...]) -> int:

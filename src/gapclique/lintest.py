@@ -263,10 +263,6 @@ class LinearVecFn:
         return cls(q, k * k, tuple(rhos))
 
 
-def eval_linear(fn: LinearScalarFn | LinearVecFn, alpha: tuple[int, ...]):
-    return fn.eval(alpha)
-
-
 # -- the test and its accepted set --------------------------------------------
 
 
@@ -287,15 +283,6 @@ class AcceptedSet:
     @property
     def var_count(self) -> int:
         return int(self.var_mask.sum())
-
-    def pairs(self):
-        q, d = self.q, self.d
-        for i, j in zip(*np.nonzero(self.pair_mask)):
-            yield unrank_tuple(q, d, int(i)), unrank_tuple(q, d, int(j))
-
-    def var_points(self):
-        for i in np.nonzero(self.var_mask)[0]:
-            yield unrank_tuple(self.q, self.d, int(i))
 
 
 def accepted_set(f: FunctionTable, pair_budget: int = DEFAULT_PAIR_BUDGET) -> AcceptedSet:
@@ -382,9 +369,6 @@ class FourierTable:
             raise PropertyViolation(f"Parseval check failed: total power {power}")
         self.coeffs.setflags(write=False)
 
-    def coefficient(self, rho: tuple[int, ...]) -> complex:
-        return complex(self.coeffs[rank_tuple(self.q, rho)])
-
     def real_parts(self, tol: float = FLOAT_TOL) -> np.ndarray:
         """Real parts of all coefficients; raises if any imaginary part
         exceeds tol (they must all be real for scalar-respecting input)."""
@@ -392,12 +376,6 @@ class FourierTable:
         if worst > tol:
             raise PropertyViolation(f"coefficient imaginary part {worst} exceeds {tol}")
         return self.coeffs.real
-
-    def synthesize(self) -> np.ndarray:
-        """Reconstruct the complex point values from the coefficients."""
-        n = self.q**self.d
-        shape = (self.q,) * self.d
-        return np.fft.ifftn(self.coeffs.reshape(shape) * n).reshape(-1)
 
 
 def phase_values(f: FunctionTable) -> np.ndarray:

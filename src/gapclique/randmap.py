@@ -9,6 +9,24 @@ and linearly independent directions, the block-inner images stay at relative
 distance at least 1/2.  The zero-difference degenerate case (one difference
 vanishes) reduces to a single-direction weight bound, which is checked for
 every nonzero direction so the property has content at k = 1 as well.
+
+Both checks share one engine.  Each property has one indexed case space, a
+mixed-radix numbering in lexicographic order:
+
+- wellspread: scalars gamma in F_q^k, then one vector index per collection;
+- separation: for each collection in turn, first the single-difference cases
+  (a, b, nonzero direction), then the triple cases (t1, t2, t3, ordered pair
+  of linearly independent directions).
+
+Cases whose sum vanishes, or whose differences vanish or coincide, are
+skipped and not counted in `checked`.  Exhaustive mode walks every index in
+order; Monte Carlo mode draws `samples` indices with `rng.randrange(total)`,
+so it reaches every kind of case, including the single-difference one that
+is all there is at k = 1.  Either way the first failing case in walk or draw
+order is the counterexample.  All images come from one (l*k x m)(m x N)
+product mod q and every threshold is an integer comparison.  A Monte Carlo
+run that draws no countable case is inconclusive and raises
+PropertyViolation rather than passing.
 """
 
 from __future__ import annotations
@@ -18,17 +36,17 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
-from .errors import BudgetExceeded, ContractViolation
+import numpy as np
+
+from .errors import BudgetExceeded, ContractViolation, PropertyViolation
 from .ffield import (
     BlockVector,
     FieldMatrix,
     FieldVector,
-    block_inner,
     mat_vec,
-    rel_hamming,
-    rel_weight,
     sample_matrix,
 )
 from .stats import wilson_interval
@@ -36,8 +54,11 @@ from .vecsum import VecSumInstance
 
 DEFAULT_CHECK_BUDGET = 5_000_000
 
-WEIGHT_THRESHOLD = Fraction(2, 3)
-SEPARATION_THRESHOLD = Fraction(1, 2)
+# cases evaluated per batch; bounds the working arrays at a few MB
+_CHUNK = 1024
+# entries of separation's direction-image table, built through an int64
+# product: 128 MB at the limit
+_DIRECTION_IMAGE_LIMIT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -124,9 +145,80 @@ class GoodMapCertificate:
         }
 
 
-def _check_shapes(g: LinearMapG, inst: VecSumInstance):
+def _digits(t: np.ndarray, radices: tuple[int, ...]) -> list[np.ndarray]:
+    """Mixed-radix digits of the case numbers t, most significant first."""
+    out = []
+    for r in reversed(radices):
+        out.append(np.asarray(t % r, dtype=np.int64))
+        t = t // r
+    return out[::-1]
+
+
+def _source_images(g: LinearMapG, inst: VecSumInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Every source vector as a row (collections concatenated) and its image
+    under g as a row of l*k coordinates, block by block: one
+    (l*k x m)(m x N) product mod q."""
     if g.q != inst.q or g.m != inst.m or g.k != inst.k:
         raise ContractViolation("map does not match instance shapes")
+    if max(g.m, g.k) * (g.q - 1) ** 2 >= 2**63:
+        raise ContractViolation(f"modulus {g.q} is too large for 64-bit image arithmetic")
+    vecs = np.array([u.entries for us in inst.collections for u in us], dtype=np.int64)
+    a = np.array([mat.entries for mat in g.matrices], dtype=np.int64)
+    return vecs, (a.reshape(g.l * g.k, g.m) @ vecs.T % g.q).T
+
+
+def _run_check(name: str, what: str, parts: list, g: LinearMapG, inst: VecSumInstance,
+               mode: str, samples: int, rng: Optional[random.Random],
+               budget: int) -> GoodMapCertificate:
+    """The engine behind both checks.  `parts` number the case space in
+    blocks of (radices, evaluate, describe): a block's cases are the
+    mixed-radix numbers over its radices; evaluate(digit arrays) returns per
+    case (counted, passed, detail) and describe(digits, detail) the
+    counterexample.  Exhaustive mode walks every case number in order,
+    Monte Carlo mode draws `samples` of them; the first counted failing case
+    ends the check."""
+    sizes = [math.prod(radices) for radices, _, _ in parts]
+    ends = list(itertools.accumulate(sizes))
+    total = ends[-1]
+    if mode == "exhaustive":
+        if total > budget:
+            raise BudgetExceeded(f"{what} enumeration", required=total, budget=budget)
+        batches = (np.arange(s, min(s + _CHUNK, total)) for s in range(0, total, _CHUNK))
+    elif mode == "monte_carlo":
+        if rng is None or samples < 1:
+            raise ContractViolation("monte_carlo mode needs rng and samples >= 1")
+        dtype = np.int64 if total < 2**63 else object
+        batches = (
+            np.array([rng.randrange(total) for _ in range(min(_CHUNK, samples - s))], dtype=dtype)
+            for s in range(0, samples, _CHUNK)
+        )
+    else:
+        raise ContractViolation(f"unknown mode {mode!r}")
+    checked = 0
+    for idx in batches:
+        part_of = np.searchsorted(ends, idx, side="right")
+        counted, failed = np.zeros((2, len(idx)), dtype=bool)
+        for p, (radices, evaluate, _) in enumerate(parts):
+            sel = part_of == p
+            if sel.any():
+                counts, passes, _ = evaluate(_digits(idx[sel] - (ends[p] - sizes[p]), radices))
+                counted[sel], failed[sel] = counts, counts & ~passes
+        if failed.any():
+            j = int(np.argmax(failed))
+            p = part_of[j]
+            radices, evaluate, describe = parts[p]
+            digits = _digits(idx[j : j + 1] - (ends[p] - sizes[p]), radices)
+            counterexample = describe([int(d[0]) for d in digits], evaluate(digits)[2][0])
+            checked += int(np.count_nonzero(counted[: j + 1]))
+            return GoodMapCertificate(
+                name, mode, False, checked, counterexample, inst.fingerprint(), g.seed
+            )
+        checked += int(np.count_nonzero(counted))
+    if mode == "monte_carlo" and checked == 0:
+        raise PropertyViolation(
+            f"{what} check inconclusive: none of {samples} Monte Carlo samples is a countable case"
+        )
+    return GoodMapCertificate(name, mode, True, checked, None, inst.fingerprint(), g.seed)
 
 
 def check_wellspread(
@@ -140,96 +232,23 @@ def check_wellspread(
     """For every choice of scalars and one vector per collection whose scaled
     sum is nonzero, the image must have relative weight >= 2/3 over all k*l
     coordinates."""
-    _check_shapes(g, inst)
-    q, k = g.q, g.k
-    sizes = inst.sizes
-    if mode == "exhaustive":
-        total = (q**k) * math.prod(sizes)
-        if total > budget:
-            raise BudgetExceeded("wellspread enumeration", required=total, budget=budget)
-        cases = itertools.product(
-            itertools.product(range(q), repeat=k),
-            itertools.product(*(range(s) for s in sizes)),
-        )
-        checked = 0
-        seen: dict[tuple[int, ...], bool] = {}
-        for gammas, indices in cases:
-            s = FieldVector.zero(q, inst.m)
-            for i in range(k):
-                if gammas[i]:
-                    s = s + inst.collections[i][indices[i]].scale(gammas[i])
-            if s.is_zero():
-                continue
-            checked += 1
-            key = s.entries
-            ok = seen.get(key)
-            if ok is None:
-                ok = rel_weight(apply_g(g, s).vec) >= WEIGHT_THRESHOLD
-                seen[key] = ok
-            if not ok:
-                image = apply_g(g, s)
-                return GoodMapCertificate(
-                    "wellspread",
-                    "exhaustive",
-                    False,
-                    checked,
-                    {
-                        "gammas": list(gammas),
-                        "indices": list(indices),
-                        "sum": list(s.entries),
-                        "weight": str(rel_weight(image.vec)),
-                    },
-                    inst.fingerprint(),
-                    g.seed,
-                )
-        return GoodMapCertificate(
-            "wellspread", "exhaustive", True, checked, None, inst.fingerprint(), g.seed
-        )
-    if mode != "monte_carlo":
-        raise ContractViolation(f"unknown mode {mode!r}")
-    if rng is None or samples < 1:
-        raise ContractViolation("monte_carlo mode needs rng and samples >= 1")
-    checked = 0
-    for _ in range(samples):
-        gammas = [rng.randrange(q) for _ in range(k)]
-        indices = [rng.randrange(s) for s in sizes]
-        s = FieldVector.zero(q, inst.m)
-        for i in range(k):
-            if gammas[i]:
-                s = s + inst.collections[i][indices[i]].scale(gammas[i])
-        if s.is_zero():
-            continue
-        checked += 1
-        if rel_weight(apply_g(g, s).vec) < WEIGHT_THRESHOLD:
-            return GoodMapCertificate(
-                "wellspread",
-                "monte_carlo",
-                False,
-                checked,
-                {
-                    "gammas": gammas,
-                    "indices": indices,
-                    "sum": list(s.entries),
-                    "weight": str(rel_weight(apply_g(g, s).vec)),
-                },
-                inst.fingerprint(),
-                g.seed,
-            )
-    return GoodMapCertificate(
-        "wellspread", "monte_carlo", True, checked, None, inst.fingerprint(), g.seed
-    )
+    vecs, images = _source_images(g, inst)
+    q, k, m, width = g.q, g.k, g.m, g.l * g.k
+    # a case's sum and its image are the same combination of these rows
+    rows = np.hstack([vecs, images])
+    first = [0, *itertools.accumulate(inst.sizes)]
 
+    def evaluate(d):
+        comb = sum(d[i][:, None] * rows[first[i] + d[k + i]] for i in range(k)) % q
+        weight = np.count_nonzero(comb[:, m:], axis=1)
+        return comb[:, :m].any(axis=1), 3 * weight >= 2 * width, comb
 
-def _independent_pairs(q: int, k: int):
-    """All ordered pairs of linearly independent vectors in F_q^k, in
-    lexicographic order."""
-    points = list(itertools.product(range(q), repeat=k))
-    nonzero = [p for p in points if any(p)]
-    for a in nonzero:
-        multiples = {tuple(c * x % q for x in a) for c in range(q)}
-        for b in nonzero:
-            if b not in multiples:
-                yield a, b
+    def describe(d, comb):
+        weight = Fraction(int(np.count_nonzero(comb[m:])), width)
+        return {"gammas": d[:k], "indices": d[k:], "sum": comb[:m].tolist(), "weight": str(weight)}
+
+    parts = [((q,) * k + inst.sizes, evaluate, describe)]
+    return _run_check("wellspread", "wellspread", parts, g, inst, mode, samples, rng, budget)
 
 
 def check_pairwise_separation(
@@ -251,131 +270,75 @@ def check_pairwise_separation(
     and it is the part that keeps the check meaningful at k = 1, where no
     independent pairs exist).
     """
-    _check_shapes(g, inst)
-    q, k = g.q, g.k
-    indep = list(_independent_pairs(q, k))
-    nonzero_dirs = [
-        p for p in itertools.product(range(q), repeat=k) if any(p)
-    ]
+    vecs, images = _source_images(g, inst)
+    q, k, l = g.q, g.k, g.l
+    place = q ** np.arange(k - 1, -1, -1)
+    # directions of F_q^k are numbered by rank, first coordinate most
+    # significant; rank 0 is the zero direction
+    per_alpha = q**k - q  # nonzero directions that are no multiple of a given one
 
-    def image(alpha: tuple[int, ...], diff: FieldVector) -> FieldVector:
-        return block_inner(FieldVector(q, alpha), apply_g(g, diff))
+    def coords(rank):
+        return np.stack(_digits(rank, (q,) * k), axis=1)
 
-    if mode == "exhaustive":
-        triples = sum(s**3 for s in inst.sizes)
-        pair_diffs = sum(s * s for s in inst.sizes)
-        total = triples * max(1, len(indep)) + pair_diffs * len(nonzero_dirs)
-        if total > budget:
-            raise BudgetExceeded("separation enumeration", required=total, budget=budget)
-        checked = 0
-        img_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], FieldVector] = {}
-
-        def cached_image(alpha, diff: FieldVector) -> FieldVector:
-            key = (alpha, diff.entries)
-            v = img_cache.get(key)
-            if v is None:
-                v = image(alpha, diff)
-                img_cache[key] = v
-            return v
-
-        for i, us in enumerate(inst.collections):
-            # degenerate case: single nonzero differences
-            for a, b in itertools.product(range(len(us)), repeat=2):
-                w = us[a] - us[b]
-                if w.is_zero():
-                    continue
-                for alpha in nonzero_dirs:
-                    checked += 1
-                    img = cached_image(alpha, w)
-                    if rel_weight(img) < SEPARATION_THRESHOLD:
-                        return GoodMapCertificate(
-                            "pairwise_separation",
-                            "exhaustive",
-                            False,
-                            checked,
-                            {
-                                "collection": i,
-                                "case": "single-difference",
-                                "pair": [a, b],
-                                "alpha": list(alpha),
-                                "weight": str(rel_weight(img)),
-                            },
-                            inst.fingerprint(),
-                            g.seed,
-                        )
-            # main case: triples with distinct differences, independent pairs
-            for t1, t2, t3 in itertools.product(range(len(us)), repeat=3):
-                d1 = us[t3] - us[t1]
-                d2 = us[t2] - us[t3]
-                if d1 == d2:
-                    continue
-                for alpha, beta in indep:
-                    checked += 1
-                    dist = rel_hamming(cached_image(alpha, d1), cached_image(beta, d2))
-                    if dist < SEPARATION_THRESHOLD:
-                        return GoodMapCertificate(
-                            "pairwise_separation",
-                            "exhaustive",
-                            False,
-                            checked,
-                            {
-                                "collection": i,
-                                "case": "triple",
-                                "triple": [t1, t2, t3],
-                                "alpha": list(alpha),
-                                "beta": list(beta),
-                                "distance": str(dist),
-                            },
-                            inst.fingerprint(),
-                            g.seed,
-                        )
-        return GoodMapCertificate(
-            "pairwise_separation",
-            "exhaustive",
-            True,
-            checked,
-            None,
-            inst.fingerprint(),
-            g.seed,
+    table = q**k * len(vecs) * l
+    if table > _DIRECTION_IMAGE_LIMIT:
+        raise BudgetExceeded(
+            "separation direction images", required=table, budget=_DIRECTION_IMAGE_LIMIT
         )
-    if mode != "monte_carlo":
-        raise ContractViolation(f"unknown mode {mode!r}")
-    if rng is None or samples < 1:
-        raise ContractViolation("monte_carlo mode needs rng and samples >= 1")
-    checked = 0
-    for _ in range(samples):
-        i = rng.randrange(inst.k)
-        us = inst.collections[i]
-        t1, t2, t3 = (rng.randrange(len(us)) for _ in range(3))
-        d1 = us[t3] - us[t1]
-        d2 = us[t2] - us[t3]
-        if d1 == d2:
-            continue
-        if indep:
-            alpha, beta = indep[rng.randrange(len(indep))]
-        else:
-            continue
-        checked += 1
-        dist = rel_hamming(image(alpha, d1), image(beta, d2))
-        if dist < SEPARATION_THRESHOLD:
-            return GoodMapCertificate(
-                "pairwise_separation",
-                "monte_carlo",
-                False,
-                checked,
-                {
-                    "collection": i,
-                    "case": "triple",
-                    "triple": [t1, t2, t3],
-                    "alpha": list(alpha),
-                    "beta": list(beta),
-                    "distance": str(dist),
-                },
-                inst.fingerprint(),
-                g.seed,
-            )
-    return GoodMapCertificate(
-        "pairwise_separation", "monte_carlo", True, checked, None, inst.fingerprint(), g.seed
+    # [d, r, j]: <direction d, block j of the image of source row r>.  These
+    # and the source rows are kept in the narrowest type that holds two
+    # differences of residues, which keeps the batches small.
+    narrow = np.min_scalar_type(-2 * q)
+    dir_images = (
+        np.einsum("dc,rjc->drj", coords(np.arange(q**k)), images.reshape(len(vecs), l, k)) % q
+    ).astype(narrow)
+    vecs = vecs.astype(narrow)
+
+    def independent_pair(p):
+        """The p-th ordered pair (alpha, beta) of direction ranks with beta
+        no multiple of alpha, in lexicographic order."""
+        alpha, beta = 1 + p // per_alpha, 1 + p % per_alpha
+        span = coords(alpha)
+        # skip over the ranks of alpha's nonzero multiples, smallest first
+        for excluded in np.sort([c * span % q @ place for c in range(1, q)], axis=0):
+            beta = beta + (excluded <= beta)
+        return alpha, beta
+
+    def single(first, d):
+        # u_a - u_b under the direction: nonzero where the two images differ
+        a, b, rank = first + d[0], first + d[1], d[2] + 1
+        weight = np.count_nonzero(dir_images[rank, a] != dir_images[rank, b], axis=1)
+        return (vecs[a] != vecs[b]).any(axis=1), 2 * weight >= l, weight
+
+    def triple(first, d):
+        # d1 = u_t3 - u_t1 under alpha against d2 = u_t2 - u_t3 under beta
+        t1, t2, t3 = first + d[0], first + d[1], first + d[2]
+        alpha, beta = independent_pair(d[3])
+        gap = (dir_images[alpha, t3] - dir_images[alpha, t1]
+               - dir_images[beta, t2] + dir_images[beta, t3])
+        dist = np.count_nonzero(gap % q, axis=1)
+        counted = ((2 * vecs[t3] - vecs[t1] - vecs[t2]) % q).any(axis=1)
+        return counted, 2 * dist >= l, dist
+
+    def describe_single(i, d, weight):
+        return {"collection": i, "case": "single-difference", "pair": d[:2],
+                "alpha": coords(np.array([d[2] + 1]))[0].tolist(),
+                "weight": str(Fraction(int(weight), l))}
+
+    def describe_triple(i, d, dist):
+        alpha, beta = (coords(r)[0].tolist() for r in independent_pair(np.array([d[3]])))
+        return {"collection": i, "case": "triple", "triple": d[:3], "alpha": alpha,
+                "beta": beta, "distance": str(Fraction(int(dist), l))}
+
+    parts = []
+    first = 0
+    for i, n in enumerate(inst.sizes):
+        parts.append(((n, n, q**k - 1), partial(single, first), partial(describe_single, i)))
+        parts.append(((n, n, n, (q**k - 1) * per_alpha), partial(triple, first),
+                      partial(describe_triple, i)))
+        first += n
+    return _run_check(
+        "pairwise_separation", "separation", parts, g, inst, mode, samples, rng, budget
     )
 
 

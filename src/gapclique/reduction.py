@@ -31,13 +31,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceeded, ContractViolation, PiecingRefused, PropertyViolation
 from .ffield import (
-    BlockVector,
     FieldVector,
-    block_inner,
     is_prime,
     next_prime,
     rank_tuple,
-    rel_weight,
     unrank_tuple,
 )
 from .lintest import (
@@ -234,18 +231,6 @@ def value_relation(v: Vertex, q: int) -> dict[tuple[int, ...], set[tuple[int, ..
     rel.setdefault(v.beta, set()).add(v.y)
     rel.setdefault(_tuple_add(q, v.alpha, v.beta), set()).add(_tuple_add(q, v.x, v.y))
     return rel
-
-
-def vertex_eval(v: Vertex, rho: tuple[int, ...], q: int) -> tuple[int, ...]:
-    """Value of the vertex's partial function at rho, with slot precedence
-    alpha, beta, alpha+beta when points collide."""
-    if rho == v.alpha:
-        return v.x
-    if rho == v.beta:
-        return v.y
-    if rho == _tuple_add(q, v.alpha, v.beta):
-        return _tuple_add(q, v.x, v.y)
-    raise ContractViolation(f"point {rho} is not assigned by this vertex")
 
 
 # -- vertex codec ----------------------------------------------------------------
@@ -564,11 +549,6 @@ class GammaTable:
     table: FunctionTable
     var_points: frozenset
     fill_log: dict
-
-    def pass_probability(self, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Fraction:
-        from .lintest import pass_probability as _pp
-
-        return _pp(self.table, pair_budget=pair_budget)
 
 
 def build_gamma(

@@ -18,8 +18,3 @@ def stream(seed: int, label: str) -> random.Random:
     """
     digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:16], "big"))
-
-
-def substream(seed: int, label: str, index: int) -> random.Random:
-    """Stream for the index-th work chunk of a labeled stage."""
-    return stream(seed, f"{label}/{index}")

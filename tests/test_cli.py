@@ -211,3 +211,27 @@ class TestExperimentCommand:
         rows = [json.loads(line) for line in
                 open(os.path.join(out, "experiment-rows.jsonl"))]
         assert rows and all(r["status"] in ("pass", "report") for r in rows)
+
+
+class TestCheckMapCommand:
+    def test_monte_carlo_reports_k1_separation_failure(self, tmp_path):
+        # exhaustive mode fails this map after 21 cases; sampling must too
+        out = str(tmp_path)
+        run("--seed", "3", "--out-dir", out, "gen-vecsum", "--q", "5", "--k", "1")
+        assert run("--seed", "3", "--out-dir", out, "check-map",
+                   "--instance", os.path.join(out, "instance.json"), "--l", "1",
+                   "--mode", "monte_carlo", "--samples", "1000") == EXIT_OK
+        sep = read_json(os.path.join(out, "map-certificate.json"))["pairwise_separation"]
+        assert sep["mode"] == "monte_carlo"
+        assert not sep["passed"] and sep["checked"] >= 1
+
+    def test_monte_carlo_without_countable_case_is_3(self, tmp_path, capsys):
+        # one vector per collection at k = 1 is the zero witness: no nonzero sum
+        out = str(tmp_path)
+        run("--seed", "1", "--out-dir", out, "gen-vecsum",
+            "--q", "3", "--k", "1", "--m", "4", "--n", "1")
+        code = run("--seed", "1", "--out-dir", out, "check-map",
+                   "--instance", os.path.join(out, "instance.json"),
+                   "--mode", "monte_carlo", "--samples", "50")
+        assert code == EXIT_PROPERTY
+        assert "50 Monte Carlo samples" in capsys.readouterr().err

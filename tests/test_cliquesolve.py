@@ -86,6 +86,14 @@ class TestExact:
             assert is_clique(g, res.vertices)
             assert len(res.vertices) == res.size
 
+    def test_clique_deeper_than_recursion_limit(self):
+        # the search descends one level per clique vertex, past Python's
+        # default recursion limit of 1000 but within the 2000-vertex cap
+        n = 1200
+        full = (1 << n) - 1
+        res = max_clique_exact(DenseGraph(n, tuple(full & ~(1 << v) for v in range(n))))
+        assert res.size == n and res.optimal
+
     def test_vertex_cap(self):
         with pytest.raises(BudgetExceeded):
             max_clique_exact(complete_graph(10), vertex_cap=5)
@@ -126,7 +134,7 @@ class TestGraphType:
 
     def test_symmetry_validation(self):
         g = DenseGraph.from_edges(4, [(0, 1), (2, 3)])
-        g.validate_symmetric()
+        assert all(g.has_edge(u, v) == g.has_edge(v, u) for u in range(4) for v in range(4))
         assert g.edge_count() == 2
         assert sorted(g.edges()) == [(0, 1), (2, 3)]
 

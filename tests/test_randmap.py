@@ -6,13 +6,8 @@ from fractions import Fraction
 import pytest
 
 from gapclique import rng as rngmod
-from gapclique.errors import BudgetExceeded
-from gapclique.ffield import (
-    FieldMatrix,
-    FieldVector,
-    block_inner,
-    rel_weight,
-)
+from gapclique.errors import BudgetExceeded, PropertyViolation
+from gapclique.ffield import FieldMatrix, FieldVector
 from gapclique.randmap import (
     LinearMapG,
     apply_g,
@@ -23,6 +18,8 @@ from gapclique.randmap import (
     union_bound_values,
 )
 from gapclique.vecsum import VecSumInstance, enumerate_sumset, generate_planted
+
+from field_reference import block_inner, rel_hamming, rel_weight
 
 
 def single_vector_instance(q, entries):
@@ -185,6 +182,15 @@ class TestPairwiseSeparation:
         # empirical rate reported; at l=24 most maps separate
         assert passed >= 6
 
+    def test_direction_image_table_is_bounded(self):
+        # 5^6 directions x 6 source rows x 200 blocks is past the table limit;
+        # sampling has no case budget, so this refusal bounds its memory
+        inst = generate_planted(rngmod.stream(11, "s"), 5, 6, 3, 1)
+        g = sample_g(rngmod.stream(11, "sb"), 5, 6, 3, 200)
+        with pytest.raises(BudgetExceeded, match="direction images"):
+            check_pairwise_separation(g, inst, mode="monte_carlo", samples=10,
+                                      rng=rngmod.stream(11, "mc"))
+
     def test_counterexample_reverifies(self):
         inst = generate_planted(rngmod.stream(12, "s"), 3, 1, 2, 3)
         found = None
@@ -208,8 +214,6 @@ class TestPairwiseSeparation:
             d1, d2 = us[t3] - us[t1], us[t2] - us[t3]
             i1 = block_inner(FieldVector(3, tuple(cx["alpha"])), apply_g(g, d1))
             i2 = block_inner(FieldVector(3, tuple(cx["beta"])), apply_g(g, d2))
-            from gapclique.ffield import rel_hamming
-
             assert rel_hamming(i1, i2) < Fraction(1, 2)
 
 
@@ -234,3 +238,137 @@ class TestFailureRates:
         sched = union_bound_values(q=4099, k=1, m=3, l=12, n=4)
         assert not sched["wellspread_vacuous"]
         assert not sched["separation_vacuous"]
+
+
+# -- the engine against the definitions ----------------------------------------
+
+
+def reference_cases(g, inst, prop):
+    """Every case of a property's case space in the documented order, as
+    (counted, passed, counterexample), computed from the definitions."""
+    q, k = g.q, g.k
+    dirs = [FieldVector(q, a) for a in itertools.product(range(q), repeat=k)][1:]
+    if prop == "wellspread":
+        for gammas in itertools.product(range(q), repeat=k):
+            for idx in itertools.product(*(range(s) for s in inst.sizes)):
+                s = FieldVector.zero(q, inst.m)
+                for i in range(k):
+                    s = s + inst.collections[i][idx[i]].scale(gammas[i])
+                w = rel_weight(apply_g(g, s).vec)
+                cx = {"gammas": list(gammas), "indices": list(idx),
+                      "sum": list(s.entries), "weight": str(w)}
+                yield not s.is_zero(), w >= Fraction(2, 3), cx
+        return
+
+    def image(alpha, v):
+        return block_inner(alpha, apply_g(g, v))
+
+    for i, us in enumerate(inst.collections):
+        for a, b in itertools.product(range(len(us)), repeat=2):
+            for alpha in dirs:
+                w = rel_weight(image(alpha, us[a] - us[b]))
+                cx = {"collection": i, "case": "single-difference", "pair": [a, b],
+                      "alpha": list(alpha.entries), "weight": str(w)}
+                yield not (us[a] - us[b]).is_zero(), w >= Fraction(1, 2), cx
+        for t1, t2, t3 in itertools.product(range(len(us)), repeat=3):
+            d1, d2 = us[t3] - us[t1], us[t2] - us[t3]
+            for alpha, beta in itertools.product(dirs, repeat=2):
+                if any(beta == alpha.scale(c) for c in range(q)):
+                    continue
+                dist = rel_hamming(image(alpha, d1), image(beta, d2))
+                cx = {"collection": i, "case": "triple", "triple": [t1, t2, t3],
+                      "alpha": list(alpha.entries), "beta": list(beta.entries),
+                      "distance": str(dist)}
+                yield d1 != d2, dist >= Fraction(1, 2), cx
+
+
+def reference_result(cases, order):
+    """(passed, checked, counterexample) of visiting the cases in `order`."""
+    checked = 0
+    for t in order:
+        counted, passed, cx = cases[t]
+        checked += counted
+        if counted and not passed:
+            return False, checked, cx
+    return True, checked, None
+
+
+class FixedDraws:
+    """Stands in for the Monte Carlo rng: hands out the given case indices."""
+
+    def __init__(self, *indices):
+        self._it = iter(indices)
+
+    def randrange(self, total):
+        return next(self._it)
+
+
+CHECKS = {"wellspread": check_wellspread, "separation": check_pairwise_separation}
+
+
+def outcome(cert):
+    return cert.passed, cert.checked, cert.counterexample
+
+
+class TestEngineAgainstReference:
+    @pytest.mark.parametrize("prop", sorted(CHECKS))
+    @pytest.mark.parametrize(
+        "q,k,l,n", [(2, 1, 2, 4), (3, 1, 2, 8), (5, 1, 1, 4), (3, 2, 4, 3), (3, 2, 24, 2)]
+    )
+    def test_both_modes_match_reference(self, q, k, l, n, prop):
+        check = CHECKS[prop]
+        for seed in range(3):
+            inst = generate_planted(rngmod.stream(seed, f"ref/{q}/{k}/{n}"), q, k, 3, n)
+            g = sample_g(rngmod.stream(seed, f"ref/{q}/{k}/{l}/map"), q, k, 3, l)
+            cases = list(reference_cases(g, inst, prop))
+            # the case space has exactly the reference's cases, in its order
+            want = reference_result(cases, range(len(cases)))
+            assert outcome(check(g, inst, budget=len(cases))) == want
+            with pytest.raises(BudgetExceeded):
+                check(g, inst, budget=len(cases) - 1)
+            # Monte Carlo draws index the same space
+            draws = rngmod.stream(seed, "ref/mc")
+            want = reference_result(cases, [draws.randrange(len(cases)) for _ in range(30)])
+            mc = dict(mode="monte_carlo", samples=30, rng=rngmod.stream(seed, "ref/mc"))
+            if want[1] == 0:
+                with pytest.raises(PropertyViolation):
+                    check(g, inst, **mc)
+            else:
+                assert outcome(check(g, inst, **mc)) == want
+            # and a drawn case gets its reference verdict (about 100 cases each)
+            step = 1 + len(cases) // 100
+            for t, (counted, passed, cx) in enumerate(cases[::step]):
+                one = dict(mode="monte_carlo", samples=1, rng=FixedDraws(step * t))
+                if not counted:
+                    with pytest.raises(PropertyViolation):
+                        check(g, inst, **one)
+                else:
+                    assert outcome(check(g, inst, **one)) == (passed, 1, None if passed else cx)
+
+
+class TestMonteCarlo:
+    def k1_map(self):
+        # check-map --seed 3 at q=5, k=1, l=1 on gen-vecsum --seed 3 --q 5 --k 1
+        inst = generate_planted(rngmod.stream(3, "instance"), 5, 1, 4, 4)
+        g = sample_g(rngmod.stream(3, "matrices"), 5, 1, 4, 1, seed=3)
+        return g, inst
+
+    def test_k1_separation_failure_found_by_both_modes(self):
+        # at k = 1 only single-difference cases exist; sampling must reach them
+        g, inst = self.k1_map()
+        ex = check_pairwise_separation(g, inst)
+        mc = check_pairwise_separation(
+            g, inst, mode="monte_carlo", samples=1000, rng=rngmod.stream(3, "map-check")
+        )
+        assert not ex.passed and ex.checked == 21
+        assert not mc.passed and mc.checked >= 1
+        assert mc.counterexample["case"] == "single-difference"
+
+    def test_no_countable_case_is_inconclusive(self):
+        # every scaled sum is zero: exhaustive passes vacuously, sampling refuses
+        inst = single_vector_instance(5, (0, 0, 0))
+        g = sample_g(rngmod.stream(5, "w"), 5, 1, 3, 4)
+        assert check_wellspread(g, inst).passed
+        with pytest.raises(PropertyViolation, match="1000 Monte Carlo samples"):
+            check_wellspread(g, inst, mode="monte_carlo", samples=1000,
+                             rng=rngmod.stream(5, "mc"))

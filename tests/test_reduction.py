@@ -9,8 +9,9 @@ import pytest
 
 from gapclique import rng as rngmod
 from gapclique.errors import BudgetExceeded, ContractViolation, PropertyViolation
-from gapclique.ffield import FieldMatrix, FieldVector, block_inner
+from gapclique.ffield import FieldMatrix, FieldVector
 from gapclique.cliquesolve import is_clique, max_clique_exact, read_dimacs, read_graph_json
+from gapclique.lintest import pass_probability
 from gapclique.randmap import LinearMapG, apply_g, sample_g
 from gapclique.reduction import (
     CliqueInstance,
@@ -26,9 +27,10 @@ from gapclique.reduction import (
     value_relation,
     var_points,
     vertex_codec,
-    vertex_eval,
 )
 from gapclique.vecsum import VecSumInstance, generate_planted
+
+from field_reference import block_inner
 
 
 def make_instance(seed, q, k, m, n, l, planted=True):
@@ -47,6 +49,10 @@ def random_vertex(rng, q, k, l):
 
 
 class TestParamSchedule:
+    def test_nonprime_modulus_rejected(self):
+        with pytest.raises(ContractViolation):
+            ReductionParams(q=6, k=1, l=1)
+
     def test_first_scheduled_prime(self):
         params = param_schedule(1, 16)
         assert params.q == 4099
@@ -118,25 +124,6 @@ class TestVertexCodec:
 
 
 class TestVertexEval:
-    def test_diagonal_consistency(self):
-        v = Vertex((1,), (1,), (2,), (2,))
-        assert vertex_eval(v, (1,), 3) == (2,)
-        assert vertex_eval(v, (2,), 3) == (1,)  # alpha+beta = 2, value 2x = 4 mod 3
-
-    def test_sum_slot_is_sum_of_slots(self):
-        v = Vertex((1,), (2,), (2, 1), (0, 2))
-        q = 3
-        s = tuple((a + b) % q for a, b in zip(v.alpha, v.beta))
-        assert vertex_eval(v, s, q) == tuple((a + b) % q for a, b in zip(v.x, v.y))
-
-    def test_point_outside_var_rejected(self):
-        v = Vertex((1,), (2,), (1,), (1,))
-        with pytest.raises(ContractViolation):
-            vertex_eval(v, (1, 1), 3)  # wrong shape entirely
-        # var of ((1,), (1,)) at q=5 is {(1,), (2,)}; (0,) is outside
-        with pytest.raises(ContractViolation):
-            vertex_eval(Vertex((1,), (1,), (0,), (0,)), (0,), 5)
-
     def test_collapse_cases_enumerated_q2(self):
         # var has exactly 1 point iff alpha = beta = 0; never 3 points at q=2
         # with alpha = beta (since alpha+beta = 0 collides or coincides)
@@ -280,7 +267,7 @@ class TestGamma:
         for size in (1, 3, len(clique)):
             sub = clique[:size]
             gamma = build_gamma(sub, ci, rng=rngmod.stream(62, "gamma-fill"))
-            assert gamma.pass_probability() >= Fraction(size, q ** (4 * k * k))
+            assert pass_probability(gamma.table) >= Fraction(size, q ** (4 * k * k))
 
     def test_non_clique_refused_with_pair(self):
         ci = make_instance(63, 3, 1, 4, 4, 2)
@@ -389,7 +376,9 @@ class TestMaterializeExport:
         ci = make_instance(70, 2, 1, 8, 4, 1)
         graph = ci.materialize()
         assert graph.n == 12
-        graph.validate_symmetric()
+        assert all(
+            graph.has_edge(u, v) == graph.has_edge(v, u) for u in range(12) for v in range(12)
+        )
 
     def test_rematerialization_identical(self):
         ci = make_instance(71, 2, 1, 8, 4, 1)
