@@ -2,9 +2,9 @@
 
 Modules
 -------
-ffield      exact prime-field scalars, vectors, block vectors, matrices
+ffield      primality and rank/unrank of residue tuples (vectors are int tuples)
 lintest     linearity testing, Fourier analysis, list decoding, piecing
-vecsum      vector-sum instances: generation, brute-force deciding, sumsets
+vecsum      vector-sum instances: generation, brute-force deciding, validation
 randmap     the random block-linear map and its two goodness properties
 reduction   parameter schedule, vertex set, edge oracle, decoder, export
 cliquesolve exact and greedy clique search used as the ground-truth oracle

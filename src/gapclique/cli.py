@@ -7,7 +7,8 @@ resolved configuration, so any run is replayable bit-for-bit from
 
 Exit codes: 0 success, 2 budget refusal (the message names the exact budget
 needed), 3 property violation (including failed experiment rows), 4 I/O
-error.
+error, 5 invalid request (a usage error, a malformed input file, or arguments
+that break a precondition).
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from . import rng as rngmod
 from .errors import BudgetExceeded, ContractViolation, PropertyViolation
 from .experiments import SUITES, certified_map, run_suite
 from .cliquesolve import (
-    DEFAULT_VERTEX_CAP,
     greedy_clique,
-    is_clique,
     max_clique_exact,
     read_dimacs,
     read_graph_json,
@@ -48,6 +47,7 @@ EXIT_OK = 0
 EXIT_BUDGET = 2
 EXIT_PROPERTY = 3
 EXIT_IO = 4
+EXIT_INVALID = 5
 
 OUT_DIR_ENV = "GAPCLIQUE_OUT_DIR"
 
@@ -328,8 +328,17 @@ def cmd_experiment(cmd: Command) -> int:
 # -- argument parsing ---------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are invalid requests: exit 5, not argparse's 2, which here
+    means budget refusal."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gapclique",
         description="Vector-sum to gap-clique reduction pipeline and experiments",
     )
@@ -491,9 +500,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ContractViolation as exc:
+    except (ContractViolation, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return EXIT_INVALID
     except PropertyViolation as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return EXIT_PROPERTY

@@ -18,6 +18,9 @@ from typing import Optional
 from .errors import BudgetExceeded, ContractViolation
 
 DEFAULT_VERTEX_CAP = 2000
+# vertex count past which an edge list is not turned into a graph: the
+# adjacency table alone would take 8 bytes per vertex before any edge is read
+EDGE_LIST_VERTEX_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -31,7 +34,6 @@ class DenseGraph:
     def __post_init__(self):
         if len(self.adj) != self.n:
             raise ContractViolation("adjacency length mismatch")
-        full = (1 << self.n) - 1
         for v, row in enumerate(self.adj):
             if row >> self.n:
                 raise ContractViolation("adjacency bits out of range")
@@ -42,10 +44,19 @@ class DenseGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges, labels=None) -> "DenseGraph":
+        """Graph on vertices 0..n-1; refuses a self-loop, an endpoint that is
+        not an int in range, and an edge listed twice (in either order), and
+        refuses by budget a vertex count past EDGE_LIST_VERTEX_LIMIT."""
+        if type(n) is not int or n < 0:
+            raise ContractViolation(f"vertex count must be an integer >= 0, got {n!r:.60}")
+        if n > EDGE_LIST_VERTEX_LIMIT:
+            raise BudgetExceeded("vertex count", required=n, budget=EDGE_LIST_VERTEX_LIMIT)
         adj = [0] * n
         for u, v in edges:
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise ContractViolation(f"bad edge ({u}, {v})")
+            if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n) or u == v:
+                raise ContractViolation(f"bad edge ({u!r:.20}, {v!r:.20})")
+            if (adj[u] >> v) & 1:
+                raise ContractViolation(f"duplicate edge ({u}, {v})")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return cls(n, tuple(adj), tuple(labels) if labels is not None else None)
@@ -249,32 +260,52 @@ def greedy_clique(
 
 
 def read_dimacs(path) -> DenseGraph:
-    """Read the 'p edge N M' / 'e u v' format with 1-indexed vertices."""
-    n = None
+    """Read the 'p edge N M' / 'e u v' format with 1-indexed vertices.
+
+    Besides 'c' comment lines and blank lines the file must hold exactly one
+    problem line, followed by exactly M edge lines of two vertices each; a
+    duplicate edge or any other line is refused."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ContractViolation(f"DIMACS file is not text: {exc}") from exc
+    header = None
     edges = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("c"):
-                continue
-            parts = line.split()
-            if parts[0] == "p":
-                if len(parts) != 4 or parts[1] != "edge":
-                    raise ContractViolation(f"bad problem line: {line!r}")
-                n = int(parts[2])
-            elif parts[0] == "e":
-                u, v = int(parts[1]), int(parts[2])
-                edges.append((u - 1, v - 1))
-    if n is None:
+    for line in lines:
+        parts = line.split()
+        if not parts or parts[0].startswith("c"):
+            continue
+        try:
+            if parts[0] == "p" and header is None and len(parts) == 4 and parts[1] == "edge":
+                header = int(parts[2]), int(parts[3])
+            elif parts[0] == "e" and header is not None and len(parts) == 3:
+                edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+            else:
+                raise ValueError
+        except ValueError:
+            raise ContractViolation(f"bad DIMACS line: {line!r:.80}") from None
+    if header is None:
         raise ContractViolation("missing problem line")
+    n, m = header
+    if m != len(edges):
+        raise ContractViolation(f"problem line announces {m} edges, the file lists {len(edges)}")
     return DenseGraph.from_edges(n, edges)
 
 
 def read_graph_json(path) -> tuple[DenseGraph, dict]:
     """Read the JSON graph format; returns the graph and its metadata."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not JSON, or not text at all
+        raise ContractViolation(f"graph file is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ContractViolation("a graph document must be a JSON object")
     if doc.get("version") != 1:
-        raise ContractViolation(f"unsupported graph version {doc.get('version')}")
-    graph = DenseGraph.from_edges(doc["n"], [tuple(e) for e in doc["edges"]])
+        raise ContractViolation(f"unsupported graph version {doc.get('version')!r:.60}")
+    edges = doc.get("edges")
+    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+        raise ContractViolation("graph edges must be a list of vertex pairs")
+    graph = DenseGraph.from_edges(doc.get("n"), [tuple(e) for e in edges])
     return graph, doc.get("meta", {})

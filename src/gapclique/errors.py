@@ -1,8 +1,10 @@
 """Exception hierarchy shared by all modules.
 
 Exit-code mapping in the CLI: BudgetExceeded -> 2, PropertyViolation -> 3,
-OSError -> 4.  ContractViolation signals a caller bug (bad shapes, broken
-preconditions) and is never caught internally.
+OSError -> 4, ContractViolation (and an input file that is not valid JSON or
+text, or a usage error) -> 5.  ContractViolation signals an invalid request: a caller bug (bad
+shapes, broken preconditions) or malformed input read from a file.  It is
+never caught internally.
 """
 
 

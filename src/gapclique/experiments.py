@@ -24,11 +24,10 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import PropertyViolation
-from .ffield import FieldVector, next_prime
+from .ffield import next_prime
 from .lintest import (
     FunctionTable,
     LinearScalarFn,
-    LinearVecFn,
     LIST_CONSTANT,
     agreement,
     fourier_transform,
@@ -449,7 +448,7 @@ def suite_props(seed: int = 0, trials: int = PROPS_TRIALS) -> list[dict]:
         k=k,
         m=m,
         collections=(
-            tuple(FieldVector.uniform(inst_rng, q, m) for _ in range(n)),
+            tuple(tuple(inst_rng.randrange(q) for _ in range(m)) for _ in range(n)),
         ),
     )
     ws_rates = []

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, ContractViolation, PiecingRefused, PropertyViolation
-from .ffield import FieldVector, BlockVector, rank_tuple, unrank_tuple
+from .ffield import rank_tuple, unrank_tuple
 from .stats import wilson_interval
 
 # Exact enumeration caps: tables up to 2^18 points, pair scans up to 2^24.
@@ -77,21 +77,6 @@ class FunctionTable:
         self._scalar_respecting: Optional[bool] = None
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_callable(cls, q: int, d: int, l: int, fn: Callable) -> "FunctionTable":
-        """Tabulate fn over the whole domain; fn maps a residue tuple to a
-        length-l sequence of residues (or a single residue when l == 1)."""
-        n = q**d
-        if n > MAX_TABLE_SIZE:
-            raise BudgetExceeded("table size", required=n, budget=MAX_TABLE_SIZE)
-        rows = []
-        for r in range(n):
-            v = fn(unrank_tuple(q, d, r))
-            if isinstance(v, int):
-                v = (v,)
-            rows.append(tuple(v))
-        return cls(q, d, l, rows)
 
     @classmethod
     def from_linear(cls, fn: "LinearScalarFn | LinearVecFn") -> "FunctionTable":
@@ -207,13 +192,7 @@ class LinearScalarFn:
 @dataclass(frozen=True)
 class LinearVecFn:
     """Vector-valued linear function; one coefficient vector per output
-    coordinate, so evaluation is coordinate-wise inner products.
-
-    For a domain of k blocks of width k, `theta_blocks` regroups the
-    coefficients per direction: block i collects the i-th domain block of
-    every coefficient vector, so that evaluating at a point supported on
-    block i alone equals the block-inner product against theta_blocks()[i].
-    """
+    coordinate, so evaluation is coordinate-wise inner products."""
 
     q: int
     d: int
@@ -235,32 +214,6 @@ class LinearVecFn:
         if len(alpha) != self.d:
             raise ContractViolation("dimension mismatch")
         return tuple(sum(r * a for r, a in zip(rho, alpha)) % self.q for rho in self.rhos)
-
-    def theta_blocks(self, k: int) -> tuple[BlockVector, ...]:
-        if self.d != k * k:
-            raise ContractViolation(f"domain dim {self.d} is not {k}x{k} blocks")
-        out = []
-        for i in range(k):
-            blocks = [
-                FieldVector(self.q, rho[i * k : (i + 1) * k]) for rho in self.rhos
-            ]
-            out.append(BlockVector.from_blocks(blocks))
-        return tuple(out)
-
-    @classmethod
-    def from_theta_blocks(cls, thetas: Sequence[BlockVector]) -> "LinearVecFn":
-        k = len(thetas)
-        q = thetas[0].q
-        l = thetas[0].n_blocks
-        if any(t.width != k or t.n_blocks != l for t in thetas):
-            raise ContractViolation("inconsistent theta block shapes")
-        rhos = []
-        for j in range(l):
-            rho: list[int] = []
-            for i in range(k):
-                rho.extend(thetas[i].block(j).entries)
-            rhos.append(tuple(rho))
-        return cls(q, k * k, tuple(rhos))
 
 
 # -- the test and its accepted set --------------------------------------------

@@ -42,15 +42,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceeded, ContractViolation, PropertyViolation
-from .ffield import (
-    BlockVector,
-    FieldMatrix,
-    FieldVector,
-    mat_vec,
-    sample_matrix,
-)
 from .stats import wilson_interval
-from .vecsum import VecSumInstance
+from .vecsum import VecSumInstance, check_int, residue_tuple
 
 DEFAULT_CHECK_BUDGET = 5_000_000
 
@@ -63,28 +56,23 @@ _DIRECTION_IMAGE_LIMIT = 1 << 24
 
 @dataclass(frozen=True)
 class LinearMapG:
-    """l matrices of shape k x m over F_q, applied jointly as one linear map
-    into l blocks of width k."""
+    """l matrices of shape k x m over F_q, each a flat row-major tuple of
+    k*m residues, applied jointly as one linear map into l blocks of width k."""
 
     q: int
     k: int
     m: int
     l: int
-    matrices: tuple[FieldMatrix, ...]
+    matrices: tuple[tuple[int, ...], ...]
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.l < 1 or len(self.matrices) != self.l:
-            raise ContractViolation("need l >= 1 matrices")
-        for a in self.matrices:
-            if a.q != self.q or a.rows != self.k or a.cols != self.m:
-                raise ContractViolation("matrix shape/modulus mismatch")
-
-    @classmethod
-    def from_matrices(cls, matrices, seed: Optional[int] = None) -> "LinearMapG":
-        mats = tuple(matrices)
-        a = mats[0]
-        return cls(q=a.q, k=a.rows, m=a.cols, l=len(mats), matrices=mats, seed=seed)
+        q = check_int("modulus q", self.q, 2)
+        size = check_int("k", self.k) * check_int("dimension m", self.m)
+        mats = self.matrices
+        if not isinstance(mats, (list, tuple)) or len(mats) != check_int("l", self.l):
+            raise ContractViolation(f"need {self.l} matrices")
+        object.__setattr__(self, "matrices", tuple(residue_tuple(q, a, size) for a in mats))
 
     def to_json(self) -> dict:
         return {
@@ -93,31 +81,26 @@ class LinearMapG:
             "k": self.k,
             "m": self.m,
             "l": self.l,
-            "matrices": [list(a.entries) for a in self.matrices],
+            "matrices": [list(a) for a in self.matrices],
             "seed": self.seed,
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "LinearMapG":
+    def from_json(cls, doc) -> "LinearMapG":
+        if not isinstance(doc, dict):
+            raise ContractViolation("a map document must be a JSON object")
         if doc.get("version") != 1:
-            raise ContractViolation(f"unsupported map version {doc.get('version')}")
-        q, k, m = doc["q"], doc["k"], doc["m"]
-        mats = tuple(FieldMatrix(q, k, m, tuple(e)) for e in doc["matrices"])
-        return cls(q=q, k=k, m=m, l=doc["l"], matrices=mats, seed=doc.get("seed"))
+            raise ContractViolation(f"unsupported map version {doc.get('version')!r:.60}")
+        return cls(q=doc.get("q"), k=doc.get("k"), m=doc.get("m"), l=doc.get("l"),
+                   matrices=doc.get("matrices"), seed=doc.get("seed"))
 
 
 def sample_g(rng: random.Random, q: int, k: int, m: int, l: int,
              seed: Optional[int] = None) -> LinearMapG:
-    """l i.i.d. uniform matrices; deterministic given the rng state."""
-    mats = tuple(sample_matrix(rng, k, m, q) for _ in range(l))
+    """l i.i.d. uniform matrices, entries drawn row-major; deterministic
+    given the rng state."""
+    mats = tuple(tuple(rng.randrange(q) for _ in range(k * m)) for _ in range(l))
     return LinearMapG(q=q, k=k, m=m, l=l, matrices=mats, seed=seed)
-
-
-def apply_g(g: LinearMapG, b: FieldVector) -> BlockVector:
-    """Image of b: one block per matrix, each block a matrix-vector product."""
-    if b.dim != g.m or b.q != g.q:
-        raise ContractViolation("vector shape/modulus mismatch")
-    return BlockVector.from_blocks([mat_vec(a, b) for a in g.matrices])
 
 
 @dataclass(frozen=True)
@@ -154,16 +137,17 @@ def _digits(t: np.ndarray, radices: tuple[int, ...]) -> list[np.ndarray]:
     return out[::-1]
 
 
-def _source_images(g: LinearMapG, inst: VecSumInstance) -> tuple[np.ndarray, np.ndarray]:
+def source_images(g: LinearMapG, inst: VecSumInstance) -> tuple[np.ndarray, np.ndarray]:
     """Every source vector as a row (collections concatenated) and its image
     under g as a row of l*k coordinates, block by block: one
-    (l*k x m)(m x N) product mod q."""
+    (l*k x m)(m x N) product mod q.  This is the only place map images are
+    computed."""
     if g.q != inst.q or g.m != inst.m or g.k != inst.k:
         raise ContractViolation("map does not match instance shapes")
     if max(g.m, g.k) * (g.q - 1) ** 2 >= 2**63:
         raise ContractViolation(f"modulus {g.q} is too large for 64-bit image arithmetic")
-    vecs = np.array([u.entries for us in inst.collections for u in us], dtype=np.int64)
-    a = np.array([mat.entries for mat in g.matrices], dtype=np.int64)
+    vecs = np.array([u for us in inst.collections for u in us], dtype=np.int64)
+    a = np.array(g.matrices, dtype=np.int64)
     return vecs, (a.reshape(g.l * g.k, g.m) @ vecs.T % g.q).T
 
 
@@ -232,7 +216,7 @@ def check_wellspread(
     """For every choice of scalars and one vector per collection whose scaled
     sum is nonzero, the image must have relative weight >= 2/3 over all k*l
     coordinates."""
-    vecs, images = _source_images(g, inst)
+    vecs, images = source_images(g, inst)
     q, k, m, width = g.q, g.k, g.m, g.l * g.k
     # a case's sum and its image are the same combination of these rows
     rows = np.hstack([vecs, images])
@@ -270,7 +254,7 @@ def check_pairwise_separation(
     and it is the part that keeps the check meaningful at k = 1, where no
     independent pairs exist).
     """
-    vecs, images = _source_images(g, inst)
+    vecs, images = source_images(g, inst)
     q, k, l = g.q, g.k, g.l
     place = q ** np.arange(k - 1, -1, -1)
     # directions of F_q^k are numbered by rank, first coordinate most

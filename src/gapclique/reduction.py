@@ -27,27 +27,23 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from .errors import BudgetExceeded, ContractViolation, PiecingRefused, PropertyViolation
-from .ffield import (
-    FieldVector,
-    is_prime,
-    next_prime,
-    rank_tuple,
-    unrank_tuple,
-)
+from .ffield import is_prime, next_prime, rank_tuple, unrank_tuple
 from .lintest import (
     DEFAULT_PAIR_BUDGET,
     FunctionTable,
     LinearVecFn,
-    PiecingResult,
     default_delta_schedule,
     LIST_CONSTANT,
     piece_together,
 )
-from .randmap import LinearMapG, apply_g
-from .vecsum import VecSumInstance
+from .randmap import LinearMapG, source_images
+from .vecsum import VecSumInstance, check_int, vector_sum
 from .cliquesolve import DenseGraph
 
 DEFAULT_VERTEX_BUDGET = 2000
@@ -88,6 +84,18 @@ class ParamSchedule:
             "bound": self.bound,
         }
 
+    @classmethod
+    def from_json(cls, doc, q: int, k: int) -> "ParamSchedule":
+        """Rebuild a stored schedule for modulus q and k; lam is recomputed
+        as q^(2k^2) and the stored record must match the rebuilt one."""
+        if not isinstance(doc, dict) or doc.get("qhat") != q or doc.get("k") != k:
+            raise ContractViolation("stored schedule does not match the modulus and k")
+        sched = cls(k=k, n=doc.get("n"), qhat=q, lam=q ** (2 * k * k),
+                    f_prime_at_lam=doc.get("f_prime_at_lam"), bound=doc.get("bound"))
+        if sched.to_json() != doc:
+            raise ContractViolation("stored schedule is inconsistent with q^(2k^2)")
+        return sched
+
 
 def floor_log2(x: int) -> int:
     if x < 1:
@@ -121,10 +129,10 @@ class ReductionParams:
     def __post_init__(self):
         if self.mode not in ("desk", "paper_faithful"):
             raise ContractViolation(f"unknown mode {self.mode!r}")
-        if self.k < 1 or self.l < 1:
-            raise ContractViolation("need k >= 1 and l >= 1")
-        if not is_prime(self.q):
-            raise ContractViolation(f"modulus {self.q} is not prime")
+        check_int("k", self.k)
+        check_int("l", self.l)
+        if type(self.q) is not int or not is_prime(self.q):
+            raise ContractViolation(f"modulus {self.q!r:.60} is not prime")
         if self.mode == "paper_faithful" and self.schedule is None:
             raise ContractViolation("paper_faithful mode requires a schedule")
 
@@ -198,10 +206,6 @@ def is_valid_vertex(v: Vertex, params: ReductionParams) -> bool:
     return v.alpha != v.beta or v.x == v.y
 
 
-def _tuple_add(q: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple((u + w) % q for u, w in zip(a, b))
-
-
 def _tuple_sub(q: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple((u - w) % q for u, w in zip(a, b))
 
@@ -213,7 +217,7 @@ def _tuple_scale(q: int, c: int, a: tuple[int, ...]) -> tuple[int, ...]:
 def var_points(v: Vertex, q: int) -> tuple[tuple[int, ...], ...]:
     """The up-to-three points the vertex assigns values to, deduplicated and
     in slot order (alpha, beta, alpha+beta)."""
-    pts = [v.alpha, v.beta, _tuple_add(q, v.alpha, v.beta)]
+    pts = [v.alpha, v.beta, vector_sum(q, (v.alpha, v.beta))]
     seen = []
     for p in pts:
         if p not in seen:
@@ -229,7 +233,7 @@ def value_relation(v: Vertex, q: int) -> dict[tuple[int, ...], set[tuple[int, ..
     rel: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
     rel.setdefault(v.alpha, set()).add(v.x)
     rel.setdefault(v.beta, set()).add(v.y)
-    rel.setdefault(_tuple_add(q, v.alpha, v.beta), set()).add(_tuple_add(q, v.x, v.y))
+    rel.setdefault(vector_sum(q, (v.alpha, v.beta)), set()).add(vector_sum(q, (v.x, v.y)))
     return rel
 
 
@@ -313,31 +317,27 @@ class CliqueInstance:
         self.gmap = gmap
         self.source = source
         self.codec = VertexCodec(params.q, params.k, params.l)
-        # flat image tuples of every source vector under the map, per collection
-        self._images: tuple[tuple[tuple[int, ...], ...], ...] = tuple(
-            tuple(apply_g(gmap, u).vec.entries for u in us)
-            for us in source.collections
-        )
         self._m_sets: dict[tuple[int, tuple[int, ...]], frozenset] = {}
         self._rel_cache: dict[Vertex, dict] = {}
 
-    # -- small algebra helpers on flat tuples ------------------------------
-
-    def image_block_inner(self, abar: tuple[int, ...], flat: tuple[int, ...]) -> tuple[int, ...]:
-        """Block-inner product of a width-k direction against a flat image
-        (l blocks of width k)."""
-        q, k, l = self.params.q, self.params.k, self.params.l
-        return tuple(
-            sum(abar[t] * flat[j * k + t] for t in range(k)) % q for j in range(l)
-        )
+    @cached_property
+    def _images(self) -> list[np.ndarray]:
+        """Per collection, the images of its vectors as an (n, l, k) array:
+        [r, j] is block j of the image of vector r.  Computed on first use,
+        so a graph too large to build is refused by its vertex budget before
+        the image product's own limits."""
+        _, images = source_images(self.gmap, self.source)
+        images = images.reshape(-1, self.params.l, self.params.k)
+        return np.split(images, np.cumsum(self.source.sizes)[:-1])
 
     def _m_value_set(self, i: int, abar: tuple[int, ...]) -> frozenset:
+        """The block-inner images of collection i's vectors under direction
+        abar, as a set of l-tuples."""
         key = (i, abar)
         cached = self._m_sets.get(key)
         if cached is None:
-            cached = frozenset(
-                self.image_block_inner(abar, flat) for flat in self._images[i]
-            )
+            inner = self._images[i] @ np.array(abar) % self.params.q
+            cached = frozenset(map(tuple, inner.tolist()))
             self._m_sets[key] = cached
         return cached
 
@@ -430,17 +430,17 @@ class CliqueInstance:
             raise BudgetExceeded("planted clique size", required=total, budget=clique_budget)
         if len(indices) != params.k:
             raise ContractViolation("need one index per collection")
-        flats = [self._images[i][idx] for i, idx in enumerate(indices)]
         block_space = list(itertools.product(range(q), repeat=k))
-        tables = []
-        for i in range(k):
-            tables.append({ab: self.image_block_inner(ab, flats[i]) for ab in block_space})
+        # per collection, the chosen vector's block-inner image under every
+        # direction
+        directions = np.array(block_space)
+        tables = [
+            dict(zip(block_space, map(tuple, (directions @ self._images[i][idx].T % q).tolist())))
+            for i, idx in enumerate(indices)
+        ]
 
         def value(bold: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-            acc = (0,) * l
-            for i in range(k):
-                acc = _tuple_add(q, acc, tables[i][bold[i]])
-            return acc
+            return vector_sum(q, (tables[i][bold[i]] for i in range(k)))
 
         out = []
         for bold_a in itertools.product(block_space, repeat=k):
@@ -505,13 +505,20 @@ class CliqueInstance:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "CliqueInstance":
+    def from_json(cls, doc) -> "CliqueInstance":
+        if not isinstance(doc, dict) or not isinstance(doc.get("params"), dict):
+            raise ContractViolation("a reduction document must be a JSON object with params")
         if doc.get("version") != 1:
-            raise ContractViolation(f"unsupported reduction version {doc.get('version')}")
+            raise ContractViolation(f"unsupported reduction version {doc.get('version')!r:.60}")
         p = doc["params"]
-        params = ReductionParams(q=p["q"], k=p["k"], l=p["l"], mode="desk")
-        gmap = LinearMapG.from_json(doc["map"])
-        source = VecSumInstance.from_json(doc["instance"])
+        gmap = LinearMapG.from_json(doc.get("map"))
+        source = VecSumInstance.from_json(doc.get("instance"))
+        # the schedule is rebuilt from the instance's own (validated) q and k
+        schedule = p.get("schedule")
+        if schedule is not None:
+            schedule = ParamSchedule.from_json(schedule, source.q, source.k)
+        params = ReductionParams(q=p.get("q"), k=p.get("k"), l=p.get("l"),
+                                 mode=p.get("mode"), schedule=schedule)
         return cls(params, gmap, source)
 
 
@@ -798,44 +805,37 @@ def extract_witness(
     report.r_star_size = r_star
     report.r_star_dense = r_star * q > q**kk
 
-    thetas = piece.fn.theta_blocks(k)
     bound = 2 * kappa
+    directions = list(itertools.product(range(q), repeat=k))[1:]
+    rhos = np.array(piece.fn.rhos, dtype=np.int64)
     chosen: list[int] = []
     failed_stage = None
     for i in range(k):
-        theta_flat = thetas[i].vec.entries
-        diffs = [
-            _tuple_sub(q, theta_flat, flat) for flat in instance._images[i]
-        ]
+        us = instance.source.collections[i]
+        # [d, r]: the weight of direction d's block-inner image of
+        # theta_i - image(u_r), where theta_i (l x k) is the i-th domain block
+        # of every coefficient vector, so that at a point supported on block i
+        # alone the pieced function is the block-inner product against theta_i
+        diffs = (rhos[:, i * k : (i + 1) * k] - instance._images[i]) % q
+        weights = np.count_nonzero(
+            np.einsum("dc,rjc->drj", np.array(directions), diffs) % q, axis=2
+        ).tolist()
         residuals: dict[tuple[int, ...], tuple[int, Fraction]] = {}
         ambiguous = []
         out_of_bound = []
         votes = set()
-        for abar in itertools.product(range(q), repeat=k):
-            if not any(abar):
-                continue
-            scored = []
-            for idx, dflat in enumerate(diffs):
-                img = instance.image_block_inner(abar, dflat)
-                res = Fraction(sum(1 for e in img if e != 0), l)
-                scored.append((res, idx))
-            scored.sort()
-            best_res, best_idx = scored[0]
-            residuals[abar] = (best_idx, best_res)
+        for abar, row in zip(directions, weights):
+            best_idx = row.index(min(row))
+            residuals[abar] = (best_idx, Fraction(row[best_idx], l))
+            in_bound = [idx for idx, w in enumerate(row) if Fraction(w, l) <= bound]
             # ambiguity means two distinct VECTORS inside the bound; duplicate
             # copies of one vector decode to the same witness and are fine
-            in_bound_vectors: dict[tuple[int, ...], int] = {}
-            for res, idx in scored:
-                if res <= bound:
-                    in_bound_vectors.setdefault(
-                        instance.source.collections[i][idx].entries, idx
-                    )
-            if len(in_bound_vectors) >= 2:
+            if len({us[idx] for idx in in_bound}) >= 2:
                 ambiguous.append(abar)
-            elif not in_bound_vectors:
+            elif not in_bound:
                 out_of_bound.append(abar)
             else:
-                votes.add(min(in_bound_vectors.values()))
+                votes.add(in_bound[0])
         direction = DirectionDecode(
             collection=i,
             chosen_index=None,
@@ -856,18 +856,16 @@ def extract_witness(
         else:
             u_idx = votes.pop()
             direction.chosen_index = u_idx
-            direction.chosen_vector = instance.source.collections[i][u_idx].entries
+            direction.chosen_vector = us[u_idx]
             chosen.append(u_idx)
         if failed_stage:
             report.verdict = "failed"
             report.stage, report.detail = failed_stage
             return report
 
-    z = FieldVector.zero(q, instance.source.m)
-    for i, idx in enumerate(chosen):
-        z = z + instance.source.collections[i][idx]
-    report.z_star = z.entries
-    if z.is_zero():
+    z = vector_sum(q, (instance.source.collections[i][idx] for i, idx in enumerate(chosen)))
+    report.z_star = z
+    if not any(z):
         report.verdict = "witness"
         report.stage = "complete"
         report.detail = "recovered tuple sums to zero"

@@ -4,6 +4,9 @@ the question whether one vector per collection sums to zero.
 Generators produce either planted YES instances or brute-force-certified NO
 instances; certification is never probabilistic because downstream soundness
 experiments need ground truth.
+
+A vector is a plain tuple of residues in [0, q).  Instances (and the maps in
+randmap) refuse anything else, since they are also built from JSON files.
 """
 
 from __future__ import annotations
@@ -13,14 +16,41 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 from .errors import BudgetExceeded, ContractViolation, PropertyViolation
-from .ffield import FieldVector
 
 DEFAULT_TUPLE_BUDGET = 2_000_000
-DEFAULT_SUMSET_CAP = 1_000_000
+
+
+def check_int(name: str, value, low: int = 1) -> int:
+    """value itself; refuses anything but an int >= low."""
+    if type(value) is not int or value < low:
+        raise ContractViolation(f"{name} must be an integer >= {low}, got {value!r:.60}")
+    return value
+
+
+def residue_tuple(q: int, entries, dim: int) -> tuple[int, ...]:
+    """entries as a tuple; refuses anything but a list or tuple of exactly
+    dim ints in [0, q)."""
+    if (
+        not isinstance(entries, (list, tuple))
+        or len(entries) != dim
+        or not all(type(e) is int and 0 <= e < q for e in entries)
+    ):
+        raise ContractViolation(f"expected {dim} residues in [0, {q}), got {entries!r:.60}")
+    return tuple(entries)
+
+
+def vector_sum(q: int, vectors) -> tuple[int, ...]:
+    """Coordinate-wise sum mod q of one or more residue tuples."""
+    vectors = iter(vectors)
+    total = next(vectors)
+    for v in vectors:
+        total = [a + b for a, b in zip(total, v)]
+    return tuple([a % q for a in total])
 
 
 @dataclass(frozen=True)
@@ -31,28 +61,33 @@ class VecSumInstance:
     q: int
     k: int
     m: int
-    collections: tuple[tuple[FieldVector, ...], ...]
+    collections: tuple[tuple[tuple[int, ...], ...], ...]
     planted: Optional[tuple[int, ...]] = None
     seed: Optional[int] = None
     generator: Optional[str] = None
     certificate: Optional[dict] = field(default=None, compare=False)
 
     def __post_init__(self):
-        if len(self.collections) != self.k:
+        q = check_int("modulus q", self.q, 2)
+        check_int("k", self.k)
+        check_int("dimension m", self.m)
+        cols = self.collections
+        if not isinstance(cols, (list, tuple)) or len(cols) != self.k:
             raise ContractViolation(f"expected {self.k} collections")
-        for us in self.collections:
-            if not us:
-                raise ContractViolation("collections must be non-empty")
-            for u in us:
-                if u.q != self.q or u.dim != self.m:
-                    raise ContractViolation("vector shape/modulus mismatch")
-        if self.planted is not None:
-            if len(self.planted) != self.k:
+        if not all(isinstance(us, (list, tuple)) and us for us in cols):
+            raise ContractViolation("collections must be non-empty lists of vectors")
+        cols = tuple(tuple(residue_tuple(q, u, self.m) for u in us) for us in cols)
+        object.__setattr__(self, "collections", cols)
+        planted = self.planted
+        if planted is not None:
+            if (
+                not isinstance(planted, (list, tuple))
+                or len(planted) != self.k
+                or not all(type(i) is int and 0 <= i < len(us) for i, us in zip(planted, cols))
+            ):
                 raise ContractViolation("planted witness needs one index per collection")
-            s = FieldVector.zero(self.q, self.m)
-            for i, idx in enumerate(self.planted):
-                s = s + self.collections[i][idx]
-            if not s.is_zero():
+            object.__setattr__(self, "planted", tuple(planted))
+            if any(vector_sum(q, (us[i] for i, us in zip(planted, cols)))):
                 raise ContractViolation("planted witness does not sum to zero")
 
     @property
@@ -68,9 +103,7 @@ class VecSumInstance:
             "q": self.q,
             "k": self.k,
             "m": self.m,
-            "collections": [
-                [list(u.entries) for u in us] for us in self.collections
-            ],
+            "collections": [[list(u) for u in us] for us in self.collections],
             "planted": list(self.planted) if self.planted is not None else None,
             "seed": self.seed,
             "generator": self.generator,
@@ -78,20 +111,17 @@ class VecSumInstance:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "VecSumInstance":
+    def from_json(cls, doc) -> "VecSumInstance":
+        if not isinstance(doc, dict):
+            raise ContractViolation("an instance document must be a JSON object")
         if doc.get("version") != 1:
-            raise ContractViolation(f"unsupported instance version {doc.get('version')}")
-        q = doc["q"]
-        cols = tuple(
-            tuple(FieldVector(q, tuple(e)) for e in us) for us in doc["collections"]
-        )
-        planted = doc.get("planted")
+            raise ContractViolation(f"unsupported instance version {doc.get('version')!r:.60}")
         return cls(
-            q=q,
-            k=doc["k"],
-            m=doc["m"],
-            collections=cols,
-            planted=tuple(planted) if planted is not None else None,
+            q=doc.get("q"),
+            k=doc.get("k"),
+            m=doc.get("m"),
+            collections=doc.get("collections"),
+            planted=doc.get("planted"),
             seed=doc.get("seed"),
             generator=doc.get("generator"),
             certificate=doc.get("certificate"),
@@ -107,6 +137,11 @@ class VecSumInstance:
             return cls.from_json(json.load(fh))
 
     def fingerprint(self) -> str:
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
+        # the instance is immutable, so one hash serves every map checked on it
         doc = self.to_json()
         doc.pop("certificate", None)
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
@@ -118,7 +153,11 @@ class Witness:
     """A sum-zero tuple: one vector index per collection."""
 
     indices: tuple[int, ...]
-    vectors: tuple[FieldVector, ...]
+    vectors: tuple[tuple[int, ...], ...]
+
+
+def _uniform(rng: random.Random, q: int, m: int) -> tuple[int, ...]:
+    return tuple(rng.randrange(q) for _ in range(m))
 
 
 def generate_planted(
@@ -129,18 +168,17 @@ def generate_planted(
     position of the last collection."""
     if n_per_collection < 1:
         raise ContractViolation("need at least one vector per collection")
-    cols: list[list[FieldVector]] = []
+    cols: list[list[tuple[int, ...]]] = []
     witness_prefix: list[int] = []
-    partial = FieldVector.zero(q, m)
     for _ in range(k - 1):
-        us = [FieldVector.uniform(rng, q, m) for _ in range(n_per_collection)]
+        us = [_uniform(rng, q, m) for _ in range(n_per_collection)]
         idx = rng.randrange(n_per_collection)
         witness_prefix.append(idx)
-        partial = partial + us[idx]
         cols.append(us)
-    last = [FieldVector.uniform(rng, q, m) for _ in range(n_per_collection - 1)]
+    partial = vector_sum(q, [(0,) * m] + [us[i] for us, i in zip(cols, witness_prefix)])
+    last = [_uniform(rng, q, m) for _ in range(n_per_collection - 1)]
     pos = rng.randrange(n_per_collection)
-    last.insert(pos, -partial)
+    last.insert(pos, tuple(-e % q for e in partial))
     cols.append(last)
     return VecSumInstance(
         q=q,
@@ -160,21 +198,11 @@ def brute_force_decide(
     total = inst.tuple_count()
     if total > tuple_budget:
         raise BudgetExceeded("tuple enumeration", required=total, budget=tuple_budget)
-    q, m = inst.q, inst.m
-    entry_lists = [
-        [u.entries for u in us] for us in inst.collections
-    ]
-    for indices in itertools.product(*(range(len(us)) for us in entry_lists)):
-        acc = [0] * m
-        for i, idx in enumerate(indices):
-            e = entry_lists[i][idx]
-            for j in range(m):
-                acc[j] += e[j]
-        if all(v % q == 0 for v in acc):
-            return Witness(
-                indices=indices,
-                vectors=tuple(inst.collections[i][idx] for i, idx in enumerate(indices)),
-            )
+    cols = inst.collections
+    for indices in itertools.product(*(range(len(us)) for us in cols)):
+        vectors = tuple(cols[i][idx] for i, idx in enumerate(indices))
+        if not any(vector_sum(inst.q, vectors)):
+            return Witness(indices=indices, vectors=vectors)
     return None
 
 
@@ -198,50 +226,16 @@ def generate_unsat(
         raise BudgetExceeded("tuple enumeration", required=total, budget=tuple_budget)
     for attempt in range(max_retries):
         cols = tuple(
-            tuple(FieldVector.uniform(rng, q, m) for _ in range(n_per_collection))
+            tuple(_uniform(rng, q, m) for _ in range(n_per_collection))
             for _ in range(k)
         )
         inst = VecSumInstance(q=q, k=k, m=m, collections=cols, generator="unsat")
         if brute_force_decide(inst, tuple_budget) is None:
-            return VecSumInstance(
-                q=q,
-                k=k,
-                m=m,
-                collections=cols,
-                generator="unsat",
-                certificate={
-                    "certified_no": True,
-                    "tuples_checked": total,
-                    "attempts": attempt + 1,
-                },
-            )
+            certificate = {"certified_no": True, "tuples_checked": total, "attempts": attempt + 1}
+            return replace(inst, certificate=certificate)
     raise PropertyViolation(
         f"could not sample a NO instance in {max_retries} attempts "
         f"(q^m={q**m} vs {total} tuples)"
-    )
-
-
-def from_target_variant(inst: VecSumInstance, target: FieldVector) -> VecSumInstance:
-    """Convert a target-vector instance (does some tuple sum to the target?)
-    into the zero-sum form by appending a singleton collection holding the
-    negated target."""
-    if target.dim != inst.m or target.q != inst.q:
-        raise ContractViolation("target shape/modulus mismatch")
-    planted = None
-    if inst.planted is not None:
-        s = FieldVector.zero(inst.q, inst.m)
-        for i, idx in enumerate(inst.planted):
-            s = s + inst.collections[i][idx]
-        if s == target:
-            planted = tuple(inst.planted) + (0,)
-    return VecSumInstance(
-        q=inst.q,
-        k=inst.k + 1,
-        m=inst.m,
-        collections=inst.collections + ((-target,),),
-        planted=planted,
-        seed=inst.seed,
-        generator="target-variant",
     )
 
 
@@ -250,42 +244,3 @@ def paper_dimension(k: int, n: int, c_m: float = 1.0) -> int:
     if n < 2:
         return max(1, int(math.ceil(c_m * k * k)))
     return max(1, int(math.ceil(c_m * k * k * math.log2(n))))
-
-
-@dataclass(frozen=True)
-class SumsetView:
-    """Enumerated elements of the r-fold scaled sumset of a collection."""
-
-    order: int
-    source_size: int
-    elements: frozenset[tuple[int, ...]]
-
-
-def enumerate_sumset(
-    collection,
-    r: int,
-    cap: int = DEFAULT_SUMSET_CAP,
-) -> SumsetView:
-    """Exact element set of all sums of r scaled collection members
-    (gamma_1 b_1 + ... + gamma_r b_r, repeats allowed), deduplicated."""
-    vecs = list(collection)
-    if not vecs:
-        raise ContractViolation("collection must be non-empty")
-    if r < 1:
-        raise ContractViolation("sumset order must be >= 1")
-    q = vecs[0].q
-    m = vecs[0].dim
-    total = (q * len(vecs)) ** r
-    if total > cap:
-        raise BudgetExceeded("sumset enumeration", required=total, budget=cap)
-    scaled = [[b.scale(c).entries for c in range(q)] for b in vecs]
-    elements: set[tuple[int, ...]] = set()
-    for combo in itertools.product(range(len(vecs)), repeat=r):
-        for gammas in itertools.product(range(q), repeat=r):
-            acc = [0] * m
-            for b_idx, c in zip(combo, gammas):
-                e = scaled[b_idx][c]
-                for j in range(m):
-                    acc[j] += e[j]
-            elements.add(tuple(v % q for v in acc))
-    return SumsetView(order=r, source_size=len(vecs), elements=frozenset(elements))

@@ -1,35 +1,99 @@
 """Definition-level field helpers that the tests use as reference oracles.
 
-The library computes these quantities on integer arrays inside its goodness
-checks; here they stay in exact FieldVector arithmetic, one coordinate at a
-time, so the tests can compare the two.
+The library computes these quantities on integer arrays (map images in one
+matrix product, block-inner products in batches); here they stay in exact
+arithmetic on residue tuples, one coordinate at a time, so the tests can
+compare the two.
 """
 
+import itertools
 from fractions import Fraction
 
-from gapclique.errors import ContractViolation
-from gapclique.ffield import BlockVector, FieldVector
+from gapclique.errors import BudgetExceeded, ContractViolation
 
 
-def inner_product(a: FieldVector, b: FieldVector) -> int:
+def _same_dim(a, b):
+    if len(a) != len(b):
+        raise ContractViolation(f"dimension mismatch: {len(a)} vs {len(b)}")
+
+
+def add(q, a, b):
+    _same_dim(a, b)
+    return tuple((x + y) % q for x, y in zip(a, b))
+
+
+def sub(q, a, b):
+    _same_dim(a, b)
+    return tuple((x - y) % q for x, y in zip(a, b))
+
+
+def scale(q, c, a):
+    return tuple((c * x) % q for x in a)
+
+
+def inner_product(q, a, b) -> int:
     """Sum of coordinate products, reduced mod q."""
-    a._check_compatible(b)
-    return sum(x * y for x, y in zip(a.entries, b.entries)) % a.q
+    _same_dim(a, b)
+    return sum(x * y for x, y in zip(a, b)) % q
 
 
-def block_inner(a: FieldVector, b: BlockVector) -> FieldVector:
-    """Inner product of a against each block of b; one coordinate per block."""
-    if b.width != a.dim:
-        raise ContractViolation(f"block width {b.width} does not match vector dimension {a.dim}")
-    return FieldVector(a.q, tuple(inner_product(a, blk) for blk in b.blocks()))
+def block_inner(q, a, b):
+    """Inner product of a against each width-len(a) block of the flat vector
+    b; one coordinate per block."""
+    w = len(a)
+    if len(b) % w:
+        raise ContractViolation(f"length {len(b)} is not a multiple of block width {w}")
+    return tuple(inner_product(q, a, b[j : j + w]) for j in range(0, len(b), w))
 
 
-def rel_hamming(x: FieldVector, y: FieldVector) -> Fraction:
+def identity(n):
+    """The n x n identity matrix, flat and row-major like a map's matrices."""
+    return tuple(int(i == j) for i in range(n) for j in range(n))
+
+
+def apply_map(g, b):
+    """Image of b under the map: block j is the matrix-vector product of the
+    j-th k x m matrix (flat, row-major) with b."""
+    if len(b) != g.m:
+        raise ContractViolation(f"map takes dimension {g.m}, vector has {len(b)}")
+    return tuple(
+        sum(a[r * g.m + c] * b[c] for c in range(g.m)) % g.q
+        for a in g.matrices
+        for r in range(g.k)
+    )
+
+
+def rel_hamming(x, y) -> Fraction:
     """Fraction of coordinates where the vectors differ."""
-    x._check_compatible(y)
-    return Fraction(sum(1 for a, b in zip(x.entries, y.entries) if a != b), x.dim)
+    _same_dim(x, y)
+    return Fraction(sum(1 for a, b in zip(x, y) if a != b), len(x))
 
 
-def rel_weight(x: FieldVector) -> Fraction:
+def rel_weight(x) -> Fraction:
     """Fraction of nonzero coordinates."""
-    return Fraction(sum(1 for a in x.entries if a != 0), x.dim)
+    return Fraction(sum(1 for a in x if a != 0), len(x))
+
+
+def enumerate_sumset(q, collection, r, cap=1_000_000):
+    """Exact element set of all sums of r scaled collection members
+    (gamma_1 b_1 + ... + gamma_r b_r, repeats allowed), deduplicated."""
+    vecs = list(collection)
+    if not vecs:
+        raise ContractViolation("collection must be non-empty")
+    if r < 1:
+        raise ContractViolation("sumset order must be >= 1")
+    m = len(vecs[0])
+    total = (q * len(vecs)) ** r
+    if total > cap:
+        raise BudgetExceeded("sumset enumeration", required=total, budget=cap)
+    scaled = [[scale(q, c, b) for c in range(q)] for b in vecs]
+    elements: set[tuple[int, ...]] = set()
+    for combo in itertools.product(range(len(vecs)), repeat=r):
+        for gammas in itertools.product(range(q), repeat=r):
+            acc = [0] * m
+            for b_idx, c in zip(combo, gammas):
+                e = scaled[b_idx][c]
+                for j in range(m):
+                    acc[j] += e[j]
+            elements.add(tuple(v % q for v in acc))
+    return frozenset(elements)

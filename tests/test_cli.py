@@ -3,7 +3,9 @@
 import json
 import os
 
-from gapclique.cli import EXIT_BUDGET, EXIT_IO, EXIT_OK, EXIT_PROPERTY, main
+import pytest
+
+from gapclique.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_PROPERTY, main
 
 
 def run(*argv):
@@ -114,7 +116,32 @@ class TestExitCodes:
         code = run("--seed", "1", "--out-dir", out, "reduce",
                    "--instance", os.path.join(out, "instance.json"),
                    "--l", "2", "--vertex-cap", "0")
+        assert code == EXIT_INVALID
+
+    def test_usage_error_is_invalid(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("check-map", "--instance", "instance.json", "--mode", "sometimes")
+        assert exc.value.code == EXIT_INVALID
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_monte_carlo_without_samples_is_invalid(self, tmp_path, capsys):
+        out = str(tmp_path)
+        run("--seed", "1", "--out-dir", out, "gen-vecsum", "--q", "3", "--k", "1")
+        code = run("--seed", "1", "--out-dir", out, "check-map",
+                   "--instance", os.path.join(out, "instance.json"), "--mode", "monte_carlo")
+        assert code == EXIT_INVALID
+        assert "samples >= 1" in capsys.readouterr().err
+
+    def test_modulus_past_64_bit_images_refused_by_vertex_budget(self, tmp_path, capsys):
+        # 4294967311 is the first prime above 2^32: its images overflow int64,
+        # but the graph is refused for its size before any image is computed
+        out = str(tmp_path)
+        assert run("--seed", "1", "--out-dir", out, "gen-vecsum", "--q", "4294967311",
+                   "--k", "1", "--m", "2", "--n", "2") == EXIT_OK
+        code = run("--seed", "1", "--out-dir", out, "reduce",
+                   "--instance", os.path.join(out, "instance.json"), "--l", "1")
         assert code == EXIT_BUDGET
+        assert "vertex count" in capsys.readouterr().err
 
 
 class TestDeterminism:

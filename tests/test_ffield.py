@@ -1,5 +1,5 @@
-"""Field arithmetic and the reference field helpers the tests compare
-against: examples, exhaustive algebraic properties, sampling."""
+"""Primality, rank/unrank, map sampling, and the reference field helpers
+the tests compare against: examples, exhaustive algebraic properties."""
 
 import itertools
 import random
@@ -11,23 +11,32 @@ from hypothesis import given, settings, strategies as st
 
 from gapclique import rng as rngmod
 from gapclique.errors import ContractViolation
-from gapclique.ffield import (
-    BlockVector,
-    FieldMatrix,
-    FieldVector,
-    is_prime,
-    mat_vec,
-    next_prime,
-    rank_tuple,
-    sample_matrix,
-    unrank_tuple,
+from gapclique.ffield import is_prime, next_prime, rank_tuple, unrank_tuple
+from gapclique.randmap import LinearMapG, sample_g, source_images
+from gapclique.vecsum import VecSumInstance
+
+from field_reference import (
+    add,
+    block_inner,
+    identity,
+    inner_product,
+    rel_hamming,
+    rel_weight,
+    scale,
+    sub,
 )
 
-from field_reference import block_inner, inner_product, rel_hamming, rel_weight
+
+def uniform(rng, q, d):
+    return tuple(rng.randrange(q) for _ in range(d))
 
 
-def vec(q, *entries):
-    return FieldVector(q, tuple(entries))
+def mat_vec(q, rows, cols, entries, b):
+    """Matrix-vector product as the library computes it: randmap's
+    source_images with a one-block map on an instance holding only b."""
+    g = LinearMapG(q=q, k=rows, m=cols, l=1, matrices=(entries,))
+    inst = VecSumInstance(q=q, k=rows, m=len(b), collections=((b,),) * rows)
+    return tuple(source_images(g, inst)[1][0].tolist())
 
 
 class TestPrimality:
@@ -52,97 +61,90 @@ class TestPrimality:
 
 class TestInnerProduct:
     def test_example(self):
-        assert inner_product(vec(5, 1, 2), vec(5, 3, 4)) == 1
+        assert inner_product(5, (1, 2), (3, 4)) == 1
 
     def test_zero_vector(self):
-        a = vec(7, 2, 4, 6)
-        assert inner_product(a, FieldVector.zero(7, 3)) == 0
+        assert inner_product(7, (2, 4, 6), (0, 0, 0)) == 0
 
     def test_wraps_to_zero(self):
-        assert inner_product(vec(3, 1, 1, 1), vec(3, 1, 1, 1)) == 0
+        assert inner_product(3, (1, 1, 1), (1, 1, 1)) == 0
 
     def test_dim_mismatch(self):
         with pytest.raises(ContractViolation):
-            inner_product(vec(5, 1), vec(5, 1, 2))
+            inner_product(5, (1,), (1, 2))
 
     def test_bilinearity_exhaustive_q3(self):
         q = 3
         for d in (1, 2):
-            pts = [FieldVector(q, t) for t in itertools.product(range(q), repeat=d)]
+            pts = list(itertools.product(range(q), repeat=d))
             for a, b, c in itertools.product(pts, repeat=3):
-                assert inner_product(a, b + c) == (inner_product(a, b) + inner_product(a, c)) % q
+                assert inner_product(q, a, add(q, b, c)) == (
+                    inner_product(q, a, b) + inner_product(q, a, c)
+                ) % q
                 for g in range(q):
-                    assert inner_product(a.scale(g), b) == (g * inner_product(a, b)) % q
+                    assert inner_product(q, scale(q, g, a), b) == (g * inner_product(q, a, b)) % q
 
 
 class TestBlockInner:
     def test_unit_blocks(self):
-        b = BlockVector.from_blocks([vec(3, 1, 0), vec(3, 0, 1)])
-        assert block_inner(vec(3, 1, 1), b).entries == (1, 1)
+        assert block_inner(3, (1, 1), (1, 0, 0, 1)) == (1, 1)
 
     def test_zero_input(self):
-        b = BlockVector.from_blocks([vec(3, 1, 2), vec(3, 2, 1)])
-        assert block_inner(FieldVector.zero(3, 2), b).entries == (0, 0)
+        assert block_inner(3, (0, 0), (1, 2, 2, 1)) == (0, 0)
 
     def test_hand_value_cross_checked_by_matrix_multiply(self):
         # independent oracle: stack the blocks as matrix rows and multiply
-        a = vec(5, 2, 3)
-        blocks = [vec(5, 1, 1), vec(5, 4, 0)]
-        got = block_inner(a, BlockVector.from_blocks(blocks))
-        assert got.entries == (0, 3)
-        m = np.array([b.entries for b in blocks])
-        expect = tuple((m @ np.array(a.entries)) % 5)
-        assert got.entries == expect
+        a = (2, 3)
+        blocks = [(1, 1), (4, 0)]
+        got = block_inner(5, a, blocks[0] + blocks[1])
+        assert got == (0, 3)
+        expect = tuple((np.array(blocks) @ np.array(a)) % 5)
+        assert got == expect
 
     def test_width_mismatch(self):
-        b = BlockVector.from_blocks([vec(3, 1, 0, 2)])
         with pytest.raises(ContractViolation):
-            block_inner(vec(3, 1, 1), b)
+            block_inner(3, (1, 1), (1, 0, 2))
 
     def test_matches_mat_vec_structurally(self):
         rng = random.Random(3)
         for _ in range(30):
             q = random.Random(rng.random()).choice([3, 5, 7])
             t, d = rng.randrange(1, 4), rng.randrange(1, 4)
-            blocks = [FieldVector.uniform(rng, q, d) for _ in range(t)]
-            a = FieldVector.uniform(rng, q, d)
-            via_blocks = block_inner(a, BlockVector.from_blocks(blocks))
-            rows = tuple(e for b in blocks for e in b.entries)
-            via_matrix = mat_vec(FieldMatrix(q, t, d, rows), a)
-            assert via_blocks == via_matrix
+            blocks = [uniform(rng, q, d) for _ in range(t)]
+            a = uniform(rng, q, d)
+            rows = tuple(e for b in blocks for e in b)
+            assert block_inner(q, a, rows) == mat_vec(q, t, d, rows, a)
 
 
 class TestMatVec:
     def test_identity(self):
-        b = vec(7, 3, 5)
-        assert mat_vec(FieldMatrix.identity(7, 2), b) == b
+        assert mat_vec(7, 2, 2, identity(2), (3, 5)) == (3, 5)
 
     def test_zero_matrix(self):
-        assert mat_vec(FieldMatrix.zeros(3, 2, 2), vec(3, 1, 2)).is_zero()
+        assert mat_vec(3, 2, 2, (0,) * 4, (1, 2)) == (0, 0)
 
     def test_hand_value(self):
-        a = FieldMatrix(3, 2, 2, (1, 2, 0, 1))
-        assert mat_vec(a, vec(3, 2, 2)).entries == (0, 2)
+        assert mat_vec(3, 2, 2, (1, 2, 0, 1), (2, 2)) == (0, 2)
 
     def test_shape_mismatch(self):
         with pytest.raises(ContractViolation):
-            mat_vec(FieldMatrix.identity(3, 2), vec(3, 1, 2, 0))
+            mat_vec(3, 2, 2, identity(2), (1, 2, 0))
 
 
 class TestRelHamming:
     def test_identity(self):
-        x = vec(3, 1, 0, 2)
+        x = (1, 0, 2)
         assert rel_hamming(x, x) == 0
 
     def test_direct_count(self):
-        assert rel_hamming(vec(3, 1, 0, 2), vec(3, 1, 1, 1)) == Fraction(2, 3)
+        assert rel_hamming((1, 0, 2), (1, 1, 1)) == Fraction(2, 3)
 
     def test_all_different(self):
-        assert rel_hamming(vec(3, 0, 0), vec(3, 1, 2)) == 1
+        assert rel_hamming((0, 0), (1, 2)) == 1
 
     def test_metric_axioms_exhaustive_q3_d3(self):
         q, d = 3, 3
-        pts = [FieldVector(q, t) for t in itertools.product(range(q), repeat=d)]
+        pts = list(itertools.product(range(q), repeat=d))
         for x in pts:
             for y in pts:
                 dxy = rel_hamming(x, y)
@@ -155,27 +157,29 @@ class TestRelHamming:
         rng = random.Random(9)
         for q in (3, 5, 7):
             for _ in range(20):
-                a = FieldVector.uniform(rng, q, 6)
+                a = uniform(rng, q, 6)
                 for z in range(1, q):
-                    assert rel_weight(a.scale(z)) == rel_weight(a)
+                    assert rel_weight(scale(q, z, a)) == rel_weight(a)
 
 
 class TestSampling:
+    # map entries are drawn row-major, k*m per matrix, from the given stream
     def test_same_seed_same_matrix(self):
-        m1 = sample_matrix(rngmod.stream(42, "matrices"), 3, 4, 5)
-        m2 = sample_matrix(rngmod.stream(42, "matrices"), 3, 4, 5)
+        m1 = sample_g(rngmod.stream(42, "matrices"), 5, 3, 4, 1).matrices
+        m2 = sample_g(rngmod.stream(42, "matrices"), 5, 3, 4, 1).matrices
         assert m1 == m2
-        m3 = sample_matrix(rngmod.stream(43, "matrices"), 3, 4, 5)
+        m3 = sample_g(rngmod.stream(43, "matrices"), 5, 3, 4, 1).matrices
         assert m1 != m3
 
     def test_entry_mean_monte_carlo(self):
-        m = sample_matrix(rngmod.stream(7, "mc"), 100, 100, 2)
-        mean = sum(m.entries) / len(m.entries)
-        assert abs(mean - 0.5) < 0.05
+        (m,) = sample_g(rngmod.stream(7, "mc"), 2, 100, 100, 1).matrices
+        assert len(m) == 100 * 100
+        assert abs(sum(m) / len(m) - 0.5) < 0.05
 
     def test_zero_rows_degenerate(self):
-        m = sample_matrix(rngmod.stream(1, "z"), 0, 4, 3)
-        assert m.rows == 0 and m.cols == 4 and m.entries == ()
+        # a map needs k >= 1 rows per block; a zero-row map is refused
+        with pytest.raises(ContractViolation):
+            sample_g(rngmod.stream(1, "z"), 3, 0, 4, 1)
 
 
 class TestRankUnrank:
@@ -203,12 +207,10 @@ def test_next_prime_is_prime_and_minimal(n):
 )
 @settings(max_examples=60, deadline=None)
 def test_vector_algebra_properties(q, d, data):
-    draw = lambda: FieldVector(
-        q, tuple(data.draw(st.integers(0, q - 1)) for _ in range(d))
-    )
+    draw = lambda: tuple(data.draw(st.integers(0, q - 1)) for _ in range(d))
     a, b = draw(), draw()
-    assert (a + b) - b == a
-    assert (a - a).is_zero()
-    assert a.scale(0).is_zero()
-    assert -(-a) == a
-    assert inner_product(a, b) == inner_product(b, a)
+    assert sub(q, add(q, a, b), b) == a
+    assert not any(sub(q, a, a))
+    assert not any(scale(q, 0, a))
+    assert scale(q, -1, scale(q, -1, a)) == a
+    assert inner_product(q, a, b) == inner_product(q, b, a)

@@ -56,11 +56,6 @@ class TestEvalLinear:
     def test_wraps(self):
         assert LinearScalarFn(5, (2, 3)).eval((1, 1)) == 0
 
-    def test_vector_valued_via_theta_blocks(self):
-        fn = LinearVecFn(3, 4, ((1, 0, 2, 1), (0, 1, 1, 2), (2, 2, 0, 1)))
-        back = LinearVecFn.from_theta_blocks(fn.theta_blocks(2))
-        assert back == fn
-
 
 class TestPassProbability:
     def test_linear_passes_exactly(self):

@@ -1,0 +1,208 @@
+"""Fuzzing the readers of outside input: the two graph readers and the
+instance, map and reduction loaders.  Malformed input may only raise
+ContractViolation (a graph reader also refuses a well-formed but oversized
+vertex count by budget), and through the CLI it may only end in a documented
+exit code; whatever a loader accepts must serialize back to an equal object."""
+
+import copy
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gapclique import rng as rngmod
+from gapclique.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_PROPERTY, main
+from gapclique.cliquesolve import DenseGraph, read_dimacs, read_graph_json
+from gapclique.errors import BudgetExceeded, ContractViolation
+from gapclique.randmap import LinearMapG, sample_g
+from gapclique.reduction import CliqueInstance, ReductionParams, export_graph, param_schedule
+from gapclique.vecsum import VecSumInstance, generate_planted
+
+DOCUMENTED_EXIT_CODES = {EXIT_OK, EXIT_BUDGET, EXIT_PROPERTY, EXIT_IO, EXIT_INVALID}
+FUZZ = settings(max_examples=150, deadline=None)
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2**70) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _paths(value, prefix + (i,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc with one to three nodes replaced by arbitrary JSON or deleted."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(JSON)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(JSON)
+    return doc
+
+
+def _small_reduction():
+    src = generate_planted(rngmod.stream(5, "instance"), 2, 1, 3, 2)
+    g = sample_g(rngmod.stream(5, "matrices"), 2, 1, 3, 1, seed=5)
+    return CliqueInstance(ReductionParams(q=2, k=1, l=1), g, src)
+
+
+def _paper_reduction():
+    params = param_schedule(1, 16)
+    src = generate_planted(rngmod.stream(6, "instance"), params.q, 1, 2, 2)
+    return CliqueInstance(params, sample_g(rngmod.stream(6, "matrices"), params.q, 1, 2, params.l), src)
+
+
+INSTANCE_DOC = generate_planted(rngmod.stream(1, "fuzz"), 3, 2, 2, 2).to_json()
+MAP_DOC = sample_g(rngmod.stream(2, "fuzz"), 3, 2, 2, 2, seed=2).to_json()
+REDUCTION_DOCS = [_small_reduction().to_json(), _paper_reduction().to_json()]
+GRAPH = DenseGraph.from_edges(4, [(0, 1), (1, 2), (0, 3)])
+GRAPH_DOC = {"version": 1, "n": 4, "edges": [list(e) for e in GRAPH.edges()], "meta": {"a": 1}}
+DIMACS_LINES = ["c x", "p edge 4 3", "e 1 2", "e 2 3", "e 1 4"]
+
+
+@given(mutated(INSTANCE_DOC))
+@FUZZ
+def test_instance_loader(doc):
+    try:
+        inst = VecSumInstance.from_json(doc)
+    except ContractViolation:
+        return
+    assert VecSumInstance.from_json(inst.to_json()) == inst
+
+
+@given(mutated(MAP_DOC))
+@FUZZ
+def test_map_loader(doc):
+    try:
+        g = LinearMapG.from_json(doc)
+    except ContractViolation:
+        return
+    assert LinearMapG.from_json(g.to_json()) == g
+
+
+@given(st.sampled_from(REDUCTION_DOCS).flatmap(mutated))
+@FUZZ
+def test_reduction_loader(doc):
+    try:
+        ci = CliqueInstance.from_json(doc)
+    except ContractViolation:
+        return
+    assert CliqueInstance.from_json(ci.to_json()).to_json() == ci.to_json()
+
+
+def _write(directory, name, content) -> str:
+    path = os.path.join(directory, name)
+    with open(path, "wb") as fh:
+        fh.write(content if isinstance(content, bytes) else content.encode())
+    return path
+
+
+def _exported_equal(graph, directory):
+    path = os.path.join(directory, "back.dimacs")
+    export_graph(graph, "dimacs", path)
+    assert read_dimacs(path).adj == graph.adj
+
+
+DIMACS_TOKEN = st.sampled_from(["p", "edge", "e", "c", "col", "0", "1", "2", "3", "4", "5", "-1",
+                                "x", "1.5", "9" * 30])
+DIMACS_TEXT = st.lists(
+    st.sampled_from(DIMACS_LINES) | st.lists(DIMACS_TOKEN, max_size=5).map(" ".join), max_size=7
+).map("\n".join)
+RAW = st.binary(max_size=20)
+
+
+@given(DIMACS_TEXT | RAW)
+@FUZZ
+def test_dimacs_reader(content):
+    with tempfile.TemporaryDirectory() as d:
+        path = _write(d, "g.dimacs", content)
+        try:
+            graph = read_dimacs(path)
+        except (ContractViolation, BudgetExceeded):
+            return
+        _exported_equal(graph, d)
+
+
+@given(mutated(GRAPH_DOC).map(json.dumps) | RAW)
+@FUZZ
+def test_graph_json_reader(content):
+    with tempfile.TemporaryDirectory() as d:
+        path = _write(d, "g.json", content)
+        try:
+            graph, _ = read_graph_json(path)
+        except (ContractViolation, BudgetExceeded):
+            return
+        _exported_equal(graph, d)
+
+
+def _cli(*argv) -> int:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+CLI_INPUTS = st.one_of(
+    st.tuples(st.just("solve"), st.just("g.dimacs"), DIMACS_TEXT | RAW),
+    st.tuples(st.just("solve"), st.just("g.json"), mutated(GRAPH_DOC).map(json.dumps) | RAW),
+    st.tuples(st.just("reduce"), st.just("i.json"), mutated(INSTANCE_DOC).map(json.dumps) | RAW),
+    st.tuples(st.just("export"), st.just("r.json"),
+              st.sampled_from(REDUCTION_DOCS).flatmap(mutated).map(json.dumps) | RAW),
+)
+
+
+@given(CLI_INPUTS)
+@FUZZ
+def test_cli_exits_with_documented_code(case):
+    command, name, content = case
+    flag = {"solve": "--graph", "reduce": "--instance", "export": "--reduction"}[command]
+    with tempfile.TemporaryDirectory() as d:
+        path = _write(d, name, content)
+        code = _cli("--seed", "1", "--out-dir", d, command, flag, path, "--vertex-cap", "20")
+    assert code in DOCUMENTED_EXIT_CODES
+
+
+class TestReaderExamples:
+    def test_short_edge_line_is_refused(self, tmp_path):
+        # 'e 1' used to escape as an IndexError traceback
+        path = _write(str(tmp_path), "g.dimacs", "p edge 2 1\ne 1\n")
+        with pytest.raises(ContractViolation):
+            read_dimacs(path)
+        assert _cli("--out-dir", str(tmp_path), "solve", "--graph", path) == EXIT_INVALID
+
+    @pytest.mark.parametrize("text", ["p edge 3 2\ne 1 2\n", "p edge 3 2\ne 1 2\ne 2 1\n"])
+    def test_edge_count_and_duplicates_are_checked(self, tmp_path, text):
+        # one edge short of the header, and one edge listed twice
+        with pytest.raises(ContractViolation):
+            read_dimacs(_write(str(tmp_path), "g.dimacs", text))
+
+    def test_oversized_vertex_count_is_refused_by_budget(self, tmp_path):
+        path = _write(str(tmp_path), "g.dimacs", f"p edge {10**30} 0\n")
+        with pytest.raises(BudgetExceeded):
+            read_dimacs(path)
+        assert _cli("--out-dir", str(tmp_path), "solve", "--graph", path) == EXIT_BUDGET
+
+    def test_duplicate_json_edge_is_refused(self, tmp_path):
+        doc = {"version": 1, "n": 3, "edges": [[0, 1], [1, 0]]}
+        with pytest.raises(ContractViolation, match="duplicate"):
+            read_graph_json(_write(str(tmp_path), "g.json", json.dumps(doc)))

@@ -6,26 +6,43 @@ from fractions import Fraction
 import pytest
 
 from gapclique import rng as rngmod
-from gapclique.errors import BudgetExceeded, PropertyViolation
-from gapclique.ffield import FieldMatrix, FieldVector
+from gapclique.errors import BudgetExceeded, ContractViolation, PropertyViolation
 from gapclique.randmap import (
     LinearMapG,
-    apply_g,
     check_pairwise_separation,
     check_wellspread,
     estimate_failure_rate,
     sample_g,
+    source_images,
     union_bound_values,
 )
-from gapclique.vecsum import VecSumInstance, enumerate_sumset, generate_planted
+from gapclique.vecsum import VecSumInstance, generate_planted
 
-from field_reference import block_inner, rel_hamming, rel_weight
+from field_reference import (
+    add,
+    apply_map,
+    block_inner,
+    enumerate_sumset,
+    identity,
+    rel_hamming,
+    rel_weight,
+    scale,
+    sub,
+)
 
 
 def single_vector_instance(q, entries):
-    return VecSumInstance(
-        q=q, k=1, m=len(entries), collections=((FieldVector(q, tuple(entries)),),)
-    )
+    return VecSumInstance(q=q, k=1, m=len(entries), collections=((tuple(entries),),))
+
+
+def images(g, vectors):
+    """Images of the vectors under g, through source_images: the vectors
+    form the first collection, the other k - 1 collections repeat one."""
+    vectors = list(vectors)
+    cols = (vectors,) + ((vectors[0],),) * (g.k - 1)
+    _, imgs = source_images(g, VecSumInstance(q=g.q, k=g.k, m=g.m, collections=cols))
+    assert imgs.shape == (len(vectors) + g.k - 1, g.l * g.k)
+    return [tuple(row) for row in imgs[: len(vectors)].tolist()]
 
 
 class TestSampleApply:
@@ -35,38 +52,46 @@ class TestSampleApply:
         assert a.matrices == b.matrices
 
     def test_identity_embedding(self):
-        g = LinearMapG.from_matrices([FieldMatrix.identity(5, 3)])
-        b = FieldVector(5, (1, 2, 3))
-        assert apply_g(g, b).vec == b
+        g = LinearMapG(q=5, k=3, m=3, l=1, matrices=(identity(3),))
+        assert images(g, [(1, 2, 3)]) == [(1, 2, 3)]
 
     def test_output_shape(self):
         g = sample_g(rngmod.stream(1, "m"), 5, 2, 3, 4)
-        out = apply_g(g, FieldVector(5, (1, 0, 4)))
-        assert out.vec.dim == 2 * 4 and out.width == 2 and out.n_blocks == 4
+        (out,) = images(g, [(1, 0, 4)])
+        assert len(out) == 2 * 4 and out == apply_map(g, (1, 0, 4))
 
     def test_zero_maps_to_zero(self):
         g = sample_g(rngmod.stream(2, "m"), 3, 2, 4, 3)
-        assert apply_g(g, FieldVector.zero(3, 4)).vec.is_zero()
+        assert images(g, [(0, 0, 0, 0)]) == [(0,) * 6]
 
     def test_identity_and_zero_blocks(self):
-        g = LinearMapG.from_matrices(
-            [FieldMatrix.identity(3, 2), FieldMatrix.zeros(3, 2, 2)]
-        )
-        out = apply_g(g, FieldVector(3, (1, 2)))
-        assert out.block(0).entries == (1, 2) and out.block(1).is_zero()
+        g = LinearMapG(q=3, k=2, m=2, l=2, matrices=(identity(2), (0,) * 4))
+        assert images(g, [(1, 2)]) == [(1, 2, 0, 0)]
 
     def test_linear_and_scalar_respecting_exhaustively(self):
         g = sample_g(rngmod.stream(3, "m"), 3, 2, 2, 2)
-        pts = [FieldVector(3, t) for t in itertools.product(range(3), repeat=2)]
+        pts = list(itertools.product(range(3), repeat=2))
+        img = dict(zip(pts, images(g, pts)))
         for b1, b2 in itertools.product(pts, repeat=2):
-            assert apply_g(g, b1 + b2).vec == (apply_g(g, b1) + apply_g(g, b2)).vec
+            assert img[add(3, b1, b2)] == add(3, img[b1], img[b2])
         for b in pts:
+            assert img[b] == apply_map(g, b)
             for c in range(3):
-                assert apply_g(g, b.scale(c)).vec == apply_g(g, b).vec.scale(c)
+                assert img[scale(3, c, b)] == scale(3, c, img[b])
 
     def test_json_round_trip(self):
         g = sample_g(rngmod.stream(4, "m"), 5, 2, 3, 4, seed=4)
         assert LinearMapG.from_json(g.to_json()) == g
+
+    def test_malformed_map_refused_not_fixed_up(self):
+        good = sample_g(rngmod.stream(4, "m"), 5, 2, 3, 4, seed=4).to_json()
+        for key, value in [("matrices", good["matrices"][:3]),  # l = 4 needs 4
+                           ("matrices", [[1] * 5] + good["matrices"][1:]),  # k*m = 6
+                           ("matrices", [[5] * 6] + good["matrices"][1:]),  # not mod 5
+                           ("matrices", [[1.0] * 6] + good["matrices"][1:]),
+                           ("q", "5"), ("k", 0), ("version", 2)]:
+            with pytest.raises(ContractViolation):
+                LinearMapG.from_json({**good, key: value})
 
 
 class TestWellspread:
@@ -80,7 +105,7 @@ class TestWellspread:
 
     def test_adversarial_zero_map_fails_immediately(self):
         inst = single_vector_instance(5, (1, 2, 3))
-        g = LinearMapG.from_matrices([FieldMatrix.zeros(5, 1, 3) for _ in range(8)])
+        g = LinearMapG(q=5, k=1, m=3, l=8, matrices=((0, 0, 0),) * 8)
         cert = check_wellspread(g, inst)
         assert not cert.passed
         assert cert.counterexample is not None
@@ -97,11 +122,11 @@ class TestWellspread:
         assert found is not None
         g, cert = found
         cx = cert.counterexample
-        s = FieldVector.zero(3, 3)
+        s = (0, 0, 0)
         for i, (gamma, idx) in enumerate(zip(cx["gammas"], cx["indices"])):
-            s = s + inst.collections[i][idx].scale(gamma)
-        assert list(s.entries) == cx["sum"]
-        assert rel_weight(apply_g(g, s).vec) < Fraction(2, 3)
+            s = add(3, s, scale(3, gamma, inst.collections[i][idx]))
+        assert list(s) == cx["sum"]
+        assert rel_weight(apply_map(g, s)) < Fraction(2, 3)
 
     def test_empirical_certification_rate(self):
         # single direction, 8 blocks at q=5: per-map pass chance is about
@@ -125,18 +150,15 @@ class TestWellspread:
         reachable = set()
         for gammas in itertools.product(range(3), repeat=2):
             for us in itertools.product(*inst.collections):
-                s = FieldVector.zero(3, 2)
+                s = (0, 0)
                 for c, u in zip(gammas, us):
-                    s = s + u.scale(c)
-                if not s.is_zero():
-                    reachable.add(s.entries)
+                    s = add(3, s, scale(3, c, u))
+                if any(s):
+                    reachable.add(s)
         merged = inst.collections[0] + inst.collections[1]
-        sumset = enumerate_sumset(merged, 2).elements
+        sumset = enumerate_sumset(3, merged, 2)
         assert reachable <= sumset
-        ok = all(
-            rel_weight(apply_g(g, FieldVector(3, s)).vec) >= Fraction(2, 3)
-            for s in reachable
-        )
+        ok = all(rel_weight(apply_map(g, s)) >= Fraction(2, 3) for s in reachable)
         assert ok == cert.passed
 
     def test_budget_refusal(self):
@@ -161,7 +183,7 @@ class TestPairwiseSeparation:
             q=3,
             k=1,
             m=2,
-            collections=((FieldVector(3, (1, 0)), FieldVector(3, (0, 1))),),
+            collections=(((1, 0), (0, 1)),),
         )
         for t in range(20):
             g = sample_g(rngmod.stream(10, f"s/{t}"), 3, 1, 2, 4)
@@ -206,14 +228,14 @@ class TestPairwiseSeparation:
         us = inst.collections[cx["collection"]]
         if cx["case"] == "single-difference":
             a, b = cx["pair"]
-            w = us[a] - us[b]
-            img = block_inner(FieldVector(3, tuple(cx["alpha"])), apply_g(g, w))
+            w = sub(3, us[a], us[b])
+            img = block_inner(3, tuple(cx["alpha"]), apply_map(g, w))
             assert rel_weight(img) < Fraction(1, 2)
         else:
             t1, t2, t3 = cx["triple"]
-            d1, d2 = us[t3] - us[t1], us[t2] - us[t3]
-            i1 = block_inner(FieldVector(3, tuple(cx["alpha"])), apply_g(g, d1))
-            i2 = block_inner(FieldVector(3, tuple(cx["beta"])), apply_g(g, d2))
+            d1, d2 = sub(3, us[t3], us[t1]), sub(3, us[t2], us[t3])
+            i1 = block_inner(3, tuple(cx["alpha"]), apply_map(g, d1))
+            i2 = block_inner(3, tuple(cx["beta"]), apply_map(g, d2))
             assert rel_hamming(i1, i2) < Fraction(1, 2)
 
 
@@ -247,37 +269,37 @@ def reference_cases(g, inst, prop):
     """Every case of a property's case space in the documented order, as
     (counted, passed, counterexample), computed from the definitions."""
     q, k = g.q, g.k
-    dirs = [FieldVector(q, a) for a in itertools.product(range(q), repeat=k)][1:]
+    dirs = list(itertools.product(range(q), repeat=k))[1:]
     if prop == "wellspread":
         for gammas in itertools.product(range(q), repeat=k):
             for idx in itertools.product(*(range(s) for s in inst.sizes)):
-                s = FieldVector.zero(q, inst.m)
+                s = (0,) * inst.m
                 for i in range(k):
-                    s = s + inst.collections[i][idx[i]].scale(gammas[i])
-                w = rel_weight(apply_g(g, s).vec)
+                    s = add(q, s, scale(q, gammas[i], inst.collections[i][idx[i]]))
+                w = rel_weight(apply_map(g, s))
                 cx = {"gammas": list(gammas), "indices": list(idx),
-                      "sum": list(s.entries), "weight": str(w)}
-                yield not s.is_zero(), w >= Fraction(2, 3), cx
+                      "sum": list(s), "weight": str(w)}
+                yield any(s), w >= Fraction(2, 3), cx
         return
 
     def image(alpha, v):
-        return block_inner(alpha, apply_g(g, v))
+        return block_inner(q, alpha, apply_map(g, v))
 
     for i, us in enumerate(inst.collections):
         for a, b in itertools.product(range(len(us)), repeat=2):
             for alpha in dirs:
-                w = rel_weight(image(alpha, us[a] - us[b]))
+                w = rel_weight(image(alpha, sub(q, us[a], us[b])))
                 cx = {"collection": i, "case": "single-difference", "pair": [a, b],
-                      "alpha": list(alpha.entries), "weight": str(w)}
-                yield not (us[a] - us[b]).is_zero(), w >= Fraction(1, 2), cx
+                      "alpha": list(alpha), "weight": str(w)}
+                yield us[a] != us[b], w >= Fraction(1, 2), cx
         for t1, t2, t3 in itertools.product(range(len(us)), repeat=3):
-            d1, d2 = us[t3] - us[t1], us[t2] - us[t3]
+            d1, d2 = sub(q, us[t3], us[t1]), sub(q, us[t2], us[t3])
             for alpha, beta in itertools.product(dirs, repeat=2):
-                if any(beta == alpha.scale(c) for c in range(q)):
+                if any(beta == scale(q, c, alpha) for c in range(q)):
                     continue
                 dist = rel_hamming(image(alpha, d1), image(beta, d2))
                 cx = {"collection": i, "case": "triple", "triple": [t1, t2, t3],
-                      "alpha": list(alpha.entries), "beta": list(beta.entries),
+                      "alpha": list(alpha), "beta": list(beta),
                       "distance": str(dist)}
                 yield d1 != d2, dist >= Fraction(1, 2), cx
 

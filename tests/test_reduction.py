@@ -9,10 +9,9 @@ import pytest
 
 from gapclique import rng as rngmod
 from gapclique.errors import BudgetExceeded, ContractViolation, PropertyViolation
-from gapclique.ffield import FieldMatrix, FieldVector
 from gapclique.cliquesolve import is_clique, max_clique_exact, read_dimacs, read_graph_json
 from gapclique.lintest import pass_probability
-from gapclique.randmap import LinearMapG, apply_g, sample_g
+from gapclique.randmap import LinearMapG, sample_g
 from gapclique.reduction import (
     CliqueInstance,
     ReductionParams,
@@ -30,7 +29,11 @@ from gapclique.reduction import (
 )
 from gapclique.vecsum import VecSumInstance, generate_planted
 
-from field_reference import block_inner
+from field_reference import apply_map, block_inner
+
+
+def total(q, vectors):
+    return tuple(sum(col) % q for col in zip(*vectors))
 
 
 def make_instance(seed, q, k, m, n, l, planted=True):
@@ -217,10 +220,7 @@ class TestPlantedClique:
         src = ci.source
         bad = None
         for idx in itertools.product(*(range(len(us)) for us in src.collections)):
-            s = FieldVector.zero(3, 4)
-            for i, j in enumerate(idx):
-                s = s + src.collections[i][j]
-            if not s.is_zero():
+            if any(total(3, [src.collections[i][j] for i, j in enumerate(idx)])):
                 bad = idx
                 break
         assert bad is not None
@@ -247,10 +247,9 @@ class TestGamma:
         clique = ci.planted_clique(ci.source.planted)
         gamma = build_gamma(clique, ci, rng=rngmod.stream(60, "gamma-fill"))
         u = ci.source.collections[0][ci.source.planted[0]]
-        img = apply_g(ci.gmap, u)
+        img = apply_map(ci.gmap, u)
         for p in gamma.var_points:
-            want = block_inner(FieldVector(3, p), img)
-            assert gamma.table.value_at(p) == want.entries
+            assert gamma.table.value_at(p) == block_inner(3, p, img)
 
     def test_gamma_scalar_respecting(self):
         ci = make_instance(61, 3, 1, 4, 4, 2)
@@ -293,10 +292,8 @@ class TestExtraction:
         assert rep.verdict == "witness"
         assert all(d.max_residual == 0 for d in rep.directions)
         assert rep.z_star == (0,) * 4
-        s = FieldVector.zero(3, 4)
-        for i, idx in enumerate(rep.witness_indices):
-            s = s + ci.source.collections[i][idx]
-        assert s.is_zero()
+        chosen = [ci.source.collections[i][idx] for i, idx in enumerate(rep.witness_indices)]
+        assert total(3, chosen) == (0,) * 4
         assert rep.r_star_dense
 
     def test_zero_kappa_still_exact(self):
@@ -328,12 +325,10 @@ class TestExtraction:
             q=q,
             k=1,
             m=m,
-            collections=((FieldVector(q, (0, 0)), FieldVector(q, (0, 1))),),
+            collections=(((0, 0), (0, 1)),),
             planted=(0,),
         )
-        gmap = LinearMapG.from_matrices(
-            [FieldMatrix(q, 1, m, (1, 0)) for _ in range(l)]
-        )
+        gmap = LinearMapG(q=q, k=1, m=m, l=l, matrices=((1, 0),) * l)
         ci = CliqueInstance(ReductionParams(q=q, k=1, l=l), gmap, src)
         clique = ci.planted_clique((0,))
         rep = extract_witness(clique, ci, rng=rngmod.stream(10, "gamma-fill"))
@@ -433,3 +428,26 @@ class TestMaterializeExport:
         assert back.codec.count == ci.codec.count
         assert back.gmap == ci.gmap
         assert back.source.collections == ci.source.collections
+
+    def test_reduction_json_keeps_mode(self):
+        # a desk document round-trips to equal parameters; relabelling it
+        # paper_faithful without a schedule is refused, not silently undone
+        ci = make_instance(78, 3, 1, 4, 4, 2)
+        doc = ci.to_json()
+        back = CliqueInstance.from_json(doc)
+        assert back.params == ci.params and back.to_json() == doc
+        doc["params"]["mode"] = "paper_faithful"
+        with pytest.raises(ContractViolation, match="requires a schedule"):
+            CliqueInstance.from_json(doc)
+
+    def test_paper_faithful_json_round_trip(self):
+        params = param_schedule(1, 16)
+        src = generate_planted(rngmod.stream(79, "instance"), params.q, 1, 2, 2)
+        g = sample_g(rngmod.stream(79, "matrices"), params.q, 1, 2, params.l)
+        ci = CliqueInstance(params, g, src)
+        back = CliqueInstance.from_json(ci.to_json())
+        assert back.params == params
+        doc = ci.to_json()
+        doc["params"]["schedule"]["lam_bits"] += 1
+        with pytest.raises(ContractViolation, match="schedule"):
+            CliqueInstance.from_json(doc)

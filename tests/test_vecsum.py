@@ -1,40 +1,34 @@
-"""Vector-sum instances: generators, brute-force deciding, conversions."""
-
-import itertools
+"""Vector-sum instances: generators, brute-force deciding, validation."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gapclique import rng as rngmod
 from gapclique.errors import BudgetExceeded, ContractViolation, PropertyViolation
-from gapclique.ffield import FieldVector
 from gapclique.vecsum import (
-    SumsetView,
     VecSumInstance,
     brute_force_decide,
-    enumerate_sumset,
-    from_target_variant,
     generate_planted,
     generate_unsat,
     paper_dimension,
 )
 
+from field_reference import enumerate_sumset
 
-def vec(q, *entries):
-    return FieldVector(q, tuple(entries))
+
+def total(q, vectors):
+    return tuple(sum(col) % q for col in zip(*vectors))
 
 
 class TestGeneratePlanted:
     def test_planted_vectors_sum_to_zero(self):
         inst = generate_planted(rngmod.stream(3, "p"), 5, 3, 4, 5)
-        s = FieldVector.zero(5, 4)
-        for i, idx in enumerate(inst.planted):
-            s = s + inst.collections[i][idx]
-        assert s.is_zero()
+        s = total(5, [inst.collections[i][idx] for i, idx in enumerate(inst.planted)])
+        assert s == (0,) * 4
 
     def test_degenerate_k1_contains_zero(self):
         inst = generate_planted(rngmod.stream(4, "p"), 3, 1, 3, 4)
-        assert any(u.is_zero() for u in inst.collections[0])
+        assert (0, 0, 0) in inst.collections[0]
 
     def test_decides_yes_over_many_seeds(self):
         # every planted instance is decided YES by full enumeration
@@ -46,10 +40,7 @@ class TestGeneratePlanted:
             inst = generate_planted(rngmod.stream(seed, "plant"), q, k, m, n)
             w = brute_force_decide(inst)
             assert w is not None
-            s = FieldVector.zero(q, m)
-            for v in w.vectors:
-                s = s + v
-            assert s.is_zero()
+            assert total(q, w.vectors) == (0,) * m
 
 
 class TestGenerateUnsat:
@@ -68,14 +59,14 @@ class TestGenerateUnsat:
 class TestBruteForce:
     def test_witness_found(self):
         inst = VecSumInstance(
-            q=3, k=2, m=1, collections=((vec(3, 1),), (vec(3, 2),))
+            q=3, k=2, m=1, collections=(((1,),), ((2,),))
         )
         w = brute_force_decide(inst)
         assert w is not None and w.indices == (0, 0)
 
     def test_no_witness(self):
         inst = VecSumInstance(
-            q=3, k=2, m=1, collections=((vec(3, 1),), (vec(3, 1),))
+            q=3, k=2, m=1, collections=(((1,),), ((1,),))
         )
         assert brute_force_decide(inst) is None
 
@@ -85,7 +76,7 @@ class TestBruteForce:
             q=3,
             k=2,
             m=1,
-            collections=((vec(3, 1), vec(3, 2)), (vec(3, 0), vec(3, 2), vec(3, 1))),
+            collections=(((1,), (2,)), ((0,), (2,), (1,))),
         )
         w = brute_force_decide(inst)
         assert w.indices == (0, 1)
@@ -96,67 +87,31 @@ class TestBruteForce:
             brute_force_decide(inst, tuple_budget=100)
 
 
-class TestTargetVariant:
-    def test_zero_target_keeps_decision(self):
-        inst = generate_planted(rngmod.stream(8, "t"), 3, 2, 2, 3)
-        conv = from_target_variant(inst, FieldVector.zero(3, 2))
-        assert conv.k == 3
-        assert conv.collections[-1][0].is_zero()
-        assert (brute_force_decide(conv) is not None) == (brute_force_decide(inst) is not None)
-
-    def test_singleton_example(self):
-        inst = VecSumInstance(q=3, k=1, m=1, collections=((vec(3, 1),),))
-        conv = from_target_variant(inst, vec(3, 1))
-        assert brute_force_decide(conv) is not None
-
-    def test_decision_preserved_on_random_instances(self):
-        for seed in range(50):
-            r = rngmod.stream(seed, "tv")
-            q, k, m, n = 3, 2, 2, 3
-            cols = tuple(
-                tuple(FieldVector.uniform(r, q, m) for _ in range(n)) for _ in range(k)
-            )
-            inst = VecSumInstance(q=q, k=k, m=m, collections=cols)
-            target = FieldVector.uniform(r, q, m)
-            # direct check: does any tuple sum to the target?
-            direct = any(
-                all(
-                    (sum(us[j].entries[c] for j, us in zip(idx, cols)) - target.entries[c]) % q == 0
-                    for c in range(m)
-                )
-                for idx in itertools.product(range(n), repeat=k)
-                for us in [cols]
-            )
-            converted = brute_force_decide(from_target_variant(inst, target)) is not None
-            assert direct == converted
-
-
 class TestSumsets:
+    # the sumset enumeration is the tests' reference for the wellspread
+    # quantification (tests/field_reference.py)
     def test_zero_collection(self):
-        sv = enumerate_sumset([FieldVector.zero(3, 2)], 2)
-        assert sv.elements == frozenset({(0, 0)})
+        assert enumerate_sumset(3, [(0, 0)], 2) == frozenset({(0, 0)})
 
     def test_order_one_is_all_scalings(self):
-        b = [vec(5, 1, 2), vec(5, 3, 3)]
-        sv = enumerate_sumset(b, 1)
-        want = {tuple((c * e) % 5 for e in v.entries) for v in b for c in range(5)}
-        assert sv.elements == frozenset(want)
+        b = [(1, 2), (3, 3)]
+        want = {tuple((c * e) % 5 for e in v) for v in b for c in range(5)}
+        assert enumerate_sumset(5, b, 1) == frozenset(want)
 
     def test_standard_basis_spans(self):
-        sv = enumerate_sumset([vec(3, 1, 0), vec(3, 0, 1)], 2)
-        assert len(sv.elements) == 9
+        assert len(enumerate_sumset(3, [(1, 0), (0, 1)], 2)) == 9
 
     def test_closed_under_scalars(self):
-        b = [vec(3, 1, 2), vec(3, 2, 0)]
-        sv = enumerate_sumset(b, 2)
-        for x in sv.elements:
+        elements = enumerate_sumset(3, [(1, 2), (2, 0)], 2)
+        for x in elements:
             for c in range(3):
-                assert tuple((c * e) % 3 for e in x) in sv.elements
+                assert tuple((c * e) % 3 for e in x) in elements
 
     def test_cap_refusal_reports_size(self):
-        b = [FieldVector.uniform(rngmod.stream(1, "s"), 5, 3) for _ in range(4)]
+        r = rngmod.stream(1, "s")
+        b = [tuple(r.randrange(5) for _ in range(3)) for _ in range(4)]
         with pytest.raises(BudgetExceeded) as exc:
-            enumerate_sumset(b, 4, cap=1000)
+            enumerate_sumset(5, b, 4, cap=1000)
         assert exc.value.required == (5 * 4) ** 4
 
 
@@ -178,8 +133,19 @@ class TestInstanceIO:
     def test_bad_planted_rejected(self):
         with pytest.raises(ContractViolation):
             VecSumInstance(
-                q=3, k=1, m=1, collections=((vec(3, 1),),), planted=(0,)
+                q=3, k=1, m=1, collections=(((1,),),), planted=(0,)
             )
+
+    @pytest.mark.parametrize(
+        "vector",
+        [[1, 2.0, 3], [1, True, 3], [1, 5, 3], [1, -1, 3], [1, 2], [1, 2, 3, 4], "123", None],
+    )
+    def test_malformed_vector_refused_not_fixed_up(self, vector):
+        # residues are taken as given: anything but 3 ints in [0, 5) is refused
+        doc = generate_planted(rngmod.stream(9, "io"), 5, 1, 3, 2).to_json()
+        doc["collections"][0][0] = vector
+        with pytest.raises(ContractViolation):
+            VecSumInstance.from_json(doc)
 
     def test_empty_collection_rejected(self):
         with pytest.raises(ContractViolation):
