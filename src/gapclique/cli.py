@@ -40,6 +40,7 @@ from .reduction import (
     Vertex,
     export_graph,
     extract_witness,
+    is_valid_vertex,
 )
 from .vecsum import VecSumInstance, brute_force_decide, generate_planted, generate_unsat
 
@@ -96,11 +97,17 @@ def _load_reduction(path: str) -> CliqueInstance:
 
 
 def _load_clique(path: str) -> list[Vertex]:
+    """The vertices of a clique file, {"vertices": [[alpha, beta, x, y], ...]};
+    refuses anything but four lists per vertex."""
     with open(path) as fh:
         doc = json.load(fh)
-    return [
-        Vertex(tuple(a), tuple(b), tuple(x), tuple(y)) for a, b, x, y in doc["vertices"]
-    ]
+    rows = doc.get("vertices") if isinstance(doc, dict) else None
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == 4 and all(isinstance(p, list) for p in row)
+        for row in rows
+    ):
+        raise ContractViolation("a clique file must list [alpha, beta, x, y] vertices")
+    return [Vertex(*map(tuple, row)) for row in rows]
 
 
 def _clique_payload(vertices) -> list:
@@ -258,6 +265,9 @@ def cmd_extract(cmd: Command) -> int:
     ci = _load_reduction(a.reduction)
     if a.clique:
         clique = _load_clique(a.clique)
+        # refused here, not only by the verification behind the size gate
+        if not all(is_valid_vertex(v, ci.params) for v in clique):
+            raise ContractViolation("the clique file holds a vertex outside the vertex set")
         verify = True
     else:
         if ci.source.planted is None:

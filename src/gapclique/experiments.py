@@ -17,6 +17,7 @@ separation-certified maps, and completeness needs no conditioning at all.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -37,10 +38,14 @@ from .lintest import (
     triple_correlation_check,
 )
 from .randmap import (
+    LinearMapG,
     check_pairwise_separation,
     check_wellspread,
+    draw_matrices,
     estimate_failure_rate,
     sample_g,
+    wellspread_holds,
+    wellspread_sums,
 )
 from .reduction import (
     CliqueInstance,
@@ -85,6 +90,9 @@ PROPS_POINT = {"q": 5, "k": 1, "n": 4}
 PROPS_LS = (4, 8, 12)
 PROPS_TRIALS = 200
 
+# map draws screened together for wellspread by certified_map
+SCREEN_BLOCK = 16
+
 
 def _row(suite: str, criterion: int, name: str, status: str, measured, expected, **extra) -> dict:
     out = {
@@ -111,12 +119,20 @@ def certified_map(
     certifies; returns (map, tries) or None when tries run out (possible at
     desk scale, e.g. when a binary source collection is linearly dependent)."""
     check = {"wellspread": check_wellspread, "separation": check_pairwise_separation}[prop]
-    for t in range(max_tries):
-        g = sample_g(
-            rngmod.stream(seed, f"{label}/map/{t}"), inst.q, inst.k, inst.m, l, seed=seed
-        )
-        if check(g, inst).passed:
-            return g, t + 1
+    # most maps fail wellspread: each block of draws is screened on the case
+    # sums with one product, and only maps that pass it are certified
+    sums = wellspread_sums(inst) if prop == "wellspread" else None
+    block = 1 if sums is None else SCREEN_BLOCK
+    for start in range(0, max_tries, block):
+        tries = range(start, min(start + block, max_tries))
+        maps = [draw_matrices(rngmod.stream(seed, f"{label}/map/{t}"), inst.q, inst.k, inst.m, l)
+                for t in tries]
+        keep = [True] * len(maps) if sums is None else wellspread_holds(inst.q, sums, maps)
+        for t, mats, screened in zip(tries, maps, keep):
+            if screened:
+                g = LinearMapG(q=inst.q, k=inst.k, m=inst.m, l=l, matrices=mats, seed=seed)
+                if check(g, inst).passed:
+                    return g, t + 1
     return None
 
 
@@ -125,18 +141,9 @@ def certified_map(
 
 def _enumerate_vertex_set(q: int, k: int, l: int) -> int:
     """Count the vertex set directly from its defining constraint."""
-    kk = k * k
-    import itertools
-
     params = ReductionParams(q=q, k=k, l=l)
-    count = 0
-    for alpha in itertools.product(range(q), repeat=kk):
-        for beta in itertools.product(range(q), repeat=kk):
-            for x in itertools.product(range(q), repeat=l):
-                for y in itertools.product(range(q), repeat=l):
-                    if is_valid_vertex(Vertex(alpha, beta, x, y), params):
-                        count += 1
-    return count
+    parts = (itertools.product(range(q), repeat=n) for n in (k * k, k * k, l, l))
+    return sum(is_valid_vertex(Vertex(*v), params) for v in itertools.product(*parts))
 
 
 def suite_completeness(seed: int = 0, runs: int = COMPLETENESS_RUNS) -> list[dict]:

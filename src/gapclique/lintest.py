@@ -23,8 +23,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, ContractViolation, PiecingRefused, PropertyViolation
-from .ffield import rank_tuple, unrank_tuple
+from .ffield import is_prime, rank_tuple, unrank_tuple
 from .stats import wilson_interval
+from .vecsum import check_int, residue_tuple
 
 # Exact enumeration caps: tables up to 2^18 points, pair scans up to 2^24.
 MAX_TABLE_SIZE = 1 << 18
@@ -148,12 +149,20 @@ class FunctionTable:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "FunctionTable":
-        if doc.get("version") != 1:
-            raise ContractViolation(f"unsupported table version {doc.get('version')}")
-        q, d, l = doc["q"], doc["d"], doc["l"]
-        vals = np.array(doc["values"], dtype=np.int64).reshape(q**d, l)
-        return cls(q, d, l, vals)
+    def from_json(cls, doc) -> "FunctionTable":
+        """The table of a to_json document: a prime q, ints d, l >= 1 and
+        exactly q^d * l residues; refuses anything else."""
+        if not isinstance(doc, dict) or doc.get("version") != 1:
+            raise ContractViolation("a function table must be a version 1 JSON object")
+        q, d, l = (check_int(key, doc.get(key)) for key in ("q", "d", "l"))
+        if not is_prime(q):
+            raise ContractViolation(f"table modulus {q} is not prime")
+        values = doc.get("values")
+        # q^d <= len(values) bounds d before q^d is computed
+        if not isinstance(values, list) or d > len(values).bit_length():
+            raise ContractViolation("table values must be a list of q^d * l residues")
+        residue_tuple(q, values, q**d * l)
+        return cls(q, d, l, np.array(values, dtype=np.int64).reshape(q**d, l))
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -176,8 +185,7 @@ class LinearScalarFn:
     rho: tuple[int, ...]
 
     def __post_init__(self):
-        if any(not (0 <= e < self.q) for e in self.rho):
-            object.__setattr__(self, "rho", tuple(e % self.q for e in self.rho))
+        residue_tuple(self.q, self.rho, len(self.rho))
 
     @property
     def d(self) -> int:
@@ -199,12 +207,8 @@ class LinearVecFn:
     rhos: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if any(len(r) != self.d for r in self.rhos):
-            raise ContractViolation("coefficient vectors must have the domain dimension")
-        if any(not (0 <= e < self.q) for r in self.rhos for e in r):
-            object.__setattr__(
-                self, "rhos", tuple(tuple(e % self.q for e in r) for r in self.rhos)
-            )
+        for rho in self.rhos:
+            residue_tuple(self.q, rho, self.d)
 
     @property
     def l(self) -> int:

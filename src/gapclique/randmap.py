@@ -27,6 +27,10 @@ order is the counterexample.  All images come from one (l*k x m)(m x N)
 product mod q and every threshold is an integer comparison.  A Monte Carlo
 run that draws no countable case is inconclusive and raises
 PropertyViolation rather than passing.
+
+Resampling for wellspread screens its draws first: a case's image is the
+image of its sum, so weighing the images of the instance's case sums
+(wellspread_holds) passes exactly the maps the exhaustive check passes.
 """
 
 from __future__ import annotations
@@ -95,12 +99,16 @@ class LinearMapG:
                    matrices=doc.get("matrices"), seed=doc.get("seed"))
 
 
+def draw_matrices(rng: random.Random, q: int, k: int, m: int, l: int) -> tuple:
+    """l i.i.d. uniform k x m matrices as flat tuples, entries drawn
+    row-major; deterministic given the rng state."""
+    return tuple(tuple(rng.randrange(q) for _ in range(k * m)) for _ in range(l))
+
+
 def sample_g(rng: random.Random, q: int, k: int, m: int, l: int,
              seed: Optional[int] = None) -> LinearMapG:
-    """l i.i.d. uniform matrices, entries drawn row-major; deterministic
-    given the rng state."""
-    mats = tuple(tuple(rng.randrange(q) for _ in range(k * m)) for _ in range(l))
-    return LinearMapG(q=q, k=k, m=m, l=l, matrices=mats, seed=seed)
+    """The map of draw_matrices(rng, q, k, m, l)."""
+    return LinearMapG(q=q, k=k, m=m, l=l, matrices=draw_matrices(rng, q, k, m, l), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -140,8 +148,8 @@ def _digits(t: np.ndarray, radices: tuple[int, ...]) -> list[np.ndarray]:
 def source_images(g: LinearMapG, inst: VecSumInstance) -> tuple[np.ndarray, np.ndarray]:
     """Every source vector as a row (collections concatenated) and its image
     under g as a row of l*k coordinates, block by block: one
-    (l*k x m)(m x N) product mod q.  This is the only place map images are
-    computed."""
+    (l*k x m)(m x N) product mod q.  This is the only place the checks and
+    the reduction compute map images."""
     if g.q != inst.q or g.m != inst.m or g.k != inst.k:
         raise ContractViolation("map does not match instance shapes")
     if max(g.m, g.k) * (g.q - 1) ** 2 >= 2**63:
@@ -205,6 +213,13 @@ def _run_check(name: str, what: str, parts: list, g: LinearMapG, inst: VecSumIns
     return GoodMapCertificate(name, mode, True, checked, None, inst.fingerprint(), g.seed)
 
 
+def _combine(inst: VecSumInstance, rows: np.ndarray, d: list[np.ndarray]) -> np.ndarray:
+    """Per wellspread case with digits d (scalars, then one vector index per
+    collection), its combination of `rows`, one row per source vector."""
+    first = [0, *itertools.accumulate(inst.sizes)]
+    return sum(d[i][:, None] * rows[first[i] + d[inst.k + i]] for i in range(inst.k)) % inst.q
+
+
 def check_wellspread(
     g: LinearMapG,
     inst: VecSumInstance,
@@ -220,10 +235,9 @@ def check_wellspread(
     q, k, m, width = g.q, g.k, g.m, g.l * g.k
     # a case's sum and its image are the same combination of these rows
     rows = np.hstack([vecs, images])
-    first = [0, *itertools.accumulate(inst.sizes)]
 
     def evaluate(d):
-        comb = sum(d[i][:, None] * rows[first[i] + d[k + i]] for i in range(k)) % q
+        comb = _combine(inst, rows, d)
         weight = np.count_nonzero(comb[:, m:], axis=1)
         return comb[:, :m].any(axis=1), 3 * weight >= 2 * width, comb
 
@@ -233,6 +247,29 @@ def check_wellspread(
 
     parts = [((q,) * k + inst.sizes, evaluate, describe)]
     return _run_check("wellspread", "wellspread", parts, g, inst, mode, samples, rng, budget)
+
+
+def wellspread_sums(inst: VecSumInstance) -> Optional[np.ndarray]:
+    """The nonzero sums of wellspread's cases, one per row.  A case's image
+    is the image of its sum, so a map passes the exhaustive check iff
+    wellspread_holds for it on these rows.  None when the case space
+    outgrows one batch of the engine or 64-bit image arithmetic."""
+    radices = (inst.q,) * inst.k + inst.sizes
+    if math.prod(radices) > _CHUNK or max(inst.m, inst.k) * (inst.q - 1) ** 2 >= 2**63:
+        return None
+    vecs = np.array([u for us in inst.collections for u in us], dtype=np.int64)
+    sums = _combine(inst, vecs, _digits(np.arange(math.prod(radices)), radices))
+    return sums[sums.any(axis=1)]
+
+
+def wellspread_holds(q: int, sums: np.ndarray, maps: list) -> np.ndarray:
+    """Per map, given as the matrices draw_matrices returns, whether every
+    row of `sums` keeps relative image weight >= 2/3: one product for all
+    the maps, so resampling can screen draws in blocks."""
+    a = np.array(maps, dtype=np.int64)  # (maps, l, k*m)
+    width = a.shape[2] // sums.shape[1] * a.shape[1]
+    images = a.reshape(len(maps), width, -1) @ sums.T % q  # (maps, l*k, sums)
+    return (3 * np.count_nonzero(images, axis=1) >= 2 * width).all(axis=1)
 
 
 def check_pairwise_separation(

@@ -15,7 +15,9 @@ Two vertices are non-adjacent iff at least one of five rules fires:
   5 alpha - alpha' is a constant block pattern but x changed.
 
 Graphs are held implicitly (parameters + sampled map + source instance +
-an edge oracle); explicit adjacency is materialized only under budget.
+an edge oracle); explicit adjacency is materialized only under budget.  The
+oracle encodes a vertex list once and evaluates the rules on batches of
+about PAIR_BATCH pairs, so its memory does not grow with the pair count.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, ContractViolation, PiecingRefused, PropertyViolation
-from .ffield import is_prime, next_prime, rank_tuple, unrank_tuple
+from .ffield import is_prime, next_prime, unrank_tuple
 from .lintest import (
     DEFAULT_PAIR_BUDGET,
     FunctionTable,
@@ -49,13 +51,7 @@ from .cliquesolve import DenseGraph
 DEFAULT_VERTEX_BUDGET = 2000
 DEFAULT_CLIQUE_BUDGET = 1 << 16
 
-NON_EDGE_RULES = {
-    1: "duplicate cloud",
-    2: "inconsistent shared point",
-    3: "scalar line mismatch",
-    4: "undecodable single-block shift",
-    5: "constant-shift value change",
-}
+PAIR_BATCH = 1024  # edge oracle batch: whole rows of pairs, at least this many
 
 
 # -- parameter schedule ---------------------------------------------------------
@@ -196,33 +192,15 @@ class Vertex(NamedTuple):
 
 def is_valid_vertex(v: Vertex, params: ReductionParams) -> bool:
     kk = params.k * params.k
-    if len(v.alpha) != kk or len(v.beta) != kk or len(v.x) != params.l or len(v.y) != params.l:
-        return False
-    rng_ok = all(
-        0 <= e < params.q for part in (v.alpha, v.beta, v.x, v.y) for e in part
+    return (
+        [len(part) for part in v] == [kk, kk, params.l, params.l]
+        and all(type(e) is int and 0 <= e < params.q for part in v for e in part)
+        and (v.alpha != v.beta or v.x == v.y)
     )
-    if not rng_ok:
-        return False
-    return v.alpha != v.beta or v.x == v.y
-
-
-def _tuple_sub(q: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple((u - w) % q for u, w in zip(a, b))
 
 
 def _tuple_scale(q: int, c: int, a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple((c * u) % q for u in a)
-
-
-def var_points(v: Vertex, q: int) -> tuple[tuple[int, ...], ...]:
-    """The up-to-three points the vertex assigns values to, deduplicated and
-    in slot order (alpha, beta, alpha+beta)."""
-    pts = [v.alpha, v.beta, vector_sum(q, (v.alpha, v.beta))]
-    seen = []
-    for p in pts:
-        if p not in seen:
-            seen.append(p)
-    return tuple(seen)
 
 
 def value_relation(v: Vertex, q: int) -> dict[tuple[int, ...], set[tuple[int, ...]]]:
@@ -241,7 +219,7 @@ def value_relation(v: Vertex, q: int) -> dict[tuple[int, ...], set[tuple[int, ..
 
 
 class VertexCodec:
-    """Rank/unrank bijection over the vertex set.
+    """Numbering of the vertex set: unrank(r) is vertex r.
 
     Layout: the diagonal region (alpha = beta, so x = y) comes first with
     P*L entries, then the off-diagonal region with (P^2 - P) * L^2 entries,
@@ -256,19 +234,6 @@ class VertexCodec:
         self.P = q**self.kk
         self.L = q**l
         self.count = self.P * self.L + (self.P * self.P - self.P) * self.L * self.L
-
-    def rank(self, v: Vertex) -> int:
-        q = self.q
-        a = rank_tuple(q, v.alpha)
-        b = rank_tuple(q, v.beta)
-        x = rank_tuple(q, v.x)
-        y = rank_tuple(q, v.y)
-        if v.alpha == v.beta:
-            if v.x != v.y:
-                raise ContractViolation("invalid vertex: alpha = beta but x != y")
-            return a * self.L + x
-        pair = a * (self.P - 1) + (b if b < a else b - 1)
-        return self.P * self.L + pair * self.L * self.L + x * self.L + y
 
     def unrank(self, r: int) -> Vertex:
         q = self.q
@@ -292,16 +257,51 @@ class VertexCodec:
             unrank_tuple(q, self.l, y),
         )
 
-    def __iter__(self):
-        for r in range(self.count):
-            yield self.unrank(r)
-
 
 def vertex_codec(params: ReductionParams) -> VertexCodec:
     return VertexCodec(params.q, params.k, params.l)
 
 
 # -- the implicit graph -----------------------------------------------------------
+
+
+class _Codes(NamedTuple):
+    """A vertex list encoded for the edge oracle; row v is vertex v."""
+
+    alpha: np.ndarray  # (n, k^2) residues
+    x: np.ndarray  # (n, l) residues
+    point: np.ndarray  # (n, 3) ids of the slot points alpha, beta, alpha + beta
+    value: np.ndarray  # (n, 3) ids of the slot values x, y, x + y
+    line: np.ndarray  # (n,) id of alpha's scalar line (alpha over its leading entry)
+    scaled_x: np.ndarray  # (n,) id of x over alpha's leading entry
+    off_line: np.ndarray  # (n,) alpha = 0 and x != 0
+    pattern: np.ndarray  # (n,) id of alpha minus its first block in every block
+
+
+def _row_ids(*blocks: np.ndarray) -> np.ndarray:
+    """Dense ids of the rows of equally shaped int64 arrays, one id row per
+    array; rows are compared as byte strings, so equal rows get equal ids."""
+    rows = np.concatenate(blocks)
+    keys = rows.view(np.dtype((np.void, 8 * rows.shape[1]))).reshape(-1)
+    return np.unique(keys, return_inverse=True)[1].reshape(len(blocks), -1)
+
+
+def _pair_batches(n: int):
+    """The pairs i < j < n in (i, j) order, as index arrays (I, J) of whole
+    rows, at least PAIR_BATCH pairs per batch until the last."""
+    start = 0
+    while start < n - 1:
+        stop, count = start, 0
+        while stop < n - 1 and count < PAIR_BATCH:
+            count += n - 1 - stop
+            stop += 1
+        I, J = np.nonzero(np.arange(n) > np.arange(start, stop)[:, None])
+        yield I + start, J
+        start = stop
+
+
+def _rule_set(row: np.ndarray) -> frozenset[int]:
+    return frozenset((np.flatnonzero(row) + 1).tolist())
 
 
 class CliqueInstance:
@@ -317,8 +317,6 @@ class CliqueInstance:
         self.gmap = gmap
         self.source = source
         self.codec = VertexCodec(params.q, params.k, params.l)
-        self._m_sets: dict[tuple[int, tuple[int, ...]], frozenset] = {}
-        self._rel_cache: dict[Vertex, dict] = {}
 
     @cached_property
     def _images(self) -> list[np.ndarray]:
@@ -330,90 +328,90 @@ class CliqueInstance:
         images = images.reshape(-1, self.params.l, self.params.k)
         return np.split(images, np.cumsum(self.source.sizes)[:-1])
 
-    def _m_value_set(self, i: int, abar: tuple[int, ...]) -> frozenset:
-        """The block-inner images of collection i's vectors under direction
-        abar, as a set of l-tuples."""
-        key = (i, abar)
-        cached = self._m_sets.get(key)
-        if cached is None:
-            inner = self._images[i] @ np.array(abar) % self.params.q
-            cached = frozenset(map(tuple, inner.tolist()))
-            self._m_sets[key] = cached
-        return cached
-
-    def _relation(self, v: Vertex) -> dict:
-        rel = self._rel_cache.get(v)
-        if rel is None:
-            rel = value_relation(v, self.params.q)
-            self._rel_cache[v] = rel
-            if len(self._rel_cache) > DEFAULT_CLIQUE_BUDGET:
-                self._rel_cache.clear()
-        return rel
-
     # -- the edge oracle -----------------------------------------------------
 
     def non_edge_types(self, u: Vertex, v: Vertex) -> frozenset[int]:
         """All non-edge rules the pair triggers (empty means adjacent).
         Every rule is evaluated in both orientations."""
-        return frozenset(self._non_edge_scan(u, v, first_only=False))
+        rules = self._pair_rules(self._encode([u, v]), np.array([0]), np.array([1]))
+        return _rule_set(rules[0])
 
     def is_edge(self, u: Vertex, v: Vertex) -> bool:
         if u == v:
             raise ContractViolation("edge query on identical vertices")
-        return not self._non_edge_scan(u, v, first_only=True)
+        return not self.non_edge_types(u, v)
 
-    def _non_edge_scan(self, u: Vertex, v: Vertex, first_only: bool) -> list[int]:
+    def _encode(self, vertices: Sequence[Vertex]) -> _Codes:
+        """The vertex list as arrays the rules compare, after every vertex is
+        validated.  Points and values become dense ids over the list (ids
+        compare only within one encoding), so no rank outgrows an integer."""
+        params = self.params
+        q, k, kk, l = params.q, params.k, params.k * params.k, params.l
+        for v in vertices:
+            if not is_valid_vertex(v, params):
+                raise ContractViolation(f"invalid vertex {v}")
+        if (q - 1) ** 2 >= 2**63:
+            raise ContractViolation(f"modulus {q} is too large for 64-bit vertex arithmetic")
+        alpha, beta, x, y = (
+            np.array([v[part] for v in vertices], dtype=np.int64).reshape(len(vertices), width)
+            for part, width in enumerate((kk, kk, l, l))
+        )
+        # scaling alpha by the inverse of its leading nonzero entry names its
+        # scalar line; x scaled alike must agree along the line (rule 3)
+        lead = [next((e for e in v.alpha if e), 0) for v in vertices]
+        inv = np.array([pow(c, -1, q) if c else 0 for c in lead], dtype=np.int64)[:, None]
+        points = _row_ids(
+            alpha, beta, (alpha + beta) % q, alpha * inv % q,
+            # alpha minus its first block in every block: equal iff the
+            # difference of two alphas is a constant block pattern (rule 5)
+            (alpha - np.tile(alpha[:, :k], k)) % q,
+        )
+        values = _row_ids(x, y, (x + y) % q, x * inv % q)
+        return _Codes(
+            alpha=alpha, x=x, point=points[:3].T, value=values[:3].T,
+            line=points[3], scaled_x=values[3],
+            off_line=~alpha.any(axis=1) & x.any(axis=1), pattern=points[4],
+        )
+
+    def _pair_rules(self, codes: _Codes, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+        """The (len(I), 5) boolean matrix of the non-edge rules that fire
+        between vertices I[t] and J[t] of an encoded list; column r - 1 is
+        rule r.  Every rule is symmetric in the pair."""
         q, k = self.params.q, self.params.k
-        out: list[int] = []
-
-        # rule 1: same cloud
-        if u.alpha == v.alpha and u.beta == v.beta:
-            out.append(1)
-            if first_only:
-                return out
-
-        # rule 5: constant-block shift with changed x (checked early: cheap)
-        diff = _tuple_sub(q, u.alpha, v.alpha)
-        first_block = diff[:k]
-        if all(diff[i * k : (i + 1) * k] == first_block for i in range(1, k)):
-            if u.x != v.x:
-                out.append(5)
-                if first_only:
-                    return out
-
-        # rule 3: scalar line mismatch, both orientations
-        if self._rule3(u, v) or self._rule3(v, u):
-            out.append(3)
-            if first_only:
-                return out
-
-        # rule 2: inconsistent shared point (all slot values compared)
-        rel_u = self._relation(u)
-        rel_v = self._relation(v)
-        for p, vals_u in rel_u.items():
-            vals_v = rel_v.get(p)
-            if vals_v is not None and len(vals_u | vals_v) > 1:
-                out.append(2)
-                break
-        if out and out[-1] == 2 and first_only:
-            return out
-
-        # rule 4: single-block shift with no explaining source vector
-        nz_blocks = [i for i in range(k) if any(diff[i * k : (i + 1) * k])]
-        if len(nz_blocks) == 1:
-            i = nz_blocks[0]
-            abar = diff[i * k : (i + 1) * k]
-            dx = _tuple_sub(q, u.x, v.x)
-            if dx not in self._m_value_set(i, abar):
-                out.append(4)
+        out = np.zeros((len(I), 5), dtype=bool)
+        pi, pj, vi, vj = codes.point[I], codes.point[J], codes.value[I], codes.value[J]
+        # 1: same (alpha, beta)
+        out[:, 0] = (pi[:, :2] == pj[:, :2]).all(axis=1)
+        # 2: a slot of each on one point, with different values; slot pairs
+        # suffice, as a vertex holding two values at a point differs there
+        # from any value the other vertex gives it
+        shared = pi[:, :, None] == pj[:, None, :]
+        out[:, 1] = (shared & (vi[:, :, None] != vj[:, None, :])).any(axis=(1, 2))
+        # 3: alpha = c alpha' with x != c x'; for alpha = 0 the scalar c = 0
+        # fits against every vertex, so then any nonzero x fires
+        out[:, 2] = (
+            (codes.line[I] == codes.line[J]) & (codes.scaled_x[I] != codes.scaled_x[J])
+            | codes.off_line[I] | codes.off_line[J]
+        )
+        # 5: alpha - alpha' repeats one block, with x != x'
+        out[:, 4] = (codes.pattern[I] == codes.pattern[J]) & (vi[:, 0] != vj[:, 0])
+        # 4: alpha - alpha' lives on one block, and no vector of that block's
+        # collection has x - x' as the block-inner product of its image with
+        # the difference (compared in chunks of about PAIR_BATCH * 64 entries)
+        diff = ((codes.alpha[I] - codes.alpha[J]) % q).reshape(-1, k, k)
+        moved = diff.any(axis=2)
+        single = np.flatnonzero(moved.sum(axis=1) == 1)
+        block = moved[single].argmax(axis=1)
+        abar, dx = diff[single, block], (codes.x[I[single]] - codes.x[J[single]]) % q
+        explained = np.zeros(len(single), dtype=bool)
+        for i in np.flatnonzero(np.bincount(block, minlength=k)).tolist():
+            sel, images = np.flatnonzero(block == i), self._images[i]
+            step = max(1, PAIR_BATCH * 64 // (len(sel) * self.params.l))
+            for r in range(0, len(images), step):
+                inner = images[r : r + step] @ abar[sel].T % q  # (vectors, l, pairs)
+                explained[sel] |= (inner == dx[sel].T).all(axis=1).any(axis=0)
+        out[single, 3] = ~explained
         return out
-
-    def _rule3(self, u: Vertex, v: Vertex) -> bool:
-        q = self.params.q
-        for c in range(q):
-            if u.alpha == _tuple_scale(q, c, v.alpha) and u.x != _tuple_scale(q, c, v.x):
-                return True
-        return False
 
     # -- planted cliques -------------------------------------------------------
 
@@ -452,17 +450,19 @@ class CliqueInstance:
         return out
 
     def verify_clique(self, vertices: Sequence[Vertex]) -> Optional[tuple[Vertex, Vertex, frozenset]]:
-        """Exhaustive pairwise scan; returns the first violating pair with its
-        triggered rules, or None when the set is a clique."""
+        """Exhaustive pairwise scan; returns the first violating pair in (i, j)
+        order with its triggered rules, or None when the set is a clique.
+        Every vertex is validated before any pair is compared; repeated
+        vertices are skipped."""
         vs = list(vertices)
-        for i in range(len(vs)):
-            if not is_valid_vertex(vs[i], self.params):
-                raise ContractViolation(f"invalid vertex {vs[i]}")
-            for j in range(i + 1, len(vs)):
-                if vs[i] == vs[j]:
-                    continue
-                if not self.is_edge(vs[i], vs[j]):
-                    return vs[i], vs[j], self.non_edge_types(vs[i], vs[j])
+        codes = self._encode(vs)
+        for I, J in _pair_batches(len(vs)):
+            rules = self._pair_rules(codes, I, J)
+            repeat = rules[:, 0] & (codes.value[I, :2] == codes.value[J, :2]).all(axis=1)
+            bad = np.flatnonzero(rules.any(axis=1) & ~repeat)
+            if bad.size:
+                t = bad[0]
+                return vs[I[t]], vs[J[t]], _rule_set(rules[t])
         return None
 
     # -- materialization and export ---------------------------------------------
@@ -474,14 +474,15 @@ class CliqueInstance:
         if count > budget:
             raise BudgetExceeded("vertex count", required=count, budget=budget)
         vertices = [self.codec.unrank(r) for r in range(count)]
-        adj = [0] * count
-        for i in range(count):
-            vi = vertices[i]
-            for j in range(i + 1, count):
-                if self.is_edge(vi, vertices[j]):
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        return DenseGraph(count, tuple(adj), labels=tuple(vertices))
+        codes = self._encode(vertices)
+        # row i, byte j >> 3, bit j & 7 is the edge (i, j)
+        bits = np.zeros((count, (count + 7) // 8), dtype=np.uint8)
+        for I, J in _pair_batches(count):
+            edge = ~self._pair_rules(codes, I, J).any(axis=1)
+            for a, b in ((I[edge], J[edge]), (J[edge], I[edge])):
+                np.bitwise_or.at(bits, (a, b >> 3), np.left_shift(1, b & 7).astype(np.uint8))
+        adj = tuple(int.from_bytes(row.tobytes(), "little") for row in bits)
+        return DenseGraph(count, adj, labels=tuple(vertices))
 
     def fingerprint(self) -> str:
         blob = json.dumps(
@@ -611,29 +612,19 @@ def build_gamma(
                 assigned = (0,) * l
                 fill_log[p] = "closure"
         else:
-            for c in range(1, q):
+            for known, c in itertools.product((phase1, fill), range(1, q)):
                 base = _tuple_scale(q, pow(c, -1, q), p)
-                if base in phase1:
-                    assigned = _tuple_scale(q, c, phase1[base])
+                if base in known:
+                    assigned = _tuple_scale(q, c, known[base])
                     fill_log[p] = "closure"
                     break
-            if assigned is None:
-                for c in range(1, q):
-                    base = _tuple_scale(q, pow(c, -1, q), p)
-                    if base in fill:
-                        assigned = _tuple_scale(q, c, fill[base])
-                        fill_log[p] = "closure"
-                        break
         if assigned is None:
             assigned = tuple(rng.randrange(q) for _ in range(l))
             fill_log[p] = "random"
         fill[p] = assigned
 
-    rows = []
-    for r in range(q**kk):
-        p = unrank_tuple(q, kk, r)
-        rows.append(phase1.get(p) or fill.get(p))
-    table = FunctionTable(q, kk, l, rows)
+    points = (unrank_tuple(q, kk, r) for r in range(q**kk))
+    table = FunctionTable(q, kk, l, [phase1.get(p) or fill.get(p) for p in points])
     if not table.is_scalar_respecting():
         raise PropertyViolation(
             "decoded function is not scalar respecting; the clique's shared "

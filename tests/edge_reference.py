@@ -1,0 +1,127 @@
+"""The edge oracle as a tuple-by-tuple scan, kept as the differential
+reference for the library's batched rule evaluator, and the inverse of the
+vertex codec's numbering.
+
+Every rule is read straight off its definition, one vertex pair at a time,
+on residue tuples; the images of the source vectors come from the
+definition-level map image in field_reference, not from the library's
+matrix product.
+"""
+
+from gapclique.cliquesolve import DenseGraph
+from gapclique.errors import ContractViolation
+from gapclique.ffield import rank_tuple
+from gapclique.reduction import is_valid_vertex, value_relation
+from gapclique.vecsum import vector_sum
+
+from field_reference import apply_map, block_inner, scale, sub
+
+
+def var_points(v, q):
+    """The up-to-three points the vertex assigns values to, deduplicated and
+    in slot order (alpha, beta, alpha+beta)."""
+    seen = []
+    for p in (v.alpha, v.beta, vector_sum(q, (v.alpha, v.beta))):
+        if p not in seen:
+            seen.append(p)
+    return tuple(seen)
+
+
+def codec_rank(codec, v):
+    """The number of vertex v in the codec's layout: the diagonal region
+    (alpha = beta, so x = y) first, then the off-diagonal region, pairs
+    (alpha, beta != alpha) in order, each with its L^2 values."""
+    q = codec.q
+    a, b, x, y = (rank_tuple(q, part) for part in v)
+    if v.alpha == v.beta:
+        if v.x != v.y:
+            raise ContractViolation("invalid vertex: alpha = beta but x != y")
+        return a * codec.L + x
+    pair = a * (codec.P - 1) + (b if b < a else b - 1)
+    return codec.P * codec.L + pair * codec.L * codec.L + x * codec.L + y
+
+
+class ReferenceOracle:
+    """All five non-edge rules of one reduced graph, pair by pair."""
+
+    def __init__(self, ci):
+        self.ci = ci
+        self.q, self.k = ci.params.q, ci.params.k
+        self._value_sets = {}
+        self._relations = {}
+
+    def _value_set(self, i, abar):
+        """The block-inner images of collection i's vectors under direction
+        abar, as a set of l-tuples."""
+        key = (i, abar)
+        if key not in self._value_sets:
+            self._value_sets[key] = frozenset(
+                block_inner(self.q, abar, apply_map(self.ci.gmap, u))
+                for u in self.ci.source.collections[i]
+            )
+        return self._value_sets[key]
+
+    def _rule3(self, u, v):
+        q = self.q
+        return any(
+            u.alpha == scale(q, c, v.alpha) and u.x != scale(q, c, v.x) for c in range(q)
+        )
+
+    def rules(self, u, v, first_only=False):
+        """The set of rules the pair fires; with first_only, at most the
+        first one found (cheap rules first), enough to decide adjacency."""
+        q, k = self.q, self.k
+        out = set()
+        if u.alpha == v.alpha and u.beta == v.beta:
+            out.add(1)
+            if first_only:
+                return out
+        diff = sub(q, u.alpha, v.alpha)
+        blocks = [diff[i * k : (i + 1) * k] for i in range(k)]
+        if all(b == blocks[0] for b in blocks) and u.x != v.x:
+            out.add(5)
+            if first_only:
+                return out
+        if self._rule3(u, v) or self._rule3(v, u):
+            out.add(3)
+            if first_only:
+                return out
+        rel_u, rel_v = self._relation(u), self._relation(v)
+        if any(p in rel_v and len(vals | rel_v[p]) > 1 for p, vals in rel_u.items()):
+            out.add(2)
+            if first_only:
+                return out
+        moved = [i for i in range(k) if any(blocks[i])]
+        if len(moved) == 1 and sub(q, u.x, v.x) not in self._value_set(moved[0], blocks[moved[0]]):
+            out.add(4)
+        return out
+
+    def _relation(self, v):
+        if v not in self._relations:
+            self._relations[v] = value_relation(v, self.q)
+        return self._relations[v]
+
+    def verify(self, vertices):
+        """The first violating pair in (i, j) order with its rules, skipping
+        duplicates; None for a clique."""
+        vs = list(vertices)
+        for i, u in enumerate(vs):
+            if not is_valid_vertex(u, self.ci.params):
+                raise ContractViolation(f"invalid vertex {u}")
+            for w in vs[i + 1 :]:
+                if u != w:
+                    types = self.rules(u, w)
+                    if types:
+                        return u, w, frozenset(types)
+        return None
+
+    def materialize(self):
+        codec = self.ci.codec
+        vertices = [codec.unrank(r) for r in range(codec.count)]
+        adj = [0] * codec.count
+        for i, u in enumerate(vertices):
+            for j in range(i + 1, codec.count):
+                if not self.rules(u, vertices[j], first_only=True):
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        return DenseGraph(codec.count, tuple(adj), labels=tuple(vertices))

@@ -1,0 +1,224 @@
+"""The batched edge oracle against the pair-by-pair reference scan: exact rule
+sets on every pair of small graphs and on targeted random pairs, the first
+violation verify_clique reports, and materialized adjacency."""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gapclique import rng as rngmod
+from gapclique.errors import ContractViolation
+from gapclique.randmap import sample_g
+from gapclique.reduction import CliqueInstance, ReductionParams, Vertex
+from gapclique.vecsum import generate_planted
+
+from edge_reference import ReferenceOracle
+from field_reference import add, scale
+
+
+def make_instance(seed, q, k, l, n=4):
+    m = 8 if q == 2 else 4
+    src = generate_planted(rngmod.stream(seed, "instance"), q, k, m, n)
+    g = sample_g(rngmod.stream(seed, "matrices"), q, k, m, l, seed=seed)
+    return CliqueInstance(ReductionParams(q=q, k=k, l=l), g, src)
+
+
+def batched_rule_sets(ci, vertices, I, J):
+    """Rule sets of the pairs (I[t], J[t]) from one encoding of the list."""
+    rules = ci._pair_rules(ci._encode(vertices), np.array(I), np.array(J))
+    return [frozenset((np.flatnonzero(row) + 1).tolist()) for row in rules]
+
+
+# -- vertices drawn to hit every rule's special cases ---------------------------------
+
+RELATIONS = ("random", "zero_alpha", "zero_beta", "same_line", "single_block",
+             "constant_shift", "same_cloud", "shared_point", "collided")
+
+
+def _vertex(alpha, beta, x, y):
+    return Vertex(alpha, beta, x, x if alpha == beta else y)
+
+
+def random_vertex(pick, q, k, l):
+    """pick(lo, hi) draws an int in [lo, hi]."""
+    vec = lambda n: tuple(pick(0, q - 1) for _ in range(n))
+    return _vertex(vec(k * k), vec(k * k), vec(l), vec(l))
+
+
+def related_vertex(pick, q, k, l, u):
+    """A vertex in one of the relations to u that the rules single out:
+    alpha = 0 or beta = 0, alpha on u's scalar line, a one-block or constant
+    block shift of u's alpha, u's cloud, a point u assigns, or collided
+    slots of its own (beta = 0 or alpha + beta = 0 or alpha = beta)."""
+    kk = k * k
+    vec = lambda n: tuple(pick(0, q - 1) for _ in range(n))
+    alpha, beta, x, y = vec(kk), vec(kk), vec(l), vec(l)
+    kind = RELATIONS[pick(0, len(RELATIONS) - 1)]
+    if kind == "zero_alpha":
+        alpha = (0,) * kk
+    elif kind == "zero_beta":
+        beta = (0,) * kk
+    elif kind == "same_line":
+        c = pick(0, q - 1)
+        alpha = scale(q, c, u.alpha)
+        if pick(0, 1):
+            x = scale(q, c, u.x)
+    elif kind == "single_block":
+        i = pick(0, k - 1)
+        alpha = u.alpha[: i * k] + vec(k) + u.alpha[(i + 1) * k :]
+        if pick(0, 1):
+            x = u.x
+    elif kind == "constant_shift":
+        alpha = add(q, u.alpha, vec(k) * k)
+        if pick(0, 1):
+            x = u.x
+    elif kind == "same_cloud":
+        alpha, beta = u.alpha, u.beta
+    elif kind == "shared_point":
+        alpha = add(q, u.alpha, u.beta) if pick(0, 1) else u.beta
+        if pick(0, 1):
+            x = u.y
+    elif kind == "collided":
+        beta = scale(q, q - 1, alpha) if pick(0, 1) else alpha
+    return _vertex(alpha, beta, x, y)
+
+
+def seeded_pairs(seed, q, k, l, count):
+    r = random.Random(seed)
+    out = []
+    for _ in range(count):
+        u = random_vertex(r.randint, q, k, l)
+        if r.randint(0, 1):
+            u = related_vertex(r.randint, q, k, l, u)
+        out.append((u, related_vertex(r.randint, q, k, l, u)))
+    return out
+
+
+POINTS = [(2, 2, 1), (2, 2, 2), (2, 2, 3), (3, 1, 2), (5, 1, 1)]
+INSTANCES = {point: make_instance(sum(point), *point) for point in POINTS}
+
+
+# -- rule sets --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q,k,l", [(2, 1, 1), (2, 1, 2), (3, 1, 1)])
+def test_all_pairs_match_reference(q, k, l):
+    ci = make_instance(q + l, q, k, l)
+    ref = ReferenceOracle(ci)
+    vertices = [ci.codec.unrank(r) for r in range(ci.codec.count)]
+    pairs = list(itertools.product(range(len(vertices)), repeat=2))
+    got = batched_rule_sets(ci, vertices, *zip(*pairs))
+    for (i, j), rules in zip(pairs, got):
+        assert rules == ref.rules(vertices[i], vertices[j]), (vertices[i], vertices[j])
+    # the single-pair entry point agrees with the batch
+    for i, j in pairs[:: len(pairs) // 50]:
+        assert ci.non_edge_types(vertices[i], vertices[j]) == ref.rules(vertices[i], vertices[j])
+
+
+@pytest.mark.parametrize("q,k,l", POINTS)
+def test_seeded_targeted_pairs_match_reference(q, k, l):
+    ci = INSTANCES[(q, k, l)]
+    ref = ReferenceOracle(ci)
+    pairs = seeded_pairs(f"{q}-{k}-{l}", q, k, l, 1500)
+    vertices = [v for pair in pairs for v in pair]
+    got = batched_rule_sets(ci, vertices, range(0, len(vertices), 2), range(1, len(vertices), 2))
+    fired = set()
+    for (u, v), rules in zip(pairs, got):
+        assert rules == ref.rules(u, v), (u, v)
+        fired |= rules
+    assert fired == {1, 2, 3, 4, 5}
+
+
+@st.composite
+def vertex_pairs(draw, q, k, l):
+    pick = lambda lo, hi: draw(st.integers(lo, hi))
+    u = random_vertex(pick, q, k, l)
+    if pick(0, 1):
+        u = related_vertex(pick, q, k, l, u)
+    return u, related_vertex(pick, q, k, l, u)
+
+
+@pytest.mark.parametrize("q,k,l", POINTS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_hypothesis_pairs_match_reference(q, k, l, data):
+    ci = INSTANCES[(q, k, l)]
+    u, v = data.draw(vertex_pairs(q, k, l))
+    expected = ReferenceOracle(ci).rules(u, v)
+    assert ci.non_edge_types(u, v) == expected
+    assert ci.non_edge_types(v, u) == expected
+    if u != v:
+        assert ci.is_edge(u, v) == (not expected)
+
+
+# -- verify_clique ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q,k,l", [(2, 2, 1), (2, 2, 3), (3, 1, 2), (5, 1, 1)])
+def test_corrupted_planted_clique_reports_reference_pair(q, k, l):
+    ci = INSTANCES[(q, k, l)]
+    ref = ReferenceOracle(ci)
+    clique = ci.planted_clique(ci.source.planted)
+    assert ci.verify_clique(clique) is None
+    r = random.Random(f"corrupt-{q}-{k}-{l}")
+    for _ in range(4):
+        bad = list(clique)
+        at = r.randrange(len(bad))
+        bad[at] = related_vertex(r.randint, q, k, l, bad[at])
+        if r.randint(0, 1):
+            bad.insert(r.randrange(len(bad)), bad[at])  # a repeat is skipped
+        assert ci.verify_clique(bad) == ref.verify(bad)
+
+
+def test_repeated_vertices_are_skipped():
+    ci = INSTANCES[(3, 1, 2)]
+    clique = ci.planted_clique(ci.source.planted)
+    assert ci.verify_clique(clique + clique[:3]) is None
+
+
+def test_lists_without_pairs():
+    ci = INSTANCES[(3, 1, 2)]
+    v = Vertex((1,), (2,), (0, 1), (1, 1))
+    assert ci.verify_clique([]) is None and ci.verify_clique([v]) is None
+    with pytest.raises(ContractViolation):
+        ci.verify_clique([Vertex((1,), (2,), (0, 1), (1,))])
+
+
+def test_invalid_vertex_after_a_violating_pair_raises():
+    # every vertex is validated before any pair is compared: the first two
+    # vertices share a cloud, the third is out of range, too short, holds a
+    # non-int, or has alpha = beta with x != y
+    ci = INSTANCES[(3, 1, 2)]
+    v = Vertex((1,), (2,), (0, 1), (1, 1))
+    w = Vertex((1,), (2,), (1, 1), (0, 1))
+    assert 1 in ci.verify_clique([v, w])[2]
+    for bad in (Vertex((1,), (2,), (0, 3), (1, 1)), Vertex((1,), (2,), (0,), (1, 1)),
+                Vertex((1,), (2,), (0, 1.0), (1, 1)), Vertex((1,), (1,), (0, 1), (1, 1))):
+        with pytest.raises(ContractViolation, match="invalid vertex"):
+            ci.verify_clique([v, w, bad])
+
+
+def test_modulus_past_64_bit_products_refused():
+    # 4294967311 is the first prime above 2^32: alpha times an inverse would
+    # overflow int64, so the encoding refuses instead of wrapping
+    q = 4294967311
+    src = generate_planted(rngmod.stream(1, "instance"), q, 1, 2, 2)
+    ci = CliqueInstance(ReductionParams(q=q, k=1, l=1), sample_g(rngmod.stream(1, "g"), q, 1, 2, 1), src)
+    with pytest.raises(ContractViolation, match="64-bit"):
+        ci.verify_clique([Vertex((1,), (2,), (3,), (4,)), Vertex((q - 1,), (2,), (3,), (4,))])
+
+
+# -- materialize ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("q,k,l", [(3, 1, 2), (5, 1, 1)])
+def test_materialize_matches_reference(q, k, l, seed):
+    ci = make_instance(seed, q, k, l, n=8)
+    graph = ci.materialize()
+    expected = ReferenceOracle(ci).materialize()
+    assert graph.adj == expected.adj
+    assert graph.labels == expected.labels

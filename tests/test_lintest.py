@@ -56,6 +56,13 @@ class TestEvalLinear:
     def test_wraps(self):
         assert LinearScalarFn(5, (2, 3)).eval((1, 1)) == 0
 
+    @pytest.mark.parametrize("coeffs", [(5, 1), (-1, 0), (1.0, 2), (True, 1)])
+    def test_non_canonical_coefficients_refused_not_reduced(self, coeffs):
+        with pytest.raises(ContractViolation):
+            LinearScalarFn(5, coeffs)
+        with pytest.raises(ContractViolation):
+            LinearVecFn(5, 2, ((1, 2), coeffs))
+
 
 class TestPassProbability:
     def test_linear_passes_exactly(self):

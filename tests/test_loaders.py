@@ -1,5 +1,6 @@
-"""Fuzzing the readers of outside input: the two graph readers and the
-instance, map and reduction loaders.  Malformed input may only raise
+"""Fuzzing the readers of outside input: the two graph readers, the
+instance, map and reduction loaders, the clique file reader and the
+function table loader.  Malformed input may only raise
 ContractViolation (a graph reader also refuses a well-formed but oversized
 vertex count by budget), and through the CLI it may only end in a documented
 exit code; whatever a loader accepts must serialize back to an equal object."""
@@ -18,6 +19,7 @@ from gapclique import rng as rngmod
 from gapclique.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_PROPERTY, main
 from gapclique.cliquesolve import DenseGraph, read_dimacs, read_graph_json
 from gapclique.errors import BudgetExceeded, ContractViolation
+from gapclique.lintest import FunctionTable, LinearScalarFn
 from gapclique.randmap import LinearMapG, sample_g
 from gapclique.reduction import CliqueInstance, ReductionParams, export_graph, param_schedule
 from gapclique.vecsum import VecSumInstance, generate_planted
@@ -76,7 +78,13 @@ def _paper_reduction():
 
 INSTANCE_DOC = generate_planted(rngmod.stream(1, "fuzz"), 3, 2, 2, 2).to_json()
 MAP_DOC = sample_g(rngmod.stream(2, "fuzz"), 3, 2, 2, 2, seed=2).to_json()
-REDUCTION_DOCS = [_small_reduction().to_json(), _paper_reduction().to_json()]
+SMALL_REDUCTION = _small_reduction()
+REDUCTION_DOCS = [SMALL_REDUCTION.to_json(), _paper_reduction().to_json()]
+TABLE_DOC = FunctionTable.from_linear(LinearScalarFn(3, (1, 2))).to_json()
+CLIQUE_DOC = {"vertices": [
+    [list(v.alpha), list(v.beta), list(v.x), list(v.y)]
+    for v in SMALL_REDUCTION.planted_clique(SMALL_REDUCTION.source.planted)
+]}
 GRAPH = DenseGraph.from_edges(4, [(0, 1), (1, 2), (0, 3)])
 GRAPH_DOC = {"version": 1, "n": 4, "edges": [list(e) for e in GRAPH.edges()], "meta": {"a": 1}}
 DIMACS_LINES = ["c x", "p edge 4 3", "e 1 2", "e 2 3", "e 1 4"]
@@ -110,6 +118,16 @@ def test_reduction_loader(doc):
     except ContractViolation:
         return
     assert CliqueInstance.from_json(ci.to_json()).to_json() == ci.to_json()
+
+
+@given(mutated(TABLE_DOC))
+@FUZZ
+def test_table_loader(doc):
+    try:
+        table = FunctionTable.from_json(doc)
+    except ContractViolation:
+        return
+    assert FunctionTable.from_json(table.to_json()).to_json() == table.to_json()
 
 
 def _write(directory, name, content) -> str:
@@ -182,6 +200,25 @@ def test_cli_exits_with_documented_code(case):
     assert code in DOCUMENTED_EXIT_CODES
 
 
+@given(mutated(CLIQUE_DOC).map(json.dumps) | RAW)
+@FUZZ
+def test_clique_file_exits_with_documented_code(content):
+    with tempfile.TemporaryDirectory() as d:
+        reduction = _write(d, "r.json", json.dumps(REDUCTION_DOCS[0]))
+        path = _write(d, "c.json", content)
+        code = _cli("--out-dir", d, "extract", "--reduction", reduction, "--clique", path)
+    assert code in DOCUMENTED_EXIT_CODES
+
+
+@given(mutated(TABLE_DOC).map(json.dumps) | RAW)
+@FUZZ
+def test_table_file_exits_with_documented_code(content):
+    with tempfile.TemporaryDirectory() as d:
+        code = _cli("--out-dir", d, "lintest", "--table", _write(d, "t.json", content),
+                    "--decode-delta", "0.5")
+    assert code in DOCUMENTED_EXIT_CODES
+
+
 class TestReaderExamples:
     def test_short_edge_line_is_refused(self, tmp_path):
         # 'e 1' used to escape as an IndexError traceback
@@ -206,3 +243,24 @@ class TestReaderExamples:
         doc = {"version": 1, "n": 3, "edges": [[0, 1], [1, 0]]}
         with pytest.raises(ContractViolation, match="duplicate"):
             read_graph_json(_write(str(tmp_path), "g.json", json.dumps(doc)))
+
+    def test_clique_file_without_vertices_is_invalid(self, tmp_path):
+        # a clique file {} used to escape as a KeyError traceback
+        reduction = _write(str(tmp_path), "r.json", json.dumps(REDUCTION_DOCS[0]))
+        path = _write(str(tmp_path), "c.json", "{}")
+        assert _cli("--out-dir", str(tmp_path), "extract", "--reduction", reduction,
+                    "--clique", path) == EXIT_INVALID
+
+    def test_small_clique_with_an_invalid_vertex_is_invalid(self, tmp_path):
+        # below the extraction size gate, so no verification would see it
+        reduction = _write(str(tmp_path), "r.json", json.dumps(REDUCTION_DOCS[0]))
+        path = _write(str(tmp_path), "c.json", json.dumps({"vertices": [[[0], [1], [0], [5]]]}))
+        assert _cli("--out-dir", str(tmp_path), "extract", "--reduction", reduction,
+                    "--clique", path) == EXIT_INVALID
+
+    def test_table_file_that_is_a_list_is_invalid(self, tmp_path):
+        # a table file [1, 2] used to escape as an AttributeError traceback
+        path = _write(str(tmp_path), "t.json", "[1, 2]")
+        with pytest.raises(ContractViolation):
+            FunctionTable.load(path)
+        assert _cli("--out-dir", str(tmp_path), "lintest", "--table", path) == EXIT_INVALID

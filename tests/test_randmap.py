@@ -15,7 +15,10 @@ from gapclique.randmap import (
     sample_g,
     source_images,
     union_bound_values,
+    wellspread_holds,
+    wellspread_sums,
 )
+from gapclique.experiments import SCREEN_BLOCK, certified_map
 from gapclique.vecsum import VecSumInstance, generate_planted
 
 from field_reference import (
@@ -166,6 +169,34 @@ class TestWellspread:
         g = sample_g(rngmod.stream(8, "wm"), 5, 3, 2, 2)
         with pytest.raises(BudgetExceeded):
             check_wellspread(g, inst, budget=100)
+
+    @pytest.mark.parametrize("q,k,m,n,l", [(3, 1, 6, 8, 2), (5, 1, 4, 8, 1), (2, 2, 4, 3, 3),
+                                           (3, 2, 3, 3, 2), (2, 1, 3, 4, 3)])
+    def test_case_sums_decide_like_the_check(self, q, k, m, n, l):
+        # the resampling screen must pass exactly the maps the check passes
+        for s in range(3):
+            inst = generate_planted(rngmod.stream(s, "ws-sums"), q, k, m, n)
+            maps = [sample_g(rngmod.stream(s, f"ws-sums/{t}"), q, k, m, l) for t in range(150)]
+            screened = wellspread_holds(q, wellspread_sums(inst), [g.matrices for g in maps])
+            assert screened.tolist() == [check_wellspread(g, inst).passed for g in maps]
+
+    def test_case_sums_only_within_one_batch(self):
+        assert wellspread_sums(generate_planted(rngmod.stream(8, "w"), 5, 3, 2, 5)) is None
+        sums = wellspread_sums(single_vector_instance(5, (0, 0, 0)))
+        assert sums.shape == (0, 3)
+        g = sample_g(rngmod.stream(5, "w"), 5, 1, 3, 4)
+        assert wellspread_holds(5, sums, [g.matrices]).tolist() == [True]
+
+    def test_certified_map_is_the_first_passing_sample(self):
+        # 46 draws: the screen spans three blocks and a cut inside one
+        inst = generate_planted(rngmod.stream(1, "ws-cm"), 3, 1, 4, 6)
+        g, tries = certified_map(1, "ws-cm", inst, 2, "wellspread")
+        maps = [sample_g(rngmod.stream(1, f"ws-cm/map/{t}"), 3, 1, 4, 2, seed=1)
+                for t in range(tries)]
+        passes = [check_wellspread(h, inst).passed for h in maps]
+        assert passes == [False] * (tries - 1) + [True] and tries > 2 * SCREEN_BLOCK
+        assert g == maps[-1]
+        assert certified_map(1, "ws-cm", inst, 2, "wellspread", max_tries=tries - 1) is None
 
 
 class TestPairwiseSeparation:

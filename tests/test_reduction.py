@@ -24,11 +24,11 @@ from gapclique.reduction import (
     normalized_ratio_fn,
     param_schedule,
     value_relation,
-    var_points,
     vertex_codec,
 )
 from gapclique.vecsum import VecSumInstance, generate_planted
 
+from edge_reference import codec_rank, var_points
 from field_reference import apply_map, block_inner
 
 
@@ -108,7 +108,7 @@ class TestVertexCodec:
         for r in range(codec.count):
             v = codec.unrank(r)
             assert is_valid_vertex(v, params)
-            assert codec.rank(v) == r
+            assert codec_rank(codec, v) == r
             seen.add(v)
         assert len(seen) == codec.count
 
