@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .vecsum import check_int, residue_tuple
 # Exact enumeration caps: tables up to 2^18 points, pair scans up to 2^24.
 MAX_TABLE_SIZE = 1 << 18
 DEFAULT_PAIR_BUDGET = 1 << 24
+# pair scans run a block of rows at a time, about this many entries per block
+PAIR_BLOCK = 1 << 16
 # Fourier threshold for list decoding is LIST_CONSTANT * delta.
 LIST_CONSTANT = 0.25
 FLOAT_TOL = 1e-9
@@ -214,11 +216,6 @@ class LinearVecFn:
     def l(self) -> int:
         return len(self.rhos)
 
-    def eval(self, alpha: tuple[int, ...]) -> tuple[int, ...]:
-        if len(alpha) != self.d:
-            raise ContractViolation("dimension mismatch")
-        return tuple(sum(r * a for r, a in zip(rho, alpha)) % self.q for rho in self.rhos)
-
 
 # -- the test and its accepted set --------------------------------------------
 
@@ -226,12 +223,14 @@ class LinearVecFn:
 @dataclass(frozen=True)
 class AcceptedSet:
     """Exact accepted-pair set of the test and its first-coordinate
-    projection, held as boolean masks over domain ranks."""
+    projection, held as boolean masks over domain ranks, with the number of
+    pairs the test accepts on each output coordinate alone."""
 
     q: int
     d: int
     pair_mask: np.ndarray  # (n, n) bool; [i, j] <=> pair (point_i, point_j) accepted
     var_mask: np.ndarray  # (n,) bool
+    coordinate_counts: tuple[int, ...]
 
     @property
     def pair_count(self) -> int:
@@ -242,22 +241,48 @@ class AcceptedSet:
         return int(self.var_mask.sum())
 
 
+def _sum_ranks(q: int, d: int, ranks: np.ndarray) -> np.ndarray:
+    """[t, j]: the rank of point ranks[t] plus point j of F_q^d."""
+    digits, place = _domain(q, d)
+    return ((digits[ranks, None, :] + digits) % q) @ place
+
+
+def _pair_blocks(q: int, d: int, width: int):
+    """Every pair of points of F_q^d, a block of whole rows at a time: yields
+    (rows, sum_rank) with sum_rank[t, j] the rank of point rows.start + t
+    plus point j.  A block spans about PAIR_BLOCK entries of n * width, so
+    per-pair temporaries of that width stay small."""
+    n, low = q**d, q ** (d // 2)
+    step = max(1, PAIR_BLOCK // (n * width))
+    for start in range(0, n, step):
+        r = np.arange(start, min(start + step, n))
+        # sums add digit by digit, so the high and the low digits of a sum's
+        # rank come from two enumerations over about sqrt(n) points each
+        hi = _sum_ranks(q, d - d // 2, r // low)
+        lo = _sum_ranks(q, d // 2, r % low)
+        sums = hi[:, :, None] * low + lo[:, None, :]
+        yield slice(start, start + len(r)), sums.reshape(len(r), n)
+
+
 def accepted_set(f: FunctionTable, pair_budget: int = DEFAULT_PAIR_BUDGET) -> AcceptedSet:
-    """Enumerate every pair and record which ones the test accepts."""
+    """Enumerate every pair and record which ones the test accepts, on the
+    whole table and on each output coordinate."""
     n = f.size
     if n * n > pair_budget:
         raise BudgetExceeded("pair enumeration", required=n * n, budget=pair_budget)
-    q = f.q
-    digits, place = _domain(q, f.d)
-    vals = f.values
+    # coordinate-major, so that every operation runs along the long axis of
+    # the points
+    cols = np.ascontiguousarray(f.values.T)
     mask = np.empty((n, n), dtype=bool)
-    for i in range(n):
-        sum_rank = ((digits[i] + digits) % q) @ place
-        mask[i] = ((vals[i] + vals) % q == vals[sum_rank]).all(axis=1)
+    counts = np.zeros(f.l, dtype=np.int64)
+    for rows, sum_rank in _pair_blocks(f.q, f.d, max(f.d, f.l)):
+        agree = (cols[:, rows, None] + cols[:, None, :]) % f.q == np.take(cols, sum_rank, axis=1)
+        mask[rows] = agree.all(axis=0)
+        counts += agree.sum(axis=(1, 2))
     mask.setflags(write=False)
     var = mask.any(axis=1)
     var.setflags(write=False)
-    return AcceptedSet(q, f.d, mask, var)
+    return AcceptedSet(f.q, f.d, mask, var, tuple(counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -416,12 +441,10 @@ def triple_correlation_check(
     n = g1.size
     if n * n > pair_budget:
         raise BudgetExceeded("pair enumeration", required=n * n, budget=pair_budget)
-    digits, place = _domain(q, d)
     v1, v2, v3 = g1.values[:, 0], g2.values[:, 0], g3.values[:, 0]
     count = 0
-    for i in range(n):
-        sum_rank = ((digits[i] + digits) % q) @ place
-        count += int(((v1[i] + v2) % q == v3[sum_rank]).sum())
+    for rows, sum_rank in _pair_blocks(q, d, d):
+        count += int(((v1[rows, None] + v2) % q == v3[sum_rank]).sum())
     lhs = Fraction(count, n * n)
     c1 = fourier_transform(g1).real_parts()
     c2 = fourier_transform(g2).real_parts()
@@ -462,41 +485,6 @@ def list_decode_scalar(
     return tuple(
         LinearScalarFn(f.q, unrank_tuple(f.q, f.d, int(r))) for r in hits
     )
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Fraction of accepted pairs on which exactly one list member matches f
-    at both endpoints."""
-
-    fraction: Fraction
-    accepted_pairs: int
-    empty_accepted_set: bool
-
-
-def verify_unique_consistency(
-    f: FunctionTable,
-    fns: Sequence[LinearScalarFn],
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
-) -> ConsistencyReport:
-    """Measure Pr over accepted pairs (a, b) that a unique list member agrees
-    with f at both a and b; exact.  An empty accepted set yields fraction 0
-    with a warning flag."""
-    if f.l != 1:
-        raise ContractViolation("unique consistency needs a scalar-range table")
-    acc = accepted_set(f, pair_budget)
-    total = acc.pair_count
-    if total == 0:
-        return ConsistencyReport(Fraction(0), 0, True)
-    if not fns:
-        return ConsistencyReport(Fraction(0), total, False)
-    digits, _ = _domain(f.q, f.d)
-    agree = np.stack(
-        [digits @ np.array(c.rho, dtype=np.int64) % f.q == f.values[:, 0] for c in fns]
-    ).astype(np.int64)  # (r, n)
-    both = agree.T @ agree  # [i, j] = number of members matching at both points
-    good = int(((both == 1) & acc.pair_mask).sum())
-    return ConsistencyReport(Fraction(good, total), total, False)
 
 
 # -- piecing ---------------------------------------------------------------------
@@ -574,15 +562,12 @@ def piece_together(
 
     lists: list[tuple[LinearScalarFn, ...]] = []
     deltas: list[float] = []
-    coord_pass: list[Fraction] = []
+    coord_pass = tuple(Fraction(count, n * n) for count in acc.coordinate_counts)
     labels = np.zeros((n, f.l), dtype=np.int64)
     digits, _ = _domain(f.q, f.d)
     for i in range(f.l):
         fi = f.coordinate(i)
-        acc_i = accepted_set(fi, pair_budget)
-        eps_i = Fraction(acc_i.pair_count, n * n)
-        coord_pass.append(eps_i)
-        delta_i = delta_schedule(eps_f, float(eps_i))
+        delta_i = delta_schedule(eps_f, float(coord_pass[i]))
         fns = list_decode_scalar(fi, delta_i, c_list)
         lists.append(fns)
         deltas.append(delta_i)
@@ -619,7 +604,7 @@ def piece_together(
             fn=None,
             agreement=None,
             pass_probability=eps_meas,
-            coordinate_pass=tuple(coord_pass),
+            coordinate_pass=coord_pass,
             state=state,
             failure="no_anchor",
         )
@@ -642,7 +627,7 @@ def piece_together(
         fn=fn,
         agreement=Fraction(within, var_count),
         pass_probability=eps_meas,
-        coordinate_pass=tuple(coord_pass),
+        coordinate_pass=coord_pass,
         state=state,
     )
 

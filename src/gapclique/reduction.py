@@ -300,10 +300,6 @@ def _pair_batches(n: int):
         start = stop
 
 
-def _rule_set(row: np.ndarray) -> frozenset[int]:
-    return frozenset((np.flatnonzero(row) + 1).tolist())
-
-
 class CliqueInstance:
     """The reduced graph, held implicitly: parameters, the sampled map, the
     source instance, a vertex codec, and a pure edge oracle."""
@@ -329,17 +325,6 @@ class CliqueInstance:
         return np.split(images, np.cumsum(self.source.sizes)[:-1])
 
     # -- the edge oracle -----------------------------------------------------
-
-    def non_edge_types(self, u: Vertex, v: Vertex) -> frozenset[int]:
-        """All non-edge rules the pair triggers (empty means adjacent).
-        Every rule is evaluated in both orientations."""
-        rules = self._pair_rules(self._encode([u, v]), np.array([0]), np.array([1]))
-        return _rule_set(rules[0])
-
-    def is_edge(self, u: Vertex, v: Vertex) -> bool:
-        if u == v:
-            raise ContractViolation("edge query on identical vertices")
-        return not self.non_edge_types(u, v)
 
     def _encode(self, vertices: Sequence[Vertex]) -> _Codes:
         """The vertex list as arrays the rules compare, after every vertex is
@@ -428,26 +413,19 @@ class CliqueInstance:
             raise BudgetExceeded("planted clique size", required=total, budget=clique_budget)
         if len(indices) != params.k:
             raise ContractViolation("need one index per collection")
-        block_space = list(itertools.product(range(q), repeat=k))
         # per collection, the chosen vector's block-inner image under every
-        # direction
-        directions = np.array(block_space)
-        tables = [
-            dict(zip(block_space, map(tuple, (directions @ self._images[i][idx].T % q).tolist())))
-            for i, idx in enumerate(indices)
-        ]
-
-        def value(bold: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-            return vector_sum(q, (tables[i][bold[i]] for i in range(k)))
-
-        out = []
-        for bold_a in itertools.product(block_space, repeat=k):
-            alpha = tuple(e for blk in bold_a for e in blk)
-            xv = value(bold_a)
-            for bold_b in itertools.product(block_space, repeat=k):
-                beta = tuple(e for blk in bold_b for e in blk)
-                out.append(Vertex(alpha, beta, xv, value(bold_b)))
-        return out
+        # direction, summed over the blocks of each point: row r of x is the
+        # value at the point of rank r (block 0 most significant)
+        directions = np.array(list(itertools.product(range(q), repeat=k)), dtype=np.int64)
+        x = np.zeros((1, l), dtype=np.int64)
+        for i, idx in enumerate(indices):
+            table = directions @ self._images[i][idx].T % q
+            x = (x[:, None, :] + table).reshape(-1, l) % q
+        # one tuple per point and per value, shared by all the vertices using it
+        points = list(itertools.product(range(q), repeat=k * k))
+        values = list(map(tuple, x.tolist()))
+        return [Vertex(alpha, beta, xa, xb) for alpha, xa in zip(points, values)
+                for beta, xb in zip(points, values)]
 
     def verify_clique(self, vertices: Sequence[Vertex]) -> Optional[tuple[Vertex, Vertex, frozenset]]:
         """Exhaustive pairwise scan; returns the first violating pair in (i, j)
@@ -462,7 +440,7 @@ class CliqueInstance:
             bad = np.flatnonzero(rules.any(axis=1) & ~repeat)
             if bad.size:
                 t = bad[0]
-                return vs[I[t]], vs[J[t]], _rule_set(rules[t])
+                return vs[I[t]], vs[J[t]], frozenset((np.flatnonzero(rules[t]) + 1).tolist())
         return None
 
     # -- materialization and export ---------------------------------------------
@@ -559,6 +537,57 @@ class GammaTable:
     fill_log: dict
 
 
+def _clique_values(clique: Sequence[Vertex], q: int, l: int) -> dict:
+    """Phase 1 of the decoded function: point -> value for every point a
+    vertex of the clique assigns, in order of first assignment (vertices
+    sorted, slots alpha, beta, alpha + beta).  Refuses when a point carries
+    two values, naming the first conflict met in that order."""
+    vs = sorted(clique)
+    n = len(vs)
+    if not n:
+        return {}
+    alphas, betas, xs, ys = zip(*vs)
+    # value ids: each tuple object once, then each distinct value once
+    keys = list(map(id, xs + ys))
+    objects = dict(zip(keys, xs + ys))
+    val_pos: dict[tuple[int, ...], int] = {}
+    obj_val = {key: val_pos.setdefault(t, len(val_pos)) for key, t in objects.items()}
+    xid, yid = np.array(list(map(obj_val.__getitem__, keys))).reshape(2, n)
+    # slot s carries rows[A[s]] + rows[B[s]]; the last row is zero
+    rows = np.array(list(val_pos) + [(0,) * l], dtype=np.int64).reshape(-1, l)
+    zero = np.full(n, len(val_pos))
+    A = np.stack([xid, yid, xid], axis=1).reshape(-1)
+    B = np.stack([zero, zero, yid], axis=1).reshape(-1)
+    alpha, beta = (np.array(p, dtype=np.int64).reshape(n, -1) for p in (alphas, betas))
+    point = _row_ids(alpha, beta, (alpha + beta) % q).T.reshape(-1)
+    _, first_slot = np.unique(point, return_index=True)
+    first = first_slot[point]
+    # a slot whose ids match its point's first slot carries the same value;
+    # the others are compared row by row, about 2^16 entries at a time
+    check = np.flatnonzero((A != A[first]) | (B != B[first]))
+    ref = (rows[A[first_slot]] + rows[B[first_slot]]) % q
+    step, last = max(1, (1 << 16) // l), n
+    for c in range(0, len(check), step):
+        s = check[c : c + step]
+        differ = ((rows[A[s]] + rows[B[s]]) % q != ref[point[s]]).any(axis=1)
+        if differ.any():
+            last = int(s[differ.argmax()]) // 3
+            break
+    # vertex by vertex, the dict changes only at a vertex that assigns some
+    # point first, and the first conflict is met at vertex `last`: replay
+    # the loop on those vertices alone
+    replay = [t for t in np.unique(first_slot // 3).tolist() if t < last] + [last] * (last < n)
+    phase1: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for t in replay:
+        for p, vals in value_relation(vs[t], q).items():
+            for val in vals:
+                if phase1.setdefault(p, val) != val:
+                    raise PropertyViolation(
+                        f"conflicting clique values at point {p}: {phase1[p]} vs {val}"
+                    )
+    return phase1
+
+
 def build_gamma(
     clique: Sequence[Vertex],
     instance: CliqueInstance,
@@ -587,18 +616,7 @@ def build_gamma(
             raise PropertyViolation(
                 f"not a clique: rules {sorted(types)} fire between {u} and {v}"
             )
-    phase1: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for v in sorted(clique):
-        for p, vals in value_relation(v, q).items():
-            for val in vals:
-                prev = phase1.get(p)
-                if prev is None:
-                    phase1[p] = val
-                elif prev != val:
-                    raise PropertyViolation(
-                        f"conflicting clique values at point {p}: {prev} vs {val}"
-                    )
-
+    phase1 = _clique_values(clique, q, l)
     fill: dict[tuple[int, ...], tuple[int, ...]] = {}
     fill_log: dict[tuple[int, ...], str] = {p: "clique" for p in phase1}
     zero_pt = (0,) * kk
@@ -786,19 +804,16 @@ def extract_witness(
 
     # the subset of shared points where the pieced function is within kappa
     kk = k * k
-    r_star = 0
-    for p in gamma.var_points:
-        fv = gamma.table.value_at(p)
-        cv = piece.fn.eval(p)
-        mism = sum(1 for a, b in zip(fv, cv) if a != b)
-        if Fraction(mism, l) <= kappa:
-            r_star += 1
+    rhos = np.array(piece.fn.rhos, dtype=np.int64)
+    points = np.array(list(gamma.var_points), dtype=np.int64).reshape(-1, kk)
+    ranks = points @ (q ** np.arange(kk - 1, -1, -1, dtype=np.int64))
+    mism = (gamma.table.values[ranks] != points @ rhos.T % q).sum(axis=1)
+    r_star = int((mism <= kappa * l).sum())
     report.r_star_size = r_star
     report.r_star_dense = r_star * q > q**kk
 
     bound = 2 * kappa
     directions = list(itertools.product(range(q), repeat=k))[1:]
-    rhos = np.array(piece.fn.rhos, dtype=np.int64)
     chosen: list[int] = []
     failed_stage = None
     for i in range(k):

@@ -1,6 +1,8 @@
-"""The edge oracle as a tuple-by-tuple scan, kept as the differential
-reference for the library's batched rule evaluator, and the inverse of the
-vertex codec's numbering.
+"""The reduction on residue tuples, kept as the differential reference for
+the library's array code: the edge oracle as a pair-by-pair scan, the
+inverse of the vertex codec's numbering, planted cliques vertex by vertex,
+and phase 1 of the decoded function as a loop over the clique.  Also the
+tests' entry point to the library's batched rule evaluator.
 
 Every rule is read straight off its definition, one vertex pair at a time,
 on residue tuples; the images of the source vectors come from the
@@ -8,13 +10,57 @@ definition-level map image in field_reference, not from the library's
 matrix product.
 """
 
+import itertools
+
+import numpy as np
+
 from gapclique.cliquesolve import DenseGraph
-from gapclique.errors import ContractViolation
+from gapclique.errors import ContractViolation, PropertyViolation
 from gapclique.ffield import rank_tuple
-from gapclique.reduction import is_valid_vertex, value_relation
+from gapclique.reduction import Vertex, is_valid_vertex, value_relation
 from gapclique.vecsum import vector_sum
 
 from field_reference import apply_map, block_inner, scale, sub
+
+
+def pair_rule_sets(ci, pairs):
+    """The library's rule sets of the vertex pairs (u, v), from one encoding
+    of all their vertices and one batch."""
+    vertices = [v for pair in pairs for v in pair]
+    rules = ci._pair_rules(
+        ci._encode(vertices), np.arange(0, len(vertices), 2), np.arange(1, len(vertices), 2)
+    )
+    return [frozenset((np.flatnonzero(row) + 1).tolist()) for row in rules]
+
+
+def planted_clique(ci, indices):
+    """One vertex per (alpha, beta) in lexicographic order; the value at a
+    point sums, over the blocks, the block-inner product of the point's
+    block with the image of that block's chosen vector."""
+    q, k = ci.params.q, ci.params.k
+    images = [apply_map(ci.gmap, ci.source.collections[i][idx]) for i, idx in enumerate(indices)]
+
+    def value(point):
+        return vector_sum(q, (block_inner(q, point[i * k : (i + 1) * k], images[i]) for i in range(k)))
+
+    points = list(itertools.product(range(q), repeat=k * k))
+    return [Vertex(a, b, value(a), value(b)) for a in points for b in points]
+
+
+def clique_values(clique, q):
+    """Phase 1 of the decoded function, vertex by vertex in sorted order:
+    point -> value in order of first assignment, refusing at the first
+    point that receives a second value."""
+    phase1 = {}
+    for v in sorted(clique):
+        for p, vals in value_relation(v, q).items():
+            for val in vals:
+                prev = phase1.setdefault(p, val)
+                if prev != val:
+                    raise PropertyViolation(
+                        f"conflicting clique values at point {p}: {prev} vs {val}"
+                    )
+    return phase1
 
 
 def var_points(v, q):

@@ -5,7 +5,6 @@ violation verify_clique reports, and materialized adjacency."""
 import itertools
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +14,7 @@ from gapclique.randmap import sample_g
 from gapclique.reduction import CliqueInstance, ReductionParams, Vertex
 from gapclique.vecsum import generate_planted
 
-from edge_reference import ReferenceOracle
+from edge_reference import ReferenceOracle, pair_rule_sets
 from field_reference import add, scale
 
 
@@ -24,12 +23,6 @@ def make_instance(seed, q, k, l, n=4):
     src = generate_planted(rngmod.stream(seed, "instance"), q, k, m, n)
     g = sample_g(rngmod.stream(seed, "matrices"), q, k, m, l, seed=seed)
     return CliqueInstance(ReductionParams(q=q, k=k, l=l), g, src)
-
-
-def batched_rule_sets(ci, vertices, I, J):
-    """Rule sets of the pairs (I[t], J[t]) from one encoding of the list."""
-    rules = ci._pair_rules(ci._encode(vertices), np.array(I), np.array(J))
-    return [frozenset((np.flatnonzero(row) + 1).tolist()) for row in rules]
 
 
 # -- vertices drawn to hit every rule's special cases ---------------------------------
@@ -109,13 +102,9 @@ def test_all_pairs_match_reference(q, k, l):
     ci = make_instance(q + l, q, k, l)
     ref = ReferenceOracle(ci)
     vertices = [ci.codec.unrank(r) for r in range(ci.codec.count)]
-    pairs = list(itertools.product(range(len(vertices)), repeat=2))
-    got = batched_rule_sets(ci, vertices, *zip(*pairs))
-    for (i, j), rules in zip(pairs, got):
-        assert rules == ref.rules(vertices[i], vertices[j]), (vertices[i], vertices[j])
-    # the single-pair entry point agrees with the batch
-    for i, j in pairs[:: len(pairs) // 50]:
-        assert ci.non_edge_types(vertices[i], vertices[j]) == ref.rules(vertices[i], vertices[j])
+    pairs = list(itertools.product(vertices, repeat=2))
+    for (u, v), rules in zip(pairs, pair_rule_sets(ci, pairs)):
+        assert rules == ref.rules(u, v), (u, v)
 
 
 @pytest.mark.parametrize("q,k,l", POINTS)
@@ -123,10 +112,8 @@ def test_seeded_targeted_pairs_match_reference(q, k, l):
     ci = INSTANCES[(q, k, l)]
     ref = ReferenceOracle(ci)
     pairs = seeded_pairs(f"{q}-{k}-{l}", q, k, l, 1500)
-    vertices = [v for pair in pairs for v in pair]
-    got = batched_rule_sets(ci, vertices, range(0, len(vertices), 2), range(1, len(vertices), 2))
     fired = set()
-    for (u, v), rules in zip(pairs, got):
+    for (u, v), rules in zip(pairs, pair_rule_sets(ci, pairs)):
         assert rules == ref.rules(u, v), (u, v)
         fired |= rules
     assert fired == {1, 2, 3, 4, 5}
@@ -148,10 +135,7 @@ def test_hypothesis_pairs_match_reference(q, k, l, data):
     ci = INSTANCES[(q, k, l)]
     u, v = data.draw(vertex_pairs(q, k, l))
     expected = ReferenceOracle(ci).rules(u, v)
-    assert ci.non_edge_types(u, v) == expected
-    assert ci.non_edge_types(v, u) == expected
-    if u != v:
-        assert ci.is_edge(u, v) == (not expected)
+    assert pair_rule_sets(ci, [(u, v), (v, u)]) == [expected, expected]
 
 
 # -- verify_clique ----------------------------------------------------------------------

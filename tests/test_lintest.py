@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gapclique import rng as rngmod
+from gapclique import lintest, rng as rngmod
 from gapclique.errors import BudgetExceeded, ContractViolation, PiecingRefused
 from gapclique.ffield import rank_tuple
 from gapclique.lintest import (
@@ -24,7 +24,6 @@ from gapclique.lintest import (
     piece_together,
     random_scalar_respecting_table,
     triple_correlation_check,
-    verify_unique_consistency,
 )
 
 TOL = 1e-9
@@ -128,6 +127,46 @@ class TestAcceptedSet:
         f = random_scalar_respecting_table(rngmod.stream(9, "var"), 5, 1)
         acc = accepted_set(f)
         assert bool(acc.var_mask[0])  # (0,0) always accepted since f(0) = 0
+
+    @pytest.mark.parametrize("q,d,l", [(3, 6, 2), (7, 3, 2), (3, 4, 128)])
+    def test_coordinate_counts_match_per_coordinate_sets(self, q, d, l):
+        # shapes whose pair enumeration ends in a short block of rows
+        f = random_scalar_respecting_table(rngmod.stream(q + d + l, "cc"), q, d, l)
+        n = f.size
+        assert n % (lintest.PAIR_BLOCK // (n * max(d, l))) != 0
+        acc = accepted_set(f)
+        per_coordinate = [accepted_set(f.coordinate(i)).pair_count for i in range(l)]
+        assert acc.coordinate_counts == tuple(per_coordinate)
+        res = piece_together(f, 0, Fraction(1, 4))
+        assert res.coordinate_pass == tuple(Fraction(c, n * n) for c in per_coordinate)
+        for run in (accepted_set, lambda g, pair_budget: piece_together(g, 0, 0, pair_budget=pair_budget)):
+            with pytest.raises(BudgetExceeded) as exc:
+                run(f, pair_budget=n * n - 1)
+            assert exc.value.required == n * n
+
+    def test_any_block_height_matches_whole_domain_reference(self, monkeypatch):
+        q, d = 5, 3
+        r = rngmod.stream(10, "blocks")
+        f = corrupt_lines(
+            FunctionTable.from_linear(LinearVecFn(q, d, ((1, 2, 3), (4, 0, 1)))),
+            [(rep, [r.randrange(q), r.randrange(q)]) for rep in line_representatives(q, d)[:6]],
+        )
+        g1, g2, g3 = f.coordinate(0), f.coordinate(1), random_scalar_respecting_table(r, q, d)
+        points = list(itertools.product(range(q), repeat=d))
+        sum_rank = np.array(
+            [[rank_tuple(q, tuple((x + y) % q for x, y in zip(a, b))) for b in points] for a in points]
+        )
+        vals = f.values
+        agree = (vals[:, None, :] + vals[None, :, :]) % q == vals[sum_rank]
+        v1, v2, v3 = (g.values[:, 0] for g in (g1, g2, g3))
+        lhs = Fraction(int(((v1[:, None] + v2[None, :]) % q == v3[sum_rank]).sum()), len(points) ** 2)
+        # one row per block, blocks of 7 rows (125 = 17 * 7 + 6), the default
+        for block in (1, 7 * 125 * 3, lintest.PAIR_BLOCK):
+            monkeypatch.setattr(lintest, "PAIR_BLOCK", block)
+            acc = accepted_set(f)
+            assert np.array_equal(acc.pair_mask, agree.all(axis=2))
+            assert acc.coordinate_counts == tuple(agree.sum(axis=(0, 1)).tolist())
+            assert triple_correlation_check(g1, g2, g3).lhs == lhs
 
 
 class TestFourier:
@@ -296,36 +335,6 @@ class TestListDecode:
             if agreement(f, LinearScalarFn(q, rho)) >= thr
         }
         assert got == want
-
-
-class TestUniqueConsistency:
-    def test_linear_fully_consistent(self):
-        fn = LinearScalarFn(5, (1, 2))
-        f = FunctionTable.from_linear(fn)
-        rep = verify_unique_consistency(f, [fn])
-        assert rep.fraction == 1 and not rep.empty_accepted_set
-
-    def test_empty_list_gives_zero(self):
-        f = random_scalar_respecting_table(rngmod.stream(3, "uc"), 5, 1)
-        assert verify_unique_consistency(f, []).fraction == 0
-
-    def test_empty_accepted_set_flagged(self):
-        f = FunctionTable(5, 1, 1, [[2]] * 5)
-        rep = verify_unique_consistency(f, [LinearScalarFn(5, (1,))])
-        assert rep.fraction == 0 and rep.empty_accepted_set
-
-    def test_corrupted_linear_stays_consistent_on_accepted_pairs(self):
-        q, d = 11, 2
-        fn = LinearScalarFn(q, (3, 7))
-        reps = line_representatives(q, d)
-        f = corrupt_lines(FunctionTable.from_linear(fn), [(reps[0], 5), (reps[5], 9)])
-        assert agreement(f, fn) == Fraction(111, 121)
-        lst = list_decode_scalar(f, 0.5)
-        assert [c.rho for c in lst] == [(3, 7)]
-        rep = verify_unique_consistency(f, lst)
-        # shape of the guarantee: all but a small fraction of accepted pairs
-        assert rep.fraction >= Fraction(95, 100)
-        assert rep.fraction == Fraction(11221, 11341)
 
 
 class TestPieceTogether:

@@ -16,6 +16,8 @@ from gapclique.reduction import (
     CliqueInstance,
     ReductionParams,
     Vertex,
+    _clique_values,
+    _pair_batches,
     build_gamma,
     export_graph,
     extract_witness,
@@ -28,7 +30,8 @@ from gapclique.reduction import (
 )
 from gapclique.vecsum import VecSumInstance, generate_planted
 
-from edge_reference import codec_rank, var_points
+import edge_reference as reference
+from edge_reference import codec_rank, pair_rule_sets, var_points
 from field_reference import apply_map, block_inner
 
 
@@ -158,53 +161,50 @@ class TestEdgeOracle:
         # (rule 3 can fire for alpha on a degenerate scalar line); an
         # internally inconsistent vertex legitimately conflicts with itself
         r = rngmod.stream(0, "v")
-        seen = 0
-        while seen < 50:
+        vertices = []
+        while len(vertices) < 50:
             v = random_vertex(r, 3, 1, 2)
-            if any(len(vals) > 1 for vals in value_relation(v, 3).values()):
-                continue
-            seen += 1
-            types = self.ci.non_edge_types(v, v)
+            if not any(len(vals) > 1 for vals in value_relation(v, 3).values()):
+                vertices.append(v)
+        for types in pair_rule_sets(self.ci, [(v, v) for v in vertices]):
             assert 1 in types and 2 not in types
 
     def test_same_cloud_not_adjacent(self):
         v = Vertex((1,), (2,), (0, 1), (1, 1))
         w = Vertex((1,), (2,), (1, 1), (0, 1))
-        assert 1 in self.ci.non_edge_types(v, w)
-        assert not self.ci.is_edge(v, w)
+        assert 1 in pair_rule_sets(self.ci, [(v, w)])[0]
 
     def test_shared_point_value_mismatch_is_rule2(self):
         v = Vertex((1,), (2,), (0, 1), (1, 1))
         w = Vertex((2,), (0,), (2, 2), (0, 0))  # shares point (2,) with value y=v(2)
         # v(2) = x + y = (1,2); w(2) = (2,2) differs
-        assert 2 in self.ci.non_edge_types(v, w)
+        assert 2 in pair_rule_sets(self.ci, [(v, w)])[0]
 
     def test_planted_pairs_have_no_types(self):
         clique = self.ci.planted_clique(self.ci.source.planted)
-        for a, b in itertools.combinations(clique[:8], 2):
-            if a != b:
-                assert self.ci.non_edge_types(a, b) == frozenset()
+        pairs = [(a, b) for a, b in itertools.combinations(clique[:8], 2) if a != b]
+        assert pair_rule_sets(self.ci, pairs) == [frozenset()] * len(pairs)
 
     def test_is_edge_symmetric_on_random_pairs(self):
         r = rngmod.stream(33, "sym")
-        for _ in range(10000):
-            u = random_vertex(r, 3, 1, 2)
-            v = random_vertex(r, 3, 1, 2)
-            if u == v:
-                continue
-            assert self.ci.is_edge(u, v) == self.ci.is_edge(v, u)
+        pairs = [(random_vertex(r, 3, 1, 2), random_vertex(r, 3, 1, 2)) for _ in range(10000)]
+        pairs = [(u, v) for u, v in pairs if u != v]
+        forward = pair_rule_sets(self.ci, pairs)
+        backward = pair_rule_sets(self.ci, [(v, u) for u, v in pairs])
+        assert forward == backward
 
     def test_self_edge_query_rejected(self):
-        v = random_vertex(rngmod.stream(1, "v"), 3, 1, 2)
-        with pytest.raises(ContractViolation):
-            self.ci.is_edge(v, v)
+        # no vertex is adjacent to itself, internally inconsistent ones too
+        r = rngmod.stream(1, "v")
+        vertices = [random_vertex(r, 3, 1, 2) for _ in range(200)]
+        for types in pair_rule_sets(self.ci, [(v, v) for v in vertices]):
+            assert 1 in types
 
     def test_non_edge_types_subset_of_rules(self):
         r = rngmod.stream(34, "rules")
-        for _ in range(300):
-            u = random_vertex(r, 3, 1, 2)
-            v = random_vertex(r, 3, 1, 2)
-            assert self.ci.non_edge_types(u, v) <= {1, 2, 3, 4, 5}
+        pairs = [(random_vertex(r, 3, 1, 2), random_vertex(r, 3, 1, 2)) for _ in range(300)]
+        for types in pair_rule_sets(self.ci, pairs):
+            assert types <= {1, 2, 3, 4, 5}
 
 
 class TestPlantedClique:
@@ -228,17 +228,83 @@ class TestPlantedClique:
         violation = ci.verify_clique(t)
         assert violation is not None
         # scan for a rule-5 pair specifically
-        found5 = False
-        for a, b in itertools.combinations(t, 2):
-            if a != b and 5 in ci.non_edge_types(a, b):
-                found5 = True
-                break
-        assert found5
+        codes = ci._encode(t)
+        assert any(ci._pair_rules(codes, I, J)[:, 4].any() for I, J in _pair_batches(len(t)))
 
     def test_budget_refusal(self):
         ci = make_instance(51, 3, 2, 4, 3, 2)
         with pytest.raises(BudgetExceeded):
             ci.planted_clique(ci.source.planted, clique_budget=100)
+
+    @pytest.mark.parametrize("q,k,l", [(2, 1, 2), (3, 1, 2), (2, 2, 1), (3, 2, 4)])
+    def test_matches_vertex_by_vertex_reference(self, q, k, l):
+        ci = make_instance(52 + q + k + l, q, k, 8 if q == 2 else 4, 3, l)
+        for indices in itertools.islice(
+            itertools.product(*(range(len(us)) for us in ci.source.collections)), 3
+        ):
+            got = ci.planted_clique(indices)
+            assert got == reference.planted_clique(ci, indices)
+            assert all(is_valid_vertex(v, ci.params) for v in got)
+
+
+def phase1_outcome(compute):
+    """The phase-1 dict as its item list in order, or the refusal message."""
+    try:
+        return list(compute().items())
+    except PropertyViolation as exc:
+        return str(exc)
+
+
+class TestGammaPhase1:
+    """Phase 1 of build_gamma against the vertex-by-vertex reference loop:
+    the same dict in the same order, or the same refusal message."""
+
+    def check(self, vertices, q, l):
+        want = phase1_outcome(lambda: reference.clique_values(vertices, q))
+        assert phase1_outcome(lambda: _clique_values(vertices, q, l)) == want
+        return want
+
+    @pytest.mark.parametrize("q,k,l", [(2, 1, 2), (3, 1, 2), (2, 2, 1), (3, 2, 4)])
+    def test_planted_cliques(self, q, k, l):
+        ci = make_instance(65 + q + k + l, q, k, 8 if q == 2 else 4, 3, l)
+        assert isinstance(self.check(ci.planted_clique(ci.source.planted), q, l), list)
+
+    @pytest.mark.parametrize("q,k,l", [(3, 1, 2), (5, 1, 1), (2, 2, 3)])
+    def test_random_subsets_and_random_lists(self, q, k, l):
+        ci = make_instance(66 + q + k + l, q, k, 8 if q == 2 else 4, 3, l)
+        clique = ci.planted_clique(ci.source.planted)
+        r = rngmod.stream(q + k + l, "phase1")
+        outcomes = set()
+        for size in (1, 2, 3, 5, 8, len(clique) // 2):
+            sub = r.sample(clique, min(size, len(clique)))
+            assert isinstance(self.check(sub, q, l), list)
+            noise = [random_vertex(r, q, k, l) for _ in range(size)]
+            outcomes.add(type(self.check(noise, q, l)))
+            mixed = sub + noise[:1]
+            outcomes.add(type(self.check(mixed, q, l)))
+        assert outcomes == {list, str}
+
+    def test_internally_inconsistent_vertex(self):
+        # beta = 0 collides the alpha and alpha + beta slots; y != 0 gives
+        # them different values, alone or among consistent vertices
+        ci = make_instance(67, 3, 1, 4, 4, 2)
+        bad = Vertex((1,), (0,), (2, 0), (1, 1))
+        clique = ci.planted_clique(ci.source.planted)
+        for vertices in ([bad], clique[:4] + [bad], [bad] + clique):
+            assert "conflicting clique values at point (1,)" in self.check(vertices, 3, 2)
+            with pytest.raises(PropertyViolation, match="conflicting clique values"):
+                build_gamma(vertices, ci, rng=rngmod.stream(67, "gamma-fill"), verify=False)
+
+    def test_cross_vertex_conflict_without_verification(self):
+        ci = make_instance(68, 3, 1, 4, 4, 2)
+        v = Vertex((1,), (2,), (0, 1), (1, 1))
+        w = Vertex((2,), (0,), (2, 2), (0, 0))  # point (2,): y = (1, 1) against x = (2, 2)
+        for vertices in ([v, w], [w, v], [v, v, w, w]):
+            message = self.check(vertices, 3, 2)
+            assert message == "conflicting clique values at point (2,): (1, 1) vs (2, 2)"
+            with pytest.raises(PropertyViolation) as exc:
+                build_gamma(vertices, ci, rng=rngmod.stream(68, "gamma-fill"), verify=False)
+            assert str(exc.value) == message
 
 
 class TestGamma:
