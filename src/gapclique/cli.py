@@ -14,6 +14,7 @@ that break a precondition).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -347,7 +348,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged (no appending actions or mutable defaults), so calls share it."""
     parser = _Parser(
         prog="gapclique",
         description="Vector-sum to gap-clique reduction pipeline and experiments",

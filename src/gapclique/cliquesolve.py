@@ -106,21 +106,35 @@ class CliqueSearchResult:
 
 
 def _degeneracy_order(graph: DenseGraph) -> list[int]:
-    """Repeatedly remove a minimum-degree vertex; returns removal order."""
-    n = graph.n
-    alive = (1 << n) - 1
+    """Repeatedly remove a minimum-degree vertex, the smallest on ties;
+    returns removal order.  Live vertices are kept in one bitmask per
+    degree: the smallest vertex of the lowest bucket goes next, and its live
+    neighbours move down one bucket, a whole bucket's share at a time, so a
+    removal costs one mask operation per distinct degree, not per edge."""
+    buckets: dict[int, int] = {}
+    for v, row in enumerate(graph.adj):
+        d = row.bit_count()
+        buckets[d] = buckets.get(d, 0) | 1 << v
+    alive = (1 << graph.n) - 1
     order = []
-    for _ in range(n):
-        best_v, best_d = -1, n + 1
-        rest = alive
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            d = (graph.adj[v] & alive).bit_count()
-            if d < best_d:
-                best_v, best_d = v, d
-        order.append(best_v)
-        alive &= ~(1 << best_v)
+    while buckets:
+        d = min(buckets)
+        low = buckets.pop(d)
+        v = (low & -low).bit_length() - 1
+        order.append(v)
+        if low ^ 1 << v:
+            buckets[d] = low ^ 1 << v
+        alive ^= 1 << v
+        neighbours = graph.adj[v] & alive
+        # ascending, so a vertex moved into bucket e - 1 is not moved again
+        for e in sorted(buckets) if neighbours else ():
+            moved = buckets[e] & neighbours
+            if moved:
+                if buckets[e] == moved:
+                    del buckets[e]
+                else:
+                    buckets[e] ^= moved
+                buckets[e - 1] = buckets.get(e - 1, 0) | moved
     return order
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng as rngmod
-from .errors import PropertyViolation
+from .errors import ContractViolation, PropertyViolation
 from .ffield import next_prime
 from .lintest import (
     FunctionTable,
@@ -44,6 +44,7 @@ from .randmap import (
     draw_matrices,
     estimate_failure_rate,
     sample_g,
+    wellspread_excluded,
     wellspread_holds,
     wellspread_sums,
 )
@@ -117,7 +118,10 @@ def certified_map(
 ):
     """Resample maps from the labeled stream until the named goodness check
     certifies; returns (map, tries) or None when tries run out (possible at
-    desk scale, e.g. when a binary source collection is linearly dependent)."""
+    desk scale, e.g. when a binary source collection is linearly dependent).
+    Refuses up front where no map can be wellspread."""
+    if prop == "wellspread" and (reason := wellspread_excluded(inst, l)):
+        raise ContractViolation(reason)
     check = {"wellspread": check_wellspread, "separation": check_pairwise_separation}[prop]
     # most maps fail wellspread: each block of draws is screened on the case
     # sums with one product, and only maps that pass it are certified

@@ -658,11 +658,13 @@ def random_scalar_respecting_table(
     """Uniformly random scalar-respecting table: zero at the origin, an
     independent uniform value on each line's representative, scaled along the
     line."""
+    reps = np.array(line_representatives(q, d), dtype=np.int64).reshape(-1, d)
+    choices = np.array([rng.randrange(q) for _ in range(len(reps) * l)], dtype=np.int64)
+    scalars = np.arange(1, q, dtype=np.int64)[:, None]
+    # [line, c - 1] is the rank of c times the line's representative
+    lines = reps[:, None, :] * scalars % q @ (q ** np.arange(d - 1, -1, -1, dtype=np.int64))
     vals = np.zeros((q**d, l), dtype=np.int64)
-    for rep in line_representatives(q, d):
-        choice = np.array([rng.randrange(q) for _ in range(l)], dtype=np.int64)
-        for c in range(1, q):
-            vals[rank_tuple(q, tuple(e * c % q for e in rep))] = choice * c % q
+    vals[lines] = choices.reshape(-1, 1, l) * scalars % q
     t = FunctionTable(q, d, l, vals, _skip_checks=True)
     t._scalar_respecting = True
     return t

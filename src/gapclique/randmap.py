@@ -262,6 +262,25 @@ def wellspread_sums(inst: VecSumInstance) -> Optional[np.ndarray]:
     return sums[sums.any(axis=1)]
 
 
+def wellspread_excluded(inst: VecSumInstance, l: int) -> Optional[str]:
+    """Why no map into l blocks of width k is wellspread for the instance,
+    or None.  Over F_2 with k >= 2, take u from one collection and w from
+    another with u, w and u + w nonzero: their images need weight at least
+    2kl/3 each, so more than 2kl together when 3 does not divide kl, yet on
+    every coordinate at most two of G u, G w and G u + G w are 1."""
+    k = inst.k
+    if inst.q != 2 or k < 2 or k * l % 3 == 0:
+        return None
+    nonzero = [sorted({u for u in us if any(u)}) for us in inst.collections]
+    for (i, us), (j, ws) in itertools.combinations(enumerate(nonzero), 2):
+        for u, w in itertools.product(us, ws):
+            if u != w:
+                return (f"no map is wellspread over F_2 with k*l = {k * l} not a multiple of 3: "
+                        f"u = {u} (collection {i}), w = {w} (collection {j}) and u + w are "
+                        f"nonzero, and their images cannot all have weight >= 2/3")
+    return None
+
+
 def wellspread_holds(q: int, sums: np.ndarray, maps: list) -> np.ndarray:
     """Per map, given as the matrices draw_matrices returns, whether every
     row of `sums` keeps relative image weight >= 2/3: one product for all

@@ -18,6 +18,11 @@ Graphs are held implicitly (parameters + sampled map + source instance +
 an edge oracle); explicit adjacency is materialized only under budget.  The
 oracle encodes a vertex list once and evaluates the rules on batches of
 about PAIR_BATCH pairs, so its memory does not grow with the pair count.
+Each rule reads little of a vertex: rules 3-5 only (alpha, x), rule 1 only
+(alpha, beta), rule 2 only the three (point, value) slots.  So materialize
+evaluates rules 3-5 once per pair of (alpha, x) classes and rule 2 once per
+pair of slot classes, and verify_clique decides on groups before it scans
+pairs.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ DEFAULT_VERTEX_BUDGET = 2000
 DEFAULT_CLIQUE_BUDGET = 1 << 16
 
 PAIR_BATCH = 1024  # edge oracle batch: whole rows of pairs, at least this many
+ROW_BLOCK = 128  # adjacency rows materialize fills from the class tables at once
 
 
 # -- parameter schedule ---------------------------------------------------------
@@ -286,6 +292,14 @@ def _row_ids(*blocks: np.ndarray) -> np.ndarray:
     return np.unique(keys, return_inverse=True)[1].reshape(len(blocks), -1)
 
 
+def _pair_ids(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids of the pairs (a[t], b[t]) of two arrays of dense ids, and
+    the first position t of each id."""
+    keys = a * (int(b.max(initial=0)) + 1) + b
+    _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
+    return ids.reshape(a.shape), first
+
+
 def _pair_batches(n: int):
     """The pairs i < j < n in (i, j) order, as index arrays (I, J) of whole
     rows, at least PAIR_BATCH pairs per batch until the last."""
@@ -398,6 +412,44 @@ class CliqueInstance:
         out[single, 3] = ~explained
         return out
 
+    # -- the oracle on classes ----------------------------------------------------
+
+    def _class_rules(self, codes: _Codes, reps: np.ndarray) -> np.ndarray:
+        """The symmetric table of whether rules 3-5 fire between vertices
+        reps[i] and reps[j] of an encoded list; these rules read only
+        (alpha, x), so each vertex stands for its whole (alpha, x) class."""
+        c = len(reps)
+        table = np.zeros((c, c), dtype=bool)
+        for I, J in _pair_batches(c):
+            table[I, J] = table[J, I] = self._pair_rules(codes, reps[I], reps[J])[:, 2:].any(axis=1)
+        table[np.diag_indices(c)] = self._pair_rules(codes, reps, reps)[:, 2:].any(axis=1)
+        return table
+
+    def _grouped_clique(self, codes: _Codes) -> bool:
+        """Whether an encoded list is a clique, decided on groups instead of
+        pairs.  Among its distinct vertices: no point carries two values and
+        is touched by two vertices (rule 2, internally inconsistent vertices
+        included), and rules 3-5 fire between no two (alpha, x) classes, nor
+        within a class of two or more vertices.  Rule 1 needs no group of
+        its own: two distinct vertices of one (alpha, beta) differ in x or
+        y, so rule 2 fires at alpha or at beta."""
+        cloud = _pair_ids(codes.point[:, 0], codes.point[:, 1])[0]
+        keep = _pair_ids(cloud, _pair_ids(codes.value[:, 0], codes.value[:, 1])[0])[1]
+        point, value = codes.point[keep].reshape(-1), codes.value[keep].reshape(-1)
+        owner = np.repeat(np.arange(len(keep)), 3)
+        values_at = np.bincount(point[_pair_ids(point, value)[1]])
+        owners_at = np.bincount(point[_pair_ids(point, owner)[1]])
+        if ((values_at > 1) & (owners_at > 1)).any():
+            return False
+        ax = _pair_ids(codes.point[keep, 0], codes.value[keep, 0])[0]
+        _, first, size = np.unique(ax, return_index=True, return_counts=True)
+        reps = keep[first]
+        if any(self._pair_rules(codes, reps[I], reps[J])[:, 2:].any()
+               for I, J in _pair_batches(len(reps))):
+            return False
+        crowded = reps[size > 1]
+        return not self._pair_rules(codes, crowded, crowded)[:, 2:].any()
+
     # -- planted cliques -------------------------------------------------------
 
     def planted_clique(
@@ -428,12 +480,14 @@ class CliqueInstance:
                 for beta, xb in zip(points, values)]
 
     def verify_clique(self, vertices: Sequence[Vertex]) -> Optional[tuple[Vertex, Vertex, frozenset]]:
-        """Exhaustive pairwise scan; returns the first violating pair in (i, j)
-        order with its triggered rules, or None when the set is a clique.
-        Every vertex is validated before any pair is compared; repeated
-        vertices are skipped."""
+        """The first violating pair in (i, j) order with its triggered rules,
+        or None when the set is a clique.  Every vertex is validated before
+        any pair is compared; repeated vertices are skipped.  The grouped
+        test decides; only a list it rejects is scanned pair by pair."""
         vs = list(vertices)
         codes = self._encode(vs)
+        if self._grouped_clique(codes):
+            return None
         for I, J in _pair_batches(len(vs)):
             rules = self._pair_rules(codes, I, J)
             repeat = rules[:, 0] & (codes.value[I, :2] == codes.value[J, :2]).all(axis=1)
@@ -447,20 +501,35 @@ class CliqueInstance:
 
     def materialize(self, budget: int = DEFAULT_VERTEX_BUDGET) -> DenseGraph:
         """Explicit adjacency over the whole vertex set; refuses with the
-        exact vertex count when it exceeds the budget."""
+        exact vertex count when it exceeds the budget.  A pair is a non-edge
+        when rules 3-5 fire between its two (alpha, x) classes, when two of
+        its slots conflict (rule 2), or when it shares (alpha, beta) (rule
+        1); rows are filled ROW_BLOCK at a time."""
         count = self.codec.count
         if count > budget:
             raise BudgetExceeded("vertex count", required=count, budget=budget)
         vertices = [self.codec.unrank(r) for r in range(count)]
         codes = self._encode(vertices)
-        # row i, byte j >> 3, bit j & 7 is the edge (i, j)
-        bits = np.zeros((count, (count + 7) // 8), dtype=np.uint8)
-        for I, J in _pair_batches(count):
-            edge = ~self._pair_rules(codes, I, J).any(axis=1)
-            for a, b in ((I[edge], J[edge]), (J[edge], I[edge])):
-                np.bitwise_or.at(bits, (a, b >> 3), np.left_shift(1, b & 7).astype(np.uint8))
-        adj = tuple(int.from_bytes(row.tobytes(), "little") for row in bits)
-        return DenseGraph(count, adj, labels=tuple(vertices))
+        cloud = _pair_ids(codes.point[:, 0], codes.point[:, 1])[0]
+        slot, first = _pair_ids(codes.point, codes.value)
+        # two slot classes conflict when they share a point, not a value
+        point, value = codes.point.reshape(-1)[first], codes.value.reshape(-1)[first]
+        conflict = (point[:, None] == point) & (value[:, None] != value)
+        # slot 0 is (alpha, x), so its class is the vertex's (alpha, x) class
+        _, reps, ax = np.unique(slot[:, 0], return_index=True, return_inverse=True)
+        table = self._class_rules(codes, reps)
+        adj: list[int] = []
+        for start in range(0, count, ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            non_edge = table[ax[rows]][:, ax] | (cloud[rows, None] == cloud)
+            # a conflict of the two alpha slots is rule 3 with scalar 1
+            for s, t in itertools.product(range(3), repeat=2):
+                if s or t:
+                    non_edge |= conflict[slot[rows, s]][:, slot[:, t]]
+            # row i, byte j >> 3, bit j & 7 is the edge (i, j)
+            packed = np.packbits(~non_edge, axis=1, bitorder="little")
+            adj.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+        return DenseGraph(count, tuple(adj), labels=tuple(vertices))
 
     def fingerprint(self) -> str:
         blob = json.dumps(

@@ -5,7 +5,9 @@ import os
 
 import pytest
 
-from gapclique.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_PROPERTY, main
+from gapclique.cli import (
+    EXIT_BUDGET, EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_PROPERTY, build_parser, main,
+)
 
 
 def run(*argv):
@@ -123,6 +125,18 @@ class TestExitCodes:
             run("check-map", "--instance", "instance.json", "--mode", "sometimes")
         assert exc.value.code == EXIT_INVALID
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_impossible_wellspread_certification_is_invalid(self, tmp_path, capsys):
+        # over F_2 with k = 2 and l = 1 no map is wellspread: refused at once
+        out = str(tmp_path)
+        assert run("--seed", "2", "--out-dir", out, "gen-vecsum",
+                   "--q", "2", "--k", "2", "--m", "8", "--n", "3", "--unsat") == EXIT_OK
+        capsys.readouterr()
+        code = run("--seed", "2", "--out-dir", out, "reduce", "--instance",
+                   os.path.join(out, "instance.json"), "--l", "1", "--certify", "wellspread")
+        assert code == EXIT_INVALID
+        assert "no map is wellspread over F_2" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "reduction.json"))
 
     def test_monte_carlo_without_samples_is_invalid(self, tmp_path, capsys):
         out = str(tmp_path)
@@ -262,3 +276,46 @@ class TestCheckMapCommand:
                    "--mode", "monte_carlo", "--samples", "50")
         assert code == EXIT_PROPERTY
         assert "50 Monte Carlo samples" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    STEPS = (
+        ("gen-vecsum", "--q", "3", "--k", "1", "--m", "4", "--n", "4", "--unsat"),
+        ("check-map", "--instance", "{out}/instance.json", "--mode", "sometimes"),
+        ("reduce", "--instance", "{out}/instance.json", "--l", "1", "--certify", "wellspread",
+         "--map-tries", "20000"),
+        ("--version",),
+        ("export", "--format", "dimacs"),
+        ("reduce", "--instance", "{out}/instance.json", "--out", "again.json"),
+        ("export", "--reduction", "{out}/reduction.json", "--out", "g.dimacs"),
+        ("solve", "--graph", "{out}/g.dimacs"),
+        ("check-map", "--instance", "{out}/instance.json", "--l", "1"),
+    )
+
+    def run_steps(self, out, capsys, fresh):
+        seen = []
+        for step in self.STEPS:
+            if fresh:
+                build_parser.cache_clear()
+            try:
+                code = run("--seed", "4", "--out-dir", out, *(a.format(out=out) for a in step))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            seen.append((code, captured.out.replace(out, "OUT"), captured.err.replace(out, "OUT")))
+        artifacts = {}
+        for name in sorted(os.listdir(out)):
+            path = os.path.join(out, name)
+            artifacts[name] = strip_timestamp(path) if name.endswith(".json") else open(path).read()
+        return seen, artifacts
+
+    def test_cached_parser_acts_like_a_fresh_one(self, tmp_path, capsys):
+        # subcommands alternate, with usage errors (exit 5) and --version in
+        # between; every call must see only its own arguments and defaults
+        cached = self.run_steps(str(tmp_path / "cached"), capsys, fresh=False)
+        fresh = self.run_steps(str(tmp_path / "fresh"), capsys, fresh=True)
+        assert cached == fresh
+        codes = [code for code, _, _ in cached[0]]
+        assert codes == [EXIT_OK, ("exit", EXIT_INVALID), EXIT_OK, ("exit", 0),
+                         ("exit", EXIT_INVALID), EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
+        assert build_parser() is build_parser()

@@ -8,6 +8,7 @@ import pytest
 from gapclique.errors import BudgetExceeded, ContractViolation
 from gapclique.cliquesolve import (
     DenseGraph,
+    _degeneracy_order,
     greedy_clique,
     is_clique,
     max_clique_exact,
@@ -22,6 +23,47 @@ def complete_graph(n):
 def random_graph(rng, n, p=0.5):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return DenseGraph.from_edges(n, edges)
+
+
+def degeneracy_order_reference(g: DenseGraph) -> list[int]:
+    """Each step rescans every live vertex and removes the first one of
+    minimum live degree; the quadratic definition of the order."""
+    alive = (1 << g.n) - 1
+    order = []
+    for _ in range(g.n):
+        best_v, best_d = -1, g.n + 1
+        for v in range(g.n):
+            if (alive >> v) & 1:
+                d = (g.adj[v] & alive).bit_count()
+                if d < best_d:
+                    best_v, best_d = v, d
+        order.append(best_v)
+        alive &= ~(1 << best_v)
+    return order
+
+
+def tied_graph(rng, n):
+    """A graph whose degrees tie a lot: a disjoint union of random cliques,
+    cycles and stars, plus a few random edges, with shuffled labels."""
+    labels = list(range(n))
+    rng.shuffle(labels)
+    edges, start = set(), 0
+    while start < n:
+        size = min(n - start, rng.randint(1, 6))
+        part = labels[start : start + size]
+        shape = rng.choice(("clique", "cycle", "star"))
+        if shape == "clique":
+            edges.update(itertools.combinations(part, 2))
+        elif shape == "cycle" and size > 2:
+            edges.update(zip(part, part[1:] + part[:1]))
+        else:
+            edges.update((part[0], v) for v in part[1:])
+        start += size
+    for _ in range(rng.randint(0, 3)):
+        u, v = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if u != v:
+            edges.add((u, v))
+    return DenseGraph.from_edges(n, {(min(e), max(e)) for e in edges})
 
 
 def naive_clique_number(g: DenseGraph) -> int:
@@ -143,3 +185,21 @@ class TestGraphType:
         p.write_text("e 1 2\n")
         with pytest.raises(ContractViolation):
             read_dimacs(p)
+
+
+class TestDegeneracyOrder:
+    def test_matches_quadratic_reference(self):
+        rng = random.Random(20)
+        graphs = [DenseGraph(0, ()), DenseGraph(1, (0,)), DenseGraph(40, (0,) * 40),
+                  complete_graph(1), complete_graph(2), complete_graph(33)]
+        graphs += [tied_graph(rng, rng.randint(1, 60)) for _ in range(60)]
+        graphs += [random_graph(rng, rng.randint(1, 50), p) for p in (0.05, 0.5, 0.95)
+                   for _ in range(10)]
+        for g in graphs:
+            assert _degeneracy_order(g) == degeneracy_order_reference(g)
+
+    def test_ties_go_to_the_smallest_vertex(self):
+        assert _degeneracy_order(complete_graph(5)) == [0, 1, 2, 3, 4]
+        # a path 0-1-2-3: both ends have degree 1, so 0 goes first, then 1
+        path = DenseGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        assert _degeneracy_order(path) == [0, 1, 2, 3]

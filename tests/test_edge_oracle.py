@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from gapclique import rng as rngmod
 from gapclique.errors import ContractViolation
 from gapclique.randmap import sample_g
-from gapclique.reduction import CliqueInstance, ReductionParams, Vertex
+from gapclique.reduction import CliqueInstance, ReductionParams, Vertex, is_valid_vertex
 from gapclique.vecsum import generate_planted
 
 from edge_reference import ReferenceOracle, pair_rule_sets
@@ -195,6 +195,124 @@ def test_modulus_past_64_bit_products_refused():
         ci.verify_clique([Vertex((1,), (2,), (3,), (4,)), Vertex((q - 1,), (2,), (3,), (4,))])
 
 
+# -- the grouped decision against the scan ----------------------------------------------
+
+
+def grouped_against_scan(ci, vertices):
+    """The reference scan's first violation, after checking that the grouped
+    decision agrees with it and verify_clique returns it."""
+    expected = ReferenceOracle(ci).verify(vertices)
+    assert ci._grouped_clique(ci._encode(vertices)) == (expected is None)
+    assert ci.verify_clique(vertices) == expected
+    return expected
+
+
+def fired_with(ci, u, vertices):
+    """The union of the reference's rule sets between u and the others."""
+    ref = ReferenceOracle(ci)
+    return set().union(*(ref.rules(u, w) for w in vertices if w != u))
+
+
+def corrupt(r, clique, u):
+    """The clique with u in place of a random vertex, sometimes with a
+    repeat of u or of another vertex inserted."""
+    bad = list(clique)
+    bad[r.randrange(len(bad))] = u
+    if r.randint(0, 1):
+        bad.insert(r.randrange(len(bad) + 1), r.choice((u, bad[0])))
+    return bad
+
+
+def nonzero(r, q, n):
+    while True:
+        t = tuple(r.randrange(q) for _ in range(n))
+        if any(t):
+            return t
+
+
+@pytest.mark.parametrize("q,k,l", [(2, 2, 1), (2, 2, 3), (3, 1, 2), (5, 1, 1)])
+def test_inconsistent_vertex_fires_only_rule2(q, k, l):
+    # beta = 0 with y != 0: the vertex assigns x and x + y to alpha, and y
+    # to the origin, whose clique value is 0; its (alpha, x) class is kept
+    ci = INSTANCES[(q, k, l)]
+    clique = ci.planted_clique(ci.source.planted)
+    r = random.Random(f"rule2-{q}-{k}-{l}")
+    at = [v for v in clique if not any(v.beta) and any(v.alpha)]
+    for _ in range(4):
+        v = r.choice(at)
+        u = Vertex(v.alpha, v.beta, v.x, nonzero(r, q, l))
+        bad = [w for w in clique if w != v]
+        bad.insert(r.randrange(len(bad) + 1), u)
+        assert fired_with(ci, u, bad) == {2}
+        assert grouped_against_scan(ci, bad)[2] == {2}
+        assert grouped_against_scan(ci, corrupt(r, clique, u)) is not None
+    assert grouped_against_scan(ci, [u]) is None
+    assert grouped_against_scan(ci, [u, u]) is None
+
+
+@pytest.mark.parametrize("q,k,l", [(2, 2, 1), (2, 2, 3)])
+def test_corruption_fires_only_rule4(q, k, l):
+    # x moved off the planted value, among the clique vertices that meet the
+    # moved vertex in rule 4 or not at all
+    ci = INSTANCES[(q, k, l)]
+    ref = ReferenceOracle(ci)
+    clique = ci.planted_clique(ci.source.planted)
+    r = random.Random(f"rule4-{q}-{k}-{l}")
+    found = 0
+    while found < 4:
+        v = r.choice([v for v in clique if v.alpha != v.beta])
+        u = Vertex(v.alpha, v.beta, add(q, v.x, nonzero(r, q, l)), v.y)
+        rules = [ref.rules(u, w) for w in clique]
+        if {4} not in rules:
+            continue
+        found += 1
+        bad = [w for w, fired in zip(clique, rules) if fired <= {4}]
+        bad.insert(r.randrange(len(bad) + 1), u)
+        if r.randint(0, 1):
+            bad.insert(r.randrange(len(bad) + 1), u)
+        assert fired_with(ci, u, bad) == {4}
+        assert grouped_against_scan(ci, bad)[2] == {4}
+
+
+@pytest.mark.parametrize("q,k,l", [(2, 2, 1), (3, 1, 2), (5, 1, 1)])
+def test_off_line_vertex(q, k, l):
+    # alpha = 0 with x != 0 breaks rule 3 against every other vertex, even
+    # one of its own (alpha, x) class, but a lone one (repeated or not) is
+    # a clique
+    ci = INSTANCES[(q, k, l)]
+    clique = ci.planted_clique(ci.source.planted)
+    r = random.Random(f"offline-{q}-{k}-{l}")
+    zero = (0,) * (k * k)
+    for _ in range(3):
+        u = Vertex(zero, nonzero(r, q, k * k), nonzero(r, q, l), nonzero(r, q, l))
+        w = Vertex(zero, nonzero(r, q, k * k), u.x, u.y)
+        for alone in ([u], [u, u], [u, u, u]):
+            assert grouped_against_scan(ci, alone) is None
+        if w.beta != u.beta:
+            assert grouped_against_scan(ci, [u, w, u]) == (u, w, frozenset({3}))
+        assert 3 in grouped_against_scan(ci, corrupt(r, clique, u))[2]
+
+
+@pytest.mark.parametrize("q,k,l", [(2, 2, 1), (3, 1, 2)])
+def test_one_coordinate_corruptions(q, k, l):
+    # the planted clique with one coordinate of one vertex changed, where
+    # the result is still a vertex
+    ci = INSTANCES[(q, k, l)]
+    clique = ci.planted_clique(ci.source.planted)
+    r = random.Random(f"onecoord-{q}-{k}-{l}")
+    for _ in range(40):
+        t = r.randrange(len(clique))
+        flat = [e for part in clique[t] for e in part]
+        c = r.randrange(len(flat))
+        flat[c] = (flat[c] + r.randrange(1, q)) % q
+        cuts = list(itertools.accumulate((k * k, k * k, l, l)))
+        u = Vertex(*(tuple(flat[a:b]) for a, b in zip([0, *cuts], cuts)))
+        if is_valid_vertex(u, ci.params):
+            bad = list(clique)
+            bad[t] = u
+            grouped_against_scan(ci, bad)
+
+
 # -- materialize ------------------------------------------------------------------------
 
 
@@ -202,6 +320,15 @@ def test_modulus_past_64_bit_products_refused():
 @pytest.mark.parametrize("q,k,l", [(3, 1, 2), (5, 1, 1)])
 def test_materialize_matches_reference(q, k, l, seed):
     ci = make_instance(seed, q, k, l, n=8)
+    graph = ci.materialize()
+    expected = ReferenceOracle(ci).materialize()
+    assert graph.adj == expected.adj
+    assert graph.labels == expected.labels
+
+
+def test_materialize_matches_reference_at_k2():
+    # (2,2,1): 992 vertices, about 0.64 of the pairs adjacent
+    ci = INSTANCES[(2, 2, 1)]
     graph = ci.materialize()
     expected = ReferenceOracle(ci).materialize()
     assert graph.adj == expected.adj

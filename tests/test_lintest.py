@@ -337,6 +337,19 @@ class TestListDecode:
         assert got == want
 
 
+@pytest.mark.parametrize("q,d,l", [(2, 1, 1), (2, 5, 3), (3, 4, 2), (5, 3, 1), (7, 2, 2), (101, 2, 1)])
+def test_random_table_matches_line_by_line_draws(q, d, l):
+    # the reference fills one line at a time, drawing l values per line
+    # representative in order; the tables and the rng state after must agree
+    ref_rng, rng = rngmod.stream(q * d + l, "rt"), rngmod.stream(q * d + l, "rt")
+    zero = FunctionTable(q, d, l, np.zeros((q**d, l), dtype=np.int64))
+    draws = [(rep, [ref_rng.randrange(q) for _ in range(l)]) for rep in line_representatives(q, d)]
+    expected = corrupt_lines(zero, draws)
+    table = random_scalar_respecting_table(rng, q, d, l)
+    assert table.values.tobytes() == expected.values.tobytes()
+    assert rng.random() == ref_rng.random()
+
+
 class TestPieceTogether:
     def test_exactly_linear_vector_function(self):
         fn = LinearVecFn(5, 2, ((1, 2), (3, 4), (0, 1)))

@@ -15,11 +15,12 @@ from gapclique.randmap import (
     sample_g,
     source_images,
     union_bound_values,
+    wellspread_excluded,
     wellspread_holds,
     wellspread_sums,
 )
 from gapclique.experiments import SCREEN_BLOCK, certified_map
-from gapclique.vecsum import VecSumInstance, generate_planted
+from gapclique.vecsum import VecSumInstance, generate_planted, generate_unsat
 
 from field_reference import (
     add,
@@ -291,6 +292,58 @@ class TestFailureRates:
         sched = union_bound_values(q=4099, k=1, m=3, l=12, n=4)
         assert not sched["wellspread_vacuous"]
         assert not sched["separation_vacuous"]
+
+
+def all_maps(q, k, m, l):
+    """Every map from F_q^m into l blocks of width k."""
+    for entries in itertools.product(range(q), repeat=l * k * m):
+        mats = tuple(entries[i * k * m : (i + 1) * k * m] for i in range(l))
+        yield LinearMapG(q=q, k=k, m=m, l=l, matrices=mats)
+
+
+class TestWellspreadExcluded:
+    # binary instances with k = 2 and m = 2, small enough to check every map,
+    # and whether they are refused when 3 does not divide k * l
+    TWO_COLLECTIONS = {
+        "u, w, u + w nonzero": ((((1, 0),), ((0, 1),)), True),
+        "several vectors": ((((0, 0), (1, 1)), ((1, 1), (1, 0))), True),
+        "u = w": ((((1, 0),), ((1, 0), (0, 0))), False),
+        "one zero collection": ((((1, 0), (0, 1)), ((0, 0),)), False),
+    }
+
+    @pytest.mark.parametrize("name", list(TWO_COLLECTIONS))
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_refusal_matches_exhaustive_check_over_every_map(self, name, l):
+        # on these instances, refused exactly when no map at all passes the
+        # exhaustive check; at l = 3, k * l = 6 and nothing is refused
+        collections, refused = self.TWO_COLLECTIONS[name]
+        inst = VecSumInstance(q=2, k=2, m=2, collections=collections)
+        passing = any(check_wellspread(g, inst).passed for g in all_maps(2, 2, 2, l))
+        assert (wellspread_excluded(inst, l) is not None) == (refused and l != 3) == (not passing)
+
+    def test_refusal_is_only_sufficient(self):
+        # u, w and u + w in one collection are also case sums, so no map
+        # passes; the refusal covers only u and w from two collections
+        inst = VecSumInstance(q=2, k=2, m=2, collections=(((1, 0), (0, 1), (1, 1)), ((0, 0),)))
+        assert wellspread_excluded(inst, 1) is None
+        assert not any(check_wellspread(g, inst).passed for g in all_maps(2, 2, 2, 1))
+
+    def test_refusal_needs_binary_field_and_two_collections(self):
+        assert wellspread_excluded(generate_planted(rngmod.stream(1, "wx"), 3, 2, 4, 3), 1) is None
+        assert wellspread_excluded(generate_planted(rngmod.stream(1, "wx"), 2, 1, 8, 4), 1) is None
+
+    @pytest.mark.parametrize("k,l", [(2, 1), (2, 2), (2, 4), (4, 1)])
+    def test_certified_map_refuses_up_front(self, k, l):
+        inst = generate_unsat(rngmod.stream(k + l, "wx"), 2, k, 8, 3)
+        reason = wellspread_excluded(inst, l)
+        assert reason is not None and "3" in reason
+        with pytest.raises(ContractViolation, match="no map is wellspread"):
+            certified_map(k + l, "wx", inst, l, "wellspread")
+
+    def test_multiple_of_three_is_not_refused(self):
+        inst = generate_unsat(rngmod.stream(3, "wx"), 2, 2, 8, 3)
+        assert wellspread_excluded(inst, 3) is None
+        assert wellspread_excluded(inst, 1) is not None
 
 
 # -- the engine against the definitions ----------------------------------------
