@@ -2,18 +2,20 @@
 
 The test draws a uniform pair (alpha, beta) and accepts iff
 f(alpha) + f(beta) = f(alpha + beta).  Everything downstream of the test is
-built here: the exact accepted-pair set, Fourier analysis over q-th roots of
+built here: exact accepted-pair counts, Fourier analysis over q-th roots of
 unity, threshold list decoding of near-linear scalar functions, and the
 constructive piecing procedure that assembles one linear vector-valued
 function out of the per-coordinate lists.
 
-All probabilities computed by enumeration are exact rationals; only the
-Fourier side lives in floating point, with a 1e-9 tolerance.
+All probabilities are exact rationals of integer counts.  Counts taken on
+the Fourier side are rounded to integers under a 0.25 guard; Fourier
+coefficients themselves live in floating point, with a 1e-9 tolerance.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +37,8 @@ PAIR_BLOCK = 1 << 16
 # Fourier threshold for list decoding is LIST_CONSTANT * delta.
 LIST_CONSTANT = 0.25
 FLOAT_TOL = 1e-9
+# a count computed in floating point must lie this close to an integer
+ROUNDING_GUARD = 0.25
 
 
 @lru_cache(maxsize=64)
@@ -217,28 +221,7 @@ class LinearVecFn:
         return len(self.rhos)
 
 
-# -- the test and its accepted set --------------------------------------------
-
-
-@dataclass(frozen=True)
-class AcceptedSet:
-    """Exact accepted-pair set of the test and its first-coordinate
-    projection, held as boolean masks over domain ranks, with the number of
-    pairs the test accepts on each output coordinate alone."""
-
-    q: int
-    d: int
-    pair_mask: np.ndarray  # (n, n) bool; [i, j] <=> pair (point_i, point_j) accepted
-    var_mask: np.ndarray  # (n,) bool
-    coordinate_counts: tuple[int, ...]
-
-    @property
-    def pair_count(self) -> int:
-        return int(self.pair_mask.sum())
-
-    @property
-    def var_count(self) -> int:
-        return int(self.var_mask.sum())
+# -- the test and its accepted pairs -------------------------------------------
 
 
 def _sum_ranks(q: int, d: int, ranks: np.ndarray) -> np.ndarray:
@@ -264,25 +247,80 @@ def _pair_blocks(q: int, d: int, width: int):
         yield slice(start, start + len(r)), sums.reshape(len(r), n)
 
 
-def accepted_set(f: FunctionTable, pair_budget: int = DEFAULT_PAIR_BUDGET) -> AcceptedSet:
-    """Enumerate every pair and record which ones the test accepts, on the
-    whole table and on each output coordinate."""
+def _character_sums(f: FunctionTable) -> tuple[np.ndarray, np.ndarray]:
+    """Accepted degrees and coordinate counts of f from the characters of
+    F_q^l, each rounded to an integer; raises when one lies more than
+    ROUNDING_GUARD from its integer, so float error never becomes a count.
+
+    The test accepts (a, b) iff q^{-l} sum_lambda g(a) g(b) conj(g(a + b))
+    is 1 rather than 0, with g = g_lambda = omega^{<lambda, f>}, so
+    deg(a) = q^{-l} sum_lambda g(a) S(a) with S(a) = sum_b g(b) conj(g(a + b)).
+    S is the conjugate of the autocorrelation R(a) = sum_b g(a + b) conj(g(b)),
+    the inverse DFT of |G|^2.  Coordinate i's count keeps only the q
+    characters that are zero off coordinate i.  Holds for any table.
+    Characters lambda and -lambda conjugate both g and S, so their terms are
+    equal and one of each pair is computed, counted twice.
+    """
+    q, d, l, n = f.q, f.d, f.l, f.size
+    lams, place = _domain(q, l)
+    ranks, neg_ranks = np.arange(q**l), (-lams % q) @ place
+    half = ranks <= neg_ranks
+    lams, weight = lams[half], np.where(ranks < neg_ranks, 2.0, 1.0)[half]
+    nonzero = lams != 0
+    # [lambda, i]: lambda has no nonzero coordinate other than i
+    on_axis = (nonzero.sum(axis=1, keepdims=True) - nonzero) == 0
+    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    axes = tuple(range(1, d + 1))
+    deg = np.zeros(n)
+    counts = np.zeros(l)
+    step = max(1, PAIR_BLOCK // n)
+    for start in range(0, len(lams), step):
+        lam = slice(start, start + step)
+        g = roots[lams[lam] @ f.values.T % q]
+        big_g = np.fft.fftn(g.reshape((-1,) + (q,) * d), axes=axes)
+        power = big_g.real**2 + big_g.imag**2
+        autocorr = np.fft.ifftn(power, axes=axes).reshape(g.shape)
+        terms = (g * autocorr.conj()).real * weight[lam, None]
+        deg += terms.sum(axis=0)
+        counts += terms.sum(axis=1) @ on_axis[lam]
+    sums = np.concatenate([deg / q**l, counts / q])
+    rounded = np.rint(sums)
+    worst = float(np.max(np.abs(sums - rounded)))
+    if worst > ROUNDING_GUARD:
+        raise PropertyViolation(f"a character-sum count is {worst} away from an integer")
+    return rounded[:n].astype(np.int64), rounded[n:].astype(np.int64)
+
+
+def accepted_degrees(
+    f: FunctionTable, pair_budget: int = DEFAULT_PAIR_BUDGET
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Accepted degree of every point, deg[a] = #{b : f(a) + f(b) = f(a + b)}
+    as an (n,) int array, and the number of pairs the test accepts on each
+    output coordinate alone.
+
+    The pair count is deg.sum() and the test's variable set is deg > 0.
+    With at most n characters (q^l <= n) the counts come from character-sum
+    FFTs, rounded under a ROUNDING_GUARD check; otherwise every pair is
+    enumerated a block of rows at a time.  Either way the request is gated
+    on the n^2 pair budget.
+    """
     n = f.size
     if n * n > pair_budget:
         raise BudgetExceeded("pair enumeration", required=n * n, budget=pair_budget)
-    # coordinate-major, so that every operation runs along the long axis of
-    # the points
-    cols = np.ascontiguousarray(f.values.T)
-    mask = np.empty((n, n), dtype=bool)
-    counts = np.zeros(f.l, dtype=np.int64)
-    for rows, sum_rank in _pair_blocks(f.q, f.d, max(f.d, f.l)):
-        agree = (cols[:, rows, None] + cols[:, None, :]) % f.q == np.take(cols, sum_rank, axis=1)
-        mask[rows] = agree.all(axis=0)
-        counts += agree.sum(axis=(1, 2))
-    mask.setflags(write=False)
-    var = mask.any(axis=1)
-    var.setflags(write=False)
-    return AcceptedSet(f.q, f.d, mask, var, tuple(counts.tolist()))
+    if f.q**f.l <= n:
+        deg, counts = _character_sums(f)
+    else:
+        # coordinate-major, so that every operation runs along the long axis
+        # of the points
+        cols = np.ascontiguousarray(f.values.T)
+        deg = np.empty(n, dtype=np.int64)
+        counts = np.zeros(f.l, dtype=np.int64)
+        for rows, sum_rank in _pair_blocks(f.q, f.d, max(f.d, f.l)):
+            agree = (cols[:, rows, None] + cols[:, None, :]) % f.q == np.take(cols, sum_rank, axis=1)
+            deg[rows] = agree.all(axis=0).sum(axis=1)
+            counts += agree.sum(axis=(1, 2))
+    deg.setflags(write=False)
+    return deg, tuple(counts.tolist())
 
 
 @dataclass(frozen=True)
@@ -305,14 +343,13 @@ def pass_probability(
 ):
     """Probability that the test accepts f.
 
-    Exact mode enumerates all q^{2d} pairs (budget-gated) and returns an
-    exact Fraction.  Monte Carlo mode samples pairs and returns a
-    PassEstimate with a 99% binomial confidence interval.
+    Exact mode counts all q^{2d} pairs through accepted_degrees
+    (budget-gated) and returns an exact Fraction.  Monte Carlo mode samples
+    pairs and returns a PassEstimate with a 99% binomial confidence interval.
     """
     if mode == "exact":
-        acc = accepted_set(f, pair_budget)
-        n = f.size
-        return Fraction(acc.pair_count, n * n)
+        deg, _ = accepted_degrees(f, pair_budget)
+        return Fraction(int(deg.sum()), f.size**2)
     if mode != "monte_carlo":
         raise ContractViolation(f"unknown mode {mode!r}")
     if samples < 1:
@@ -323,12 +360,13 @@ def pass_probability(
     digits, place = _domain(q, f.d)
     vals = f.values
     passes = 0
-    for _ in range(samples):
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        s = int(((digits[i] + digits[j]) % q) @ place)
-        if np.array_equal((vals[i] + vals[j]) % q, vals[s]):
-            passes += 1
+    # a block of samples at a time keeps memory flat in the sample count
+    for start in range(0, samples, PAIR_BLOCK):
+        block = min(PAIR_BLOCK, samples - start)
+        # i then j for every sample, in the order the samples are drawn
+        i, j = np.array([rng.randrange(n) for _ in range(2 * block)]).reshape(block, 2).T
+        s = (digits[i] + digits[j]) % q @ place
+        passes += int(((vals[i] + vals[j]) % q == vals[s]).all(axis=1).sum())
     lo, hi = wilson_interval(passes, samples)
     return PassEstimate(passes, samples, passes / samples, lo, hi)
 
@@ -339,16 +377,18 @@ def pass_probability(
 @dataclass(frozen=True)
 class FourierTable:
     """Fourier coefficients of alpha -> omega^{f(alpha)} against the
-    characters alpha -> omega^{<rho, alpha>}, indexed by the rank of rho."""
+    characters alpha -> omega^{<rho, alpha>}, indexed by the rank of rho;
+    one row per output coordinate when the table has several."""
 
     q: int
     d: int
-    coeffs: np.ndarray  # complex, shape (q^d,)
+    coeffs: np.ndarray  # complex, shape (q^d,) or (coordinates, q^d)
 
     def __post_init__(self):
-        power = float(np.sum(np.abs(self.coeffs) ** 2))
-        if abs(power - 1.0) > FLOAT_TOL:
-            raise PropertyViolation(f"Parseval check failed: total power {power}")
+        power = np.sum(np.abs(self.coeffs) ** 2, axis=-1).reshape(-1)
+        bad = np.abs(power - 1.0) > FLOAT_TOL
+        if bad.any():
+            raise PropertyViolation(f"Parseval check failed: total power {power[bad][0]}")
         self.coeffs.setflags(write=False)
 
     def real_parts(self, tol: float = FLOAT_TOL) -> np.ndarray:
@@ -360,26 +400,24 @@ class FourierTable:
         return self.coeffs.real
 
 
-def phase_values(f: FunctionTable) -> np.ndarray:
-    """omega^{f(alpha)} for a scalar table."""
-    if f.l != 1:
-        raise ContractViolation("phase values need a scalar-range table")
-    return np.exp(2j * np.pi * f.values[:, 0] / f.q)
-
-
-def fourier_transform(f: FunctionTable) -> FourierTable:
-    """Fourier coefficients of the phase function of a scalar table.
+def _transform(q: int, d: int, cols: np.ndarray) -> FourierTable:
+    """Fourier coefficients of the phase function of every row of cols, an
+    array of residues whose last axis runs over the q^d points.
 
     Coefficient at rho is the average of omega^{f(alpha)} times the
     conjugated character at alpha, which is exactly the multidimensional DFT
-    of the phase values divided by the domain size.
+    of the phase values divided by the domain size; one DFT covers all rows.
     """
+    g = np.exp(2j * np.pi * cols / q).reshape(cols.shape[:-1] + (q,) * d)
+    coeffs = np.fft.fftn(g, axes=tuple(range(-d, 0))).reshape(cols.shape) / q**d
+    return FourierTable(q, d, coeffs)
+
+
+def fourier_transform(f: FunctionTable) -> FourierTable:
+    """Fourier coefficients of the phase function of a scalar table."""
     if f.l != 1:
         raise ContractViolation("fourier_transform needs a scalar-range table")
-    n = f.size
-    g = phase_values(f).reshape((f.q,) * f.d)
-    coeffs = np.fft.fftn(g).reshape(-1) / n
-    return FourierTable(f.q, f.d, coeffs)
+    return _transform(f.q, f.d, f.values[:, 0])
 
 
 def agreement(f: FunctionTable, c: LinearScalarFn) -> Fraction:
@@ -463,6 +501,24 @@ def triple_correlation_check(
 # -- list decoding --------------------------------------------------------------
 
 
+def _list_decode(
+    f: FunctionTable, deltas: tuple[float, ...], c_list: float
+) -> tuple[tuple[LinearScalarFn, ...], ...]:
+    """Decoded list of every output coordinate i of f at threshold
+    c_list * deltas[i], from one transform over all coordinates; each
+    coordinate passes its own Parseval and imaginary-part checks."""
+    if any(delta <= 0 for delta in deltas):
+        raise ContractViolation("delta must be positive")
+    f.ensure_scalar_respecting()
+    re = _transform(f.q, f.d, f.values.T).real_parts()
+    thresholds = np.array([c_list * delta for delta in deltas], dtype=float)
+    hits = re >= thresholds[:, None] - FLOAT_TOL
+    digits, _ = _domain(f.q, f.d)
+    return tuple(
+        tuple(LinearScalarFn(f.q, tuple(rho)) for rho in digits[row].tolist()) for row in hits
+    )
+
+
 def list_decode_scalar(
     f: FunctionTable, delta: float, c_list: float = LIST_CONSTANT
 ) -> tuple[LinearScalarFn, ...]:
@@ -476,15 +532,7 @@ def list_decode_scalar(
     """
     if f.l != 1:
         raise ContractViolation("list decoding needs a scalar-range table")
-    if delta <= 0:
-        raise ContractViolation("delta must be positive")
-    f.ensure_scalar_respecting()
-    re = fourier_transform(f).real_parts()
-    threshold = c_list * delta
-    hits = np.nonzero(re >= threshold - FLOAT_TOL)[0]
-    return tuple(
-        LinearScalarFn(f.q, unrank_tuple(f.q, f.d, int(r))) for r in hits
-    )
+    return _list_decode(f, (delta,), c_list)[0]
 
 
 # -- piecing ---------------------------------------------------------------------
@@ -554,43 +602,34 @@ def piece_together(
     f.ensure_scalar_respecting()
     kappa = Fraction(kappa)
     n = f.size
-    acc = accepted_set(f, pair_budget)
-    eps_meas = Fraction(acc.pair_count, n * n)
+    deg, coordinate_counts = accepted_degrees(f, pair_budget)
+    eps_meas = Fraction(int(deg.sum()), n * n)
     if eps_meas < eps:
         raise PiecingRefused(eps_meas, eps)
     eps_f = float(eps_meas)
 
-    lists: list[tuple[LinearScalarFn, ...]] = []
-    deltas: list[float] = []
-    coord_pass = tuple(Fraction(count, n * n) for count in acc.coordinate_counts)
+    coord_pass = tuple(Fraction(count, n * n) for count in coordinate_counts)
+    deltas = tuple(delta_schedule(eps_f, float(p)) for p in coord_pass)
+    lists = _list_decode(f, deltas, c_list)
     labels = np.zeros((n, f.l), dtype=np.int64)
     digits, _ = _domain(f.q, f.d)
-    for i in range(f.l):
-        fi = f.coordinate(i)
-        delta_i = delta_schedule(eps_f, float(coord_pass[i]))
-        fns = list_decode_scalar(fi, delta_i, c_list)
-        lists.append(fns)
-        deltas.append(delta_i)
+    for i, fns in enumerate(lists):
         if fns:
             agree = np.stack(
-                [
-                    digits @ np.array(c.rho, dtype=np.int64) % f.q == fi.values[:, 0]
-                    for c in fns
-                ]
+                [digits @ np.array(c.rho, dtype=np.int64) % f.q == f.values[:, i] for c in fns]
             )
             counts = agree.sum(axis=0)
             unique = counts == 1
             labels[unique, i] = agree[:, unique].argmax(axis=0) + 1
 
-    var_ranks = np.nonzero(acc.var_mask)[0]
+    var_ranks = np.nonzero(deg)[0]
     var_count = var_ranks.size
     weights = (labels[var_ranks] != 0).mean(axis=1)
     v_star = var_ranks[weights >= 1.0 - eps_f**2.5]
-    degrees = acc.pair_mask[var_ranks].sum(axis=1)
-    w_star = var_ranks[degrees >= (eps_f**2 / 2.0) * var_count]
+    w_star = var_ranks[deg[var_ranks] >= (eps_f**2 / 2.0) * var_count]
     state = PiecingState(
-        deltas=tuple(deltas),
-        lists=tuple(lists),
+        deltas=deltas,
+        lists=lists,
         labels=labels,
         var_ranks=var_ranks,
         v_star_ranks=v_star,
@@ -621,7 +660,9 @@ def piece_together(
     coeff = np.array(fn.rhos, dtype=np.int64).T
     fn_vals = digits @ coeff % f.q
     mism = (f.values[var_ranks] != fn_vals[var_ranks]).sum(axis=1)
-    within = int((mism <= kappa * f.l).sum())
+    # mismatch counts are integers, so the floor of kappa * l bounds them
+    # alike, without comparing every count to a Fraction
+    within = int((mism <= math.floor(kappa * f.l)).sum())
     return PiecingResult(
         ok=True,
         fn=fn,

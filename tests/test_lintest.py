@@ -7,15 +7,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gapclique import lintest, rng as rngmod
-from gapclique.errors import BudgetExceeded, ContractViolation, PiecingRefused
+from gapclique.errors import BudgetExceeded, ContractViolation, PiecingRefused, PropertyViolation
 from gapclique.ffield import rank_tuple
 from gapclique.lintest import (
     FunctionTable,
     LinearScalarFn,
     LinearVecFn,
-    accepted_set,
+    accepted_degrees,
     agreement,
     fourier_transform,
     line_representatives,
@@ -25,6 +26,8 @@ from gapclique.lintest import (
     random_scalar_respecting_table,
     triple_correlation_check,
 )
+
+from lintest_reference import accepted_mask, coordinate_masks, monte_carlo_estimate
 
 TOL = 1e-9
 
@@ -41,6 +44,12 @@ def corrupt_lines(fn_table: FunctionTable, replacements) -> FunctionTable:
     out = FunctionTable(q, d, l, vals)
     assert out.is_scalar_respecting()
     return out
+
+
+def arbitrary_table(r, q, d, l):
+    """A table with independent uniform values: neither scalar respecting
+    nor zero at the origin, as a rule."""
+    return FunctionTable(q, d, l, [[r.randrange(q) for _ in range(l)] for _ in range(q**d)])
 
 
 class TestEvalLinear:
@@ -88,6 +97,18 @@ class TestPassProbability:
         est = pass_probability(f, mode="monte_carlo", samples=4000, rng=rngmod.stream(4, "mc"))
         assert est.ci_low <= exact <= est.ci_high
 
+    @pytest.mark.parametrize("block", [7, lintest.PAIR_BLOCK])
+    def test_monte_carlo_matches_one_pair_at_a_time(self, block, monkeypatch):
+        # same draws in the same order, so the same estimate and rng state
+        monkeypatch.setattr(lintest, "PAIR_BLOCK", block)
+        for i, (q, d, l) in enumerate([(2, 3, 1), (5, 2, 2), (3, 3, 4)]):
+            r = rngmod.stream(i, "mc-ref")
+            for f in (arbitrary_table(r, q, d, l), random_scalar_respecting_table(r, q, d, l)):
+                got_rng, ref_rng = rngmod.stream(i, "mc-draws"), rngmod.stream(i, "mc-draws")
+                got = pass_probability(f, mode="monte_carlo", samples=100, rng=got_rng)
+                assert got == monte_carlo_estimate(f, 100, ref_rng)
+                assert got_rng.random() == ref_rng.random()
+
     def test_budget_refusal_reports_requirement(self):
         f = random_scalar_respecting_table(rngmod.stream(5, "b"), 5, 2)
         with pytest.raises(BudgetExceeded) as exc:
@@ -98,35 +119,28 @@ class TestPassProbability:
 class TestAcceptedSet:
     def test_linear_accepts_everything(self):
         f = FunctionTable.from_linear(LinearScalarFn(3, (1, 2)))
-        acc = accepted_set(f)
-        assert acc.pair_count == 9 * 9
-        assert acc.var_count == 9
+        deg, _ = accepted_degrees(f)
+        assert deg.sum() == 9 * 9
+        assert (deg > 0).sum() == 9
 
     def test_matches_definitional_double_loop(self):
         f = random_scalar_respecting_table(rngmod.stream(8, "acc"), 3, 2, 2)
-        acc = accepted_set(f)
-        q, d = f.q, f.d
-        for a in itertools.product(range(q), repeat=d):
-            for b in itertools.product(range(q), repeat=d):
-                s = tuple((x + y) % q for x, y in zip(a, b))
-                expect = f.value_at(a) != () and all(
-                    (u + v) % q == w
-                    for u, v, w in zip(f.value_at(a), f.value_at(b), f.value_at(s))
-                )
-                assert bool(acc.pair_mask[f.rank(a), f.rank(b)]) == expect
+        deg, counts = accepted_degrees(f)
+        assert np.array_equal(deg, accepted_mask(f).sum(axis=1))
+        assert counts == tuple(coordinate_masks(f).sum(axis=(1, 2)).tolist())
 
     def test_single_corrupted_point_shrinks_set(self):
         f = FunctionTable.from_linear(LinearScalarFn(3, (2,)))
         vals = np.array(f.values, copy=True)
         vals[1] = (vals[1] + 1) % 3  # bump f at a nonzero point
         g = FunctionTable(3, 1, 1, vals)
-        acc = accepted_set(g)
-        assert acc.pair_count < 9
+        deg, _ = accepted_degrees(g)
+        assert deg.sum() < 9
 
     def test_var_contains_origin_when_f0_is_zero(self):
         f = random_scalar_respecting_table(rngmod.stream(9, "var"), 5, 1)
-        acc = accepted_set(f)
-        assert bool(acc.var_mask[0])  # (0,0) always accepted since f(0) = 0
+        deg, _ = accepted_degrees(f)
+        assert deg[0] > 0  # (0,0) always accepted since f(0) = 0
 
     @pytest.mark.parametrize("q,d,l", [(3, 6, 2), (7, 3, 2), (3, 4, 128)])
     def test_coordinate_counts_match_per_coordinate_sets(self, q, d, l):
@@ -134,12 +148,12 @@ class TestAcceptedSet:
         f = random_scalar_respecting_table(rngmod.stream(q + d + l, "cc"), q, d, l)
         n = f.size
         assert n % (lintest.PAIR_BLOCK // (n * max(d, l))) != 0
-        acc = accepted_set(f)
-        per_coordinate = [accepted_set(f.coordinate(i)).pair_count for i in range(l)]
-        assert acc.coordinate_counts == tuple(per_coordinate)
+        _, counts = accepted_degrees(f)
+        per_coordinate = [int(accepted_degrees(f.coordinate(i))[0].sum()) for i in range(l)]
+        assert counts == tuple(per_coordinate)
         res = piece_together(f, 0, Fraction(1, 4))
         assert res.coordinate_pass == tuple(Fraction(c, n * n) for c in per_coordinate)
-        for run in (accepted_set, lambda g, pair_budget: piece_together(g, 0, 0, pair_budget=pair_budget)):
+        for run in (accepted_degrees, lambda g, pair_budget: piece_together(g, 0, 0, pair_budget=pair_budget)):
             with pytest.raises(BudgetExceeded) as exc:
                 run(f, pair_budget=n * n - 1)
             assert exc.value.required == n * n
@@ -151,22 +165,79 @@ class TestAcceptedSet:
             FunctionTable.from_linear(LinearVecFn(q, d, ((1, 2, 3), (4, 0, 1)))),
             [(rep, [r.randrange(q), r.randrange(q)]) for rep in line_representatives(q, d)[:6]],
         )
+        # 5^4 characters outnumber the 125 points, so f4's pairs are enumerated
+        f4 = corrupt_lines(
+            FunctionTable.from_linear(LinearVecFn(q, d, ((1, 2, 3), (4, 0, 1), (0, 0, 2), (3, 3, 3)))),
+            [(rep, [r.randrange(q) for _ in range(4)]) for rep in line_representatives(q, d)[:6]],
+        )
         g1, g2, g3 = f.coordinate(0), f.coordinate(1), random_scalar_respecting_table(r, q, d)
         points = list(itertools.product(range(q), repeat=d))
         sum_rank = np.array(
             [[rank_tuple(q, tuple((x + y) % q for x, y in zip(a, b))) for b in points] for a in points]
         )
-        vals = f.values
-        agree = (vals[:, None, :] + vals[None, :, :]) % q == vals[sum_rank]
         v1, v2, v3 = (g.values[:, 0] for g in (g1, g2, g3))
         lhs = Fraction(int(((v1[:, None] + v2[None, :]) % q == v3[sum_rank]).sum()), len(points) ** 2)
-        # one row per block, blocks of 7 rows (125 = 17 * 7 + 6), the default
-        for block in (1, 7 * 125 * 3, lintest.PAIR_BLOCK):
+        # blocks of f's 13 characters up to sign: 1, 5 (13 = 2 * 5 + 3), all, all;
+        # blocks of f4's 125 rows: 1, 1, 7 (125 = 17 * 7 + 6), all
+        for block in (1, 5 * 125, 7 * 125 * 4, lintest.PAIR_BLOCK):
             monkeypatch.setattr(lintest, "PAIR_BLOCK", block)
-            acc = accepted_set(f)
-            assert np.array_equal(acc.pair_mask, agree.all(axis=2))
-            assert acc.coordinate_counts == tuple(agree.sum(axis=(0, 1)).tolist())
+            for table in (f, f4):
+                vals = table.values
+                agree = (vals[:, None, :] + vals[None, :, :]) % q == vals[sum_rank]
+                deg, counts = accepted_degrees(table)
+                assert np.array_equal(deg, agree.all(axis=2).sum(axis=1))
+                assert counts == tuple(agree.sum(axis=(0, 1)).tolist())
             assert triple_correlation_check(g1, g2, g3).lhs == lhs
+
+
+def _assert_matches_reference(f):
+    deg, counts = accepted_degrees(f)
+    masks = coordinate_masks(f)
+    mask = masks.all(axis=0)
+    assert deg.dtype == np.int64
+    assert np.array_equal(deg, mask.sum(axis=1))
+    assert np.array_equal(deg > 0, mask.any(axis=1))
+    assert counts == tuple(masks.sum(axis=(1, 2)).tolist())
+    assert pass_probability(f) == Fraction(int(mask.sum()), f.size**2)
+
+
+class TestAcceptedDegrees:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_arbitrary_tables_match_reference(self, data):
+        q = data.draw(st.sampled_from([2, 3, 5, 7]))
+        d = data.draw(st.integers(1, {2: 6, 3: 4, 5: 2, 7: 2}[q]))
+        l = data.draw(st.integers(1, 3))
+        n = q**d
+        values = data.draw(st.lists(st.integers(0, q - 1), min_size=n * l, max_size=n * l))
+        _assert_matches_reference(FunctionTable(q, d, l, np.array(values).reshape(n, l)))
+
+    @pytest.mark.parametrize("q,d,l", [(3, 2, 1), (5, 2, 2), (2, 3, 3), (2, 2, 3), (3, 4, 128)])
+    def test_both_sides_of_the_dispatch(self, q, d, l, monkeypatch):
+        # character sums exactly when there are at most n characters:
+        # q^l < n, q^l = n, then q^l > n twice
+        inverse_transforms = []
+        ifftn = np.fft.ifftn
+
+        def counted(*args, **kwargs):
+            inverse_transforms.append(args[0].shape)
+            return ifftn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifftn", counted)
+        for i in range(3):
+            r = rngmod.stream(i, f"dispatch/{q}/{d}/{l}")
+            _assert_matches_reference(arbitrary_table(r, q, d, l))
+            _assert_matches_reference(random_scalar_respecting_table(r, q, d, l))
+        assert bool(inverse_transforms) == (q**l <= q**d)
+
+    def test_float_error_past_the_guard_refused(self, monkeypatch):
+        # every point where f is 0 gains 0.3 in its degree
+        f = random_scalar_respecting_table(rngmod.stream(11, "guard"), 5, 2, 2)
+        ifftn = np.fft.ifftn
+        monkeypatch.setattr(np.fft, "ifftn", lambda *a, **k: ifftn(*a, **k) + 0.3)
+        for run in (accepted_degrees, pass_probability, lambda g: piece_together(g, 0, 0)):
+            with pytest.raises(PropertyViolation):
+                run(f)
 
 
 class TestFourier:
@@ -324,6 +395,24 @@ class TestListDecode:
         with pytest.raises(ContractViolation):
             list_decode_scalar(f, 0.5)
 
+    @pytest.mark.parametrize("spoil", [lambda row: row * (1 + 1e-8), lambda row: row + 1e-6j])
+    def test_each_coordinate_of_the_batch_is_checked(self, spoil, monkeypatch):
+        # a Parseval or an imaginary-part failure on the last coordinate
+        # alone; 5^3 characters outnumber the 25 points, so the pair counts
+        # take no transform
+        f = FunctionTable.from_linear(LinearVecFn(5, 2, ((1, 2), (3, 4), (0, 1))))
+        assert piece_together(f, 0.5, Fraction(1, 4)).ok
+        fftn = np.fft.fftn
+
+        def spoiled(*args, **kwargs):
+            out = fftn(*args, **kwargs)
+            out[-1] = spoil(out[-1])
+            return out
+
+        monkeypatch.setattr(np.fft, "fftn", spoiled)
+        with pytest.raises(PropertyViolation):
+            piece_together(f, 0.5, Fraction(1, 4))
+
     @pytest.mark.parametrize("q,d,delta", [(3, 2, 0.25), (5, 2, 0.1), (11, 2, 0.5)])
     def test_oracle_equivalence_spot(self, q, d, delta):
         f = random_scalar_respecting_table(rngmod.stream(q + d, "oe"), q, d)
@@ -382,6 +471,32 @@ class TestPieceTogether:
         # measured agreement satisfies the piecing guarantee
         eps = float(res.pass_probability)
         assert float(res.agreement) >= eps * eps / 3
+
+    @pytest.mark.parametrize("q,d,l", [(3, 4, 128), (11, 2, 3)])
+    def test_lists_match_one_coordinate_at_a_time(self, q, d, l):
+        f = random_scalar_respecting_table(rngmod.stream(q * d * l, "batch"), q, d, l)
+        res = piece_together(f, 0, Fraction(1, 4), delta_schedule=lambda e, ei: 0.3)
+        assert res.state.lists == tuple(list_decode_scalar(f.coordinate(i), 0.3) for i in range(l))
+
+    def test_agreement_counts_mismatches_against_kappa_times_l(self):
+        # three lines wrong on 1, 2 and 3 of the 4 coordinates; kappa * l
+        # integral (0, 1, 2, 4) and not (1.2, 3.5)
+        q, d, l = 11, 2, 4
+        c0 = LinearVecFn(q, d, ((1, 2), (3, 4), (5, 6), (7, 8)))
+        reps = line_representatives(q, d)
+        value = lambda p: [sum(r * a for r, a in zip(rho, p)) % q for rho in c0.rhos]
+        bump = lambda p, k: [(v + 1) % q if i < k else v for i, v in enumerate(value(p))]
+        f = corrupt_lines(FunctionTable.from_linear(c0), [(reps[k], bump(reps[k], k)) for k in (1, 2, 3)])
+        fn_vals = FunctionTable.from_linear(c0).values
+        agreements = set()
+        for kappa in (Fraction(0), Fraction(1, 4), Fraction(3, 10), Fraction(1, 2), Fraction(7, 8), Fraction(1)):
+            res = piece_together(f, 0.3, kappa, delta_schedule=lambda e, ei: 1.0)
+            assert res.ok and res.fn == c0
+            var = res.state.var_ranks
+            mism = (f.values[var] != fn_vals[var]).sum(axis=1).tolist()
+            assert res.agreement == Fraction(sum(m <= kappa * l for m in mism), len(var))
+            agreements.add(res.agreement)
+        assert len(agreements) == 4
 
     def test_low_pass_probability_refused(self):
         f = FunctionTable(5, 1, 1, [[2]] * 5)
