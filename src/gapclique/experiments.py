@@ -351,8 +351,6 @@ def suite_lintest(seed: int = 0) -> list[dict]:
     def oracle_set(f: FunctionTable, delta: float) -> set:
         thr = Fraction(1, f.q) + Fraction(f.q - 1, f.q) * Fraction(LIST_CONSTANT * delta)
         out = set()
-        import itertools
-
         for rho in itertools.product(range(f.q), repeat=f.d):
             if agreement(f, LinearScalarFn(f.q, rho)) >= thr:
                 out.add(rho)

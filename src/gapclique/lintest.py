@@ -87,15 +87,10 @@ class FunctionTable:
 
     @classmethod
     def from_linear(cls, fn: "LinearScalarFn | LinearVecFn") -> "FunctionTable":
-        q, d = fn.q, fn.d
-        digits, _ = _domain(q, d)
-        if isinstance(fn, LinearScalarFn):
-            rho = np.array(fn.rho, dtype=np.int64)
-            vals = (digits @ rho % q)[:, None]
-            return cls(q, d, 1, vals, _skip_checks=True)
-        coeff = np.array(fn.rhos, dtype=np.int64).T  # (d, l)
-        vals = digits @ coeff % q
-        return cls(q, d, fn.l, vals, _skip_checks=True)
+        rhos = (fn.rho,) if isinstance(fn, LinearScalarFn) else fn.rhos
+        digits, _ = _domain(fn.q, fn.d)
+        vals = digits @ np.array(rhos, dtype=np.int64).T % fn.q
+        return cls(fn.q, fn.d, len(rhos), vals, _skip_checks=True)
 
     # -- indexing ----------------------------------------------------------
 
@@ -128,15 +123,11 @@ class FunctionTable:
         """True iff f(c * alpha) = c * f(alpha) for every scalar c and point
         alpha; verified exhaustively once and cached."""
         if self._scalar_respecting is None:
-            q = self.q
+            q, vals = self.q, self.values
             digits, place = _domain(q, self.d)
-            ok = True
-            for c in range(q):
-                scaled_rank = (digits * c % q) @ place
-                if not np.array_equal(self.values[scaled_rank], self.values * c % q):
-                    ok = False
-                    break
-            self._scalar_respecting = ok
+            self._scalar_respecting = all(
+                np.array_equal(vals[(digits * c % q) @ place], vals * c % q) for c in range(q)
+            )
         return self._scalar_respecting
 
     def ensure_scalar_respecting(self):
@@ -311,8 +302,9 @@ def accepted_degrees(
         deg, counts = _character_sums(f)
     else:
         # coordinate-major, so that every operation runs along the long axis
-        # of the points
-        cols = np.ascontiguousarray(f.values.T)
+        # of the points, and in the narrowest type that holds a sum of two
+        # residues, so that a block's temporaries stay small
+        cols = np.ascontiguousarray(f.values.T, dtype=np.min_scalar_type(2 * f.q))
         deg = np.empty(n, dtype=np.int64)
         counts = np.zeros(f.l, dtype=np.int64)
         for rows, sum_rank in _pair_blocks(f.q, f.d, max(f.d, f.l)):
@@ -615,12 +607,13 @@ def piece_together(
     digits, _ = _domain(f.q, f.d)
     for i, fns in enumerate(lists):
         if fns:
-            agree = np.stack(
-                [digits @ np.array(c.rho, dtype=np.int64) % f.q == f.values[:, i] for c in fns]
-            )
-            counts = agree.sum(axis=0)
-            unique = counts == 1
-            labels[unique, i] = agree[:, unique].argmax(axis=0) + 1
+            # one product labels a block of points against the whole list
+            rhos = np.array([c.rho for c in fns], dtype=np.int64).T
+            step = max(1, PAIR_BLOCK // len(fns))
+            for s in range(0, n, step):
+                agree = digits[s : s + step] @ rhos % f.q == f.values[s : s + step, i, None]
+                unique = agree.sum(axis=1) == 1
+                labels[s : s + step][unique, i] = agree[unique].argmax(axis=1) + 1
 
     var_ranks = np.nonzero(deg)[0]
     var_count = var_ranks.size
@@ -650,15 +643,11 @@ def piece_together(
     anchor = int(both.min())
     state.anchor_rank = anchor
 
-    zero_rho = (0,) * f.d
-    rhos = []
-    for i in range(f.l):
-        lab = int(labels[anchor, i])
-        rhos.append(lists[i][lab - 1].rho if lab > 0 else zero_rho)
-    fn = LinearVecFn(f.q, f.d, tuple(rhos))
+    picked = enumerate(labels[anchor].tolist())
+    rhos = tuple(lists[i][lab - 1].rho if lab else (0,) * f.d for i, lab in picked)
+    fn = LinearVecFn(f.q, f.d, rhos)
 
-    coeff = np.array(fn.rhos, dtype=np.int64).T
-    fn_vals = digits @ coeff % f.q
+    fn_vals = digits @ np.array(fn.rhos, dtype=np.int64).T % f.q
     mism = (f.values[var_ranks] != fn_vals[var_ranks]).sum(axis=1)
     # mismatch counts are integers, so the floor of kappa * l bounds them
     # alike, without comparing every count to a Fraction

@@ -53,8 +53,8 @@ DEFAULT_CHECK_BUDGET = 5_000_000
 
 # cases evaluated per batch; bounds the working arrays at a few MB
 _CHUNK = 1024
-# entries of separation's direction-image table, built through an int64
-# product: 128 MB at the limit
+# entries of separation's direction images (an int64 product: 128 MB at
+# the limit), difference tables and beta ranks
 _DIRECTION_IMAGE_LIMIT = 1 << 24
 
 
@@ -312,53 +312,56 @@ def check_pairwise_separation(
     """
     vecs, images = source_images(g, inst)
     q, k, l = g.q, g.k, g.l
+    size = q**k
     place = q ** np.arange(k - 1, -1, -1)
     # directions of F_q^k are numbered by rank, first coordinate most
     # significant; rank 0 is the zero direction
-    per_alpha = q**k - q  # nonzero directions that are no multiple of a given one
+    per_alpha = size - q  # nonzero directions that are no multiple of a given one
 
     def coords(rank):
         return np.stack(_digits(rank, (q,) * k), axis=1)
 
-    table = q**k * len(vecs) * l
+    # every collection's difference tables, and the table of beta ranks
+    table = (size * l + g.m) * sum(n * n for n in inst.sizes) + (size - 1) * per_alpha
     if table > _DIRECTION_IMAGE_LIMIT:
         raise BudgetExceeded(
             "separation direction images", required=table, budget=_DIRECTION_IMAGE_LIMIT
         )
-    # [d, r, j]: <direction d, block j of the image of source row r>.  These
-    # and the source rows are kept in the narrowest type that holds two
-    # differences of residues, which keeps the batches small.
+    # [d, r, j]: <direction d, block j of the image of source row r>.  These,
+    # the source rows and their differences are kept in the narrowest type
+    # that holds a difference of residues, which keeps the batches small.
     narrow = np.min_scalar_type(-2 * q)
     dir_images = (
-        np.einsum("dc,rjc->drj", coords(np.arange(q**k)), images.reshape(len(vecs), l, k)) % q
+        np.einsum("dc,rjc->drj", coords(np.arange(size)), images.reshape(len(vecs), l, k)) % q
     ).astype(narrow)
     vecs = vecs.astype(narrow)
+    # [alpha - 1, j]: the j-th smallest nonzero direction rank that is no
+    # multiple of direction alpha
+    multiples = (np.arange(q)[:, None] * coords(np.arange(1, size))[:, None, :] % q) @ place
+    others = np.ones((size - 1, size), dtype=bool)
+    others[np.arange(size - 1)[:, None], multiples] = False
+    betas = np.nonzero(others)[1].reshape(size - 1, per_alpha)
 
     def independent_pair(p):
         """The p-th ordered pair (alpha, beta) of direction ranks with beta
         no multiple of alpha, in lexicographic order."""
-        alpha, beta = 1 + p // per_alpha, 1 + p % per_alpha
-        span = coords(alpha)
-        # skip over the ranks of alpha's nonzero multiples, smallest first
-        for excluded in np.sort([c * span % q @ place for c in range(1, q)], axis=0):
-            beta = beta + (excluded <= beta)
-        return alpha, beta
+        alpha = 1 + p // per_alpha
+        return alpha, betas[alpha - 1, p % per_alpha]
 
-    def single(first, d):
-        # u_a - u_b under the direction: nonzero where the two images differ
-        a, b, rank = first + d[0], first + d[1], d[2] + 1
-        weight = np.count_nonzero(dir_images[rank, a] != dir_images[rank, b], axis=1)
-        return (vecs[a] != vecs[b]).any(axis=1), 2 * weight >= l, weight
+    def single(n, diffs, ids, d):
+        # u_a - u_b under the direction: row (d, a, b) of the differences
+        a, b, rank = d[0], d[1], d[2] + 1
+        weight = np.count_nonzero(diffs[(rank * n + a) * n + b], axis=1)
+        return ids[a * n + b] != ids[0], 2 * weight >= l, weight
 
-    def triple(first, d):
+    def triple(n, diffs, ids, d):
         # d1 = u_t3 - u_t1 under alpha against d2 = u_t2 - u_t3 under beta
-        t1, t2, t3 = first + d[0], first + d[1], first + d[2]
+        t1, t2, t3 = d[0], d[1], d[2]
         alpha, beta = independent_pair(d[3])
-        gap = (dir_images[alpha, t3] - dir_images[alpha, t1]
-               - dir_images[beta, t2] + dir_images[beta, t3])
-        dist = np.count_nonzero(gap % q, axis=1)
-        counted = ((2 * vecs[t3] - vecs[t1] - vecs[t2]) % q).any(axis=1)
-        return counted, 2 * dist >= l, dist
+        dist = np.count_nonzero(
+            diffs[(alpha * n + t3) * n + t1] != diffs[(beta * n + t2) * n + t3], axis=1
+        )
+        return ids[t3 * n + t1] != ids[t2 * n + t3], 2 * dist >= l, dist
 
     def describe_single(i, d, weight):
         return {"collection": i, "case": "single-difference", "pair": d[:2],
@@ -373,8 +376,17 @@ def check_pairwise_separation(
     parts = []
     first = 0
     for i, n in enumerate(inst.sizes):
-        parts.append(((n, n, q**k - 1), partial(single, first), partial(describe_single, i)))
-        parts.append(((n, n, n, (q**k - 1) * per_alpha), partial(triple, first),
+        us, block = vecs[first : first + n], dir_images[:, first : first + n]
+        # row (d, a, b): the image of u_a - u_b under direction d; entry
+        # a * n + b of ids: the id of u_a - u_b, equal differences alike, so
+        # entry 0 is the zero difference's
+        diffs = ((block[:, :, None] - block[:, None, :]) % q).reshape(-1, l)
+        vdiffs = ((us[:, None] - us[None, :]) % q).reshape(n * n, -1)
+        ids = np.unique(vdiffs.view(np.dtype((np.void, vdiffs.shape[1] * narrow.itemsize))),
+                        return_inverse=True)[1].reshape(-1)
+        parts.append(((n, n, size - 1), partial(single, n, diffs, ids),
+                      partial(describe_single, i)))
+        parts.append(((n, n, n, (size - 1) * per_alpha), partial(triple, n, diffs, ids),
                       partial(describe_triple, i)))
         first += n
     return _run_check(

@@ -606,50 +606,72 @@ class GammaTable:
     fill_log: dict
 
 
+def _value_ids(items: tuple) -> tuple[np.ndarray, list]:
+    """Ids of hashable items that order like the items: each object is
+    hashed once, and only the distinct values are sorted.  Returns every
+    item's id and the distinct values in order."""
+    _, first, inverse = np.unique(
+        np.fromiter(map(id, items), np.int64, len(items)), return_index=True, return_inverse=True
+    )
+    pos: dict = {}
+    local = [pos.setdefault(items[i], len(pos)) for i in first.tolist()]
+    values = list(pos)
+    order = sorted(range(len(values)), key=values.__getitem__)
+    return np.argsort(order)[local][inverse], [values[i] for i in order]
+
+
 def _clique_values(clique: Sequence[Vertex], q: int, l: int) -> dict:
     """Phase 1 of the decoded function: point -> value for every point a
     vertex of the clique assigns, in order of first assignment (vertices
     sorted, slots alpha, beta, alpha + beta).  Refuses when a point carries
-    two values, naming the first conflict met in that order."""
-    vs = sorted(clique)
-    n = len(vs)
+    two values, naming the first conflict met in that order.  The vertices
+    are valid ones."""
+    n = len(clique)
     if not n:
         return {}
-    alphas, betas, xs, ys = zip(*vs)
-    # value ids: each tuple object once, then each distinct value once
-    keys = list(map(id, xs + ys))
-    objects = dict(zip(keys, xs + ys))
-    val_pos: dict[tuple[int, ...], int] = {}
-    obj_val = {key: val_pos.setdefault(t, len(val_pos)) for key, t in objects.items()}
-    xid, yid = np.array(list(map(obj_val.__getitem__, keys))).reshape(2, n)
-    # slot s carries rows[A[s]] + rows[B[s]]; the last row is zero
-    rows = np.array(list(val_pos) + [(0,) * l], dtype=np.int64).reshape(-1, l)
-    zero = np.full(n, len(val_pos))
-    A = np.stack([xid, yid, xid], axis=1).reshape(-1)
-    B = np.stack([zero, zero, yid], axis=1).reshape(-1)
-    alpha, beta = (np.array(p, dtype=np.int64).reshape(n, -1) for p in (alphas, betas))
-    point = _row_ids(alpha, beta, (alpha + beta) % q).T.reshape(-1)
-    _, first_slot = np.unique(point, return_index=True)
-    first = first_slot[point]
-    # a slot whose ids match its point's first slot carries the same value;
-    # the others are compared row by row, about 2^16 entries at a time
-    check = np.flatnonzero((A != A[first]) | (B != B[first]))
-    ref = (rows[A[first_slot]] + rows[B[first_slot]]) % q
+    alphas, betas, xs, ys = zip(*clique)
+    pid, points = _value_ids(alphas + betas)
+    vid, values = _value_ids(xs + ys)
+    # ids order like their tuples, so this is the order of sorted(clique)
+    order = np.lexsort((vid[n:], vid[:n], pid[n:], pid[:n]))
+    a, b, x, y = pid[order], pid[n + order], vid[order], vid[n + order]
+    # alpha + beta once per distinct (alpha, beta), then one id space for
+    # the points of all three slots
+    pair, pair_first = _pair_ids(a, b)
+    rows = np.array(points, dtype=np.int64).reshape(len(points), -1)
+    rows = np.concatenate([rows, (rows[a[pair_first]] + rows[b[pair_first]]) % q])
+    keys = rows.view(np.dtype((np.void, 8 * rows.shape[1]))).reshape(-1)
+    _, row_first, row_id = np.unique(keys, return_index=True, return_inverse=True)
+    point = np.stack([row_id[a], row_id[b], row_id[len(points) + pair]], axis=1).reshape(-1)
+    # slot s carries vals[A[s]] + vals[B[s]]; the last row is zero
+    vals = np.array(values + [(0,) * l], dtype=np.min_scalar_type(2 * q)).reshape(-1, l)
+    zero = np.full(n, len(values))
+    A = np.stack([x, y, x], axis=1).reshape(-1)
+    B = np.stack([zero, zero, y], axis=1).reshape(-1)
+    # a point's first slot is the first slot of one of its (point, A, B)
+    # combinations, which come ordered by point
+    _, combo_first = _pair_ids(point, _pair_ids(A, B)[0])
+    combo_point = point[combo_first]
+    first_slot = np.minimum.reduceat(combo_first, np.flatnonzero(np.diff(combo_point, prepend=-1)))
+    ref = (vals[A[first_slot]] + vals[B[first_slot]]) % q
+    # every other combination is compared once, in slot order, about 2^16
+    # entries at a time
+    check = np.sort(combo_first[combo_first != first_slot[combo_point]])
     step, last = max(1, (1 << 16) // l), n
     for c in range(0, len(check), step):
         s = check[c : c + step]
-        differ = ((rows[A[s]] + rows[B[s]]) % q != ref[point[s]]).any(axis=1)
+        differ = ((vals[A[s]] + vals[B[s]]) % q != ref[point[s]]).any(axis=1)
         if differ.any():
             last = int(s[differ.argmax()]) // 3
             break
-    # vertex by vertex, the dict changes only at a vertex that assigns some
-    # point first, and the first conflict is met at vertex `last`: replay
-    # the loop on those vertices alone
-    replay = [t for t in np.unique(first_slot // 3).tolist() if t < last] + [last] * (last < n)
-    phase1: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for t in replay:
-        for p, vals in value_relation(vs[t], q).items():
-            for val in vals:
+    # until vertex `last` every point keeps its first value; the first
+    # conflict is met at vertex `last`, whose loop is replayed
+    assigned = point[np.sort(first_slot[first_slot < 3 * last])]
+    known = (map(tuple, t.tolist()) for t in (rows[row_first[assigned]], ref[assigned]))
+    phase1 = dict(zip(*known))
+    if last < n:
+        for p, vs in value_relation(clique[order[last]], q).items():
+            for val in vs:
                 if phase1.setdefault(p, val) != val:
                     raise PropertyViolation(
                         f"conflicting clique values at point {p}: {phase1[p]} vs {val}"
@@ -840,34 +862,23 @@ def extract_witness(
         report.detail = f"clique size {len(clique)} below {threshold:.6g}"
         return report
 
-    try:
-        gamma = build_gamma(clique, instance, rng=rng, verify=verify)
-    except PropertyViolation as exc:
-        report.verdict = "failed"
-        report.stage = "gamma"
-        report.detail = str(exc)
+    def failed(stage: str, detail: str) -> ExtractionReport:
+        report.verdict, report.stage, report.detail = "failed", stage, detail
         return report
 
     try:
-        piece = piece_together(
-            gamma.table,
-            eps,
-            kappa,
-            c_list=c_list,
-            delta_schedule=delta_schedule,
-            pair_budget=pair_budget,
-        )
+        gamma = build_gamma(clique, instance, rng=rng, verify=verify)
+    except PropertyViolation as exc:
+        return failed("gamma", str(exc))
+
+    try:
+        piece = piece_together(gamma.table, eps, kappa, c_list=c_list,
+                               delta_schedule=delta_schedule, pair_budget=pair_budget)
     except PiecingRefused as exc:
-        report.verdict = "failed"
-        report.stage = "piecing"
-        report.detail = str(exc)
-        return report
+        return failed("piecing", str(exc))
     report.pass_probability = piece.pass_probability
     if not piece.ok:
-        report.verdict = "failed"
-        report.stage = "piecing"
-        report.detail = piece.failure or "piecing failed"
-        return report
+        return failed("piecing", piece.failure or "piecing failed")
     report.piecing_agreement = piece.agreement
     report.fn = piece.fn
 
@@ -877,14 +888,16 @@ def extract_witness(
     points = np.array(list(gamma.var_points), dtype=np.int64).reshape(-1, kk)
     ranks = points @ (q ** np.arange(kk - 1, -1, -1, dtype=np.int64))
     mism = (gamma.table.values[ranks] != points @ rhos.T % q).sum(axis=1)
-    r_star = int((mism <= kappa * l).sum())
+    # mismatch counts are integers: the floor of kappa * l bounds them alike
+    r_star = int((mism <= math.floor(kappa * l)).sum())
     report.r_star_size = r_star
     report.r_star_dense = r_star * q > q**kk
 
-    bound = 2 * kappa
+    # the residual bound, twice kappa, on integer weights: its floor decides
+    # alike
+    bound = math.floor(2 * kappa * l)
     directions = list(itertools.product(range(q), repeat=k))[1:]
     chosen: list[int] = []
-    failed_stage = None
     for i in range(k):
         us = instance.source.collections[i]
         # [d, r]: the weight of direction d's block-inner image of
@@ -902,7 +915,7 @@ def extract_witness(
         for abar, row in zip(directions, weights):
             best_idx = row.index(min(row))
             residuals[abar] = (best_idx, Fraction(row[best_idx], l))
-            in_bound = [idx for idx, w in enumerate(row) if Fraction(w, l) <= bound]
+            in_bound = [idx for idx, w in enumerate(row) if w <= bound]
             # ambiguity means two distinct VECTORS inside the bound; duplicate
             # copies of one vector decode to the same witness and are fine
             if len({us[idx] for idx in in_bound}) >= 2:
@@ -922,31 +935,19 @@ def extract_witness(
             consistent=len(votes) == 1 and not ambiguous,
         )
         report.directions.append(direction)
-        if ambiguous:
-            failed_stage = ("decode", f"ambiguous minimizer in collection {i}")
-        elif not votes:
-            failed_stage = ("decode", f"no in-bound vector in collection {i}")
-        elif len(votes) > 1:
-            failed_stage = ("decode", f"direction-inconsistent choice in collection {i}")
-        else:
-            u_idx = votes.pop()
-            direction.chosen_index = u_idx
-            direction.chosen_vector = us[u_idx]
-            chosen.append(u_idx)
-        if failed_stage:
-            report.verdict = "failed"
-            report.stage, report.detail = failed_stage
-            return report
+        failure = ("ambiguous minimizer" if ambiguous else "no in-bound vector" if not votes
+                   else "direction-inconsistent choice" if len(votes) > 1 else None)
+        if failure:
+            return failed("decode", f"{failure} in collection {i}")
+        direction.chosen_index = u_idx = votes.pop()
+        direction.chosen_vector = us[u_idx]
+        chosen.append(u_idx)
 
     z = vector_sum(q, (instance.source.collections[i][idx] for i, idx in enumerate(chosen)))
     report.z_star = z
-    if not any(z):
-        report.verdict = "witness"
-        report.stage = "complete"
-        report.detail = "recovered tuple sums to zero"
-        report.witness_indices = tuple(chosen)
-    else:
-        report.verdict = "failed"
-        report.stage = "sum_check"
-        report.detail = "recovered tuple does not sum to zero"
+    if any(z):
+        return failed("sum_check", "recovered tuple does not sum to zero")
+    report.verdict, report.stage = "witness", "complete"
+    report.detail = "recovered tuple sums to zero"
+    report.witness_indices = tuple(chosen)
     return report

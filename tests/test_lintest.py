@@ -478,6 +478,23 @@ class TestPieceTogether:
         res = piece_together(f, 0, Fraction(1, 4), delta_schedule=lambda e, ei: 0.3)
         assert res.state.lists == tuple(list_decode_scalar(f.coordinate(i), 0.3) for i in range(l))
 
+    @pytest.mark.parametrize("block", [1, 7, lintest.PAIR_BLOCK])
+    @pytest.mark.parametrize("q,d,l", [(3, 4, 128), (11, 2, 3)])
+    def test_labels_match_one_member_at_a_time(self, q, d, l, block, monkeypatch):
+        # a point's label is the 1-based index of the one list member that
+        # matches the table there, 0 when none or several do
+        monkeypatch.setattr(lintest, "PAIR_BLOCK", block)
+        f = random_scalar_respecting_table(rngmod.stream(q * d * l, "labels"), q, d, l)
+        res = piece_together(f, 0, Fraction(1, 4), delta_schedule=lambda e, ei: 0.5)
+        points = list(itertools.product(range(q), repeat=d))
+        want = np.zeros((q**d, l), dtype=np.int64)
+        for i, fns in enumerate(res.state.lists):
+            for r, p in enumerate(points):
+                hits = [t for t, c in enumerate(fns) if c.eval(p) == f.values[r, i]]
+                want[r, i] = hits[0] + 1 if len(hits) == 1 else 0
+        assert max(map(len, res.state.lists)) > 1
+        assert (res.state.labels == want).all() and want.any()
+
     def test_agreement_counts_mismatches_against_kappa_times_l(self):
         # three lines wrong on 1, 2 and 3 of the 4 coordinates; kappa * l
         # integral (0, 1, 2, 4) and not (1.2, 3.5)

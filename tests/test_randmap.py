@@ -245,6 +245,21 @@ class TestPairwiseSeparation:
             check_pairwise_separation(g, inst, mode="monte_carlo", samples=10,
                                       rng=rngmod.stream(11, "mc"))
 
+    def test_difference_tables_are_bounded(self):
+        # 4 directions x 128 source rows x 1024 blocks of direction images
+        # fit, but the two collections' difference tables of images and of
+        # vectors, 64^2 entries of 4 * 1024 + 2 each, do not
+        q, k, m, n, l = 2, 2, 2, 64, 1024
+        inst = generate_planted(rngmod.stream(13, "s"), q, k, m, n)
+        g = sample_g(rngmod.stream(13, "sb"), q, k, m, l)
+        assert q**k * k * n * l <= 1 << 24
+        with pytest.raises(BudgetExceeded) as exc:
+            check_pairwise_separation(g, inst, mode="monte_carlo", samples=10,
+                                      rng=rngmod.stream(13, "mc"))
+        assert exc.value.what == "separation direction images"
+        assert exc.value.required == (q**k * l + m) * k * n * n + (q**k - 1) * (q**k - q)
+        assert exc.value.budget == 1 << 24
+
     def test_counterexample_reverifies(self):
         inst = generate_planted(rngmod.stream(12, "s"), 3, 1, 2, 3)
         found = None
@@ -419,7 +434,8 @@ def outcome(cert):
 class TestEngineAgainstReference:
     @pytest.mark.parametrize("prop", sorted(CHECKS))
     @pytest.mark.parametrize(
-        "q,k,l,n", [(2, 1, 2, 4), (3, 1, 2, 8), (5, 1, 1, 4), (3, 2, 4, 3), (3, 2, 24, 2)]
+        "q,k,l,n", [(2, 1, 2, 4), (3, 1, 2, 8), (5, 1, 1, 4), (3, 2, 4, 3), (3, 2, 24, 2),
+                    (2, 2, 4, 4), (3, 2, 6, 4)]
     )
     def test_both_modes_match_reference(self, q, k, l, n, prop):
         check = CHECKS[prop]
@@ -450,6 +466,19 @@ class TestEngineAgainstReference:
                         check(g, inst, **one)
                 else:
                     assert outcome(check(g, inst, **one)) == (passed, 1, None if passed else cx)
+
+
+    @pytest.mark.parametrize("q,k,l,n", [(2, 2, 4, 4), (3, 2, 6, 4)])
+    def test_k2_rows_fail_inside_the_triple_block(self, q, k, l, n):
+        # the two k = 2 rows above reach the triple cases: some map fails
+        # there, after passing every single-difference case before it
+        cases = []
+        for seed in range(3):
+            inst = generate_planted(rngmod.stream(seed, f"ref/{q}/{k}/{n}"), q, k, 3, n)
+            g = sample_g(rngmod.stream(seed, f"ref/{q}/{k}/{l}/map"), q, k, 3, l)
+            cert = check_pairwise_separation(g, inst)
+            cases.append(cert.counterexample and cert.counterexample["case"])
+        assert "triple" in cases
 
 
 class TestMonteCarlo:

@@ -32,7 +32,7 @@ from gapclique.vecsum import VecSumInstance, generate_planted
 
 import edge_reference as reference
 from edge_reference import codec_rank, pair_rule_sets, var_points
-from field_reference import apply_map, block_inner
+from field_reference import apply_map, block_inner, inner_product, sub
 
 
 def total(q, vectors):
@@ -284,6 +284,49 @@ class TestGammaPhase1:
             outcomes.add(type(self.check(mixed, q, l)))
         assert outcomes == {list, str}
 
+    @staticmethod
+    def unshared(vertices):
+        """The vertices through a JSON round trip: equal tuples, none of
+        them shared between vertices."""
+        return [Vertex(*map(tuple, v)) for v in json.loads(json.dumps(vertices))]
+
+    @pytest.mark.parametrize("q,k,l", [(3, 1, 2), (2, 2, 1), (3, 2, 4)])
+    def test_json_round_trip_shares_no_tuples(self, q, k, l):
+        ci = make_instance(69 + q + k + l, q, k, 8 if q == 2 else 4, 3, l)
+        clique = ci.planted_clique(ci.source.planted)
+        copy = self.unshared(clique)
+        assert len({id(part) for v in copy for part in v}) == 4 * len(copy)
+        want = self.check(clique, q, l)
+        assert isinstance(want, list) and self.check(copy, q, l) == want
+
+    @pytest.mark.parametrize("q,k,l", [(3, 1, 2), (2, 2, 3)])
+    def test_some_tuples_shared_and_some_not(self, q, k, l):
+        ci = make_instance(70 + q + k + l, q, k, 8 if q == 2 else 4, 3, l)
+        clique = ci.planted_clique(ci.source.planted)
+        r = rngmod.stream(q + k + l, "partly-shared")
+        mixed = [self.unshared([v])[0] if r.random() < 0.5 else v for v in clique]
+        r.shuffle(mixed)
+        assert isinstance(self.check(mixed, q, l), list)
+        # one corrupted vertex among shared and unshared ones
+        bad = mixed[len(mixed) // 2]
+        x = tuple((e + 1) % q for e in bad.x)
+        mixed[len(mixed) // 2] = bad._replace(x=x, y=x if bad.alpha == bad.beta else bad.y)
+        assert "conflicting clique values" in self.check(mixed, q, l)
+
+    @pytest.mark.parametrize("q,k,l", [(3, 1, 2), (2, 2, 1), (3, 2, 4)])
+    def test_conflict_in_the_last_vertex(self, q, k, l):
+        # the vertex that sorts last is on the diagonal; new values there
+        # contradict the values its point got from earlier vertices
+        ci = make_instance(71 + q + k + l, q, k, 8 if q == 2 else 4, 3, l)
+        clique = ci.planted_clique(ci.source.planted)
+        last = max(clique)
+        assert last.alpha == last.beta
+        x = tuple((e + 1) % q for e in last.x)
+        vertices = [v for v in clique if v != last] + [last._replace(x=x, y=x)]
+        message = self.check(vertices, q, l)
+        assert message == f"conflicting clique values at point {last.alpha}: {last.x} vs {x}"
+        assert self.check(self.unshared(vertices)[::-1], q, l) == message
+
     def test_internally_inconsistent_vertex(self):
         # beta = 0 collides the alpha and alpha + beta slots; y != 0 gives
         # them different values, alone or among consistent vertices
@@ -376,6 +419,33 @@ class TestExtraction:
         )
         assert rep.verdict == "witness"
         assert all(d.max_residual == 0 for d in rep.directions)
+
+    def test_bounds_decide_like_fractions(self):
+        # kappa * l integral (kappa = 0, 1/4, ...) and not (1/8, 3/10, ...):
+        # r* and the in-bound vectors are those of exact Fraction comparisons
+        q, k, l = 3, 1, 4
+        ci = make_instance(12, q, k, 2, 4, l)
+        clique = ci.planted_clique(ci.source.planted)
+        directions = list(itertools.product(range(q), repeat=k))[1:]
+        outcomes = set()
+        for kappa in [Fraction(j, 8) for j in range(9)] + [Fraction(3, 10), Fraction(7, 20)]:
+            rep = extract_witness(clique, ci, kappa=kappa, rng=rngmod.stream(12, "gamma-fill"))
+            gamma = build_gamma(clique, ci, rng=rngmod.stream(12, "gamma-fill"))
+            mism = [sum(gamma.table.value_at(p)[j] != inner_product(q, rho, p)
+                        for j, rho in enumerate(rep.fn.rhos)) for p in gamma.var_points]
+            assert rep.r_star_size == sum(Fraction(m, l) <= kappa for m in mism)
+            for d in rep.directions:
+                us = ci.source.collections[d.collection]
+                theta = tuple(rho[d.collection * k + c] for rho in rep.fn.rhos for c in range(k))
+                for abar in directions:
+                    weights = [sum(map(bool, block_inner(q, abar, sub(q, theta, apply_map(ci.gmap, u)))))
+                               for u in us]
+                    inside = {u for u, w in zip(us, weights) if Fraction(w, l) <= 2 * kappa}
+                    assert d.residuals[abar][1] == Fraction(min(weights), l)
+                    assert (abar in d.ambiguous_at) == (len(inside) >= 2)
+                    assert (abar in d.out_of_bound_at) == (not inside)
+            outcomes.add((rep.verdict, rep.stage))
+        assert outcomes == {("witness", "complete"), ("failed", "decode")}
 
     def test_small_clique_refused_at_gate(self):
         ci = make_instance(9, 3, 1, 4, 4, 2)
