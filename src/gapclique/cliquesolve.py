@@ -65,14 +65,13 @@ class DenseGraph:
         return bool((self.adj[u] >> v) & 1)
 
     def edges(self):
-        for u in range(self.n):
-            row = self.adj[u] >> (u + 1)
-            v = u + 1
+        """The edges (u, v), u < v, in (u, v) order, one set bit at a time."""
+        for u, row in enumerate(self.adj):
+            row >>= u + 1
             while row:
-                if row & 1:
-                    yield (u, v)
-                row >>= 1
-                v += 1
+                low = row & -row
+                yield u, u + low.bit_length()
+                row ^= low
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
@@ -246,23 +245,36 @@ def greedy_clique(
     graph: DenseGraph, restarts: int = 50, rng: Optional[random.Random] = None
 ) -> CliqueSearchResult:
     """Randomized greedy: per restart, scan a random vertex order and keep
-    every vertex compatible with the clique so far.  Output always passes
-    is_clique; size is at most the exact optimum."""
-    if graph.n == 0:
+    every vertex compatible with the clique so far, until none is left.
+    Output always passes is_clique; size is at most the exact optimum.
+
+    The orders are those of rng.shuffle applied to one list once per
+    restart, drawn the way shuffle draws them (step i repeats
+    getrandbits(bit_length(i + 1)) until it falls below i + 1), so rng ends
+    in the state the shuffles leave."""
+    n = graph.n
+    if n == 0:
         return CliqueSearchResult((), 0, False, 0, 0.0)
     if rng is None:
         rng = random.Random(0)
     start = time.monotonic()
+    adj, full = graph.adj, (1 << n) - 1
+    draw, bits = rng.getrandbits, [(i + 1).bit_length() for i in range(n)]
     best: list[int] = [0]
-    order = list(range(graph.n))
+    order = list(range(n))
     for _ in range(max(1, restarts)):
-        rng.shuffle(order)
-        clique: list[int] = []
-        cand = (1 << graph.n) - 1
+        for i in range(n - 1, 0, -1):
+            j = draw(bits[i])
+            while j > i:
+                j = draw(bits[i])
+            order[i], order[j] = order[j], order[i]
+        clique, cand = [], full
         for v in order:
-            if (cand >> v) & 1:
+            if cand >> v & 1:
                 clique.append(v)
-                cand &= graph.adj[v]
+                cand &= adj[v]
+                if not cand:
+                    break
         if len(clique) > len(best):
             best = clique
     return CliqueSearchResult(

@@ -56,6 +56,7 @@ _CHUNK = 1024
 # entries of separation's direction images (an int64 product: 128 MB at
 # the limit), difference tables and beta ranks
 _DIRECTION_IMAGE_LIMIT = 1 << 24
+_BLOCK_ENTRIES = 32  # map entries from which a block of words beats randrange
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,21 @@ class LinearMapG:
 
 def draw_matrices(rng: random.Random, q: int, k: int, m: int, l: int) -> tuple:
     """l i.i.d. uniform k x m matrices as flat tuples, entries drawn
-    row-major; deterministic given the rng state."""
-    return tuple(tuple(rng.randrange(q) for _ in range(k * m)) for _ in range(l))
+    row-major with rng.randrange(q).  Below 2^32 a draw keeps the top
+    q.bit_length() bits of a 32-bit word if they fall below q; a map of
+    _BLOCK_ENTRIES entries or more reads its words in blocks as long as the
+    entries still missing, with the same entries and final rng state."""
+    size = k * m
+    if size * l < _BLOCK_ENTRIES or not 2 <= q < 1 << 32:
+        entries = [rng.randrange(q) for _ in range(size * l)]
+    else:
+        entries, shift = [], 32 - q.bit_length()
+        while len(entries) < size * l:
+            missing = size * l - len(entries)
+            block = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
+            draws = np.frombuffer(block, "<u4") >> shift
+            entries += draws[draws < q].tolist()
+    return tuple(tuple(entries[t * size : (t + 1) * size]) for t in range(l))
 
 
 def sample_g(rng: random.Random, q: int, k: int, m: int, l: int,

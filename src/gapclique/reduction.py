@@ -58,6 +58,7 @@ DEFAULT_CLIQUE_BUDGET = 1 << 16
 
 PAIR_BATCH = 1024  # edge oracle batch: whole rows of pairs, at least this many
 ROW_BLOCK = 128  # adjacency rows materialize fills from the class tables at once
+MASK_WORD = np.uint64  # word of the slot-class bitmasks materialize tests rule 2 on
 
 
 # -- parameter schedule ---------------------------------------------------------
@@ -225,7 +226,7 @@ def value_relation(v: Vertex, q: int) -> dict[tuple[int, ...], set[tuple[int, ..
 
 
 class VertexCodec:
-    """Numbering of the vertex set: unrank(r) is vertex r.
+    """Numbering of the vertex set: row r of ranks() is vertex r.
 
     Layout: the diagonal region (alpha = beta, so x = y) comes first with
     P*L entries, then the off-diagonal region with (P^2 - P) * L^2 entries,
@@ -241,27 +242,16 @@ class VertexCodec:
         self.L = q**l
         self.count = self.P * self.L + (self.P * self.P - self.P) * self.L * self.L
 
-    def unrank(self, r: int) -> Vertex:
-        q = self.q
-        if not (0 <= r < self.count):
-            raise ContractViolation("vertex rank out of range")
-        diag = self.P * self.L
-        if r < diag:
-            a, x = divmod(r, self.L)
-            alpha = unrank_tuple(q, self.kk, a)
-            xv = unrank_tuple(q, self.l, x)
-            return Vertex(alpha, alpha, xv, xv)
-        r -= diag
-        pair, xy = divmod(r, self.L * self.L)
-        x, y = divmod(xy, self.L)
-        a, b0 = divmod(pair, self.P - 1)
-        b = b0 if b0 < a else b0 + 1
-        return Vertex(
-            unrank_tuple(q, self.kk, a),
-            unrank_tuple(q, self.kk, b),
-            unrank_tuple(q, self.l, x),
-            unrank_tuple(q, self.l, y),
-        )
+    def ranks(self) -> tuple[np.ndarray, ...]:
+        """The ranks (rank_tuple order) of alpha, beta, x and y of every
+        vertex, in vertex order; off the diagonal, beta skips alpha."""
+        P, L = self.P, self.L
+        a, x = np.divmod(np.arange(P * L), L)
+        pair, xy = np.divmod(np.arange(self.count - P * L), L * L)
+        a_off, b_off = np.divmod(pair, P - 1)
+        b_off += b_off >= a_off
+        return (np.concatenate([a, a_off]), np.concatenate([a, b_off]),
+                np.concatenate([x, xy // L]), np.concatenate([x, xy % L]))
 
 
 def vertex_codec(params: ReductionParams) -> VertexCodec:
@@ -290,6 +280,14 @@ def _row_ids(*blocks: np.ndarray) -> np.ndarray:
     rows = np.concatenate(blocks)
     keys = rows.view(np.dtype((np.void, 8 * rows.shape[1]))).reshape(-1)
     return np.unique(keys, return_inverse=True)[1].reshape(len(blocks), -1)
+
+
+def _bitmasks(bits: np.ndarray) -> np.ndarray:
+    """Rows of booleans as rows of MASK_WORD words, each entry at the same
+    bit of every row, so two rows share a set bit iff they share an entry."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    pad = -packed.shape[1] % np.dtype(MASK_WORD).itemsize
+    return np.pad(packed, ((0, 0), (0, pad))).view(MASK_WORD)
 
 
 def _pair_ids(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -342,23 +340,32 @@ class CliqueInstance:
 
     def _encode(self, vertices: Sequence[Vertex]) -> _Codes:
         """The vertex list as arrays the rules compare, after every vertex is
-        validated.  Points and values become dense ids over the list (ids
-        compare only within one encoding), so no rank outgrows an integer."""
+        validated."""
         params = self.params
-        q, k, kk, l = params.q, params.k, params.k * params.k, params.l
+        kk, l = params.k * params.k, params.l
         for v in vertices:
             if not is_valid_vertex(v, params):
                 raise ContractViolation(f"invalid vertex {v}")
-        if (q - 1) ** 2 >= 2**63:
-            raise ContractViolation(f"modulus {q} is too large for 64-bit vertex arithmetic")
-        alpha, beta, x, y = (
+        return self._codes(*(
             np.array([v[part] for v in vertices], dtype=np.int64).reshape(len(vertices), width)
             for part, width in enumerate((kk, kk, l, l))
-        )
+        ))
+
+    def _codes(self, alpha: np.ndarray, beta: np.ndarray, x: np.ndarray,
+               y: np.ndarray) -> _Codes:
+        """The arrays the rules compare, from the residues of valid vertices
+        ((n, k^2) alpha and beta, (n, l) x and y).  Points and values become
+        dense ids over the list (ids compare only within one encoding), so
+        no rank outgrows an integer."""
+        q, k = self.params.q, self.params.k
+        if (q - 1) ** 2 >= 2**63:
+            raise ContractViolation(f"modulus {q} is too large for 64-bit vertex arithmetic")
         # scaling alpha by the inverse of its leading nonzero entry names its
         # scalar line; x scaled alike must agree along the line (rule 3)
-        lead = [next((e for e in v.alpha if e), 0) for v in vertices]
-        inv = np.array([pow(c, -1, q) if c else 0 for c in lead], dtype=np.int64)[:, None]
+        lead = alpha[np.arange(len(alpha)), (alpha != 0).argmax(axis=1)]
+        leads, which = np.unique(lead, return_inverse=True)
+        inv = np.array([pow(c, -1, q) if c else 0 for c in leads.tolist()], dtype=np.int64)
+        inv = inv[which][:, None]
         points = _row_ids(
             alpha, beta, (alpha + beta) % q, alpha * inv % q,
             # alpha minus its first block in every block: equal iff the
@@ -500,21 +507,31 @@ class CliqueInstance:
     # -- materialization and export ---------------------------------------------
 
     def materialize(self, budget: int = DEFAULT_VERTEX_BUDGET) -> DenseGraph:
-        """Explicit adjacency over the whole vertex set; refuses with the
-        exact vertex count when it exceeds the budget.  A pair is a non-edge
-        when rules 3-5 fire between its two (alpha, x) classes, when two of
-        its slots conflict (rule 2), or when it shares (alpha, beta) (rule
-        1); rows are filled ROW_BLOCK at a time."""
+        """Explicit adjacency over the whole vertex set, in codec order;
+        refuses with the exact vertex count when it exceeds the budget.  A
+        pair is a non-edge when rules 3-5 fire between its two (alpha, x)
+        classes, when a slot class of one conflicts with a slot of the
+        other (rule 2), or when it shares (alpha, beta) (rule 1); rows are
+        filled ROW_BLOCK at a time."""
         count = self.codec.count
         if count > budget:
             raise BudgetExceeded("vertex count", required=count, budget=budget)
-        vertices = [self.codec.unrank(r) for r in range(count)]
-        codes = self._encode(vertices)
+        # alpha, beta, x and y from their ranks, through one table of tuples
+        # per point and per value, shared by all the vertices using them
+        points, values = (list(itertools.product(range(self.params.q), repeat=d))
+                          for d in (self.codec.kk, self.params.l))
+        tables, ranks = (points, points, values, values), self.codec.ranks()
+        codes = self._codes(*(np.array(t, dtype=np.int64)[r] for t, r in zip(tables, ranks)))
         cloud = _pair_ids(codes.point[:, 0], codes.point[:, 1])[0]
         slot, first = _pair_ids(codes.point, codes.value)
-        # two slot classes conflict when they share a point, not a value
+        # two slot classes conflict when they share a point, not a value; a
+        # conflict of the two alpha slots is rule 3 with scalar 1 as well
         point, value = codes.point.reshape(-1)[first], codes.value.reshape(-1)[first]
-        conflict = (point[:, None] == point) & (value[:, None] != value)
+        conflict = _bitmasks((point[:, None] == point) & (value[:, None] != value))
+        # bitmasks over slot classes: own[i] holds the classes of vertex i,
+        # clash[j] those that conflict with a slot of vertex j
+        own = np.bitwise_or.reduce(_bitmasks(np.eye(len(first), dtype=bool))[slot], axis=1)
+        clash = np.bitwise_or.reduce(conflict[slot], axis=1)
         # slot 0 is (alpha, x), so its class is the vertex's (alpha, x) class
         _, reps, ax = np.unique(slot[:, 0], return_index=True, return_inverse=True)
         table = self._class_rules(codes, reps)
@@ -522,14 +539,13 @@ class CliqueInstance:
         for start in range(0, count, ROW_BLOCK):
             rows = slice(start, start + ROW_BLOCK)
             non_edge = table[ax[rows]][:, ax] | (cloud[rows, None] == cloud)
-            # a conflict of the two alpha slots is rule 3 with scalar 1
-            for s, t in itertools.product(range(3), repeat=2):
-                if s or t:
-                    non_edge |= conflict[slot[rows, s]][:, slot[:, t]]
+            for word in range(own.shape[1]):
+                non_edge |= (own[rows, word, None] & clash[:, word]) != 0
             # row i, byte j >> 3, bit j & 7 is the edge (i, j)
             packed = np.packbits(~non_edge, axis=1, bitorder="little")
             adj.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-        return DenseGraph(count, tuple(adj), labels=tuple(vertices))
+        labels = map(Vertex, *(map(t.__getitem__, r.tolist()) for t, r in zip(tables, ranks)))
+        return DenseGraph(count, tuple(adj), labels=tuple(labels))
 
     def fingerprint(self) -> str:
         blob = json.dumps(
@@ -575,10 +591,9 @@ def export_graph(graph: DenseGraph, fmt: str, path, meta: Optional[dict] = None)
     'e u v' line per edge with 1-indexed u < v.  JSON: vertex count, edge
     list, and metadata."""
     if fmt == "dimacs":
+        body = "".join(f"e {u + 1} {v + 1}\n" for u, v in graph.edges())
         with open(path, "w") as fh:
-            fh.write(f"p edge {graph.n} {graph.edge_count()}\n")
-            for u, v in graph.edges():
-                fh.write(f"e {u + 1} {v + 1}\n")
+            fh.write(f"p edge {graph.n} {graph.edge_count()}\n{body}")
     elif fmt == "json":
         doc = {
             "version": 1,

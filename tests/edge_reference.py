@@ -1,6 +1,6 @@
 """The reduction on residue tuples, kept as the differential reference for
 the library's array code: the edge oracle as a pair-by-pair scan, the
-inverse of the vertex codec's numbering, planted cliques vertex by vertex,
+vertex codec's numbering and its inverse, planted cliques vertex by vertex,
 and phase 1 of the decoded function as a loop over the clique.  Also the
 tests' entry point to the library's batched rule evaluator.
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from gapclique.cliquesolve import DenseGraph
 from gapclique.errors import ContractViolation, PropertyViolation
-from gapclique.ffield import rank_tuple
+from gapclique.ffield import rank_tuple, unrank_tuple
 from gapclique.reduction import Vertex, is_valid_vertex, value_relation
 from gapclique.vecsum import vector_sum
 
@@ -71,6 +71,26 @@ def var_points(v, q):
         if p not in seen:
             seen.append(p)
     return tuple(seen)
+
+
+def unrank(codec, r):
+    """Vertex number r of the codec's layout, one region at a time: the
+    diagonal (alpha = beta, x = y), then the pairs (alpha, beta != alpha)
+    in order, each with its L^2 values."""
+    q, kk, l = codec.q, codec.kk, codec.l
+    if not (0 <= r < codec.count):
+        raise ContractViolation("vertex rank out of range")
+    diag = codec.P * codec.L
+    if r < diag:
+        a, x = divmod(r, codec.L)
+        alpha, xv = unrank_tuple(q, kk, a), unrank_tuple(q, l, x)
+        return Vertex(alpha, alpha, xv, xv)
+    pair, xy = divmod(r - diag, codec.L * codec.L)
+    x, y = divmod(xy, codec.L)
+    a, b = divmod(pair, codec.P - 1)
+    b += b >= a
+    return Vertex(unrank_tuple(q, kk, a), unrank_tuple(q, kk, b),
+                  unrank_tuple(q, l, x), unrank_tuple(q, l, y))
 
 
 def codec_rank(codec, v):
@@ -163,7 +183,7 @@ class ReferenceOracle:
 
     def materialize(self):
         codec = self.ci.codec
-        vertices = [codec.unrank(r) for r in range(codec.count)]
+        vertices = [unrank(codec, r) for r in range(codec.count)]
         adj = [0] * codec.count
         for i, u in enumerate(vertices):
             for j in range(i + 1, codec.count):

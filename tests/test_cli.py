@@ -1,5 +1,6 @@
 """CLI pipeline: artifacts, exit codes, determinism, config handling."""
 
+import hashlib
 import json
 import os
 
@@ -181,6 +182,43 @@ class TestDeterminism:
         assert strip_timestamp(os.path.join(a, "instance.json")) != strip_timestamp(
             os.path.join(b, "instance.json")
         )
+
+    # the certified-NO sequence at the unsat-solve benchmark points, seed 5:
+    # SHA-256 of each JSON artifact without created_utc, and of the DIMACS file
+    CERTIFIED_NO = {
+        (3, 1, 2, 6, 8): {
+            "instance.json": "e9ec8251c54dbb8bd9538969a1c624947acb558ac91996f8c395b95b21082a94",
+            "reduction.json": "e37f958db1a9d5f07dfd7bd23eb4bd45f0f4d892f4e23e65daa356d53ebc6b21",
+            "solve-report.json": "744a84635fa87e261d654331cf9486f676fddd7c2a1953023792480916c0118f",
+            "graph.dimacs": "fc0c6f417a967c9a5e8fecc9f34e2d6e5fe581ea26962061e2fe7b3bc701f1b9",
+        },
+        (5, 1, 1, 4, 8): {
+            "instance.json": "282f2c53e0446a18ab7ac617a033114e12d4a05228651848d51e253df50436f2",
+            "reduction.json": "7517ddd723d79e80deff3f04e02bc0b2c12901e35e5eedc6e70582d27f435c15",
+            "solve-report.json": "8ce5b9d67f8bfda8c07b84623dde3432f5b8fe56251592086d038afdd84ba2b9",
+            "graph.dimacs": "f9e22e2c5c869c22957184ca29f70381cf3c494924d705a732392def71a53a6b",
+        },
+    }
+
+    @pytest.mark.parametrize("point", sorted(CERTIFIED_NO), ids=str)
+    def test_certified_no_sequence_pinned(self, tmp_path, point):
+        q, k, l, m, n = point
+        out = str(tmp_path)
+        steps = [
+            ["gen-vecsum", "--q", str(q), "--k", str(k), "--m", str(m), "--n", str(n), "--unsat"],
+            ["reduce", "--instance", os.path.join(out, "instance.json"), "--l", str(l),
+             "--certify", "wellspread", "--map-tries", "20000"],
+            ["export", "--reduction", os.path.join(out, "reduction.json"),
+             "--format", "dimacs", "--out", "graph.dimacs"],
+            ["solve", "--graph", os.path.join(out, "graph.dimacs")],
+        ]
+        for step in steps:
+            assert run("--seed", "5", "--out-dir", out, *step) == EXIT_OK
+        got = {name: hashlib.sha256(strip_timestamp(os.path.join(out, name)).encode()).hexdigest()
+               for name in ("instance.json", "reduction.json", "solve-report.json")}
+        with open(os.path.join(out, "graph.dimacs"), "rb") as fh:
+            got["graph.dimacs"] = hashlib.sha256(fh.read()).hexdigest()
+        assert got == self.CERTIFIED_NO[point]
 
 
 class TestConfig:

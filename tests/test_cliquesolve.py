@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from gapclique.errors import BudgetExceeded, ContractViolation
@@ -23,6 +24,30 @@ def complete_graph(n):
 def random_graph(rng, n, p=0.5):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return DenseGraph.from_edges(n, edges)
+
+
+def greedy_reference(g: DenseGraph, restarts, rng):
+    """Greedy on rng.shuffle's orders: one shuffle of one list per restart,
+    every vertex scanned."""
+    best, order = [0], list(range(g.n))
+    for _ in range(max(1, restarts)):
+        rng.shuffle(order)
+        clique, cand = [], (1 << g.n) - 1
+        for v in order:
+            if (cand >> v) & 1:
+                clique.append(v)
+                cand &= g.adj[v]
+        if len(clique) > len(best):
+            best = clique
+    return tuple(sorted(best))
+
+
+def bernoulli_graph(seed, n, p):
+    """Each pair an edge with probability p, from a numpy stream (fast at
+    n = 600, where random_graph would take 180,000 draws)."""
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < p, 1)
+    packed = np.packbits(upper | upper.T, axis=1, bitorder="little")
+    return DenseGraph(n, tuple(int.from_bytes(row.tobytes(), "little") for row in packed))
 
 
 def degeneracy_order_reference(g: DenseGraph) -> list[int]:
@@ -168,8 +193,27 @@ class TestGreedy:
         b = greedy_clique(g, restarts=10, rng=random.Random(7))
         assert a.vertices == b.vertices
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 33, 600])
+    @pytest.mark.parametrize("p", [0.002, 0.5, 1.0])
+    def test_matches_shuffle_reference(self, n, p):
+        # same vertices as greedy on rng.shuffle's orders, and rng left in
+        # the state the shuffles leave
+        for seed in range(3):
+            g = bernoulli_graph(seed, n, p)
+            for restarts in (0, 1, 7, 50):
+                ours, ref = random.Random(f"{seed}/{restarts}"), random.Random(f"{seed}/{restarts}")
+                assert greedy_clique(g, restarts, ours).vertices == greedy_reference(g, restarts, ref)
+                assert ours.getstate() == ref.getstate()
+
 
 class TestGraphType:
+    @pytest.mark.parametrize("n,p", [(1, 0.5), (70, 0.05), (70, 0.5), (130, 1.0)])
+    def test_edges_in_order(self, n, p):
+        g = bernoulli_graph(n, n, p)
+        expected = [(u, v) for u in range(n) for v in range(u + 1, n) if g.has_edge(u, v)]
+        assert list(g.edges()) == expected
+        assert len(expected) == g.edge_count()
+
     def test_rejects_self_loop(self):
         with pytest.raises(ContractViolation):
             DenseGraph.from_edges(3, [(1, 1)])

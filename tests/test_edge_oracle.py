@@ -5,16 +5,18 @@ violation verify_clique reports, and materialized adjacency."""
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gapclique import rng as rngmod
+from gapclique import reduction, rng as rngmod
 from gapclique.errors import ContractViolation
+from gapclique.ffield import rank_tuple
 from gapclique.randmap import sample_g
 from gapclique.reduction import CliqueInstance, ReductionParams, Vertex, is_valid_vertex
 from gapclique.vecsum import generate_planted
 
-from edge_reference import ReferenceOracle, pair_rule_sets
+from edge_reference import ReferenceOracle, pair_rule_sets, unrank
 from field_reference import add, scale
 
 
@@ -101,7 +103,7 @@ INSTANCES = {point: make_instance(sum(point), *point) for point in POINTS}
 def test_all_pairs_match_reference(q, k, l):
     ci = make_instance(q + l, q, k, l)
     ref = ReferenceOracle(ci)
-    vertices = [ci.codec.unrank(r) for r in range(ci.codec.count)]
+    vertices = [unrank(ci.codec, r) for r in range(ci.codec.count)]
     pairs = list(itertools.product(vertices, repeat=2))
     for (u, v), rules in zip(pairs, pair_rule_sets(ci, pairs)):
         assert rules == ref.rules(u, v), (u, v)
@@ -324,6 +326,41 @@ def test_materialize_matches_reference(q, k, l, seed):
     expected = ReferenceOracle(ci).materialize()
     assert graph.adj == expected.adj
     assert graph.labels == expected.labels
+
+
+@pytest.mark.parametrize("q,k,l", [(3, 1, 2), (5, 1, 1), (2, 2, 1), (2, 1, 5)])
+def test_codec_ranks_match_reference_numbering(q, k, l):
+    # every rank, and the labels materialize builds from the ranks
+    ci = make_instance(0, q, k, l)
+    codec = ci.codec
+    expected = [unrank(codec, r) for r in range(codec.count)]
+    ranks = zip(*(r.tolist() for r in codec.ranks()))
+    assert list(ranks) == [tuple(rank_tuple(q, part) for part in v) for v in expected]
+    assert ci.materialize(budget=codec.count).labels == tuple(expected)
+
+
+@pytest.mark.parametrize("q,k,l", [(3, 1, 2), (5, 1, 1)])
+def test_materialize_matches_reference_on_narrow_mask_words(q, k, l, monkeypatch):
+    # one byte a word: the 27 (point, value) slot classes of (3,1,2) and
+    # the 25 of (5,1,1) take four words each
+    monkeypatch.setattr(reduction, "MASK_WORD", np.uint8)
+    ci = make_instance(5, q, k, l, n=8)
+    assert ci.materialize().adj == ReferenceOracle(ci).materialize().adj
+
+
+def test_materialize_mask_word_width_does_not_matter(monkeypatch):
+    # (2,1,5): points F_2 and values F_2^5 make 64 slot classes, exactly one
+    # 64-bit word, or eight bytes; sampled pairs against the reference
+    ci = make_instance(3, 2, 1, 5)
+    count = ci.codec.count
+    graph = ci.materialize(budget=count)
+    monkeypatch.setattr(reduction, "MASK_WORD", np.uint8)
+    assert ci.materialize(budget=count).adj == graph.adj
+    ref, r = ReferenceOracle(ci), random.Random("mask-words")
+    for _ in range(3000):
+        i, j = r.sample(range(count), 2)
+        u, v = graph.labels[i], graph.labels[j]
+        assert graph.has_edge(i, j) == (not ref.rules(u, v, first_only=True)), (u, v)
 
 
 def test_materialize_matches_reference_at_k2():

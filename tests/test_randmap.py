@@ -11,6 +11,7 @@ from gapclique.randmap import (
     LinearMapG,
     check_pairwise_separation,
     check_wellspread,
+    draw_matrices,
     estimate_failure_rate,
     sample_g,
     source_images,
@@ -50,6 +51,18 @@ def images(g, vectors):
 
 
 class TestSampleApply:
+    # q = 2 and 5 reject most often (top bits 2 and 3 of 4 and 8); the
+    # largest prime below 2^32 takes all 32 bits of a word; 4294967311 is
+    # past 2^32, where randrange reads two words a draw
+    @pytest.mark.parametrize("q", [2, 3, 5, 101, 65537, 4294967291, 4294967311])
+    @pytest.mark.parametrize("k,m,l", [(1, 3, 2), (1, 4, 8), (2, 4, 4), (3, 3, 128)])
+    def test_draws_are_randrange_draws(self, q, k, m, l):
+        # the same entries, row-major, and the same rng state afterwards
+        ours, ref = rngmod.stream(q, f"draw/{k}/{m}/{l}"), rngmod.stream(q, f"draw/{k}/{m}/{l}")
+        want = tuple(tuple(ref.randrange(q) for _ in range(k * m)) for _ in range(l))
+        assert draw_matrices(ours, q, k, m, l) == want
+        assert ours.getstate() == ref.getstate()
+
     def test_same_seed_same_map(self):
         a = sample_g(rngmod.stream(5, "m"), 5, 2, 3, 4)
         b = sample_g(rngmod.stream(5, "m"), 5, 2, 3, 4)

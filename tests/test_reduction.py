@@ -31,7 +31,7 @@ from gapclique.reduction import (
 from gapclique.vecsum import VecSumInstance, generate_planted
 
 import edge_reference as reference
-from edge_reference import codec_rank, pair_rule_sets, var_points
+from edge_reference import codec_rank, pair_rule_sets, unrank, var_points
 from field_reference import apply_map, block_inner, inner_product, sub
 
 
@@ -109,7 +109,7 @@ class TestVertexCodec:
         seen = set()
         params = ReductionParams(q=q, k=k, l=l)
         for r in range(codec.count):
-            v = codec.unrank(r)
+            v = unrank(codec, r)
             assert is_valid_vertex(v, params)
             assert codec_rank(codec, v) == r
             seen.add(v)
@@ -136,7 +136,7 @@ class TestVertexEval:
         q, k, l = 2, 1, 1
         codec = vertex_codec(ReductionParams(q=q, k=k, l=l))
         for r in range(codec.count):
-            v = codec.unrank(r)
+            v = unrank(codec, r)
             pts = var_points(v, q)
             assert 1 <= len(pts) <= 3
             if v.alpha == v.beta == (0,):
