@@ -39,9 +39,9 @@ from .reduction import (
     DEFAULT_VERTEX_BUDGET,
     ReductionParams,
     Vertex,
+    as_clique,
     export_graph,
     extract_witness,
-    is_valid_vertex,
 )
 from .vecsum import VecSumInstance, brute_force_decide, generate_planted, generate_unsat
 
@@ -265,10 +265,12 @@ def cmd_extract(cmd: Command) -> int:
     a = cmd.args
     ci = _load_reduction(a.reduction)
     if a.clique:
-        clique = _load_clique(a.clique)
+        vertices = _load_clique(a.clique)
         # refused here, not only by the verification behind the size gate
-        if not all(is_valid_vertex(v, ci.params) for v in clique):
-            raise ContractViolation("the clique file holds a vertex outside the vertex set")
+        try:
+            clique = as_clique(vertices, ci.params)
+        except ContractViolation:
+            raise ContractViolation("the clique file holds a vertex outside the vertex set") from None
         verify = True
     else:
         if ci.source.planted is None:

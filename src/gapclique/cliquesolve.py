@@ -76,9 +76,6 @@ class DenseGraph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
 
 def is_clique(graph: DenseGraph, vertices) -> bool:
     """True iff every pair of distinct listed vertices is adjacent."""

@@ -49,6 +49,7 @@ from .randmap import (
     wellspread_sums,
 )
 from .reduction import (
+    DEFAULT_CLIQUE_BUDGET,
     CliqueInstance,
     ReductionParams,
     Vertex,
@@ -72,6 +73,8 @@ IDENTITY_TOL = 1e-9
 
 COMPLETENESS_POINTS = ((2, 1, 2), (3, 1, 2), (3, 1, 4), (2, 2, 1))
 COMPLETENESS_RUNS = 20
+# one planted clique verified past the default clique budget: 390,625 vertices
+COMPLETENESS_FRONTIER = (5, 2, 2)
 
 VERTEX_COUNT_POINTS = ((2, 1, 1), (3, 1, 1), (2, 1, 2), (3, 1, 2), (5, 1, 1), (2, 2, 1))
 
@@ -150,36 +153,37 @@ def _enumerate_vertex_set(q: int, k: int, l: int) -> int:
     return sum(is_valid_vertex(Vertex(*v), params) for v in itertools.product(*parts))
 
 
+def _completeness_row(seed: int, q: int, k: int, l: int, runs: int,
+                      clique_budget: int = DEFAULT_CLIQUE_BUDGET) -> dict:
+    """Criterion 1 at one point: in how many of `runs` labeled planted
+    instances the planted set verifies as a clique of size q^(2k^2)."""
+    m = paper_dimension(k, 4 * k)
+    target = q ** (2 * k * k)
+    ok = 0
+    first_failure = None
+    for s in range(runs):
+        label = f"completeness/{q}-{k}-{l}/{s}"
+        src = generate_planted(rngmod.stream(seed, f"{label}/instance"), q, k, m, 4)
+        g = sample_g(rngmod.stream(seed, f"{label}/matrices"), q, k, m, l, seed=seed)
+        ci = CliqueInstance(ReductionParams(q=q, k=k, l=l), g, src)
+        clique = ci.planted_clique(src.planted, clique_budget=clique_budget)
+        if len(clique) == target and ci.verify_clique(clique) is None:
+            ok += 1
+        elif first_failure is None:
+            first_failure = s
+    return _row(
+        "completeness",
+        1,
+        f"planted clique is a clique of size {target} at (q,k,l)=({q},{k},{l})",
+        "pass" if ok == runs else "fail",
+        f"{ok}/{runs}",
+        f"{runs}/{runs}",
+        first_failure=first_failure,
+    )
+
+
 def suite_completeness(seed: int = 0, runs: int = COMPLETENESS_RUNS) -> list[dict]:
-    rows = []
-    for q, k, l in COMPLETENESS_POINTS:
-        m = paper_dimension(k, 4 * k)
-        target = q ** (2 * k * k)
-        ok = 0
-        first_failure = None
-        for s in range(runs):
-            label = f"completeness/{q}-{k}-{l}/{s}"
-            src = generate_planted(
-                rngmod.stream(seed, f"{label}/instance"), q, k, m, 4
-            )
-            g = sample_g(rngmod.stream(seed, f"{label}/matrices"), q, k, m, l, seed=seed)
-            ci = CliqueInstance(ReductionParams(q=q, k=k, l=l), g, src)
-            clique = ci.planted_clique(src.planted)
-            if len(clique) == target and ci.verify_clique(clique) is None:
-                ok += 1
-            elif first_failure is None:
-                first_failure = s
-        rows.append(
-            _row(
-                "completeness",
-                1,
-                f"planted clique is a clique of size {target} at (q,k,l)=({q},{k},{l})",
-                "pass" if ok == runs else "fail",
-                f"{ok}/{runs}",
-                f"{runs}/{runs}",
-                first_failure=first_failure,
-            )
-        )
+    rows = [_completeness_row(seed, q, k, l, runs) for q, k, l in COMPLETENESS_POINTS]
     for q, k, l in VERTEX_COUNT_POINTS:
         codec = vertex_codec(ReductionParams(q=q, k=k, l=l))
         brute = _enumerate_vertex_set(q, k, l)
@@ -193,6 +197,8 @@ def suite_completeness(seed: int = 0, runs: int = COMPLETENESS_RUNS) -> list[dic
                 brute,
             )
         )
+    q, k, l = COMPLETENESS_FRONTIER
+    rows.append(_completeness_row(seed, q, k, l, 1, clique_budget=q ** (2 * k * k)))
     return rows
 
 

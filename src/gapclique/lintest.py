@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BudgetExceeded, ContractViolation, PiecingRefused, PropertyViolation
-from .ffield import is_prime, rank_tuple, unrank_tuple
+from .ffield import is_prime, unrank_tuple
 from .stats import wilson_interval
 from .vecsum import check_int, residue_tuple
 
@@ -97,15 +97,6 @@ class FunctionTable:
     @property
     def size(self) -> int:
         return self.values.shape[0]
-
-    def rank(self, alpha: tuple[int, ...]) -> int:
-        return rank_tuple(self.q, alpha)
-
-    def unrank(self, r: int) -> tuple[int, ...]:
-        return unrank_tuple(self.q, self.d, r)
-
-    def value_at(self, alpha: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.values[self.rank(alpha)])
 
     def coordinate(self, i: int) -> "FunctionTable":
         """The scalar table obtained by projecting to output coordinate i."""
@@ -187,11 +178,6 @@ class LinearScalarFn:
     @property
     def d(self) -> int:
         return len(self.rho)
-
-    def eval(self, alpha: tuple[int, ...]) -> int:
-        if len(alpha) != self.d:
-            raise ContractViolation("dimension mismatch")
-        return sum(r * a for r, a in zip(self.rho, alpha)) % self.q
 
 
 @dataclass(frozen=True)

@@ -14,17 +14,24 @@ Two vertices are non-adjacent iff at least one of five rules fires:
     that block's collection explains x - x' under the sampled map;
   5 alpha - alpha' is a constant block pattern but x changed.
 
+A list of vertices is a Clique: point and value tables, and index arrays
+naming each vertex's rows.  planted_clique builds one without a tuple,
+materialize reads the vertex set as one from the codec's ranks, and
+verify_clique, build_gamma and extract_witness take one.  Tuples remain at
+the boundary: as_clique validates and converts a caller's tuple list, and
+a Clique reads out as Vertex tuples for files, the CLI and the tests.
+
 Graphs are held implicitly (parameters + sampled map + source instance +
 an edge oracle); explicit adjacency is materialized only under budget.  The
-oracle encodes a vertex list once and evaluates the rules on batches of
-about PAIR_BATCH pairs, so its memory does not grow with the pair count.
-Each rule reads little of a vertex: rules 3-5 only (alpha, x), rule 1 only
-(alpha, beta), rule 2 only the three (point, value) slots.  So materialize
-evaluates rules 3-5 once per pair of (alpha, x) classes and rule 2 once per
-pair of slot classes, and verify_clique decides on groups before it scans
-pairs.
+oracle encodes a clique once, naming points and values by their base-q
+ranks (by sorted byte strings where a rank outgrows 64 bits), and evaluates
+the rules on batches of about PAIR_BATCH pairs, so its memory does not grow
+with the pair count.  Each rule reads little of a vertex: rules 3-5 only
+(alpha, x), rule 1 only (alpha, beta), rule 2 only the three (point, value)
+slots.  So materialize evaluates rules 3-5 once per pair of (alpha, x)
+classes and rule 2 once per pair of slot classes, and verify_clique decides
+on groups before it scans pairs.
 """
-
 from __future__ import annotations
 
 import hashlib
@@ -32,10 +39,11 @@ import itertools
 import json
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,6 +52,7 @@ from .ffield import is_prime, next_prime, unrank_tuple
 from .lintest import (
     DEFAULT_PAIR_BUDGET,
     FunctionTable,
+    _domain,
     LinearVecFn,
     default_delta_schedule,
     LIST_CONSTANT,
@@ -57,8 +66,11 @@ DEFAULT_VERTEX_BUDGET = 2000
 DEFAULT_CLIQUE_BUDGET = 1 << 16
 
 PAIR_BATCH = 1024  # edge oracle batch: whole rows of pairs, at least this many
-ROW_BLOCK = 128  # adjacency rows materialize fills from the class tables at once
+# adjacency rows materialize fills from the class tables at once; the
+# rule-2 AND of a block holds ROW_BLOCK x n mask words
+ROW_BLOCK = 32
 MASK_WORD = np.uint64  # word of the slot-class bitmasks materialize tests rule 2 on
+RANK_LIMIT = 2**63  # rows of fewer than RANK_LIMIT values are named by their rank
 
 
 # -- parameter schedule ---------------------------------------------------------
@@ -202,7 +214,7 @@ def is_valid_vertex(v: Vertex, params: ReductionParams) -> bool:
     return (
         [len(part) for part in v] == [kk, kk, params.l, params.l]
         and all(type(e) is int and 0 <= e < params.q for part in v for e in part)
-        and (v.alpha != v.beta or v.x == v.y)
+        and (v[0] != v[1] or v[2] == v[3])
     )
 
 
@@ -220,6 +232,87 @@ def value_relation(v: Vertex, q: int) -> dict[tuple[int, ...], set[tuple[int, ..
     rel.setdefault(v.beta, set()).add(v.y)
     rel.setdefault(vector_sum(q, (v.alpha, v.beta)), set()).add(vector_sum(q, (v.x, v.y)))
     return rel
+
+
+# -- cliques as arrays -------------------------------------------------------------
+
+
+class Clique(Sequence):
+    """Vertices of one reduction as arrays: a point table (P, k^2), a value
+    table (V, l) whose rows may repeat, and index arrays a, b, x, y, so that
+    vertex v is (points[a[v]], points[b[v]], values[x[v]], values[y[v]]).
+    Its vertices are valid (as_clique validates a caller's).  It reads as
+    the list of its Vertex tuples: len, iteration (one tuple per table row,
+    shared) and clique[i] give Vertex tuples, slices and sums give lists."""
+
+    def __init__(self, params: ReductionParams, points: np.ndarray, values: np.ndarray,
+                 a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray):
+        self.params, self.points, self.values = params, points, values
+        self.a, self.b, self.x, self.y = a, b, x, y
+
+    def _columns(self):
+        return ((self.points, self.a), (self.points, self.b),
+                (self.values, self.x), (self.values, self.y))
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return Vertex(*(tuple(table[rows[i]].tolist()) for table, rows in self._columns()))
+
+    def __iter__(self):
+        points, values = (list(map(tuple, t.tolist())) for t in (self.points, self.values))
+        tables = (points, points, values, values)
+        return map(Vertex, *(map(t.__getitem__, rows.tolist())
+                             for t, (_, rows) in zip(tables, self._columns())))
+
+    def __add__(self, other) -> list:
+        return list(self) + list(other)
+
+    def __setitem__(self, i: int, vertex: Vertex) -> None:
+        """Vertex i becomes `vertex`, validated as a caller's tuple is."""
+        vertices = list(self)
+        vertices[i] = vertex
+        self.__dict__.update(as_clique(vertices, self.params).__dict__)
+
+
+def as_clique(vertices, params: ReductionParams) -> Clique:
+    """The one way in for vertex lists: a Clique of these parameters as it
+    is, or a sequence of (alpha, beta, x, y) residue tuples converted after
+    array checks (four parts of the right lengths, int entries in range,
+    alpha = beta only with x = y).  Raises ContractViolation naming the
+    first invalid vertex."""
+    if isinstance(vertices, Clique):
+        if vertices.params != params:
+            raise ContractViolation("the clique belongs to other reduction parameters")
+        return vertices
+    vs = list(vertices)
+    n, q, kk, l = len(vs), params.q, params.k * params.k, params.l
+    widths = (kk, kk, l, l)
+    columns = list(zip(*vs)) if vs else [()] * 4
+    fits = set(map(len, vs)) <= {4} and all(
+        set(map(len, col)) <= {w} and set(map(type, itertools.chain.from_iterable(col))) <= {int}
+        for col, w in zip(columns, widths)
+    )
+    if fits:
+        try:
+            parts = [np.array(col, dtype=np.int64).reshape(n, w) for col, w in zip(columns, widths)]
+        except OverflowError:  # an int past 64 bits is out of range
+            fits = False
+    if fits:
+        alpha, beta, x, y = parts
+        bad = (alpha == beta).all(axis=1) & (x != y).any(axis=1)
+        for part in parts:
+            bad |= ((part < 0) | (part >= q)).any(axis=1)
+        fits = not bad.any()
+    if not fits:
+        first = next(v for v in vs if not is_valid_vertex(v, params))
+        raise ContractViolation(f"invalid vertex {first}")
+    index = np.arange(n)
+    return Clique(params, np.concatenate([alpha, beta]), np.concatenate([x, y]),
+                  index, index + n, index, index + n)
 
 
 # -- vertex codec ----------------------------------------------------------------
@@ -262,10 +355,9 @@ def vertex_codec(params: ReductionParams) -> VertexCodec:
 
 
 class _Codes(NamedTuple):
-    """A vertex list encoded for the edge oracle; row v is vertex v."""
+    """A clique encoded for the edge oracle; row v is vertex v."""
 
-    alpha: np.ndarray  # (n, k^2) residues
-    x: np.ndarray  # (n, l) residues
+    clique: Clique  # the residues, for rule 4
     point: np.ndarray  # (n, 3) ids of the slot points alpha, beta, alpha + beta
     value: np.ndarray  # (n, 3) ids of the slot values x, y, x + y
     line: np.ndarray  # (n,) id of alpha's scalar line (alpha over its leading entry)
@@ -274,12 +366,21 @@ class _Codes(NamedTuple):
     pattern: np.ndarray  # (n,) id of alpha minus its first block in every block
 
 
-def _row_ids(*blocks: np.ndarray) -> np.ndarray:
-    """Dense ids of the rows of equally shaped int64 arrays, one id row per
-    array; rows are compared as byte strings, so equal rows get equal ids."""
-    rows = np.concatenate(blocks)
-    keys = rows.view(np.dtype((np.void, 8 * rows.shape[1]))).reshape(-1)
-    return np.unique(keys, return_inverse=True)[1].reshape(len(blocks), -1)
+def _row_ids(q: int, *blocks: np.ndarray) -> list[np.ndarray]:
+    """Ids of the rows of equally wide residue arrays, one id array per
+    array: equal iff the rows are, and ordered like the rows (as tuples).
+    An id is the row's base-q rank when q^w < RANK_LIMIT; wider rows get
+    dense ids from a sort of their big-endian byte strings, comparable only
+    within one call."""
+    w = blocks[0].shape[1]
+    if q**w < RANK_LIMIT:
+        powers = q ** np.arange(w - 1, -1, -1, dtype=np.int64)
+        return [block @ powers for block in blocks]
+    width = next(s for s in (1, 2, 4, 8) if q <= 1 << (8 * s))
+    rows = np.concatenate(blocks).astype(f">u{width}")
+    keys = rows.view(np.dtype((np.void, width * w))).reshape(-1)
+    ids = np.unique(keys, return_inverse=True)[1].reshape(-1)
+    return np.split(ids, np.cumsum([len(block) for block in blocks])[:-1])
 
 
 def _bitmasks(bits: np.ndarray) -> np.ndarray:
@@ -291,8 +392,10 @@ def _bitmasks(bits: np.ndarray) -> np.ndarray:
 
 
 def _pair_ids(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ids of the pairs (a[t], b[t]) of two arrays of dense ids, and
-    the first position t of each id."""
+    """Dense ids of the pairs (a[t], b[t]) of two arrays of nonnegative
+    ids, ordered like the pairs, and the first position t of each id."""
+    if (int(a.max(initial=0)) + 1) * (int(b.max(initial=0)) + 1) >= 2**63:
+        a, b = (np.unique(c, return_inverse=True)[1].reshape(c.shape) for c in (a, b))
     keys = a * (int(b.max(initial=0)) + 1) + b
     _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
     return ids.reshape(a.shape), first
@@ -338,45 +441,35 @@ class CliqueInstance:
 
     # -- the edge oracle -----------------------------------------------------
 
-    def _encode(self, vertices: Sequence[Vertex]) -> _Codes:
-        """The vertex list as arrays the rules compare, after every vertex is
-        validated."""
-        params = self.params
-        kk, l = params.k * params.k, params.l
-        for v in vertices:
-            if not is_valid_vertex(v, params):
-                raise ContractViolation(f"invalid vertex {v}")
-        return self._codes(*(
-            np.array([v[part] for v in vertices], dtype=np.int64).reshape(len(vertices), width)
-            for part, width in enumerate((kk, kk, l, l))
-        ))
-
-    def _codes(self, alpha: np.ndarray, beta: np.ndarray, x: np.ndarray,
-               y: np.ndarray) -> _Codes:
-        """The arrays the rules compare, from the residues of valid vertices
-        ((n, k^2) alpha and beta, (n, l) x and y).  Points and values become
-        dense ids over the list (ids compare only within one encoding), so
-        no rank outgrows an integer."""
+    def _encode(self, vertices) -> _Codes:
+        """The arrays the rules compare, for a Clique or a list of vertex
+        tuples (validated first, see as_clique).  Whatever reads only alpha
+        is computed once per row of the point table."""
         q, k = self.params.q, self.params.k
         if (q - 1) ** 2 >= 2**63:
             raise ContractViolation(f"modulus {q} is too large for 64-bit vertex arithmetic")
+        c = as_clique(vertices, self.params)
+        points = c.points
         # scaling alpha by the inverse of its leading nonzero entry names its
         # scalar line; x scaled alike must agree along the line (rule 3)
-        lead = alpha[np.arange(len(alpha)), (alpha != 0).argmax(axis=1)]
+        lead = points[np.arange(len(points)), (points != 0).argmax(axis=1)]
         leads, which = np.unique(lead, return_inverse=True)
-        inv = np.array([pow(c, -1, q) if c else 0 for c in leads.tolist()], dtype=np.int64)
-        inv = inv[which][:, None]
-        points = _row_ids(
-            alpha, beta, (alpha + beta) % q, alpha * inv % q,
+        inv = np.array([pow(e, -1, q) if e else 0 for e in leads.tolist()], dtype=np.int64)
+        inv = inv[which.reshape(-1)]
+        point, point_sum = _row_ids(q, points, (points[c.a] + points[c.b]) % q)
+        line, pattern = (_row_ids(q, rows)[0] for rows in (
+            points * inv[:, None] % q,
             # alpha minus its first block in every block: equal iff the
             # difference of two alphas is a constant block pattern (rule 5)
-            (alpha - np.tile(alpha[:, :k], k)) % q,
-        )
-        values = _row_ids(x, y, (x + y) % q, x * inv % q)
+            (points - np.tile(points[:, :k], k)) % q,
+        ))
+        x, y = c.values[c.x], c.values[c.y]
+        value, value_sum, scaled_x = _row_ids(q, c.values, (x + y) % q, x * inv[c.a, None] % q)
         return _Codes(
-            alpha=alpha, x=x, point=points[:3].T, value=values[:3].T,
-            line=points[3], scaled_x=values[3],
-            off_line=~alpha.any(axis=1) & x.any(axis=1), pattern=points[4],
+            clique=c, point=np.stack([point[c.a], point[c.b], point_sum], axis=1),
+            value=np.stack([value[c.x], value[c.y], value_sum], axis=1),
+            line=line[c.a], scaled_x=scaled_x,
+            off_line=~points.any(axis=1)[c.a] & c.values.any(axis=1)[c.x], pattern=pattern[c.a],
         )
 
     def _pair_rules(self, codes: _Codes, I: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -404,11 +497,13 @@ class CliqueInstance:
         # 4: alpha - alpha' lives on one block, and no vector of that block's
         # collection has x - x' as the block-inner product of its image with
         # the difference (compared in chunks of about PAIR_BATCH * 64 entries)
-        diff = ((codes.alpha[I] - codes.alpha[J]) % q).reshape(-1, k, k)
+        c = codes.clique
+        diff = ((c.points[c.a[I]] - c.points[c.a[J]]) % q).reshape(-1, k, k)
         moved = diff.any(axis=2)
         single = np.flatnonzero(moved.sum(axis=1) == 1)
         block = moved[single].argmax(axis=1)
-        abar, dx = diff[single, block], (codes.x[I[single]] - codes.x[J[single]]) % q
+        dx = (c.values[c.x[I[single]]] - c.values[c.x[J[single]]]) % q
+        abar = diff[single, block]
         explained = np.zeros(len(single), dtype=bool)
         for i in np.flatnonzero(np.bincount(block, minlength=k)).tolist():
             sel, images = np.flatnonzero(block == i), self._images[i]
@@ -461,10 +556,10 @@ class CliqueInstance:
 
     def planted_clique(
         self, indices: Sequence[int], clique_budget: int = DEFAULT_CLIQUE_BUDGET
-    ) -> list[Vertex]:
+    ) -> Clique:
         """The candidate clique of a source tuple (one index per collection):
-        one vertex per (alpha, beta), with values summing the per-block images
-        of the tuple's vectors."""
+        one vertex per (alpha, beta) in lexicographic order, with values
+        summing the per-block images of the tuple's vectors."""
         params = self.params
         q, k, l = params.q, params.k, params.l
         total = q ** (2 * k * k)
@@ -475,33 +570,31 @@ class CliqueInstance:
         # per collection, the chosen vector's block-inner image under every
         # direction, summed over the blocks of each point: row r of x is the
         # value at the point of rank r (block 0 most significant)
-        directions = np.array(list(itertools.product(range(q), repeat=k)), dtype=np.int64)
+        directions = _domain(q, k)[0]
         x = np.zeros((1, l), dtype=np.int64)
         for i, idx in enumerate(indices):
             table = directions @ self._images[i][idx].T % q
             x = (x[:, None, :] + table).reshape(-1, l) % q
-        # one tuple per point and per value, shared by all the vertices using it
-        points = list(itertools.product(range(q), repeat=k * k))
-        values = list(map(tuple, x.tolist()))
-        return [Vertex(alpha, beta, xa, xb) for alpha, xa in zip(points, values)
-                for beta, xb in zip(points, values)]
+        a, b = np.divmod(np.arange(total), len(x))
+        return Clique(params, _domain(q, k * k)[0], x, a, b, a, b)
 
-    def verify_clique(self, vertices: Sequence[Vertex]) -> Optional[tuple[Vertex, Vertex, frozenset]]:
+    def verify_clique(self, vertices) -> Optional[tuple[Vertex, Vertex, frozenset]]:
         """The first violating pair in (i, j) order with its triggered rules,
-        or None when the set is a clique.  Every vertex is validated before
-        any pair is compared; repeated vertices are skipped.  The grouped
-        test decides; only a list it rejects is scanned pair by pair."""
-        vs = list(vertices)
-        codes = self._encode(vs)
+        or None when the set is a clique.  Takes a Clique or a list of vertex
+        tuples, validated before any pair is compared; repeated vertices are
+        skipped.  The grouped test decides; only a list it rejects is
+        scanned pair by pair."""
+        clique = as_clique(vertices, self.params)
+        codes = self._encode(clique)
         if self._grouped_clique(codes):
             return None
-        for I, J in _pair_batches(len(vs)):
+        for I, J in _pair_batches(len(clique)):
             rules = self._pair_rules(codes, I, J)
             repeat = rules[:, 0] & (codes.value[I, :2] == codes.value[J, :2]).all(axis=1)
             bad = np.flatnonzero(rules.any(axis=1) & ~repeat)
             if bad.size:
                 t = bad[0]
-                return vs[I[t]], vs[J[t]], frozenset((np.flatnonzero(rules[t]) + 1).tolist())
+                return clique[I[t]], clique[J[t]], frozenset((np.flatnonzero(rules[t]) + 1).tolist())
         return None
 
     # -- materialization and export ---------------------------------------------
@@ -516,12 +609,12 @@ class CliqueInstance:
         count = self.codec.count
         if count > budget:
             raise BudgetExceeded("vertex count", required=count, budget=budget)
-        # alpha, beta, x and y from their ranks, through one table of tuples
-        # per point and per value, shared by all the vertices using them
-        points, values = (list(itertools.product(range(self.params.q), repeat=d))
-                          for d in (self.codec.kk, self.params.l))
-        tables, ranks = (points, points, values, values), self.codec.ranks()
-        codes = self._codes(*(np.array(t, dtype=np.int64)[r] for t, r in zip(tables, ranks)))
+        # the whole vertex set as a clique over every point and every value,
+        # indexed by the ranks of each vertex's alpha, beta, x and y
+        q = self.params.q
+        clique = Clique(self.params, _domain(q, self.codec.kk)[0],
+                        _domain(q, self.params.l)[0], *self.codec.ranks())
+        codes = self._encode(clique)
         cloud = _pair_ids(codes.point[:, 0], codes.point[:, 1])[0]
         slot, first = _pair_ids(codes.point, codes.value)
         # two slot classes conflict when they share a point, not a value; a
@@ -544,8 +637,7 @@ class CliqueInstance:
             # row i, byte j >> 3, bit j & 7 is the edge (i, j)
             packed = np.packbits(~non_edge, axis=1, bitorder="little")
             adj.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-        labels = map(Vertex, *(map(t.__getitem__, r.tolist()) for t, r in zip(tables, ranks)))
-        return DenseGraph(count, tuple(adj), labels=tuple(labels))
+        return DenseGraph(count, tuple(adj), labels=tuple(clique))
 
     def fingerprint(self) -> str:
         blob = json.dumps(
@@ -621,68 +713,51 @@ class GammaTable:
     fill_log: dict
 
 
-def _value_ids(items: tuple) -> tuple[np.ndarray, list]:
-    """Ids of hashable items that order like the items: each object is
-    hashed once, and only the distinct values are sorted.  Returns every
-    item's id and the distinct values in order."""
-    _, first, inverse = np.unique(
-        np.fromiter(map(id, items), np.int64, len(items)), return_index=True, return_inverse=True
-    )
-    pos: dict = {}
-    local = [pos.setdefault(items[i], len(pos)) for i in first.tolist()]
-    values = list(pos)
-    order = sorted(range(len(values)), key=values.__getitem__)
-    return np.argsort(order)[local][inverse], [values[i] for i in order]
-
-
-def _clique_values(clique: Sequence[Vertex], q: int, l: int) -> dict:
+def _clique_values(clique: Clique, q: int) -> dict:
     """Phase 1 of the decoded function: point -> value for every point a
     vertex of the clique assigns, in order of first assignment (vertices
     sorted, slots alpha, beta, alpha + beta).  Refuses when a point carries
-    two values, naming the first conflict met in that order.  The vertices
-    are valid ones."""
-    n = len(clique)
+    two values, naming the first conflict met in that order."""
+    c, n, l = clique, len(clique), clique.values.shape[1]
     if not n:
         return {}
-    alphas, betas, xs, ys = zip(*clique)
-    pid, points = _value_ids(alphas + betas)
-    vid, values = _value_ids(xs + ys)
+    point, point_sum = _row_ids(q, c.points, (c.points[c.a] + c.points[c.b]) % q)
+    value = _row_ids(q, c.values)[0]
     # ids order like their tuples, so this is the order of sorted(clique)
-    order = np.lexsort((vid[n:], vid[:n], pid[n:], pid[:n]))
-    a, b, x, y = pid[order], pid[n + order], vid[order], vid[n + order]
-    # alpha + beta once per distinct (alpha, beta), then one id space for
-    # the points of all three slots
-    pair, pair_first = _pair_ids(a, b)
-    rows = np.array(points, dtype=np.int64).reshape(len(points), -1)
-    rows = np.concatenate([rows, (rows[a[pair_first]] + rows[b[pair_first]]) % q])
-    keys = rows.view(np.dtype((np.void, 8 * rows.shape[1]))).reshape(-1)
-    _, row_first, row_id = np.unique(keys, return_index=True, return_inverse=True)
-    point = np.stack([row_id[a], row_id[b], row_id[len(points) + pair]], axis=1).reshape(-1)
+    order = np.lexsort((value[c.y], value[c.x], point[c.b], point[c.a]))
+    a, b, x, y = c.a[order], c.b[order], c.x[order], c.y[order]
+    point = np.stack([point[a], point[b], point_sum[order]], axis=1).reshape(-1)
     # slot s carries vals[A[s]] + vals[B[s]]; the last row is zero
-    vals = np.array(values + [(0,) * l], dtype=np.min_scalar_type(2 * q)).reshape(-1, l)
-    zero = np.full(n, len(values))
+    vals = np.concatenate([c.values, np.zeros((1, l), dtype=c.values.dtype)])
+    vals = vals.astype(np.min_scalar_type(2 * q))
+    zero = np.full(n, len(c.values))
     A = np.stack([x, y, x], axis=1).reshape(-1)
     B = np.stack([zero, zero, y], axis=1).reshape(-1)
     # a point's first slot is the first slot of one of its (point, A, B)
-    # combinations, which come ordered by point
-    _, combo_first = _pair_ids(point, _pair_ids(A, B)[0])
-    combo_point = point[combo_first]
-    first_slot = np.minimum.reduceat(combo_first, np.flatnonzero(np.diff(combo_point, prepend=-1)))
+    # combinations, which come ordered by point; group g is the g-th point
+    combo, combo_first = _pair_ids(point, _pair_ids(A, B)[0])
+    starts = np.diff(point[combo_first], prepend=-1) != 0
+    group = np.cumsum(starts) - 1
+    first_slot = np.minimum.reduceat(combo_first, np.flatnonzero(starts))
     ref = (vals[A[first_slot]] + vals[B[first_slot]]) % q
+    slot_group = group[combo]
     # every other combination is compared once, in slot order, about 2^16
     # entries at a time
-    check = np.sort(combo_first[combo_first != first_slot[combo_point]])
+    check = np.sort(combo_first[combo_first != first_slot[group]])
     step, last = max(1, (1 << 16) // l), n
-    for c in range(0, len(check), step):
-        s = check[c : c + step]
-        differ = ((vals[A[s]] + vals[B[s]]) % q != ref[point[s]]).any(axis=1)
+    for start in range(0, len(check), step):
+        s = check[start : start + step]
+        differ = ((vals[A[s]] + vals[B[s]]) % q != ref[slot_group[s]]).any(axis=1)
         if differ.any():
             last = int(s[differ.argmax()]) // 3
             break
     # until vertex `last` every point keeps its first value; the first
     # conflict is met at vertex `last`, whose loop is replayed
-    assigned = point[np.sort(first_slot[first_slot < 3 * last])]
-    known = (map(tuple, t.tolist()) for t in (rows[row_first[assigned]], ref[assigned]))
+    assigned = np.sort(first_slot[first_slot < 3 * last])
+    vertex, slot = np.divmod(assigned, 3)
+    pa, pb = c.points[a[vertex]], c.points[b[vertex]]
+    rows = np.where((slot == 0)[:, None], pa, np.where((slot == 1)[:, None], pb, (pa + pb) % q))
+    known = (map(tuple, t.tolist()) for t in (rows, ref[slot_group[assigned]]))
     phase1 = dict(zip(*known))
     if last < n:
         for p, vs in value_relation(clique[order[last]], q).items():
@@ -695,12 +770,13 @@ def _clique_values(clique: Sequence[Vertex], q: int, l: int) -> dict:
 
 
 def build_gamma(
-    clique: Sequence[Vertex],
+    clique,
     instance: CliqueInstance,
     rng: Optional[random.Random] = None,
     verify: bool = True,
 ) -> GammaTable:
-    """Two-phase construction of the decoded function.
+    """Two-phase construction of the decoded function, from a Clique or a
+    list of vertex tuples (validated, see as_clique).
 
     Phase 1 copies the clique's values on every point some vertex assigns;
     a conflict (within a vertex whose slots collide, or across vertices,
@@ -715,6 +791,7 @@ def build_gamma(
     kk = k * k
     if rng is None:
         rng = random.Random(0)
+    clique = as_clique(clique, params)
     if verify:
         bad = instance.verify_clique(clique)
         if bad is not None:
@@ -722,7 +799,7 @@ def build_gamma(
             raise PropertyViolation(
                 f"not a clique: rules {sorted(types)} fire between {u} and {v}"
             )
-    phase1 = _clique_values(clique, q, l)
+    phase1 = _clique_values(clique, q)
     fill: dict[tuple[int, ...], tuple[int, ...]] = {}
     fill_log: dict[tuple[int, ...], str] = {p: "clique" for p in phase1}
     zero_pt = (0,) * kk
@@ -836,7 +913,7 @@ class ExtractionReport:
 
 
 def extract_witness(
-    clique: Sequence[Vertex],
+    clique,
     instance: CliqueInstance,
     eps: Optional[float] = None,
     kappa=None,
@@ -846,7 +923,8 @@ def extract_witness(
     delta_schedule: Callable[[float, float], float] = default_delta_schedule,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> ExtractionReport:
-    """Decode a source witness out of a large clique.
+    """Decode a source witness out of a large clique (a Clique or a list
+    of vertex tuples, validated, see as_clique).
 
     Builds the two-phase decoded function, pieces a linear function out of
     its coordinates, then for every collection scans the source vectors for
@@ -864,7 +942,7 @@ def extract_witness(
     if kappa is None:
         kappa = params.kappa()
     kappa = Fraction(kappa)
-    clique = list(clique)
+    clique = as_clique(clique, params)
     threshold = eps * q ** (2 * k * k)
     report = ExtractionReport(
         verdict="refused",

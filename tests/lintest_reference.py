@@ -2,16 +2,29 @@
 reference for lintest's counting: the accepted pairs from a loop over every
 pair of points, and the Monte Carlo estimate from one sampled pair at a time.
 
-Points, ranks and values go through the table's own rank, unrank and
-value_at, not through lintest's digit matrices or pair blocks.
+Points, ranks and values go through rank_tuple, unrank_tuple and
+value_at below, not through lintest's digit matrices or pair blocks.
 """
 
 import itertools
 
 import numpy as np
 
+from gapclique.ffield import rank_tuple, unrank_tuple
 from gapclique.lintest import PassEstimate
 from gapclique.stats import wilson_interval
+
+from field_reference import inner_product
+
+
+def value_at(f, alpha) -> tuple:
+    """The table's value at point alpha, as a tuple of ints."""
+    return tuple(int(v) for v in f.values[rank_tuple(f.q, alpha)])
+
+
+def eval_linear(c, alpha) -> int:
+    """A linear scalar function's value at alpha: <rho, alpha> mod q."""
+    return inner_product(c.q, c.rho, alpha)
 
 
 def coordinate_masks(f) -> np.ndarray:
@@ -22,8 +35,8 @@ def coordinate_masks(f) -> np.ndarray:
     masks = np.zeros((f.l, len(points), len(points)), dtype=bool)
     for a, b in itertools.product(points, repeat=2):
         s = tuple((x + y) % q for x, y in zip(a, b))
-        fa, fb, fs = (np.array(f.value_at(p)) for p in (a, b, s))
-        masks[:, f.rank(a), f.rank(b)] = (fa + fb) % q == fs
+        fa, fb, fs = (np.array(value_at(f, p)) for p in (a, b, s))
+        masks[:, rank_tuple(q, a), rank_tuple(q, b)] = (fa + fb) % q == fs
     return masks
 
 
@@ -39,10 +52,10 @@ def monte_carlo_estimate(f, samples: int, rng) -> PassEstimate:
     q, n = f.q, f.size
     passes = 0
     for _ in range(samples):
-        a = f.unrank(rng.randrange(n))
-        b = f.unrank(rng.randrange(n))
+        a = unrank_tuple(q, f.d, rng.randrange(n))
+        b = unrank_tuple(q, f.d, rng.randrange(n))
         s = tuple((x + y) % q for x, y in zip(a, b))
-        fa, fb, fs = f.value_at(a), f.value_at(b), f.value_at(s)
+        fa, fb, fs = value_at(f, a), value_at(f, b), value_at(f, s)
         if all((u + v) % q == w for u, v, w in zip(fa, fb, fs)):
             passes += 1
     lo, hi = wilson_interval(passes, samples)

@@ -5,7 +5,8 @@ seed 0) and reported as one PASS/FAIL line, so `pytest -s
 tests/test_acceptance.py` doubles as the acceptance report.
 
  1. completeness: 20 planted instances per parameter point give verified
-    cliques of exactly the target size
+    cliques of exactly the target size, and one planted clique of 390,625
+    vertices at (5,2,2) verifies
  2. Fourier identities: enumeration vs formula within 1e-9 on 50 tables
  3. list-decoder output equals the brute-force agreement filter, 120 tables
  4. vertex-count formula matches brute enumeration at 6 parameter points
@@ -74,7 +75,9 @@ def test_criterion(all_rows, criterion):
 def test_row_coverage_matches_stated_counts(all_rows):
     rows, _ = all_rows
     c1 = [r for r in rows if r["criterion"] == 1]
-    assert len(c1) == 4 and all(r["expected"] == f"{COMPLETENESS_RUNS}/{COMPLETENESS_RUNS}" for r in c1)
+    runs = f"{COMPLETENESS_RUNS}/{COMPLETENESS_RUNS}"
+    assert len(c1) == 5 and all(r["expected"] == runs for r in c1[:4])
+    assert "(q,k,l)=(5,2,2)" in c1[4]["name"] and c1[4]["expected"] == "1/1"
     c4 = [r for r in rows if r["criterion"] == 4]
     assert len(c4) == 6
     c6 = [r for r in rows if r["criterion"] == 6]

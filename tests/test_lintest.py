@@ -27,7 +27,7 @@ from gapclique.lintest import (
     triple_correlation_check,
 )
 
-from lintest_reference import accepted_mask, coordinate_masks, monte_carlo_estimate
+from lintest_reference import accepted_mask, coordinate_masks, eval_linear, monte_carlo_estimate
 
 TOL = 1e-9
 
@@ -55,14 +55,14 @@ def arbitrary_table(r, q, d, l):
 class TestEvalLinear:
     def test_zero_coefficients(self):
         c = LinearScalarFn(5, (0, 0, 0))
-        assert all(c.eval(a) == 0 for a in itertools.product(range(5), repeat=3))
+        assert all(eval_linear(c, a) == 0 for a in itertools.product(range(5), repeat=3))
 
     def test_projection(self):
         c = LinearScalarFn(7, (1, 0, 0))
-        assert c.eval((4, 5, 6)) == 4
+        assert eval_linear(c, (4, 5, 6)) == 4
 
     def test_wraps(self):
-        assert LinearScalarFn(5, (2, 3)).eval((1, 1)) == 0
+        assert eval_linear(LinearScalarFn(5, (2, 3)), (1, 1)) == 0
 
     @pytest.mark.parametrize("coeffs", [(5, 1), (-1, 0), (1.0, 2), (True, 1)])
     def test_non_canonical_coefficients_refused_not_reduced(self, coeffs):
@@ -490,7 +490,7 @@ class TestPieceTogether:
         want = np.zeros((q**d, l), dtype=np.int64)
         for i, fns in enumerate(res.state.lists):
             for r, p in enumerate(points):
-                hits = [t for t, c in enumerate(fns) if c.eval(p) == f.values[r, i]]
+                hits = [t for t, c in enumerate(fns) if eval_linear(c, p) == f.values[r, i]]
                 want[r, i] = hits[0] + 1 if len(hits) == 1 else 0
         assert max(map(len, res.state.lists)) > 1
         assert (res.state.labels == want).all() and want.any()

@@ -17,6 +17,7 @@ from gapclique.reduction import (
     ReductionParams,
     Vertex,
     _clique_values,
+    as_clique,
     _pair_batches,
     build_gamma,
     export_graph,
@@ -33,6 +34,7 @@ from gapclique.vecsum import VecSumInstance, generate_planted
 import edge_reference as reference
 from edge_reference import codec_rank, pair_rule_sets, unrank, var_points
 from field_reference import apply_map, block_inner, inner_product, sub
+from lintest_reference import value_at
 
 
 def total(q, vectors):
@@ -243,7 +245,7 @@ class TestPlantedClique:
             itertools.product(*(range(len(us)) for us in ci.source.collections)), 3
         ):
             got = ci.planted_clique(indices)
-            assert got == reference.planted_clique(ci, indices)
+            assert list(got) == reference.planted_clique(ci, indices)
             assert all(is_valid_vertex(v, ci.params) for v in got)
 
 
@@ -259,15 +261,16 @@ class TestGammaPhase1:
     """Phase 1 of build_gamma against the vertex-by-vertex reference loop:
     the same dict in the same order, or the same refusal message."""
 
-    def check(self, vertices, q, l):
+    def check(self, vertices, ci):
+        q = ci.params.q
         want = phase1_outcome(lambda: reference.clique_values(vertices, q))
-        assert phase1_outcome(lambda: _clique_values(vertices, q, l)) == want
+        assert phase1_outcome(lambda: _clique_values(as_clique(vertices, ci.params), q)) == want
         return want
 
     @pytest.mark.parametrize("q,k,l", [(2, 1, 2), (3, 1, 2), (2, 2, 1), (3, 2, 4)])
     def test_planted_cliques(self, q, k, l):
         ci = make_instance(65 + q + k + l, q, k, 8 if q == 2 else 4, 3, l)
-        assert isinstance(self.check(ci.planted_clique(ci.source.planted), q, l), list)
+        assert isinstance(self.check(ci.planted_clique(ci.source.planted), ci), list)
 
     @pytest.mark.parametrize("q,k,l", [(3, 1, 2), (5, 1, 1), (2, 2, 3)])
     def test_random_subsets_and_random_lists(self, q, k, l):
@@ -277,18 +280,18 @@ class TestGammaPhase1:
         outcomes = set()
         for size in (1, 2, 3, 5, 8, len(clique) // 2):
             sub = r.sample(clique, min(size, len(clique)))
-            assert isinstance(self.check(sub, q, l), list)
+            assert isinstance(self.check(sub, ci), list)
             noise = [random_vertex(r, q, k, l) for _ in range(size)]
-            outcomes.add(type(self.check(noise, q, l)))
+            outcomes.add(type(self.check(noise, ci)))
             mixed = sub + noise[:1]
-            outcomes.add(type(self.check(mixed, q, l)))
+            outcomes.add(type(self.check(mixed, ci)))
         assert outcomes == {list, str}
 
     @staticmethod
     def unshared(vertices):
         """The vertices through a JSON round trip: equal tuples, none of
         them shared between vertices."""
-        return [Vertex(*map(tuple, v)) for v in json.loads(json.dumps(vertices))]
+        return [Vertex(*map(tuple, v)) for v in json.loads(json.dumps(list(vertices)))]
 
     @pytest.mark.parametrize("q,k,l", [(3, 1, 2), (2, 2, 1), (3, 2, 4)])
     def test_json_round_trip_shares_no_tuples(self, q, k, l):
@@ -296,8 +299,8 @@ class TestGammaPhase1:
         clique = ci.planted_clique(ci.source.planted)
         copy = self.unshared(clique)
         assert len({id(part) for v in copy for part in v}) == 4 * len(copy)
-        want = self.check(clique, q, l)
-        assert isinstance(want, list) and self.check(copy, q, l) == want
+        want = self.check(clique, ci)
+        assert isinstance(want, list) and self.check(copy, ci) == want
 
     @pytest.mark.parametrize("q,k,l", [(3, 1, 2), (2, 2, 3)])
     def test_some_tuples_shared_and_some_not(self, q, k, l):
@@ -306,12 +309,12 @@ class TestGammaPhase1:
         r = rngmod.stream(q + k + l, "partly-shared")
         mixed = [self.unshared([v])[0] if r.random() < 0.5 else v for v in clique]
         r.shuffle(mixed)
-        assert isinstance(self.check(mixed, q, l), list)
+        assert isinstance(self.check(mixed, ci), list)
         # one corrupted vertex among shared and unshared ones
         bad = mixed[len(mixed) // 2]
         x = tuple((e + 1) % q for e in bad.x)
         mixed[len(mixed) // 2] = bad._replace(x=x, y=x if bad.alpha == bad.beta else bad.y)
-        assert "conflicting clique values" in self.check(mixed, q, l)
+        assert "conflicting clique values" in self.check(mixed, ci)
 
     @pytest.mark.parametrize("q,k,l", [(3, 1, 2), (2, 2, 1), (3, 2, 4)])
     def test_conflict_in_the_last_vertex(self, q, k, l):
@@ -323,9 +326,9 @@ class TestGammaPhase1:
         assert last.alpha == last.beta
         x = tuple((e + 1) % q for e in last.x)
         vertices = [v for v in clique if v != last] + [last._replace(x=x, y=x)]
-        message = self.check(vertices, q, l)
+        message = self.check(vertices, ci)
         assert message == f"conflicting clique values at point {last.alpha}: {last.x} vs {x}"
-        assert self.check(self.unshared(vertices)[::-1], q, l) == message
+        assert self.check(self.unshared(vertices)[::-1], ci) == message
 
     def test_internally_inconsistent_vertex(self):
         # beta = 0 collides the alpha and alpha + beta slots; y != 0 gives
@@ -333,8 +336,8 @@ class TestGammaPhase1:
         ci = make_instance(67, 3, 1, 4, 4, 2)
         bad = Vertex((1,), (0,), (2, 0), (1, 1))
         clique = ci.planted_clique(ci.source.planted)
-        for vertices in ([bad], clique[:4] + [bad], [bad] + clique):
-            assert "conflicting clique values at point (1,)" in self.check(vertices, 3, 2)
+        for vertices in ([bad], clique[:4] + [bad], [bad] + list(clique)):
+            assert "conflicting clique values at point (1,)" in self.check(vertices, ci)
             with pytest.raises(PropertyViolation, match="conflicting clique values"):
                 build_gamma(vertices, ci, rng=rngmod.stream(67, "gamma-fill"), verify=False)
 
@@ -343,7 +346,7 @@ class TestGammaPhase1:
         v = Vertex((1,), (2,), (0, 1), (1, 1))
         w = Vertex((2,), (0,), (2, 2), (0, 0))  # point (2,): y = (1, 1) against x = (2, 2)
         for vertices in ([v, w], [w, v], [v, v, w, w]):
-            message = self.check(vertices, 3, 2)
+            message = self.check(vertices, ci)
             assert message == "conflicting clique values at point (2,): (1, 1) vs (2, 2)"
             with pytest.raises(PropertyViolation) as exc:
                 build_gamma(vertices, ci, rng=rngmod.stream(68, "gamma-fill"), verify=False)
@@ -358,7 +361,7 @@ class TestGamma:
         u = ci.source.collections[0][ci.source.planted[0]]
         img = apply_map(ci.gmap, u)
         for p in gamma.var_points:
-            assert gamma.table.value_at(p) == block_inner(3, p, img)
+            assert value_at(gamma.table, p) == block_inner(3, p, img)
 
     def test_gamma_scalar_respecting(self):
         ci = make_instance(61, 3, 1, 4, 4, 2)
@@ -431,7 +434,7 @@ class TestExtraction:
         for kappa in [Fraction(j, 8) for j in range(9)] + [Fraction(3, 10), Fraction(7, 20)]:
             rep = extract_witness(clique, ci, kappa=kappa, rng=rngmod.stream(12, "gamma-fill"))
             gamma = build_gamma(clique, ci, rng=rngmod.stream(12, "gamma-fill"))
-            mism = [sum(gamma.table.value_at(p)[j] != inner_product(q, rho, p)
+            mism = [sum(value_at(gamma.table, p)[j] != inner_product(q, rho, p)
                         for j, rho in enumerate(rep.fn.rhos)) for p in gamma.var_points]
             assert rep.r_star_size == sum(Fraction(m, l) <= kappa for m in mism)
             for d in rep.directions:
