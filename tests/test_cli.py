@@ -220,6 +220,37 @@ class TestDeterminism:
             got["graph.dimacs"] = hashlib.sha256(fh.read()).hexdigest()
         assert got == self.CERTIFIED_NO[point]
 
+    # extraction reports at (3,1,2), seed 5, without created_utc: from the
+    # planted clique, and from its sub-clique on (alpha, beta) = (0,0),
+    # (0,1), (1,0), whose points leave (2,) to the scalar closure
+    EXTRACT_PINS = {
+        "planted": "12f876816a82d4775a1101963e5548147a8366d5383faea542b9c7b420345e48",
+        "sub-clique": "da1e56cc3d6888428e54d46e0e6d601cf72c31569479b0569463dcb7cbdf9624",
+    }
+
+    def test_extraction_reports_pinned(self, tmp_path):
+        out = str(tmp_path)
+        red = os.path.join(out, "reduction.json")
+        steps = [
+            ["gen-vecsum", "--q", "3", "--k", "1", "--m", "4", "--n", "4", "--planted"],
+            ["reduce", "--instance", os.path.join(out, "instance.json"), "--l", "2",
+             "--certify", "separation"],
+            ["verify-complete", "--reduction", red],
+            ["extract", "--reduction", red, "--out", "planted.json"],
+        ]
+        for step in steps:
+            assert run("--seed", "5", "--out-dir", out, *step) == EXIT_OK
+        vertices = read_json(os.path.join(out, "clique-certificate.json"))["vertices"]
+        sub = [v for v in vertices if (v[0], v[1]) in (([0], [0]), ([0], [1]), ([1], [0]))]
+        assert len(sub) == 3
+        with open(os.path.join(out, "sub.json"), "w") as fh:
+            json.dump({"vertices": sub}, fh)
+        assert run("--seed", "5", "--out-dir", out, "extract", "--reduction", red,
+                   "--clique", os.path.join(out, "sub.json"), "--out", "sub-clique.json") == EXIT_OK
+        got = {name: hashlib.sha256(strip_timestamp(os.path.join(out, f"{name}.json")).encode())
+               .hexdigest() for name in self.EXTRACT_PINS}
+        assert got == self.EXTRACT_PINS
+
 
 class TestConfig:
     def test_config_file_supplies_defaults(self, tmp_path):
