@@ -2,7 +2,7 @@
 
 Modules
 -------
-ffield      primality and rank/unrank of residue tuples (vectors are int tuples)
+ffield      primality and the rank of residue tuples (vectors are int tuples)
 lintest     linearity testing, Fourier analysis, list decoding, piecing
 vecsum      vector-sum instances: generation, brute-force deciding, validation
 randmap     the random block-linear map and its two goodness properties

@@ -36,6 +36,9 @@ from .lintest import (
     pass_probability,
     random_scalar_respecting_table,
     triple_correlation_check,
+    _domain,
+    _lines,
+    _scalar_closure,
 )
 from .randmap import (
     LinearMapG,
@@ -209,11 +212,13 @@ def certified_no_instance(seed: int, label: str, q: int, k: int, m: int, n: int,
                           max_instances: int = 20):
     """A brute-force-certified NO instance together with a
     wellspread-certified map; resamples the instance when no map certifies
-    (which happens when the collection is linearly degenerate)."""
+    or can (which happens when the collection is linearly degenerate)."""
     for attempt in range(max_instances):
         inst = generate_unsat(
             rngmod.stream(seed, f"{label}/instance/{attempt}"), q, k, m, n
         )
+        if wellspread_excluded(inst, l):
+            continue
         got = certified_map(seed, f"{label}/{attempt}", inst, l, "wellspread", max_tries=5000)
         if got is not None:
             return inst, got[0], attempt + 1, got[1]
@@ -301,8 +306,6 @@ def suite_soundness(seed: int = 0) -> list[dict]:
 
 def _agreement_identity_max_diff(f: FunctionTable) -> float:
     """Max over all coefficient vectors of |agreement - (1/q + (q-1)/q g^)|."""
-    from .lintest import _domain
-
     q, d, n = f.q, f.d, f.size
     digits, _ = _domain(q, d)
     re = fourier_transform(f).real_parts()
@@ -434,20 +437,12 @@ def _corrupted_linear_table(
 ) -> FunctionTable:
     """A linear scalar table with a fraction of its lines re-randomized,
     scalar-respecting closure re-applied per line."""
-    from .lintest import line_representatives
-    from .ffield import rank_tuple
-
     fn = LinearScalarFn(q, tuple(rng.randrange(q) for _ in range(d)))
-    f = FunctionTable.from_linear(fn)
-    vals = np.array(f.values, copy=True)
-    for rep in line_representatives(q, d):
+    vals = FunctionTable.from_linear(fn).values[_lines(q, d)[:, 0]]
+    for line in range(len(vals)):
         if rng.random() < corrupt_lines:
-            newv = rng.randrange(q)
-            for c in range(1, q):
-                vals[rank_tuple(q, tuple(e * c % q for e in rep))] = newv * c % q
-    t = FunctionTable(q, d, 1, vals, _skip_checks=True)
-    t._scalar_respecting = True
-    return t
+            vals[line] = rng.randrange(q)
+    return _scalar_closure(q, d, vals)
 
 
 # -- props suite --------------------------------------------------------------------

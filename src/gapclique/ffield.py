@@ -7,8 +7,6 @@ in the modules that need it.
 
 from __future__ import annotations
 
-from .errors import ContractViolation
-
 # Miller-Rabin with this fixed witness set is a proven deterministic test for
 # every n below 3.3e24 (covers any desk-scale modulus and the scheduled primes
 # up to k = 6).  Larger n additionally get witnesses derived from n itself.
@@ -70,14 +68,3 @@ def rank_tuple(q: int, t: tuple[int, ...]) -> int:
     for e in t:
         r = r * q + e
     return r
-
-
-def unrank_tuple(q: int, dim: int, r: int) -> tuple[int, ...]:
-    """Inverse of rank_tuple."""
-    out = [0] * dim
-    for i in range(dim - 1, -1, -1):
-        out[i] = r % q
-        r //= q
-    if r != 0:
-        raise ContractViolation("rank out of range for given dimension")
-    return tuple(out)

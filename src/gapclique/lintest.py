@@ -5,7 +5,9 @@ f(alpha) + f(beta) = f(alpha + beta).  Everything downstream of the test is
 built here: exact accepted-pair counts, Fourier analysis over q-th roots of
 unity, threshold list decoding of near-linear scalar functions, and the
 constructive piecing procedure that assembles one linear vector-valued
-function out of the per-coordinate lists.
+function out of the per-coordinate lists.  Every scalar-respecting table is
+built, and checked, by one closure step on one cached table of the lines
+through the origin (_scalar_closure, _lines).
 
 All probabilities are exact rationals of integer counts.  Counts taken on
 the Fourier side are rounded to integers under a 0.25 guard; Fourier
@@ -25,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BudgetExceeded, ContractViolation, PiecingRefused, PropertyViolation
-from .ffield import is_prime, unrank_tuple
+from .ffield import is_prime
 from .stats import wilson_interval
 from .vecsum import check_int, residue_tuple
 
@@ -46,9 +48,12 @@ def _domain(q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Digit matrix for the whole domain in lexicographic (rank) order.
 
     Row r of the digit matrix is the point with rank r; `place` holds the
-    base-q place values so that digits @ place recovers ranks.
+    base-q place values so that digits @ place recovers ranks.  A domain of
+    more than MAX_TABLE_SIZE points is refused before anything is built.
     """
     n = q**d
+    if n > MAX_TABLE_SIZE:
+        raise BudgetExceeded("table size", required=n, budget=MAX_TABLE_SIZE)
     place = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
     idx = np.arange(n, dtype=np.int64)
     digits = (idx[:, None] // place[None, :]) % q
@@ -100,13 +105,7 @@ class FunctionTable:
 
     def coordinate(self, i: int) -> "FunctionTable":
         """The scalar table obtained by projecting to output coordinate i."""
-        t = FunctionTable(self.q, self.d, 1, self.values[:, i : i + 1], _skip_checks=True)
-        if self._scalar_respecting:
-            # inherited: every coordinate of a scalar-respecting table is
-            # scalar respecting; the converse does not hold, so False and
-            # None are not propagated
-            t._scalar_respecting = True
-        return t
+        return FunctionTable(self.q, self.d, 1, self.values[:, i : i + 1], _skip_checks=True)
 
     # -- scalar-respecting flag ---------------------------------------------
 
@@ -114,11 +113,9 @@ class FunctionTable:
         """True iff f(c * alpha) = c * f(alpha) for every scalar c and point
         alpha; verified exhaustively once and cached."""
         if self._scalar_respecting is None:
-            q, vals = self.q, self.values
-            digits, place = _domain(q, self.d)
-            self._scalar_respecting = all(
-                np.array_equal(vals[(digits * c % q) @ place], vals * c % q) for c in range(q)
-            )
+            # iff the table is the closure of its values on the representatives
+            closure = _scalar_closure(self.q, self.d, self.values[_lines(self.q, self.d)[:, 0]])
+            self._scalar_respecting = np.array_equal(self.values, closure.values)
         return self._scalar_respecting
 
     def ensure_scalar_respecting(self):
@@ -648,24 +645,35 @@ def piece_together(
     )
 
 
-# -- random scalar-respecting tables ----------------------------------------------
+# -- scalar lines ------------------------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def _lines(q: int, d: int) -> np.ndarray:
+    """The lines through the origin of F_q^d in order of their
+    representatives, each line's lexicographically smallest nonzero point:
+    entry [i, c - 1] is the rank of c times line i's representative."""
+    digits, place = _domain(q, d)
+    # the representatives are the points whose first nonzero digit is 1
+    reps = digits[np.concatenate([np.arange(q**t, 2 * q**t) for t in range(d)])]
+    lines = np.stack([reps * c % q @ place for c in range(1, q)], axis=1)
+    lines.setflags(write=False)
+    return lines
+
+
+def _scalar_closure(q: int, d: int, line_values: np.ndarray) -> FunctionTable:
+    """The scalar-respecting table, zero at the origin, whose value at line
+    i's representative is row i of line_values (lines x l)."""
+    vals = np.zeros((q**d, line_values.shape[1]), dtype=np.int64)
+    vals[_lines(q, d)] = line_values[:, None, :] * np.arange(1, q)[:, None] % q
+    t = FunctionTable(q, d, vals.shape[1], vals, _skip_checks=True)
+    t._scalar_respecting = True
+    return t
 
 
 def line_representatives(q: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """One nonzero representative per line through the origin, chosen as the
-    lexicographically smallest point on the line."""
-    n = q**d
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    digits, place = _domain(q, d)
-    reps = []
-    for r in range(1, n):
-        if seen[r]:
-            continue
-        reps.append(unrank_tuple(q, d, r))
-        scaled = (digits[r][None, :] * np.arange(1, q)[:, None] % q) @ place
-        seen[scaled] = True
-    return tuple(reps)
+    """Each line's representative, its lexicographically smallest nonzero point."""
+    return tuple(map(tuple, _domain(q, d)[0][_lines(q, d)[:, 0]].tolist()))
 
 
 def random_scalar_respecting_table(
@@ -674,13 +682,5 @@ def random_scalar_respecting_table(
     """Uniformly random scalar-respecting table: zero at the origin, an
     independent uniform value on each line's representative, scaled along the
     line."""
-    reps = np.array(line_representatives(q, d), dtype=np.int64).reshape(-1, d)
-    choices = np.array([rng.randrange(q) for _ in range(len(reps) * l)], dtype=np.int64)
-    scalars = np.arange(1, q, dtype=np.int64)[:, None]
-    # [line, c - 1] is the rank of c times the line's representative
-    lines = reps[:, None, :] * scalars % q @ (q ** np.arange(d - 1, -1, -1, dtype=np.int64))
-    vals = np.zeros((q**d, l), dtype=np.int64)
-    vals[lines] = choices.reshape(-1, 1, l) * scalars % q
-    t = FunctionTable(q, d, l, vals, _skip_checks=True)
-    t._scalar_respecting = True
-    return t
+    choices = [rng.randrange(q) for _ in range(len(_lines(q, d)) * l)]
+    return _scalar_closure(q, d, np.array(choices, dtype=np.int64).reshape(-1, l))

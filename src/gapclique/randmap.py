@@ -278,20 +278,23 @@ def wellspread_sums(inst: VecSumInstance) -> Optional[np.ndarray]:
 
 def wellspread_excluded(inst: VecSumInstance, l: int) -> Optional[str]:
     """Why no map into l blocks of width k is wellspread for the instance,
-    or None.  Over F_2 with k >= 2, take u from one collection and w from
-    another with u, w and u + w nonzero: their images need weight at least
-    2kl/3 each, so more than 2kl together when 3 does not divide kl, yet on
-    every coordinate at most two of G u, G w and G u + G w are 1."""
-    k = inst.k
-    if inst.q != 2 or k < 2 or k * l % 3 == 0:
+    or None.  Over F_2, nonzero case sums a, b and a + b need image weights
+    of at least 2kl/3 each, more than 2kl together when 3 does not divide
+    kl, yet on every coordinate at most two of G a, G b, G a + G b are 1.
+    Such sums exist iff two collections hold distinct nonzero vectors, or
+    one holds nonzero a, b and a + b (else the nonzero sums are one vector
+    or one collection's)."""
+    if inst.q != 2 or inst.k * l % 3 == 0:
         return None
     nonzero = [sorted({u for u in us if any(u)}) for us in inst.collections]
-    for (i, us), (j, ws) in itertools.combinations(enumerate(nonzero), 2):
+    for (i, us), (j, ws) in itertools.combinations_with_replacement(enumerate(nonzero), 2):
         for u, w in itertools.product(us, ws):
-            if u != w:
-                return (f"no map is wellspread over F_2 with k*l = {k * l} not a multiple of 3: "
-                        f"u = {u} (collection {i}), w = {w} (collection {j}) and u + w are "
-                        f"nonzero, and their images cannot all have weight >= 2/3")
+            s = tuple(a ^ b for a, b in zip(u, w))
+            if any(s) and (i != j or s in us):
+                return (f"no map is wellspread over F_2 with k*l = {inst.k * l} not a multiple "
+                        f"of 3: case sums {u} (collection {i}), {w} (collection {j}) and "
+                        f"their sum {s} are nonzero, and their images cannot all have "
+                        f"weight >= 2/3")
     return None
 
 

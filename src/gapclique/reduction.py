@@ -1,5 +1,7 @@
 """The graph construction: parameter schedule, vertex set, non-edge rules,
-planted cliques, the two-phase decoded function, and the witness extractor.
+planted cliques, the two-phase decoded function (the clique's values, then
+one value per line through the origin closed under scalars), and the
+witness extractor.
 
 A vertex is (alpha, beta, x, y) with alpha, beta vectors of k blocks of
 width k, and x, y vectors of l coordinates; the vertex set constraint is
@@ -48,11 +50,13 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import BudgetExceeded, ContractViolation, PiecingRefused, PropertyViolation
-from .ffield import is_prime, next_prime, unrank_tuple
+from .ffield import is_prime, next_prime
 from .lintest import (
     DEFAULT_PAIR_BUDGET,
     FunctionTable,
     _domain,
+    _lines,
+    _scalar_closure,
     LinearVecFn,
     default_delta_schedule,
     LIST_CONSTANT,
@@ -216,10 +220,6 @@ def is_valid_vertex(v: Vertex, params: ReductionParams) -> bool:
         and all(type(e) is int and 0 <= e < params.q for part in v for e in part)
         and (v[0] != v[1] or v[2] == v[3])
     )
-
-
-def _tuple_scale(q: int, c: int, a: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple((c * u) % q for u in a)
 
 
 def value_relation(v: Vertex, q: int) -> dict[tuple[int, ...], set[tuple[int, ...]]]:
@@ -705,8 +705,8 @@ def export_graph(graph: DenseGraph, fmt: str, path, meta: Optional[dict] = None)
 @dataclass
 class GammaTable:
     """Function decoded from a clique: defined by the clique's own values on
-    its shared points, then extended by scalar closure in lexicographic
-    order, with fresh uniform values only where no line reaches."""
+    its shared points, then extended by scalar closure along the lines
+    through the origin, with fresh uniform values only where none reaches."""
 
     table: FunctionTable
     var_points: frozenset
@@ -780,11 +780,12 @@ def build_gamma(
 
     Phase 1 copies the clique's values on every point some vertex assigns;
     a conflict (within a vertex whose slots collide, or across vertices,
-    which a verified clique cannot produce) is a refusal.  Phase 2 sweeps the
-    remaining points in lexicographic order: a point on the scalar line of an
-    already-valued point inherits the scaled value (phase-1 points preferred,
-    scalars scanned in increasing order), otherwise it gets a fresh uniform
-    value.  The result is verified scalar respecting.
+    which a verified clique cannot produce) is a refusal, then a domain past
+    MAX_TABLE_SIZE.  Phase 2 closes one value per line under scalars: a line
+    through a phase-1 point c * rep takes c^-1 times its value, any other
+    draws l uniform values in representative order, after the origin's when
+    phase 1 is empty.  Phase-1 values are written last, and the result is
+    verified scalar respecting.
     """
     params = instance.params
     q, k, l = params.q, params.k, params.l
@@ -800,32 +801,28 @@ def build_gamma(
                 f"not a clique: rules {sorted(types)} fire between {u} and {v}"
             )
     phase1 = _clique_values(clique, q)
-    fill: dict[tuple[int, ...], tuple[int, ...]] = {}
-    fill_log: dict[tuple[int, ...], str] = {p: "clique" for p in phase1}
-    zero_pt = (0,) * kk
-    for r in range(q**kk):
-        p = unrank_tuple(q, kk, r)
-        if p in phase1:
-            continue
-        assigned = None
-        if p == zero_pt:
-            if phase1 or fill:
-                assigned = (0,) * l
-                fill_log[p] = "closure"
-        else:
-            for known, c in itertools.product((phase1, fill), range(1, q)):
-                base = _tuple_scale(q, pow(c, -1, q), p)
-                if base in known:
-                    assigned = _tuple_scale(q, c, known[base])
-                    fill_log[p] = "closure"
-                    break
-        if assigned is None:
-            assigned = tuple(rng.randrange(q) for _ in range(l))
-            fill_log[p] = "random"
-        fill[p] = assigned
-
-    points = (unrank_tuple(q, kk, r) for r in range(q**kk))
-    table = FunctionTable(q, kk, l, [phase1.get(p) or fill.get(p) for p in points])
+    reps, (digits, place) = _lines(q, kk)[:, 0], _domain(q, kk)
+    known = np.array(list(phase1), dtype=np.int64).reshape(-1, kk) @ place
+    known_vals = np.array(list(phase1.values()), dtype=np.int64).reshape(-1, l)
+    # c times a phase-1 point takes c times its value; a reached line's
+    # representative reads its value off this table
+    scalars = np.arange(1, q)[:, None]
+    scaled = digits[known][:, None, :] * scalars % q @ place
+    vals = np.zeros((q**kk, l), dtype=np.int64)
+    vals[scaled] = known_vals[:, None, :] * scalars % q
+    # l fresh values per point: the origin's first when phase 1 is empty,
+    # then each unreached line's representative
+    fresh = reps[~np.isin(reps, scaled)] if phase1 else np.insert(reps, 0, 0)
+    vals[fresh] = np.array([rng.randrange(q) for _ in range(len(fresh) * l)]).reshape(-1, l)
+    closed = _scalar_closure(q, kk, vals[reps]).values.copy()
+    # the origin keeps its draw, if it had one; phase 1 goes on top
+    closed[0], closed[known] = vals[0], known_vals
+    tags = np.full(len(vals), "closure")
+    tags[fresh], tags[known] = "random", "clique"
+    # phase-1 points first, then every other point in rank order
+    fill_log = dict.fromkeys(phase1, "clique")
+    fill_log.update(zip(map(tuple, digits.tolist()), tags.tolist()))
+    table = FunctionTable(q, kk, l, closed)
     if not table.is_scalar_respecting():
         raise PropertyViolation(
             "decoded function is not scalar respecting; the clique's shared "

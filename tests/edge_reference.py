@@ -1,8 +1,9 @@
 """The reduction on residue tuples, kept as the differential reference for
 the library's array code: the edge oracle as a pair-by-pair scan, the
 vertex codec's numbering and its inverse, planted cliques vertex by vertex,
-and phase 1 of the decoded function as a loop over the clique.  Also the
-tests' entry point to the library's batched rule evaluator.
+and the decoded function as loops: phase 1 over the clique, phase 2 over
+every point of the domain.  Also the tests' entry point to the library's
+batched rule evaluator.
 
 Every rule is read straight off its definition, one vertex pair at a time,
 on residue tuples; the images of the source vectors come from the
@@ -16,11 +17,11 @@ import numpy as np
 
 from gapclique.cliquesolve import DenseGraph
 from gapclique.errors import ContractViolation, PropertyViolation
-from gapclique.ffield import rank_tuple, unrank_tuple
+from gapclique.ffield import rank_tuple
 from gapclique.reduction import Vertex, is_valid_vertex, value_relation
 from gapclique.vecsum import vector_sum
 
-from field_reference import apply_map, block_inner, scale, sub
+from field_reference import apply_map, block_inner, scale, sub, unrank_tuple
 
 
 def pair_rule_sets(ci, pairs):
@@ -61,6 +62,39 @@ def clique_values(clique, q):
                         f"conflicting clique values at point {p}: {prev} vs {val}"
                     )
     return phase1
+
+
+def decoded_function(clique, q, kk, l, rng):
+    """Both phases of the decoded function on F_q^kk: the table's values as
+    a list of l-tuples in rank order, the phase-1 points and the fill log.
+    Phase 2 walks every other point in lexicographic order: the origin is
+    zero once anything is valued; another point takes c times the value of
+    c^-1 times itself when that point is valued (phase-1 points first, then
+    scalars c in increasing order); any other point draws l fresh values."""
+    phase1 = clique_values(clique, q)
+    fill = {}
+    fill_log = {p: "clique" for p in phase1}
+    domain = list(itertools.product(range(q), repeat=kk))
+    for p in domain:
+        if p in phase1:
+            continue
+        assigned = None
+        if not any(p):
+            if phase1 or fill:
+                assigned = (0,) * l
+                fill_log[p] = "closure"
+        else:
+            for known, c in itertools.product((phase1, fill), range(1, q)):
+                base = scale(q, pow(c, -1, q), p)
+                if base in known:
+                    assigned = scale(q, c, known[base])
+                    fill_log[p] = "closure"
+                    break
+        if assigned is None:
+            assigned = tuple(rng.randrange(q) for _ in range(l))
+            fill_log[p] = "random"
+        fill[p] = assigned
+    return [phase1.get(p) or fill[p] for p in domain], frozenset(phase1), fill_log
 
 
 def var_points(v, q):

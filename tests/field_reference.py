@@ -97,3 +97,14 @@ def enumerate_sumset(q, collection, r, cap=1_000_000):
                     acc[j] += e[j]
             elements.add(tuple(v % q for v in acc))
     return frozenset(elements)
+
+
+def unrank_tuple(q, dim, r):
+    """The residue tuple of length dim whose rank_tuple is r."""
+    out = [0] * dim
+    for i in range(dim - 1, -1, -1):
+        out[i] = r % q
+        r //= q
+    if r != 0:
+        raise ContractViolation("rank out of range for given dimension")
+    return tuple(out)

@@ -1,6 +1,8 @@
 """The linearity test read off its definition, kept as the differential
 reference for lintest's counting: the accepted pairs from a loop over every
 pair of points, and the Monte Carlo estimate from one sampled pair at a time.
+Also the lines through the origin from a walk over every point, and the
+corrupted linear tables of the lintest suite one line at a time.
 
 Points, ranks and values go through rank_tuple, unrank_tuple and
 value_at below, not through lintest's digit matrices or pair blocks.
@@ -10,11 +12,11 @@ import itertools
 
 import numpy as np
 
-from gapclique.ffield import rank_tuple, unrank_tuple
+from gapclique.ffield import rank_tuple
 from gapclique.lintest import PassEstimate
 from gapclique.stats import wilson_interval
 
-from field_reference import inner_product
+from field_reference import inner_product, scale, unrank_tuple
 
 
 def value_at(f, alpha) -> tuple:
@@ -60,3 +62,30 @@ def monte_carlo_estimate(f, samples: int, rng) -> PassEstimate:
             passes += 1
     lo, hi = wilson_interval(passes, samples)
     return PassEstimate(passes, samples, passes / samples, lo, hi)
+
+
+def line_representatives(q, d):
+    """One nonzero representative per line through the origin, the
+    lexicographically smallest point on the line: every point in rank order
+    that no earlier representative's line contains."""
+    seen = {(0,) * d}
+    reps = []
+    for p in itertools.product(range(q), repeat=d):
+        if p not in seen:
+            reps.append(p)
+            seen.update(scale(q, c, p) for c in range(1, q))
+    return tuple(reps)
+
+
+def corrupted_linear_values(rng, q, d, corrupt_lines):
+    """The values of the lintest suite's corrupted linear table, (q^d, 1):
+    a linear function's table whose lines, in representative order, are
+    each re-drawn with probability corrupt_lines and scaled along the line."""
+    rho = tuple(rng.randrange(q) for _ in range(d))
+    vals = np.array([[inner_product(q, rho, p)] for p in itertools.product(range(q), repeat=d)])
+    for rep in line_representatives(q, d):
+        if rng.random() < corrupt_lines:
+            newv = rng.randrange(q)
+            for c in range(1, q):
+                vals[rank_tuple(q, scale(q, c, rep))] = newv * c % q
+    return vals

@@ -20,7 +20,7 @@ from gapclique.randmap import (
     wellspread_holds,
     wellspread_sums,
 )
-from gapclique.experiments import SCREEN_BLOCK, certified_map
+from gapclique.experiments import SCREEN_BLOCK, certified_map, certified_no_instance
 from gapclique.vecsum import VecSumInstance, generate_planted, generate_unsat
 
 from field_reference import (
@@ -351,10 +351,38 @@ class TestWellspreadExcluded:
 
     def test_refusal_is_only_sufficient(self):
         # u, w and u + w in one collection are also case sums, so no map
-        # passes; the refusal covers only u and w from two collections
+        # passes, and the refusal covers them as well as u and w from two
+        # collections
         inst = VecSumInstance(q=2, k=2, m=2, collections=(((1, 0), (0, 1), (1, 1)), ((0, 0),)))
-        assert wellspread_excluded(inst, 1) is None
+        assert wellspread_excluded(inst, 1) is not None
         assert not any(check_wellspread(g, inst).passed for g in all_maps(2, 2, 2, 1))
+
+    @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 1), (2, 2), (4, 1)])
+    def test_refusal_is_a_triple_of_case_sums(self, k, l):
+        # refused exactly when three nonzero case sums a, b and a + b exist,
+        # on sparse random binary instances small enough for wellspread_sums
+        r = rngmod.stream(k * 10 + l, "triples")
+        refused = []
+        most = {1: 6, 2: 4, 4: 2}[k]
+        for _ in range(100):
+            m = r.randint(2, 4)
+            vec = lambda: tuple(r.randrange(2) if r.random() < 0.4 else 0 for _ in range(m))
+            collections = tuple(tuple(vec() for _ in range(r.randint(1, most))) for _ in range(k))
+            inst = VecSumInstance(q=2, k=k, m=m, collections=collections)
+            sums = set(map(tuple, wellspread_sums(inst).tolist()))
+            triple = any(tuple(x ^ y for x, y in zip(a, b)) in sums
+                         for a, b in itertools.combinations(sums, 2))
+            assert (wellspread_excluded(inst, l) is not None) == triple
+            refused.append(triple)
+        assert any(refused) and not all(refused)
+
+    def test_certified_no_instance_resamples_excluded(self):
+        # attempt 0 of this label draws a, b and a + b into the one collection
+        label = "resample/91"
+        first = generate_unsat(rngmod.stream(0, f"{label}/instance/0"), 2, 1, 8, 4)
+        assert wellspread_excluded(first, 2) is not None
+        inst, _, attempts, _ = certified_no_instance(0, label, 2, 1, 8, 4, 2)
+        assert attempts == 2 and wellspread_excluded(inst, 2) is None
 
     def test_refusal_needs_binary_field_and_two_collections(self):
         assert wellspread_excluded(generate_planted(rngmod.stream(1, "wx"), 3, 2, 4, 3), 1) is None
