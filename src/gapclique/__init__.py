@@ -2,12 +2,12 @@
 
 Modules
 -------
-ffield      primality and the rank of residue tuples (vectors are int tuples)
+ffield      primality and the next prime (vectors are int tuples)
 lintest     linearity testing, Fourier analysis, list decoding, piecing
 vecsum      vector-sum instances: generation, brute-force deciding, validation
 randmap     the random block-linear map and its two goodness properties
-reduction   parameter schedule, vertex set, edge oracle, decoder, export
-cliquesolve exact and greedy clique search used as the ground-truth oracle
+reduction   parameter schedule, vertex set, edge oracle, decoder, materialization
+cliquesolve exact and greedy clique search, graph file export and readers
 cli         command-line pipeline and the experiment harness
 """
 

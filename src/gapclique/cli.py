@@ -27,6 +27,7 @@ from . import rng as rngmod
 from .errors import BudgetExceeded, ContractViolation, PropertyViolation
 from .experiments import SUITES, certified_map, run_suite
 from .cliquesolve import (
+    export_graph,
     greedy_clique,
     max_clique_exact,
     read_dimacs,
@@ -40,7 +41,6 @@ from .reduction import (
     ReductionParams,
     Vertex,
     as_clique,
-    export_graph,
     extract_witness,
 )
 from .vecsum import VecSumInstance, brute_force_decide, generate_planted, generate_unsat

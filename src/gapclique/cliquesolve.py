@@ -1,5 +1,6 @@
 """Exact and heuristic clique search, used as the ground-truth oracle for the
-soundness experiments.
+soundness experiments, and the graph file formats (DIMACS and JSON) they
+read and the reduction's export writes.
 
 The exact solver is branch-and-bound with greedy-coloring upper bounds over
 bitset candidate sets (adjacency rows are Python ints used as bitmasks),
@@ -29,7 +30,6 @@ class DenseGraph:
 
     n: int
     adj: tuple[int, ...]
-    labels: Optional[tuple] = None
 
     def __post_init__(self):
         if len(self.adj) != self.n:
@@ -39,11 +39,9 @@ class DenseGraph:
                 raise ContractViolation("adjacency bits out of range")
             if (row >> v) & 1:
                 raise ContractViolation(f"self-loop at vertex {v}")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ContractViolation("labels length mismatch")
 
     @classmethod
-    def from_edges(cls, n: int, edges, labels=None) -> "DenseGraph":
+    def from_edges(cls, n: int, edges) -> "DenseGraph":
         """Graph on vertices 0..n-1; refuses a self-loop, an endpoint that is
         not an int in range, and an edge listed twice (in either order), and
         refuses by budget a vertex count past EDGE_LIST_VERTEX_LIMIT."""
@@ -59,10 +57,7 @@ class DenseGraph:
                 raise ContractViolation(f"duplicate edge ({u}, {v})")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n, tuple(adj), tuple(labels) if labels is not None else None)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
+        return cls(n, tuple(adj))
 
     def edges(self):
         """The edges (u, v), u < v, in (u, v) order, one set bit at a time."""
@@ -75,21 +70,6 @@ class DenseGraph:
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
-
-
-def is_clique(graph: DenseGraph, vertices) -> bool:
-    """True iff every pair of distinct listed vertices is adjacent."""
-    vs = sorted(set(vertices))
-    for v in vs:
-        if not (0 <= v < graph.n):
-            raise ContractViolation(f"vertex {v} out of range")
-    mask = 0
-    for v in vs:
-        mask |= 1 << v
-    for v in vs:
-        if mask & ~(graph.adj[v] | (1 << v)):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -173,7 +153,6 @@ def max_clique_exact(
     best: list[int] = [0]
     best_size = 1
     nodes = 0
-    aborted = False
 
     def color_sort(cand: int) -> list[tuple[int, int]]:
         out = []
@@ -230,12 +209,9 @@ def max_clique_exact(
         optimal = True
     except _TimeUp:
         optimal = False
-        aborted = True
     elapsed = time.monotonic() - start
     clique = tuple(sorted(order[i] for i in best))
-    if not clique and n > 0:
-        clique = (0,)
-    return CliqueSearchResult(clique, len(clique), optimal and not aborted, nodes, elapsed)
+    return CliqueSearchResult(clique, len(clique), optimal, nodes, elapsed)
 
 
 def greedy_clique(
@@ -243,7 +219,7 @@ def greedy_clique(
 ) -> CliqueSearchResult:
     """Randomized greedy: per restart, scan a random vertex order and keep
     every vertex compatible with the clique so far, until none is left.
-    Output always passes is_clique; size is at most the exact optimum.
+    Output is always a clique; size is at most the exact optimum.
 
     The orders are those of rng.shuffle applied to one list once per
     restart, drawn the way shuffle draws them (step i repeats
@@ -279,7 +255,30 @@ def greedy_clique(
     )
 
 
-# -- format readers (writers live with the reduction's export path) -----------
+# -- graph file formats -------------------------------------------------------
+
+
+def export_graph(graph: DenseGraph, fmt: str, path, meta: Optional[dict] = None):
+    """Write a materialized graph.  DIMACS: 'p edge N M' header then one
+    'e u v' line per edge with 1-indexed u < v.  JSON: vertex count, edge
+    list, and metadata."""
+    if fmt == "dimacs":
+        body = "".join(f"e {u + 1} {v + 1}\n" for u, v in graph.edges())
+        with open(path, "w") as fh:
+            fh.write(f"p edge {graph.n} {graph.edge_count()}\n{body}")
+    elif fmt == "json":
+        doc = {
+            "version": 1,
+            "n": graph.n,
+            "edges": [[u, v] for u, v in graph.edges()],
+            "meta": meta or {},
+        }
+        with open(path, "w") as fh:
+            json.dump(doc, fh, sort_keys=True)
+    else:
+        raise ContractViolation(f"unknown graph format {fmt!r}")
+
+
 
 
 def read_dimacs(path) -> DenseGraph:

@@ -85,6 +85,7 @@ SOUNDNESS_POINT = (2, 1, 2)
 SOUNDNESS_RUNS = 10
 SOUNDNESS_M = 8
 SOUNDNESS_N = 4
+NO_INSTANCE_TRIES = 20
 
 EXTRACTION_MIX = (
     ((3, 1, 4), 8),
@@ -208,12 +209,11 @@ def suite_completeness(seed: int = 0, runs: int = COMPLETENESS_RUNS) -> list[dic
 # -- soundness suite -------------------------------------------------------------
 
 
-def certified_no_instance(seed: int, label: str, q: int, k: int, m: int, n: int, l: int,
-                          max_instances: int = 20):
+def certified_no_instance(seed: int, label: str, q: int, k: int, m: int, n: int, l: int):
     """A brute-force-certified NO instance together with a
     wellspread-certified map; resamples the instance when no map certifies
     or can (which happens when the collection is linearly degenerate)."""
-    for attempt in range(max_instances):
+    for attempt in range(NO_INSTANCE_TRIES):
         inst = generate_unsat(
             rngmod.stream(seed, f"{label}/instance/{attempt}"), q, k, m, n
         )
@@ -222,7 +222,7 @@ def certified_no_instance(seed: int, label: str, q: int, k: int, m: int, n: int,
         got = certified_map(seed, f"{label}/{attempt}", inst, l, "wellspread", max_tries=5000)
         if got is not None:
             return inst, got[0], attempt + 1, got[1]
-    raise PropertyViolation(f"no certifiable NO instance after {max_instances} attempts")
+    raise PropertyViolation(f"no certifiable NO instance after {NO_INSTANCE_TRIES} attempts")
 
 
 def suite_soundness(seed: int = 0) -> list[dict]:

@@ -1,8 +1,8 @@
-"""Prime moduli and the positional numbering of residue tuples.
+"""Prime moduli.
 
 A vector over F_q is a plain tuple of ints kept canonically in [0, q), so
-equality is structural; bulk arithmetic on such vectors runs on numpy arrays
-in the modules that need it.
+equality is structural; bulk arithmetic on such vectors, and their base-q
+ranks, run on numpy arrays in the modules that need them.
 """
 
 from __future__ import annotations
@@ -59,12 +59,3 @@ def next_prime(n: int) -> int:
     while not is_prime(c):
         c += 2
     return c
-
-
-def rank_tuple(q: int, t: tuple[int, ...]) -> int:
-    """Base-q positional rank of a residue tuple, first coordinate most
-    significant; the rank order is exactly lexicographic order."""
-    r = 0
-    for e in t:
-        r = r * q + e
-    return r

@@ -7,7 +7,9 @@ unity, threshold list decoding of near-linear scalar functions, and the
 constructive piecing procedure that assembles one linear vector-valued
 function out of the per-coordinate lists.  Every scalar-respecting table is
 built, and checked, by one closure step on one cached table of the lines
-through the origin (_scalar_closure, _lines).
+through the origin (_scalar_closure, _lines).  Decoded lists stay arrays of
+coefficient-vector ranks (rows of the digit table _domain) through piecing;
+list_decode_scalar wraps them as LinearScalarFn.
 
 All probabilities are exact rationals of integer counts.  Counts taken on
 the Fourier side are rounded to integers under a 0.25 guard; Fourier
@@ -149,10 +151,6 @@ class FunctionTable:
         residue_tuple(q, values, q**d * l)
         return cls(q, d, l, np.array(values, dtype=np.int64).reshape(q**d, l))
 
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
-
     @classmethod
     def load(cls, path) -> "FunctionTable":
         with open(path) as fh:
@@ -189,10 +187,6 @@ class LinearVecFn:
     def __post_init__(self):
         for rho in self.rhos:
             residue_tuple(self.q, rho, self.d)
-
-    @property
-    def l(self) -> int:
-        return len(self.rhos)
 
 
 # -- the test and its accepted pairs -------------------------------------------
@@ -366,12 +360,12 @@ class FourierTable:
             raise PropertyViolation(f"Parseval check failed: total power {power[bad][0]}")
         self.coeffs.setflags(write=False)
 
-    def real_parts(self, tol: float = FLOAT_TOL) -> np.ndarray:
+    def real_parts(self) -> np.ndarray:
         """Real parts of all coefficients; raises if any imaginary part
-        exceeds tol (they must all be real for scalar-respecting input)."""
+        exceeds FLOAT_TOL (they must all be real for scalar-respecting input)."""
         worst = float(np.max(np.abs(self.coeffs.imag))) if self.coeffs.size else 0.0
-        if worst > tol:
-            raise PropertyViolation(f"coefficient imaginary part {worst} exceeds {tol}")
+        if worst > FLOAT_TOL:
+            raise PropertyViolation(f"coefficient imaginary part {worst} exceeds {FLOAT_TOL}")
         return self.coeffs.real
 
 
@@ -415,20 +409,8 @@ class TripleCorrelationReport:
     lhs: Fraction
     rhs: float
     abs_diff: float
-    budget_used: int
     max_coeff_g1: float
     same_g2_g3: bool
-
-    def to_json(self) -> dict:
-        return {
-            "lhs": float(self.lhs),
-            "lhs_exact": f"{self.lhs.numerator}/{self.lhs.denominator}",
-            "rhs": self.rhs,
-            "abs_diff": self.abs_diff,
-            "budget_used": self.budget_used,
-            "max_coeff_g1": self.max_coeff_g1,
-            "same_g2_g3": self.same_g2_g3,
-        }
 
 
 def triple_correlation_check(
@@ -467,7 +449,6 @@ def triple_correlation_check(
         lhs=lhs,
         rhs=rhs,
         abs_diff=abs(float(lhs) - rhs),
-        budget_used=n * n,
         max_coeff_g1=float(np.max(c1)),
         same_g2_g3=bool(np.array_equal(g2.values, g3.values)),
     )
@@ -476,29 +457,22 @@ def triple_correlation_check(
 # -- list decoding --------------------------------------------------------------
 
 
-def _list_decode(
-    f: FunctionTable, deltas: tuple[float, ...], c_list: float
-) -> tuple[tuple[LinearScalarFn, ...], ...]:
+def _list_decode(f: FunctionTable, deltas: tuple[float, ...]) -> tuple[np.ndarray, ...]:
     """Decoded list of every output coordinate i of f at threshold
-    c_list * deltas[i], from one transform over all coordinates; each
-    coordinate passes its own Parseval and imaginary-part checks."""
+    LIST_CONSTANT * deltas[i], as the ascending ranks of the coefficient
+    vectors, from one transform over all coordinates; each coordinate
+    passes its own Parseval and imaginary-part checks."""
     if any(delta <= 0 for delta in deltas):
         raise ContractViolation("delta must be positive")
     f.ensure_scalar_respecting()
     re = _transform(f.q, f.d, f.values.T).real_parts()
-    thresholds = np.array([c_list * delta for delta in deltas], dtype=float)
-    hits = re >= thresholds[:, None] - FLOAT_TOL
-    digits, _ = _domain(f.q, f.d)
-    return tuple(
-        tuple(LinearScalarFn(f.q, tuple(rho)) for rho in digits[row].tolist()) for row in hits
-    )
+    thresholds = np.array([LIST_CONSTANT * delta for delta in deltas], dtype=float)
+    return tuple(map(np.flatnonzero, re >= thresholds[:, None] - FLOAT_TOL))
 
 
-def list_decode_scalar(
-    f: FunctionTable, delta: float, c_list: float = LIST_CONSTANT
-) -> tuple[LinearScalarFn, ...]:
+def list_decode_scalar(f: FunctionTable, delta: float) -> tuple[LinearScalarFn, ...]:
     """All linear functions whose Fourier coefficient is at least
-    c_list * delta, in rank order of the coefficient vector.
+    LIST_CONSTANT * delta, in rank order of the coefficient vector.
 
     Requires a scalar-respecting input so coefficients are real and the
     threshold comparison matches the exact agreement filter.  The comparison
@@ -507,7 +481,8 @@ def list_decode_scalar(
     """
     if f.l != 1:
         raise ContractViolation("list decoding needs a scalar-range table")
-    return _list_decode(f, (delta,), c_list)[0]
+    ranks = _list_decode(f, (delta,))[0]
+    return tuple(LinearScalarFn(f.q, tuple(rho)) for rho in _domain(f.q, f.d)[0][ranks].tolist())
 
 
 # -- piecing ---------------------------------------------------------------------
@@ -518,8 +493,8 @@ class PiecingState:
     """Intermediate objects of the piecing procedure, kept for inspection."""
 
     deltas: tuple[float, ...]
-    lists: tuple[tuple[LinearScalarFn, ...], ...]
-    labels: np.ndarray  # (n, l) int; 0 = no unique match, else 1-based list index
+    lists: tuple[np.ndarray, ...]  # per coordinate, the decoded coefficient vectors' ranks
+    matches: np.ndarray  # (n, l) int; 0 = no unique match, else 1-based list index
     var_ranks: np.ndarray
     v_star_ranks: np.ndarray
     w_star_ranks: np.ndarray
@@ -554,19 +529,18 @@ def piece_together(
     f: FunctionTable,
     eps,
     kappa,
-    c_list: float = LIST_CONSTANT,
     delta_schedule: Callable[[float, float], float] = default_delta_schedule,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> PiecingResult:
     """Assemble one linear vector-valued function from per-coordinate decoded
     lists.
 
-    Procedure: list-decode each output coordinate, label every domain point
+    Procedure: list-decode each output coordinate, mark every domain point
     with the unique list member matching there (0 if none), keep the points
-    whose label vector is almost fully labeled (V*) and the points of high
-    degree in the accepted-pair graph (W*), anchor at the lexicographically
+    matched on almost every coordinate (V*) and the points of high degree
+    in the accepted-pair graph (W*), anchor at the lexicographically
     smallest point of the intersection, and read the assembled function off
-    the anchor's labels.  Returns the function together with the measured
+    the anchor's matches.  Returns the function together with the measured
     probability, over the variable set, of being within relative Hamming
     distance kappa of it.
 
@@ -585,28 +559,28 @@ def piece_together(
 
     coord_pass = tuple(Fraction(count, n * n) for count in coordinate_counts)
     deltas = tuple(delta_schedule(eps_f, float(p)) for p in coord_pass)
-    lists = _list_decode(f, deltas, c_list)
-    labels = np.zeros((n, f.l), dtype=np.int64)
+    lists = _list_decode(f, deltas)
+    matches = np.zeros((n, f.l), dtype=np.int64)
     digits, _ = _domain(f.q, f.d)
-    for i, fns in enumerate(lists):
-        if fns:
-            # one product labels a block of points against the whole list
-            rhos = np.array([c.rho for c in fns], dtype=np.int64).T
-            step = max(1, PAIR_BLOCK // len(fns))
+    for i, ranks in enumerate(lists):
+        if ranks.size:
+            # one product matches a block of points against the whole list
+            rhos = digits[ranks].T
+            step = max(1, PAIR_BLOCK // ranks.size)
             for s in range(0, n, step):
                 agree = digits[s : s + step] @ rhos % f.q == f.values[s : s + step, i, None]
                 unique = agree.sum(axis=1) == 1
-                labels[s : s + step][unique, i] = agree[unique].argmax(axis=1) + 1
+                matches[s : s + step][unique, i] = agree[unique].argmax(axis=1) + 1
 
     var_ranks = np.nonzero(deg)[0]
     var_count = var_ranks.size
-    weights = (labels[var_ranks] != 0).mean(axis=1)
+    weights = (matches[var_ranks] != 0).mean(axis=1)
     v_star = var_ranks[weights >= 1.0 - eps_f**2.5]
     w_star = var_ranks[deg[var_ranks] >= (eps_f**2 / 2.0) * var_count]
     state = PiecingState(
         deltas=deltas,
         lists=lists,
-        labels=labels,
+        matches=matches,
         var_ranks=var_ranks,
         v_star_ranks=v_star,
         w_star_ranks=w_star,
@@ -626,8 +600,8 @@ def piece_together(
     anchor = int(both.min())
     state.anchor_rank = anchor
 
-    picked = enumerate(labels[anchor].tolist())
-    rhos = tuple(lists[i][lab - 1].rho if lab else (0,) * f.d for i, lab in picked)
+    picked = enumerate(matches[anchor].tolist())
+    rhos = tuple(tuple(digits[lists[i][j - 1]].tolist()) if j else (0,) * f.d for i, j in picked)
     fn = LinearVecFn(f.q, f.d, rhos)
 
     fn_vals = digits @ np.array(fn.rhos, dtype=np.int64).T % f.q
@@ -669,11 +643,6 @@ def _scalar_closure(q: int, d: int, line_values: np.ndarray) -> FunctionTable:
     t = FunctionTable(q, d, vals.shape[1], vals, _skip_checks=True)
     t._scalar_respecting = True
     return t
-
-
-def line_representatives(q: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """Each line's representative, its lexicographically smallest nonzero point."""
-    return tuple(map(tuple, _domain(q, d)[0][_lines(q, d)[:, 0]].tolist()))
 
 
 def random_scalar_respecting_table(

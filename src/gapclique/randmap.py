@@ -46,6 +46,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceeded, ContractViolation, PropertyViolation
+from .lintest import _domain
 from .stats import wilson_interval
 from .vecsum import VecSumInstance, check_int, residue_tuple
 
@@ -330,31 +331,27 @@ def check_pairwise_separation(
     vecs, images = source_images(g, inst)
     q, k, l = g.q, g.k, g.l
     size = q**k
-    place = q ** np.arange(k - 1, -1, -1)
-    # directions of F_q^k are numbered by rank, first coordinate most
-    # significant; rank 0 is the zero direction
     per_alpha = size - q  # nonzero directions that are no multiple of a given one
-
-    def coords(rank):
-        return np.stack(_digits(rank, (q,) * k), axis=1)
-
     # every collection's difference tables, and the table of beta ranks
     table = (size * l + g.m) * sum(n * n for n in inst.sizes) + (size - 1) * per_alpha
     if table > _DIRECTION_IMAGE_LIMIT:
         raise BudgetExceeded(
             "separation direction images", required=table, budget=_DIRECTION_IMAGE_LIMIT
         )
+    # row r of coords is the direction of rank r, first coordinate most
+    # significant; rank 0 is the zero direction
+    coords, place = _domain(q, k)
     # [d, r, j]: <direction d, block j of the image of source row r>.  These,
     # the source rows and their differences are kept in the narrowest type
     # that holds a difference of residues, which keeps the batches small.
     narrow = np.min_scalar_type(-2 * q)
     dir_images = (
-        np.einsum("dc,rjc->drj", coords(np.arange(size)), images.reshape(len(vecs), l, k)) % q
+        np.einsum("dc,rjc->drj", coords, images.reshape(len(vecs), l, k)) % q
     ).astype(narrow)
     vecs = vecs.astype(narrow)
     # [alpha - 1, j]: the j-th smallest nonzero direction rank that is no
     # multiple of direction alpha
-    multiples = (np.arange(q)[:, None] * coords(np.arange(1, size))[:, None, :] % q) @ place
+    multiples = (np.arange(q)[:, None] * coords[1:, None, :] % q) @ place
     others = np.ones((size - 1, size), dtype=bool)
     others[np.arange(size - 1)[:, None], multiples] = False
     betas = np.nonzero(others)[1].reshape(size - 1, per_alpha)
@@ -382,11 +379,11 @@ def check_pairwise_separation(
 
     def describe_single(i, d, weight):
         return {"collection": i, "case": "single-difference", "pair": d[:2],
-                "alpha": coords(np.array([d[2] + 1]))[0].tolist(),
+                "alpha": coords[d[2] + 1].tolist(),
                 "weight": str(Fraction(int(weight), l))}
 
     def describe_triple(i, d, dist):
-        alpha, beta = (coords(r)[0].tolist() for r in independent_pair(np.array([d[3]])))
+        alpha, beta = (coords[r].tolist() for r in independent_pair(d[3]))
         return {"collection": i, "case": "triple", "triple": d[:3], "alpha": alpha,
                 "beta": beta, "distance": str(Fraction(int(dist), l))}
 
@@ -439,18 +436,6 @@ class FailureRateReport:
     wellspread_ci: tuple[float, float]
     separation_ci: tuple[float, float]
     union_bounds: dict
-
-    def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "wellspread_failures": self.wellspread_failures,
-            "separation_failures": self.separation_failures,
-            "wellspread_rate": self.wellspread_rate,
-            "separation_rate": self.separation_rate,
-            "wellspread_ci": list(self.wellspread_ci),
-            "separation_ci": list(self.separation_ci),
-            "union_bounds": self.union_bounds,
-        }
 
 
 def estimate_failure_rate(

@@ -23,6 +23,10 @@ verify_clique, build_gamma and extract_witness take one.  Tuples remain at
 the boundary: as_clique validates and converts a caller's tuple list, and
 a Clique reads out as Vertex tuples for files, the CLI and the tests.
 
+Between stages the data stay arrays: phase 1 hands phase 2 point and value
+rows, the decoded function names its phase-1 points by rank and tags every
+rank, and materialize returns bare bitmasks in the codec's vertex order.
+
 Graphs are held implicitly (parameters + sampled map + source instance +
 an edge oracle); explicit adjacency is materialized only under budget.  The
 oracle encodes a clique once, naming points and values by their base-q
@@ -36,9 +40,7 @@ on groups before it scans pairs.
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import math
 import random
 from collections.abc import Sequence
@@ -59,7 +61,6 @@ from .lintest import (
     _scalar_closure,
     LinearVecFn,
     default_delta_schedule,
-    LIST_CONSTANT,
     piece_together,
 )
 from .randmap import LinearMapG, source_images
@@ -336,8 +337,9 @@ class VertexCodec:
         self.count = self.P * self.L + (self.P * self.P - self.P) * self.L * self.L
 
     def ranks(self) -> tuple[np.ndarray, ...]:
-        """The ranks (rank_tuple order) of alpha, beta, x and y of every
-        vertex, in vertex order; off the diagonal, beta skips alpha."""
+        """The base-q ranks (first coordinate most significant) of alpha,
+        beta, x and y of every vertex, in vertex order; off the diagonal,
+        beta skips alpha."""
         P, L = self.P, self.L
         a, x = np.divmod(np.arange(P * L), L)
         pair, xy = np.divmod(np.arange(self.count - P * L), L * L)
@@ -637,19 +639,7 @@ class CliqueInstance:
             # row i, byte j >> 3, bit j & 7 is the edge (i, j)
             packed = np.packbits(~non_edge, axis=1, bitorder="little")
             adj.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-        return DenseGraph(count, tuple(adj), labels=tuple(clique))
-
-    def fingerprint(self) -> str:
-        blob = json.dumps(
-            {
-                "params": self.params.to_json(),
-                "map": self.gmap.to_json(),
-                "instance": self.source.fingerprint(),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return DenseGraph(count, tuple(adj))
 
     def to_json(self) -> dict:
         return {
@@ -678,27 +668,6 @@ class CliqueInstance:
         return cls(params, gmap, source)
 
 
-def export_graph(graph: DenseGraph, fmt: str, path, meta: Optional[dict] = None):
-    """Write a materialized graph.  DIMACS: 'p edge N M' header then one
-    'e u v' line per edge with 1-indexed u < v.  JSON: vertex count, edge
-    list, and metadata."""
-    if fmt == "dimacs":
-        body = "".join(f"e {u + 1} {v + 1}\n" for u, v in graph.edges())
-        with open(path, "w") as fh:
-            fh.write(f"p edge {graph.n} {graph.edge_count()}\n{body}")
-    elif fmt == "json":
-        doc = {
-            "version": 1,
-            "n": graph.n,
-            "edges": [[u, v] for u, v in graph.edges()],
-            "meta": meta or {},
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-    else:
-        raise ContractViolation(f"unknown graph format {fmt!r}")
-
-
 # -- the decoded function -----------------------------------------------------------
 
 
@@ -706,21 +675,25 @@ def export_graph(graph: DenseGraph, fmt: str, path, meta: Optional[dict] = None)
 class GammaTable:
     """Function decoded from a clique: defined by the clique's own values on
     its shared points, then extended by scalar closure along the lines
-    through the origin, with fresh uniform values only where none reaches."""
+    through the origin, with fresh uniform values only where none reaches.
+    var_points holds the ranks of the clique's points in ascending order,
+    and tags[r] says where the value at rank r came from: "clique",
+    "closure" or "random"."""
 
     table: FunctionTable
-    var_points: frozenset
-    fill_log: dict
+    var_points: np.ndarray
+    tags: np.ndarray
 
 
-def _clique_values(clique: Clique, q: int) -> dict:
-    """Phase 1 of the decoded function: point -> value for every point a
-    vertex of the clique assigns, in order of first assignment (vertices
-    sorted, slots alpha, beta, alpha + beta).  Refuses when a point carries
-    two values, naming the first conflict met in that order."""
+def _clique_values(clique: Clique, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Phase 1 of the decoded function: every point a vertex of the clique
+    assigns, as rows of a (points, k^2) array in order of first assignment
+    (vertices sorted, slots alpha, beta, alpha + beta), and its value, as
+    the same row of a (points, l) array.  Refuses when a point carries two
+    values, naming the first conflict met in that order."""
     c, n, l = clique, len(clique), clique.values.shape[1]
     if not n:
-        return {}
+        return np.zeros((0, c.points.shape[1]), dtype=np.int64), np.zeros((0, l), dtype=np.int64)
     point, point_sum = _row_ids(q, c.points, (c.points[c.a] + c.points[c.b]) % q)
     value = _row_ids(q, c.values)[0]
     # ids order like their tuples, so this is the order of sorted(clique)
@@ -757,16 +730,16 @@ def _clique_values(clique: Clique, q: int) -> dict:
     vertex, slot = np.divmod(assigned, 3)
     pa, pb = c.points[a[vertex]], c.points[b[vertex]]
     rows = np.where((slot == 0)[:, None], pa, np.where((slot == 1)[:, None], pb, (pa + pb) % q))
-    known = (map(tuple, t.tolist()) for t in (rows, ref[slot_group[assigned]]))
-    phase1 = dict(zip(*known))
+    known = ref[slot_group[assigned]].astype(np.int64)
     if last < n:
+        phase1 = dict(zip(*(map(tuple, t.tolist()) for t in (rows, known))))
         for p, vs in value_relation(clique[order[last]], q).items():
             for val in vs:
                 if phase1.setdefault(p, val) != val:
                     raise PropertyViolation(
                         f"conflicting clique values at point {p}: {phase1[p]} vs {val}"
                     )
-    return phase1
+    return rows, known
 
 
 def build_gamma(
@@ -783,8 +756,8 @@ def build_gamma(
     which a verified clique cannot produce) is a refusal, then a domain past
     MAX_TABLE_SIZE.  Phase 2 closes one value per line under scalars: a line
     through a phase-1 point c * rep takes c^-1 times its value, any other
-    draws l uniform values in representative order, after the origin's when
-    phase 1 is empty.  Phase-1 values are written last, and the result is
+    draws l uniform values in representative order.  The origin is 0 unless
+    phase 1 assigns it.  Phase-1 values are written last, and the result is
     verified scalar respecting.
     """
     params = instance.params
@@ -800,35 +773,29 @@ def build_gamma(
             raise PropertyViolation(
                 f"not a clique: rules {sorted(types)} fire between {u} and {v}"
             )
-    phase1 = _clique_values(clique, q)
+    points, known_vals = _clique_values(clique, q)
     reps, (digits, place) = _lines(q, kk)[:, 0], _domain(q, kk)
-    known = np.array(list(phase1), dtype=np.int64).reshape(-1, kk) @ place
-    known_vals = np.array(list(phase1.values()), dtype=np.int64).reshape(-1, l)
+    known = points @ place
     # c times a phase-1 point takes c times its value; a reached line's
     # representative reads its value off this table
     scalars = np.arange(1, q)[:, None]
     scaled = digits[known][:, None, :] * scalars % q @ place
     vals = np.zeros((q**kk, l), dtype=np.int64)
     vals[scaled] = known_vals[:, None, :] * scalars % q
-    # l fresh values per point: the origin's first when phase 1 is empty,
-    # then each unreached line's representative
-    fresh = reps[~np.isin(reps, scaled)] if phase1 else np.insert(reps, 0, 0)
+    # l fresh values for each unreached line's representative
+    fresh = reps[~np.isin(reps, scaled)]
     vals[fresh] = np.array([rng.randrange(q) for _ in range(len(fresh) * l)]).reshape(-1, l)
     closed = _scalar_closure(q, kk, vals[reps]).values.copy()
-    # the origin keeps its draw, if it had one; phase 1 goes on top
-    closed[0], closed[known] = vals[0], known_vals
+    closed[known] = known_vals  # phase 1 goes on top
     tags = np.full(len(vals), "closure")
     tags[fresh], tags[known] = "random", "clique"
-    # phase-1 points first, then every other point in rank order
-    fill_log = dict.fromkeys(phase1, "clique")
-    fill_log.update(zip(map(tuple, digits.tolist()), tags.tolist()))
     table = FunctionTable(q, kk, l, closed)
     if not table.is_scalar_respecting():
         raise PropertyViolation(
             "decoded function is not scalar respecting; the clique's shared "
             "points carry scalar-inconsistent values"
         )
-    return GammaTable(table=table, var_points=frozenset(phase1), fill_log=fill_log)
+    return GammaTable(table=table, var_points=np.sort(known), tags=tags)
 
 
 # -- witness extraction ----------------------------------------------------------
@@ -916,7 +883,6 @@ def extract_witness(
     kappa=None,
     rng: Optional[random.Random] = None,
     verify: bool = True,
-    c_list: float = LIST_CONSTANT,
     delta_schedule: Callable[[float, float], float] = default_delta_schedule,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> ExtractionReport:
@@ -962,8 +928,8 @@ def extract_witness(
         return failed("gamma", str(exc))
 
     try:
-        piece = piece_together(gamma.table, eps, kappa, c_list=c_list,
-                               delta_schedule=delta_schedule, pair_budget=pair_budget)
+        piece = piece_together(gamma.table, eps, kappa, delta_schedule=delta_schedule,
+                               pair_budget=pair_budget)
     except PiecingRefused as exc:
         return failed("piecing", str(exc))
     report.pass_probability = piece.pass_probability
@@ -975,9 +941,8 @@ def extract_witness(
     # the subset of shared points where the pieced function is within kappa
     kk = k * k
     rhos = np.array(piece.fn.rhos, dtype=np.int64)
-    points = np.array(list(gamma.var_points), dtype=np.int64).reshape(-1, kk)
-    ranks = points @ (q ** np.arange(kk - 1, -1, -1, dtype=np.int64))
-    mism = (gamma.table.values[ranks] != points @ rhos.T % q).sum(axis=1)
+    ranks = gamma.var_points
+    mism = (gamma.table.values[ranks] != _domain(q, kk)[0][ranks] @ rhos.T % q).sum(axis=1)
     # mismatch counts are integers: the floor of kappa * l bounds them alike
     r_star = int((mism <= math.floor(kappa * l)).sum())
     report.r_star_size = r_star

@@ -12,8 +12,8 @@ import random
 def stream(seed: int, label: str) -> random.Random:
     """Return a deterministic RNG for (seed, label).
 
-    The stream seed is a SHA-256 digest of the pair, so distinct labels give
-    statistically independent streams and the mapping is stable across
+    The stream seed is a SHA-256 digest of the pair, so each label gives a
+    statistically independent stream and the mapping is stable across
     platforms and Python versions.
     """
     digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()

@@ -127,10 +127,6 @@ class VecSumInstance:
             certificate=doc.get("certificate"),
         )
 
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
-
     @classmethod
     def load(cls, path) -> "VecSumInstance":
         with open(path) as fh:

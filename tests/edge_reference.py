@@ -17,11 +17,10 @@ import numpy as np
 
 from gapclique.cliquesolve import DenseGraph
 from gapclique.errors import ContractViolation, PropertyViolation
-from gapclique.ffield import rank_tuple
 from gapclique.reduction import Vertex, is_valid_vertex, value_relation
 from gapclique.vecsum import vector_sum
 
-from field_reference import apply_map, block_inner, scale, sub, unrank_tuple
+from field_reference import apply_map, block_inner, rank_tuple, scale, sub, unrank_tuple
 
 
 def pair_rule_sets(ci, pairs):
@@ -68,9 +67,9 @@ def decoded_function(clique, q, kk, l, rng):
     """Both phases of the decoded function on F_q^kk: the table's values as
     a list of l-tuples in rank order, the phase-1 points and the fill log.
     Phase 2 walks every other point in lexicographic order: the origin is
-    zero once anything is valued; another point takes c times the value of
-    c^-1 times itself when that point is valued (phase-1 points first, then
-    scalars c in increasing order); any other point draws l fresh values."""
+    zero; another point takes c times the value of c^-1 times itself when
+    that point is valued (phase-1 points first, then scalars c in increasing
+    order); any other point draws l fresh values."""
     phase1 = clique_values(clique, q)
     fill = {}
     fill_log = {p: "clique" for p in phase1}
@@ -80,9 +79,8 @@ def decoded_function(clique, q, kk, l, rng):
             continue
         assigned = None
         if not any(p):
-            if phase1 or fill:
-                assigned = (0,) * l
-                fill_log[p] = "closure"
+            assigned = (0,) * l
+            fill_log[p] = "closure"
         else:
             for known, c in itertools.product((phase1, fill), range(1, q)):
                 base = scale(q, pow(c, -1, q), p)
@@ -125,6 +123,14 @@ def unrank(codec, r):
     b += b >= a
     return Vertex(unrank_tuple(q, kk, a), unrank_tuple(q, kk, b),
                   unrank_tuple(q, l, x), unrank_tuple(q, l, y))
+
+
+def codec_vertices(codec):
+    """The vertices in the order materialize numbers them: row r of
+    codec.ranks(), read back as residue tuples."""
+    dims = (codec.kk, codec.kk, codec.l, codec.l)
+    return [Vertex(*(unrank_tuple(codec.q, dim, r) for dim, r in zip(dims, row)))
+            for row in zip(*(part.tolist() for part in codec.ranks()))]
 
 
 def codec_rank(codec, v):
@@ -224,4 +230,4 @@ class ReferenceOracle:
                 if not self.rules(u, vertices[j], first_only=True):
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
-        return DenseGraph(codec.count, tuple(adj), labels=tuple(vertices))
+        return DenseGraph(codec.count, tuple(adj))

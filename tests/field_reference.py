@@ -99,6 +99,15 @@ def enumerate_sumset(q, collection, r, cap=1_000_000):
     return frozenset(elements)
 
 
+def rank_tuple(q, t):
+    """Base-q positional rank of a residue tuple, first coordinate most
+    significant; the rank order is exactly lexicographic order."""
+    r = 0
+    for e in t:
+        r = r * q + e
+    return r
+
+
 def unrank_tuple(q, dim, r):
     """The residue tuple of length dim whose rank_tuple is r."""
     out = [0] * dim

@@ -12,11 +12,10 @@ import itertools
 
 import numpy as np
 
-from gapclique.ffield import rank_tuple
 from gapclique.lintest import PassEstimate
 from gapclique.stats import wilson_interval
 
-from field_reference import inner_product, scale, unrank_tuple
+from field_reference import inner_product, rank_tuple, scale, unrank_tuple
 
 
 def value_at(f, alpha) -> tuple:

@@ -293,7 +293,8 @@ class TestLintestCommand:
         from gapclique.lintest import FunctionTable, LinearScalarFn
 
         table = tmp_path / "table.json"
-        FunctionTable.from_linear(LinearScalarFn(5, (2, 3))).save(table)
+        with open(table, "w") as fh:
+            json.dump(FunctionTable.from_linear(LinearScalarFn(5, (2, 3))).to_json(), fh)
         out = str(tmp_path)
         assert run("--seed", "1", "--out-dir", out, "lintest",
                    "--table", str(table), "--decode-delta", "0.5") == EXIT_OK
@@ -305,7 +306,8 @@ class TestLintestCommand:
         from gapclique.lintest import FunctionTable, LinearScalarFn
 
         table = tmp_path / "table.json"
-        FunctionTable.from_linear(LinearScalarFn(3, (1, 2))).save(table)
+        with open(table, "w") as fh:
+            json.dump(FunctionTable.from_linear(LinearScalarFn(3, (1, 2))).to_json(), fh)
         out = str(tmp_path)
         assert run("--seed", "1", "--out-dir", out, "lintest",
                    "--table", str(table), "--samples", "500") == EXIT_OK

@@ -11,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from gapclique import reduction, rng as rngmod
 from gapclique.errors import ContractViolation
-from gapclique.ffield import rank_tuple
 from gapclique.randmap import sample_g
 from gapclique.reduction import CliqueInstance, ReductionParams, Vertex, is_valid_vertex
 from gapclique.vecsum import generate_planted
 
-from edge_reference import ReferenceOracle, pair_rule_sets, unrank
-from field_reference import add, scale
+from edge_reference import ReferenceOracle, codec_vertices, pair_rule_sets, unrank
+from field_reference import add, rank_tuple, scale
+from graph_reference import has_edge
 
 
 def make_instance(seed, q, k, l, n=4):
@@ -325,18 +325,18 @@ def test_materialize_matches_reference(q, k, l, seed):
     graph = ci.materialize()
     expected = ReferenceOracle(ci).materialize()
     assert graph.adj == expected.adj
-    assert graph.labels == expected.labels
+    assert codec_vertices(ci.codec) == [unrank(ci.codec, r) for r in range(ci.codec.count)]
 
 
 @pytest.mark.parametrize("q,k,l", [(3, 1, 2), (5, 1, 1), (2, 2, 1), (2, 1, 5)])
 def test_codec_ranks_match_reference_numbering(q, k, l):
-    # every rank, and the labels materialize builds from the ranks
+    # every rank, and the vertices materialize numbers by the ranks
     ci = make_instance(0, q, k, l)
     codec = ci.codec
     expected = [unrank(codec, r) for r in range(codec.count)]
     ranks = zip(*(r.tolist() for r in codec.ranks()))
     assert list(ranks) == [tuple(rank_tuple(q, part) for part in v) for v in expected]
-    assert ci.materialize(budget=codec.count).labels == tuple(expected)
+    assert codec_vertices(codec) == expected
 
 
 @pytest.mark.parametrize("q,k,l", [(3, 1, 2), (5, 1, 1)])
@@ -357,10 +357,11 @@ def test_materialize_mask_word_width_does_not_matter(monkeypatch):
     monkeypatch.setattr(reduction, "MASK_WORD", np.uint8)
     assert ci.materialize(budget=count).adj == graph.adj
     ref, r = ReferenceOracle(ci), random.Random("mask-words")
+    vertices = codec_vertices(ci.codec)
     for _ in range(3000):
         i, j = r.sample(range(count), 2)
-        u, v = graph.labels[i], graph.labels[j]
-        assert graph.has_edge(i, j) == (not ref.rules(u, v, first_only=True)), (u, v)
+        u, v = vertices[i], vertices[j]
+        assert has_edge(graph, i, j) == (not ref.rules(u, v, first_only=True)), (u, v)
 
 
 def test_materialize_matches_reference_at_k2():
@@ -369,4 +370,4 @@ def test_materialize_matches_reference_at_k2():
     graph = ci.materialize()
     expected = ReferenceOracle(ci).materialize()
     assert graph.adj == expected.adj
-    assert graph.labels == expected.labels
+    assert codec_vertices(ci.codec) == [unrank(ci.codec, r) for r in range(ci.codec.count)]

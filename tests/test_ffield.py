@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from gapclique import rng as rngmod
 from gapclique.errors import ContractViolation
-from gapclique.ffield import is_prime, next_prime, rank_tuple
+from gapclique.ffield import is_prime, next_prime
 from gapclique.randmap import LinearMapG, sample_g, source_images
 from gapclique.vecsum import VecSumInstance
 
@@ -20,6 +20,7 @@ from field_reference import (
     block_inner,
     identity,
     inner_product,
+    rank_tuple,
     rel_hamming,
     rel_weight,
     scale,

@@ -2,6 +2,7 @@
 against brute-force oracles, and the piecing procedure."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from gapclique import lintest, rng as rngmod
 from gapclique.errors import BudgetExceeded, ContractViolation, PiecingRefused, PropertyViolation
-from gapclique.ffield import rank_tuple
 from gapclique.lintest import (
     FunctionTable,
     LinearScalarFn,
@@ -19,7 +19,6 @@ from gapclique.lintest import (
     accepted_degrees,
     agreement,
     fourier_transform,
-    line_representatives,
     list_decode_scalar,
     pass_probability,
     piece_together,
@@ -27,7 +26,14 @@ from gapclique.lintest import (
     triple_correlation_check,
 )
 
-from lintest_reference import accepted_mask, coordinate_masks, eval_linear, monte_carlo_estimate
+from field_reference import rank_tuple, unrank_tuple
+from lintest_reference import (
+    accepted_mask,
+    coordinate_masks,
+    eval_linear,
+    line_representatives,
+    monte_carlo_estimate,
+)
 
 TOL = 1e-9
 
@@ -50,6 +56,11 @@ def arbitrary_table(r, q, d, l):
     """A table with independent uniform values: neither scalar respecting
     nor zero at the origin, as a rule."""
     return FunctionTable(q, d, l, [[r.randrange(q) for _ in range(l)] for _ in range(q**d)])
+
+
+def decoded_fns(q, d, ranks):
+    """A decoded list of coefficient-vector ranks as linear functions."""
+    return tuple(LinearScalarFn(q, unrank_tuple(q, d, r)) for r in ranks.tolist())
 
 
 class TestEvalLinear:
@@ -383,6 +394,21 @@ class TestListDecode:
         got = list_decode_scalar(f, 0.25)
         assert fn.rho in {c.rho for c in got}
 
+    @pytest.mark.parametrize("q,d", [(3, 3), (5, 2), (11, 2)])
+    def test_list_is_the_agreement_filter_in_rank_order(self, q, d):
+        # every coefficient vector whose agreement clears the threshold, in
+        # lexicographic (rank) order, for tables with lists of several members
+        delta = 0.1
+        thr = Fraction(1, q) + Fraction(q - 1, q) * Fraction(0.25 * delta)
+        sizes = set()
+        for i in range(10):
+            f = random_scalar_respecting_table(rngmod.stream(q * d + i, "order"), q, d)
+            want = [rho for rho in itertools.product(range(q), repeat=d)
+                    if agreement(f, LinearScalarFn(q, rho)) >= thr]
+            assert [c.rho for c in list_decode_scalar(f, delta)] == want
+            sizes.add(len(want))
+        assert max(sizes) > 1
+
     def test_list_size_respects_parseval_cap(self):
         f = random_scalar_respecting_table(rngmod.stream(2, "cap"), 5, 2)
         delta = 0.3
@@ -476,7 +502,8 @@ class TestPieceTogether:
     def test_lists_match_one_coordinate_at_a_time(self, q, d, l):
         f = random_scalar_respecting_table(rngmod.stream(q * d * l, "batch"), q, d, l)
         res = piece_together(f, 0, Fraction(1, 4), delta_schedule=lambda e, ei: 0.3)
-        assert res.state.lists == tuple(list_decode_scalar(f.coordinate(i), 0.3) for i in range(l))
+        lists = tuple(decoded_fns(q, d, ranks) for ranks in res.state.lists)
+        assert lists == tuple(list_decode_scalar(f.coordinate(i), 0.3) for i in range(l))
 
     @pytest.mark.parametrize("block", [1, 7, lintest.PAIR_BLOCK])
     @pytest.mark.parametrize("q,d,l", [(3, 4, 128), (11, 2, 3)])
@@ -488,12 +515,13 @@ class TestPieceTogether:
         res = piece_together(f, 0, Fraction(1, 4), delta_schedule=lambda e, ei: 0.5)
         points = list(itertools.product(range(q), repeat=d))
         want = np.zeros((q**d, l), dtype=np.int64)
-        for i, fns in enumerate(res.state.lists):
+        for i, ranks in enumerate(res.state.lists):
+            fns = decoded_fns(q, d, ranks)
             for r, p in enumerate(points):
                 hits = [t for t, c in enumerate(fns) if eval_linear(c, p) == f.values[r, i]]
                 want[r, i] = hits[0] + 1 if len(hits) == 1 else 0
         assert max(map(len, res.state.lists)) > 1
-        assert (res.state.labels == want).all() and want.any()
+        assert (res.state.matches == want).all() and want.any()
 
     def test_agreement_counts_mismatches_against_kappa_times_l(self):
         # three lines wrong on 1, 2 and 3 of the 4 coordinates; kappa * l
@@ -558,7 +586,8 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         f = random_scalar_respecting_table(rngmod.stream(6, "ser"), 5, 2, 3)
         p = tmp_path / "table.json"
-        f.save(p)
+        with open(p, "w") as fh:
+            json.dump(f.to_json(), fh)
         g = FunctionTable.load(p)
         assert g.q == f.q and g.d == f.d and g.l == f.l
         assert np.array_equal(g.values, f.values)

@@ -17,11 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from gapclique import rng as rngmod
 from gapclique.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_PROPERTY, main
-from gapclique.cliquesolve import DenseGraph, read_dimacs, read_graph_json
+from gapclique.cliquesolve import DenseGraph, export_graph, read_dimacs, read_graph_json
 from gapclique.errors import BudgetExceeded, ContractViolation
 from gapclique.lintest import FunctionTable, LinearScalarFn
 from gapclique.randmap import LinearMapG, sample_g
-from gapclique.reduction import CliqueInstance, ReductionParams, export_graph, param_schedule
+from gapclique.reduction import CliqueInstance, ReductionParams, param_schedule
 from gapclique.vecsum import VecSumInstance, generate_planted
 
 DOCUMENTED_EXIT_CODES = {EXIT_OK, EXIT_BUDGET, EXIT_PROPERTY, EXIT_IO, EXIT_INVALID}

@@ -9,7 +9,7 @@ import pytest
 
 from gapclique import rng as rngmod
 from gapclique.errors import BudgetExceeded, ContractViolation, PropertyViolation
-from gapclique.cliquesolve import is_clique, max_clique_exact, read_dimacs, read_graph_json
+from gapclique.cliquesolve import export_graph, max_clique_exact, read_dimacs, read_graph_json
 from gapclique.lintest import pass_probability
 from gapclique.randmap import LinearMapG, sample_g
 from gapclique.reduction import (
@@ -20,7 +20,6 @@ from gapclique.reduction import (
     as_clique,
     _pair_batches,
     build_gamma,
-    export_graph,
     extract_witness,
     floor_log2,
     is_valid_vertex,
@@ -33,7 +32,8 @@ from gapclique.vecsum import VecSumInstance, generate_planted
 
 import edge_reference as reference
 from edge_reference import codec_rank, pair_rule_sets, unrank, var_points
-from field_reference import apply_map, block_inner, inner_product, sub
+from field_reference import apply_map, block_inner, inner_product, sub, unrank_tuple
+from graph_reference import has_edge, is_clique
 from lintest_reference import value_at
 
 
@@ -250,11 +250,15 @@ class TestPlantedClique:
 
 
 def phase1_outcome(compute):
-    """The phase-1 dict as its item list in order, or the refusal message."""
+    """The phase-1 (point, value) items in order, from the reference dict or
+    from the point and value arrays, or the refusal message."""
     try:
-        return list(compute().items())
+        got = compute()
     except PropertyViolation as exc:
         return str(exc)
+    if isinstance(got, dict):
+        return list(got.items())
+    return list(zip(*(map(tuple, t.tolist()) for t in got)))
 
 
 class TestGammaPhase1:
@@ -360,7 +364,8 @@ class TestGamma:
         gamma = build_gamma(clique, ci, rng=rngmod.stream(60, "gamma-fill"))
         u = ci.source.collections[0][ci.source.planted[0]]
         img = apply_map(ci.gmap, u)
-        for p in gamma.var_points:
+        for r in gamma.var_points.tolist():
+            p = unrank_tuple(3, 1, r)
             assert value_at(gamma.table, p) == block_inner(3, p, img)
 
     def test_gamma_scalar_respecting(self):
@@ -392,8 +397,8 @@ class TestGamma:
         ci = make_instance(64, 3, 1, 4, 2, 2)
         sub = ci.planted_clique(ci.source.planted)[:2]
         gamma = build_gamma(sub, ci, rng=rngmod.stream(64, "gamma-fill"))
-        assert set(gamma.fill_log) == {(a,) for a in range(3)}
-        assert all(tag in ("clique", "closure", "random") for tag in gamma.fill_log.values())
+        assert gamma.tags.shape == (3,)  # one tag per rank of the domain
+        assert all(tag in ("clique", "closure", "random") for tag in gamma.tags.tolist())
 
 
 class TestExtraction:
@@ -423,6 +428,22 @@ class TestExtraction:
         assert rep.verdict == "witness"
         assert all(d.max_residual == 0 for d in rep.directions)
 
+    @pytest.mark.parametrize("q,k,l", [(3, 2, 2), (3, 2, 4)])
+    def test_r_star_reads_each_point_of_the_clique(self, q, k, l):
+        # at k = 1 the planted vector, and so the pieced function, is zero;
+        # at k = 2 it is not, so r* must compare each clique point's own value
+        ci = make_instance(14, q, k, 4, 3, l)
+        clique = ci.planted_clique(ci.source.planted)
+        for kappa in (Fraction(0), Fraction(1, 4)):
+            rep = extract_witness(clique, ci, kappa=kappa, rng=rngmod.stream(14, "gamma-fill"),
+                                  verify=False)
+            assert any(map(any, rep.fn.rhos))
+            gamma = build_gamma(clique, ci, rng=rngmod.stream(14, "gamma-fill"), verify=False)
+            points = reference.clique_values(list(clique), q)
+            mism = [sum(value_at(gamma.table, p)[j] != inner_product(q, rho, p)
+                        for j, rho in enumerate(rep.fn.rhos)) for p in points]
+            assert rep.r_star_size == sum(Fraction(m, l) <= kappa for m in mism)
+
     def test_bounds_decide_like_fractions(self):
         # kappa * l integral (kappa = 0, 1/4, ...) and not (1/8, 3/10, ...):
         # r* and the in-bound vectors are those of exact Fraction comparisons
@@ -435,7 +456,8 @@ class TestExtraction:
             rep = extract_witness(clique, ci, kappa=kappa, rng=rngmod.stream(12, "gamma-fill"))
             gamma = build_gamma(clique, ci, rng=rngmod.stream(12, "gamma-fill"))
             mism = [sum(value_at(gamma.table, p)[j] != inner_product(q, rho, p)
-                        for j, rho in enumerate(rep.fn.rhos)) for p in gamma.var_points]
+                        for j, rho in enumerate(rep.fn.rhos))
+                    for p in (unrank_tuple(q, k * k, r) for r in gamma.var_points.tolist())]
             assert rep.r_star_size == sum(Fraction(m, l) <= kappa for m in mism)
             for d in rep.directions:
                 us = ci.source.collections[d.collection]
@@ -511,7 +533,7 @@ class TestMaterializeExport:
         graph = ci.materialize()
         assert graph.n == 12
         assert all(
-            graph.has_edge(u, v) == graph.has_edge(v, u) for u in range(12) for v in range(12)
+            has_edge(graph, u, v) == has_edge(graph, v, u) for u in range(12) for v in range(12)
         )
 
     def test_rematerialization_identical(self):
@@ -525,9 +547,9 @@ class TestMaterializeExport:
         graph = ci.materialize()
         res = max_clique_exact(graph)
         assert res.optimal and res.size == 2 ** 2  # q^(2k^2)
-        labels = [graph.labels[v] for v in res.vertices]
+        vertices = [unrank(ci.codec, v) for v in res.vertices]
         assert is_clique(graph, res.vertices)
-        assert len({(v.alpha, v.beta) for v in labels}) == len(labels)  # one per cloud
+        assert len({(v.alpha, v.beta) for v in vertices}) == len(vertices)  # one per cloud
 
     def test_budget_refusal_names_exact_count(self):
         ci = make_instance(73, 3, 1, 4, 4, 2)

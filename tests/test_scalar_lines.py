@@ -12,7 +12,6 @@ import pytest
 from gapclique import lintest, rng as rngmod
 from gapclique.errors import BudgetExceeded, PropertyViolation
 from gapclique.experiments import _corrupted_linear_table
-from gapclique.ffield import rank_tuple
 from gapclique.lintest import (
     MAX_TABLE_SIZE,
     FunctionTable,
@@ -27,7 +26,7 @@ from gapclique.vecsum import generate_planted
 
 import edge_reference
 import lintest_reference as reference
-from field_reference import scale
+from field_reference import rank_tuple, scale
 
 LINE_SHAPES = [(2, 1), (2, 5), (3, 4), (11, 2), (101, 2), (31, 3)]
 GAMMA_POINTS = [(3, 1, 2), (3, 1, 4), (5, 1, 2), (2, 2, 2), (3, 2, 4), (7, 1, 3)]
@@ -40,7 +39,8 @@ def test_lines_match_reference(q, d):
     assert len(reps) == (q**d - 1) // (q - 1)
     want = [[rank_tuple(q, scale(q, c, rep)) for c in range(1, q)] for rep in reps]
     assert _lines(q, d).tolist() == want
-    assert lintest.line_representatives(q, d) == reps
+    # each line's representative is the first point of its row
+    assert tuple(map(tuple, lintest._domain(q, d)[0][_lines(q, d)[:, 0]].tolist())) == reps
 
 
 def scalar_respecting(q, d, vals):
@@ -90,15 +90,15 @@ def make_instance(q, k, l):
 
 
 def gamma_outcome(vertices, ci, seed):
-    """build_gamma's table values, phase-1 points and fill log (in order), or
-    its refusal message; with the rng state after the call."""
+    """build_gamma's table values, phase-1 point ranks and fill tags (in rank
+    order), or its refusal message; with the rng state after the call."""
     rng = random.Random(seed)
     try:
         gamma = build_gamma(vertices, ci, rng=rng, verify=False)
     except PropertyViolation as exc:
         return str(exc), rng.getstate()
     values = list(map(tuple, gamma.table.values.tolist()))
-    return (values, gamma.var_points, list(gamma.fill_log.items())), rng.getstate()
+    return (values, gamma.var_points.tolist(), gamma.tags.tolist()), rng.getstate()
 
 
 def reference_outcome(vertices, ci, seed):
@@ -111,7 +111,8 @@ def reference_outcome(vertices, ci, seed):
     if not FunctionTable(q, k * k, l, values).is_scalar_respecting():
         return ("decoded function is not scalar respecting; the clique's shared "
                 "points carry scalar-inconsistent values"), rng.getstate()
-    return (values, var_points, list(fill_log.items())), rng.getstate()
+    ranks = sorted(rank_tuple(q, p) for p in var_points)
+    return (values, ranks, [tag for _, tag in sorted(fill_log.items())]), rng.getstate()
 
 
 @pytest.mark.parametrize("point", GAMMA_POINTS, ids=str)
@@ -135,7 +136,7 @@ def test_gamma_edge_cases_match_reference(point):
     origin, one = (0,) * kk, (0,) * (kk - 1) + (1,)
     x = (1,) + (0,) * (l - 1)
     cases = {
-        # the origin draws first, so the table is refused unless it draws 0
+        # the origin is zero and every line draws
         "empty": [],
         # the clique's value at the origin is zero, or is not
         "planted at the origin": [v for v in ci.planted_clique(ci.source.planted)
@@ -151,9 +152,20 @@ def test_gamma_edge_cases_match_reference(point):
         assert got == reference_outcome(vertices, ci, 5), name
         outcomes[name] = got[0]
     assert isinstance(outcomes["planted at the origin"], tuple)
+    assert isinstance(outcomes["empty"], tuple)
     if q > 2:  # over F_2 both lists are consistent
         assert "not scalar respecting" in outcomes["nonzero at the origin"]
         assert "not scalar respecting" in outcomes["scalar-inconsistent"]
+
+
+@pytest.mark.parametrize("point", GAMMA_POINTS, ids=str)
+def test_empty_clique_decodes_to_scalar_respecting_table(point):
+    q, k, l = point
+    gamma = build_gamma([], make_instance(q, k, l), rng=random.Random(5), verify=False)
+    assert scalar_respecting(q, k * k, gamma.table.values)
+    assert not gamma.table.values[0].any()
+    assert gamma.var_points.size == 0
+    assert gamma.tags[0] == "closure" and (gamma.tags[_lines(q, k * k)[:, 0]] == "random").all()
 
 
 def test_oversized_domain_refused_after_phase_1():

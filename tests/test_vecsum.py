@@ -1,5 +1,7 @@
 """Vector-sum instances: generators, brute-force deciding, validation."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -119,7 +121,8 @@ class TestInstanceIO:
     def test_json_round_trip(self, tmp_path):
         inst = generate_planted(rngmod.stream(9, "io"), 5, 2, 3, 4)
         p = tmp_path / "inst.json"
-        inst.save(p)
+        with open(p, "w") as fh:
+            json.dump(inst.to_json(), fh)
         back = VecSumInstance.load(p)
         assert back.collections == inst.collections
         assert back.planted == inst.planted
