@@ -9,7 +9,8 @@ function out of the per-coordinate lists.  Every scalar-respecting table is
 built, and checked, by one closure step on one cached table of the lines
 through the origin (_scalar_closure, _lines).  Decoded lists stay arrays of
 coefficient-vector ranks (rows of the digit table _domain) through piecing;
-list_decode_scalar wraps them as LinearScalarFn.
+list_decode_scalar wraps them as LinearScalarFn.  Every transform over F_q^d
+is one _dft, and a table keeps its accepted counts (accepted_degrees).
 
 All probabilities are exact rationals of integer counts.  Counts taken on
 the Fourier side are rounded to integers under a 0.25 guard; Fourier
@@ -41,6 +42,8 @@ PAIR_BLOCK = 1 << 16
 # Fourier threshold for list decoding is LIST_CONSTANT * delta.
 LIST_CONSTANT = 0.25
 FLOAT_TOL = 1e-9
+# a DFT pass transforms as many digits as span at most this many points
+DFT_BLOCK = 64
 # a count computed in floating point must lie this close to an integer
 ROUNDING_GUARD = 0.25
 
@@ -62,6 +65,32 @@ def _domain(q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     digits.setflags(write=False)
     place.setflags(write=False)
     return digits, place
+
+
+@lru_cache(maxsize=64)
+def _dft_matrix(q: int, a: int, sign: int) -> np.ndarray:
+    """[v, u] = omega^(sign * <u, v>) over F_q^a, both in rank order."""
+    digits, _ = _domain(q, a)
+    w = np.exp(sign * 2j * np.pi * (digits @ digits.T % q) / q)
+    w.setflags(write=False)
+    return w
+
+
+def _dft(x: np.ndarray, q: int, d: int, sign: int) -> np.ndarray:
+    """sum_v x[v] omega^(sign * <u, v>) at every u of F_q^d, for every row of x
+    (last axis: the q^d points in rank order).  A pass multiplies the lowest
+    digits by their block's DFT matrix and rotates them to the front."""
+    if q > DFT_BLOCK:
+        grid, axes = x.reshape((-1,) + (q,) * d), tuple(range(1, d + 1))
+        if sign < 0:
+            return np.fft.fftn(grid, axes=axes).reshape(x.shape)
+        return np.fft.ifftn(grid, axes=axes, norm="forward").reshape(x.shape)
+    rows = x.reshape(-1, q**d)
+    a = max(t for t in range(d + 1) if q**t <= DFT_BLOCK)
+    for b in [a] * (d // a) + ([d % a] if d % a else []):
+        out = rows.reshape(-1, q**b) @ _dft_matrix(q, b, sign)
+        rows = out.reshape(len(rows), q ** (d - b), q**b).swapaxes(1, 2).reshape(len(rows), -1)
+    return rows.reshape(x.shape)
 
 
 class FunctionTable:
@@ -89,6 +118,7 @@ class FunctionTable:
         self.l = l
         self.values = vals
         self._scalar_respecting: Optional[bool] = None
+        self._accepted: Optional[tuple[np.ndarray, tuple[int, ...]]] = None
 
     # -- constructors ------------------------------------------------------
 
@@ -230,25 +260,26 @@ def _character_sums(f: FunctionTable) -> tuple[np.ndarray, np.ndarray]:
     equal and one of each pair is computed, counted twice.
     """
     q, d, l, n = f.q, f.d, f.l, f.size
-    lams, place = _domain(q, l)
-    ranks, neg_ranks = np.arange(q**l), (-lams % q) @ place
+    points, place = _domain(q, l)
+    ranks, neg_ranks = np.arange(q**l), (-points % q) @ place
     half = ranks <= neg_ranks
-    lams, weight = lams[half], np.where(ranks < neg_ranks, 2.0, 1.0)[half]
+    lams, weight = points[half], np.where(ranks < neg_ranks, 2.0, 1.0)[half] / n
+    # <lambda, f(a)> is read off lambda's row of inner products at f(a)'s rank
+    value_ranks = f.values @ place
     nonzero = lams != 0
     # [lambda, i]: lambda has no nonzero coordinate other than i
     on_axis = (nonzero.sum(axis=1, keepdims=True) - nonzero) == 0
     roots = np.exp(2j * np.pi * np.arange(q) / q)
-    axes = tuple(range(1, d + 1))
     deg = np.zeros(n)
     counts = np.zeros(l)
     step = max(1, PAIR_BLOCK // n)
     for start in range(0, len(lams), step):
         lam = slice(start, start + step)
-        g = roots[lams[lam] @ f.values.T % q]
-        big_g = np.fft.fftn(g.reshape((-1,) + (q,) * d), axes=axes)
+        g = roots[np.take(lams[lam] @ points.T % q, value_ranks, axis=1)]
+        big_g = _dft(g, q, d, -1)
         power = big_g.real**2 + big_g.imag**2
-        autocorr = np.fft.ifftn(power, axes=axes).reshape(g.shape)
-        terms = (g * autocorr.conj()).real * weight[lam, None]
+        # the inverse DFT is n times the autocorrelation; weight holds the 1/n
+        terms = (g * _dft(power, q, d, 1).conj()).real * weight[lam, None]
         deg += terms.sum(axis=0)
         counts += terms.sum(axis=1) @ on_axis[lam]
     sums = np.concatenate([deg / q**l, counts / q])
@@ -270,11 +301,13 @@ def accepted_degrees(
     With at most n characters (q^l <= n) the counts come from character-sum
     FFTs, rounded under a ROUNDING_GUARD check; otherwise every pair is
     enumerated a block of rows at a time.  Either way the request is gated
-    on the n^2 pair budget.
+    on the n^2 pair budget, and the result is kept on the table.
     """
     n = f.size
     if n * n > pair_budget:
         raise BudgetExceeded("pair enumeration", required=n * n, budget=pair_budget)
+    if f._accepted is not None:
+        return f._accepted
     if f.q**f.l <= n:
         deg, counts = _character_sums(f)
     else:
@@ -289,7 +322,8 @@ def accepted_degrees(
             deg[rows] = agree.all(axis=0).sum(axis=1)
             counts += agree.sum(axis=(1, 2))
     deg.setflags(write=False)
-    return deg, tuple(counts.tolist())
+    f._accepted = deg, tuple(counts.tolist())
+    return f._accepted
 
 
 @dataclass(frozen=True)
@@ -371,14 +405,9 @@ class FourierTable:
 
 def _transform(q: int, d: int, cols: np.ndarray) -> FourierTable:
     """Fourier coefficients of the phase function of every row of cols, an
-    array of residues whose last axis runs over the q^d points.
-
-    Coefficient at rho is the average of omega^{f(alpha)} times the
-    conjugated character at alpha, which is exactly the multidimensional DFT
-    of the phase values divided by the domain size; one DFT covers all rows.
-    """
-    g = np.exp(2j * np.pi * cols / q).reshape(cols.shape[:-1] + (q,) * d)
-    coeffs = np.fft.fftn(g, axes=tuple(range(-d, 0))).reshape(cols.shape) / q**d
+    array of residues whose last axis runs over the q^d points: at rho, the
+    average of omega^{f(alpha)} times the conjugated character at alpha."""
+    coeffs = _dft(np.exp(2j * np.pi * np.arange(q) / q)[cols], q, d, -1) / q**d
     return FourierTable(q, d, coeffs)
 
 

@@ -350,11 +350,12 @@ def check_pairwise_separation(
     ).astype(narrow)
     vecs = vecs.astype(narrow)
     # [alpha - 1, j]: the j-th smallest nonzero direction rank that is no
-    # multiple of direction alpha
-    multiples = (np.arange(q)[:, None] * coords[1:, None, :] % q) @ place
-    others = np.ones((size - 1, size), dtype=bool)
-    others[np.arange(size - 1)[:, None], multiples] = False
-    betas = np.nonzero(others)[1].reshape(size - 1, per_alpha)
+    # multiple of direction alpha; at k = 1 there is none, and no triple case
+    if per_alpha:
+        multiples = (np.arange(q)[:, None] * coords[1:, None, :] % q) @ place
+        others = np.ones((size - 1, size), dtype=bool)
+        others[np.arange(size - 1)[:, None], multiples] = False
+        betas = np.nonzero(others)[1].reshape(size - 1, per_alpha)
 
     def independent_pair(p):
         """The p-th ordered pair (alpha, beta) of direction ranks with beta

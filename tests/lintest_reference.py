@@ -1,11 +1,14 @@
 """The linearity test read off its definition, kept as the differential
 reference for lintest's counting: the accepted pairs from a loop over every
-pair of points, and the Monte Carlo estimate from one sampled pair at a time.
+pair of points, or, past a few thousand points, from every pair of points a
+block of first points at a time, and the Monte Carlo estimate from one
+sampled pair at a time.
 Also the lines through the origin from a walk over every point, and the
 corrupted linear tables of the lintest suite one line at a time.
 
 Points, ranks and values go through rank_tuple, unrank_tuple and
-value_at below, not through lintest's digit matrices or pair blocks.
+value_at below, not through lintest's digit matrices or pair blocks; the
+blocked enumeration lists the points with itertools.product.
 """
 
 import itertools
@@ -39,6 +42,25 @@ def coordinate_masks(f) -> np.ndarray:
         fa, fb, fs = (np.array(value_at(f, p)) for p in (a, b, s))
         masks[:, rank_tuple(q, a), rank_tuple(q, b)] = (fa + fb) % q == fs
     return masks
+
+
+def blocked_accepted_counts(f, block: int = 64) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Every point's accepted degree and every output coordinate's accepted
+    pair count, enumerating the pairs of block first points at a time
+    against all points, each pair's sum added digit by digit."""
+    q, n = f.q, f.size
+    points = np.array(list(itertools.product(range(q), repeat=f.d)), dtype=np.int64)
+    place = q ** np.arange(f.d - 1, -1, -1, dtype=np.int64)
+    vals = f.values
+    deg = np.zeros(n, dtype=np.int64)
+    counts = np.zeros(f.l, dtype=np.int64)
+    for start in range(0, n, block):
+        rows = slice(start, start + block)
+        sums = (points[rows, None, :] + points[None, :, :]) % q @ place
+        agree = (vals[rows, None, :] + vals[None, :, :]) % q == vals[sums]
+        deg[rows] = agree.all(axis=2).sum(axis=1)
+        counts += agree.sum(axis=(0, 1))
+    return deg, tuple(counts.tolist())
 
 
 def accepted_mask(f) -> np.ndarray:

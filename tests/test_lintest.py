@@ -29,6 +29,7 @@ from gapclique.lintest import (
 from field_reference import rank_tuple, unrank_tuple
 from lintest_reference import (
     accepted_mask,
+    blocked_accepted_counts,
     coordinate_masks,
     eval_linear,
     line_representatives,
@@ -193,6 +194,8 @@ class TestAcceptedSet:
         for block in (1, 5 * 125, 7 * 125 * 4, lintest.PAIR_BLOCK):
             monkeypatch.setattr(lintest, "PAIR_BLOCK", block)
             for table in (f, f4):
+                # a fresh table per block height: the counts are kept on the table
+                table = FunctionTable(q, d, table.l, table.values)
                 vals = table.values
                 agree = (vals[:, None, :] + vals[None, :, :]) % q == vals[sum_rank]
                 deg, counts = accepted_degrees(table)
@@ -228,13 +231,14 @@ class TestAcceptedDegrees:
         # character sums exactly when there are at most n characters:
         # q^l < n, q^l = n, then q^l > n twice
         inverse_transforms = []
-        ifftn = np.fft.ifftn
+        dft = lintest._dft
 
-        def counted(*args, **kwargs):
-            inverse_transforms.append(args[0].shape)
-            return ifftn(*args, **kwargs)
+        def counted(x, q, d, sign):
+            if sign > 0:
+                inverse_transforms.append(x.shape)
+            return dft(x, q, d, sign)
 
-        monkeypatch.setattr(np.fft, "ifftn", counted)
+        monkeypatch.setattr(lintest, "_dft", counted)
         for i in range(3):
             r = rngmod.stream(i, f"dispatch/{q}/{d}/{l}")
             _assert_matches_reference(arbitrary_table(r, q, d, l))
@@ -244,11 +248,90 @@ class TestAcceptedDegrees:
     def test_float_error_past_the_guard_refused(self, monkeypatch):
         # every point where f is 0 gains 0.3 in its degree
         f = random_scalar_respecting_table(rngmod.stream(11, "guard"), 5, 2, 2)
-        ifftn = np.fft.ifftn
-        monkeypatch.setattr(np.fft, "ifftn", lambda *a, **k: ifftn(*a, **k) + 0.3)
+        dft = lintest._dft
+
+        def shifted(x, q, d, sign):
+            # the inverse transform is unnormalized: 0.3 after dividing by q^d
+            return dft(x, q, d, sign) + (0.3 * q**d if sign > 0 else 0)
+
+        monkeypatch.setattr(lintest, "_dft", shifted)
         for run in (accepted_degrees, pass_probability, lambda g: piece_together(g, 0, 0)):
             with pytest.raises(PropertyViolation):
                 run(f)
+        # no refused count was kept on the table
+        monkeypatch.setattr(lintest, "_dft", dft)
+        (deg, counts), (ref_deg, ref_counts) = accepted_degrees(f), blocked_accepted_counts(f)
+        assert np.array_equal(deg, ref_deg) and counts == ref_counts
+
+
+class TestAcceptedMemo:
+    def test_tables_built_and_dropped_keep_their_own_counts(self):
+        # each table is dropped before the next is built, so ids are reused
+        ids = set()
+        for i in range(200):
+            q, d, l = (5, 2, 2) if i % 4 else (2, 3, 3)
+            r = rngmod.stream(i, "memo")
+            f = arbitrary_table(r, q, d, l) if i % 2 else random_scalar_respecting_table(r, q, d, l)
+            ids.add(id(f))
+            ref_deg, ref_counts = blocked_accepted_counts(f)
+            deg, counts = accepted_degrees(f)
+            assert np.array_equal(deg, ref_deg) and counts == ref_counts
+            assert pass_probability(f) == Fraction(int(ref_deg.sum()), f.size**2)
+            del f
+        assert len(ids) < 200
+
+    def test_kept_counts_still_gated_on_the_pair_budget(self):
+        f = random_scalar_respecting_table(rngmod.stream(1, "memo-budget"), 5, 2)
+        n = f.size
+        accepted_degrees(f)
+        for run in (accepted_degrees, pass_probability,
+                    lambda g, pair_budget: piece_together(g, 0, 0, pair_budget=pair_budget)):
+            with pytest.raises(BudgetExceeded) as exc:
+                run(f, pair_budget=n * n - 1)
+            assert exc.value.required == n * n
+
+    def test_character_sums_run_once_per_table(self, monkeypatch):
+        calls = []
+        sums = lintest._character_sums
+        monkeypatch.setattr(lintest, "_character_sums", lambda f: calls.append(f) or sums(f))
+        f = random_scalar_respecting_table(rngmod.stream(3, "once"), 3, 3, 2)
+        p = pass_probability(f)
+        res = piece_together(f, 0, Fraction(1, 4))
+        assert calls == [f] and res.pass_probability == p
+
+    def test_past_the_pair_cap_matches_enumeration(self):
+        # 4,489 points: the default pair budget refuses, and at q = 67 the
+        # character sums take one FFT per digit
+        q, d = 67, 2
+        n = q**d
+        r = rngmod.stream(67, "past-cap")
+        for f in (random_scalar_respecting_table(r, q, d), arbitrary_table(r, q, d, 1)):
+            with pytest.raises(BudgetExceeded):
+                accepted_degrees(f)
+            deg, counts = accepted_degrees(f, pair_budget=n * n)
+            ref_deg, ref_counts = blocked_accepted_counts(f)
+            assert np.array_equal(deg, ref_deg) and counts == ref_counts
+            assert pass_probability(f, pair_budget=n * n) == Fraction(int(ref_deg.sum()), n * n)
+
+
+class TestDft:
+    # blocks of 2^6, 3^3, 5^2 and 7^2 points with a shorter last pass, single
+    # digits from q = 11 to 61, and one FFT per digit past DFT_BLOCK
+    @pytest.mark.parametrize(
+        "q,d", [(2, 10), (3, 6), (5, 5), (7, 3), (11, 3), (31, 3), (67, 2), (211, 2)]
+    )
+    def test_matches_numpy_fftn(self, q, d):
+        r = np.random.default_rng(q * 100 + d)
+        x = r.standard_normal((3, q**d)) + 1j * r.standard_normal((3, q**d))
+        grid, axes = x.reshape((3,) + (q,) * d), tuple(range(1, d + 1))
+        forward = np.fft.fftn(grid, axes=axes).reshape(x.shape)
+        inverse = np.fft.ifftn(grid, axes=axes).reshape(x.shape) * q**d
+        assert np.allclose(lintest._dft(x, q, d, -1), forward, rtol=0, atol=1e-9)
+        assert np.allclose(lintest._dft(x, q, d, 1), inverse, rtol=0, atol=1e-9)
+        # one row alone, and real rows
+        assert np.allclose(lintest._dft(x[1], q, d, -1), forward[1], rtol=0, atol=1e-9)
+        real = np.fft.ifftn(x.real.reshape(grid.shape), axes=axes).reshape(x.shape) * q**d
+        assert np.allclose(lintest._dft(x.real, q, d, 1), real, rtol=0, atol=1e-9)
 
 
 class TestFourier:
@@ -428,14 +511,15 @@ class TestListDecode:
         # take no transform
         f = FunctionTable.from_linear(LinearVecFn(5, 2, ((1, 2), (3, 4), (0, 1))))
         assert piece_together(f, 0.5, Fraction(1, 4)).ok
-        fftn = np.fft.fftn
+        dft = lintest._dft
 
-        def spoiled(*args, **kwargs):
-            out = fftn(*args, **kwargs)
-            out[-1] = spoil(out[-1])
+        def spoiled(x, q, d, sign):
+            out = dft(x, q, d, sign)
+            if sign < 0:
+                out[-1] = spoil(out[-1])
             return out
 
-        monkeypatch.setattr(np.fft, "fftn", spoiled)
+        monkeypatch.setattr(lintest, "_dft", spoiled)
         with pytest.raises(PropertyViolation):
             piece_together(f, 0.5, Fraction(1, 4))
 

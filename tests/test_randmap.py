@@ -1,6 +1,7 @@
 """The random block-linear map: sampling, application, goodness checks."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -272,6 +273,23 @@ class TestPairwiseSeparation:
         assert exc.value.what == "separation direction images"
         assert exc.value.required == (q**k * l + m) * k * n * n + (q**k - 1) * (q**k - q)
         assert exc.value.budget == 1 << 24
+
+    def test_no_independent_pair_tables_at_k1(self):
+        # at k = 1 no two directions are independent: the tables of the
+        # directions that are no multiple of another (q^2 entries, 256 MiB
+        # here) are not built, and only single differences are checked
+        q = 4099
+        inst = generate_planted(rngmod.stream(14, "s"), q, 1, 1, 2)
+        g = sample_g(rngmod.stream(14, "sb"), q, 1, 1, 1)
+        tracemalloc.start()
+        try:
+            cert = check_pairwise_separation(g, inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        # the two ordered pairs of distinct vectors, under every nonzero direction
+        assert cert.passed and cert.checked == 2 * (q - 1)
 
     def test_counterexample_reverifies(self):
         inst = generate_planted(rngmod.stream(12, "s"), 3, 1, 2, 3)
