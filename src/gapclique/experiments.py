@@ -76,8 +76,8 @@ IDENTITY_TOL = 1e-9
 
 COMPLETENESS_POINTS = ((2, 1, 2), (3, 1, 2), (3, 1, 4), (2, 2, 1))
 COMPLETENESS_RUNS = 20
-# one planted clique verified past the default clique budget: 390,625 vertices
-COMPLETENESS_FRONTIER = (5, 2, 2)
+# one planted clique each past the default clique budget: 390,625 and 5,764,801 vertices
+COMPLETENESS_FRONTIER = ((5, 2, 2), (7, 2, 1))
 
 VERTEX_COUNT_POINTS = ((2, 1, 1), (3, 1, 1), (2, 1, 2), (3, 1, 2), (5, 1, 1), (2, 2, 1))
 
@@ -201,8 +201,8 @@ def suite_completeness(seed: int = 0, runs: int = COMPLETENESS_RUNS) -> list[dic
                 brute,
             )
         )
-    q, k, l = COMPLETENESS_FRONTIER
-    rows.append(_completeness_row(seed, q, k, l, 1, clique_budget=q ** (2 * k * k)))
+    for q, k, l in COMPLETENESS_FRONTIER:
+        rows.append(_completeness_row(seed, q, k, l, 1, clique_budget=q ** (2 * k * k)))
     return rows
 
 

@@ -37,6 +37,14 @@ with the pair count.  Each rule reads little of a vertex: rules 3-5 only
 slots.  So materialize evaluates rules 3-5 once per pair of (alpha, x)
 classes and rule 2 once per pair of slot classes, and verify_clique decides
 on groups before it scans pairs.
+
+A planted clique is one value table X: vertex (alpha, beta) carries X[alpha]
+and X[beta].  If X = digits @ R is linear (R: its rows at the unit points),
+every slot carries X of its point, so rules 1-3 cannot fire; alphas that
+differ by delta in block i alone (by d in every block) get values differing
+by M_i delta (by the sum of the M_i d), M_i being block i of R.  So it is a
+clique iff the M_i sum to 0 (rule 5) and each M_i delta is the image of a
+vector of collection i (rule 4): verify_clique decides it from R alone.
 """
 from __future__ import annotations
 
@@ -316,6 +324,23 @@ def as_clique(vertices, params: ReductionParams) -> Clique:
                   index, index + n, index, index + n)
 
 
+def _planted_rows(c: Clique) -> Optional[np.ndarray]:
+    """R, the value table's rows at the k^2 unit points, if the clique is
+    laid out as planted_clique's (the digit table's points, one value row
+    per point, x = a and y = b over every (a, b) in order) with values
+    digits @ R; else None, as where int64 products could wrap."""
+    q, kk = c.params.q, c.params.k**2
+    P = q**kk
+    if (len(c.points), len(c.values), c.a.shape) != (P, P, (P * P,)) or kk * q * q >= 2**63:
+        return None
+    digits, place = _domain(q, kk)
+    grid, R = np.arange(P), c.values[place]
+    laid_out = (np.array_equal(c.points, digits) and np.array_equal(c.x, c.a)
+                and np.array_equal(c.y, c.b) and (c.a.reshape(P, P) == grid[:, None]).all()
+                and (c.b.reshape(P, P) == grid).all())
+    return R if laid_out and (digits @ R % q == c.values).all() else None
+
+
 # -- vertex codec ----------------------------------------------------------------
 
 
@@ -577,16 +602,27 @@ class CliqueInstance:
         for i, idx in enumerate(indices):
             table = directions @ self._images[i][idx].T % q
             x = (x[:, None, :] + table).reshape(-1, l) % q
-        a, b = np.divmod(np.arange(total), len(x))
+        a, b = np.repeat(np.arange(len(x)), len(x)), np.tile(np.arange(len(x)), len(x))
         return Clique(params, _domain(q, k * k)[0], x, a, b, a, b)
 
     def verify_clique(self, vertices) -> Optional[tuple[Vertex, Vertex, frozenset]]:
         """The first violating pair in (i, j) order with its triggered rules,
         or None when the set is a clique.  Takes a Clique or a list of vertex
         tuples, validated before any pair is compared; repeated vertices are
-        skipped.  The grouped test decides; only a list it rejects is
-        scanned pair by pair."""
+        skipped.  A linear planted clique is decided from its rows R (see
+        the module docstring); any other list goes to the grouped test, and
+        only a list that rejects is scanned pair by pair."""
         clique = as_clique(vertices, self.params)
+        R = _planted_rows(clique)
+        if R is not None:
+            q, k = self.params.q, self.params.k
+            blocks, directions = R.reshape(k, k, -1), _domain(q, k)[0][1:].T
+            # rule 5: the M_i sum to 0; rule 4: every M_i delta is an image
+            if not (blocks.sum(axis=0) % q).any() and all(
+                (images @ directions % q == M @ directions % q).all(axis=1).any(axis=0).all()
+                for images, M in zip(self._images, blocks.transpose(0, 2, 1))
+            ):
+                return None
         codes = self._encode(clique)
         if self._grouped_clique(codes):
             return None
@@ -690,7 +726,10 @@ def _clique_values(clique: Clique, q: int) -> tuple[np.ndarray, np.ndarray]:
     assigns, as rows of a (points, k^2) array in order of first assignment
     (vertices sorted, slots alpha, beta, alpha + beta), and its value, as
     the same row of a (points, l) array.  Refuses when a point carries two
-    values, naming the first conflict met in that order."""
+    values, naming the first conflict met in that order.  A linear planted
+    clique assigns its value table as it is: vertex (0, b) assigns b first."""
+    if _planted_rows(clique) is not None:
+        return clique.points, clique.values
     c, n, l = clique, len(clique), clique.values.shape[1]
     if not n:
         return np.zeros((0, c.points.shape[1]), dtype=np.int64), np.zeros((0, l), dtype=np.int64)

@@ -44,7 +44,8 @@ def make_instance(seed, q, k, l, n=3):
     return CliqueInstance(ReductionParams(q=q, k=k, l=l), g, src)
 
 
-INSTANCES = {point: make_instance(80 + sum(point), *point) for point in POINTS}
+EXTRACTION_POINTS = [(3, 1, 4), (3, 2, 128)]
+INSTANCES = {point: make_instance(80 + sum(point), *point) for point in POINTS + EXTRACTION_POINTS}
 
 
 def random_vertex(r, q, k, l):
@@ -96,6 +97,9 @@ def test_planted_clique_reads_as_the_reference_list(q, k, l):
     assert isinstance(clique, Clique) and len(clique) == len(want) == q ** (2 * k * k)
     assert list(clique) == want
     assert [clique[i] for i in (0, 1, -1, len(want) // 2)] == [want[i] for i in (0, 1, -1, len(want) // 2)]
+    a, b = np.divmod(np.arange(len(want)), q ** (k * k))
+    assert all(np.array_equal(got, ab) and got.dtype == ab.dtype
+               for got, ab in ((clique.a, a), (clique.b, b), (clique.x, a), (clique.y, b)))
     # iteration shares one tuple per point and per value
     assert len({id(v.alpha) for v in clique}) == q ** (k * k)
 
@@ -127,6 +131,95 @@ def test_verify_clique_past_64_bit_pair_keys(q, l):
     ref, r = ReferenceOracle(ci), random.Random(f"wide-{q}")
     for bad in corrupted(ci, r, 6):
         assert ci.verify_clique(bad) == ref.verify(list(bad))
+
+
+# -- the planted layout, decided from its value table -------------------------------------
+
+DECISION_POINTS = [(2, 1, 2), (3, 1, 2), (5, 1, 1), (2, 2, 1), (2, 2, 3), (3, 2, 1)]
+
+
+def with_values(clique, values):
+    return Clique(clique.params, clique.points, values, clique.a, clique.b, clique.x, clique.y)
+
+
+def decision_cases(ci, r):
+    """(kind, clique) in the planted layout: the planted clique, one-entry
+    corruptions of its value table X, a linear X whose blocks are images of
+    vectors but do not sum to 0 ("rule 5"), and a linear X summing to 0
+    whose block 0 is no vector's image ("rule 4").  A linear X is
+    digits @ R, block i of R being an (k, l) image transposed.  Then the
+    planted tables under index arrays off the layout, one wrong array each:
+    diagonal vertices (alpha, alpha), P times each, and vertices
+    (alpha, beta, X[alpha], X[alpha]) or (alpha, beta, X[beta], X[beta]);
+    and the planted indices into the points in reverse order."""
+    q, k, l = ci.params.q, ci.params.k, ci.params.l
+    planted = ci.planted_clique(ci.source.planted)
+    digits = reduction._domain(q, k * k)[0]
+    yield "planted", planted
+    a, b = planted.a, planted.b
+    for rows in ((a, a, a, a), (b, b, b, b), (a, b, a, a), (a, b, b, b)):
+        yield "off layout", Clique(ci.params, planted.points, planted.values, *rows)
+    yield "off layout", Clique(ci.params, planted.points[::-1], planted.values, a, b, a, b)
+    for _ in range(3):
+        X = planted.values.copy()
+        X[r.randrange(len(X)), r.randrange(l)] += r.randrange(1, q)
+        yield "corrupted", with_values(planted, X % q)
+    for _ in range(20):
+        blocks = [images[r.randrange(len(images))].T for images in ci._images]
+        if (sum(blocks) % q).any():
+            yield "rule 5", with_values(planted, digits @ np.concatenate(blocks) % q)
+            break
+    images = ci._images[0]
+    for _ in range(20):
+        M = np.array([[r.randrange(q) for _ in range(k)] for _ in range(l)])
+        if not (images == M).all(axis=(1, 2)).any():
+            break
+    blocks = [M.T] + [ci._images[i][r.randrange(len(ci._images[i]))].T for i in range(1, k - 1)]
+    if k > 1:
+        blocks.append(-sum(blocks) % q)
+    yield "rule 4", with_values(planted, digits @ np.concatenate(blocks) % q)
+
+
+def refuse(*args):
+    raise AssertionError("a planted clique accepted from its value table is never encoded")
+
+
+@pytest.mark.parametrize("q,k,l", DECISION_POINTS)
+def test_planted_layout_decided_as_the_scan_decides(q, k, l, monkeypatch):
+    # the list of a clique takes the general path: grouped test, then scan
+    kinds = {}
+    for seed in range(4):
+        ci = make_instance(seed, q, k, l)
+        for kind, clique in decision_cases(ci, random.Random(f"decide-{seed}")):
+            want = ci.verify_clique(list(clique))
+            with monkeypatch.context() as m:
+                if want is None and kind != "off layout":
+                    m.setattr(CliqueInstance, "_encode", refuse)
+                assert ci.verify_clique(clique) == want
+            rules = want[2] if want else frozenset()
+            kinds.setdefault(kind, set()).add(rules)
+            if kind == "rule 5":
+                assert rules == {5}
+            elif kind == "rule 4" and k > 1:
+                assert rules <= {4}
+    assert kinds["planted"] == {frozenset()} and kinds["corrupted"] - {frozenset()}
+    assert {4} in kinds["rule 4"] or {4, 5} in kinds["rule 4"]
+
+
+@pytest.mark.parametrize("q,k,l", DECISION_POINTS)
+def test_planted_layout_phase1_is_the_general_path(q, k, l):
+    outcomes = set()
+    for seed in range(4):
+        ci = make_instance(seed, q, k, l)
+        for kind, clique in decision_cases(ci, random.Random(f"phase1-{seed}")):
+            want = phase1_outcome(lambda: _clique_values(as_clique(list(clique), ci.params), q))
+            assert phase1_outcome(lambda: _clique_values(clique, q)) == want
+            outcomes.add((kind, type(want)))
+            if kind == "planted":
+                general = _clique_values(as_clique(list(clique), ci.params), q)
+                got = _clique_values(clique, q)
+                assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, general))
+    assert ("corrupted", str) in outcomes
 
 
 # -- phase 1 and extraction ------------------------------------------------------------
@@ -167,7 +260,7 @@ def test_clique_values_on_crowded_lists(q, k, l):
     assert str in outcomes
 
 
-@pytest.mark.parametrize("q,k,l", POINTS)
+@pytest.mark.parametrize("q,k,l", POINTS + EXTRACTION_POINTS)
 def test_extraction_report_same_for_the_type_and_its_list(q, k, l):
     ci = INSTANCES[(q, k, l)]
     clique = ci.planted_clique(ci.source.planted)
