@@ -101,7 +101,7 @@ class FunctionTable:
     immutable after construction.
     """
 
-    def __init__(self, q: int, d: int, l: int, values, *, _skip_checks: bool = False):
+    def __init__(self, q: int, d: int, l: int, values):
         if q < 2 or d < 1 or l < 1:
             raise ContractViolation("need q >= 2, d >= 1, l >= 1")
         n = q**d
@@ -110,8 +110,7 @@ class FunctionTable:
         vals = np.array(values, dtype=np.int64)
         if vals.shape != (n, l):
             raise ContractViolation(f"expected value shape {(n, l)}, got {vals.shape}")
-        if not _skip_checks:
-            vals %= q
+        vals %= q
         vals.setflags(write=False)
         self.q = q
         self.d = d
@@ -127,7 +126,7 @@ class FunctionTable:
         rhos = (fn.rho,) if isinstance(fn, LinearScalarFn) else fn.rhos
         digits, _ = _domain(fn.q, fn.d)
         vals = digits @ np.array(rhos, dtype=np.int64).T % fn.q
-        return cls(fn.q, fn.d, len(rhos), vals, _skip_checks=True)
+        return cls(fn.q, fn.d, len(rhos), vals)
 
     # -- indexing ----------------------------------------------------------
 
@@ -137,7 +136,7 @@ class FunctionTable:
 
     def coordinate(self, i: int) -> "FunctionTable":
         """The scalar table obtained by projecting to output coordinate i."""
-        return FunctionTable(self.q, self.d, 1, self.values[:, i : i + 1], _skip_checks=True)
+        return FunctionTable(self.q, self.d, 1, self.values[:, i : i + 1])
 
     # -- scalar-respecting flag ---------------------------------------------
 
@@ -603,19 +602,19 @@ def piece_together(
 
     var_ranks = np.nonzero(deg)[0]
     var_count = var_ranks.size
-    weights = (matches[var_ranks] != 0).mean(axis=1)
-    v_star = var_ranks[weights >= 1.0 - eps_f**2.5]
-    w_star = var_ranks[deg[var_ranks] >= (eps_f**2 / 2.0) * var_count]
+    # V* and W* as masks over the sorted var_ranks: the anchor is the first in both
+    in_v = (matches[var_ranks] != 0).mean(axis=1) >= 1.0 - eps_f**2.5
+    in_w = deg[var_ranks] >= (eps_f**2 / 2.0) * var_count
     state = PiecingState(
         deltas=deltas,
         lists=lists,
         matches=matches,
         var_ranks=var_ranks,
-        v_star_ranks=v_star,
-        w_star_ranks=w_star,
+        v_star_ranks=var_ranks[in_v],
+        w_star_ranks=var_ranks[in_w],
         anchor_rank=None,
     )
-    both = np.intersect1d(v_star, w_star)
+    both = var_ranks[in_v & in_w]
     if both.size == 0:
         return PiecingResult(
             ok=False,
@@ -626,7 +625,7 @@ def piece_together(
             state=state,
             failure="no_anchor",
         )
-    anchor = int(both.min())
+    anchor = int(both[0])
     state.anchor_rank = anchor
 
     picked = enumerate(matches[anchor].tolist())
@@ -669,7 +668,7 @@ def _scalar_closure(q: int, d: int, line_values: np.ndarray) -> FunctionTable:
     i's representative is row i of line_values (lines x l)."""
     vals = np.zeros((q**d, line_values.shape[1]), dtype=np.int64)
     vals[_lines(q, d)] = line_values[:, None, :] * np.arange(1, q)[:, None] % q
-    t = FunctionTable(q, d, vals.shape[1], vals, _skip_checks=True)
+    t = FunctionTable(q, d, vals.shape[1], vals)
     t._scalar_respecting = True
     return t
 

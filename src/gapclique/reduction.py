@@ -68,7 +68,6 @@ from .lintest import (
     _lines,
     _scalar_closure,
     LinearVecFn,
-    default_delta_schedule,
     piece_together,
 )
 from .randmap import LinearMapG, source_images
@@ -258,6 +257,7 @@ class Clique(Sequence):
                  a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray):
         self.params, self.points, self.values = params, points, values
         self.a, self.b, self.x, self.y = a, b, x, y
+        self.planted_rows = _planted_rows(self)  # decided again when a vertex is replaced
 
     def _columns(self):
         return ((self.points, self.a), (self.points, self.b),
@@ -613,7 +613,7 @@ class CliqueInstance:
         the module docstring); any other list goes to the grouped test, and
         only a list that rejects is scanned pair by pair."""
         clique = as_clique(vertices, self.params)
-        R = _planted_rows(clique)
+        R = clique.planted_rows
         if R is not None:
             q, k = self.params.q, self.params.k
             blocks, directions = R.reshape(k, k, -1), _domain(q, k)[0][1:].T
@@ -725,51 +725,28 @@ def _clique_values(clique: Clique, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Phase 1 of the decoded function: every point a vertex of the clique
     assigns, as rows of a (points, k^2) array in order of first assignment
     (vertices sorted, slots alpha, beta, alpha + beta), and its value, as
-    the same row of a (points, l) array.  Refuses when a point carries two
-    values, naming the first conflict met in that order.  A linear planted
-    clique assigns its value table as it is: vertex (0, b) assigns b first."""
-    if _planted_rows(clique) is not None:
-        return clique.points, clique.values
-    c, n, l = clique, len(clique), clique.values.shape[1]
-    if not n:
-        return np.zeros((0, c.points.shape[1]), dtype=np.int64), np.zeros((0, l), dtype=np.int64)
+    the same row of a (points, l) array.  Refuses at the first vertex with a
+    slot whose value differs from the first slot's on its point, naming the
+    conflict as that vertex's loop meets it.  A linear planted clique
+    assigns its value table as it is: vertex (0, b) assigns b first."""
+    c, n = clique, len(clique)
+    if c.planted_rows is not None:
+        return c.points, c.values
+    x, y = c.values[c.x], c.values[c.y]
     point, point_sum = _row_ids(q, c.points, (c.points[c.a] + c.points[c.b]) % q)
-    value = _row_ids(q, c.values)[0]
+    value, value_sum = _row_ids(q, c.values, (x + y) % q)
     # ids order like their tuples, so this is the order of sorted(clique)
     order = np.lexsort((value[c.y], value[c.x], point[c.b], point[c.a]))
-    a, b, x, y = c.a[order], c.b[order], c.x[order], c.y[order]
-    point = np.stack([point[a], point[b], point_sum[order]], axis=1).reshape(-1)
-    # slot s carries vals[A[s]] + vals[B[s]]; the last row is zero
-    vals = np.concatenate([c.values, np.zeros((1, l), dtype=c.values.dtype)])
-    vals = vals.astype(np.min_scalar_type(2 * q))
-    zero = np.full(n, len(c.values))
-    A = np.stack([x, y, x], axis=1).reshape(-1)
-    B = np.stack([zero, zero, y], axis=1).reshape(-1)
-    # a point's first slot is the first slot of one of its (point, A, B)
-    # combinations, which come ordered by point; group g is the g-th point
-    combo, combo_first = _pair_ids(point, _pair_ids(A, B)[0])
-    starts = np.diff(point[combo_first], prepend=-1) != 0
-    group = np.cumsum(starts) - 1
-    first_slot = np.minimum.reduceat(combo_first, np.flatnonzero(starts))
-    ref = (vals[A[first_slot]] + vals[B[first_slot]]) % q
-    slot_group = group[combo]
-    # every other combination is compared once, in slot order, about 2^16
-    # entries at a time
-    check = np.sort(combo_first[combo_first != first_slot[group]])
-    step, last = max(1, (1 << 16) // l), n
-    for start in range(0, len(check), step):
-        s = check[start : start + step]
-        differ = ((vals[A[s]] + vals[B[s]]) % q != ref[slot_group[s]]).any(axis=1)
-        if differ.any():
-            last = int(s[differ.argmax()]) // 3
-            break
-    # until vertex `last` every point keeps its first value; the first
-    # conflict is met at vertex `last`, whose loop is replayed
-    assigned = np.sort(first_slot[first_slot < 3 * last])
-    vertex, slot = np.divmod(assigned, 3)
-    pa, pb = c.points[a[vertex]], c.points[b[vertex]]
-    rows = np.where((slot == 0)[:, None], pa, np.where((slot == 1)[:, None], pb, (pa + pb) % q))
-    known = ref[slot_group[assigned]].astype(np.int64)
+    point = np.stack([point[c.a[order]], point[c.b[order]], point_sum[order]], axis=1).reshape(-1)
+    value = np.stack([value[c.x[order]], value[c.y[order]], value_sum[order]], axis=1).reshape(-1)
+    _, first, group = np.unique(point, return_index=True, return_inverse=True)
+    differ = value != value[first][group]
+    last = int(differ.argmax()) // 3 if differ.any() else n
+    vertex, slot = np.divmod(np.sort(first[first < 3 * last]), 3)
+    v, at = order[vertex], (np.arange(len(vertex)), slot)
+    pa, pb = c.points[c.a[v]], c.points[c.b[v]]
+    rows = np.stack([pa, pb, pa + pb], axis=1)[at] % q
+    known = np.stack([x[v], y[v], x[v] + y[v]], axis=1)[at] % q
     if last < n:
         phase1 = dict(zip(*(map(tuple, t.tolist()) for t in (rows, known))))
         for p, vs in value_relation(clique[order[last]], q).items():
@@ -922,7 +899,6 @@ def extract_witness(
     kappa=None,
     rng: Optional[random.Random] = None,
     verify: bool = True,
-    delta_schedule: Callable[[float, float], float] = default_delta_schedule,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> ExtractionReport:
     """Decode a source witness out of a large clique (a Clique or a list
@@ -967,8 +943,7 @@ def extract_witness(
         return failed("gamma", str(exc))
 
     try:
-        piece = piece_together(gamma.table, eps, kappa, delta_schedule=delta_schedule,
-                               pair_budget=pair_budget)
+        piece = piece_together(gamma.table, eps, kappa, pair_budget=pair_budget)
     except PiecingRefused as exc:
         return failed("piecing", str(exc))
     report.pass_probability = piece.pass_probability

@@ -45,7 +45,9 @@ def make_instance(seed, q, k, l, n=3):
 
 
 EXTRACTION_POINTS = [(3, 1, 4), (3, 2, 128)]
-INSTANCES = {point: make_instance(80 + sum(point), *point) for point in POINTS + EXTRACTION_POINTS}
+WIDE = (3, 1, 48)  # 3^48 > 2^63: values get byte-string ids
+INSTANCES = {point: make_instance(80 + sum(point), *point)
+             for point in POINTS + EXTRACTION_POINTS + [WIDE]}
 
 
 def random_vertex(r, q, k, l):
@@ -222,10 +224,28 @@ def test_planted_layout_phase1_is_the_general_path(q, k, l):
     assert ("corrupted", str) in outcomes
 
 
+def test_planted_layout_decided_once_per_clique(monkeypatch):
+    # a verified extraction decides the layout once; a replaced vertex
+    # makes a new decision, so the corrupted clique is scanned and rejected
+    ci = INSTANCES[(3, 1, 2)]
+    calls = []
+    decide = reduction._planted_rows
+    monkeypatch.setattr(reduction, "_planted_rows", lambda c: calls.append(c) or decide(c))
+    clique = ci.planted_clique(ci.source.planted)
+    extract_witness(clique, ci, eps=0.5, verify=True)
+    assert len(calls) == 1 and calls[0] is clique and clique.planted_rows is not None
+    assert ci.verify_clique(clique) is None and len(calls) == 1
+    v = clique[1]
+    clique[1] = v._replace(x=tuple((e + 1) % 3 for e in v.x))
+    assert len(calls) == 2 and clique.planted_rows is None
+    bad = ci.verify_clique(clique)
+    assert bad is not None and bad == ReferenceOracle(ci).verify(list(clique))
+
+
 # -- phase 1 and extraction ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("q,k,l", POINTS)
+@pytest.mark.parametrize("q,k,l", POINTS + [WIDE])
 def test_clique_values_match_reference(q, k, l):
     ci = INSTANCES[(q, k, l)]
     r = random.Random(f"phase1-{q}-{k}-{l}")
@@ -239,7 +259,7 @@ def test_clique_values_match_reference(q, k, l):
     assert outcomes == {list, str}
 
 
-@pytest.mark.parametrize("q,k,l", [(3, 1, 2), (2, 2, 3)])
+@pytest.mark.parametrize("q,k,l", [(3, 1, 2), (2, 2, 3), WIDE])
 def test_clique_values_on_crowded_lists(q, k, l):
     # few points and x values, so many vertices tie on (alpha, beta, x) and
     # the sort falls through to y
