@@ -104,6 +104,8 @@ class FunctionTable:
     def __init__(self, q: int, d: int, l: int, values):
         if q < 2 or d < 1 or l < 1:
             raise ContractViolation("need q >= 2, d >= 1, l >= 1")
+        if not is_prime(q):
+            raise ContractViolation(f"table modulus {q} is not prime")
         n = q**d
         if n > MAX_TABLE_SIZE:
             raise BudgetExceeded("table size", required=n, budget=MAX_TABLE_SIZE)
@@ -171,8 +173,6 @@ class FunctionTable:
         if not isinstance(doc, dict) or doc.get("version") != 1:
             raise ContractViolation("a function table must be a version 1 JSON object")
         q, d, l = (check_int(key, doc.get(key)) for key in ("q", "d", "l"))
-        if not is_prime(q):
-            raise ContractViolation(f"table modulus {q} is not prime")
         values = doc.get("values")
         # q^d <= len(values) bounds d before q^d is computed
         if not isinstance(values, list) or d > len(values).bit_length():
@@ -244,44 +244,75 @@ def _pair_blocks(q: int, d: int, width: int):
         yield slice(start, start + len(r)), sums.reshape(len(r), n)
 
 
-def _character_sums(f: FunctionTable) -> tuple[np.ndarray, np.ndarray]:
-    """Accepted degrees and coordinate counts of f from the characters of
-    F_q^l, each rounded to an integer; raises when one lies more than
-    ROUNDING_GUARD from its integer, so float error never becomes a count.
+def _column_basis(f: FunctionTable) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """V[:, C] for the first columns C of f's values V that span them mod q,
+    and the nonzero rows M of V's reduced row echelon form: V = V[:, C] @ M
+    mod q, with M[:, C] the identity.  None once a (d + 1)-th pivot turns
+    up; a table of at most d coordinates is its own basis, with no
+    elimination."""
+    if f.l <= f.d:
+        return f.values, np.eye(f.l, dtype=np.int64)
+    q, a, pivots = f.q, f.values.copy(), []
+    while (live := np.flatnonzero(a[len(pivots) :].any(axis=0))).size:
+        r, j = len(pivots), live[0]
+        if r == f.d:
+            return None
+        p = r + np.flatnonzero(a[r:, j])[0]
+        row = a[p] * pow(int(a[p, j]), -1, q) % q
+        # row r moves to p, and every row but the pivot's loses column j
+        a[p] = a[r]
+        a = (a - np.outer(a[:, j], row)) % q
+        a[r] = row
+        pivots.append(j)
+    return f.values[:, pivots], a[: len(pivots)]
 
-    The test accepts (a, b) iff q^{-l} sum_lambda g(a) g(b) conj(g(a + b))
-    is 1 rather than 0, with g = g_lambda = omega^{<lambda, f>}, so
-    deg(a) = q^{-l} sum_lambda g(a) S(a) with S(a) = sum_b g(b) conj(g(a + b)).
-    S is the conjugate of the autocorrelation R(a) = sum_b g(a + b) conj(g(b)),
-    the inverse DFT of |G|^2.  Coordinate i's count keeps only the q
-    characters that are zero off coordinate i.  Holds for any table.
-    Characters lambda and -lambda conjugate both g and S, so their terms are
-    equal and one of each pair is computed, counted twice.
+
+def _character_sums(f: FunctionTable) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Accepted degrees and coordinate counts of f from the characters of
+    its column space, each rounded to an integer; raises when one lies more
+    than ROUNDING_GUARD from its integer, so float error never becomes a
+    count.  None when the values span more than d dimensions.
+
+    With V = V[:, C] @ M (_column_basis), a pair passes on every coordinate
+    iff it passes on the r = |C| coordinates of f_C, which the test accepts
+    iff q^{-r} sum_lambda g(a) g(b) conj(g(a + b)) is 1 rather than 0, with
+    g = g_lambda = omega^{<lambda, f_C>} over lambda in F_q^r.  So
+    deg(a) = q^{-r} sum_lambda g(a) S(a) with S(a) = sum_b g(b) conj(g(a + b)),
+    the conjugate of the autocorrelation R(a) = sum_b g(a + b) conj(g(b)),
+    the inverse DFT of |G|^2.  Coordinate i is <M[:, i], f_C>, so its count
+    keeps the q characters c * M[:, i], c in F_q, with multiplicity (a zero
+    column counts lambda = 0 q times: n^2 pairs).  Characters lambda and
+    -lambda conjugate both g and S, so their terms are equal and one of each
+    pair is computed, counted twice.
     """
-    q, d, l, n = f.q, f.d, f.l, f.size
-    points, place = _domain(q, l)
-    ranks, neg_ranks = np.arange(q**l), (-points % q) @ place
+    basis = _column_basis(f)
+    if basis is None:
+        return None
+    basis_values, coords = basis
+    q, d, n, r = f.q, f.d, f.size, coords.shape[0]
+    points, place = _domain(q, r)
+    ranks, neg_ranks = np.arange(q**r), (-points % q) @ place
     half = ranks <= neg_ranks
-    lams, weight = points[half], np.where(ranks < neg_ranks, 2.0, 1.0)[half] / n
-    # <lambda, f(a)> is read off lambda's row of inner products at f(a)'s rank
-    value_ranks = f.values @ place
-    nonzero = lams != 0
-    # [lambda, i]: lambda has no nonzero coordinate other than i
-    on_axis = (nonzero.sum(axis=1, keepdims=True) - nonzero) == 0
+    lams, paired = points[half], np.where(ranks < neg_ranks, 2.0, 1.0)[half]
+    # <lambda, f_C(a)> is read off lambda's row of inner products at f_C(a)'s rank
+    value_ranks = basis_values @ place
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     deg = np.zeros(n)
-    counts = np.zeros(l)
+    # [lambda]: the sum of lambda's character over every pair's defect
+    pair_sums = np.zeros(q**r)
     step = max(1, PAIR_BLOCK // n)
     for start in range(0, len(lams), step):
         lam = slice(start, start + step)
         g = roots[np.take(lams[lam] @ points.T % q, value_ranks, axis=1)]
         big_g = _dft(g, q, d, -1)
         power = big_g.real**2 + big_g.imag**2
-        # the inverse DFT is n times the autocorrelation; weight holds the 1/n
-        terms = (g * _dft(power, q, d, 1).conj()).real * weight[lam, None]
-        deg += terms.sum(axis=0)
-        counts += terms.sum(axis=1) @ on_axis[lam]
-    sums = np.concatenate([deg / q**l, counts / q])
+        # the inverse DFT is n times the autocorrelation
+        terms = (g * _dft(power, q, d, 1).conj()).real / n
+        deg += paired[lam] @ terms
+        pair_sums[ranks[half][lam]] = pair_sums[neg_ranks[half][lam]] = terms.sum(axis=1)
+    # [c, i]: the rank of the character c * M[:, i]
+    chars = (np.arange(q)[:, None, None] * coords.T % q) @ place
+    sums = np.concatenate([deg / q**r, pair_sums[chars].sum(axis=0) / q])
     rounded = np.rint(sums)
     worst = float(np.max(np.abs(sums - rounded)))
     if worst > ROUNDING_GUARD:
@@ -297,18 +328,19 @@ def accepted_degrees(
     output coordinate alone.
 
     The pair count is deg.sum() and the test's variable set is deg > 0.
-    With at most n characters (q^l <= n) the counts come from character-sum
-    FFTs, rounded under a ROUNDING_GUARD check; otherwise every pair is
-    enumerated a block of rows at a time.  Either way the request is gated
-    on the n^2 pair budget, and the result is kept on the table.
+    When the values span at most d dimensions (at most n characters) the
+    counts come from character-sum FFTs, rounded under a ROUNDING_GUARD
+    check; otherwise every pair is enumerated a block of rows at a time.
+    Either way the request is gated on the n^2 pair budget, and the result
+    is kept on the table.
     """
     n = f.size
     if n * n > pair_budget:
         raise BudgetExceeded("pair enumeration", required=n * n, budget=pair_budget)
     if f._accepted is not None:
         return f._accepted
-    if f.q**f.l <= n:
-        deg, counts = _character_sums(f)
+    if (sums := _character_sums(f)) is not None:
+        deg, counts = sums
     else:
         # coordinate-major, so that every operation runs along the long axis
         # of the points, and in the narrowest type that holds a sum of two
@@ -590,41 +622,34 @@ def piece_together(
     lists = _list_decode(f, deltas)
     matches = np.zeros((n, f.l), dtype=np.int64)
     digits, _ = _domain(f.q, f.d)
-    for i, ranks in enumerate(lists):
-        if ranks.size:
-            # one product matches a block of points against the whole list
-            rhos = digits[ranks].T
-            step = max(1, PAIR_BLOCK // ranks.size)
-            for s in range(0, n, step):
-                agree = digits[s : s + step] @ rhos % f.q == f.values[s : s + step, i, None]
-                unique = agree.sum(axis=1) == 1
-                matches[s : s + step][unique, i] = agree[unique].argmax(axis=1) + 1
+    # every list side by side, a row per member: one product matches a block
+    # of points against every member, and each nonempty list's run of rows
+    # sums to its number of matches and, where that is 1, to the match's
+    # 1-based place in the list (from its place among all members)
+    sizes = np.array([ranks.size for ranks in lists])
+    owners, members = np.flatnonzero(sizes), np.concatenate(lists)
+    if members.size:
+        starts = np.cumsum(sizes[owners]) - sizes[owners]
+        place = np.arange(1, members.size + 1)[:, None]
+        rhos, owner = digits[members], np.repeat(np.arange(f.l), sizes)
+        step = max(1, PAIR_BLOCK // members.size)
+        for s in range(0, n, step):
+            agree = rhos @ digits[s : s + step].T % f.q == f.values[s : s + step, owner].T
+            hits = np.add.reduceat(agree, starts)
+            picked = np.add.reduceat(agree * place, starts) - starts[:, None]
+            matches[s : s + step, owners] = np.where(hits == 1, picked, 0).T
 
     var_ranks = np.nonzero(deg)[0]
     var_count = var_ranks.size
     # V* and W* as masks over the sorted var_ranks: the anchor is the first in both
     in_v = (matches[var_ranks] != 0).mean(axis=1) >= 1.0 - eps_f**2.5
     in_w = deg[var_ranks] >= (eps_f**2 / 2.0) * var_count
-    state = PiecingState(
-        deltas=deltas,
-        lists=lists,
-        matches=matches,
-        var_ranks=var_ranks,
-        v_star_ranks=var_ranks[in_v],
-        w_star_ranks=var_ranks[in_w],
-        anchor_rank=None,
-    )
+    state = PiecingState(deltas, lists, matches, var_ranks, v_star_ranks=var_ranks[in_v],
+                         w_star_ranks=var_ranks[in_w], anchor_rank=None)
     both = var_ranks[in_v & in_w]
     if both.size == 0:
-        return PiecingResult(
-            ok=False,
-            fn=None,
-            agreement=None,
-            pass_probability=eps_meas,
-            coordinate_pass=coord_pass,
-            state=state,
-            failure="no_anchor",
-        )
+        return PiecingResult(ok=False, fn=None, agreement=None, pass_probability=eps_meas,
+                             coordinate_pass=coord_pass, state=state, failure="no_anchor")
     anchor = int(both[0])
     state.anchor_rank = anchor
 
@@ -637,14 +662,8 @@ def piece_together(
     # mismatch counts are integers, so the floor of kappa * l bounds them
     # alike, without comparing every count to a Fraction
     within = int((mism <= math.floor(kappa * f.l)).sum())
-    return PiecingResult(
-        ok=True,
-        fn=fn,
-        agreement=Fraction(within, var_count),
-        pass_probability=eps_meas,
-        coordinate_pass=coord_pass,
-        state=state,
-    )
+    return PiecingResult(ok=True, fn=fn, agreement=Fraction(within, var_count),
+                         pass_probability=eps_meas, coordinate_pass=coord_pass, state=state)
 
 
 # -- scalar lines ------------------------------------------------------------------

@@ -40,7 +40,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from typing import Optional
 
 import numpy as np
@@ -309,6 +309,29 @@ def wellspread_holds(q: int, sums: np.ndarray, maps: list) -> np.ndarray:
     return (3 * np.count_nonzero(images, axis=1) >= 2 * width).all(axis=1)
 
 
+def _bit_planes(x: np.ndarray, q: int) -> np.ndarray:
+    """Rows of residues mod q as (words, planes, rows) unsigned words: bit p
+    of entry j of a row is bit j of the row's plane p, a word of 64 entries
+    at a time (of 8, 16 or 32 for shorter rows, which keeps them no larger
+    than ~log2 q bytes), and an entry past the row's end is zero, so that
+    two rows differ at an entry iff some plane of their XOR has its bit set."""
+    shifts = np.arange(int(q - 1).bit_length(), dtype=x.dtype)[:, None]
+    bits = np.packbits((x[:, None, :] >> shifts) & 1, axis=2, bitorder="little")
+    width = min(8, 1 << (bits.shape[2] - 1).bit_length())  # bytes per word
+    bits = np.pad(bits, ((0, 0), (0, 0), (0, -bits.shape[2] % width)))
+    return np.ascontiguousarray(bits.view(f"u{width}").transpose(2, 1, 0))
+
+
+def _differing(planes: np.ndarray, a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per pair of rows a and b of _bit_planes (per row a: against zero), the
+    entries where they differ: the popcount of the OR of their XOR's planes."""
+    count = np.zeros(len(a), dtype=np.int64)
+    for word in planes:
+        diffs = (p[a] if b is None else p[a] ^ p[b] for p in word)
+        count += np.bitwise_count(reduce(np.bitwise_or, diffs))
+    return count
+
+
 def check_pairwise_separation(
     g: LinearMapG,
     inst: VecSumInstance,
@@ -363,19 +386,17 @@ def check_pairwise_separation(
         alpha = 1 + p // per_alpha
         return alpha, betas[alpha - 1, p % per_alpha]
 
-    def single(n, diffs, ids, d):
+    def single(n, planes, ids, d):
         # u_a - u_b under the direction: row (d, a, b) of the differences
         a, b, rank = d[0], d[1], d[2] + 1
-        weight = np.count_nonzero(diffs[(rank * n + a) * n + b], axis=1)
+        weight = _differing(planes, (rank * n + a) * n + b)
         return ids[a * n + b] != ids[0], 2 * weight >= l, weight
 
-    def triple(n, diffs, ids, d):
+    def triple(n, planes, ids, d):
         # d1 = u_t3 - u_t1 under alpha against d2 = u_t2 - u_t3 under beta
         t1, t2, t3 = d[0], d[1], d[2]
         alpha, beta = independent_pair(d[3])
-        dist = np.count_nonzero(
-            diffs[(alpha * n + t3) * n + t1] != diffs[(beta * n + t2) * n + t3], axis=1
-        )
+        dist = _differing(planes, (alpha * n + t3) * n + t1, (beta * n + t2) * n + t3)
         return ids[t3 * n + t1] != ids[t2 * n + t3], 2 * dist >= l, dist
 
     def describe_single(i, d, weight):
@@ -395,13 +416,13 @@ def check_pairwise_separation(
         # row (d, a, b): the image of u_a - u_b under direction d; entry
         # a * n + b of ids: the id of u_a - u_b, equal differences alike, so
         # entry 0 is the zero difference's
-        diffs = ((block[:, :, None] - block[:, None, :]) % q).reshape(-1, l)
+        planes = _bit_planes(((block[:, :, None] - block[:, None, :]) % q).reshape(-1, l), q)
         vdiffs = ((us[:, None] - us[None, :]) % q).reshape(n * n, -1)
         ids = np.unique(vdiffs.view(np.dtype((np.void, vdiffs.shape[1] * narrow.itemsize))),
                         return_inverse=True)[1].reshape(-1)
-        parts.append(((n, n, size - 1), partial(single, n, diffs, ids),
+        parts.append(((n, n, size - 1), partial(single, n, planes, ids),
                       partial(describe_single, i)))
-        parts.append(((n, n, n, (size - 1) * per_alpha), partial(triple, n, diffs, ids),
+        parts.append(((n, n, n, (size - 1) * per_alpha), partial(triple, n, planes, ids),
                       partial(describe_triple, i)))
         first += n
     return _run_check(

@@ -3,8 +3,10 @@ reference for lintest's counting: the accepted pairs from a loop over every
 pair of points, or, past a few thousand points, from every pair of points a
 block of first points at a time, and the Monte Carlo estimate from one
 sampled pair at a time.
-Also the lines through the origin from a walk over every point, and the
-corrupted linear tables of the lintest suite one line at a time.
+Also the lines through the origin from a walk over every point, the
+corrupted linear tables of the lintest suite one line at a time, the rank of
+a table's values from a row reduction over Python ints, and piecing's match
+labels one decoded list at a time.
 
 Points, ranks and values go through rank_tuple, unrank_tuple and
 value_at below, not through lintest's digit matrices or pair blocks; the
@@ -61,6 +63,39 @@ def blocked_accepted_counts(f, block: int = 64) -> tuple[np.ndarray, tuple[int, 
         deg[rows] = agree.all(axis=2).sum(axis=1)
         counts += agree.sum(axis=(0, 1))
     return deg, tuple(counts.tolist())
+
+
+def rank_mod(q, values) -> int:
+    """The rank mod the prime q of a matrix given as rows of ints: the
+    number of pivots of a row reduction over Python ints."""
+    rows = [[int(v) % q for v in row] for row in np.asarray(values).tolist()]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        t = next((t for t in range(rank, len(rows)) if rows[t][j]), None)
+        if t is None:
+            continue
+        rows[rank], rows[t] = rows[t], rows[rank]
+        pivot = rows[rank]
+        inv = pow(pivot[j], q - 2, q)
+        for r in rows[rank + 1 :]:
+            c = r[j] * inv
+            r[:] = [(v - c * p) % q for v, p in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
+def per_coordinate_matches(f, lists) -> np.ndarray:
+    """[a, i]: the 1-based index of the one member of coordinate i's decoded
+    list (coefficient-vector ranks) that matches f_i at point a, 0 when none
+    or several do; one product of all points against one list at a time."""
+    points = np.array(list(itertools.product(range(f.q), repeat=f.d)), dtype=np.int64)
+    matches = np.zeros((f.size, f.l), dtype=np.int64)
+    for i, ranks in enumerate(lists):
+        if ranks.size:
+            agree = points @ points[ranks].T % f.q == f.values[:, i, None]
+            unique = agree.sum(axis=1) == 1
+            matches[unique, i] = agree[unique].argmax(axis=1) + 1
+    return matches
 
 
 def accepted_mask(f) -> np.ndarray:

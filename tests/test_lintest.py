@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gapclique import lintest, rng as rngmod
+from gapclique import experiments, lintest, rng as rngmod
 from gapclique.errors import BudgetExceeded, ContractViolation, PiecingRefused, PropertyViolation
+from gapclique.reduction import CliqueInstance, ReductionParams, build_gamma
+from gapclique.vecsum import generate_planted, paper_dimension
 from gapclique.lintest import (
     FunctionTable,
     LinearScalarFn,
@@ -34,6 +36,8 @@ from lintest_reference import (
     eval_linear,
     line_representatives,
     monte_carlo_estimate,
+    per_coordinate_matches,
+    rank_mod,
 )
 
 TOL = 1e-9
@@ -204,6 +208,21 @@ class TestAcceptedSet:
             assert triple_correlation_check(g1, g2, g3).lhs == lhs
 
 
+def count_inverse_transforms(monkeypatch) -> list:
+    """The shapes of the inverse DFTs run from here on: character sums run
+    one per block of characters, enumeration none."""
+    inverse_transforms = []
+    dft = lintest._dft
+
+    def counted(x, q, d, sign):
+        if sign > 0:
+            inverse_transforms.append(x.shape)
+        return dft(x, q, d, sign)
+
+    monkeypatch.setattr(lintest, "_dft", counted)
+    return inverse_transforms
+
+
 def _assert_matches_reference(f):
     deg, counts = accepted_degrees(f)
     masks = coordinate_masks(f)
@@ -228,22 +247,16 @@ class TestAcceptedDegrees:
 
     @pytest.mark.parametrize("q,d,l", [(3, 2, 1), (5, 2, 2), (2, 3, 3), (2, 2, 3), (3, 4, 128)])
     def test_both_sides_of_the_dispatch(self, q, d, l, monkeypatch):
-        # character sums exactly when there are at most n characters:
-        # q^l < n, q^l = n, then q^l > n twice
-        inverse_transforms = []
-        dft = lintest._dft
-
-        def counted(x, q, d, sign):
-            if sign > 0:
-                inverse_transforms.append(x.shape)
-            return dft(x, q, d, sign)
-
-        monkeypatch.setattr(lintest, "_dft", counted)
+        # character sums exactly when the values span at most d dimensions
+        # (at most n characters of the column space): l < d, l = d, then
+        # l > d twice, where these tables mostly have rank past d
+        inverse_transforms = count_inverse_transforms(monkeypatch)
         for i in range(3):
             r = rngmod.stream(i, f"dispatch/{q}/{d}/{l}")
-            _assert_matches_reference(arbitrary_table(r, q, d, l))
-            _assert_matches_reference(random_scalar_respecting_table(r, q, d, l))
-        assert bool(inverse_transforms) == (q**l <= q**d)
+            for f in (arbitrary_table(r, q, d, l), random_scalar_respecting_table(r, q, d, l)):
+                inverse_transforms.clear()
+                _assert_matches_reference(f)
+                assert bool(inverse_transforms) == (rank_mod(q, f.values) <= d)
 
     def test_float_error_past_the_guard_refused(self, monkeypatch):
         # every point where f is 0 gains 0.3 in its degree
@@ -262,6 +275,115 @@ class TestAcceptedDegrees:
         monkeypatch.setattr(lintest, "_dft", dft)
         (deg, counts), (ref_deg, ref_counts) = accepted_degrees(f), blocked_accepted_counts(f)
         assert np.array_equal(deg, ref_deg) and counts == ref_counts
+
+
+def spanned_table(r, q, d, l, rank, arbitrary=True):
+    """A table with l > d coordinates whose values span exactly `rank`
+    dimensions: `rank` basis columns (arbitrary values, or a random
+    scalar-respecting table's) at random places, and every other column a
+    random combination of them; redrawn until the basis is independent."""
+    n = q**d
+    while True:
+        if arbitrary:
+            basis = np.array([[r.randrange(q) for _ in range(rank)] for _ in range(n)])
+        else:
+            basis = random_scalar_respecting_table(r, q, d, max(rank, 1)).values[:, :rank]
+        mix = np.array([[r.randrange(q) for _ in range(l)] for _ in range(rank)], dtype=np.int64)
+        for t, j in enumerate(r.sample(range(l), rank)):
+            mix[:, j] = np.arange(rank) == t
+        f = FunctionTable(q, d, l, basis.reshape(n, rank) @ mix % q)
+        if rank_mod(q, f.values) == rank:
+            return f
+
+
+def with_columns(f, cols):
+    """The table whose coordinate j is cols[j]: a column of f by index, or
+    None for a zero column."""
+    vals = [np.zeros(f.size, dtype=np.int64) if c is None else f.values[:, c] for c in cols]
+    return FunctionTable(f.q, f.d, len(cols), np.stack(vals, axis=1))
+
+
+def extraction_gamma_tables(seed=0):
+    """The gamma tables of the soundness suite's extraction round trip at
+    this seed, one per point of its mix; every one has l > d coordinates."""
+    tables = []
+    for (q, k, l), _ in experiments.EXTRACTION_MIX:
+        label = f"extract/{q}-{k}-{l}/0"
+        src = generate_planted(rngmod.stream(seed, f"{label}/instance"), q, k,
+                               paper_dimension(k, 4 * k), 4)
+        g, _ = experiments.certified_map(seed, label, src, l, "separation", max_tries=2000)
+        ci = CliqueInstance(ReductionParams(q=q, k=k, l=l), g, src)
+        gamma = build_gamma(ci.planted_clique(src.planted), ci,
+                            rng=rngmod.stream(seed, f"{label}/gamma-fill"), verify=False)
+        tables.append(gamma.table)
+    return tables
+
+
+class TestRankDispatch:
+    # tables with l > d: character sums iff the values span at most d
+    # dimensions, enumeration past that
+    POINTS = [(2, 3, 5), (2, 4, 7), (3, 2, 5), (5, 2, 4), (7, 2, 3)]
+
+    @pytest.mark.parametrize("q,d,l", POINTS)
+    @pytest.mark.parametrize("arbitrary", [True, False])
+    def test_ranks_around_d_match_reference(self, q, d, l, arbitrary, monkeypatch):
+        inverse_transforms = count_inverse_transforms(monkeypatch)
+        for rank in (d - 1, d, d + 1):
+            r = rngmod.stream(rank, f"rank/{q}/{d}/{l}/{arbitrary}")
+            f = spanned_table(r, q, d, l, rank, arbitrary)
+            inverse_transforms.clear()
+            _assert_matches_reference(f)
+            ref_deg, ref_counts = blocked_accepted_counts(f)
+            deg, counts = accepted_degrees(f)
+            assert np.array_equal(deg, ref_deg) and counts == ref_counts
+            assert bool(inverse_transforms) == (rank <= d)
+
+    @pytest.mark.parametrize("q,d,l", POINTS)
+    def test_zero_and_repeated_columns(self, q, d, l, monkeypatch):
+        inverse_transforms = count_inverse_transforms(monkeypatch)
+        f = spanned_table(rngmod.stream(1, f"cols/{q}/{d}"), q, d, l, d)
+        layouts = [
+            [None] + list(range(l)),           # a zero column first
+            [0, 0, 1, None, 1, 0],             # repeats and a zero column between
+            list(range(l)) + [l - 1, None],    # the last column twice
+            [None] * (d + 2),                  # the all-zero table
+        ]
+        for cols in layouts:
+            g = with_columns(f, cols)
+            inverse_transforms.clear()
+            _assert_matches_reference(g)
+            assert inverse_transforms
+        zero = with_columns(f, layouts[-1])
+        deg, counts = accepted_degrees(zero)
+        assert (deg == zero.size).all() and counts == (zero.size**2,) * (d + 2)
+
+    def test_elimination_stops_at_pivot_d_plus_one(self):
+        # the (d + 1)-th independent column is the last one: every earlier
+        # column is eliminated against the d pivots first
+        q, d, l = 3, 2, 6
+        f = spanned_table(rngmod.stream(2, "late"), q, d, l - 1, d)
+        g = FunctionTable(q, d, l, np.hstack([f.values, np.arange(q**d)[:, None]]))
+        assert rank_mod(q, g.values) == d + 1
+        assert lintest._column_basis(g) is None
+        basis, coords = lintest._column_basis(f)
+        # reduced row echelon form: row t's leading 1 is column t's pivot,
+        # zero in every other row, and the basis is the values there
+        pivots = [int(np.flatnonzero(row)[0]) for row in coords]
+        assert len(pivots) == d and pivots == sorted(pivots)
+        assert np.array_equal(coords[:, pivots], np.eye(d, dtype=np.int64))
+        assert np.array_equal(basis, f.values[:, pivots])
+        assert np.array_equal(basis @ coords % q, f.values)
+
+    def test_extraction_gamma_tables(self, monkeypatch):
+        inverse_transforms = count_inverse_transforms(monkeypatch)
+        for f in extraction_gamma_tables(0):
+            assert f.l > f.d and rank_mod(f.q, f.values) <= f.d
+            inverse_transforms.clear()
+            _assert_matches_reference(f)
+            assert inverse_transforms
+            ref_deg, ref_counts = blocked_accepted_counts(f)
+            deg, counts = accepted_degrees(f)
+            assert np.array_equal(deg, ref_deg) and counts == ref_counts
 
 
 class TestAcceptedMemo:
@@ -607,6 +729,34 @@ class TestPieceTogether:
         assert max(map(len, res.state.lists)) > 1
         assert (res.state.matches == want).all() and want.any()
 
+    @pytest.mark.parametrize("block", [1, 7, lintest.PAIR_BLOCK])
+    def test_one_pass_matches_the_per_coordinate_loop(self, block, monkeypatch):
+        # linear coordinates decode to one member, random ones to none at a
+        # high threshold and to several at a low one; two members of a list
+        # agree on a hyperplane, where the label is 0
+        monkeypatch.setattr(lintest, "PAIR_BLOCK", block)
+        seen = set()
+        for q, d, l in ((5, 2, 6), (3, 3, 9), (7, 2, 4)):
+            r = rngmod.stream(q * d * l, "one-pass")
+            linear = FunctionTable.from_linear(
+                LinearVecFn(q, d, tuple(tuple(r.randrange(q) for _ in range(d)) for _ in range(l)))
+            )
+            noise = random_scalar_respecting_table(r, q, d, l)
+            vals = np.where(np.arange(l) % 3 == 0, linear.values, noise.values)
+            for delta in (0.2, 0.5, 4.0):
+                f = FunctionTable(q, d, l, vals)
+                res = piece_together(f, 0, Fraction(1, 4), delta_schedule=lambda e, ei: delta)
+                want = per_coordinate_matches(f, res.state.lists)
+                assert np.array_equal(res.state.matches, want)
+                sizes = {ranks.size for ranks in res.state.lists}
+                seen.update(("empty" if not s else "one" if s == 1 else "several") for s in sizes)
+                points = np.array(list(itertools.product(range(q), repeat=d)))
+                for i, ranks in enumerate(res.state.lists):
+                    hits = (points @ points[ranks].T % q == f.values[:, i, None]).sum(axis=1)
+                    if (hits > 1).any():
+                        seen.add("tie")
+        assert seen == {"empty", "one", "several", "tie"}
+
     def test_agreement_counts_mismatches_against_kappa_times_l(self):
         # three lines wrong on 1, 2 and 3 of the 4 coordinates; kappa * l
         # integral (0, 1, 2, 4) and not (1.2, 3.5)
@@ -675,6 +825,14 @@ class TestSerialization:
         g = FunctionTable.load(p)
         assert g.q == f.q and g.d == f.d and g.l == f.l
         assert np.array_equal(g.values, f.values)
+
+    @pytest.mark.parametrize("q", [4, 6, 9, 15])
+    def test_composite_modulus_refused(self, q):
+        with pytest.raises(ContractViolation, match="not prime"):
+            FunctionTable(q, 1, 2, np.zeros((q, 2), dtype=np.int64))
+        doc = {"version": 1, "q": q, "d": 1, "l": 1, "values": [0] * q}
+        with pytest.raises(ContractViolation, match="not prime"):
+            FunctionTable.from_json(doc)
 
     def test_version_gate(self):
         with pytest.raises(ContractViolation):

@@ -4,9 +4,10 @@ import itertools
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from gapclique import rng as rngmod
+from gapclique import randmap, rng as rngmod
 from gapclique.errors import BudgetExceeded, ContractViolation, PropertyViolation
 from gapclique.randmap import (
     LinearMapG,
@@ -494,7 +495,7 @@ class TestEngineAgainstReference:
     @pytest.mark.parametrize("prop", sorted(CHECKS))
     @pytest.mark.parametrize(
         "q,k,l,n", [(2, 1, 2, 4), (3, 1, 2, 8), (5, 1, 1, 4), (3, 2, 4, 3), (3, 2, 24, 2),
-                    (2, 2, 4, 4), (3, 2, 6, 4)]
+                    (2, 2, 4, 4), (3, 2, 6, 4), (5, 1, 70, 4), (7, 1, 129, 3), (3, 2, 70, 2)]
     )
     def test_both_modes_match_reference(self, q, k, l, n, prop):
         check = CHECKS[prop]
@@ -538,6 +539,27 @@ class TestEngineAgainstReference:
             cert = check_pairwise_separation(g, inst)
             cases.append(cert.counterexample and cert.counterexample["case"])
         assert "triple" in cases
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 4099])
+@pytest.mark.parametrize("l", [1, 12, 63, 64, 65, 130])
+def test_bit_plane_counts_match_entry_compares(q, l):
+    # the separation check's weights and distances on packed rows: one word
+    # of 8 to 64 bits or three of 64, of up to 12 planes, against one
+    # compare per entry
+    r = np.random.default_rng(q * l)
+    rows = r.integers(0, q, size=(40, l)).astype(np.min_scalar_type(-2 * q))
+    rows[:5] = 0
+    rows[5:10] = rows[10:15]
+    planes = randmap._bit_planes(rows, q)
+    words, bits = -(-l // 64), {1: 8, 12: 16, 63: 64, 64: 64, 65: 64, 130: 64}[l]
+    assert planes.shape == (words, (q - 1).bit_length(), 40)
+    assert planes.dtype.itemsize * 8 == bits
+    a, b = r.integers(0, 40, 500), r.integers(0, 40, 500)
+    a[:5], b[:5] = np.arange(5, 10), np.arange(10, 15)
+    assert np.array_equal(randmap._differing(planes, a), np.count_nonzero(rows[a], axis=1))
+    assert np.array_equal(randmap._differing(planes, a, b),
+                          np.count_nonzero(rows[a] != rows[b], axis=1))
 
 
 class TestMonteCarlo:
