@@ -66,9 +66,7 @@ class Command:
         self.args = args
         self.seed = args.seed
         self.out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
-        semantic = {"command": args.command, "seed": args.seed, **semantic}
-        self.config_hash = _config_hash(semantic)
-        self.semantic = semantic
+        self.config_hash = _config_hash({"command": args.command, "seed": args.seed, **semantic})
 
     def path(self, name: str) -> str:
         if os.path.isabs(name):
@@ -420,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="decode a witness from a clique")
     p.add_argument("--reduction", required=True)
     p.add_argument("--clique", default=None, help="clique certificate JSON (default: planted)")
-    p.add_argument("--skip-verify", action="store_true")
+    p.add_argument("--skip-verify", action="store_true",
+                   help="skip verifying the planted clique (a --clique file is always verified)")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_extract)
 

@@ -30,7 +30,6 @@ from .lintest import (
     FunctionTable,
     LinearScalarFn,
     LIST_CONSTANT,
-    agreement,
     fourier_transform,
     list_decode_scalar,
     pass_probability,
@@ -304,16 +303,20 @@ def suite_soundness(seed: int = 0) -> list[dict]:
 # -- lintest suite -----------------------------------------------------------------
 
 
+def _agreements(f: FunctionTable) -> np.ndarray:
+    """[rho]: the number of points where a scalar table agrees with the
+    linear function of the coefficient vector of rank rho, enumerated over
+    every coefficient vector and point at once."""
+    digits, _ = _domain(f.q, f.d)
+    return (digits @ digits.T % f.q == f.values[:, 0]).sum(axis=1)
+
+
 def _agreement_identity_max_diff(f: FunctionTable) -> float:
     """Max over all coefficient vectors of |agreement - (1/q + (q-1)/q g^)|."""
-    q, d, n = f.q, f.d, f.size
-    digits, _ = _domain(q, d)
+    q = f.q
     re = fourier_transform(f).real_parts()
-    # all candidate linear functions at once
-    cvals = digits @ digits.T % q  # [rho, alpha]
-    agree = (cvals == f.values[:, 0][None, :]).mean(axis=1)
     rhs = 1.0 / q + (q - 1) / q * re
-    return float(np.max(np.abs(agree - rhs)))
+    return float(np.max(np.abs(_agreements(f) / f.size - rhs)))
 
 
 def suite_lintest(seed: int = 0) -> list[dict]:
@@ -359,11 +362,9 @@ def suite_lintest(seed: int = 0) -> list[dict]:
 
     def oracle_set(f: FunctionTable, delta: float) -> set:
         thr = Fraction(1, f.q) + Fraction(f.q - 1, f.q) * Fraction(LIST_CONSTANT * delta)
-        out = set()
-        for rho in itertools.product(range(f.q), repeat=f.d):
-            if agreement(f, LinearScalarFn(f.q, rho)) >= thr:
-                out.add(rho)
-        return out
+        agree = _agreements(f).tolist()
+        digits = _domain(f.q, f.d)[0].tolist()
+        return {tuple(rho) for rho, count in zip(digits, agree) if Fraction(count, f.size) >= thr}
 
     for i in range(100):
         q, d = decode_shapes[i % len(decode_shapes)]

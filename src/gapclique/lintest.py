@@ -449,18 +449,6 @@ def fourier_transform(f: FunctionTable) -> FourierTable:
     return _transform(f.q, f.d, f.values[:, 0])
 
 
-def agreement(f: FunctionTable, c: LinearScalarFn) -> Fraction:
-    """Pr over uniform alpha that f(alpha) = c(alpha), exact."""
-    if f.l != 1:
-        raise ContractViolation("agreement needs a scalar-range table")
-    if c.d != f.d or c.q != f.q:
-        raise ContractViolation("shape mismatch between table and linear function")
-    digits, _ = _domain(f.q, f.d)
-    rho = np.array(c.rho, dtype=np.int64)
-    cvals = digits @ rho % f.q
-    return Fraction(int((f.values[:, 0] == cvals).sum()), f.size)
-
-
 @dataclass(frozen=True)
 class TripleCorrelationReport:
     """Enumerated vs Fourier-side value of the triple correlation
@@ -585,6 +573,16 @@ def default_delta_schedule(eps: float, eps_i: float) -> float:
     return eps**11 * eps_i
 
 
+def _within(f: FunctionTable, fn: LinearVecFn, ranks: np.ndarray, kappa: Fraction) -> int:
+    """How many of the points ranks are within relative Hamming distance
+    kappa of fn: f differs from fn on at most kappa * l coordinates there."""
+    digits, _ = _domain(f.q, f.d)
+    mism = (f.values[ranks] != digits[ranks] @ np.array(fn.rhos, dtype=np.int64).T % f.q).sum(axis=1)
+    # mismatch counts are integers, so the floor of kappa * l bounds them
+    # alike, without comparing every count to a Fraction
+    return int((mism <= math.floor(kappa * f.l)).sum())
+
+
 def piece_together(
     f: FunctionTable,
     eps,
@@ -656,12 +654,7 @@ def piece_together(
     picked = enumerate(matches[anchor].tolist())
     rhos = tuple(tuple(digits[lists[i][j - 1]].tolist()) if j else (0,) * f.d for i, j in picked)
     fn = LinearVecFn(f.q, f.d, rhos)
-
-    fn_vals = digits @ np.array(fn.rhos, dtype=np.int64).T % f.q
-    mism = (f.values[var_ranks] != fn_vals[var_ranks]).sum(axis=1)
-    # mismatch counts are integers, so the floor of kappa * l bounds them
-    # alike, without comparing every count to a Fraction
-    within = int((mism <= math.floor(kappa * f.l)).sum())
+    within = _within(f, fn, var_ranks, kappa)
     return PiecingResult(ok=True, fn=fn, agreement=Fraction(within, var_count),
                          pass_probability=eps_meas, coordinate_pass=coord_pass, state=state)
 

@@ -465,7 +465,6 @@ def estimate_failure_rate(
     l: int,
     trials: int,
     rng: random.Random,
-    budget: int = DEFAULT_CHECK_BUDGET,
 ) -> FailureRateReport:
     """Sample fresh maps, run both exhaustive checks per map, and report the
     empirical failure fractions."""
@@ -473,9 +472,9 @@ def estimate_failure_rate(
     sep_fail = 0
     for _ in range(trials):
         g = sample_g(rng, inst.q, inst.k, inst.m, l)
-        if not check_wellspread(g, inst, budget=budget).passed:
+        if not check_wellspread(g, inst).passed:
             ws_fail += 1
-        if not check_pairwise_separation(g, inst, budget=budget).passed:
+        if not check_pairwise_separation(g, inst).passed:
             sep_fail += 1
     n = max(inst.sizes)
     return FailureRateReport(

@@ -67,6 +67,7 @@ from .lintest import (
     _domain,
     _lines,
     _scalar_closure,
+    _within,
     LinearVecFn,
     piece_together,
 )
@@ -641,9 +642,10 @@ class CliqueInstance:
         """Explicit adjacency over the whole vertex set, in codec order;
         refuses with the exact vertex count when it exceeds the budget.  A
         pair is a non-edge when rules 3-5 fire between its two (alpha, x)
-        classes, when a slot class of one conflicts with a slot of the
-        other (rule 2), or when it shares (alpha, beta) (rule 1); rows are
-        filled ROW_BLOCK at a time."""
+        classes or when a slot class of one conflicts with a slot of the
+        other (rule 2); rows are filled ROW_BLOCK at a time.  Rule 1 only
+        sets the diagonal: two distinct vertices of one (alpha, beta)
+        differ in x or y, so rule 2 fires at alpha or at beta."""
         count = self.codec.count
         if count > budget:
             raise BudgetExceeded("vertex count", required=count, budget=budget)
@@ -653,7 +655,6 @@ class CliqueInstance:
         clique = Clique(self.params, _domain(q, self.codec.kk)[0],
                         _domain(q, self.params.l)[0], *self.codec.ranks())
         codes = self._encode(clique)
-        cloud = _pair_ids(codes.point[:, 0], codes.point[:, 1])[0]
         slot, first = _pair_ids(codes.point, codes.value)
         # two slot classes conflict when they share a point, not a value; a
         # conflict of the two alpha slots is rule 3 with scalar 1 as well
@@ -669,7 +670,9 @@ class CliqueInstance:
         adj: list[int] = []
         for start in range(0, count, ROW_BLOCK):
             rows = slice(start, start + ROW_BLOCK)
-            non_edge = table[ax[rows]][:, ax] | (cloud[rows, None] == cloud)
+            # np.take keeps the block C-ordered for the in-place ORs below
+            non_edge = np.take(table[ax[rows]], ax, axis=1)
+            np.fill_diagonal(non_edge[:, start:], True)
             for word in range(own.shape[1]):
                 non_edge |= (own[rows, word, None] & clash[:, word]) != 0
             # row i, byte j >> 3, bit j & 7 is the edge (i, j)
@@ -953,18 +956,14 @@ def extract_witness(
     report.fn = piece.fn
 
     # the subset of shared points where the pieced function is within kappa
-    kk = k * k
-    rhos = np.array(piece.fn.rhos, dtype=np.int64)
-    ranks = gamma.var_points
-    mism = (gamma.table.values[ranks] != _domain(q, kk)[0][ranks] @ rhos.T % q).sum(axis=1)
-    # mismatch counts are integers: the floor of kappa * l bounds them alike
-    r_star = int((mism <= math.floor(kappa * l)).sum())
+    r_star = _within(gamma.table, piece.fn, gamma.var_points, kappa)
     report.r_star_size = r_star
-    report.r_star_dense = r_star * q > q**kk
+    report.r_star_dense = r_star * q > q ** (k * k)
 
     # the residual bound, twice kappa, on integer weights: its floor decides
     # alike
     bound = math.floor(2 * kappa * l)
+    rhos = np.array(piece.fn.rhos, dtype=np.int64)
     directions = list(itertools.product(range(q), repeat=k))[1:]
     chosen: list[int] = []
     for i in range(k):

@@ -1,5 +1,6 @@
 """The linearity test read off its definition, kept as the differential
-reference for lintest's counting: the accepted pairs from a loop over every
+reference for lintest's counting: a table's agreement with a linear
+function one point at a time, the accepted pairs from a loop over every
 pair of points, or, past a few thousand points, from every pair of points a
 block of first points at a time, and the Monte Carlo estimate from one
 sampled pair at a time.
@@ -14,6 +15,7 @@ blocked enumeration lists the points with itertools.product.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,6 +33,13 @@ def value_at(f, alpha) -> tuple:
 def eval_linear(c, alpha) -> int:
     """A linear scalar function's value at alpha: <rho, alpha> mod q."""
     return inner_product(c.q, c.rho, alpha)
+
+
+def agreement(f, c) -> Fraction:
+    """Pr over uniform alpha that a scalar table agrees with the linear
+    function c at alpha, exact: one point at a time."""
+    points = itertools.product(range(f.q), repeat=f.d)
+    return Fraction(sum(value_at(f, a) == (eval_linear(c, a),) for a in points), f.size)
 
 
 def coordinate_masks(f) -> np.ndarray:

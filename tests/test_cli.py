@@ -9,6 +9,7 @@ import pytest
 from gapclique.cli import (
     EXIT_BUDGET, EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_PROPERTY, build_parser, main,
 )
+from gapclique.reduction import CliqueInstance
 
 
 def run(*argv):
@@ -106,6 +107,27 @@ class TestExitCodes:
         code = run("--seed", "2", "--out-dir", out, "extract",
                    "--reduction", os.path.join(out, "reduction.json"), "--clique", cl)
         assert code == EXIT_PROPERTY
+
+    def test_skip_verify_still_verifies_a_clique_file(self, tmp_path):
+        out = str(tmp_path)
+        run("--seed", "2", "--out-dir", out, "gen-vecsum",
+            "--q", "3", "--k", "1", "--m", "4", "--n", "4", "--planted")
+        run("--seed", "2", "--out-dir", out, "reduce",
+            "--instance", os.path.join(out, "instance.json"), "--l", "2")
+        red = os.path.join(out, "reduction.json")
+        # the planted layout of a vector that is not the witness: 9 vertices,
+        # above the size gate, consistent, but rule 5 fires; unverified it
+        # would fail only at the sum check
+        ci = CliqueInstance.from_json(read_json(red))
+        assert ci.source.planted != (0,)
+        cl = os.path.join(out, "not-a-clique.json")
+        with open(cl, "w") as fh:
+            json.dump({"vertices": [list(map(list, v)) for v in ci.planted_clique((0,))]}, fh)
+        code = run("--seed", "2", "--out-dir", out, "extract", "--reduction", red,
+                   "--clique", cl, "--skip-verify")
+        assert code == EXIT_PROPERTY
+        rep = read_json(os.path.join(out, "extraction-report.json"))
+        assert (rep["verdict"], rep["stage"]) == ("failed", "gamma")
 
     def test_io_error_is_4(self, tmp_path):
         code = run("--seed", "1", "--out-dir", str(tmp_path), "check-map",

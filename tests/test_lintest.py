@@ -19,7 +19,6 @@ from gapclique.lintest import (
     LinearScalarFn,
     LinearVecFn,
     accepted_degrees,
-    agreement,
     fourier_transform,
     list_decode_scalar,
     pass_probability,
@@ -31,6 +30,7 @@ from gapclique.lintest import (
 from field_reference import rank_tuple, unrank_tuple
 from lintest_reference import (
     accepted_mask,
+    agreement,
     blocked_accepted_counts,
     coordinate_masks,
     eval_linear,
@@ -38,6 +38,7 @@ from lintest_reference import (
     monte_carlo_estimate,
     per_coordinate_matches,
     rank_mod,
+    value_at,
 )
 
 TOL = 1e-9
@@ -512,6 +513,19 @@ class TestAgreementIdentity:
         f = FunctionTable.from_linear(LinearScalarFn(3, (2,)))
         assert agreement(f, LinearScalarFn(3, (1,))) == Fraction(1, 3)
 
+    @pytest.mark.parametrize("q,d", [(3, 2), (5, 2), (11, 2), (5, 1)])
+    def test_suite_agreement_table_matches_reference(self, q, d):
+        # the lintest suite's one agreement table, in coefficient-vector rank
+        # order, against the point-by-point reference on random and
+        # corrupted tables
+        for i in range(2):
+            r = rngmod.stream(i, f"agreements/{q}/{d}")
+            for f in (random_scalar_respecting_table(r, q, d),
+                      experiments._corrupted_linear_table(r, q, d, corrupt_lines=0.3)):
+                want = [agreement(f, LinearScalarFn(q, rho))
+                        for rho in itertools.product(range(q), repeat=d)]
+                assert [Fraction(c, f.size) for c in experiments._agreements(f).tolist()] == want
+
     def test_identity_at_full_agreement(self):
         q = 7
         assert 1 == Fraction(1, q) + Fraction(q - 1, q) * 1
@@ -776,6 +790,23 @@ class TestPieceTogether:
             assert res.agreement == Fraction(sum(m <= kappa * l for m in mism), len(var))
             agreements.add(res.agreement)
         assert len(agreements) == 4
+
+    @pytest.mark.parametrize("kappa", [Fraction(0), Fraction(1, 8), Fraction(1, 2), Fraction(1)])
+    def test_within_counts_points_at_relative_distance_kappa(self, kappa):
+        # l = 8 coordinates, each point off a linear function on a random
+        # share of them; a random subset of points, counted one at a time
+        q, d, l = 5, 2, 8
+        rng = np.random.default_rng(3)
+        fn = LinearVecFn(q, d, tuple(tuple(rng.integers(q, size=d).tolist()) for _ in range(l)))
+        wrong = rng.random((q**d, l)) < rng.random((q**d, 1))
+        f = FunctionTable(q, d, l, FunctionTable.from_linear(fn).values + wrong)
+        ranks = np.flatnonzero(rng.random(q**d) < 0.7)
+        want = 0
+        for r in ranks.tolist():
+            p = unrank_tuple(q, d, r)
+            fn_at = tuple(eval_linear(LinearScalarFn(q, rho), p) for rho in fn.rhos)
+            want += Fraction(sum(u != v for u, v in zip(value_at(f, p), fn_at)), l) <= kappa
+        assert lintest._within(f, fn, ranks, kappa) == want
 
     def test_low_pass_probability_refused(self):
         f = FunctionTable(5, 1, 1, [[2]] * 5)
