@@ -505,17 +505,20 @@ def triple_correlation_check(
 # -- list decoding --------------------------------------------------------------
 
 
-def _list_decode(f: FunctionTable, deltas: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+def _list_decode(f: FunctionTable, deltas: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Decoded list of every output coordinate i of f at threshold
-    LIST_CONSTANT * deltas[i], as the ascending ranks of the coefficient
-    vectors, from one transform over all coordinates; each coordinate
-    passes its own Parseval and imaginary-part checks."""
+    LIST_CONSTANT * deltas[i], from one transform over all coordinates that
+    each pass their own Parseval and imaginary-part checks: (ranks, bounds),
+    the lists' ascending coefficient-vector ranks one after the other, and
+    where each list begins in them, with their total length last."""
     if any(delta <= 0 for delta in deltas):
         raise ContractViolation("delta must be positive")
     f.ensure_scalar_respecting()
     re = _transform(f.q, f.d, f.values.T).real_parts()
     thresholds = np.array([LIST_CONSTANT * delta for delta in deltas], dtype=float)
-    return tuple(map(np.flatnonzero, re >= thresholds[:, None] - FLOAT_TOL))
+    n = f.size  # the hits of coordinate i are numbered i * n + rank
+    hits = np.flatnonzero(re >= thresholds[:, None] - FLOAT_TOL)
+    return hits % n, np.searchsorted(hits, np.arange(0, n * len(deltas) + 1, n))
 
 
 def list_decode_scalar(f: FunctionTable, delta: float) -> tuple[LinearScalarFn, ...]:
@@ -529,7 +532,7 @@ def list_decode_scalar(f: FunctionTable, delta: float) -> tuple[LinearScalarFn, 
     """
     if f.l != 1:
         raise ContractViolation("list decoding needs a scalar-range table")
-    ranks = _list_decode(f, (delta,))[0]
+    ranks, _ = _list_decode(f, (delta,))
     return tuple(LinearScalarFn(f.q, tuple(rho)) for rho in _domain(f.q, f.d)[0][ranks].tolist())
 
 
@@ -615,26 +618,30 @@ def piece_together(
         raise PiecingRefused(eps_meas, eps)
     eps_f = float(eps_meas)
 
-    coord_pass = tuple(Fraction(count, n * n) for count in coordinate_counts)
-    deltas = tuple(delta_schedule(eps_f, float(p)) for p in coord_pass)
-    lists = _list_decode(f, deltas)
+    fractions = {count: Fraction(count, n * n) for count in set(coordinate_counts)}
+    coord_pass = tuple(map(fractions.__getitem__, coordinate_counts))
+    # count / n^2 is float(Fraction(count, n^2)), without building the Fraction
+    deltas = tuple(delta_schedule(eps_f, count / (n * n)) for count in coordinate_counts)
+    members, bounds = _list_decode(f, deltas)
+    cuts = bounds.tolist()
+    lists = tuple(members[start:end] for start, end in zip(cuts, cuts[1:]))
     matches = np.zeros((n, f.l), dtype=np.int64)
     digits, _ = _domain(f.q, f.d)
     # every list side by side, a row per member: one product matches a block
     # of points against every member, and each nonempty list's run of rows
     # sums to its number of matches and, where that is 1, to the match's
     # 1-based place in the list (from its place among all members)
-    sizes = np.array([ranks.size for ranks in lists])
-    owners, members = np.flatnonzero(sizes), np.concatenate(lists)
+    starts, sizes = bounds[:-1], np.diff(bounds)
+    owners = np.flatnonzero(sizes)
+    heads = starts[owners]
     if members.size:
-        starts = np.cumsum(sizes[owners]) - sizes[owners]
         place = np.arange(1, members.size + 1)[:, None]
         rhos, owner = digits[members], np.repeat(np.arange(f.l), sizes)
         step = max(1, PAIR_BLOCK // members.size)
         for s in range(0, n, step):
             agree = rhos @ digits[s : s + step].T % f.q == f.values[s : s + step, owner].T
-            hits = np.add.reduceat(agree, starts)
-            picked = np.add.reduceat(agree * place, starts) - starts[:, None]
+            hits = np.add.reduceat(agree, heads)
+            picked = np.add.reduceat(agree * place, heads) - heads[:, None]
             matches[s : s + step, owners] = np.where(hits == 1, picked, 0).T
 
     var_ranks = np.nonzero(deg)[0]
@@ -651,9 +658,11 @@ def piece_together(
     anchor = int(both[0])
     state.anchor_rank = anchor
 
-    picked = enumerate(matches[anchor].tolist())
-    rhos = tuple(tuple(digits[lists[i][j - 1]].tolist()) if j else (0,) * f.d for i, j in picked)
-    fn = LinearVecFn(f.q, f.d, rhos)
+    # the rank of the anchor's match on each coordinate, from its place among
+    # all members, and rank 0, the zero vector, where it has none
+    match = matches[anchor]
+    ranks = np.where(match > 0, members[starts + match - 1], 0) if members.size else match
+    fn = LinearVecFn(f.q, f.d, tuple(map(tuple, digits[ranks].tolist())))
     within = _within(f, fn, var_ranks, kappa)
     return PiecingResult(ok=True, fn=fn, agreement=Fraction(within, var_count),
                          pass_probability=eps_meas, coordinate_pass=coord_pass, state=state)

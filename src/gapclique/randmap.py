@@ -52,10 +52,12 @@ from .vecsum import VecSumInstance, check_int, residue_tuple
 
 DEFAULT_CHECK_BUDGET = 5_000_000
 
-# cases evaluated per batch; bounds the working arrays at a few MB
+# Monte Carlo draws per batch, each batch drawn whole: the rng state a failing
+# check leaves, which check-map hands on to its second check, depends on it
 _CHUNK = 1024
+_BLOCK_BYTES = 1 << 21  # working arrays of one exhaustive block of cases
 # entries of separation's direction images (an int64 product: 128 MB at
-# the limit), difference tables and beta ranks
+# the limit), difference tables and independent direction pairs
 _DIRECTION_IMAGE_LIMIT = 1 << 24
 _BLOCK_ENTRIES = 32  # map entries from which a block of words beats randrange
 
@@ -174,47 +176,79 @@ def source_images(g: LinearMapG, inst: VecSumInstance) -> tuple[np.ndarray, np.n
     return vecs, (a.reshape(g.l * g.k, g.m) @ vecs.T % g.q).T
 
 
-def _run_check(name: str, what: str, parts: list, g: LinearMapG, inst: VecSumInstance,
-               mode: str, samples: int, rng: Optional[random.Random],
+def _blocks(radices: tuple[int, ...], limit: int):
+    """The case numbers over the mixed radices in runs of at most `limit`,
+    each a box of the digit grid: yields its extents and its digits, most
+    significant first, as sparse grids that broadcast to the extents, whose
+    C-order flattening is the run of case numbers."""
+    if 0 in radices:
+        return
+    # the digits before the first one whose trailing digits fit the limit are
+    # fixed per box, and a box spans `step` values of that one
+    tails = [math.prod(radices[j + 1 :]) for j in range(len(radices))]
+    j = next(j for j, tail in enumerate(tails) if tail <= limit)
+    step = limit // tails[j]
+    for prefix in itertools.product(*map(range, radices[:j])):
+        for start in range(0, radices[j], step):
+            extents = (1,) * j + (min(step, radices[j] - start),) + radices[j + 1 :]
+            first = (*prefix, start) + (0,) * (len(radices) - j - 1)
+            yield extents, [x + f for x, f in zip(np.indices(extents, sparse=True), first)]
+
+
+def _draws(parts: list, ends: list[int], count: int, rng: random.Random):
+    """A batch of `count` case numbers drawn with rng.randrange(total), as
+    _run_check takes it."""
+    dtype = np.int64 if ends[-1] < 2**63 else object
+    idx = np.array([rng.randrange(ends[-1]) for _ in range(count)], dtype=dtype)
+    part_of = np.searchsorted(ends, idx, side="right")
+    at = [np.flatnonzero(part_of == p) for p in range(len(parts))]
+    first = [0, *ends]
+    return [(p, a, a.shape, _digits(idx[a] - first[p], parts[p][0]))
+            for p, a in enumerate(at) if a.size]
+
+
+def _run_check(name: str, what: str, parts: list, case_bytes: int, g: LinearMapG,
+               inst: VecSumInstance, mode: str, samples: int, rng: Optional[random.Random],
                budget: int) -> GoodMapCertificate:
     """The engine behind both checks.  `parts` number the case space in
     blocks of (radices, evaluate, describe): a block's cases are the
-    mixed-radix numbers over its radices; evaluate(digit arrays) returns per
-    case (counted, passed, detail) and describe(digits, detail) the
-    counterexample.  Exhaustive mode walks every case number in order,
-    Monte Carlo mode draws `samples` of them; the first counted failing case
-    ends the check."""
-    sizes = [math.prod(radices) for radices, _, _ in parts]
-    ends = list(itertools.accumulate(sizes))
-    total = ends[-1]
+    mixed-radix numbers over its radices; evaluate(digit arrays, flat or
+    sparse grids) returns per case (counted, passed, detail), as arrays that
+    broadcast to the digits' shape, using about case_bytes of working arrays
+    a case, and describe(digits, detail) the counterexample.  Exhaustive
+    mode walks every case number in order, part by part in batches of about
+    _BLOCK_BYTES; Monte Carlo mode draws `samples` of them, _CHUNK a batch,
+    each batch when it is reached.  The first counted failing case ends the
+    check."""
+    ends = list(itertools.accumulate(math.prod(radices) for radices, _, _ in parts))
     if mode == "exhaustive":
-        if total > budget:
-            raise BudgetExceeded(f"{what} enumeration", required=total, budget=budget)
-        batches = (np.arange(s, min(s + _CHUNK, total)) for s in range(0, total, _CHUNK))
+        if ends[-1] > budget:
+            raise BudgetExceeded(f"{what} enumeration", required=ends[-1], budget=budget)
+        limit = max(1, _BLOCK_BYTES // case_bytes)
+        # a batch: per part in it (part, places in the batch, shape, digits)
+        batches = ([(p, slice(None), shape, digits)] for p, (radices, _, _) in enumerate(parts)
+                   for shape, digits in _blocks(radices, limit))
     elif mode == "monte_carlo":
         if rng is None or samples < 1:
             raise ContractViolation("monte_carlo mode needs rng and samples >= 1")
-        dtype = np.int64 if total < 2**63 else object
-        batches = (
-            np.array([rng.randrange(total) for _ in range(min(_CHUNK, samples - s))], dtype=dtype)
-            for s in range(0, samples, _CHUNK)
-        )
+        batches = (_draws(parts, ends, min(_CHUNK, samples - s), rng)
+                   for s in range(0, samples, _CHUNK))
     else:
         raise ContractViolation(f"unknown mode {mode!r}")
     checked = 0
-    for idx in batches:
-        part_of = np.searchsorted(ends, idx, side="right")
-        counted, failed = np.zeros((2, len(idx)), dtype=bool)
-        for p, (radices, evaluate, _) in enumerate(parts):
-            sel = part_of == p
-            if sel.any():
-                counts, passes, _ = evaluate(_digits(idx[sel] - (ends[p] - sizes[p]), radices))
-                counted[sel], failed[sel] = counts, counts & ~passes
+    for pieces in batches:
+        size = sum(math.prod(shape) for _, _, shape, _ in pieces)
+        counted, failed = np.zeros((2, size), dtype=bool)
+        for p, at, shape, digits in pieces:
+            counts, passes = (np.broadcast_to(x, shape).ravel() for x in parts[p][1](digits)[:2])
+            counted[at], failed[at] = counts, counts & ~passes
         if failed.any():
             j = int(np.argmax(failed))
-            p = part_of[j]
-            radices, evaluate, describe = parts[p]
-            digits = _digits(idx[j : j + 1] - (ends[p] - sizes[p]), radices)
+            for p, at, shape, digits in pieces:
+                if (i := np.flatnonzero(np.arange(size)[at] == j)).size:
+                    digits = [np.broadcast_to(x, shape).flat[i] for x in digits]
+                    break
+            _, evaluate, describe = parts[p]
             counterexample = describe([int(d[0]) for d in digits], evaluate(digits)[2][0])
             checked += int(np.count_nonzero(counted[: j + 1]))
             return GoodMapCertificate(
@@ -232,7 +266,7 @@ def _combine(inst: VecSumInstance, rows: np.ndarray, d: list[np.ndarray]) -> np.
     """Per wellspread case with digits d (scalars, then one vector index per
     collection), its combination of `rows`, one row per source vector."""
     first = [0, *itertools.accumulate(inst.sizes)]
-    return sum(d[i][:, None] * rows[first[i] + d[inst.k + i]] for i in range(inst.k)) % inst.q
+    return sum(d[i][..., None] * rows[first[i] + d[inst.k + i]] for i in range(inst.k)) % inst.q
 
 
 def check_wellspread(
@@ -253,15 +287,18 @@ def check_wellspread(
 
     def evaluate(d):
         comb = _combine(inst, rows, d)
-        weight = np.count_nonzero(comb[:, m:], axis=1)
-        return comb[:, :m].any(axis=1), 3 * weight >= 2 * width, comb
+        weight = np.count_nonzero(comb[..., m:], axis=-1)
+        return comb[..., :m].any(axis=-1), 3 * weight >= 2 * width, comb
 
     def describe(d, comb):
         weight = Fraction(int(np.count_nonzero(comb[m:])), width)
         return {"gammas": d[:k], "indices": d[k:], "sum": comb[:m].tolist(), "weight": str(weight)}
 
     parts = [((q,) * k + inst.sizes, evaluate, describe)]
-    return _run_check("wellspread", "wellspread", parts, g, inst, mode, samples, rng, budget)
+    # a case's working arrays: two int64 rows as wide as `rows`, a multiple
+    # of a gathered row and the running sum
+    return _run_check("wellspread", "wellspread", parts, 16 * rows.shape[1], g, inst, mode,
+                      samples, rng, budget)
 
 
 def wellspread_sums(inst: VecSumInstance) -> Optional[np.ndarray]:
@@ -324,8 +361,9 @@ def _bit_planes(x: np.ndarray, q: int) -> np.ndarray:
 
 def _differing(planes: np.ndarray, a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
     """Per pair of rows a and b of _bit_planes (per row a: against zero), the
-    entries where they differ: the popcount of the OR of their XOR's planes."""
-    count = np.zeros(len(a), dtype=np.int64)
+    entries where they differ: the popcount of the OR of their XOR's planes.
+    a and b are arrays of row numbers that broadcast together."""
+    count = np.zeros(np.broadcast_shapes(a.shape, a.shape if b is None else b.shape), np.int64)
     for word in planes:
         diffs = (p[a] if b is None else p[a] ^ p[b] for p in word)
         count += np.bitwise_count(reduce(np.bitwise_or, diffs))
@@ -368,23 +406,26 @@ def check_pairwise_separation(
     # the source rows and their differences are kept in the narrowest type
     # that holds a difference of residues, which keeps the batches small.
     narrow = np.min_scalar_type(-2 * q)
+
+    def differences(x, axis):
+        # [..., a, b, ...]: x[a] - x[b] mod q along the axis; a difference of
+        # residues lies in (-q, q), so adding q to the negative ones reduces it
+        d = np.expand_dims(x, axis + 1) - np.expand_dims(x, axis)
+        return d + (d < 0) * narrow.type(q)
+
     dir_images = (
-        np.einsum("dc,rjc->drj", coords, images.reshape(len(vecs), l, k)) % q
-    ).astype(narrow)
+        coords @ images.reshape(len(vecs), l, k).transpose(0, 2, 1) % q
+    ).astype(narrow).transpose(1, 0, 2)
     vecs = vecs.astype(narrow)
-    # [alpha - 1, j]: the j-th smallest nonzero direction rank that is no
-    # multiple of direction alpha; at k = 1 there is none, and no triple case
+    # [p]: the p-th ordered pair (alpha, beta) of direction ranks with beta no
+    # multiple of alpha, in lexicographic order; at k = 1 there is none, and
+    # no triple case
     if per_alpha:
         multiples = (np.arange(q)[:, None] * coords[1:, None, :] % q) @ place
         others = np.ones((size - 1, size), dtype=bool)
         others[np.arange(size - 1)[:, None], multiples] = False
-        betas = np.nonzero(others)[1].reshape(size - 1, per_alpha)
-
-    def independent_pair(p):
-        """The p-th ordered pair (alpha, beta) of direction ranks with beta
-        no multiple of alpha, in lexicographic order."""
-        alpha = 1 + p // per_alpha
-        return alpha, betas[alpha - 1, p % per_alpha]
+        alphas, betas = np.nonzero(others)
+        alphas += 1
 
     def single(n, planes, ids, d):
         # u_a - u_b under the direction: row (d, a, b) of the differences
@@ -395,7 +436,7 @@ def check_pairwise_separation(
     def triple(n, planes, ids, d):
         # d1 = u_t3 - u_t1 under alpha against d2 = u_t2 - u_t3 under beta
         t1, t2, t3 = d[0], d[1], d[2]
-        alpha, beta = independent_pair(d[3])
+        alpha, beta = alphas[d[3]], betas[d[3]]
         dist = _differing(planes, (alpha * n + t3) * n + t1, (beta * n + t2) * n + t3)
         return ids[t3 * n + t1] != ids[t2 * n + t3], 2 * dist >= l, dist
 
@@ -405,7 +446,7 @@ def check_pairwise_separation(
                 "weight": str(Fraction(int(weight), l))}
 
     def describe_triple(i, d, dist):
-        alpha, beta = (coords[r].tolist() for r in independent_pair(d[3]))
+        alpha, beta = coords[alphas[d[3]]].tolist(), coords[betas[d[3]]].tolist()
         return {"collection": i, "case": "triple", "triple": d[:3], "alpha": alpha,
                 "beta": beta, "distance": str(Fraction(int(dist), l))}
 
@@ -416,8 +457,8 @@ def check_pairwise_separation(
         # row (d, a, b): the image of u_a - u_b under direction d; entry
         # a * n + b of ids: the id of u_a - u_b, equal differences alike, so
         # entry 0 is the zero difference's
-        planes = _bit_planes(((block[:, :, None] - block[:, None, :]) % q).reshape(-1, l), q)
-        vdiffs = ((us[:, None] - us[None, :]) % q).reshape(n * n, -1)
+        planes = _bit_planes(differences(block, 1).reshape(-1, l), q)
+        vdiffs = differences(us, 0).reshape(n * n, -1)
         ids = np.unique(vdiffs.view(np.dtype((np.void, vdiffs.shape[1] * narrow.itemsize))),
                         return_inverse=True)[1].reshape(-1)
         parts.append(((n, n, size - 1), partial(single, n, planes, ids),
@@ -425,9 +466,10 @@ def check_pairwise_separation(
         parts.append(((n, n, n, (size - 1) * per_alpha), partial(triple, n, planes, ids),
                       partial(describe_triple, i)))
         first += n
-    return _run_check(
-        "pairwise_separation", "separation", parts, g, inst, mode, samples, rng, budget
-    )
+    # a case's working arrays come to about 8 int64 entries: the XORs of its
+    # rows' words, their OR, its weight and its verdicts
+    return _run_check("pairwise_separation", "separation", parts, 8 * 8, g, inst, mode,
+                      samples, rng, budget)
 
 
 def union_bound_values(q: int, k: int, m: int, l: int, n: int) -> dict:

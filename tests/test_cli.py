@@ -93,12 +93,13 @@ class TestExitCodes:
             "--q", "3", "--k", "1", "--m", "4", "--n", "4", "--planted")
         run("--seed", "2", "--out-dir", out, "reduce",
             "--instance", os.path.join(out, "instance.json"), "--l", "2")
-        # a same-cloud pair is not a clique: extraction must fail with 3
-        red = read_json(os.path.join(out, "reduction.json"))
+        # a same-cloud pair is not a clique: rule 1 fails verification; the
+        # third vertex lifts the set to the (3,1,2) size gate of 3
         clique = {
             "vertices": [
                 [[1], [2], [0, 1], [1, 1]],
                 [[1], [2], [1, 1], [0, 1]],
+                [[1], [2], [2, 1], [2, 1]],
             ]
         }
         cl = os.path.join(out, "bad-clique.json")
@@ -107,6 +108,8 @@ class TestExitCodes:
         code = run("--seed", "2", "--out-dir", out, "extract",
                    "--reduction", os.path.join(out, "reduction.json"), "--clique", cl)
         assert code == EXIT_PROPERTY
+        rep = read_json(os.path.join(out, "extraction-report.json"))
+        assert (rep["verdict"], rep["stage"]) == ("failed", "gamma")
 
     def test_skip_verify_still_verifies_a_clique_file(self, tmp_path):
         out = str(tmp_path)
@@ -241,6 +244,24 @@ class TestDeterminism:
         with open(os.path.join(out, "graph.dimacs"), "rb") as fh:
             got["graph.dimacs"] = hashlib.sha256(fh.read()).hexdigest()
         assert got == self.CERTIFIED_NO[point]
+
+    # check-map --mode monte_carlo at (3,2,3,3,4), seed 2, without
+    # created_utc: wellspread fails on its third draw, and separation draws
+    # from the rng the first batch of 1,024 draws leaves behind
+    MONTE_CARLO_PIN = "bf22ff17e8418ce2612e0877fd28d31bd21d3d452283bee60c51ad4aa96043d0"
+
+    def test_monte_carlo_certificates_pinned(self, tmp_path):
+        out = str(tmp_path)
+        assert run("--seed", "2", "--out-dir", out, "gen-vecsum", "--q", "3", "--k", "2",
+                   "--m", "3", "--n", "3", "--planted") == EXIT_OK
+        assert run("--seed", "2", "--out-dir", out, "check-map", "--instance",
+                   os.path.join(out, "instance.json"), "--l", "4", "--mode", "monte_carlo",
+                   "--samples", "3000") == EXIT_OK
+        path = os.path.join(out, "map-certificate.json")
+        doc = read_json(path)
+        assert not doc["wellspread"]["passed"] and doc["wellspread"]["checked"] == 3
+        assert not doc["pairwise_separation"]["passed"]
+        assert hashlib.sha256(strip_timestamp(path).encode()).hexdigest() == self.MONTE_CARLO_PIN
 
     # extraction reports at (3,1,2), seed 5, without created_utc: from the
     # planted clique, and from its sub-clique on (alpha, beta) = (0,0),

@@ -1,6 +1,7 @@
 """The random block-linear map: sampling, application, goodness checks."""
 
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from gapclique.randmap import (
 from gapclique.experiments import SCREEN_BLOCK, certified_map, certified_no_instance
 from gapclique.vecsum import VecSumInstance, generate_planted, generate_unsat
 
+import randmap_reference
 from field_reference import (
     add,
     apply_map,
@@ -588,3 +590,100 @@ class TestMonteCarlo:
         with pytest.raises(PropertyViolation, match="1000 Monte Carlo samples"):
             check_wellspread(g, inst, mode="monte_carlo", samples=1000,
                              rng=rngmod.stream(5, "mc"))
+
+
+# -- the grid walk against the numbered walk -------------------------------------
+
+
+@pytest.mark.parametrize("radices", [(3,), (4, 5), (2, 3, 4), (7, 1, 5, 2), (6, 6, 6, 48),
+                                     (5, 0, 3), (2, 4099)])
+@pytest.mark.parametrize("limit", [1, 2, 7, 12, 100, 10**6])
+def test_blocks_run_through_the_case_numbers_in_order(radices, limit):
+    # each block's digits are those of the next run of case numbers, at most
+    # `limit` of them
+    seen = []
+    for extents, digits in randmap._blocks(radices, limit):
+        assert np.broadcast_shapes(*(x.shape for x in digits)) == extents
+        seen.append(np.ravel_multi_index(np.broadcast_arrays(*digits), radices).ravel())
+    assert all(0 < block.size <= limit for block in seen)
+    got = np.concatenate(seen) if seen else np.zeros(0, dtype=np.int64)
+    assert np.array_equal(got, np.arange(math.prod(radices)))
+
+
+# (q, k, m, n, l): passing and failing maps for both properties, k = 1 and
+# k = 2, wide rows and q past the narrow types
+WALK_POINTS = [(2, 2, 4, 4, 16), (3, 1, 2, 3, 2), (5, 1, 4, 4, 1), (5, 2, 3, 3, 12),
+               (7, 2, 3, 2, 64), (3, 2, 12, 6, 128), (4099, 1, 1, 2, 1)]
+
+
+def walk_certificates(monkeypatch, point, walk, check, **kwargs):
+    """Certificates (or inconclusive refusals) of three maps at the point,
+    with the engine's walk swapped for `walk` when one is given; each with
+    the state its Monte Carlo rng is left in."""
+    q, k, m, n, l = point
+    if walk is not None:
+        monkeypatch.setattr(randmap, "_run_check", walk)
+    out = []
+    for s in range(3):
+        inst = generate_planted(rngmod.stream(s, f"walk/{point}"), q, k, m, n)
+        g = sample_g(rngmod.stream(s, f"walk/{point}/map"), q, k, m, l, seed=s)
+        r = rngmod.stream(s, "walk/mc") if kwargs else None
+        try:
+            cert = check(g, inst, rng=r, **kwargs).to_json()
+        except PropertyViolation as exc:
+            cert = str(exc)
+        out.append((cert, r and r.getstate()))
+    monkeypatch.undo()
+    return out
+
+
+class TestWalkAgainstNumberedReference:
+    @pytest.mark.parametrize("block_bytes", [None, 1000, 1 << 14])
+    @pytest.mark.parametrize("point", WALK_POINTS, ids=str)
+    def test_exhaustive_certificates_match(self, monkeypatch, point, block_bytes):
+        for check in CHECKS.values():
+            want = walk_certificates(monkeypatch, point, randmap_reference.run_check, check)
+            if block_bytes is not None:
+                # small blocks split the parts at every digit
+                monkeypatch.setattr(randmap, "_BLOCK_BYTES", block_bytes)
+            assert walk_certificates(monkeypatch, point, None, check) == want
+
+    @pytest.mark.parametrize("point", WALK_POINTS, ids=str)
+    def test_monte_carlo_certificates_and_rng_match(self, monkeypatch, point):
+        for check in CHECKS.values():
+            mc = dict(mode="monte_carlo", samples=2500)
+            want = walk_certificates(monkeypatch, point, randmap_reference.run_check, check, **mc)
+            assert walk_certificates(monkeypatch, point, None, check, **mc) == want
+
+    def test_points_have_passing_and_failing_maps(self, monkeypatch):
+        outcomes = {name: set() for name in CHECKS}
+        for point in WALK_POINTS:
+            for name, check in CHECKS.items():
+                certs = walk_certificates(monkeypatch, point, None, check)
+                outcomes[name] |= {cert["passed"] for cert, _ in certs}
+        assert outcomes == {name: {False, True} for name in CHECKS}
+
+
+@pytest.mark.parametrize("check,point,margin", [
+    # rows of 12 + 2 * 256 int64 entries: blocks no larger than the
+    # numbered walk's 1,024 cases
+    (check_wellspread, (5, 2, 12, 16, 256), 0),
+    # blocks of whole 10,368-case parts, against 1,024
+    (check_pairwise_separation, (3, 2, 12, 6, 128), 2 << 20),
+])
+def test_walk_peak_memory(monkeypatch, check, point, margin):
+    q, k, m, n, l = point
+    inst = generate_planted(rngmod.stream(0, "peak"), q, k, m, n)
+    g = sample_g(rngmod.stream(0, "peak/map"), q, k, m, l)
+    peaks = []
+    for walk in (randmap_reference.run_check, None):
+        if walk is not None:
+            monkeypatch.setattr(randmap, "_run_check", walk)
+        tracemalloc.start()
+        try:
+            check(g, inst)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+    assert peaks[1] <= peaks[0] + margin
