@@ -75,8 +75,8 @@ IDENTITY_TOL = 1e-9
 
 COMPLETENESS_POINTS = ((2, 1, 2), (3, 1, 2), (3, 1, 4), (2, 2, 1))
 COMPLETENESS_RUNS = 20
-# one planted clique each past the default clique budget: 390,625 and 5,764,801 vertices
-COMPLETENESS_FRONTIER = ((5, 2, 2), (7, 2, 1))
+# one planted clique each past the default clique budget: 390,625 to 214,358,881 vertices
+COMPLETENESS_FRONTIER = ((5, 2, 2), (7, 2, 1), (11, 2, 1))
 
 VERTEX_COUNT_POINTS = ((2, 1, 1), (3, 1, 1), (2, 1, 2), (3, 1, 2), (5, 1, 1), (2, 2, 1))
 

@@ -17,11 +17,11 @@ Two vertices are non-adjacent iff at least one of five rules fires:
   5 alpha - alpha' is a constant block pattern but x changed.
 
 A list of vertices is a Clique: point and value tables, and index arrays
-naming each vertex's rows.  planted_clique builds one without a tuple,
-materialize reads the vertex set as one from the codec's ranks, and
-verify_clique, build_gamma and extract_witness take one.  Tuples remain at
-the boundary: as_clique validates and converts a caller's tuple list, and
-a Clique reads out as Vertex tuples for files, the CLI and the tests.
+naming each vertex's rows.  as_clique and materialize (from the codec's
+ranks) build one with its index arrays; planted_clique builds the planted
+layout, which needs none.  verify_clique, build_gamma and extract_witness
+take either.  Tuples remain at the boundary: as_clique validates and
+converts a caller's tuple list, and a Clique reads out as Vertex tuples.
 
 Between stages the data stay arrays: phase 1 hands phase 2 point and value
 rows, the decoded function names its phase-1 points by rank and tags every
@@ -250,22 +250,31 @@ class Clique(Sequence):
     """Vertices of one reduction as arrays: a point table (P, k^2), a value
     table (V, l) whose rows may repeat, and index arrays a, b, x, y, so that
     vertex v is (points[a[v]], points[b[v]], values[x[v]], values[y[v]]).
+    Built without them it is the planted layout (see planted_clique), with
+    a, b = divmod(v, P), x = a and y = b built on first read.
     Its vertices are valid (as_clique validates a caller's).  It reads as
     the list of its Vertex tuples: len, iteration (one tuple per table row,
-    shared) and clique[i] give Vertex tuples, slices and sums give lists."""
+    shared) and clique[i] give Vertex tuples, slices give lists."""
 
     def __init__(self, params: ReductionParams, points: np.ndarray, values: np.ndarray,
-                 a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray):
+                 *rows: np.ndarray):
         self.params, self.points, self.values = params, points, values
-        self.a, self.b, self.x, self.y = a, b, x, y
-        self.planted_rows = _planted_rows(self)  # decided again when a vertex is replaced
+        self.size = len(rows[0]) if rows else len(points) ** 2
+        self.__dict__.update(zip("abxy", rows))
+        self.planted_rows = None if rows else _planted_rows(params, values)
+
+    def __getattr__(self, name: str):
+        if name not in ("a", "b", "x", "y"):  # only the planted layout's can be unbuilt
+            raise AttributeError(name)
+        self.a, self.b = self.x, self.y = np.divmod(np.arange(self.size), len(self.points))
+        return self.__dict__[name]
 
     def _columns(self):
         return ((self.points, self.a), (self.points, self.b),
                 (self.values, self.x), (self.values, self.y))
 
     def __len__(self) -> int:
-        return len(self.a)
+        return self.size
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -277,9 +286,6 @@ class Clique(Sequence):
         tables = (points, points, values, values)
         return map(Vertex, *(map(t.__getitem__, rows.tolist())
                              for t, (_, rows) in zip(tables, self._columns())))
-
-    def __add__(self, other) -> list:
-        return list(self) + list(other)
 
     def __setitem__(self, i: int, vertex: Vertex) -> None:
         """Vertex i becomes `vertex`, validated as a caller's tuple is."""
@@ -325,21 +331,15 @@ def as_clique(vertices, params: ReductionParams) -> Clique:
                   index, index + n, index, index + n)
 
 
-def _planted_rows(c: Clique) -> Optional[np.ndarray]:
-    """R, the value table's rows at the k^2 unit points, if the clique is
-    laid out as planted_clique's (the digit table's points, one value row
-    per point, x = a and y = b over every (a, b) in order) with values
-    digits @ R; else None, as where int64 products could wrap."""
-    q, kk = c.params.q, c.params.k**2
-    P = q**kk
-    if (len(c.points), len(c.values), c.a.shape) != (P, P, (P * P,)) or kk * q * q >= 2**63:
+def _planted_rows(params: ReductionParams, values: np.ndarray) -> Optional[np.ndarray]:
+    """R, the planted layout's value rows at the k^2 unit points, if values
+    = digits @ R; else None, as where int64 products could wrap."""
+    q, kk = params.q, params.k**2
+    if kk * q * q >= 2**63:
         return None
     digits, place = _domain(q, kk)
-    grid, R = np.arange(P), c.values[place]
-    laid_out = (np.array_equal(c.points, digits) and np.array_equal(c.x, c.a)
-                and np.array_equal(c.y, c.b) and (c.a.reshape(P, P) == grid[:, None]).all()
-                and (c.b.reshape(P, P) == grid).all())
-    return R if laid_out and (digits @ R % q == c.values).all() else None
+    R = values[place]
+    return R if (digits @ R % q == values).all() else None
 
 
 # -- vertex codec ----------------------------------------------------------------
@@ -585,16 +585,16 @@ class CliqueInstance:
     def planted_clique(
         self, indices: Sequence[int], clique_budget: int = DEFAULT_CLIQUE_BUDGET
     ) -> Clique:
-        """The candidate clique of a source tuple (one index per collection):
-        one vertex per (alpha, beta) in lexicographic order, with values
-        summing the per-block images of the tuple's vectors."""
-        params = self.params
-        q, k, l = params.q, params.k, params.l
+        """The clique of a source tuple (an int index per collection), in the
+        planted layout: one vertex per (alpha, beta) in lexicographic order,
+        one value row per point, summing the tuple's per-block images."""
+        q, k, l = self.params.q, self.params.k, self.params.l
         total = q ** (2 * k * k)
         if total > clique_budget:
             raise BudgetExceeded("planted clique size", required=total, budget=clique_budget)
-        if len(indices) != params.k:
-            raise ContractViolation("need one index per collection")
+        if not isinstance(indices, (list, tuple)) or len(indices) != k or not all(
+                type(i) is int and 0 <= i < n for i, n in zip(indices, self.source.sizes)):
+            raise ContractViolation("need one index in range per collection")
         # per collection, the chosen vector's block-inner image under every
         # direction, summed over the blocks of each point: row r of x is the
         # value at the point of rank r (block 0 most significant)
@@ -603,8 +603,7 @@ class CliqueInstance:
         for i, idx in enumerate(indices):
             table = directions @ self._images[i][idx].T % q
             x = (x[:, None, :] + table).reshape(-1, l) % q
-        a, b = np.repeat(np.arange(len(x)), len(x)), np.tile(np.arange(len(x)), len(x))
-        return Clique(params, _domain(q, k * k)[0], x, a, b, a, b)
+        return Clique(self.params, _domain(q, k * k)[0], x)
 
     def verify_clique(self, vertices) -> Optional[tuple[Vertex, Vertex, frozenset]]:
         """The first violating pair in (i, j) order with its triggered rules,

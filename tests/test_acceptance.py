@@ -6,7 +6,8 @@ tests/test_acceptance.py` doubles as the acceptance report.
 
  1. completeness: 20 planted instances per parameter point give verified
     cliques of exactly the target size, and one planted clique each of
-    390,625 vertices at (5,2,2) and of 5,764,801 at (7,2,1) verifies
+    390,625 vertices at (5,2,2), of 5,764,801 at (7,2,1) and of 214,358,881
+    at (11,2,1) verifies
  2. Fourier identities: enumeration vs formula within 1e-9 on 50 tables
  3. list-decoder output equals the brute-force agreement filter, 120 tables
  4. vertex-count formula matches brute enumeration at 6 parameter points
@@ -76,9 +77,10 @@ def test_row_coverage_matches_stated_counts(all_rows):
     rows, _ = all_rows
     c1 = [r for r in rows if r["criterion"] == 1]
     runs = f"{COMPLETENESS_RUNS}/{COMPLETENESS_RUNS}"
-    assert len(c1) == 6 and all(r["expected"] == runs for r in c1[:4])
+    assert len(c1) == 7 and all(r["expected"] == runs for r in c1[:4])
     assert "(q,k,l)=(5,2,2)" in c1[4]["name"] and c1[4]["expected"] == "1/1"
     assert "(q,k,l)=(7,2,1)" in c1[5]["name"] and c1[5]["expected"] == "1/1"
+    assert "(q,k,l)=(11,2,1)" in c1[6]["name"] and c1[6]["expected"] == "1/1"
     c4 = [r for r in rows if r["criterion"] == 4]
     assert len(c4) == 6
     c6 = [r for r in rows if r["criterion"] == 6]

@@ -141,7 +141,8 @@ DECISION_POINTS = [(2, 1, 2), (3, 1, 2), (5, 1, 1), (2, 2, 1), (2, 2, 3), (3, 2,
 
 
 def with_values(clique, values):
-    return Clique(clique.params, clique.points, values, clique.a, clique.b, clique.x, clique.y)
+    # the planted layout over another value table
+    return Clique(clique.params, clique.points, values)
 
 
 def decision_cases(ci, r):
@@ -225,21 +226,38 @@ def test_planted_layout_phase1_is_the_general_path(q, k, l):
 
 
 def test_planted_layout_decided_once_per_clique(monkeypatch):
-    # a verified extraction decides the layout once; a replaced vertex
-    # makes a new decision, so the corrupted clique is scanned and rejected
+    # the layout is decided when the clique is built, so a verified
+    # extraction never encodes it; a replaced vertex makes it a vertex
+    # list, so the corrupted clique is scanned and rejected
     ci = INSTANCES[(3, 1, 2)]
-    calls = []
-    decide = reduction._planted_rows
-    monkeypatch.setattr(reduction, "_planted_rows", lambda c: calls.append(c) or decide(c))
     clique = ci.planted_clique(ci.source.planted)
-    extract_witness(clique, ci, eps=0.5, verify=True)
-    assert len(calls) == 1 and calls[0] is clique and clique.planted_rows is not None
-    assert ci.verify_clique(clique) is None and len(calls) == 1
+    assert clique.planted_rows is not None
+    with monkeypatch.context() as m:
+        m.setattr(CliqueInstance, "_encode", refuse)
+        extract_witness(clique, ci, eps=0.5, verify=True)
+        assert ci.verify_clique(clique) is None
     v = clique[1]
     clique[1] = v._replace(x=tuple((e + 1) % 3 for e in v.x))
-    assert len(calls) == 2 and clique.planted_rows is None
+    assert clique.planted_rows is None
     bad = ci.verify_clique(clique)
     assert bad is not None and bad == ReferenceOracle(ci).verify(list(clique))
+
+
+@pytest.mark.parametrize("q,k,l", [(7, 2, 1), (11, 2, 1)])
+def test_large_planted_cliques_never_reach_the_general_path(q, k, l, monkeypatch):
+    # 5,764,801 and 214,358,881 vertices: index arrays of P^2 entries would
+    # take 88 MB and 3.4 GB; the planted layout holds P value rows instead
+    ci = make_instance(7, q, k, l)
+    monkeypatch.setattr(CliqueInstance, "_encode", refuse)
+    tracemalloc.start()
+    try:
+        clique = ci.planted_clique(ci.source.planted, clique_budget=q ** (2 * k * k))
+        assert ci.verify_clique(clique) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(clique) == q ** (2 * k * k)
+    assert peak <= 4_000_000
 
 
 # -- phase 1 and extraction ------------------------------------------------------------
@@ -399,7 +417,7 @@ def test_clique_reads_like_a_list():
     clique = ci.planted_clique(ci.source.planted)
     vertices = list(clique)
     assert clique[2:5] == vertices[2:5] and clique[::-3] == vertices[::-3]
-    assert clique + vertices[:2] == vertices + vertices[:2]
+    assert list(clique) + vertices[:2] == vertices + vertices[:2]
     assert clique[-1] == vertices[-1] and vertices[3] in clique
     assert sorted(random.Random(1).sample(clique, 4)) == sorted(random.Random(1).sample(vertices, 4))
     with pytest.raises(IndexError):

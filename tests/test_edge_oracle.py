@@ -162,7 +162,7 @@ def test_corrupted_planted_clique_reports_reference_pair(q, k, l):
 def test_repeated_vertices_are_skipped():
     ci = INSTANCES[(3, 1, 2)]
     clique = ci.planted_clique(ci.source.planted)
-    assert ci.verify_clique(clique + clique[:3]) is None
+    assert ci.verify_clique(list(clique) + clique[:3]) is None
 
 
 def test_lists_without_pairs():

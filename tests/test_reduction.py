@@ -238,6 +238,14 @@ class TestPlantedClique:
         with pytest.raises(BudgetExceeded):
             ci.planted_clique(ci.source.planted, clique_budget=100)
 
+    @pytest.mark.parametrize("indices", [(-1,), (3,), (1.0,), (True,), (0, 0), 0])
+    def test_refuses_an_index_that_names_no_vector(self, indices):
+        # one collection of three vectors: only the ints 0, 1 and 2 name one
+        ci = make_instance(53, 3, 1, 4, 3, 2)
+        assert ci.source.sizes == (3,)
+        with pytest.raises(ContractViolation, match="one index in range per collection"):
+            ci.planted_clique(indices)
+
     @pytest.mark.parametrize("q,k,l", [(2, 1, 2), (3, 1, 2), (2, 2, 1), (3, 2, 4)])
     def test_matches_vertex_by_vertex_reference(self, q, k, l):
         ci = make_instance(52 + q + k + l, q, k, 8 if q == 2 else 4, 3, l)
