@@ -78,7 +78,6 @@ class CliqueSearchResult:
     size: int
     optimal: bool
     nodes: int
-    elapsed: float
 
 
 def _degeneracy_order(graph: DenseGraph) -> list[int]:
@@ -133,9 +132,8 @@ def max_clique_exact(
     if n > vertex_cap:
         raise BudgetExceeded("vertex count", required=n, budget=vertex_cap)
     if n == 0:
-        return CliqueSearchResult((), 0, True, 0, 0.0)
-    start = time.monotonic()
-    deadline = None if time_budget is None else start + time_budget
+        return CliqueSearchResult((), 0, True, 0)
+    deadline = None if time_budget is None else time.monotonic() + time_budget
 
     # relabel along the reversed degeneracy order: dense cores come first
     order = _degeneracy_order(graph)[::-1]
@@ -209,9 +207,8 @@ def max_clique_exact(
         optimal = True
     except _TimeUp:
         optimal = False
-    elapsed = time.monotonic() - start
     clique = tuple(sorted(order[i] for i in best))
-    return CliqueSearchResult(clique, len(clique), optimal, nodes, elapsed)
+    return CliqueSearchResult(clique, len(clique), optimal, nodes)
 
 
 def greedy_clique(
@@ -227,10 +224,9 @@ def greedy_clique(
     in the state the shuffles leave."""
     n = graph.n
     if n == 0:
-        return CliqueSearchResult((), 0, False, 0, 0.0)
+        return CliqueSearchResult((), 0, False, 0)
     if rng is None:
         rng = random.Random(0)
-    start = time.monotonic()
     adj, full = graph.adj, (1 << n) - 1
     draw, bits = rng.getrandbits, [(i + 1).bit_length() for i in range(n)]
     best: list[int] = [0]
@@ -250,9 +246,7 @@ def greedy_clique(
                     break
         if len(clique) > len(best):
             best = clique
-    return CliqueSearchResult(
-        tuple(sorted(best)), len(best), False, 0, time.monotonic() - start
-    )
+    return CliqueSearchResult(tuple(sorted(best)), len(best), False, 0)
 
 
 # -- graph file formats -------------------------------------------------------

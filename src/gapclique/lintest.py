@@ -32,7 +32,7 @@ import numpy as np
 from .errors import BudgetExceeded, ContractViolation, PiecingRefused, PropertyViolation
 from .ffield import is_prime
 from .stats import wilson_interval
-from .vecsum import check_int, residue_tuple
+from .vecsum import check_int, residue_array
 
 # Exact enumeration caps: tables up to 2^18 points, pair scans up to 2^24.
 MAX_TABLE_SIZE = 1 << 18
@@ -177,8 +177,7 @@ class FunctionTable:
         # q^d <= len(values) bounds d before q^d is computed
         if not isinstance(values, list) or d > len(values).bit_length():
             raise ContractViolation("table values must be a list of q^d * l residues")
-        residue_tuple(q, values, q**d * l)
-        return cls(q, d, l, np.array(values, dtype=np.int64).reshape(q**d, l))
+        return cls(q, d, l, residue_array(q, values, (q**d * l,)).reshape(q**d, l))
 
     @classmethod
     def load(cls, path) -> "FunctionTable":
@@ -197,7 +196,7 @@ class LinearScalarFn:
     rho: tuple[int, ...]
 
     def __post_init__(self):
-        residue_tuple(self.q, self.rho, len(self.rho))
+        residue_array(self.q, self.rho, (len(self.rho),))
 
     @property
     def d(self) -> int:
@@ -214,8 +213,7 @@ class LinearVecFn:
     rhos: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        for rho in self.rhos:
-            residue_tuple(self.q, rho, self.d)
+        residue_array(self.q, self.rhos, (len(self.rhos), self.d))
 
 
 # -- the test and its accepted pairs -------------------------------------------
@@ -543,13 +541,9 @@ def list_decode_scalar(f: FunctionTable, delta: float) -> tuple[LinearScalarFn, 
 class PiecingState:
     """Intermediate objects of the piecing procedure, kept for inspection."""
 
-    deltas: tuple[float, ...]
     lists: tuple[np.ndarray, ...]  # per coordinate, the decoded coefficient vectors' ranks
     matches: np.ndarray  # (n, l) int; 0 = no unique match, else 1-based list index
     var_ranks: np.ndarray
-    v_star_ranks: np.ndarray
-    w_star_ranks: np.ndarray
-    anchor_rank: Optional[int]
 
 
 @dataclass
@@ -649,14 +643,12 @@ def piece_together(
     # V* and W* as masks over the sorted var_ranks: the anchor is the first in both
     in_v = (matches[var_ranks] != 0).mean(axis=1) >= 1.0 - eps_f**2.5
     in_w = deg[var_ranks] >= (eps_f**2 / 2.0) * var_count
-    state = PiecingState(deltas, lists, matches, var_ranks, v_star_ranks=var_ranks[in_v],
-                         w_star_ranks=var_ranks[in_w], anchor_rank=None)
+    state = PiecingState(lists, matches, var_ranks)
     both = var_ranks[in_v & in_w]
     if both.size == 0:
         return PiecingResult(ok=False, fn=None, agreement=None, pass_probability=eps_meas,
                              coordinate_pass=coord_pass, state=state, failure="no_anchor")
     anchor = int(both[0])
-    state.anchor_rank = anchor
 
     # the rank of the anchor's match on each coordinate, from its place among
     # all members, and rank 0, the zero vector, where it has none

@@ -48,7 +48,7 @@ import numpy as np
 from .errors import BudgetExceeded, ContractViolation, PropertyViolation
 from .lintest import _domain
 from .stats import wilson_interval
-from .vecsum import VecSumInstance, check_int, residue_tuple
+from .vecsum import VecSumInstance, check_int, check_modulus, residue_array
 
 DEFAULT_CHECK_BUDGET = 5_000_000
 
@@ -62,25 +62,22 @@ _DIRECTION_IMAGE_LIMIT = 1 << 24
 _BLOCK_ENTRIES = 32  # map entries from which a block of words beats randrange
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearMapG:
-    """l matrices of shape k x m over F_q, each a flat row-major tuple of
-    k*m residues, applied jointly as one linear map into l blocks of width k."""
+    """l matrices of shape k x m over F_q, applied jointly as one linear map
+    into l blocks of width k; `matrices` is one read-only (l, k*m) int64
+    array, a flat row-major matrix per row (see residue_array)."""
 
     q: int
     k: int
     m: int
     l: int
-    matrices: tuple[tuple[int, ...], ...]
+    matrices: np.ndarray
     seed: Optional[int] = None
 
     def __post_init__(self):
-        q = check_int("modulus q", self.q, 2)
-        size = check_int("k", self.k) * check_int("dimension m", self.m)
-        mats = self.matrices
-        if not isinstance(mats, (list, tuple)) or len(mats) != check_int("l", self.l):
-            raise ContractViolation(f"need {self.l} matrices")
-        object.__setattr__(self, "matrices", tuple(residue_tuple(q, a, size) for a in mats))
+        shape = (check_int("l", self.l), check_int("k", self.k) * check_int("dimension m", self.m))
+        object.__setattr__(self, "matrices", residue_array(self.q, self.matrices, shape))
 
     def to_json(self) -> dict:
         return {
@@ -89,7 +86,7 @@ class LinearMapG:
             "k": self.k,
             "m": self.m,
             "l": self.l,
-            "matrices": [list(a) for a in self.matrices],
+            "matrices": self.matrices.tolist(),
             "seed": self.seed,
         }
 
@@ -103,23 +100,24 @@ class LinearMapG:
                    matrices=doc.get("matrices"), seed=doc.get("seed"))
 
 
-def draw_matrices(rng: random.Random, q: int, k: int, m: int, l: int) -> tuple:
-    """l i.i.d. uniform k x m matrices as flat tuples, entries drawn
-    row-major with rng.randrange(q).  Below 2^32 a draw keeps the top
+def draw_matrices(rng: random.Random, q: int, k: int, m: int, l: int) -> np.ndarray:
+    """l i.i.d. uniform k x m matrices as a LinearMapG holds them, entries
+    drawn row-major with rng.randrange(q).  Below 2^32 a draw keeps the top
     q.bit_length() bits of a 32-bit word if they fall below q; a map of
     _BLOCK_ENTRIES entries or more reads its words in blocks as long as the
     entries still missing, with the same entries and final rng state."""
     size = k * m
-    if size * l < _BLOCK_ENTRIES or not 2 <= q < 1 << 32:
-        entries = [rng.randrange(q) for _ in range(size * l)]
+    if check_modulus(q) >= 1 << 32 or size * l < _BLOCK_ENTRIES:
+        entries = np.array([rng.randrange(q) for _ in range(size * l)], dtype=np.int64)
     else:
-        entries, shift = [], 32 - q.bit_length()
+        entries, shift = np.zeros(0, dtype=np.int64), 32 - q.bit_length()
         while len(entries) < size * l:
             missing = size * l - len(entries)
             block = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
             draws = np.frombuffer(block, "<u4") >> shift
-            entries += draws[draws < q].tolist()
-    return tuple(tuple(entries[t * size : (t + 1) * size]) for t in range(l))
+            entries = np.concatenate([entries, draws[draws < q]])
+    entries.setflags(write=False)
+    return entries.reshape(l, size)
 
 
 def sample_g(rng: random.Random, q: int, k: int, m: int, l: int,
@@ -171,9 +169,7 @@ def source_images(g: LinearMapG, inst: VecSumInstance) -> tuple[np.ndarray, np.n
         raise ContractViolation("map does not match instance shapes")
     if max(g.m, g.k) * (g.q - 1) ** 2 >= 2**63:
         raise ContractViolation(f"modulus {g.q} is too large for 64-bit image arithmetic")
-    vecs = np.array([u for us in inst.collections for u in us], dtype=np.int64)
-    a = np.array(g.matrices, dtype=np.int64)
-    return vecs, (a.reshape(g.l * g.k, g.m) @ vecs.T % g.q).T
+    return inst.vectors, (g.matrices.reshape(g.l * g.k, g.m) @ inst.vectors.T % g.q).T
 
 
 def _blocks(radices: tuple[int, ...], limit: int):
@@ -309,8 +305,7 @@ def wellspread_sums(inst: VecSumInstance) -> Optional[np.ndarray]:
     radices = (inst.q,) * inst.k + inst.sizes
     if math.prod(radices) > _CHUNK or max(inst.m, inst.k) * (inst.q - 1) ** 2 >= 2**63:
         return None
-    vecs = np.array([u for us in inst.collections for u in us], dtype=np.int64)
-    sums = _combine(inst, vecs, _digits(np.arange(math.prod(radices)), radices))
+    sums = _combine(inst, inst.vectors, _digits(np.arange(math.prod(radices)), radices))
     return sums[sums.any(axis=1)]
 
 
@@ -340,7 +335,7 @@ def wellspread_holds(q: int, sums: np.ndarray, maps: list) -> np.ndarray:
     """Per map, given as the matrices draw_matrices returns, whether every
     row of `sums` keeps relative image weight >= 2/3: one product for all
     the maps, so resampling can screen draws in blocks."""
-    a = np.array(maps, dtype=np.int64)  # (maps, l, k*m)
+    a = np.stack(maps)  # (maps, l, k*m)
     width = a.shape[2] // sums.shape[1] * a.shape[1]
     images = a.reshape(len(maps), width, -1) @ sums.T % q  # (maps, l*k, sums)
     return (3 * np.count_nonzero(images, axis=1) >= 2 * width).all(axis=1)

@@ -48,7 +48,6 @@ vector of collection i (rule 4): verify_clique decides it from R alone.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from collections.abc import Sequence
@@ -72,7 +71,7 @@ from .lintest import (
     piece_together,
 )
 from .randmap import LinearMapG, source_images
-from .vecsum import VecSumInstance, check_int, vector_sum
+from .vecsum import VecSumInstance, check_int, check_modulus, residue_array, vector_sum
 from .cliquesolve import DenseGraph
 
 DEFAULT_VERTEX_BUDGET = 2000
@@ -223,9 +222,9 @@ class Vertex(NamedTuple):
 
 
 def is_valid_vertex(v: Vertex, params: ReductionParams) -> bool:
-    kk = params.k * params.k
+    kk, l = params.k * params.k, params.l
     return (
-        [len(part) for part in v] == [kk, kk, params.l, params.l]
+        [len(p) if isinstance(p, (list, tuple)) else None for p in v] == [kk, kk, l, l]
         and all(type(e) is int and 0 <= e < params.q for part in v for e in part)
         and (v[0] != v[1] or v[2] == v[3])
     )
@@ -297,35 +296,26 @@ class Clique(Sequence):
 def as_clique(vertices, params: ReductionParams) -> Clique:
     """The one way in for vertex lists: a Clique of these parameters as it
     is, or a sequence of (alpha, beta, x, y) residue tuples converted after
-    array checks (four parts of the right lengths, int entries in range,
-    alpha = beta only with x = y).  Raises ContractViolation naming the
-    first invalid vertex."""
+    array checks (four parts, each column residues of its width, see
+    residue_array, and alpha = beta only with x = y).  Raises
+    ContractViolation naming the first invalid vertex."""
     if isinstance(vertices, Clique):
         if vertices.params != params:
             raise ContractViolation("the clique belongs to other reduction parameters")
         return vertices
     vs = list(vertices)
-    n, q, kk, l = len(vs), params.q, params.k * params.k, params.l
-    widths = (kk, kk, l, l)
-    columns = list(zip(*vs)) if vs else [()] * 4
-    fits = set(map(len, vs)) <= {4} and all(
-        set(map(len, col)) <= {w} and set(map(type, itertools.chain.from_iterable(col))) <= {int}
-        for col, w in zip(columns, widths)
-    )
-    if fits:
-        try:
-            parts = [np.array(col, dtype=np.int64).reshape(n, w) for col, w in zip(columns, widths)]
-        except OverflowError:  # an int past 64 bits is out of range
-            fits = False
-    if fits:
-        alpha, beta, x, y = parts
-        bad = (alpha == beta).all(axis=1) & (x != y).any(axis=1)
-        for part in parts:
-            bad |= ((part < 0) | (part >= q)).any(axis=1)
-        fits = not bad.any()
-    if not fits:
+    n, q, kk, l = len(vs), check_modulus(params.q), params.k * params.k, params.l
+    try:
+        if not set(map(len, vs)) <= {4}:
+            raise ContractViolation("a vertex has four parts")
+        columns = zip(*vs) if vs else [()] * 4
+        alpha, beta, x, y = (residue_array(q, col, (n, w))
+                             for col, w in zip(columns, (kk, kk, l, l)))
+        if ((alpha == beta).all(axis=1) & (x != y).any(axis=1)).any():
+            raise ContractViolation("alpha = beta with x != y")
+    except ContractViolation:
         first = next(v for v in vs if not is_valid_vertex(v, params))
-        raise ContractViolation(f"invalid vertex {first}")
+        raise ContractViolation(f"invalid vertex {first}") from None
     index = np.arange(n)
     return Clique(params, np.concatenate([alpha, beta]), np.concatenate([x, y]),
                   index, index + n, index, index + n)
@@ -963,7 +953,7 @@ def extract_witness(
     # alike
     bound = math.floor(2 * kappa * l)
     rhos = np.array(piece.fn.rhos, dtype=np.int64)
-    directions = list(itertools.product(range(q), repeat=k))[1:]
+    directions = _domain(q, k)[0][1:]
     chosen: list[int] = []
     for i in range(k):
         us = instance.source.collections[i]
@@ -973,13 +963,13 @@ def extract_witness(
         # alone the pieced function is the block-inner product against theta_i
         diffs = (rhos[:, i * k : (i + 1) * k] - instance._images[i]) % q
         weights = np.count_nonzero(
-            np.einsum("dc,rjc->drj", np.array(directions), diffs) % q, axis=2
+            np.einsum("dc,rjc->drj", directions, diffs) % q, axis=2
         ).tolist()
         residuals: dict[tuple[int, ...], tuple[int, Fraction]] = {}
         ambiguous = []
         out_of_bound = []
         votes = set()
-        for abar, row in zip(directions, weights):
+        for abar, row in zip(map(tuple, directions.tolist()), weights):
             best_idx = row.index(min(row))
             residuals[abar] = (best_idx, Fraction(row[best_idx], l))
             in_bound = [idx for idx, w in enumerate(row) if w <= bound]

@@ -5,8 +5,8 @@ Generators produce either planted YES instances or brute-force-certified NO
 instances; certification is never probabilistic because downstream soundness
 experiments need ground truth.
 
-A vector is a plain tuple of residues in [0, q).  Instances (and the maps in
-randmap) refuse anything else, since they are also built from JSON files.
+A vector is a plain tuple of residues in [0, q).  Instances, maps and linear
+functions refuse anything else (residue_array): they are also read from files.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
+import numpy as np
+
 from .errors import BudgetExceeded, ContractViolation, PropertyViolation
 
 DEFAULT_TUPLE_BUDGET = 2_000_000
@@ -32,16 +34,39 @@ def check_int(name: str, value, low: int = 1) -> int:
     return value
 
 
-def residue_tuple(q: int, entries, dim: int) -> tuple[int, ...]:
-    """entries as a tuple; refuses anything but a list or tuple of exactly
-    dim ints in [0, q)."""
-    if (
-        not isinstance(entries, (list, tuple))
-        or len(entries) != dim
-        or not all(type(e) is int and 0 <= e < q for e in entries)
-    ):
-        raise ContractViolation(f"expected {dim} residues in [0, {q}), got {entries!r:.60}")
-    return tuple(entries)
+def check_modulus(q) -> int:
+    """q itself; refuses anything but an int in [2, 2^63], whose residues fit int64."""
+    if check_int("modulus q", q, 2) > 2**63:
+        raise ContractViolation(f"modulus {q} is past 2^63: its residues do not fit int64")
+    return q
+
+
+def residue_array(q: int, entries, shape: tuple[int, ...]) -> np.ndarray:
+    """entries as a read-only int64 array of the given shape: an int64 array
+    of exactly that shape, or lists or tuples nested to exactly that shape
+    whose entries are ints (no bools, floats or strings), every entry in
+    [0, q).  Refuses anything else, and a modulus check_modulus refuses."""
+    check_modulus(q)
+    a = None
+    if isinstance(entries, np.ndarray):
+        # one range test: a negative entry read as uint64 is at least 2^63 >= q
+        if entries.dtype == np.int64 and entries.shape == shape and not (
+                entries.size and int(entries.view(np.uint64).max()) >= q):
+            a = entries.copy()
+    else:
+        flat = [entries]
+        for n in shape:
+            if not all(isinstance(x, (list, tuple)) and len(x) == n for x in flat):
+                break
+            flat = list(itertools.chain.from_iterable(flat))
+        else:
+            # ints in [0, q) fit int64, since q <= 2^63
+            if set(map(type, flat)) <= {int} and (not flat or 0 <= min(flat) and max(flat) < q):
+                a = np.array(flat, dtype=np.int64).reshape(shape)
+    if a is None:
+        raise ContractViolation(f"need residues in [0, {q}) of shape {shape}, got {entries!r:.60}")
+    a.setflags(write=False)
+    return a
 
 
 def vector_sum(q: int, vectors) -> tuple[int, ...]:
@@ -56,7 +81,9 @@ def vector_sum(q: int, vectors) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class VecSumInstance:
     """k collections of m-dimensional vectors over F_q, with an optional
-    planted witness (one index per collection) and provenance metadata."""
+    planted witness (one index per collection) and provenance metadata.
+    `vectors` holds every vector as a row, collections concatenated, as the
+    read-only int64 array residue_array checked them in."""
 
     q: int
     k: int
@@ -68,7 +95,6 @@ class VecSumInstance:
     certificate: Optional[dict] = field(default=None, compare=False)
 
     def __post_init__(self):
-        q = check_int("modulus q", self.q, 2)
         check_int("k", self.k)
         check_int("dimension m", self.m)
         cols = self.collections
@@ -76,7 +102,9 @@ class VecSumInstance:
             raise ContractViolation(f"expected {self.k} collections")
         if not all(isinstance(us, (list, tuple)) and us for us in cols):
             raise ContractViolation("collections must be non-empty lists of vectors")
-        cols = tuple(tuple(residue_tuple(q, u, self.m) for u in us) for us in cols)
+        rows = [u for us in cols for u in us]  # one residue check for all, modulus included
+        object.__setattr__(self, "vectors", residue_array(self.q, rows, (len(rows), self.m)))
+        cols = tuple(tuple(map(tuple, us)) for us in cols)
         object.__setattr__(self, "collections", cols)
         planted = self.planted
         if planted is not None:
@@ -87,7 +115,7 @@ class VecSumInstance:
             ):
                 raise ContractViolation("planted witness needs one index per collection")
             object.__setattr__(self, "planted", tuple(planted))
-            if any(vector_sum(q, (us[i] for i, us in zip(planted, cols)))):
+            if any(vector_sum(self.q, (us[i] for i, us in zip(planted, cols)))):
                 raise ContractViolation("planted witness does not sum to zero")
 
     @property

@@ -3,13 +3,39 @@
 The library computes these quantities on integer arrays (map images in one
 matrix product, block-inner products in batches); here they stay in exact
 arithmetic on residue tuples, one coordinate at a time, so the tests can
-compare the two.
+compare the two.  residue_tuple and residue_nested check residues entry by
+entry, as a reference for vecsum.residue_array.
 """
 
 import itertools
 from fractions import Fraction
 
 from gapclique.errors import BudgetExceeded, ContractViolation
+
+
+def residue_tuple(q: int, entries, dim: int) -> tuple[int, ...]:
+    """entries as a tuple; refuses anything but a list or tuple of exactly
+    dim ints in [0, q)."""
+    if (
+        not isinstance(entries, (list, tuple))
+        or len(entries) != dim
+        or not all(type(e) is int and 0 <= e < q for e in entries)
+    ):
+        raise ContractViolation(f"expected {dim} residues in [0, {q}), got {entries!r:.60}")
+    return tuple(entries)
+
+
+def residue_nested(q: int, entries, shape: tuple[int, ...]):
+    """residue_tuple at every level of shape: lists or tuples nested to
+    exactly that shape, ints in [0, q) at the bottom, as nested tuples (an
+    int for the empty shape)."""
+    if not shape:
+        return residue_tuple(q, [entries], 1)[0]
+    if len(shape) == 1:
+        return residue_tuple(q, entries, shape[0])
+    if not isinstance(entries, (list, tuple)) or len(entries) != shape[0]:
+        raise ContractViolation(f"expected {shape[0]} rows, got {entries!r:.60}")
+    return tuple(residue_nested(q, e, shape[1:]) for e in entries)
 
 
 def _same_dim(a, b):
@@ -58,7 +84,7 @@ def apply_map(g, b):
         raise ContractViolation(f"map takes dimension {g.m}, vector has {len(b)}")
     return tuple(
         sum(a[r * g.m + c] * b[c] for c in range(g.m)) % g.q
-        for a in g.matrices
+        for a in g.matrices.tolist()
         for r in range(g.k)
     )
 

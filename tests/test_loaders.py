@@ -8,10 +8,12 @@ exit code; whatever a loader accepts must serialize back to an equal object."""
 import copy
 import io
 import json
+import math
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,10 +21,13 @@ from gapclique import rng as rngmod
 from gapclique.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_PROPERTY, main
 from gapclique.cliquesolve import DenseGraph, export_graph, read_dimacs, read_graph_json
 from gapclique.errors import BudgetExceeded, ContractViolation
-from gapclique.lintest import FunctionTable, LinearScalarFn
+from gapclique.ffield import next_prime
+from gapclique.lintest import FunctionTable, LinearScalarFn, LinearVecFn
 from gapclique.randmap import LinearMapG, sample_g
-from gapclique.reduction import CliqueInstance, ReductionParams, param_schedule
-from gapclique.vecsum import VecSumInstance, generate_planted
+from gapclique.reduction import CliqueInstance, ReductionParams, Vertex, as_clique, param_schedule
+from gapclique.vecsum import VecSumInstance, generate_planted, residue_array
+
+from field_reference import residue_nested
 
 DOCUMENTED_EXIT_CODES = {EXIT_OK, EXIT_BUDGET, EXIT_PROPERTY, EXIT_IO, EXIT_INVALID}
 FUZZ = settings(max_examples=150, deadline=None)
@@ -107,7 +112,7 @@ def test_map_loader(doc):
         g = LinearMapG.from_json(doc)
     except ContractViolation:
         return
-    assert LinearMapG.from_json(g.to_json()) == g
+    assert LinearMapG.from_json(g.to_json()).to_json() == g.to_json()
 
 
 @given(st.sampled_from(REDUCTION_DOCS).flatmap(mutated))
@@ -128,6 +133,114 @@ def test_table_loader(doc):
     except ContractViolation:
         return
     assert FunctionTable.from_json(table.to_json()).to_json() == table.to_json()
+
+
+# -- the residue validator every reader goes through ---------------------------
+
+LEAVES = (st.integers(-2, 2**70) | st.integers(2**63 - 2, 2**64 + 2) | st.booleans()
+          | st.floats(allow_nan=False) | st.text(max_size=2))
+
+
+def _mutate(draw, x):
+    """x with one node replaced by a leaf of any kind, cut one entry short,
+    grown one entry long, or wrapped one level deeper."""
+    if isinstance(x, list) and x and draw(st.booleans()):
+        i = draw(st.integers(0, len(x) - 1))
+        return x[:i] + [_mutate(draw, x[i])] + x[i + 1 :]
+    how = draw(st.sampled_from(["leaf", "short", "long", "deeper"]))
+    if how == "deeper":
+        return [x]
+    if how == "leaf" or not isinstance(x, list):
+        return draw(LEAVES)
+    return x[:-1] if how == "short" else x + [draw(LEAVES)]
+
+
+def _tuples(x):
+    return tuple(map(_tuples, x)) if isinstance(x, list) else x
+
+
+@st.composite
+def residue_inputs(draw):
+    """(q, entries, shape): residues nested to the shape, as lists, tuples
+    or an int64 or float array, often mutated, or arbitrary JSON."""
+    q = draw(st.sampled_from([2, 3, 7, 2**31 - 1, 2**63]))
+    shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+    entries = np.array([draw(st.integers(0, q - 1)) for _ in range(math.prod(shape))],
+                       dtype=object).reshape(shape).tolist()
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        entries = _mutate(draw, entries)
+    form = draw(st.sampled_from(["lists", "tuples", "json", "int64", "float64"]))
+    if form == "tuples":
+        entries = _tuples(entries)
+    elif form == "json":
+        entries = draw(JSON)
+    elif form in ("int64", "float64"):
+        try:
+            entries = np.array(entries, dtype=form)
+        except (ValueError, TypeError, OverflowError):
+            pass
+        if isinstance(entries, np.ndarray) and draw(st.booleans()):
+            entries = entries.reshape(-1)
+    return q, entries, shape
+
+
+def _reference(q, entries, shape):
+    """residue_array's contract: an int64 array of exactly the shape is
+    read as its entries, any other array is refused, and everything else
+    is checked entry by entry."""
+    if isinstance(entries, np.ndarray):
+        if entries.dtype != np.int64 or entries.shape != shape:
+            raise ContractViolation("not an int64 array of the shape")
+        entries = entries.tolist()
+    return residue_nested(q, entries, shape)
+
+
+def _lists(x):
+    return list(map(_lists, x)) if isinstance(x, tuple) else x
+
+
+@given(residue_inputs())
+@settings(max_examples=600, deadline=None)
+def test_residue_array_refuses_exactly_what_the_reference_refuses(case):
+    q, entries, shape = case
+    writeable = isinstance(entries, np.ndarray) and entries.flags.writeable
+    try:
+        want = _reference(q, entries, shape)
+    except ContractViolation:
+        with pytest.raises(ContractViolation):
+            residue_array(q, entries, shape)
+        return
+    got = residue_array(q, entries, shape)
+    assert got.dtype == np.int64 and got.shape == shape and not got.flags.writeable
+    assert got.tolist() == _lists(want)
+    # the caller's array is copied, not frozen
+    assert not isinstance(entries, np.ndarray) or entries.flags.writeable == writeable
+
+
+class TestModulusPast64Bits:
+    # residues of a modulus past 2^63 do not fit int64, whatever the entries
+    Q = next_prime(2**63)
+
+    def test_readers_refuse(self):
+        q = self.Q
+        for build in (
+            lambda: LinearMapG(q=q, k=1, m=2, l=1, matrices=[[1, 2]]),
+            lambda: LinearMapG.from_json({**MAP_DOC, "q": q}),
+            lambda: sample_g(rngmod.stream(1, "m"), q, 1, 2, 1),
+            lambda: VecSumInstance(q=q, k=1, m=2, collections=[[[1, 2]]]),
+            lambda: VecSumInstance.from_json({**INSTANCE_DOC, "q": q}),
+            lambda: LinearScalarFn(q, (1, 2)),
+            lambda: LinearVecFn(q, 2, ((1, 2),)),
+            lambda: FunctionTable.from_json({**TABLE_DOC, "q": q}),
+            lambda: as_clique([Vertex((1,), (2,), (3,), (4,))], ReductionParams(q=q, k=1, l=1)),
+        ):
+            with pytest.raises(ContractViolation, match="past 2\\^63"):
+                build()
+
+    def test_gen_vecsum_exits_invalid(self, tmp_path):
+        assert _cli("--seed", "1", "--out-dir", str(tmp_path), "gen-vecsum", "--q", str(self.Q),
+                    "--k", "1", "--m", "2", "--n", "2") == EXIT_INVALID
+        assert not os.listdir(tmp_path)
 
 
 def _write(directory, name, content) -> str:

@@ -63,14 +63,16 @@ class TestSampleApply:
     def test_draws_are_randrange_draws(self, q, k, m, l):
         # the same entries, row-major, and the same rng state afterwards
         ours, ref = rngmod.stream(q, f"draw/{k}/{m}/{l}"), rngmod.stream(q, f"draw/{k}/{m}/{l}")
-        want = tuple(tuple(ref.randrange(q) for _ in range(k * m)) for _ in range(l))
-        assert draw_matrices(ours, q, k, m, l) == want
+        want = [[ref.randrange(q) for _ in range(k * m)] for _ in range(l)]
+        got = draw_matrices(ours, q, k, m, l)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert got.tolist() == want
         assert ours.getstate() == ref.getstate()
 
     def test_same_seed_same_map(self):
         a = sample_g(rngmod.stream(5, "m"), 5, 2, 3, 4)
         b = sample_g(rngmod.stream(5, "m"), 5, 2, 3, 4)
-        assert a.matrices == b.matrices
+        assert a.matrices.tolist() == b.matrices.tolist()
 
     def test_identity_embedding(self):
         g = LinearMapG(q=5, k=3, m=3, l=1, matrices=(identity(3),))
@@ -102,7 +104,7 @@ class TestSampleApply:
 
     def test_json_round_trip(self):
         g = sample_g(rngmod.stream(4, "m"), 5, 2, 3, 4, seed=4)
-        assert LinearMapG.from_json(g.to_json()) == g
+        assert LinearMapG.from_json(g.to_json()).to_json() == g.to_json()
 
     def test_malformed_map_refused_not_fixed_up(self):
         good = sample_g(rngmod.stream(4, "m"), 5, 2, 3, 4, seed=4).to_json()
@@ -213,7 +215,7 @@ class TestWellspread:
                 for t in range(tries)]
         passes = [check_wellspread(h, inst).passed for h in maps]
         assert passes == [False] * (tries - 1) + [True] and tries > 2 * SCREEN_BLOCK
-        assert g == maps[-1]
+        assert g.to_json() == maps[-1].to_json()
         assert certified_map(1, "ws-cm", inst, 2, "wellspread", max_tries=tries - 1) is None
 
 

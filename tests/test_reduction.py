@@ -595,7 +595,7 @@ class TestMaterializeExport:
         ci = make_instance(77, 3, 1, 4, 4, 2)
         back = CliqueInstance.from_json(ci.to_json())
         assert back.codec.count == ci.codec.count
-        assert back.gmap == ci.gmap
+        assert back.gmap.to_json() == ci.gmap.to_json()
         assert back.source.collections == ci.source.collections
 
     def test_reduction_json_keeps_mode(self):
