@@ -355,10 +355,8 @@ def suite_lintest(seed: int = 0) -> list[dict]:
     )
 
     # list-decoder oracle equivalence
-    mismatches = 0
     decode_shapes = ((3, 2), (5, 2), (7, 2), (11, 2), (5, 1))
     deltas = (0.1, 0.25, 0.5)
-    checked = 0
 
     def oracle_set(f: FunctionTable, delta: float) -> set:
         thr = Fraction(1, f.q) + Fraction(f.q - 1, f.q) * Fraction(LIST_CONSTANT * delta)
@@ -366,30 +364,21 @@ def suite_lintest(seed: int = 0) -> list[dict]:
         digits = _domain(f.q, f.d)[0].tolist()
         return {tuple(rho) for rho, count in zip(digits, agree) if Fraction(count, f.size) >= thr}
 
-    for i in range(100):
-        q, d = decode_shapes[i % len(decode_shapes)]
-        delta = deltas[i % len(deltas)]
-        f = random_scalar_respecting_table(rngmod.stream(seed, f"lintest/decode/{i}"), q, d)
-        got = {c.rho for c in list_decode_scalar(f, delta)}
-        if got != oracle_set(f, delta):
-            mismatches += 1
-        checked += 1
-    for i in range(20):
-        q, d = 11, 2
-        r = rngmod.stream(seed, f"lintest/decode-adv/{i}")
-        f = _corrupted_linear_table(r, q, d, corrupt_lines=0.2 + 0.03 * i)
-        delta = deltas[i % len(deltas)]
-        got = {c.rho for c in list_decode_scalar(f, delta)}
-        if got != oracle_set(f, delta):
-            mismatches += 1
-        checked += 1
+    cases = [(random_scalar_respecting_table(rngmod.stream(seed, f"lintest/decode/{i}"),
+                                             *decode_shapes[i % len(decode_shapes)]), deltas[i % len(deltas)])
+             for i in range(100)]
+    cases += [(_corrupted_linear_table(rngmod.stream(seed, f"lintest/decode-adv/{i}"), 11, 2,
+                                       corrupt_lines=0.2 + 0.03 * i), deltas[i % len(deltas)])
+              for i in range(20)]
+    mismatches = sum({c.rho for c in list_decode_scalar(f, delta)} != oracle_set(f, delta)
+                     for f, delta in cases)
     rows.append(
         _row(
             "lintest",
             3,
             "list decoder equals brute-force agreement filter (100 random + 20 corrupted)",
             "pass" if mismatches == 0 else "fail",
-            f"{mismatches} mismatches over {checked}",
+            f"{mismatches} mismatches over {len(cases)}",
             "0 mismatches",
         )
     )

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
@@ -125,10 +125,9 @@ class FunctionTable:
 
     @classmethod
     def from_linear(cls, fn: "LinearScalarFn | LinearVecFn") -> "FunctionTable":
-        rhos = (fn.rho,) if isinstance(fn, LinearScalarFn) else fn.rhos
+        rhos = np.array([fn.rho]) if isinstance(fn, LinearScalarFn) else fn.matrix
         digits, _ = _domain(fn.q, fn.d)
-        vals = digits @ np.array(rhos, dtype=np.int64).T % fn.q
-        return cls(fn.q, fn.d, len(rhos), vals)
+        return cls(fn.q, fn.d, len(rhos), digits @ rhos.T % fn.q)
 
     # -- indexing ----------------------------------------------------------
 
@@ -206,14 +205,15 @@ class LinearScalarFn:
 @dataclass(frozen=True)
 class LinearVecFn:
     """Vector-valued linear function; one coefficient vector per output
-    coordinate, so evaluation is coordinate-wise inner products."""
+    coordinate, as the rows of the checked (l, d) int64 array `matrix`."""
 
     q: int
     d: int
     rhos: tuple[tuple[int, ...], ...]
+    matrix: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        residue_array(self.q, self.rhos, (len(self.rhos), self.d))
+        object.__setattr__(self, "matrix", residue_array(self.q, self.rhos, (len(self.rhos), self.d)))
 
 
 # -- the test and its accepted pairs -------------------------------------------
@@ -245,9 +245,9 @@ def _pair_blocks(q: int, d: int, width: int):
 def _column_basis(f: FunctionTable) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """V[:, C] for the first columns C of f's values V that span them mod q,
     and the nonzero rows M of V's reduced row echelon form: V = V[:, C] @ M
-    mod q, with M[:, C] the identity.  None once a (d + 1)-th pivot turns
-    up; a table of at most d coordinates is its own basis, with no
-    elimination."""
+    mod q, with M[:, C] the identity (a zero table keeps column 0, M = 0).
+    None once a (d + 1)-th pivot turns up; a table of at most d coordinates
+    is its own basis, with no elimination."""
     if f.l <= f.d:
         return f.values, np.eye(f.l, dtype=np.int64)
     q, a, pivots = f.q, f.values.copy(), []
@@ -262,6 +262,7 @@ def _column_basis(f: FunctionTable) -> Optional[tuple[np.ndarray, np.ndarray]]:
         a = (a - np.outer(a[:, j], row)) % q
         a[r] = row
         pivots.append(j)
+    pivots = pivots or [0]
     return f.values[:, pivots], a[: len(pivots)]
 
 
@@ -272,45 +273,55 @@ def _character_sums(f: FunctionTable) -> Optional[tuple[np.ndarray, np.ndarray]]
     count.  None when the values span more than d dimensions.
 
     With V = V[:, C] @ M (_column_basis), a pair passes on every coordinate
-    iff it passes on the r = |C| coordinates of f_C, which the test accepts
-    iff q^{-r} sum_lambda g(a) g(b) conj(g(a + b)) is 1 rather than 0, with
-    g = g_lambda = omega^{<lambda, f_C>} over lambda in F_q^r.  So
-    deg(a) = q^{-r} sum_lambda g(a) S(a) with S(a) = sum_b g(b) conj(g(a + b)),
-    the conjugate of the autocorrelation R(a) = sum_b g(a + b) conj(g(b)),
-    the inverse DFT of |G|^2.  Coordinate i is <M[:, i], f_C>, so its count
-    keeps the q characters c * M[:, i], c in F_q, with multiplicity (a zero
-    column counts lambda = 0 q times: n^2 pairs).  Characters lambda and
-    -lambda conjugate both g and S, so their terms are equal and one of each
-    pair is computed, counted twice.
-    """
+    iff it passes on the r = |C| coordinates of f_C.  So, with
+    g = g_lambda = omega^{<lambda, f_C>}, deg(a) = q^{-r} sum_lambda g(a) S(a)
+    over lambda in F_q^r, where S(a) = sum_b g(b) conj(g(a + b)) is the
+    conjugate of the autocorrelation, the inverse DFT of |G|^2 over n.
+    Coordinate i is <M[:, i], f_C>: its count keeps the q characters
+    c * M[:, i] with multiplicity (a zero column counts lambda = 0, whose term
+    is n with no DFT, q times).  One DFT pair serves each orbit of the other
+    characters, which share its pair sum: for a scalar-respecting f, c lambda's
+    term at a is lambda's at c a, so an orbit is a line of F_q^r and a's degree
+    sums its representative's terms over a's line of F_q^d; otherwise g and S
+    conjugate at -lambda, so {lambda, -lambda} is an orbit."""
     basis = _column_basis(f)
     if basis is None:
         return None
     basis_values, coords = basis
     q, d, n, r = f.q, f.d, f.size, coords.shape[0]
     points, place = _domain(q, r)
-    ranks, neg_ranks = np.arange(q**r), (-points % q) @ place
-    half = ranks <= neg_ranks
-    lams, paired = points[half], np.where(ranks < neg_ranks, 2.0, 1.0)[half]
+    if scalar := f.is_scalar_respecting():
+        orbits = _lines(q, r)
+    else:
+        neg = (-points % q) @ place
+        orbits = np.stack([np.arange(q**r), neg], axis=1)[np.arange(q**r) <= neg][1:]
+    # {lambda, -lambda} counts twice (once at q = 2); a line once, and the fold below
+    weights = np.ones(len(orbits)) if scalar else (orbits[:, 0] < orbits[:, 1]) + 1.0
     # <lambda, f_C(a)> is read off lambda's row of inner products at f_C(a)'s rank
     value_ranks = basis_values @ place
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     deg = np.zeros(n)
-    # [lambda]: the sum of lambda's character over every pair's defect
-    pair_sums = np.zeros(q**r)
+    # [orbit]: the sum of its representative's character over every pair's defect
+    orbit_sums = np.empty(len(orbits))
     step = max(1, PAIR_BLOCK // n)
-    for start in range(0, len(lams), step):
+    for start in range(0, len(orbits), step):
         lam = slice(start, start + step)
-        g = roots[np.take(lams[lam] @ points.T % q, value_ranks, axis=1)]
+        g = roots[np.take(points[orbits[lam, 0]] @ points.T % q, value_ranks, axis=1)]
         big_g = _dft(g, q, d, -1)
         power = big_g.real**2 + big_g.imag**2
         # the inverse DFT is n times the autocorrelation
         terms = (g * _dft(power, q, d, 1).conj()).real / n
-        deg += paired[lam] @ terms
-        pair_sums[ranks[half][lam]] = pair_sums[neg_ranks[half][lam]] = terms.sum(axis=1)
+        deg += weights[lam] @ terms
+        orbit_sums[lam] = terms.sum(axis=1)
+    if scalar:
+        # the origin is on every line: c a = 0 for each of the q - 1 scalars
+        lines = _lines(q, d)
+        deg[lines], deg[0] = deg[lines].sum(axis=1, keepdims=True), (q - 1) * deg[0]
+    pair_sums = np.empty(q**r)
+    pair_sums[0], pair_sums[orbits] = n * n, orbit_sums[:, None]
     # [c, i]: the rank of the character c * M[:, i]
     chars = (np.arange(q)[:, None, None] * coords.T % q) @ place
-    sums = np.concatenate([deg / q**r, pair_sums[chars].sum(axis=0) / q])
+    sums = np.concatenate([(n + deg) / q**r, pair_sums[chars].sum(axis=0) / q])
     rounded = np.rint(sums)
     worst = float(np.max(np.abs(sums - rounded)))
     if worst > ROUNDING_GUARD:
@@ -531,7 +542,11 @@ def list_decode_scalar(f: FunctionTable, delta: float) -> tuple[LinearScalarFn, 
     if f.l != 1:
         raise ContractViolation("list decoding needs a scalar-range table")
     ranks, _ = _list_decode(f, (delta,))
-    return tuple(LinearScalarFn(f.q, tuple(rho)) for rho in _domain(f.q, f.d)[0][ranks].tolist())
+    # rows of the digit table are residues already: the members skip the check
+    members = tuple(object.__new__(LinearScalarFn) for _ in ranks)
+    for fn, rho in zip(members, _domain(f.q, f.d)[0][ranks].tolist()):
+        fn.__dict__.update(q=f.q, rho=tuple(rho))
+    return members
 
 
 # -- piecing ---------------------------------------------------------------------
@@ -574,7 +589,7 @@ def _within(f: FunctionTable, fn: LinearVecFn, ranks: np.ndarray, kappa: Fractio
     """How many of the points ranks are within relative Hamming distance
     kappa of fn: f differs from fn on at most kappa * l coordinates there."""
     digits, _ = _domain(f.q, f.d)
-    mism = (f.values[ranks] != digits[ranks] @ np.array(fn.rhos, dtype=np.int64).T % f.q).sum(axis=1)
+    mism = (f.values[ranks] != digits[ranks] @ fn.matrix.T % f.q).sum(axis=1)
     # mismatch counts are integers, so the floor of kappa * l bounds them
     # alike, without comparing every count to a Fraction
     return int((mism <= math.floor(kappa * f.l)).sum())

@@ -952,7 +952,7 @@ def extract_witness(
     # the residual bound, twice kappa, on integer weights: its floor decides
     # alike
     bound = math.floor(2 * kappa * l)
-    rhos = np.array(piece.fn.rhos, dtype=np.int64)
+    rhos = piece.fn.matrix
     directions = _domain(q, k)[0][1:]
     chosen: list[int] = []
     for i in range(k):

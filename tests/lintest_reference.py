@@ -2,8 +2,8 @@
 reference for lintest's counting: a table's agreement with a linear
 function one point at a time, the accepted pairs from a loop over every
 pair of points, or, past a few thousand points, from every pair of points a
-block of first points at a time, and the Monte Carlo estimate from one
-sampled pair at a time.
+block of first points at a time (or only a few points' rows of pairs), and
+the Monte Carlo estimate from one sampled pair at a time.
 Also the lines through the origin from a walk over every point, the
 corrupted linear tables of the lintest suite one line at a time, the rank of
 a table's values from a row reduction over Python ints, and piecing's match
@@ -72,6 +72,20 @@ def blocked_accepted_counts(f, block: int = 64) -> tuple[np.ndarray, tuple[int, 
         deg[rows] = agree.all(axis=2).sum(axis=1)
         counts += agree.sum(axis=(0, 1))
     return deg, tuple(counts.tolist())
+
+
+def row_degrees(f, rows) -> list[int]:
+    """The accepted degree of each point ranked in rows, from one pass over
+    every second point per row: #{b : f(a) + f(b) = f(a + b)}."""
+    q = f.q
+    points = np.array(list(itertools.product(range(q), repeat=f.d)), dtype=np.int64)
+    place = q ** np.arange(f.d - 1, -1, -1, dtype=np.int64)
+    vals = f.values
+    degrees = []
+    for a in rows:
+        sums = (points[a] + points) % q @ place
+        degrees.append(int(((vals[a] + vals) % q == vals[sums]).all(axis=1).sum()))
+    return degrees
 
 
 def rank_mod(q, values) -> int:

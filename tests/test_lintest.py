@@ -33,11 +33,13 @@ from lintest_reference import (
     agreement,
     blocked_accepted_counts,
     coordinate_masks,
+    corrupted_linear_values,
     eval_linear,
     line_representatives,
     monte_carlo_estimate,
     per_coordinate_matches,
     rank_mod,
+    row_degrees,
     value_at,
 )
 
@@ -87,6 +89,16 @@ class TestEvalLinear:
             LinearScalarFn(5, coeffs)
         with pytest.raises(ContractViolation):
             LinearVecFn(5, 2, ((1, 2), coeffs))
+
+
+    def test_vector_function_keeps_its_checked_matrix(self):
+        fn = LinearVecFn(5, 2, ((1, 2), (3, 4)))
+        assert fn.matrix.dtype == np.int64 and fn.matrix.tolist() == [[1, 2], [3, 4]]
+        assert not fn.matrix.flags.writeable
+        # rhos alone decides equality, hashing and the repr
+        same = LinearVecFn(5, 2, ((1, 2), (3, 4)))
+        assert fn == same and hash(fn) == hash(same) and "matrix" not in repr(fn)
+        assert fn != LinearVecFn(5, 2, ((1, 2), (3, 3)))
 
 
 class TestPassProbability:
@@ -437,6 +449,73 @@ class TestAcceptedMemo:
             assert pass_probability(f, pair_budget=n * n) == Fraction(int(ref_deg.sum()), n * n)
 
 
+def as_unknown(f):
+    """A copy of f not known to be scalar respecting, so that its character
+    sums pair lambda with -lambda instead of folding scalar orbits."""
+    g = FunctionTable(f.q, f.d, f.l, f.values)
+    g._scalar_respecting = False
+    return g
+
+
+class TestScalarOrbits:
+    # every (q, d, l) of this file's tables and the lintest-tables benchmark,
+    # then three primes where an orbit holds 30 or 100 characters
+    POINTS = [
+        (2, 1, 1), (2, 2, 3), (2, 3, 3), (2, 3, 5), (2, 4, 7), (2, 5, 3), (2, 10, 1),
+        (3, 2, 1), (3, 2, 5), (3, 3, 2), (3, 4, 2), (3, 4, 128), (3, 6, 2),
+        (5, 2, 2), (5, 2, 4), (5, 3, 1), (5, 3, 2), (5, 3, 4), (5, 5, 1),
+        (7, 2, 2), (7, 2, 3), (7, 3, 2), (11, 2, 3), (11, 3, 2), (67, 2, 1),
+        (101, 2, 1), (31, 3, 1), (31, 2, 2),
+    ]
+
+    @pytest.mark.parametrize("q,d,l", POINTS)
+    def test_orbit_fold_matches_sign_pairs(self, q, d, l):
+        r = rngmod.stream(q * 1000 + d * 10 + l, "orbits")
+        if l <= d:
+            tables = [random_scalar_respecting_table(r, q, d, l)]
+        else:
+            # past d coordinates, values spanning d and d - 1 dimensions, and zero
+            tables = [spanned_table(r, q, d, l, rank, arbitrary=False) for rank in (d, d - 1)]
+            tables.append(with_columns(tables[0], [None] * l))
+        for f in tables:
+            assert f.is_scalar_respecting()
+            deg, counts = lintest._character_sums(f)
+            ref_deg, ref_counts = lintest._character_sums(as_unknown(f))
+            assert np.array_equal(deg, ref_deg) and np.array_equal(counts, ref_counts)
+
+    def test_large_prime_rows_match_enumeration(self):
+        q, d = 509, 2
+        n = q**d
+        r = rngmod.stream(509, "orbits-large")
+        f = FunctionTable(q, d, 1, corrupted_linear_values(r, q, d, 0.1))
+        assert f.is_scalar_respecting()
+        deg, counts = accepted_degrees(f, pair_budget=n * n)
+        # the origin, a point and two of its multiples, and random points
+        rows = [0, 1, q - 1, 2 * q + 5, 4 * q + 10] + r.sample(range(n), 15)
+        assert deg[rows].tolist() == row_degrees(f, rows)
+        assert counts == (int(deg.sum()),)
+
+    @pytest.mark.parametrize("scalar,rows", [(True, 24), (False, 120)])
+    def test_one_dft_pair_per_orbit(self, scalar, rows, monkeypatch):
+        # (11,3,2): 12 lines through the origin of F_11^2, or 60 pairs of
+        # nonzero characters up to sign; lambda = 0 takes no DFT
+        transformed = []
+        dft = lintest._dft
+
+        def counted(x, q, d, sign):
+            transformed.append(x.reshape(-1, q**d).shape[0])
+            return dft(x, q, d, sign)
+
+        monkeypatch.setattr(lintest, "_dft", counted)
+        r = rngmod.stream(11, "orbit-rows")
+        f = random_scalar_respecting_table(r, 11, 3, 2) if scalar else arbitrary_table(r, 11, 3, 2)
+        assert f.is_scalar_respecting() == scalar
+        deg, counts = accepted_degrees(f)
+        assert sum(transformed) == rows
+        ref_deg, ref_counts = blocked_accepted_counts(f)
+        assert np.array_equal(deg, ref_deg) and counts == ref_counts
+
+
 class TestDft:
     # blocks of 2^6, 3^3, 5^2 and 7^2 points with a shorter last pass, single
     # digits from q = 11 to 61, and one FFT per digit past DFT_BLOCK
@@ -627,6 +706,15 @@ class TestListDecode:
             assert [c.rho for c in list_decode_scalar(f, delta)] == want
             sizes.add(len(want))
         assert max(sizes) > 1
+
+    def test_members_equal_checked_constructions(self):
+        # members are built from digit-table rows without the constructor's check
+        f = random_scalar_respecting_table(rngmod.stream(7, "members"), 5, 2)
+        got = list_decode_scalar(f, 0.1)
+        checked = tuple(LinearScalarFn(5, c.rho) for c in got)
+        assert len(got) > 1 and got == checked
+        assert list(map(hash, got)) == list(map(hash, checked)) and repr(got) == repr(checked)
+        assert all(type(c.rho) is tuple and all(type(x) is int for x in c.rho) for c in got)
 
     def test_list_size_respects_parseval_cap(self):
         f = random_scalar_respecting_table(rngmod.stream(2, "cap"), 5, 2)
