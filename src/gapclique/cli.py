@@ -27,6 +27,7 @@ from . import rng as rngmod
 from .errors import BudgetExceeded, ContractViolation, PropertyViolation
 from .experiments import SUITES, certified_map, run_suite
 from .cliquesolve import (
+    DEFAULT_VERTEX_CAP,
     export_graph,
     greedy_clique,
     max_clique_exact,
@@ -37,7 +38,6 @@ from .lintest import FunctionTable, list_decode_scalar, pass_probability
 from .randmap import check_pairwise_separation, check_wellspread, sample_g
 from .reduction import (
     CliqueInstance,
-    DEFAULT_VERTEX_BUDGET,
     ReductionParams,
     Vertex,
     as_clique,
@@ -450,7 +450,7 @@ DEFAULTS = {
     "samples": 0,
     "certify": "none",
     "map_tries": 5000,
-    "vertex_cap": DEFAULT_VERTEX_BUDGET,
+    "vertex_cap": DEFAULT_VERTEX_CAP,
     "time_budget": None,
     "restarts": 50,
     "format": "dimacs",

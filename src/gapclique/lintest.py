@@ -34,9 +34,11 @@ from .ffield import is_prime
 from .stats import wilson_interval
 from .vecsum import check_int, residue_array
 
-# Exact enumeration caps: tables up to 2^18 points, pair scans up to 2^24.
+# Exact counting caps: tables, pairs scanned, and DFT pairs x points of the
+# character sums; the worst admitted scan or sums take ~1.4 s on 2 vCPUs.
 MAX_TABLE_SIZE = 1 << 18
-DEFAULT_PAIR_BUDGET = 1 << 24
+PAIR_BUDGET = 1 << 24
+CHARACTER_BUDGET = 1 << 23
 # pair scans run a block of rows at a time, about this many entries per block
 PAIR_BLOCK = 1 << 16
 # Fourier threshold for list decoding is LIST_CONSTANT * delta.
@@ -136,8 +138,11 @@ class FunctionTable:
         return self.values.shape[0]
 
     def coordinate(self, i: int) -> "FunctionTable":
-        """The scalar table obtained by projecting to output coordinate i."""
-        return FunctionTable(self.q, self.d, 1, self.values[:, i : i + 1])
+        """The scalar table obtained by projecting to output coordinate i; a
+        coordinate of a scalar-respecting table is one too."""
+        t = FunctionTable(self.q, self.d, 1, self.values[:, i : i + 1])
+        t._scalar_respecting = self._scalar_respecting or None
+        return t
 
     # -- scalar-respecting flag ---------------------------------------------
 
@@ -270,7 +275,8 @@ def _character_sums(f: FunctionTable) -> Optional[tuple[np.ndarray, np.ndarray]]
     """Accepted degrees and coordinate counts of f from the characters of
     its column space, each rounded to an integer; raises when one lies more
     than ROUNDING_GUARD from its integer, so float error never becomes a
-    count.  None when the values span more than d dimensions.
+    count.  None when the values span more than d dimensions; refuses when
+    its DFT pairs times the n points pass CHARACTER_BUDGET.
 
     With V = V[:, C] @ M (_column_basis), a pair passes on every coordinate
     iff it passes on the r = |C| coordinates of f_C.  So, with
@@ -297,6 +303,8 @@ def _character_sums(f: FunctionTable) -> Optional[tuple[np.ndarray, np.ndarray]]
         orbits = np.stack([np.arange(q**r), neg], axis=1)[np.arange(q**r) <= neg][1:]
     # {lambda, -lambda} counts twice (once at q = 2); a line once, and the fold below
     weights = np.ones(len(orbits)) if scalar else (orbits[:, 0] < orbits[:, 1]) + 1.0
+    if len(orbits) * n > CHARACTER_BUDGET:
+        raise BudgetExceeded("character sums", required=len(orbits) * n, budget=CHARACTER_BUDGET)
     # <lambda, f_C(a)> is read off lambda's row of inner products at f_C(a)'s rank
     value_ranks = basis_values @ place
     roots = np.exp(2j * np.pi * np.arange(q) / q)
@@ -329,9 +337,7 @@ def _character_sums(f: FunctionTable) -> Optional[tuple[np.ndarray, np.ndarray]]
     return rounded[:n].astype(np.int64), rounded[n:].astype(np.int64)
 
 
-def accepted_degrees(
-    f: FunctionTable, pair_budget: int = DEFAULT_PAIR_BUDGET
-) -> tuple[np.ndarray, tuple[int, ...]]:
+def accepted_degrees(f: FunctionTable) -> tuple[np.ndarray, tuple[int, ...]]:
     """Accepted degree of every point, deg[a] = #{b : f(a) + f(b) = f(a + b)}
     as an (n,) int array, and the number of pairs the test accepts on each
     output coordinate alone.
@@ -339,18 +345,18 @@ def accepted_degrees(
     The pair count is deg.sum() and the test's variable set is deg > 0.
     When the values span at most d dimensions (at most n characters) the
     counts come from character-sum FFTs, rounded under a ROUNDING_GUARD
-    check; otherwise every pair is enumerated a block of rows at a time.
-    Either way the request is gated on the n^2 pair budget, and the result
-    is kept on the table.
+    check and gated on CHARACTER_BUDGET; otherwise every pair is enumerated
+    a block of rows at a time, gated on the n^2 pairs against PAIR_BUDGET.
+    The result is kept on the table.
     """
-    n = f.size
-    if n * n > pair_budget:
-        raise BudgetExceeded("pair enumeration", required=n * n, budget=pair_budget)
     if f._accepted is not None:
         return f._accepted
+    n = f.size
     if (sums := _character_sums(f)) is not None:
         deg, counts = sums
     else:
+        if n * n > PAIR_BUDGET:
+            raise BudgetExceeded("pair enumeration", required=n * n, budget=PAIR_BUDGET)
         # coordinate-major, so that every operation runs along the long axis
         # of the points, and in the narrowest type that holds a sum of two
         # residues, so that a block's temporaries stay small
@@ -382,7 +388,6 @@ def pass_probability(
     mode: str = "exact",
     samples: int = 0,
     rng: Optional[random.Random] = None,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
 ):
     """Probability that the test accepts f.
 
@@ -391,7 +396,7 @@ def pass_probability(
     pairs and returns a PassEstimate with a 99% binomial confidence interval.
     """
     if mode == "exact":
-        deg, _ = accepted_degrees(f, pair_budget)
+        deg, _ = accepted_degrees(f)
         return Fraction(int(deg.sum()), f.size**2)
     if mode != "monte_carlo":
         raise ContractViolation(f"unknown mode {mode!r}")
@@ -474,7 +479,6 @@ def triple_correlation_check(
     g1: FunctionTable,
     g2: FunctionTable,
     g3: FunctionTable,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> TripleCorrelationReport:
     """Check the correlation identity for three scalar-respecting tables.
 
@@ -491,8 +495,8 @@ def triple_correlation_check(
         raise ContractViolation("tables must share domain")
     q, d = g1.q, g1.d
     n = g1.size
-    if n * n > pair_budget:
-        raise BudgetExceeded("pair enumeration", required=n * n, budget=pair_budget)
+    if n * n > PAIR_BUDGET:
+        raise BudgetExceeded("pair enumeration", required=n * n, budget=PAIR_BUDGET)
     v1, v2, v3 = g1.values[:, 0], g2.values[:, 0], g3.values[:, 0]
     count = 0
     for rows, sum_rank in _pair_blocks(q, d, d):
@@ -600,7 +604,6 @@ def piece_together(
     eps,
     kappa,
     delta_schedule: Callable[[float, float], float] = default_delta_schedule,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> PiecingResult:
     """Assemble one linear vector-valued function from per-coordinate decoded
     lists.
@@ -621,7 +624,7 @@ def piece_together(
     f.ensure_scalar_respecting()
     kappa = Fraction(kappa)
     n = f.size
-    deg, coordinate_counts = accepted_degrees(f, pair_budget)
+    deg, coordinate_counts = accepted_degrees(f)
     eps_meas = Fraction(int(deg.sum()), n * n)
     if eps_meas < eps:
         raise PiecingRefused(eps_meas, eps)

@@ -50,7 +50,7 @@ from .lintest import _domain
 from .stats import wilson_interval
 from .vecsum import VecSumInstance, check_int, check_modulus, residue_array
 
-DEFAULT_CHECK_BUDGET = 5_000_000
+CHECK_BUDGET = 5_000_000  # case numbers an exhaustive check walks at most
 
 # Monte Carlo draws per batch, each batch drawn whole: the rng state a failing
 # check leaves, which check-map hands on to its second check, depends on it
@@ -204,8 +204,8 @@ def _draws(parts: list, ends: list[int], count: int, rng: random.Random):
 
 
 def _run_check(name: str, what: str, parts: list, case_bytes: int, g: LinearMapG,
-               inst: VecSumInstance, mode: str, samples: int, rng: Optional[random.Random],
-               budget: int) -> GoodMapCertificate:
+               inst: VecSumInstance, mode: str, samples: int,
+               rng: Optional[random.Random]) -> GoodMapCertificate:
     """The engine behind both checks.  `parts` number the case space in
     blocks of (radices, evaluate, describe): a block's cases are the
     mixed-radix numbers over its radices; evaluate(digit arrays, flat or
@@ -218,8 +218,8 @@ def _run_check(name: str, what: str, parts: list, case_bytes: int, g: LinearMapG
     check."""
     ends = list(itertools.accumulate(math.prod(radices) for radices, _, _ in parts))
     if mode == "exhaustive":
-        if ends[-1] > budget:
-            raise BudgetExceeded(f"{what} enumeration", required=ends[-1], budget=budget)
+        if ends[-1] > CHECK_BUDGET:
+            raise BudgetExceeded(f"{what} enumeration", required=ends[-1], budget=CHECK_BUDGET)
         limit = max(1, _BLOCK_BYTES // case_bytes)
         # a batch: per part in it (part, places in the batch, shape, digits)
         batches = ([(p, slice(None), shape, digits)] for p, (radices, _, _) in enumerate(parts)
@@ -271,7 +271,6 @@ def check_wellspread(
     mode: str = "exhaustive",
     samples: int = 0,
     rng: Optional[random.Random] = None,
-    budget: int = DEFAULT_CHECK_BUDGET,
 ) -> GoodMapCertificate:
     """For every choice of scalars and one vector per collection whose scaled
     sum is nonzero, the image must have relative weight >= 2/3 over all k*l
@@ -294,7 +293,7 @@ def check_wellspread(
     # a case's working arrays: two int64 rows as wide as `rows`, a multiple
     # of a gathered row and the running sum
     return _run_check("wellspread", "wellspread", parts, 16 * rows.shape[1], g, inst, mode,
-                      samples, rng, budget)
+                      samples, rng)
 
 
 def wellspread_sums(inst: VecSumInstance) -> Optional[np.ndarray]:
@@ -371,7 +370,6 @@ def check_pairwise_separation(
     mode: str = "exhaustive",
     samples: int = 0,
     rng: Optional[random.Random] = None,
-    budget: int = DEFAULT_CHECK_BUDGET,
 ) -> GoodMapCertificate:
     """Separation of block-inner images.
 
@@ -464,7 +462,7 @@ def check_pairwise_separation(
     # a case's working arrays come to about 8 int64 entries: the XORs of its
     # rows' words, their OR, its weight and its verdicts
     return _run_check("pairwise_separation", "separation", parts, 8 * 8, g, inst, mode,
-                      samples, rng, budget)
+                      samples, rng)
 
 
 def union_bound_values(q: int, k: int, m: int, l: int, n: int) -> dict:

@@ -61,7 +61,6 @@ import numpy as np
 from .errors import BudgetExceeded, ContractViolation, PiecingRefused, PropertyViolation
 from .ffield import is_prime, next_prime
 from .lintest import (
-    DEFAULT_PAIR_BUDGET,
     FunctionTable,
     _domain,
     _lines,
@@ -72,9 +71,8 @@ from .lintest import (
 )
 from .randmap import LinearMapG, source_images
 from .vecsum import VecSumInstance, check_int, check_modulus, residue_array, vector_sum
-from .cliquesolve import DenseGraph
+from .cliquesolve import DEFAULT_VERTEX_CAP, DenseGraph
 
-DEFAULT_VERTEX_BUDGET = 2000
 DEFAULT_CLIQUE_BUDGET = 1 << 16
 
 PAIR_BATCH = 1024  # edge oracle batch: whole rows of pairs, at least this many
@@ -627,7 +625,7 @@ class CliqueInstance:
 
     # -- materialization and export ---------------------------------------------
 
-    def materialize(self, budget: int = DEFAULT_VERTEX_BUDGET) -> DenseGraph:
+    def materialize(self, budget: int = DEFAULT_VERTEX_CAP) -> DenseGraph:
         """Explicit adjacency over the whole vertex set, in codec order;
         refuses with the exact vertex count when it exceeds the budget.  A
         pair is a non-edge when rules 3-5 fire between its two (alpha, x)
@@ -891,7 +889,6 @@ def extract_witness(
     kappa=None,
     rng: Optional[random.Random] = None,
     verify: bool = True,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> ExtractionReport:
     """Decode a source witness out of a large clique (a Clique or a list
     of vertex tuples, validated, see as_clique).
@@ -935,7 +932,7 @@ def extract_witness(
         return failed("gamma", str(exc))
 
     try:
-        piece = piece_together(gamma.table, eps, kappa, pair_budget=pair_budget)
+        piece = piece_together(gamma.table, eps, kappa)
     except PiecingRefused as exc:
         return failed("piecing", str(exc))
     report.pass_probability = piece.pass_probability

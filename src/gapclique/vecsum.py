@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, ContractViolation, PropertyViolation
 
-DEFAULT_TUPLE_BUDGET = 2_000_000
+TUPLE_BUDGET = 2_000_000  # tuples brute force enumerates at most
 
 
 def check_int(name: str, value, low: int = 1) -> int:
@@ -214,14 +214,12 @@ def generate_planted(
     )
 
 
-def brute_force_decide(
-    inst: VecSumInstance, tuple_budget: int = DEFAULT_TUPLE_BUDGET
-) -> Optional[Witness]:
+def brute_force_decide(inst: VecSumInstance) -> Optional[Witness]:
     """Full enumeration; returns the lexicographically first witness tuple or
     None after checking every tuple."""
     total = inst.tuple_count()
-    if total > tuple_budget:
-        raise BudgetExceeded("tuple enumeration", required=total, budget=tuple_budget)
+    if total > TUPLE_BUDGET:
+        raise BudgetExceeded("tuple enumeration", required=total, budget=TUPLE_BUDGET)
     cols = inst.collections
     for indices in itertools.product(*(range(len(us)) for us in cols)):
         vectors = tuple(cols[i][idx] for i, idx in enumerate(indices))
@@ -237,7 +235,6 @@ def generate_unsat(
     m: int,
     n_per_collection: int,
     max_retries: int = 200,
-    tuple_budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> VecSumInstance:
     """Uniform collections, rejection-sampled until brute force certifies NO.
 
@@ -246,15 +243,15 @@ def generate_unsat(
     expected outcome when q^m is small relative to the tuple count.
     """
     total = n_per_collection**k
-    if total > tuple_budget:
-        raise BudgetExceeded("tuple enumeration", required=total, budget=tuple_budget)
+    if total > TUPLE_BUDGET:
+        raise BudgetExceeded("tuple enumeration", required=total, budget=TUPLE_BUDGET)
     for attempt in range(max_retries):
         cols = tuple(
             tuple(_uniform(rng, q, m) for _ in range(n_per_collection))
             for _ in range(k)
         )
         inst = VecSumInstance(q=q, k=k, m=m, collections=cols, generator="unsat")
-        if brute_force_decide(inst, tuple_budget) is None:
+        if brute_force_decide(inst) is None:
             certificate = {"certified_no": True, "tuples_checked": total, "attempts": attempt + 1}
             return replace(inst, certificate=certificate)
     raise PropertyViolation(
@@ -263,8 +260,6 @@ def generate_unsat(
     )
 
 
-def paper_dimension(k: int, n: int, c_m: float = 1.0) -> int:
-    """Schedule-faithful ambient dimension: ceil(c_m * k^2 * log2 n)."""
-    if n < 2:
-        return max(1, int(math.ceil(c_m * k * k)))
-    return max(1, int(math.ceil(c_m * k * k * math.log2(n))))
+def paper_dimension(k: int, n: int) -> int:
+    """Schedule-faithful ambient dimension: ceil(k^2 * log2 n)."""
+    return max(1, math.ceil(k * k * (math.log2(n) if n > 1 else 1)))

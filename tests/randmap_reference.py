@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from gapclique.errors import BudgetExceeded, ContractViolation, PropertyViolation
+from gapclique import randmap
 from gapclique.randmap import GoodMapCertificate
 
 BATCH = 1024
@@ -27,13 +28,13 @@ def digits(t, radices):
     return out[::-1]
 
 
-def run_check(name, what, parts, case_bytes, g, inst, mode, samples, rng, budget):
+def run_check(name, what, parts, case_bytes, g, inst, mode, samples, rng):
     sizes = [math.prod(radices) for radices, _, _ in parts]
     ends = list(itertools.accumulate(sizes))
     total = ends[-1]
     if mode == "exhaustive":
-        if total > budget:
-            raise BudgetExceeded(f"{what} enumeration", required=total, budget=budget)
+        if total > randmap.CHECK_BUDGET:
+            raise BudgetExceeded(f"{what} enumeration", required=total, budget=randmap.CHECK_BUDGET)
         batches = (np.arange(s, min(s + BATCH, total)) for s in range(0, total, BATCH))
     elif mode == "monte_carlo":
         if rng is None or samples < 1:

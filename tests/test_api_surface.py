@@ -144,3 +144,35 @@ def test_definition_is_used(qualname, name, node):
     else:
         outside = TOTAL[name] - _references(node)[name]
     assert outside > 0, f"{qualname} is referenced nowhere in src/ or bench/"
+
+
+def _called_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+# (called name, keyword) of every call in src/ or bench/ that passes a keyword
+PASSED = {
+    (_called_name(node), kw.arg)
+    for tree in TREES.values() for node in ast.walk(tree)
+    if isinstance(node, ast.Call) for kw in node.keywords if kw.arg
+}
+BUDGETS = [
+    (qualname, name, arg.arg) for qualname, name, node in DEFINED
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not name.startswith("_")
+    for arg in node.args.args + node.args.kwonlyargs if arg.arg.endswith("budget")
+]
+
+
+def test_scan_sees_the_budget_parameters():
+    assert {(q, p) for q, _, p in BUDGETS} == {
+        ("reduction.CliqueInstance.planted_clique", "clique_budget"),
+        ("reduction.CliqueInstance.materialize", "budget"),
+        ("cliquesolve.max_clique_exact", "time_budget"),
+    }
+
+
+@pytest.mark.parametrize("qualname,name,param", BUDGETS, ids=[f"{q}:{p}" for q, _, p in BUDGETS])
+def test_budget_parameter_is_passed(qualname, name, param):
+    # a budget no call sets is a constant: check it where its work starts
+    assert (name, param) in PASSED, f"no call in src/ or bench/ passes {qualname}'s {param}"

@@ -357,6 +357,21 @@ class TestLintestCommand:
         rep = read_json(os.path.join(out, "lintest-report.json"))
         assert rep["pass_probability"]["estimate"] == 1.0
 
+    def test_exact_past_the_pair_budget(self, tmp_path):
+        # 10,201 points, past the pair budget: one DFT pair counts them
+        from gapclique import rng as rngmod
+        from gapclique.lintest import pass_probability, random_scalar_respecting_table
+
+        f = random_scalar_respecting_table(rngmod.stream(101, "cli-large"), 101, 2)
+        table = tmp_path / "table.json"
+        with open(table, "w") as fh:
+            json.dump(f.to_json(), fh)
+        out = str(tmp_path)
+        assert run("--seed", "1", "--out-dir", out, "lintest", "--table", str(table)) == EXIT_OK
+        rep = read_json(os.path.join(out, "lintest-report.json"))
+        want = pass_probability(f)
+        assert rep["pass_probability"]["exact"] == f"{want.numerator}/{want.denominator}"
+
 
 class TestExperimentCommand:
     def test_lintest_suite_passes(self, tmp_path):

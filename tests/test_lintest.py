@@ -138,11 +138,14 @@ class TestPassProbability:
                 assert got == monte_carlo_estimate(f, 100, ref_rng)
                 assert got_rng.random() == ref_rng.random()
 
-    def test_budget_refusal_reports_requirement(self):
+    def test_budget_refusal_reports_requirement(self, monkeypatch):
+        # the values span one dimension, one line of characters: one DFT pair
+        # over the 25 points
         f = random_scalar_respecting_table(rngmod.stream(5, "b"), 5, 2)
+        monkeypatch.setattr(lintest, "CHARACTER_BUDGET", 24)
         with pytest.raises(BudgetExceeded) as exc:
-            pass_probability(f, pair_budget=100)
-        assert exc.value.required == (5**2) ** 2
+            pass_probability(f)
+        assert exc.value.required == 5**2
 
 
 class TestAcceptedSet:
@@ -172,7 +175,7 @@ class TestAcceptedSet:
         assert deg[0] > 0  # (0,0) always accepted since f(0) = 0
 
     @pytest.mark.parametrize("q,d,l", [(3, 6, 2), (7, 3, 2), (3, 4, 128)])
-    def test_coordinate_counts_match_per_coordinate_sets(self, q, d, l):
+    def test_coordinate_counts_match_per_coordinate_sets(self, q, d, l, monkeypatch):
         # shapes whose pair enumeration ends in a short block of rows
         f = random_scalar_respecting_table(rngmod.stream(q + d + l, "cc"), q, d, l)
         n = f.size
@@ -182,10 +185,19 @@ class TestAcceptedSet:
         assert counts == tuple(per_coordinate)
         res = piece_together(f, 0, Fraction(1, 4))
         assert res.coordinate_pass == tuple(Fraction(c, n * n) for c in per_coordinate)
-        for run in (accepted_degrees, lambda g, pair_budget: piece_together(g, 0, 0, pair_budget=pair_budget)):
+        # a copy keeps no counts; values spanning r <= d dimensions take one
+        # DFT pair per line of F_q^r, and any others n^2 pairs
+        basis = lintest._column_basis(f)
+        if basis is None:
+            what, budget, required = "pair enumeration", "PAIR_BUDGET", n * n
+        else:
+            what, budget = "character sums", "CHARACTER_BUDGET"
+            required = len(lintest._lines(q, len(basis[1]))) * n
+        monkeypatch.setattr(lintest, budget, required - 1)
+        for run in (accepted_degrees, lambda g: piece_together(g, 0, 0)):
             with pytest.raises(BudgetExceeded) as exc:
-                run(f, pair_budget=n * n - 1)
-            assert exc.value.required == n * n
+                run(FunctionTable(q, d, l, f.values))
+            assert exc.value.what == what and exc.value.required == required
 
     def test_any_block_height_matches_whole_domain_reference(self, monkeypatch):
         q, d = 5, 3
@@ -415,16 +427,6 @@ class TestAcceptedMemo:
             del f
         assert len(ids) < 200
 
-    def test_kept_counts_still_gated_on_the_pair_budget(self):
-        f = random_scalar_respecting_table(rngmod.stream(1, "memo-budget"), 5, 2)
-        n = f.size
-        accepted_degrees(f)
-        for run in (accepted_degrees, pass_probability,
-                    lambda g, pair_budget: piece_together(g, 0, 0, pair_budget=pair_budget)):
-            with pytest.raises(BudgetExceeded) as exc:
-                run(f, pair_budget=n * n - 1)
-            assert exc.value.required == n * n
-
     def test_character_sums_run_once_per_table(self, monkeypatch):
         calls = []
         sums = lintest._character_sums
@@ -435,18 +437,17 @@ class TestAcceptedMemo:
         assert calls == [f] and res.pass_probability == p
 
     def test_past_the_pair_cap_matches_enumeration(self):
-        # 4,489 points: the default pair budget refuses, and at q = 67 the
-        # character sums take one FFT per digit
+        # 4,489 points: past the pair budget, which gates enumeration only,
+        # and at q = 67 the character sums take one FFT per digit
         q, d = 67, 2
         n = q**d
+        assert n * n > lintest.PAIR_BUDGET
         r = rngmod.stream(67, "past-cap")
         for f in (random_scalar_respecting_table(r, q, d), arbitrary_table(r, q, d, 1)):
-            with pytest.raises(BudgetExceeded):
-                accepted_degrees(f)
-            deg, counts = accepted_degrees(f, pair_budget=n * n)
+            deg, counts = accepted_degrees(f)
             ref_deg, ref_counts = blocked_accepted_counts(f)
             assert np.array_equal(deg, ref_deg) and counts == ref_counts
-            assert pass_probability(f, pair_budget=n * n) == Fraction(int(ref_deg.sum()), n * n)
+            assert pass_probability(f) == Fraction(int(ref_deg.sum()), n * n)
 
 
 def as_unknown(f):
@@ -489,7 +490,7 @@ class TestScalarOrbits:
         r = rngmod.stream(509, "orbits-large")
         f = FunctionTable(q, d, 1, corrupted_linear_values(r, q, d, 0.1))
         assert f.is_scalar_respecting()
-        deg, counts = accepted_degrees(f, pair_budget=n * n)
+        deg, counts = accepted_degrees(f)
         # the origin, a point and two of its multiples, and random points
         rows = [0, 1, q - 1, 2 * q + 5, 4 * q + 10] + r.sample(range(n), 15)
         assert deg[rows].tolist() == row_degrees(f, rows)
@@ -514,6 +515,46 @@ class TestScalarOrbits:
         assert sum(transformed) == rows
         ref_deg, ref_counts = blocked_accepted_counts(f)
         assert np.array_equal(deg, ref_deg) and counts == ref_counts
+
+
+class TestBudgets:
+    @pytest.mark.parametrize("q,d", [(509, 2), (61, 3)])
+    def test_large_primes_exact_under_defaults(self, q, d):
+        n = q**d
+        r = rngmod.stream(q * 10 + d, "budgets-large")
+        values = corrupted_linear_values(r, q, d, 0.1)
+        f = FunctionTable(q, d, 1, values)
+        p = pass_probability(f)
+        # a fresh table, so that piecing counts the accepted pairs itself; a
+        # threshold of 0.25 keeps the decoded list to the planted function
+        res = piece_together(FunctionTable(q, d, 1, values), 0.5, Fraction(1, 4),
+                             delta_schedule=lambda eps, eps_i: 1.0)
+        rows = [0, 1, q - 1] + r.sample(range(n), 12)
+        deg, _ = accepted_degrees(f)
+        assert deg[rows].tolist() == row_degrees(f, rows)
+        assert p == res.pass_probability == Fraction(int(deg.sum()), n * n)
+        assert res.coordinate_pass == (p,)
+        assert np.array_equal(res.state.var_ranks, np.flatnonzero(deg))
+        assert res.ok and [len(m) for m in res.state.lists] == [1]
+
+    def test_high_rank_table_past_the_pair_budget_refused(self):
+        # three coordinates spanning three dimensions over F_67^2: enumeration
+        f = arbitrary_table(rngmod.stream(67, "pair-gate"), 67, 2, 3)
+        n = f.size
+        assert lintest._column_basis(f) is None
+        with pytest.raises(BudgetExceeded) as exc:
+            accepted_degrees(f)
+        assert exc.value.what == "pair enumeration" and exc.value.required == n * n
+        assert exc.value.budget == lintest.PAIR_BUDGET
+
+    def test_scalar_table_past_the_character_budget_refused(self):
+        # 993 lines through the origin of F_31^3, one DFT pair each
+        f = random_scalar_respecting_table(rngmod.stream(31, "char-gate"), 31, 3, 3)
+        with pytest.raises(BudgetExceeded) as exc:
+            pass_probability(f)
+        assert exc.value.what == "character sums"
+        assert exc.value.required == len(lintest._lines(31, 3)) * f.size
+        assert exc.value.budget == lintest.CHARACTER_BUDGET
 
 
 class TestDft:
@@ -746,6 +787,24 @@ class TestListDecode:
         monkeypatch.setattr(lintest, "_dft", spoiled)
         with pytest.raises(PropertyViolation):
             piece_together(f, 0.5, Fraction(1, 4))
+
+    def test_coordinates_keep_a_known_scalar_flag(self, monkeypatch):
+        calls = []
+        closure = lintest._scalar_closure
+        monkeypatch.setattr(lintest, "_scalar_closure", lambda *a: calls.append(a) or closure(*a))
+        r = rngmod.stream(6, "coordinate-flag")
+        f = random_scalar_respecting_table(r, 5, 2, 3)
+        calls.clear()
+        for i in range(f.l):
+            list_decode_scalar(f.coordinate(i), 0.5)
+        assert calls == []
+        # a table not known to be scalar respecting, with one scalar
+        # coordinate: each coordinate is checked on its own
+        g = FunctionTable(5, 2, 2, np.hstack([f.values[:, :1], arbitrary_table(r, 5, 2, 1).values]))
+        assert not g.is_scalar_respecting()
+        calls.clear()
+        assert g.coordinate(0).is_scalar_respecting() and len(calls) == 1
+        assert not g.coordinate(1).is_scalar_respecting() and len(calls) == 2
 
     @pytest.mark.parametrize("q,d,delta", [(3, 2, 0.25), (5, 2, 0.1), (11, 2, 0.5)])
     def test_oracle_equivalence_spot(self, q, d, delta):

@@ -184,11 +184,12 @@ class TestWellspread:
         ok = all(rel_weight(apply_map(g, s)) >= Fraction(2, 3) for s in reachable)
         assert ok == cert.passed
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
         inst = generate_planted(rngmod.stream(8, "w"), 5, 3, 2, 5)
         g = sample_g(rngmod.stream(8, "wm"), 5, 3, 2, 2)
+        monkeypatch.setattr(randmap, "CHECK_BUDGET", 100)
         with pytest.raises(BudgetExceeded):
-            check_wellspread(g, inst, budget=100)
+            check_wellspread(g, inst)
 
     @pytest.mark.parametrize("q,k,m,n,l", [(3, 1, 6, 8, 2), (5, 1, 4, 8, 1), (2, 2, 4, 3, 3),
                                            (3, 2, 3, 3, 2), (2, 1, 3, 4, 3)])
@@ -501,7 +502,7 @@ class TestEngineAgainstReference:
         "q,k,l,n", [(2, 1, 2, 4), (3, 1, 2, 8), (5, 1, 1, 4), (3, 2, 4, 3), (3, 2, 24, 2),
                     (2, 2, 4, 4), (3, 2, 6, 4), (5, 1, 70, 4), (7, 1, 129, 3), (3, 2, 70, 2)]
     )
-    def test_both_modes_match_reference(self, q, k, l, n, prop):
+    def test_both_modes_match_reference(self, q, k, l, n, prop, monkeypatch):
         check = CHECKS[prop]
         for seed in range(3):
             inst = generate_planted(rngmod.stream(seed, f"ref/{q}/{k}/{n}"), q, k, 3, n)
@@ -509,9 +510,11 @@ class TestEngineAgainstReference:
             cases = list(reference_cases(g, inst, prop))
             # the case space has exactly the reference's cases, in its order
             want = reference_result(cases, range(len(cases)))
-            assert outcome(check(g, inst, budget=len(cases))) == want
+            monkeypatch.setattr(randmap, "CHECK_BUDGET", len(cases))
+            assert outcome(check(g, inst)) == want
+            monkeypatch.setattr(randmap, "CHECK_BUDGET", len(cases) - 1)
             with pytest.raises(BudgetExceeded):
-                check(g, inst, budget=len(cases) - 1)
+                check(g, inst)
             # Monte Carlo draws index the same space
             draws = rngmod.stream(seed, "ref/mc")
             want = reference_result(cases, [draws.randrange(len(cases)) for _ in range(30)])

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gapclique import rng as rngmod
+from gapclique import rng as rngmod, vecsum
 from gapclique.errors import BudgetExceeded, ContractViolation, PropertyViolation
 from gapclique.vecsum import (
     VecSumInstance,
@@ -83,10 +83,11 @@ class TestBruteForce:
         w = brute_force_decide(inst)
         assert w.indices == (0, 1)
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
         inst = generate_planted(rngmod.stream(7, "b"), 3, 3, 2, 5)
+        monkeypatch.setattr(vecsum, "TUPLE_BUDGET", 100)
         with pytest.raises(BudgetExceeded):
-            brute_force_decide(inst, tuple_budget=100)
+            brute_force_decide(inst)
 
 
 class TestSumsets:
@@ -159,7 +160,6 @@ def test_paper_dimension_shape():
     assert paper_dimension(1, 4) == 2
     assert paper_dimension(2, 8) == 12
     assert paper_dimension(3, 2) == 9
-    assert paper_dimension(2, 8, c_m=2.0) == 24
 
 
 @given(st.integers(0, 2**32), st.sampled_from([2, 3, 5]), st.integers(1, 3), st.integers(1, 3))
