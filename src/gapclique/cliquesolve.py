@@ -95,6 +95,12 @@ def _degeneracy_order(graph: DenseGraph) -> list[int]:
     while buckets:
         d = min(buckets)
         low = buckets.pop(d)
+        if d == 0:  # no live neighbours: the bucket goes whole, smallest first
+            alive ^= low
+            while low:
+                order.append((low & -low).bit_length() - 1)
+                low &= low - 1
+            continue
         v = (low & -low).bit_length() - 1
         order.append(v)
         if low ^ 1 << v:

@@ -10,7 +10,9 @@ built, and checked, by one closure step on one cached table of the lines
 through the origin (_scalar_closure, _lines).  Decoded lists stay arrays of
 coefficient-vector ranks (rows of the digit table _domain) through piecing;
 list_decode_scalar wraps them as LinearScalarFn.  Every transform over F_q^d
-is one _dft, and a table keeps its accepted counts (accepted_degrees).
+is one _dft, and a table keeps its accepted counts (accepted_degrees) and
+the Fourier rows of its coordinates that the character sums took, which
+list decoding reads.
 
 All probabilities are exact rationals of integer counts.  Counts taken on
 the Fourier side are rounded to integers under a 0.25 guard; Fourier
@@ -122,6 +124,8 @@ class FunctionTable:
         self.values = vals
         self._scalar_respecting: Optional[bool] = None
         self._accepted: Optional[tuple[np.ndarray, tuple[int, ...]]] = None
+        # the coordinates' Fourier coefficient rows, kept by the character sums
+        self._rows: Optional[np.ndarray] = None
 
     # -- constructors ------------------------------------------------------
 
@@ -139,9 +143,11 @@ class FunctionTable:
 
     def coordinate(self, i: int) -> "FunctionTable":
         """The scalar table obtained by projecting to output coordinate i; a
-        coordinate of a scalar-respecting table is one too."""
+        coordinate of a scalar-respecting table is one too, and keeps its
+        Fourier row."""
         t = FunctionTable(self.q, self.d, 1, self.values[:, i : i + 1])
         t._scalar_respecting = self._scalar_respecting or None
+        t._rows = None if self._rows is None else self._rows[i : i + 1]
         return t
 
     # -- scalar-respecting flag ---------------------------------------------
@@ -271,12 +277,13 @@ def _column_basis(f: FunctionTable) -> Optional[tuple[np.ndarray, np.ndarray]]:
     return f.values[:, pivots], a[: len(pivots)]
 
 
-def _character_sums(f: FunctionTable) -> Optional[tuple[np.ndarray, np.ndarray]]:
+def _character_sums(f: FunctionTable) -> Optional[tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
     """Accepted degrees and coordinate counts of f from the characters of
-    its column space, each rounded to an integer; raises when one lies more
-    than ROUNDING_GUARD from its integer, so float error never becomes a
-    count.  None when the values span more than d dimensions; refuses when
-    its DFT pairs times the n points pass CHARACTER_BUDGET.
+    its column space, each rounded to an integer, and on a scalar-respecting
+    f its coordinates' Fourier rows; raises when a count lies more than
+    ROUNDING_GUARD from its integer, so float error never becomes a count.
+    None when the values span more than d dimensions; refuses when its DFT
+    pairs times the n points pass CHARACTER_BUDGET.
 
     With V = V[:, C] @ M (_column_basis), a pair passes on every coordinate
     iff it passes on the r = |C| coordinates of f_C.  So, with
@@ -289,15 +296,28 @@ def _character_sums(f: FunctionTable) -> Optional[tuple[np.ndarray, np.ndarray]]
     characters, which share its pair sum: for a scalar-respecting f, c lambda's
     term at a is lambda's at c a, so an orbit is a line of F_q^r and a's degree
     sums its representative's terms over a's line of F_q^d; otherwise g and S
-    conjugate at -lambda, so {lambda, -lambda} is an orbit."""
+    conjugate at -lambda, so {lambda, -lambda} is an orbit.
+
+    Coordinate i's phase function is g at lambda_i = M[:, i], so its Fourier
+    row is G_{lambda_i} / n.  On the line path c lambda_i is its line's
+    representative for some scalar c, and G_{rep / c}(u) = G_rep(c u); a zero
+    lambda_i has the delta at the origin."""
     basis = _column_basis(f)
     if basis is None:
         return None
     basis_values, coords = basis
     q, d, n, r = f.q, f.d, f.size, coords.shape[0]
     points, place = _domain(q, r)
+    # [c, i]: the rank of the character c * M[:, i]
+    chars = (np.arange(q)[:, None, None] * coords.T % q) @ place
     if scalar := f.is_scalar_respecting():
         orbits = _lines(q, r)
+        # c times coordinate i's character is line[i]'s representative, the
+        # smallest of its multiples, for c = low[i] + 1 (line -1: zero)
+        low = chars[1:].argmin(axis=0).tolist()
+        line = (np.searchsorted(orbits[:, 0], chars[1:].min(axis=0), side="right") - 1).tolist()
+        # [line]: its representative's DFT row
+        kept = dict.fromkeys(line)
     else:
         neg = (-points % q) @ place
         orbits = np.stack([np.arange(q**r), neg], axis=1)[np.arange(q**r) <= neg][1:]
@@ -316,25 +336,35 @@ def _character_sums(f: FunctionTable) -> Optional[tuple[np.ndarray, np.ndarray]]
         lam = slice(start, start + step)
         g = roots[np.take(points[orbits[lam, 0]] @ points.T % q, value_ranks, axis=1)]
         big_g = _dft(g, q, d, -1)
+        if scalar:
+            kept.update({j: big_g[j - start] for j in kept if start <= j < start + step})
         power = big_g.real**2 + big_g.imag**2
         # the inverse DFT is n times the autocorrelation
         terms = (g * _dft(power, q, d, 1).conj()).real / n
         deg += weights[lam] @ terms
         orbit_sums[lam] = terms.sum(axis=1)
+    rows = None
     if scalar:
         # the origin is on every line: c a = 0 for each of the q - 1 scalars
         lines = _lines(q, d)
         deg[lines], deg[0] = deg[lines].sum(axis=1, keepdims=True), (q - 1) * deg[0]
+        if -1 in kept:  # a zero character's DFT is n at the origin
+            kept[-1] = n * np.eye(1, n)[0]
+        rows = np.array([kept[j] for j in line]) / n
+        for c in set(low) - {0}:
+            # G_{rep / c}(u) = G_rep(c u), with [u] the rank of c u
+            scaled, at = np.zeros(n, dtype=np.int64), np.equal(low, c)
+            scaled[lines] = lines[:, (c + 1) * np.arange(1, q) % q - 1]
+            rows[at] = rows[at][:, scaled]
+        rows.setflags(write=False)
     pair_sums = np.empty(q**r)
     pair_sums[0], pair_sums[orbits] = n * n, orbit_sums[:, None]
-    # [c, i]: the rank of the character c * M[:, i]
-    chars = (np.arange(q)[:, None, None] * coords.T % q) @ place
     sums = np.concatenate([(n + deg) / q**r, pair_sums[chars].sum(axis=0) / q])
     rounded = np.rint(sums)
     worst = float(np.max(np.abs(sums - rounded)))
     if worst > ROUNDING_GUARD:
         raise PropertyViolation(f"a character-sum count is {worst} away from an integer")
-    return rounded[:n].astype(np.int64), rounded[n:].astype(np.int64)
+    return rounded[:n].astype(np.int64), rounded[n:].astype(np.int64), rows
 
 
 def accepted_degrees(f: FunctionTable) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -347,13 +377,14 @@ def accepted_degrees(f: FunctionTable) -> tuple[np.ndarray, tuple[int, ...]]:
     counts come from character-sum FFTs, rounded under a ROUNDING_GUARD
     check and gated on CHARACTER_BUDGET; otherwise every pair is enumerated
     a block of rows at a time, gated on the n^2 pairs against PAIR_BUDGET.
-    The result is kept on the table.
+    The result is kept on the table, and so are the coordinates' Fourier
+    rows when the character sums ran on a scalar-respecting table.
     """
     if f._accepted is not None:
         return f._accepted
     n = f.size
     if (sums := _character_sums(f)) is not None:
-        deg, counts = sums
+        deg, counts, f._rows = sums
     else:
         if n * n > PAIR_BUDGET:
             raise BudgetExceeded("pair enumeration", required=n * n, budget=PAIR_BUDGET)
@@ -520,14 +551,17 @@ def triple_correlation_check(
 
 def _list_decode(f: FunctionTable, deltas: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Decoded list of every output coordinate i of f at threshold
-    LIST_CONSTANT * deltas[i], from one transform over all coordinates that
-    each pass their own Parseval and imaginary-part checks: (ranks, bounds),
-    the lists' ascending coefficient-vector ranks one after the other, and
-    where each list begins in them, with their total length last."""
+    LIST_CONSTANT * deltas[i], from the Fourier rows of all coordinates,
+    each passing its own Parseval and imaginary-part checks: (ranks,
+    bounds), the lists' ascending coefficient-vector ranks one after the
+    other, and where each list begins in them, with their total length
+    last.  The rows are the ones the character sums kept, or else one
+    transform over all coordinates."""
     if any(delta <= 0 for delta in deltas):
         raise ContractViolation("delta must be positive")
     f.ensure_scalar_respecting()
-    re = _transform(f.q, f.d, f.values.T).real_parts()
+    coeffs = _transform(f.q, f.d, f.values.T) if f._rows is None else FourierTable(f.q, f.d, f._rows)
+    re = coeffs.real_parts()
     thresholds = np.array([LIST_CONSTANT * delta for delta in deltas], dtype=float)
     n = f.size  # the hits of coordinate i are numbered i * n + rank
     hits = np.flatnonzero(re >= thresholds[:, None] - FLOAT_TOL)

@@ -59,7 +59,7 @@ _BLOCK_BYTES = 1 << 21  # working arrays of one exhaustive block of cases
 # entries of separation's direction images (an int64 product: 128 MB at
 # the limit), difference tables and independent direction pairs
 _DIRECTION_IMAGE_LIMIT = 1 << 24
-_BLOCK_ENTRIES = 32  # map entries from which a block of words beats randrange
+_BLOCK_ENTRIES = 96  # map entries from which a block of words beats randrange
 
 
 @dataclass(frozen=True, eq=False)

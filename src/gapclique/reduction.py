@@ -74,6 +74,9 @@ from .vecsum import VecSumInstance, check_int, check_modulus, residue_array, vec
 from .cliquesolve import DEFAULT_VERTEX_CAP, DenseGraph
 
 DEFAULT_CLIQUE_BUDGET = 1 << 16
+# vertices of a planted-layout clique past which its index arrays, and so
+# the general path (the grouped test, the pair scan, phase 1), are refused
+GENERAL_PATH_BUDGET = 1 << 20
 
 PAIR_BATCH = 1024  # edge oracle batch: whole rows of pairs, at least this many
 # adjacency rows materialize fills from the class tables at once; the
@@ -248,7 +251,8 @@ class Clique(Sequence):
     table (V, l) whose rows may repeat, and index arrays a, b, x, y, so that
     vertex v is (points[a[v]], points[b[v]], values[x[v]], values[y[v]]).
     Built without them it is the planted layout (see planted_clique), with
-    a, b = divmod(v, P), x = a and y = b built on first read.
+    a, b = divmod(v, P), x = a and y = b built on first read, and refused
+    past GENERAL_PATH_BUDGET vertices.
     Its vertices are valid (as_clique validates a caller's).  It reads as
     the list of its Vertex tuples: len, iteration (one tuple per table row,
     shared) and clique[i] give Vertex tuples, slices give lists."""
@@ -263,6 +267,8 @@ class Clique(Sequence):
     def __getattr__(self, name: str):
         if name not in ("a", "b", "x", "y"):  # only the planted layout's can be unbuilt
             raise AttributeError(name)
+        if self.size > GENERAL_PATH_BUDGET:
+            raise BudgetExceeded("general path vertices", required=self.size, budget=GENERAL_PATH_BUDGET)
         self.a, self.b = self.x, self.y = np.divmod(np.arange(self.size), len(self.points))
         return self.__dict__[name]
 
@@ -561,12 +567,10 @@ class CliqueInstance:
             return False
         ax = _pair_ids(codes.point[keep, 0], codes.value[keep, 0])[0]
         _, first, size = np.unique(ax, return_index=True, return_counts=True)
-        reps = keep[first]
-        if any(self._pair_rules(codes, reps[I], reps[J])[:, 2:].any()
-               for I, J in _pair_batches(len(reps))):
-            return False
-        crowded = reps[size > 1]
-        return not self._pair_rules(codes, crowded, crowded)[:, 2:].any()
+        table = self._class_rules(codes, keep[first])
+        # a class of one vertex has no pair within it
+        np.fill_diagonal(table, table.diagonal() & (size > 1))
+        return not table.any()
 
     # -- planted cliques -------------------------------------------------------
 

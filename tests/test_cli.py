@@ -184,6 +184,24 @@ class TestExitCodes:
         assert "vertex count" in capsys.readouterr().err
 
 
+    def test_large_planted_clique_refused_by_budget(self, tmp_path, capsys):
+        # (7,2,1): verify-complete and extract refuse the planted clique's
+        # 5,764,801 vertices by budget before building any; an instance
+        # whose planted tuple is no witness is refused on loading, so a
+        # planted clique past the budget never reaches the general path here
+        out = str(tmp_path)
+        assert run("--seed", "1", "--out-dir", out, "gen-vecsum", "--q", "7", "--k", "2",
+                   "--m", "3", "--n", "3", "--planted") == EXIT_OK
+        assert run("--seed", "1", "--out-dir", out, "reduce",
+                   "--instance", os.path.join(out, "instance.json"), "--l", "1") == EXIT_OK
+        red = os.path.join(out, "reduction.json")
+        capsys.readouterr()
+        for command in ("verify-complete", "extract"):
+            assert run("--seed", "1", "--out-dir", out, command, "--reduction", red) == EXIT_BUDGET
+            assert "planted clique size: needs budget 5764801" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "clique-certificate.json"))
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical_modulo_timestamp(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")

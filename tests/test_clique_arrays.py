@@ -15,7 +15,7 @@ import pytest
 
 from gapclique import reduction, rng as rngmod
 from gapclique.cli import EXIT_INVALID, main
-from gapclique.errors import ContractViolation, PropertyViolation
+from gapclique.errors import BudgetExceeded, ContractViolation, PropertyViolation
 from gapclique.randmap import sample_g
 from gapclique.reduction import (
     Clique,
@@ -25,6 +25,7 @@ from gapclique.reduction import (
     _clique_values,
     _row_ids,
     as_clique,
+    build_gamma,
     extract_witness,
     is_valid_vertex,
 )
@@ -258,6 +259,43 @@ def test_large_planted_cliques_never_reach_the_general_path(q, k, l, monkeypatch
         tracemalloc.stop()
     assert len(clique) == q ** (2 * k * k)
     assert peak <= 4_000_000
+
+
+@pytest.mark.parametrize("q,k,l", [(7, 2, 1), (11, 2, 1)])
+def test_corrupted_large_planted_cliques_refused_by_budget(q, k, l):
+    # one value entry off: the planted decision rejects the table, and the
+    # general path refuses before building P^2-entry index arrays, at the
+    # first read of one, whichever stage reads it
+    ci = make_instance(7, q, k, l)
+    planted = ci.planted_clique(ci.source.planted, clique_budget=q ** (2 * k * k))
+    X = planted.values.copy()
+    X[5, 0] = (X[5, 0] + 1) % q
+    bad = with_values(planted, X)
+    assert bad.planted_rows is None
+    tracemalloc.start()
+    try:
+        for read in (ci.verify_clique, lambda c: build_gamma(c, ci, verify=False),
+                     lambda c: extract_witness(c, ci, eps=0.5), list, lambda c: c[0]):
+            with pytest.raises(BudgetExceeded) as exc:
+                read(bad)
+            assert exc.value.what == "general path vertices"
+            assert (exc.value.required, exc.value.budget) == (len(bad), reduction.GENERAL_PATH_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000
+
+
+def test_general_path_runs_under_its_budget():
+    # (5,2,2): 390,625 vertices, the largest k = 2 planted clique under the
+    # budget; a corrupted table is encoded, grouped and scanned
+    ci = make_instance(7, 5, 2, 2)
+    planted = ci.planted_clique(ci.source.planted, clique_budget=5**8)
+    assert len(planted) <= reduction.GENERAL_PATH_BUDGET < 7**8
+    X = planted.values.copy()
+    X[5, 0] = (X[5, 0] + 1) % 5
+    bad = ci.verify_clique(with_values(planted, X))
+    assert bad is not None and bad[2]
 
 
 # -- phase 1 and extraction ------------------------------------------------------------

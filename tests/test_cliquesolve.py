@@ -243,6 +243,21 @@ class TestDegeneracyOrder:
         for g in graphs:
             assert _degeneracy_order(g) == degeneracy_order_reference(g)
 
+    def test_isolated_vertices_match_quadratic_reference(self):
+        # most vertices isolated from the start, as in certified-NO graphs,
+        # and more isolated as the sparse rest is removed, among vertices
+        # of every degree
+        rng = random.Random(21)
+        isolated = 0
+        for _ in range(60):
+            n = rng.randint(1, 90)
+            live = rng.sample(range(n), rng.randint(0, n // 3))
+            pairs = [rng.sample(live, 2) for _ in range(len(live) * 2)] if len(live) > 1 else []
+            g = DenseGraph.from_edges(n, {(min(e), max(e)) for e in pairs})
+            isolated += sum(not row for row in g.adj)
+            assert _degeneracy_order(g) == degeneracy_order_reference(g)
+        assert isolated > 1000
+
     def test_ties_go_to_the_smallest_vertex(self):
         assert _degeneracy_order(complete_graph(5)) == [0, 1, 2, 3, 4]
         # a path 0-1-2-3: both ends have degree 1, so 0 goes first, then 1

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from gapclique import experiments, lintest, rng as rngmod
 from gapclique.errors import BudgetExceeded, ContractViolation, PiecingRefused, PropertyViolation
+from gapclique.randmap import sample_g
 from gapclique.reduction import CliqueInstance, ReductionParams, build_gamma
 from gapclique.vecsum import generate_planted, paper_dimension
 from gapclique.lintest import (
@@ -480,9 +481,10 @@ class TestScalarOrbits:
             tables.append(with_columns(tables[0], [None] * l))
         for f in tables:
             assert f.is_scalar_respecting()
-            deg, counts = lintest._character_sums(f)
-            ref_deg, ref_counts = lintest._character_sums(as_unknown(f))
+            deg, counts, _ = lintest._character_sums(f)
+            ref_deg, ref_counts, rows = lintest._character_sums(as_unknown(f))
             assert np.array_equal(deg, ref_deg) and np.array_equal(counts, ref_counts)
+            assert rows is None  # Fourier rows are kept for scalar-respecting tables only
 
     def test_large_prime_rows_match_enumeration(self):
         q, d = 509, 2
@@ -515,6 +517,137 @@ class TestScalarOrbits:
         assert sum(transformed) == rows
         ref_deg, ref_counts = blocked_accepted_counts(f)
         assert np.array_equal(deg, ref_deg) and counts == ref_counts
+
+
+def noisy_linear_table(r, q, d, l, share=0.1):
+    """A random linear map's table with about `share` of its lines through
+    the origin re-drawn, closed under scalars: lists of one member or more."""
+    fn = LinearVecFn(q, d, tuple(tuple(r.randrange(q) for _ in range(d)) for _ in range(l)))
+    reps = lintest._lines(q, d)[:, 0]
+    noise = random_scalar_respecting_table(r, q, d, l).values[reps]
+    keep = np.array([r.random() >= share for _ in reps])
+    line_values = np.where(keep[:, None], FunctionTable.from_linear(fn).values[reps], noise)
+    return FunctionTable(q, d, l, lintest._scalar_closure(q, d, line_values).values)
+
+
+def gamma_table(seed, q, k, l):
+    """The decoded table of a planted clique under a random map: linear,
+    l coordinates over F_q^(k^2)."""
+    src = generate_planted(rngmod.stream(seed, "gamma/instance"), q, k, paper_dimension(k, 4 * k), 4)
+    g = sample_g(rngmod.stream(seed, "gamma/map"), q, k, src.m, l)
+    ci = CliqueInstance(ReductionParams(q=q, k=k, l=l), g, src)
+    return build_gamma(ci.planted_clique(src.planted), ci, rng=rngmod.stream(seed, "gamma/fill"),
+                       verify=False).table
+
+
+def dft_calls(monkeypatch) -> list:
+    """(sign, rows) of every DFT run from here on."""
+    calls = []
+    dft = lintest._dft
+
+    def counted(x, q, d, sign):
+        calls.append((sign, x.reshape(-1, q**d).shape[0]))
+        return dft(x, q, d, sign)
+
+    monkeypatch.setattr(lintest, "_dft", counted)
+    return calls
+
+
+class TestKeptRows:
+    # the five lintest-tables points and (101,2,1), past DFT_BLOCK, with
+    # l <= d; then l > d, where coordinate characters are multiples c != 1
+    # of their lines' representatives, or zero
+    SMALL_L = [(3, 6, 2), (2, 10, 1), (11, 3, 2), (5, 5, 1), (7, 3, 2), (101, 2, 1)]
+
+    def tables(self, q, d, l):
+        r = rngmod.stream(q * 1000 + d * 10 + l, "kept")
+        return [noisy_linear_table(r, q, d, l), random_scalar_respecting_table(r, q, d, l)]
+
+    def wide_tables(self):
+        # at (101,2) the 102 lines take 17 blocks of DFT rows
+        f = spanned_table(rngmod.stream(4, "kept-wide"), 5, 2, 4, 2, arbitrary=False)
+        g = spanned_table(rngmod.stream(3, "kept-blocks"), 101, 2, 4, 2, arbitrary=False)
+        return [with_columns(f, [None, 0, 1, None, 2, 3]), gamma_table(0, 3, 2, 128),
+                with_columns(g, [None, 0, 1, 2, 3])]
+
+    def check(self, f, delta, monkeypatch):
+        """f's kept rows against a transform, and its decoded lists and
+        pieced function against the same calls with no rows kept."""
+        pass_probability(f)
+        want = lintest._transform(f.q, f.d, f.values.T).coeffs
+        assert f._rows.shape == want.shape and not f._rows.flags.writeable
+        assert np.abs(f._rows - want).max() <= 1e-12
+        schedule = lambda eps, eps_i: delta
+        lists = [list_decode_scalar(f.coordinate(i), delta) for i in range(f.l)]
+        res = piece_together(f, 0, Fraction(1, 4), delta_schedule=schedule)
+        sums = lintest._character_sums
+        with monkeypatch.context() as m:
+            m.setattr(lintest, "_character_sums", lambda g: sums(g)[:2] + (None,))
+            g = FunctionTable(f.q, f.d, f.l, f.values)
+            ref = piece_together(g, 0, Fraction(1, 4), delta_schedule=schedule)
+            assert g._rows is None
+            assert lists == [list_decode_scalar(g.coordinate(i), delta) for i in range(f.l)]
+        assert all(map(np.array_equal, res.state.lists, ref.state.lists))
+        assert np.array_equal(res.state.matches, ref.state.matches)
+        assert (res.ok, res.fn, res.agreement) == (ref.ok, ref.fn, ref.agreement)
+        return lists
+
+    @pytest.mark.parametrize("q,d,l", SMALL_L)
+    def test_rows_are_the_transforms_at_most_d_coordinates(self, q, d, l, monkeypatch):
+        sizes = set()
+        for f in self.tables(q, d, l):
+            sizes.update(map(len, self.check(f, 0.5, monkeypatch)))
+        assert sizes & {1, 2}
+
+    def test_rows_are_the_transforms_past_d_coordinates(self, monkeypatch):
+        for f in self.wide_tables():
+            basis, coords = lintest._column_basis(f)
+            leads = coords[(coords != 0).argmax(axis=0), np.arange(f.l)]
+            # zero characters, and characters c rep with c != 1
+            assert (leads == 0).any() and (leads > 1).any()
+            assert f.is_scalar_respecting() and len(basis.T) <= f.d < f.l
+            self.check(f, 0.3, monkeypatch)
+
+    def test_coordinates_inherit_their_rows(self):
+        f = self.tables(11, 3, 2)[0]
+        assert f.coordinate(0)._rows is None
+        pass_probability(f)
+        for i in range(f.l):
+            assert np.array_equal(f.coordinate(i)._rows, f._rows[i : i + 1])
+
+    def test_no_transform_after_the_character_sums(self, monkeypatch):
+        tables = self.tables(11, 3, 2) + self.wide_tables()
+        for f in tables:
+            pass_probability(f)
+        calls = dft_calls(monkeypatch)
+        for f in tables:
+            for i in range(f.l):
+                list_decode_scalar(f.coordinate(i), 0.5)
+            piece_together(f, 0, Fraction(1, 4), delta_schedule=lambda eps, eps_i: 0.5)
+        assert calls == []
+
+    def test_tables_without_a_character_pass_transform(self, monkeypatch):
+        r = rngmod.stream(9, "kept-none")
+        # values spanning three dimensions of F_5^2: pair enumeration
+        high = random_scalar_respecting_table(r, 5, 2, 3)
+        assert lintest._column_basis(high) is None
+        # Monte Carlo counts only, and a table with no count at all
+        sampled, fresh = noisy_linear_table(r, 7, 2, 1), noisy_linear_table(r, 7, 2, 1)
+        pass_probability(sampled, "monte_carlo", samples=200, rng=r)
+        # not scalar respecting: sign pairs, whose scalar coordinate decodes alone
+        mixed = FunctionTable(5, 2, 2, np.hstack([high.values[:, :1], arbitrary_table(r, 5, 2, 1).values]))
+        for f in (high, mixed):
+            pass_probability(f)
+        assert not mixed.is_scalar_respecting()
+        calls = dft_calls(monkeypatch)
+        for f, decode in ((high, lambda f: piece_together(f, 0, Fraction(1, 4))),
+                          (sampled, lambda f: list_decode_scalar(f, 0.5)),
+                          (fresh, lambda f: list_decode_scalar(f, 0.5)),
+                          (mixed.coordinate(0), lambda f: list_decode_scalar(f, 0.5))):
+            calls.clear()
+            assert f._rows is None
+            decode(f)
+            assert calls == [(-1, f.l)]  # one forward transform of every coordinate
 
 
 class TestBudgets:
@@ -772,10 +905,19 @@ class TestListDecode:
     @pytest.mark.parametrize("spoil", [lambda row: row * (1 + 1e-8), lambda row: row + 1e-6j])
     def test_each_coordinate_of_the_batch_is_checked(self, spoil, monkeypatch):
         # a Parseval or an imaginary-part failure on the last coordinate
-        # alone; 5^3 characters outnumber the 25 points, so the pair counts
-        # take no transform
+        # alone: in the rows the character sums kept, and in the one
+        # transform of a table whose three coordinates span three dimensions
+        # over F_5^2, so that its pair counts take no transform
         f = FunctionTable.from_linear(LinearVecFn(5, 2, ((1, 2), (3, 4), (0, 1))))
         assert piece_together(f, 0.5, Fraction(1, 4)).ok
+        rows = f._rows.copy()
+        rows[-1] = spoil(rows[-1])
+        f._rows = rows
+        with pytest.raises(PropertyViolation):
+            piece_together(f, 0.5, Fraction(1, 4))
+        g = random_scalar_respecting_table(rngmod.stream(5, "spoil"), 5, 2, 3)
+        assert lintest._column_basis(g) is None
+        piece_together(FunctionTable(5, 2, 3, g.values), 0, Fraction(1, 4))
         dft = lintest._dft
 
         def spoiled(x, q, d, sign):
@@ -786,7 +928,7 @@ class TestListDecode:
 
         monkeypatch.setattr(lintest, "_dft", spoiled)
         with pytest.raises(PropertyViolation):
-            piece_together(f, 0.5, Fraction(1, 4))
+            piece_together(g, 0, Fraction(1, 4))
 
     def test_coordinates_keep_a_known_scalar_flag(self, monkeypatch):
         calls = []

@@ -57,9 +57,10 @@ def images(g, vectors):
 class TestSampleApply:
     # q = 2 and 5 reject most often (top bits 2 and 3 of 4 and 8); the
     # largest prime below 2^32 takes all 32 bits of a word; 4294967311 is
-    # past 2^32, where randrange reads two words a draw
+    # past 2^32, where randrange reads two words a draw; 95 and 96 entries
+    # lie on either side of the switch to blocks of words
     @pytest.mark.parametrize("q", [2, 3, 5, 101, 65537, 4294967291, 4294967311])
-    @pytest.mark.parametrize("k,m,l", [(1, 3, 2), (1, 4, 8), (2, 4, 4), (3, 3, 128)])
+    @pytest.mark.parametrize("k,m,l", [(1, 3, 2), (1, 4, 8), (2, 4, 4), (1, 5, 19), (2, 6, 8), (3, 3, 128)])
     def test_draws_are_randrange_draws(self, q, k, m, l):
         # the same entries, row-major, and the same rng state afterwards
         ours, ref = rngmod.stream(q, f"draw/{k}/{m}/{l}"), rngmod.stream(q, f"draw/{k}/{m}/{l}")
