@@ -55,10 +55,10 @@ from .reduction import (
     CliqueInstance,
     ReductionParams,
     Vertex,
+    VertexCodec,
     extract_witness,
     is_valid_vertex,
     param_schedule,
-    vertex_codec,
 )
 from .vecsum import (
     VecSumInstance,
@@ -185,10 +185,10 @@ def _completeness_row(seed: int, q: int, k: int, l: int, runs: int,
     )
 
 
-def suite_completeness(seed: int = 0, runs: int = COMPLETENESS_RUNS) -> list[dict]:
-    rows = [_completeness_row(seed, q, k, l, runs) for q, k, l in COMPLETENESS_POINTS]
+def suite_completeness(seed: int = 0) -> list[dict]:
+    rows = [_completeness_row(seed, q, k, l, COMPLETENESS_RUNS) for q, k, l in COMPLETENESS_POINTS]
     for q, k, l in VERTEX_COUNT_POINTS:
-        codec = vertex_codec(ReductionParams(q=q, k=k, l=l))
+        codec = VertexCodec(q, k, l)
         brute = _enumerate_vertex_set(q, k, l)
         rows.append(
             _row(
@@ -438,7 +438,7 @@ def _corrupted_linear_table(
 # -- props suite --------------------------------------------------------------------
 
 
-def suite_props(seed: int = 0, trials: int = PROPS_TRIALS) -> list[dict]:
+def suite_props(seed: int = 0) -> list[dict]:
     rows = []
     q, k, n = PROPS_POINT["q"], PROPS_POINT["k"], PROPS_POINT["n"]
     m = paper_dimension(k, n)
@@ -455,7 +455,7 @@ def suite_props(seed: int = 0, trials: int = PROPS_TRIALS) -> list[dict]:
     sep_rates = []
     for l in PROPS_LS:
         rep = estimate_failure_rate(
-            inst, l, trials, rngmod.stream(seed, f"props/maps/{l}")
+            inst, l, PROPS_TRIALS, rngmod.stream(seed, f"props/maps/{l}")
         )
         ws_rates.append(rep.wellspread_rate)
         sep_rates.append(rep.separation_rate)
@@ -463,7 +463,7 @@ def suite_props(seed: int = 0, trials: int = PROPS_TRIALS) -> list[dict]:
             _row(
                 "props",
                 7,
-                f"goodness failure rates at (q,k,l,n)=({q},{k},{l},{n}), {trials} maps",
+                f"goodness failure rates at (q,k,l,n)=({q},{k},{l},{n}), {PROPS_TRIALS} maps",
                 "report",
                 {
                     "wellspread_rate": rep.wellspread_rate,
@@ -517,13 +517,13 @@ def suite_props(seed: int = 0, trials: int = PROPS_TRIALS) -> list[dict]:
     details = []
     for k_ in range(1, 5):
         try:
-            params = param_schedule(k_, 16)
+            sched = param_schedule(k_, 16)
             details.append(
                 {
                     "k": k_,
-                    "qhat": params.q if k_ <= 2 else f"~2^{params.q.bit_length() - 1}",
-                    "f_prime": params.schedule.f_prime_at_lam,
-                    "bound": params.schedule.bound,
+                    "qhat": sched.qhat if k_ <= 2 else f"~2^{sched.qhat.bit_length() - 1}",
+                    "f_prime": sched.f_prime_at_lam,
+                    "bound": sched.bound,
                 }
             )
         except PropertyViolation:

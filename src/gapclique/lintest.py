@@ -557,8 +557,8 @@ def _list_decode(f: FunctionTable, deltas: tuple[float, ...]) -> tuple[np.ndarra
     other, and where each list begins in them, with their total length
     last.  The rows are the ones the character sums kept, or else one
     transform over all coordinates."""
-    if any(delta <= 0 for delta in deltas):
-        raise ContractViolation("delta must be positive")
+    if not all(0 < delta < math.inf for delta in deltas):  # NaN fails both
+        raise ContractViolation("delta must be finite and positive")
     f.ensure_scalar_respecting()
     coeffs = _transform(f.q, f.d, f.values.T) if f._rows is None else FourierTable(f.q, f.d, f._rows)
     re = coeffs.real_parts()

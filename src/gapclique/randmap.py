@@ -485,7 +485,6 @@ class FailureRateReport:
     """Empirical failure rates of both properties over freshly sampled maps,
     with Wilson intervals and the analytic union-bound values for context."""
 
-    wellspread_failures: int
     wellspread_rate: Optional[float]
     separation_rate: Optional[float]
     wellspread_ci: tuple[float, float]
@@ -511,7 +510,6 @@ def estimate_failure_rate(
             sep_fail += 1
     n = max(inst.sizes)
     return FailureRateReport(
-        wellspread_failures=ws_fail,
         wellspread_rate=ws_fail / trials if trials else None,
         separation_rate=sep_fail / trials if trials else None,
         wellspread_ci=wilson_interval(ws_fail, trials),

@@ -91,38 +91,17 @@ RANK_LIMIT = 2**63  # rows of fewer than RANK_LIMIT values are named by their ra
 
 @dataclass(frozen=True)
 class ParamSchedule:
-    """Schedule-faithful parameters: the prime just above 2^(12k), the clique
-    target as its 2k^2 power, and the normalized ratio function checked
-    against the 2k^3 bound."""
+    """The paper's schedule for k and a source size n: the prime just above
+    2^(12k), l, the clique target as the prime's 2k^2 power, and the
+    normalized ratio function checked against the 2k^3 bound."""
 
     k: int
     n: int
     qhat: int
+    l: int
     lam: int
     f_prime_at_lam: int
     bound: int
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "qhat": self.qhat,
-            "lam_bits": self.lam.bit_length(),
-            "f_prime_at_lam": self.f_prime_at_lam,
-            "bound": self.bound,
-        }
-
-    @classmethod
-    def from_json(cls, doc, q: int, k: int) -> "ParamSchedule":
-        """Rebuild a stored schedule for modulus q and k; lam is recomputed
-        as q^(2k^2) and the stored record must match the rebuilt one."""
-        if not isinstance(doc, dict) or doc.get("qhat") != q or doc.get("k") != k:
-            raise ContractViolation("stored schedule does not match the modulus and k")
-        sched = cls(k=k, n=doc.get("n"), qhat=q, lam=q ** (2 * k * k),
-                    f_prime_at_lam=doc.get("f_prime_at_lam"), bound=doc.get("bound"))
-        if sched.to_json() != doc:
-            raise ContractViolation("stored schedule is inconsistent with q^(2k^2)")
-        return sched
 
 
 def floor_log2(x: int) -> int:
@@ -140,29 +119,19 @@ def normalized_ratio_fn(f: Callable[[int], int]) -> Callable[[int], int]:
 
 @dataclass(frozen=True)
 class ReductionParams:
-    """Parameters of one reduction run.
-
-    Desk mode treats (q, k, l) as free so structure can be exercised at tiny
-    sizes; schedule-faithful mode derives q and l from (k, n) with exact big
-    integers.  The soundness threshold defaults to q^(-1/k) and the decoding
-    distance bound to 1/(8k).
-    """
+    """Parameters of one reduction run: (q, k, l) are free so structure can
+    be exercised at desk sizes.  The soundness threshold defaults to
+    q^(-1/k) and the decoding distance bound to 1/(8k)."""
 
     q: int
     k: int
     l: int
-    mode: str = "desk"
-    schedule: Optional[ParamSchedule] = None
 
     def __post_init__(self):
-        if self.mode not in ("desk", "paper_faithful"):
-            raise ContractViolation(f"unknown mode {self.mode!r}")
         check_int("k", self.k)
         check_int("l", self.l)
         if type(self.q) is not int or not is_prime(self.q):
             raise ContractViolation(f"modulus {self.q!r:.60} is not prime")
-        if self.mode == "paper_faithful" and self.schedule is None:
-            raise ContractViolation("paper_faithful mode requires a schedule")
 
     def epsilon(self) -> float:
         return math.exp(-math.log(self.q) / self.k)
@@ -171,19 +140,17 @@ class ReductionParams:
         return Fraction(1, 8 * self.k)
 
     def to_json(self) -> dict:
-        doc = {"q": self.q, "k": self.k, "l": self.l, "mode": self.mode}
-        if self.schedule is not None:
-            doc["schedule"] = self.schedule.to_json()
-        return doc
+        return {"q": self.q, "k": self.k, "l": self.l, "mode": "desk"}
 
 
-def param_schedule(k: int, n: int, f: Optional[Callable[[int], int]] = None) -> ReductionParams:
-    """Schedule-faithful parameters for a given k and source size n.
+def param_schedule(k: int, n: int, f: Optional[Callable[[int], int]] = None) -> ParamSchedule:
+    """The paper's schedule for a given k and source size n.
 
     qhat is the smallest prime above 2^(12k) (found by an upward primality
     scan), the clique target is qhat^(2k^2), l is ceil(12 log_qhat n), and
     the normalized ratio function evaluated at the clique target must stay
-    below 2k^3 (verified exactly on big integers).
+    below 2k^3 (verified exactly on big integers).  Its modulus is far past
+    any buildable reduction, so no ReductionParams is made from it.
     """
     if k < 1:
         raise ContractViolation("k must be >= 1")
@@ -200,13 +167,7 @@ def param_schedule(k: int, n: int, f: Optional[Callable[[int], int]] = None) -> 
             f"schedule bound violated: normalized ratio {fp} not below {bound}"
         )
     l = max(1, math.ceil(12 * math.log(n) / math.log(qhat)))
-    return ReductionParams(
-        q=qhat,
-        k=k,
-        l=l,
-        mode="paper_faithful",
-        schedule=ParamSchedule(k=k, n=n, qhat=qhat, lam=lam, f_prime_at_lam=fp, bound=bound),
-    )
+    return ParamSchedule(k=k, n=n, qhat=qhat, l=l, lam=lam, f_prime_at_lam=fp, bound=bound)
 
 
 # -- vertices -------------------------------------------------------------------
@@ -367,10 +328,6 @@ class VertexCodec:
         b_off += b_off >= a_off
         return (np.concatenate([a, a_off]), np.concatenate([a, b_off]),
                 np.concatenate([x, xy // L]), np.concatenate([x, xy % L]))
-
-
-def vertex_codec(params: ReductionParams) -> VertexCodec:
-    return VertexCodec(params.q, params.k, params.l)
 
 
 # -- the implicit graph -----------------------------------------------------------
@@ -689,12 +646,9 @@ class CliqueInstance:
         p = doc["params"]
         gmap = LinearMapG.from_json(doc.get("map"))
         source = VecSumInstance.from_json(doc.get("instance"))
-        # the schedule is rebuilt from the instance's own (validated) q and k
-        schedule = p.get("schedule")
-        if schedule is not None:
-            schedule = ParamSchedule.from_json(schedule, source.q, source.k)
-        params = ReductionParams(q=p.get("q"), k=p.get("k"), l=p.get("l"),
-                                 mode=p.get("mode"), schedule=schedule)
+        if p.get("mode") != "desk" or "schedule" in p:
+            raise ContractViolation('reduction params must have mode "desk" and no schedule')
+        params = ReductionParams(q=p.get("q"), k=p.get("k"), l=p.get("l"))
         return cls(params, gmap, source)
 
 

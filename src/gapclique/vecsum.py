@@ -177,7 +177,6 @@ class Witness:
     """A sum-zero tuple: one vector index per collection."""
 
     indices: tuple[int, ...]
-    vectors: tuple[tuple[int, ...], ...]
 
 
 def _uniform(rng: random.Random, q: int, m: int) -> tuple[int, ...]:
@@ -222,9 +221,8 @@ def brute_force_decide(inst: VecSumInstance) -> Optional[Witness]:
         raise BudgetExceeded("tuple enumeration", required=total, budget=TUPLE_BUDGET)
     cols = inst.collections
     for indices in itertools.product(*(range(len(us)) for us in cols)):
-        vectors = tuple(cols[i][idx] for i, idx in enumerate(indices))
-        if not any(vector_sum(inst.q, vectors)):
-            return Witness(indices=indices, vectors=vectors)
+        if not any(vector_sum(inst.q, (us[i] for us, i in zip(cols, indices)))):
+            return Witness(indices=indices)
     return None
 
 

@@ -1,7 +1,8 @@
 """Every top-level function and class of the package, and every public
 method, is used by some pipeline stage: referenced somewhere in src/ or
 bench/ outside its own definition.  Helpers only the tests need live in the
-tests' reference modules instead.
+tests' reference modules instead.  Every parameter of a public function or
+method that has a default is passed by some call in src/, bench/ or tests/.
 
 A top-level function or class is used only through its own name: a bare
 name, module.name under any import alias of a package module (such as
@@ -13,6 +14,7 @@ than a docstring counts for it.  Imports and docstrings never count.
 """
 
 import ast
+import math
 import os
 import re
 from collections import Counter
@@ -97,15 +99,15 @@ def _definitions(tree):
                         yield f"{node.name}.{item.name}", item.name, item
 
 
-def _trees():
+def _trees(*dirs):
     trees = {}
-    for path in _sources(PACKAGE, os.path.join(ROOT, "bench")):
+    for path in _sources(*dirs):
         with open(path) as fh:
             trees[path] = ast.parse(fh.read(), path)
     return trees
 
 
-TREES = _trees()
+TREES = _trees(PACKAGE, os.path.join(ROOT, "bench"))
 TOTAL = sum((_references(t) for t in TREES.values()), Counter())
 USES = sum((_uses(t, _module_aliases(t)) for t in TREES.values()), Counter())
 DEFINED = [
@@ -176,3 +178,51 @@ def test_scan_sees_the_budget_parameters():
 def test_budget_parameter_is_passed(qualname, name, param):
     # a budget no call sets is a constant: check it where its work starts
     assert (name, param) in PASSED, f"no call in src/ or bench/ passes {qualname}'s {param}"
+
+
+def _defaulted(node, method):
+    """(parameter, position) of each parameter of a function definition that
+    has a default: position counts the arguments a call passes before it
+    (not self or cls), None for a keyword-only parameter."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    static = any(ast.unparse(d) == "staticmethod" for d in node.decorator_list)
+    skip = int(method and not static)
+    for i in range(len(positional) - len(args.defaults), len(positional)):
+        yield positional[i].arg, i - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+DEFAULTED = [
+    (qualname, name, param, position) for qualname, name, node in DEFINED
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not name.startswith("_")
+    for param, position in _defaulted(node, qualname.count(".") == 2)
+]
+# (called name, positional arguments, keywords) of every call in src/,
+# bench/ or tests/; a starred positional argument may fill any position
+CALLS = [
+    (_called_name(node),
+     math.inf if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args),
+     {kw.arg for kw in node.keywords})
+    for tree in [*TREES.values(), *_trees(os.path.join(ROOT, "tests")).values()]
+    for node in ast.walk(tree) if isinstance(node, ast.Call)
+]
+
+
+def test_scan_sees_the_defaulted_parameters():
+    found = {(q, p): pos for q, _, p, pos in DEFAULTED}
+    assert found[("lintest.piece_together", "delta_schedule")] == 3
+    assert found[("reduction.CliqueInstance.materialize", "budget")] == 0
+    assert found[("reduction.CliqueInstance.planted_clique", "clique_budget")] == 1
+
+
+@pytest.mark.parametrize("qualname,name,param,position", DEFAULTED,
+                         ids=[f"{q}:{p}" for q, _, p, _ in DEFAULTED])
+def test_defaulted_parameter_is_passed(qualname, name, param, position):
+    # a default that no call overrides is a constant, not a parameter
+    assert any(
+        called == name and (param in keywords or position is not None and count > position)
+        for called, count, keywords in CALLS
+    ), f"no call in src/, bench/ or tests/ passes {qualname}'s {param}"

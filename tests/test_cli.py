@@ -363,6 +363,20 @@ class TestLintestCommand:
         assert rep["pass_probability"]["exact"] == "1/1"
         assert rep["decoded"]["list"] == [[2, 3]]
 
+    @pytest.mark.parametrize("delta", ["nan", "inf", "0"])
+    def test_decode_delta_must_be_finite_and_positive(self, tmp_path, delta):
+        # a non-finite delta would otherwise reach the report as NaN or
+        # Infinity, which strict JSON readers refuse
+        from gapclique.lintest import FunctionTable, LinearScalarFn
+
+        table = tmp_path / "table.json"
+        with open(table, "w") as fh:
+            json.dump(FunctionTable.from_linear(LinearScalarFn(5, (2, 3))).to_json(), fh)
+        out = str(tmp_path)
+        assert run("--seed", "1", "--out-dir", out, "lintest",
+                   "--table", str(table), "--decode-delta", delta) == EXIT_INVALID
+        assert not os.path.exists(os.path.join(out, "lintest-report.json"))
+
     def test_monte_carlo_mode(self, tmp_path):
         from gapclique.lintest import FunctionTable, LinearScalarFn
 

@@ -902,6 +902,15 @@ class TestListDecode:
         with pytest.raises(ContractViolation):
             list_decode_scalar(f, 0.5)
 
+    @pytest.mark.parametrize("delta", [0.0, -0.5, math.nan, math.inf, -math.inf])
+    def test_delta_must_be_finite_and_positive(self, delta):
+        # NaN compares false both ways, so a bare `<= 0` test lets it through
+        f = FunctionTable.from_linear(LinearVecFn(5, 2, ((1, 2), (3, 4))))
+        with pytest.raises(ContractViolation, match="finite and positive"):
+            list_decode_scalar(f.coordinate(0), delta)
+        with pytest.raises(ContractViolation, match="finite and positive"):
+            piece_together(f, 0.5, Fraction(1, 4), delta_schedule=lambda e, ei: delta)
+
     @pytest.mark.parametrize("spoil", [lambda row: row * (1 + 1e-8), lambda row: row + 1e-6j])
     def test_each_coordinate_of_the_batch_is_checked(self, spoil, monkeypatch):
         # a Parseval or an imaginary-part failure on the last coordinate

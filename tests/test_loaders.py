@@ -24,7 +24,7 @@ from gapclique.errors import BudgetExceeded, ContractViolation
 from gapclique.ffield import next_prime
 from gapclique.lintest import FunctionTable, LinearScalarFn, LinearVecFn
 from gapclique.randmap import LinearMapG, sample_g
-from gapclique.reduction import CliqueInstance, ReductionParams, Vertex, as_clique, param_schedule
+from gapclique.reduction import CliqueInstance, ReductionParams, Vertex, as_clique
 from gapclique.vecsum import VecSumInstance, generate_planted, residue_array
 
 from field_reference import residue_nested
@@ -75,16 +75,10 @@ def _small_reduction():
     return CliqueInstance(ReductionParams(q=2, k=1, l=1), g, src)
 
 
-def _paper_reduction():
-    params = param_schedule(1, 16)
-    src = generate_planted(rngmod.stream(6, "instance"), params.q, 1, 2, 2)
-    return CliqueInstance(params, sample_g(rngmod.stream(6, "matrices"), params.q, 1, 2, params.l), src)
-
-
 INSTANCE_DOC = generate_planted(rngmod.stream(1, "fuzz"), 3, 2, 2, 2).to_json()
 MAP_DOC = sample_g(rngmod.stream(2, "fuzz"), 3, 2, 2, 2, seed=2).to_json()
 SMALL_REDUCTION = _small_reduction()
-REDUCTION_DOCS = [SMALL_REDUCTION.to_json(), _paper_reduction().to_json()]
+REDUCTION_DOC = SMALL_REDUCTION.to_json()
 TABLE_DOC = FunctionTable.from_linear(LinearScalarFn(3, (1, 2))).to_json()
 CLIQUE_DOC = {"vertices": [
     [list(v.alpha), list(v.beta), list(v.x), list(v.y)]
@@ -115,7 +109,7 @@ def test_map_loader(doc):
     assert LinearMapG.from_json(g.to_json()).to_json() == g.to_json()
 
 
-@given(st.sampled_from(REDUCTION_DOCS).flatmap(mutated))
+@given(mutated(REDUCTION_DOC))
 @FUZZ
 def test_reduction_loader(doc):
     try:
@@ -298,7 +292,7 @@ CLI_INPUTS = st.one_of(
     st.tuples(st.just("solve"), st.just("g.json"), mutated(GRAPH_DOC).map(json.dumps) | RAW),
     st.tuples(st.just("reduce"), st.just("i.json"), mutated(INSTANCE_DOC).map(json.dumps) | RAW),
     st.tuples(st.just("export"), st.just("r.json"),
-              st.sampled_from(REDUCTION_DOCS).flatmap(mutated).map(json.dumps) | RAW),
+              mutated(REDUCTION_DOC).map(json.dumps) | RAW),
 )
 
 
@@ -317,7 +311,7 @@ def test_cli_exits_with_documented_code(case):
 @FUZZ
 def test_clique_file_exits_with_documented_code(content):
     with tempfile.TemporaryDirectory() as d:
-        reduction = _write(d, "r.json", json.dumps(REDUCTION_DOCS[0]))
+        reduction = _write(d, "r.json", json.dumps(REDUCTION_DOC))
         path = _write(d, "c.json", content)
         code = _cli("--out-dir", d, "extract", "--reduction", reduction, "--clique", path)
     assert code in DOCUMENTED_EXIT_CODES
@@ -357,16 +351,29 @@ class TestReaderExamples:
         with pytest.raises(ContractViolation, match="duplicate"):
             read_graph_json(_write(str(tmp_path), "g.json", json.dumps(doc)))
 
+    @pytest.mark.parametrize("spoil", [
+        lambda p: p.update(mode="paper_faithful"),
+        lambda p: p.pop("mode"),
+        lambda p: p.update(schedule={"k": 1, "n": 3, "qhat": 2, "lam_bits": 3,
+                                     "f_prime_at_lam": 0, "bound": 2}),
+    ], ids=["paper-faithful", "no-mode", "schedule"])
+    def test_export_refuses_params_other_than_desk(self, tmp_path, spoil):
+        doc = copy.deepcopy(REDUCTION_DOC)
+        spoil(doc["params"])
+        path = _write(str(tmp_path), "r.json", json.dumps(doc))
+        assert _cli("--out-dir", str(tmp_path), "export", "--reduction", path) == EXIT_INVALID
+        assert os.listdir(tmp_path) == ["r.json"]
+
     def test_clique_file_without_vertices_is_invalid(self, tmp_path):
         # a clique file {} used to escape as a KeyError traceback
-        reduction = _write(str(tmp_path), "r.json", json.dumps(REDUCTION_DOCS[0]))
+        reduction = _write(str(tmp_path), "r.json", json.dumps(REDUCTION_DOC))
         path = _write(str(tmp_path), "c.json", "{}")
         assert _cli("--out-dir", str(tmp_path), "extract", "--reduction", reduction,
                     "--clique", path) == EXIT_INVALID
 
     def test_small_clique_with_an_invalid_vertex_is_invalid(self, tmp_path):
         # below the extraction size gate, so no verification would see it
-        reduction = _write(str(tmp_path), "r.json", json.dumps(REDUCTION_DOCS[0]))
+        reduction = _write(str(tmp_path), "r.json", json.dumps(REDUCTION_DOC))
         path = _write(str(tmp_path), "c.json", json.dumps({"vertices": [[[0], [1], [0], [5]]]}))
         assert _cli("--out-dir", str(tmp_path), "extract", "--reduction", reduction,
                     "--clique", path) == EXIT_INVALID

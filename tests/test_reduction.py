@@ -16,6 +16,7 @@ from gapclique.reduction import (
     CliqueInstance,
     ReductionParams,
     Vertex,
+    VertexCodec,
     _clique_values,
     as_clique,
     _pair_batches,
@@ -26,7 +27,6 @@ from gapclique.reduction import (
     normalized_ratio_fn,
     param_schedule,
     value_relation,
-    vertex_codec,
 )
 from gapclique.vecsum import VecSumInstance, generate_planted
 
@@ -62,9 +62,9 @@ class TestParamSchedule:
             ReductionParams(q=6, k=1, l=1)
 
     def test_first_scheduled_prime(self):
-        params = param_schedule(1, 16)
-        assert params.q == 4099
-        assert params.schedule.lam == 4099**2
+        sched = param_schedule(1, 16)
+        assert (sched.k, sched.n, sched.qhat, sched.l) == (1, 16, 4099, 4)
+        assert sched.lam == 4099**2
 
     def test_identity_normalizes_to_log_term(self):
         f = normalized_ratio_fn(lambda x: x)
@@ -73,16 +73,15 @@ class TestParamSchedule:
 
     def test_bound_holds_up_to_k4(self):
         for k in range(1, 5):
-            params = param_schedule(k, 16)
-            sched = params.schedule
+            sched = param_schedule(k, 16)
             assert sched.qhat > 1 << (12 * k)
-            assert sched.f_prime_at_lam < 2 * k**3
+            assert sched.f_prime_at_lam < sched.bound == 2 * k**3
             assert sched.lam == sched.qhat ** (2 * k * k)
 
     def test_normalization_makes_bound_unconditional(self):
         # the clamped ratio function satisfies the bound for any input f
-        params = param_schedule(1, 16, f=lambda x: 10**9)
-        assert params.schedule.f_prime_at_lam < params.schedule.bound
+        sched = param_schedule(1, 16, f=lambda x: 10**9)
+        assert sched.f_prime_at_lam < sched.bound
 
     def test_ratio_function_errors_propagate(self):
         def bad(_):
@@ -103,11 +102,11 @@ class TestVertexCodec:
         [(2, 1, 1, 12), (3, 1, 1, 63), (2, 1, 2, 40), (3, 1, 2, 513), (2, 2, 1, 992)],
     )
     def test_counts(self, q, k, l, count):
-        assert vertex_codec(ReductionParams(q=q, k=k, l=l)).count == count
+        assert VertexCodec(q, k, l).count == count
 
     @pytest.mark.parametrize("q,k,l", [(2, 1, 1), (3, 1, 1), (2, 1, 2), (2, 2, 1)])
     def test_bijection(self, q, k, l):
-        codec = vertex_codec(ReductionParams(q=q, k=k, l=l))
+        codec = VertexCodec(q, k, l)
         seen = set()
         params = ReductionParams(q=q, k=k, l=l)
         for r in range(codec.count):
@@ -128,7 +127,7 @@ class TestVertexCodec:
             for y in itertools.product(range(q), repeat=l)
             if is_valid_vertex(Vertex(alpha, beta, x, y), params)
         )
-        assert vertex_codec(params).count == brute
+        assert VertexCodec(q, k, l).count == brute
 
 
 class TestVertexEval:
@@ -136,7 +135,7 @@ class TestVertexEval:
         # var has exactly 1 point iff alpha = beta = 0; never 3 points at q=2
         # with alpha = beta (since alpha+beta = 0 collides or coincides)
         q, k, l = 2, 1, 1
-        codec = vertex_codec(ReductionParams(q=q, k=k, l=l))
+        codec = VertexCodec(q, k, l)
         for r in range(codec.count):
             v = unrank(codec, r)
             pts = var_points(v, q)
@@ -599,24 +598,21 @@ class TestMaterializeExport:
         assert back.source.collections == ci.source.collections
 
     def test_reduction_json_keeps_mode(self):
-        # a desk document round-trips to equal parameters; relabelling it
-        # paper_faithful without a schedule is refused, not silently undone
+        # a desk document round-trips to equal parameters; any other mode, a
+        # missing one or a schedule is refused
         ci = make_instance(78, 3, 1, 4, 4, 2)
         doc = ci.to_json()
         back = CliqueInstance.from_json(doc)
         assert back.params == ci.params and back.to_json() == doc
-        doc["params"]["mode"] = "paper_faithful"
-        with pytest.raises(ContractViolation, match="requires a schedule"):
-            CliqueInstance.from_json(doc)
-
-    def test_paper_faithful_json_round_trip(self):
-        params = param_schedule(1, 16)
-        src = generate_planted(rngmod.stream(79, "instance"), params.q, 1, 2, 2)
-        g = sample_g(rngmod.stream(79, "matrices"), params.q, 1, 2, params.l)
-        ci = CliqueInstance(params, g, src)
-        back = CliqueInstance.from_json(ci.to_json())
-        assert back.params == params
-        doc = ci.to_json()
-        doc["params"]["schedule"]["lam_bits"] += 1
-        with pytest.raises(ContractViolation, match="schedule"):
-            CliqueInstance.from_json(doc)
+        assert doc["params"] == {"q": 3, "k": 1, "l": 2, "mode": "desk"}
+        spoils = [
+            lambda p: p.update(mode="paper_faithful"),
+            lambda p: p.pop("mode"),
+            lambda p: p.update(schedule={"k": 1, "n": 4, "qhat": 3, "lam_bits": 4,
+                                         "f_prime_at_lam": 0, "bound": 2}),
+        ]
+        for spoil in spoils:
+            bad = json.loads(json.dumps(doc))
+            spoil(bad["params"])
+            with pytest.raises(ContractViolation, match="desk"):
+                CliqueInstance.from_json(bad)

@@ -42,7 +42,7 @@ class TestGeneratePlanted:
             inst = generate_planted(rngmod.stream(seed, "plant"), q, k, m, n)
             w = brute_force_decide(inst)
             assert w is not None
-            assert total(q, w.vectors) == (0,) * m
+            assert total(q, [us[i] for us, i in zip(inst.collections, w.indices)]) == (0,) * m
 
 
 class TestGenerateUnsat:
