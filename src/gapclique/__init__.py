@@ -2,7 +2,7 @@
 
 Modules
 -------
-ffield      primality and the next prime (vectors are int tuples)
+ffield      primality and the next prime
 lintest     linearity testing, Fourier analysis, list decoding, piecing
 vecsum      vector-sum instances: generation, brute-force deciding, validation
 randmap     the random block-linear map and its two goodness properties

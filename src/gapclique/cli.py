@@ -39,8 +39,6 @@ from .randmap import check_pairwise_separation, check_wellspread, sample_g
 from .reduction import (
     CliqueInstance,
     ReductionParams,
-    Vertex,
-    as_clique,
     extract_witness,
 )
 from .vecsum import VecSumInstance, brute_force_decide, generate_planted, generate_unsat
@@ -52,6 +50,8 @@ EXIT_IO = 4
 EXIT_INVALID = 5
 
 OUT_DIR_ENV = "GAPCLIQUE_OUT_DIR"
+# verify-complete writes every vertex of the planted clique into its certificate
+CERTIFICATE_VERTICES = 1 << 16
 
 
 def _config_hash(doc: dict) -> str:
@@ -95,18 +95,15 @@ def _load_reduction(path: str) -> CliqueInstance:
     return CliqueInstance.from_json(doc)
 
 
-def _load_clique(path: str) -> list[Vertex]:
-    """The vertices of a clique file, {"vertices": [[alpha, beta, x, y], ...]};
-    refuses anything but four lists per vertex."""
+def _load_clique(path: str) -> list:
+    """The vertex rows of a clique file, {"vertices": [[alpha, beta, x, y], ...]};
+    extract_witness checks each row (see as_clique) before anything else."""
     with open(path) as fh:
         doc = json.load(fh)
     rows = doc.get("vertices") if isinstance(doc, dict) else None
-    if not isinstance(rows, list) or not all(
-        isinstance(row, list) and len(row) == 4 and all(isinstance(p, list) for p in row)
-        for row in rows
-    ):
+    if not isinstance(rows, list):
         raise ContractViolation("a clique file must list [alpha, beta, x, y] vertices")
-    return [Vertex(*map(tuple, row)) for row in rows]
+    return rows
 
 
 def _clique_payload(vertices) -> list:
@@ -134,15 +131,10 @@ def cmd_check_map(cmd: Command) -> int:
     a = cmd.args
     inst = VecSumInstance.load(a.instance)
     g = sample_g(rngmod.stream(cmd.seed, "matrices"), inst.q, inst.k, inst.m, a.l, seed=cmd.seed)
-    kwargs = {}
-    if a.mode == "monte_carlo":
-        kwargs = {
-            "mode": "monte_carlo",
-            "samples": a.samples,
-            "rng": rngmod.stream(cmd.seed, "map-check"),
-        }
-    ws = check_wellspread(g, inst, **kwargs)
-    sep = check_pairwise_separation(g, inst, **kwargs)
+    # exhaustive mode reads neither the samples nor the stream
+    check = {"mode": a.mode, "samples": a.samples, "rng": rngmod.stream(cmd.seed, "map-check")}
+    ws = check_wellspread(g, inst, **check)
+    sep = check_pairwise_separation(g, inst, **check)
     target = cmd.write_artifact(
         a.out,
         "map-certificate",
@@ -236,8 +228,11 @@ def cmd_verify_complete(cmd: Command) -> int:
     ci = _load_reduction(a.reduction)
     if ci.source.planted is None:
         raise ContractViolation("verify-complete needs a planted instance")
-    clique = ci.planted_clique(ci.source.planted)
     target_size = ci.params.q ** (2 * ci.params.k**2)
+    if target_size > CERTIFICATE_VERTICES:
+        raise BudgetExceeded("clique certificate vertices", required=target_size,
+                             budget=CERTIFICATE_VERTICES)
+    clique = ci.planted_clique(ci.source.planted)
     bad = ci.verify_clique(clique)
     payload = {
         "clique_size": len(clique),
@@ -263,13 +258,7 @@ def cmd_extract(cmd: Command) -> int:
     a = cmd.args
     ci = _load_reduction(a.reduction)
     if a.clique:
-        vertices = _load_clique(a.clique)
-        # refused here, not only by the verification behind the size gate
-        try:
-            clique = as_clique(vertices, ci.params)
-        except ContractViolation:
-            raise ContractViolation("the clique file holds a vertex outside the vertex set") from None
-        verify = True
+        clique, verify = _load_clique(a.clique), True
     else:
         if ci.source.planted is None:
             raise ContractViolation("extract needs --clique or a planted instance")
@@ -370,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--planted", action="store_true", help="planted YES instance (default)")
     p.add_argument("--unsat", action="store_true", help="brute-force certified NO instance")
     p.add_argument("--max-retries", type=int, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_gen_vecsum)
 
     p = sub.add_parser("check-map", help="sample a map and run both goodness checks")
@@ -378,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--mode", choices=["exhaustive", "monte_carlo"], default=None)
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_check_map)
 
     p = sub.add_parser("reduce", help="build the implicit reduced graph")
@@ -392,14 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--map-tries", type=int, default=None)
     p.add_argument("--vertex-cap", type=int, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("export", help="materialize and write the graph")
     p.add_argument("--reduction", required=True)
     p.add_argument("--format", choices=["dimacs", "json"], default=None)
     p.add_argument("--vertex-cap", type=int, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_export)
 
     p = sub.add_parser("solve", help="exact + greedy clique search on a graph file")
@@ -407,12 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-budget", type=float, default=None)
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--vertex-cap", type=int, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("verify-complete", help="verify the planted clique pairwise")
     p.add_argument("--reduction", required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify_complete)
 
     p = sub.add_parser("extract", help="decode a witness from a clique")
@@ -420,21 +403,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clique", default=None, help="clique certificate JSON (default: planted)")
     p.add_argument("--skip-verify", action="store_true",
                    help="skip verifying the planted clique (a --clique file is always verified)")
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("lintest", help="linearity-test a serialized function table")
     p.add_argument("--table", required=True)
     p.add_argument("--samples", type=int, default=None, help="Monte Carlo samples (default exact)")
     p.add_argument("--decode-delta", type=float, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_lintest)
 
     p = sub.add_parser("experiment", help="run a measurement suite")
     p.add_argument("--suite", choices=list(SUITES), required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_experiment)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return parser
 
 
@@ -457,21 +439,39 @@ DEFAULTS = {
     "decode_delta": None,
 }
 
-# reduce keeps the graph implicit, so its default cap only guards against
-# absurd index spaces; materializing commands keep the small default
-PER_COMMAND_DEFAULTS = {"reduce": {"vertex_cap": 10**9}}
-
-OUT_DEFAULTS = {
-    "gen-vecsum": "instance.json",
-    "check-map": "map-certificate.json",
-    "reduce": "reduction.json",
-    "export": "graph.dimacs",
-    "solve": "solve-report.json",
-    "verify-complete": "clique-certificate.json",
-    "extract": "extraction-report.json",
-    "lintest": "lintest-report.json",
-    "experiment": "experiment-rows.jsonl",
+# each command's output file; reduce keeps the graph implicit, so its default
+# cap only guards against absurd index spaces, while materializing commands
+# keep the small default
+PER_COMMAND_DEFAULTS = {
+    "gen-vecsum": {"out": "instance.json"},
+    "check-map": {"out": "map-certificate.json"},
+    "reduce": {"out": "reduction.json", "vertex_cap": 10**9},
+    "export": {"out": "graph.dimacs"},
+    "solve": {"out": "solve-report.json"},
+    "verify-complete": {"out": "clique-certificate.json"},
+    "extract": {"out": "extraction-report.json"},
+    "lintest": {"out": "lintest-report.json"},
+    "experiment": {"out": "experiment-rows.jsonl"},
 }
+
+
+def _check_config(config: dict, command: str) -> None:
+    """Each config value of a valued option of the command passes its flag's
+    type and choices as it is: an int flag takes an int that is not a bool, a
+    float flag an int or a float, any other a string; null only where the
+    hard default is null."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for option in parser._actions + sub.choices[command]._actions:
+        if option.dest not in config or not option.option_strings or option.nargs is not None:
+            continue
+        value = config[option.dest]
+        kinds = {int: int, float: (int, float)}.get(option.type, str)
+        if not (value is None and DEFAULTS.get(option.dest, 0) is None) and (
+                type(value) is bool or not isinstance(value, kinds)
+                or option.choices is not None and value not in option.choices):
+            raise ContractViolation(f"config {option.dest} = {value!r:.60} is no valid "
+                                    f"{'/'.join(option.option_strings)}")
 
 
 def resolve_args(args: argparse.Namespace) -> dict:
@@ -483,7 +483,8 @@ def resolve_args(args: argparse.Namespace) -> dict:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ContractViolation("config file must hold a JSON object")
-    per_command = PER_COMMAND_DEFAULTS.get(args.command, {})
+    _check_config(config, args.command)
+    per_command = PER_COMMAND_DEFAULTS[args.command]
     # path-valued arguments stay out of the config hash: artifacts embed
     # their inputs by content, and hashes must not depend on file locations
     path_keys = ("out", "instance", "reduction", "graph", "clique", "table")
@@ -496,8 +497,6 @@ def resolve_args(args: argparse.Namespace) -> dict:
             setattr(args, key, value)
         if key not in path_keys:
             semantic[key] = value
-    if getattr(args, "out", None) is None and args.command in OUT_DEFAULTS:
-        args.out = config.get("out", OUT_DEFAULTS[args.command])
     for key in ("vertex_cap", "map_tries", "max_retries"):
         v = getattr(args, key, None)
         if v is not None and v <= 0:

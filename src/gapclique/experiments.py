@@ -51,7 +51,6 @@ from .randmap import (
     wellspread_sums,
 )
 from .reduction import (
-    DEFAULT_CLIQUE_BUDGET,
     CliqueInstance,
     ReductionParams,
     Vertex,
@@ -75,7 +74,7 @@ IDENTITY_TOL = 1e-9
 
 COMPLETENESS_POINTS = ((2, 1, 2), (3, 1, 2), (3, 1, 4), (2, 2, 1))
 COMPLETENESS_RUNS = 20
-# one planted clique each past the default clique budget: 390,625 to 214,358,881 vertices
+# one planted clique each, decided from its layout: 390,625 to 214,358,881 vertices
 COMPLETENESS_FRONTIER = ((5, 2, 2), (7, 2, 1), (11, 2, 1))
 
 VERTEX_COUNT_POINTS = ((2, 1, 1), (3, 1, 1), (2, 1, 2), (3, 1, 2), (5, 1, 1), (2, 2, 1))
@@ -156,8 +155,7 @@ def _enumerate_vertex_set(q: int, k: int, l: int) -> int:
     return sum(is_valid_vertex(Vertex(*v), params) for v in itertools.product(*parts))
 
 
-def _completeness_row(seed: int, q: int, k: int, l: int, runs: int,
-                      clique_budget: int = DEFAULT_CLIQUE_BUDGET) -> dict:
+def _completeness_row(seed: int, q: int, k: int, l: int, runs: int) -> dict:
     """Criterion 1 at one point: in how many of `runs` labeled planted
     instances the planted set verifies as a clique of size q^(2k^2)."""
     m = paper_dimension(k, 4 * k)
@@ -169,7 +167,7 @@ def _completeness_row(seed: int, q: int, k: int, l: int, runs: int,
         src = generate_planted(rngmod.stream(seed, f"{label}/instance"), q, k, m, 4)
         g = sample_g(rngmod.stream(seed, f"{label}/matrices"), q, k, m, l, seed=seed)
         ci = CliqueInstance(ReductionParams(q=q, k=k, l=l), g, src)
-        clique = ci.planted_clique(src.planted, clique_budget=clique_budget)
+        clique = ci.planted_clique(src.planted)
         if len(clique) == target and ci.verify_clique(clique) is None:
             ok += 1
         elif first_failure is None:
@@ -201,7 +199,7 @@ def suite_completeness(seed: int = 0) -> list[dict]:
             )
         )
     for q, k, l in COMPLETENESS_FRONTIER:
-        rows.append(_completeness_row(seed, q, k, l, 1, clique_budget=q ** (2 * k * k)))
+        rows.append(_completeness_row(seed, q, k, l, 1))
     return rows
 
 

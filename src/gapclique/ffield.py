@@ -1,8 +1,7 @@
-"""Prime moduli.
+"""Prime moduli: a deterministic primality test and the next prime.
 
-A vector over F_q is a plain tuple of ints kept canonically in [0, q), so
-equality is structural; bulk arithmetic on such vectors, and their base-q
-ranks, run on numpy arrays in the modules that need them.
+Field data elsewhere are int64 numpy arrays of residues in [0, q) (checked
+by vecsum.residue_array); int tuples remain only at the boundaries.
 """
 
 from __future__ import annotations

@@ -73,7 +73,6 @@ from .randmap import LinearMapG, source_images
 from .vecsum import VecSumInstance, check_int, check_modulus, residue_array, vector_sum
 from .cliquesolve import DEFAULT_VERTEX_CAP, DenseGraph
 
-DEFAULT_CLIQUE_BUDGET = 1 << 16
 # vertices of a planted-layout clique past which its index arrays, and so
 # the general path (the grouped test, the pair scan, phase 1), are refused
 GENERAL_PATH_BUDGET = 1 << 20
@@ -186,7 +185,8 @@ class Vertex(NamedTuple):
 def is_valid_vertex(v: Vertex, params: ReductionParams) -> bool:
     kk, l = params.k * params.k, params.l
     return (
-        [len(p) if isinstance(p, (list, tuple)) else None for p in v] == [kk, kk, l, l]
+        isinstance(v, (list, tuple))
+        and [len(p) if isinstance(p, (list, tuple)) else None for p in v] == [kk, kk, l, l]
         and all(type(e) is int and 0 <= e < params.q for part in v for e in part)
         and (v[0] != v[1] or v[2] == v[3])
     )
@@ -263,7 +263,8 @@ def as_clique(vertices, params: ReductionParams) -> Clique:
     is, or a sequence of (alpha, beta, x, y) residue tuples converted after
     array checks (four parts, each column residues of its width, see
     residue_array, and alpha = beta only with x = y).  Raises
-    ContractViolation naming the first invalid vertex."""
+    ContractViolation naming the first invalid vertex, a row that is not a
+    list or tuple included."""
     if isinstance(vertices, Clique):
         if vertices.params != params:
             raise ContractViolation("the clique belongs to other reduction parameters")
@@ -271,7 +272,7 @@ def as_clique(vertices, params: ReductionParams) -> Clique:
     vs = list(vertices)
     n, q, kk, l = len(vs), check_modulus(params.q), params.k * params.k, params.l
     try:
-        if not set(map(len, vs)) <= {4}:
+        if not all(isinstance(v, (list, tuple)) and len(v) == 4 for v in vs):
             raise ContractViolation("a vertex has four parts")
         columns = zip(*vs) if vs else [()] * 4
         alpha, beta, x, y = (residue_array(q, col, (n, w))
@@ -531,16 +532,14 @@ class CliqueInstance:
 
     # -- planted cliques -------------------------------------------------------
 
-    def planted_clique(
-        self, indices: Sequence[int], clique_budget: int = DEFAULT_CLIQUE_BUDGET
-    ) -> Clique:
+    def planted_clique(self, indices: Sequence[int]) -> Clique:
         """The clique of a source tuple (an int index per collection), in the
         planted layout: one vertex per (alpha, beta) in lexicographic order,
-        one value row per point, summing the tuple's per-block images."""
+        one value row per point, summing the tuple's per-block images.  Its
+        cost is the point and value tables, so a layout of more than
+        MAX_TABLE_SIZE points is refused before either is built."""
         q, k, l = self.params.q, self.params.k, self.params.l
-        total = q ** (2 * k * k)
-        if total > clique_budget:
-            raise BudgetExceeded("planted clique size", required=total, budget=clique_budget)
+        points = _domain(q, k * k)[0]
         if not isinstance(indices, (list, tuple)) or len(indices) != k or not all(
                 type(i) is int and 0 <= i < n for i, n in zip(indices, self.source.sizes)):
             raise ContractViolation("need one index in range per collection")
@@ -552,7 +551,7 @@ class CliqueInstance:
         for i, idx in enumerate(indices):
             table = directions @ self._images[i][idx].T % q
             x = (x[:, None, :] + table).reshape(-1, l) % q
-        return Clique(self.params, _domain(q, k * k)[0], x)
+        return Clique(self.params, points, x)
 
     def verify_clique(self, vertices) -> Optional[tuple[Vertex, Vertex, frozenset]]:
         """The first violating pair in (i, j) order with its triggered rules,

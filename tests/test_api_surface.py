@@ -168,7 +168,6 @@ BUDGETS = [
 
 def test_scan_sees_the_budget_parameters():
     assert {(q, p) for q, _, p in BUDGETS} == {
-        ("reduction.CliqueInstance.planted_clique", "clique_budget"),
         ("reduction.CliqueInstance.materialize", "budget"),
         ("cliquesolve.max_clique_exact", "time_budget"),
     }
@@ -215,7 +214,6 @@ def test_scan_sees_the_defaulted_parameters():
     found = {(q, p): pos for q, _, p, pos in DEFAULTED}
     assert found[("lintest.piece_together", "delta_schedule")] == 3
     assert found[("reduction.CliqueInstance.materialize", "budget")] == 0
-    assert found[("reduction.CliqueInstance.planted_clique", "clique_budget")] == 1
 
 
 @pytest.mark.parametrize("qualname,name,param,position", DEFAULTED,

@@ -1,15 +1,18 @@
 """CLI pipeline: artifacts, exit codes, determinism, config handling."""
 
+import argparse
 import hashlib
 import json
 import os
 
 import pytest
 
+from gapclique import rng as rngmod
 from gapclique.cli import (
-    EXIT_BUDGET, EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_PROPERTY, build_parser, main,
+    CERTIFICATE_VERTICES, EXIT_BUDGET, EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_PROPERTY,
+    build_parser, main,
 )
-from gapclique.reduction import CliqueInstance
+from gapclique.reduction import CliqueInstance, extract_witness
 
 
 def run(*argv):
@@ -185,21 +188,46 @@ class TestExitCodes:
 
 
     def test_large_planted_clique_refused_by_budget(self, tmp_path, capsys):
-        # (7,2,1): verify-complete and extract refuse the planted clique's
-        # 5,764,801 vertices by budget before building any; an instance
-        # whose planted tuple is no witness is refused on loading, so a
-        # planted clique past the budget never reaches the general path here
+        # (7,2,1): verify-complete would list the planted clique's 5,764,801
+        # vertices in its certificate, so it refuses before building the clique
         out = str(tmp_path)
         assert run("--seed", "1", "--out-dir", out, "gen-vecsum", "--q", "7", "--k", "2",
                    "--m", "3", "--n", "3", "--planted") == EXIT_OK
         assert run("--seed", "1", "--out-dir", out, "reduce",
                    "--instance", os.path.join(out, "instance.json"), "--l", "1") == EXIT_OK
-        red = os.path.join(out, "reduction.json")
         capsys.readouterr()
-        for command in ("verify-complete", "extract"):
-            assert run("--seed", "1", "--out-dir", out, command, "--reduction", red) == EXIT_BUDGET
-            assert "planted clique size: needs budget 5764801" in capsys.readouterr().err
+        assert run("--seed", "1", "--out-dir", out, "verify-complete",
+                   "--reduction", os.path.join(out, "reduction.json")) == EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert "clique certificate vertices: needs budget 5764801" in err
+        assert f"budget is {CERTIFICATE_VERTICES}" in err
         assert not os.path.exists(os.path.join(out, "clique-certificate.json"))
+
+    @pytest.mark.parametrize("q,l,certify,code", [
+        (7, 1, "none", EXIT_PROPERTY),  # one map row cannot tell the source vectors apart
+        (5, 8, "separation", EXIT_OK),
+    ])
+    def test_extract_decodes_large_planted_layouts(self, tmp_path, q, l, certify, code):
+        # 5,764,801 and 390,625 vertices: extract runs under defaults, past any vertex list
+        out = str(tmp_path)
+        base = ["--seed", "1", "--out-dir", out]
+        assert run(*base, "gen-vecsum", "--q", str(q), "--k", "2", "--m", "4", "--n", "3",
+                   "--planted") == EXIT_OK
+        assert run(*base, "reduce", "--instance", os.path.join(out, "instance.json"),
+                   "--l", str(l), "--certify", certify, "--vertex-cap", str(10**18)) == EXIT_OK
+        red = os.path.join(out, "reduction.json")
+        assert run(*base, "extract", "--reduction", red) == code
+        doc = read_json(os.path.join(out, "extraction-report.json"))
+        ci = CliqueInstance.from_json(read_json(red))
+        rep = extract_witness(ci.planted_clique(ci.source.planted), ci,
+                              rng=rngmod.stream(1, "gamma-fill"))
+        assert doc["clique_size"] == q ** 8
+        if code == EXIT_OK:
+            assert rep.verdict == "witness" and doc.pop("brute_force_agrees") is True
+        else:
+            assert (rep.verdict, rep.stage) == ("failed", "decode")
+        doc.pop("kind"), doc.pop("meta")
+        assert doc == json.loads(json.dumps(rep.to_json()))
 
 
 class TestDeterminism:
@@ -313,6 +341,24 @@ class TestDeterminism:
         assert got == self.EXTRACT_PINS
 
 
+def _subparsers():
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+# every option that takes a value, per subcommand, and the top-level seed
+VALUED_OPTIONS = [("gen-vecsum", a) for a in build_parser()._actions if a.dest == "seed"] + [
+    (command, a) for command, sub in _subparsers().choices.items()
+    for a in sub._actions if a.option_strings and a.nargs is None
+]
+WRONG_CONFIG_VALUES = {
+    "int": ["5", True, 2.5, None, [1]],
+    "float": ["0.5", False, [0.5]],
+    "choice": ["bogus", 1, None],
+    "str": [5, None, ["a.json"]],
+}
+
+
 class TestConfig:
     def test_config_file_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -330,6 +376,35 @@ class TestConfig:
         run("--seed", "4", "--config", str(cfg), "--out-dir", out,
             "gen-vecsum", "--q", "3")
         assert read_json(os.path.join(out, "instance.json"))["q"] == 3
+
+    def test_config_values_match_the_same_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q": 5, "k": 2, "m": 3, "n": 3, "out": "a.json"}))
+        out = str(tmp_path)
+        assert run("--seed", "4", "--config", str(cfg), "--out-dir", out,
+                   "gen-vecsum") == EXIT_OK
+        assert run("--seed", "4", "--out-dir", out, "gen-vecsum", "--q", "5", "--k", "2",
+                   "--m", "3", "--n", "3", "--out", "b.json") == EXIT_OK
+        assert strip_timestamp(os.path.join(out, "a.json")) == strip_timestamp(
+            os.path.join(out, "b.json"))
+
+    @pytest.mark.parametrize("command,option", VALUED_OPTIONS,
+                             ids=[f"{c}:{o.dest}" for c, o in VALUED_OPTIONS])
+    def test_config_value_of_the_wrong_type_is_invalid(self, tmp_path, capsys, command, option):
+        # each config value passes its flag's type and choices before any work
+        sub = _subparsers().choices[command]
+        required = [arg for a in sub._actions if a.required for arg in (
+            a.option_strings[0], a.choices[0] if a.choices else str(tmp_path / "missing.json"))]
+        kind = {int: "int", float: "float"}.get(option.type, "choice" if option.choices else "str")
+        out = tmp_path / "out"
+        for value in WRONG_CONFIG_VALUES[kind]:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({option.dest: value}))
+            code = run("--seed", "1", "--config", str(cfg), "--out-dir", str(out),
+                       command, *required)
+            assert code == EXIT_INVALID, value
+            assert f"config {option.dest} = " in capsys.readouterr().err
+            assert not out.exists()
 
     def test_out_dir_env_override(self, tmp_path, monkeypatch):
         target = tmp_path / "env-out"

@@ -252,7 +252,7 @@ def test_large_planted_cliques_never_reach_the_general_path(q, k, l, monkeypatch
     monkeypatch.setattr(CliqueInstance, "_encode", refuse)
     tracemalloc.start()
     try:
-        clique = ci.planted_clique(ci.source.planted, clique_budget=q ** (2 * k * k))
+        clique = ci.planted_clique(ci.source.planted)
         assert ci.verify_clique(clique) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -267,7 +267,7 @@ def test_corrupted_large_planted_cliques_refused_by_budget(q, k, l):
     # general path refuses before building P^2-entry index arrays, at the
     # first read of one, whichever stage reads it
     ci = make_instance(7, q, k, l)
-    planted = ci.planted_clique(ci.source.planted, clique_budget=q ** (2 * k * k))
+    planted = ci.planted_clique(ci.source.planted)
     X = planted.values.copy()
     X[5, 0] = (X[5, 0] + 1) % q
     bad = with_values(planted, X)
@@ -290,7 +290,7 @@ def test_general_path_runs_under_its_budget():
     # (5,2,2): 390,625 vertices, the largest k = 2 planted clique under the
     # budget; a corrupted table is encoded, grouped and scanned
     ci = make_instance(7, 5, 2, 2)
-    planted = ci.planted_clique(ci.source.planted, clique_budget=5**8)
+    planted = ci.planted_clique(ci.source.planted)
     assert len(planted) <= reduction.GENERAL_PATH_BUDGET < 7**8
     X = planted.values.copy()
     X[5, 0] = (X[5, 0] + 1) % 5
@@ -405,6 +405,9 @@ def first_invalid(vertices, params):
     Vertex((1,), (2,), (0, np.int64(1)), (1, 1)),  # a numpy int
     Vertex((1,), (1,), (0, 1), (1, 1)),  # alpha = beta, x != y
     ((1,), (2,), (0, 1)),  # three parts
+    5,  # not a sequence
+    None,
+    "abcd",  # four parts, none a list
 ])
 def test_converter_names_the_first_invalid_vertex(bad):
     ci = INSTANCES[(3, 1, 2)]
@@ -415,8 +418,10 @@ def test_converter_names_the_first_invalid_vertex(bad):
         with pytest.raises(ContractViolation) as exc:
             as_clique(vertices, ci.params)
         assert str(exc.value) == f"invalid vertex {want}"
-        with pytest.raises(ContractViolation, match="invalid vertex"):
-            ci.verify_clique(vertices)
+        for read in (ci.verify_clique, lambda c: build_gamma(c, ci),
+                     lambda c: extract_witness(c, ci)):
+            with pytest.raises(ContractViolation, match="invalid vertex"):
+                read(vertices)
 
 
 def test_converter_accepts_plain_tuples_and_refuses_other_parameters():
@@ -444,7 +449,7 @@ def test_cli_refuses_a_clique_file_with_an_invalid_vertex(tmp_path, capsys):
         capsys.readouterr()
         assert main(base + ["extract", "--reduction", os.path.join(out, "reduction.json"),
                             "--clique", cl]) == EXIT_INVALID
-        assert "the clique file holds a vertex outside the vertex set" in capsys.readouterr().err
+        assert f"invalid vertex {bad}" in capsys.readouterr().err
 
 
 # -- list behaviour ---------------------------------------------------------------------

@@ -378,6 +378,17 @@ class TestReaderExamples:
         assert _cli("--out-dir", str(tmp_path), "extract", "--reduction", reduction,
                     "--clique", path) == EXIT_INVALID
 
+    @pytest.mark.parametrize("rows", [[5], [None], ["abcd"], [[[0], [1], [0]]], [{"a": 1}]],
+                             ids=["int", "null", "string", "three-parts", "object"])
+    def test_clique_file_row_that_is_no_vertex_is_invalid(self, tmp_path, rows):
+        # rows reach as_clique unchecked; it refuses each one, naming it
+        reduction = _write(str(tmp_path), "r.json", json.dumps(REDUCTION_DOC))
+        path = _write(str(tmp_path), "c.json", json.dumps({"vertices": rows}))
+        assert _cli("--out-dir", str(tmp_path), "extract", "--reduction", reduction,
+                    "--clique", path) == EXIT_INVALID
+        with pytest.raises(ContractViolation, match="invalid vertex"):
+            as_clique(rows, ReductionParams(q=3, k=1, l=1))
+
     def test_table_file_that_is_a_list_is_invalid(self, tmp_path):
         # a table file [1, 2] used to escape as an AttributeError traceback
         path = _write(str(tmp_path), "t.json", "[1, 2]")

@@ -3,6 +3,8 @@ function, extraction, materialization, export."""
 
 import itertools
 import json
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from gapclique import rng as rngmod
 from gapclique.errors import BudgetExceeded, ContractViolation, PropertyViolation
 from gapclique.cliquesolve import export_graph, max_clique_exact, read_dimacs, read_graph_json
-from gapclique.lintest import pass_probability
+from gapclique.lintest import MAX_TABLE_SIZE, pass_probability
 from gapclique.randmap import LinearMapG, sample_g
 from gapclique.reduction import (
     CliqueInstance,
@@ -233,9 +235,26 @@ class TestPlantedClique:
         assert any(ci._pair_rules(codes, I, J)[:, 4].any() for I, J in _pair_batches(len(t)))
 
     def test_budget_refusal(self):
-        ci = make_instance(51, 3, 2, 4, 3, 2)
-        with pytest.raises(BudgetExceeded):
-            ci.planted_clique(ci.source.planted, clique_budget=100)
+        # (7,3,1): 7^9 points, past the table cap; refused before the point
+        # table or the 7^9-row value table is built
+        ci = make_instance(51, 7, 3, 4, 3, 1)
+        seconds = []
+        for _ in range(5):
+            start = time.perf_counter()
+            with pytest.raises(BudgetExceeded) as exc:
+                ci.planted_clique(ci.source.planted)
+            seconds.append(time.perf_counter() - start)
+        assert (exc.value.what, exc.value.required, exc.value.budget) == (
+            "table size", 7**9, MAX_TABLE_SIZE)
+        assert min(seconds) < 1e-3
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                ci.planted_clique(ci.source.planted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("indices", [(-1,), (3,), (1.0,), (True,), (0, 0), 0])
     def test_refuses_an_index_that_names_no_vector(self, indices):
