@@ -201,7 +201,9 @@ def cmd_solve(cmd: Command) -> int:
     else:
         graph = read_dimacs(a.graph)
     exact = max_clique_exact(graph, time_budget=a.time_budget, vertex_cap=a.vertex_cap)
-    greedy = greedy_clique(graph, restarts=a.restarts, rng=rngmod.stream(cmd.seed, "greedy"))
+    # past the proven clique number no restart can change the greedy clique
+    greedy = greedy_clique(graph, restarts=a.restarts, rng=rngmod.stream(cmd.seed, "greedy"),
+                           ceiling=exact.size if exact.optimal else None)
     target = cmd.write_artifact(
         a.out,
         "solve-report",
@@ -390,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact + greedy clique search on a graph file")
     p.add_argument("--graph", required=True)
     p.add_argument("--time-budget", type=float, default=None)
-    p.add_argument("--restarts", type=int, default=None)
+    p.add_argument("--restarts", type=int, default=None,
+                   help="greedy restarts, at most; stops at the proven clique number")
     p.add_argument("--vertex-cap", type=int, default=None)
     p.set_defaults(fn=cmd_solve)
 

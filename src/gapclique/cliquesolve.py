@@ -14,7 +14,10 @@ import json
 import random
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
+
+import numpy as np
 
 from .errors import BudgetExceeded, ContractViolation
 
@@ -22,6 +25,7 @@ DEFAULT_VERTEX_CAP = 2000
 # vertex count past which an edge list is not turned into a graph: the
 # adjacency table alone would take 8 bytes per vertex before any edge is read
 EDGE_LIST_VERTEX_LIMIT = 1 << 20
+RELABEL_BITS = 1 << 22  # adjacency bits the exact search relabels at once, a byte each
 
 
 @dataclass(frozen=True)
@@ -42,21 +46,43 @@ class DenseGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "DenseGraph":
-        """Graph on vertices 0..n-1; refuses a self-loop, an endpoint that is
-        not an int in range, and an edge listed twice (in either order), and
-        refuses by budget a vertex count past EDGE_LIST_VERTEX_LIMIT."""
+        """Graph on vertices 0..n-1 from (u, v) pairs, or from an (m, 2)
+        int64 array of them; refuses a self-loop, an endpoint that is not
+        an int in range, and an edge listed twice (in either order), the
+        first in list order, and refuses by budget a vertex count past
+        EDGE_LIST_VERTEX_LIMIT."""
         if type(n) is not int or n < 0:
             raise ContractViolation(f"vertex count must be an integer >= 0, got {n!r:.60}")
         if n > EDGE_LIST_VERTEX_LIMIT:
             raise BudgetExceeded("vertex count", required=n, budget=EDGE_LIST_VERTEX_LIMIT)
-        adj = [0] * n
-        for u, v in edges:
-            if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n) or u == v:
-                raise ContractViolation(f"bad edge ({u!r:.20}, {v!r:.20})")
-            if (adj[u] >> v) & 1:
-                raise ContractViolation(f"duplicate edge ({u}, {v})")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+        if isinstance(edges, np.ndarray) and edges.dtype == np.int64 and edges.shape[1:] == (2,):
+            uv = edges
+        else:
+            edges = list(edges)
+            uv = _int_array(edges, n)
+        u, v = uv.T
+        bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
+        stop = int(bad.argmax()) if bad.any() else len(uv)
+        u, v = u[:stop], v[:stop]
+        _, firsts = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_index=True)
+        repeat = np.ones(stop, dtype=bool)
+        repeat[firsts] = False
+        if repeat.any():
+            raise ContractViolation("duplicate edge ({}, {})".format(*uv[repeat.argmax()].tolist()))
+        if stop < len(edges):
+            u, v = edges[stop].tolist() if isinstance(edges, np.ndarray) else edges[stop]
+            raise ContractViolation(f"bad edge ({u!r:.20}, {v!r:.20})")
+        # each edge sets a bit in both endpoints' rows, a row as the bytes up
+        # to its last neighbour's; distinct edges set distinct bits
+        rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+        width = np.zeros(n, dtype=np.int64)
+        np.maximum.at(width, rows, cols // 8 + 1)
+        end = np.cumsum(width)
+        data = np.bincount(end[rows] - width[rows] + cols // 8, weights=1 << cols % 8,
+                           minlength=width.sum()).astype(np.uint8).tobytes()
+        adj, live = [0] * n, np.flatnonzero(width)
+        for v, a, b in zip(live.tolist(), (end - width)[live].tolist(), end[live].tolist()):
+            adj[v] = int.from_bytes(data[a:b], "little")
         return cls(n, tuple(adj))
 
     def edges(self):
@@ -119,6 +145,47 @@ def _degeneracy_order(graph: DenseGraph) -> list[int]:
     return order
 
 
+def _int_array(edges: list, n: int) -> np.ndarray:
+    """Edges as an (m, 2) int64 array: all of them when each is a pair of
+    ints (not bools) within int64, as read in a few passes in C; else those
+    before the first that is not a pair of ints in range(n)."""
+    try:
+        if set(map(len, edges)) <= {2} and set(map(type, chain.from_iterable(edges))) <= {int}:
+            return np.fromiter(chain.from_iterable(edges), np.int64).reshape(-1, 2)
+    except (TypeError, OverflowError):
+        pass
+    stop = next((i for i, e in enumerate(edges) if not _int_pair(e, n)), len(edges))
+    return np.fromiter(chain.from_iterable(edges[:stop]), np.int64).reshape(-1, 2)
+
+
+def _int_pair(edge, n: int) -> bool:
+    """Whether edge is a pair of ints (not bools) in range(n)."""
+    try:
+        u, v = edge
+    except (TypeError, ValueError):
+        return False
+    return type(u) is type(v) is int and 0 <= u < n and 0 <= v < n
+
+
+def _relabelled(adj: tuple[int, ...], order: list[int]) -> list[int]:
+    """The adjacency rows with vertex order[i] renamed i: row i is row
+    order[i] with bit order[j] moved to bit j, done on unpacked bits about
+    RELABEL_BITS at a time.  An empty row stays empty."""
+    n, width = len(adj), (len(adj) + 7) // 8
+    # whole bytes a row: the padding bits past n are zero in every row
+    columns = order + [-1] * (8 * width - n)
+    live, rows = [i for i, v in enumerate(order) if adj[v]], [0] * n
+    step = max(1, RELABEL_BITS // n)
+    for start in range(0, len(live), step):
+        block = live[start : start + step]
+        packed = b"".join(adj[order[i]].to_bytes(width, "little") for i in block)
+        bits = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little")
+        packed = np.packbits(bits.reshape(len(block), -1)[:, columns], bitorder="little").tobytes()
+        for j, i in enumerate(block):
+            rows[i] = int.from_bytes(packed[j * width : (j + 1) * width], "little")
+    return rows
+
+
 class _TimeUp(Exception):
     pass
 
@@ -143,16 +210,7 @@ def max_clique_exact(
 
     # relabel along the reversed degeneracy order: dense cores come first
     order = _degeneracy_order(graph)[::-1]
-    pos = {v: i for i, v in enumerate(order)}
-    adj = [0] * n
-    for v in range(n):
-        row = graph.adj[v]
-        new = 0
-        while row:
-            u = (row & -row).bit_length() - 1
-            row &= row - 1
-            new |= 1 << pos[u]
-        adj[pos[v]] = new
+    adj = _relabelled(graph.adj, order)
 
     best: list[int] = [0]
     best_size = 1
@@ -218,7 +276,8 @@ def max_clique_exact(
 
 
 def greedy_clique(
-    graph: DenseGraph, restarts: int = 50, rng: Optional[random.Random] = None
+    graph: DenseGraph, restarts: int = 50, rng: Optional[random.Random] = None,
+    ceiling: Optional[int] = None,
 ) -> CliqueSearchResult:
     """Randomized greedy: per restart, scan a random vertex order and keep
     every vertex compatible with the clique so far, until none is left.
@@ -227,7 +286,9 @@ def greedy_clique(
     The orders are those of rng.shuffle applied to one list once per
     restart, drawn the way shuffle draws them (step i repeats
     getrandbits(bit_length(i + 1)) until it falls below i + 1), so rng ends
-    in the state the shuffles leave."""
+    in the state the shuffles leave.  With `ceiling`, the clique number,
+    the restarts stop once the best clique has that size: the best clique
+    only changes to a larger one, so it is the one all restarts give."""
     n = graph.n
     if n == 0:
         return CliqueSearchResult((), 0, False, 0)
@@ -238,6 +299,8 @@ def greedy_clique(
     best: list[int] = [0]
     order = list(range(n))
     for _ in range(max(1, restarts)):
+        if len(best) == ceiling:
+            break
         for i in range(n - 1, 0, -1):
             j = draw(bits[i])
             while j > i:
@@ -286,33 +349,52 @@ def read_dimacs(path) -> DenseGraph:
 
     Besides 'c' comment lines and blank lines the file must hold exactly one
     problem line, followed by exactly M edge lines of two vertices each; a
-    duplicate edge or any other line is refused."""
+    duplicate edge or any other line is refused, the first in file order."""
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise ContractViolation(f"DIMACS file is not text: {exc}") from exc
-    header = None
-    edges = []
-    for line in lines:
+    header, tokens = None, []
+    for i, line in enumerate(lines):
         parts = line.split()
-        if not parts or parts[0].startswith("c"):
-            continue
-        try:
-            if parts[0] == "p" and header is None and len(parts) == 4 and parts[1] == "edge":
-                header = int(parts[2]), int(parts[3])
-            elif parts[0] == "e" and header is not None and len(parts) == 3:
-                edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
-            else:
-                raise ValueError
-        except ValueError:
-            raise ContractViolation(f"bad DIMACS line: {line!r:.80}") from None
+        if len(parts) == 3 and parts[0] == "e" and header is not None:
+            tokens += parts[1:]
+        elif parts and not parts[0].startswith("c"):
+            try:
+                if parts[0] == "p" and header is None and len(parts) == 4 and parts[1] == "edge":
+                    header = int(parts[2]), int(parts[3])
+                    continue
+            except ValueError:
+                pass
+            _int_pairs(lines[:i])  # an earlier edge line int() cannot read goes first
+            raise ContractViolation(f"bad DIMACS line: {line!r:.80}")
     if header is None:
         raise ContractViolation("missing problem line")
     n, m = header
+    try:
+        edges = np.array(tokens, dtype=np.int64).reshape(-1, 2) - 1
+    except (ValueError, OverflowError):  # a number int() cannot read, or one past int64
+        edges = None
+    if edges is None or not ((edges >= 0) & (edges < n)).all():
+        edges = _int_pairs(lines)  # so that a refusal names the first line or edge at fault
     if m != len(edges):
         raise ContractViolation(f"problem line announces {m} edges, the file lists {len(edges)}")
     return DenseGraph.from_edges(n, edges)
+
+
+def _int_pairs(lines: list[str]) -> list[tuple[int, int]]:
+    """The 0-indexed vertex pairs of the edge lines among DIMACS lines of
+    valid layout, as int() reads them; refuses the first it cannot read."""
+    pairs = []
+    for line in lines:
+        parts = line.split()
+        if len(parts) == 3 and parts[0] == "e":
+            try:
+                pairs.append((int(parts[1]) - 1, int(parts[2]) - 1))
+            except ValueError:
+                raise ContractViolation(f"bad DIMACS line: {line!r:.80}") from None
+    return pairs
 
 
 def read_graph_json(path) -> tuple[DenseGraph, dict]:

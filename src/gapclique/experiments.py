@@ -65,6 +65,7 @@ from .vecsum import (
     generate_planted,
     generate_unsat,
     paper_dimension,
+    _uniform,
 )
 from .cliquesolve import max_clique_exact
 
@@ -386,7 +387,7 @@ def suite_lintest(seed: int = 0) -> list[dict]:
     for i in range(10):
         q, d = shapes[i % len(shapes)]
         r = rngmod.stream(seed, f"lintest/linear/{i}")
-        fn = LinearScalarFn(q, tuple(r.randrange(q) for _ in range(d)))
+        fn = LinearScalarFn(q, tuple(rngmod.draws(r, q, d).tolist()))
         if pass_probability(FunctionTable.from_linear(fn)) != 1:
             linear_exact = False
     rows.append(
@@ -402,7 +403,7 @@ def suite_lintest(seed: int = 0) -> list[dict]:
     vals = []
     for i in range(200):
         r = rngmod.stream(seed, f"lintest/random/{i}")
-        f = FunctionTable(3, 1, 1, [[r.randrange(3)] for _ in range(3)])
+        f = FunctionTable(3, 1, 1, rngmod.draws(r, 3, 3).reshape(3, 1))
         vals.append(float(pass_probability(f)))
     mean = float(np.mean(vals))
     sigma = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
@@ -425,7 +426,7 @@ def _corrupted_linear_table(
 ) -> FunctionTable:
     """A linear scalar table with a fraction of its lines re-randomized,
     scalar-respecting closure re-applied per line."""
-    fn = LinearScalarFn(q, tuple(rng.randrange(q) for _ in range(d)))
+    fn = LinearScalarFn(q, tuple(rngmod.draws(rng, q, d).tolist()))
     vals = FunctionTable.from_linear(fn).values[_lines(q, d)[:, 0]]
     for line in range(len(vals)):
         if rng.random() < corrupt_lines:
@@ -445,9 +446,7 @@ def suite_props(seed: int = 0) -> list[dict]:
         q=q,
         k=k,
         m=m,
-        collections=(
-            tuple(tuple(inst_rng.randrange(q) for _ in range(m)) for _ in range(n)),
-        ),
+        collections=(tuple(_uniform(inst_rng, q, m, n)),),
     )
     ws_rates = []
     sep_rates = []

@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, ContractViolation, PiecingRefused, PropertyViolation
 from .ffield import is_prime
+from .rng import draws
 from .stats import wilson_interval
 from .vecsum import check_int, residue_array
 
@@ -443,7 +444,7 @@ def pass_probability(
     for start in range(0, samples, PAIR_BLOCK):
         block = min(PAIR_BLOCK, samples - start)
         # i then j for every sample, in the order the samples are drawn
-        i, j = np.array([rng.randrange(n) for _ in range(2 * block)]).reshape(block, 2).T
+        i, j = draws(rng, n, 2 * block).reshape(block, 2).T
         s = (digits[i] + digits[j]) % q @ place
         passes += int(((vals[i] + vals[j]) % q == vals[s]).all(axis=1).sum())
     lo, hi = wilson_interval(passes, samples)
@@ -744,5 +745,4 @@ def random_scalar_respecting_table(
     """Uniformly random scalar-respecting table: zero at the origin, an
     independent uniform value on each line's representative, scaled along the
     line."""
-    choices = [rng.randrange(q) for _ in range(len(_lines(q, d)) * l)]
-    return _scalar_closure(q, d, np.array(choices, dtype=np.int64).reshape(-1, l))
+    return _scalar_closure(q, d, draws(rng, q, len(_lines(q, d)) * l).reshape(-1, l))

@@ -47,6 +47,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, ContractViolation, PropertyViolation
 from .lintest import _domain
+from .rng import draws
 from .stats import wilson_interval
 from .vecsum import VecSumInstance, check_int, check_modulus, residue_array
 
@@ -59,7 +60,6 @@ _BLOCK_BYTES = 1 << 21  # working arrays of one exhaustive block of cases
 # entries of separation's direction images (an int64 product: 128 MB at
 # the limit), difference tables and independent direction pairs
 _DIRECTION_IMAGE_LIMIT = 1 << 24
-_BLOCK_ENTRIES = 96  # map entries from which a block of words beats randrange
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,22 +102,10 @@ class LinearMapG:
 
 def draw_matrices(rng: random.Random, q: int, k: int, m: int, l: int) -> np.ndarray:
     """l i.i.d. uniform k x m matrices as a LinearMapG holds them, entries
-    drawn row-major with rng.randrange(q).  Below 2^32 a draw keeps the top
-    q.bit_length() bits of a 32-bit word if they fall below q; a map of
-    _BLOCK_ENTRIES entries or more reads its words in blocks as long as the
-    entries still missing, with the same entries and final rng state."""
-    size = k * m
-    if check_modulus(q) >= 1 << 32 or size * l < _BLOCK_ENTRIES:
-        entries = np.array([rng.randrange(q) for _ in range(size * l)], dtype=np.int64)
-    else:
-        entries, shift = np.zeros(0, dtype=np.int64), 32 - q.bit_length()
-        while len(entries) < size * l:
-            missing = size * l - len(entries)
-            block = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
-            draws = np.frombuffer(block, "<u4") >> shift
-            entries = np.concatenate([entries, draws[draws < q]])
+    drawn row-major as rng.randrange(q) draws them (rng.draws)."""
+    entries = draws(rng, check_modulus(q), k * m * l)
     entries.setflags(write=False)
-    return entries.reshape(l, size)
+    return entries.reshape(l, k * m)
 
 
 def sample_g(rng: random.Random, q: int, k: int, m: int, l: int,
@@ -194,8 +182,7 @@ def _blocks(radices: tuple[int, ...], limit: int):
 def _draws(parts: list, ends: list[int], count: int, rng: random.Random):
     """A batch of `count` case numbers drawn with rng.randrange(total), as
     _run_check takes it."""
-    dtype = np.int64 if ends[-1] < 2**63 else object
-    idx = np.array([rng.randrange(ends[-1]) for _ in range(count)], dtype=dtype)
+    idx = draws(rng, ends[-1], count)
     part_of = np.searchsorted(ends, idx, side="right")
     at = [np.flatnonzero(part_of == p) for p in range(len(parts))]
     first = [0, *ends]

@@ -61,6 +61,7 @@ import numpy as np
 from .errors import BudgetExceeded, ContractViolation, PiecingRefused, PropertyViolation
 from .ffield import is_prime, next_prime
 from .lintest import (
+    MAX_TABLE_SIZE,
     FunctionTable,
     _domain,
     _lines,
@@ -70,12 +71,16 @@ from .lintest import (
     piece_together,
 )
 from .randmap import LinearMapG, source_images
+from .rng import draws
 from .vecsum import VecSumInstance, check_int, check_modulus, residue_array, vector_sum
 from .cliquesolve import DEFAULT_VERTEX_CAP, DenseGraph
 
 # vertices of a planted-layout clique past which its index arrays, and so
 # the general path (the grouped test, the pair scan, phase 1), are refused
 GENERAL_PATH_BUDGET = 1 << 20
+# int64 entries of a planted layout's value table (points times l); its
+# planted rows and their product with the digits take as many again
+PLANTED_VALUE_BUDGET = 1 << 20
 
 PAIR_BATCH = 1024  # edge oracle batch: whole rows of pairs, at least this many
 # adjacency rows materialize fills from the class tables at once; the
@@ -537,8 +542,13 @@ class CliqueInstance:
         planted layout: one vertex per (alpha, beta) in lexicographic order,
         one value row per point, summing the tuple's per-block images.  Its
         cost is the point and value tables, so a layout of more than
-        MAX_TABLE_SIZE points is refused before either is built."""
+        MAX_TABLE_SIZE points, or of more than PLANTED_VALUE_BUDGET value
+        entries (points times l), is refused before either is built."""
         q, k, l = self.params.q, self.params.k, self.params.l
+        size = q ** (k * k)  # past MAX_TABLE_SIZE, _domain refuses it as "table size"
+        if size <= MAX_TABLE_SIZE and size * l > PLANTED_VALUE_BUDGET:
+            raise BudgetExceeded("planted value table entries", required=size * l,
+                                 budget=PLANTED_VALUE_BUDGET)
         points = _domain(q, k * k)[0]
         if not isinstance(indices, (list, tuple)) or len(indices) != k or not all(
                 type(i) is int and 0 <= i < n for i, n in zip(indices, self.source.sizes)):
@@ -747,7 +757,7 @@ def build_gamma(
     vals[scaled] = known_vals[:, None, :] * scalars % q
     # l fresh values for each unreached line's representative
     fresh = reps[~np.isin(reps, scaled)]
-    vals[fresh] = np.array([rng.randrange(q) for _ in range(len(fresh) * l)]).reshape(-1, l)
+    vals[fresh] = draws(rng, q, len(fresh) * l).reshape(-1, l)
     closed = _scalar_closure(q, kk, vals[reps]).values.copy()
     closed[known] = known_vals  # phase 1 goes on top
     tags = np.full(len(vals), "closure")

@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceeded, ContractViolation, PropertyViolation
+from .rng import draws
 
 TUPLE_BUDGET = 2_000_000  # tuples brute force enumerates at most
 
@@ -179,8 +180,10 @@ class Witness:
     indices: tuple[int, ...]
 
 
-def _uniform(rng: random.Random, q: int, m: int) -> tuple[int, ...]:
-    return tuple(rng.randrange(q) for _ in range(m))
+def _uniform(rng: random.Random, q: int, m: int, count: int) -> list[tuple[int, ...]]:
+    """count uniform vectors of F_q^m, drawn entry by entry in one call."""
+    flat = draws(rng, q, count * m).tolist()
+    return [tuple(flat[i * m : (i + 1) * m]) for i in range(count)]
 
 
 def generate_planted(
@@ -194,12 +197,12 @@ def generate_planted(
     cols: list[list[tuple[int, ...]]] = []
     witness_prefix: list[int] = []
     for _ in range(k - 1):
-        us = [_uniform(rng, q, m) for _ in range(n_per_collection)]
+        us = _uniform(rng, q, m, n_per_collection)
         idx = rng.randrange(n_per_collection)
         witness_prefix.append(idx)
         cols.append(us)
     partial = vector_sum(q, [(0,) * m] + [us[i] for us, i in zip(cols, witness_prefix)])
-    last = [_uniform(rng, q, m) for _ in range(n_per_collection - 1)]
+    last = _uniform(rng, q, m, n_per_collection - 1)
     pos = rng.randrange(n_per_collection)
     last.insert(pos, tuple(-e % q for e in partial))
     cols.append(last)
@@ -244,10 +247,8 @@ def generate_unsat(
     if total > TUPLE_BUDGET:
         raise BudgetExceeded("tuple enumeration", required=total, budget=TUPLE_BUDGET)
     for attempt in range(max_retries):
-        cols = tuple(
-            tuple(_uniform(rng, q, m) for _ in range(n_per_collection))
-            for _ in range(k)
-        )
+        vectors, n = _uniform(rng, q, m, k * n_per_collection), n_per_collection
+        cols = tuple(tuple(vectors[i * n : (i + 1) * n]) for i in range(k))
         inst = VecSumInstance(q=q, k=k, m=m, collections=cols, generator="unsat")
         if brute_force_decide(inst) is None:
             certificate = {"certified_no": True, "tuples_checked": total, "attempts": attempt + 1}

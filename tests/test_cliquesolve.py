@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 
 from gapclique.errors import BudgetExceeded, ContractViolation
+from gapclique import cliquesolve
 from gapclique.cliquesolve import (
     DenseGraph,
     _degeneracy_order,
+    _relabelled,
     greedy_clique,
     max_clique_exact,
     read_dimacs,
 )
 
-from graph_reference import has_edge, is_clique
+from graph_reference import has_edge, is_clique, relabelled
 
 
 def complete_graph(n):
@@ -205,6 +207,60 @@ class TestGreedy:
                 ours, ref = random.Random(f"{seed}/{restarts}"), random.Random(f"{seed}/{restarts}")
                 assert greedy_clique(g, restarts, ours).vertices == greedy_reference(g, restarts, ref)
                 assert ours.getstate() == ref.getstate()
+
+
+class CountingRandom(random.Random):
+    """A Random that counts the 32-bit words its getrandbits calls read."""
+
+    words = 0
+
+    def getrandbits(self, k):
+        self.words += -(-k // 32)
+        return super().getrandbits(k)
+
+
+class TestGreedyCeiling:
+    @pytest.mark.parametrize("n,p", [(1, 0.5), (2, 1.0), (33, 0.5), (80, 0.3), (600, 0.002),
+                                     (300, 1.0)])
+    def test_same_clique_from_no_more_words(self, n, p):
+        # a greedy clique is never larger than the clique number, and the
+        # best one only changes to a larger one, so stopping there keeps it
+        for seed in range(3):
+            g = bernoulli_graph(seed, n, p)
+            omega = max_clique_exact(g).size
+            full, capped = CountingRandom(seed), CountingRandom(seed)
+            want = greedy_clique(g, 50, full)
+            got = greedy_clique(g, 50, capped, ceiling=omega)
+            assert (got.vertices, got.size, got.optimal) == (want.vertices, want.size, want.optimal)
+            assert capped.words <= full.words
+
+    def test_fewer_words_once_the_ceiling_is_hit(self):
+        # a complete graph: the first restart finds the whole vertex set
+        g = complete_graph(40)
+        full, capped = CountingRandom(1), CountingRandom(1)
+        assert greedy_clique(g, 50, capped, ceiling=40).vertices == greedy_clique(g, 50, full).vertices
+        assert 0 < capped.words * 40 < full.words
+        # sparse graphs of the certified-NO size, clique numbers 2 and 3:
+        # greedy reaches them within the first three restarts
+        for seed, p in [(1, 0.002), (0, 0.01)]:
+            g = bernoulli_graph(seed, 520, p)
+            full, capped = CountingRandom(2), CountingRandom(2)
+            greedy_clique(g, 50, full)
+            greedy_clique(g, 50, capped, ceiling=max_clique_exact(g).size)
+            assert capped.words * 10 < full.words
+
+
+class TestRelabel:
+    @pytest.mark.parametrize("bits", [1, 64, 1000, cliquesolve.RELABEL_BITS])
+    def test_matches_edge_by_edge_relabel(self, monkeypatch, bits):
+        # one row, a few rows or the whole graph relabelled at once
+        monkeypatch.setattr(cliquesolve, "RELABEL_BITS", bits)
+        rng = random.Random(bits)
+        for n, p in [(1, 0.5), (7, 0.5), (8, 1.0), (9, 0.3), (70, 0.05), (130, 0.5)]:
+            g = bernoulli_graph(n, n, p)
+            order = list(range(n))
+            rng.shuffle(order)
+            assert _relabelled(g.adj, order) == relabelled(g.adj, order)
 
 
 class TestGraphType:

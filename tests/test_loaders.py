@@ -28,6 +28,7 @@ from gapclique.reduction import CliqueInstance, ReductionParams, Vertex, as_cliq
 from gapclique.vecsum import VecSumInstance, generate_planted, residue_array
 
 from field_reference import residue_nested
+from graph_reference import dimacs_edges, graph_from_edges
 
 DOCUMENTED_EXIT_CODES = {EXIT_OK, EXIT_BUDGET, EXIT_PROPERTY, EXIT_IO, EXIT_INVALID}
 FUZZ = settings(max_examples=150, deadline=None)
@@ -270,6 +271,58 @@ def test_dimacs_reader(content):
         _exported_equal(graph, d)
 
 
+def _outcome(build):
+    """What build() returns, or the type and message of what it raises."""
+    try:
+        return build()
+    except (ValueError, TypeError, BudgetExceeded) as exc:
+        return type(exc), str(exc)
+
+
+# vertex numbers past int64 and the two ends of its range take the
+# line-by-line reading; "1_0" and "٣" are numbers int() reads
+VERTEX_NUMBER = st.sampled_from(["1", "2", "3", "4", "5", "6"])
+DIMACS_NUMBER = VERTEX_NUMBER | VERTEX_NUMBER | VERTEX_NUMBER | st.sampled_from(
+    ["0", "7", "-1", "1_0", "٣", "x", "1.5", "9" * 30, str(2**63), str(-(2**63)), str(2**63 - 1)])
+EDGE_LINE = st.tuples(DIMACS_NUMBER, DIMACS_NUMBER).map(" ".join).map("e ".__add__)
+DIMACS_EDGES = st.builds(
+    lambda lines, extra: "\n".join([f"p edge 6 {sum(s[:2] == 'e ' for s in lines) + extra}"] + lines),
+    st.lists(EDGE_LINE | EDGE_LINE | EDGE_LINE
+             | st.sampled_from(["c e 1 1", "", "e 1 2 3", "p edge 4 1"]), max_size=8),
+    st.sampled_from([0, 0, 0, 1]),
+)
+
+
+@given(DIMACS_TEXT | DIMACS_EDGES | RAW)
+@FUZZ
+def test_dimacs_reader_matches_line_reference(content):
+    # the same graph, or the same refusal with the same message, as reading
+    # one line and inserting one edge at a time
+    with tempfile.TemporaryDirectory() as d:
+        path = _write(d, "g.dimacs", content)
+        got = _outcome(lambda: read_dimacs(path).adj)
+        want = _outcome(lambda: graph_from_edges(*dimacs_edges(path)))
+    assert got == want
+
+
+EDGE_END = st.integers(-2, 7) | st.sampled_from([True, False, 1.0, "1", 2**64, -(2**63) - 1, None])
+
+
+@given(st.integers(-1, 7), st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6))
+                                    | st.tuples(EDGE_END, EDGE_END)
+                                    | st.lists(EDGE_END, max_size=3), max_size=10))
+@FUZZ
+def test_edge_list_matches_reference(n, edges):
+    # from pairs or from an int64 array of them: the same rows, or the
+    # same refusal, as inserting one edge at a time
+    got = _outcome(lambda: DenseGraph.from_edges(n, edges).adj)
+    assert got == _outcome(lambda: graph_from_edges(n, edges))
+    if all(type(e) is tuple and type(e[0]) is type(e[1]) is int and abs(e[0]) + abs(e[1]) < 99
+           for e in edges):
+        array = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        assert _outcome(lambda: DenseGraph.from_edges(n, array).adj) == got
+
+
 @given(mutated(GRAPH_DOC).map(json.dumps) | RAW)
 @FUZZ
 def test_graph_json_reader(content):
@@ -327,6 +380,21 @@ def test_table_file_exits_with_documented_code(content):
 
 
 class TestReaderExamples:
+    @pytest.mark.parametrize("tail", ["", "e 1 2", "e 7 7", "e 1 301", "e 0 3", "e 1 x\nq",
+                                      f"e 1 {2**63}", f"e 1 {-(2**63)}", "p edge 3 3", "e 2 3 4"])
+    def test_large_file_matches_line_reference(self, tmp_path, tail):
+        # a 300-vertex graph with one more line: the same graph, or the same
+        # refusal with the same message, as reading one line at a time
+        upper = np.triu(np.random.default_rng(3).random((300, 300)) < 0.3, 1)
+        rows = np.packbits(upper | upper.T, axis=1, bitorder="little")
+        g = DenseGraph(300, tuple(int.from_bytes(row.tobytes(), "little") for row in rows))
+        edges = "".join(f"e {u + 1} {v + 1}\n" for u, v in g.edges())
+        m = g.edge_count() + tail.count("e ")
+        path = _write(str(tmp_path), "g.dimacs", f"c big\np edge 300 {m}\n{edges}{tail}\n")
+        got = _outcome(lambda: read_dimacs(path).adj)
+        assert got == _outcome(lambda: graph_from_edges(*dimacs_edges(path)))
+        assert (got == g.adj) == (tail == "")
+
     def test_short_edge_line_is_refused(self, tmp_path):
         # 'e 1' used to escape as an IndexError traceback
         path = _write(str(tmp_path), "g.dimacs", "p edge 2 1\ne 1\n")

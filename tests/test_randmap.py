@@ -480,12 +480,14 @@ def reference_result(cases, order):
 
 
 class FixedDraws:
-    """Stands in for the Monte Carlo rng: hands out the given case indices."""
+    """Stands in for the Monte Carlo rng: hands out the given case indices,
+    one per getrandbits call, which is one rng.draws draw below 96 draws
+    when the index lies below the bound."""
 
     def __init__(self, *indices):
         self._it = iter(indices)
 
-    def randrange(self, total):
+    def getrandbits(self, bits):
         return next(self._it)
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from gapclique import rng as rngmod
+from gapclique import reduction, rng as rngmod
 from gapclique.errors import BudgetExceeded, ContractViolation, PropertyViolation
 from gapclique.cliquesolve import export_graph, max_clique_exact, read_dimacs, read_graph_json
 from gapclique.lintest import MAX_TABLE_SIZE, pass_probability
@@ -255,6 +255,39 @@ class TestPlantedClique:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_value_budget_refusal(self):
+        # (2,4,64): 2^16 points, within the table cap, times l = 64 value
+        # entries (a 32 MB value table and as much again for its planted
+        # rows); refused before the point table or the value table is built
+        ci = make_instance(52, 2, 4, 4, 2, 64)
+        seconds = []
+        for _ in range(5):
+            start = time.perf_counter()
+            with pytest.raises(BudgetExceeded) as exc:
+                ci.planted_clique(ci.source.planted)
+            seconds.append(time.perf_counter() - start)
+        assert (exc.value.what, exc.value.required, exc.value.budget) == (
+            "planted value table entries", 2**16 * 64, reduction.PLANTED_VALUE_BUDGET)
+        assert min(seconds) < 1e-3
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                ci.planted_clique(ci.source.planted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_value_budget_bounds_points_times_l(self, monkeypatch):
+        # at (3,2,l), 81 points: l = 2 fills a budget of 162 entries, l = 3
+        # passes it
+        monkeypatch.setattr(reduction, "PLANTED_VALUE_BUDGET", 162)
+        ci = make_instance(54, 3, 2, 4, 2, 2)
+        assert ci.verify_clique(ci.planted_clique(ci.source.planted)) is None
+        ci = make_instance(54, 3, 2, 4, 2, 3)
+        with pytest.raises(BudgetExceeded, match="planted value table entries"):
+            ci.planted_clique(ci.source.planted)
 
     @pytest.mark.parametrize("indices", [(-1,), (3,), (1.0,), (True,), (0, 0), 0])
     def test_refuses_an_index_that_names_no_vector(self, indices):
