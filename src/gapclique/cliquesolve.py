@@ -73,16 +73,17 @@ class DenseGraph:
             u, v = edges[stop].tolist() if isinstance(edges, np.ndarray) else edges[stop]
             raise ContractViolation(f"bad edge ({u!r:.20}, {v!r:.20})")
         # each edge sets a bit in both endpoints' rows, a row as the bytes up
-        # to its last neighbour's; distinct edges set distinct bits
-        rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
-        width = np.zeros(n, dtype=np.int64)
+        # to its last neighbour's, kept for rows with edges only; distinct edges set distinct bits
+        cols = np.concatenate([v, u])
+        live, rows = np.unique(np.concatenate([u, v]), return_inverse=True)
+        width = np.zeros(len(live), dtype=np.int64)
         np.maximum.at(width, rows, cols // 8 + 1)
-        end = np.cumsum(width)
-        data = np.bincount(end[rows] - width[rows] + cols // 8, weights=1 << cols % 8,
+        start = np.cumsum(width) - width
+        data = np.bincount(start[rows] + cols // 8, weights=1 << cols % 8,
                            minlength=width.sum()).astype(np.uint8).tobytes()
-        adj, live = [0] * n, np.flatnonzero(width)
-        for v, a, b in zip(live.tolist(), (end - width)[live].tolist(), end[live].tolist()):
-            adj[v] = int.from_bytes(data[a:b], "little")
+        adj = [0] * n
+        for v, a, w in zip(live.tolist(), start.tolist(), width.tolist()):
+            adj[v] = int.from_bytes(data[a : a + w], "little")
         return cls(n, tuple(adj))
 
     def edges(self):

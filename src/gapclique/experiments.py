@@ -65,7 +65,6 @@ from .vecsum import (
     generate_planted,
     generate_unsat,
     paper_dimension,
-    _uniform,
 )
 from .cliquesolve import max_clique_exact
 
@@ -442,12 +441,8 @@ def suite_props(seed: int = 0) -> list[dict]:
     q, k, n = PROPS_POINT["q"], PROPS_POINT["k"], PROPS_POINT["n"]
     m = paper_dimension(k, n)
     inst_rng = rngmod.stream(seed, "props/instance")
-    inst = VecSumInstance(
-        q=q,
-        k=k,
-        m=m,
-        collections=(tuple(_uniform(inst_rng, q, m, n)),),
-    )
+    inst = VecSumInstance(q=q, k=k, m=m, vectors=rngmod.draws(inst_rng, q, n * m).reshape(n, m),
+                          sizes=(n,))
     ws_rates = []
     sep_rates = []
     for l in PROPS_LS:

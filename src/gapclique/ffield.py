@@ -1,7 +1,7 @@
 """Prime moduli: a deterministic primality test and the next prime.
 
-Field data elsewhere are int64 numpy arrays of residues in [0, q) (checked
-by vecsum.residue_array); int tuples remain only at the boundaries.
+Field data elsewhere are int64 numpy arrays of residues in [0, q) (checked by
+vecsum.residue_array); int tuples remain in files, vertices, coefficients and reports.
 """
 
 from __future__ import annotations

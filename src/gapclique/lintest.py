@@ -21,6 +21,7 @@ coefficients themselves live in floating point, with a 1e-9 tolerance.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import random
@@ -35,7 +36,7 @@ from .errors import BudgetExceeded, ContractViolation, PiecingRefused, PropertyV
 from .ffield import is_prime
 from .rng import draws
 from .stats import wilson_interval
-from .vecsum import check_int, residue_array
+from .vecsum import check_int, check_modulus, residue_array
 
 # Exact counting caps: tables, pairs scanned, and DFT pairs x points of the
 # character sums; the worst admitted scan or sums take ~1.4 s on 2 vCPUs.
@@ -107,22 +108,19 @@ class FunctionTable:
     """
 
     def __init__(self, q: int, d: int, l: int, values):
-        if q < 2 or d < 1 or l < 1:
+        """values: the (q^d, l) residues, as residue_array checks them."""
+        check_modulus(q)  # before is_prime and q^d
+        if d < 1 or l < 1:
             raise ContractViolation("need q >= 2, d >= 1, l >= 1")
         if not is_prime(q):
             raise ContractViolation(f"table modulus {q} is not prime")
         n = q**d
         if n > MAX_TABLE_SIZE:
             raise BudgetExceeded("table size", required=n, budget=MAX_TABLE_SIZE)
-        vals = np.array(values, dtype=np.int64)
-        if vals.shape != (n, l):
-            raise ContractViolation(f"expected value shape {(n, l)}, got {vals.shape}")
-        vals %= q
-        vals.setflags(write=False)
         self.q = q
         self.d = d
         self.l = l
-        self.values = vals
+        self.values = residue_array(q, values, (n, l))
         self._scalar_respecting: Optional[bool] = None
         self._accepted: Optional[tuple[np.ndarray, tuple[int, ...]]] = None
         # the coordinates' Fourier coefficient rows, kept by the character sums
@@ -146,7 +144,8 @@ class FunctionTable:
         """The scalar table obtained by projecting to output coordinate i; a
         coordinate of a scalar-respecting table is one too, and keeps its
         Fourier row."""
-        t = FunctionTable(self.q, self.d, 1, self.values[:, i : i + 1])
+        t = copy.copy(self)  # its values were checked with the parent's
+        t.l, t.values, t._accepted = 1, self.values[:, i : i + 1], None
         t._scalar_respecting = self._scalar_respecting or None
         t._rows = None if self._rows is None else self._rows[i : i + 1]
         return t
@@ -188,7 +187,7 @@ class FunctionTable:
         # q^d <= len(values) bounds d before q^d is computed
         if not isinstance(values, list) or d > len(values).bit_length():
             raise ContractViolation("table values must be a list of q^d * l residues")
-        return cls(q, d, l, residue_array(q, values, (q**d * l,)).reshape(q**d, l))
+        return cls(q, d, l, [values[i : i + l] for i in range(0, len(values), l)])
 
     @classmethod
     def load(cls, path) -> "FunctionTable":

@@ -248,8 +248,7 @@ def _run_check(name: str, what: str, parts: list, case_bytes: int, g: LinearMapG
 def _combine(inst: VecSumInstance, rows: np.ndarray, d: list[np.ndarray]) -> np.ndarray:
     """Per wellspread case with digits d (scalars, then one vector index per
     collection), its combination of `rows`, one row per source vector."""
-    first = [0, *itertools.accumulate(inst.sizes)]
-    return sum(d[i][..., None] * rows[first[i] + d[inst.k + i]] for i in range(inst.k)) % inst.q
+    return sum(d[i][..., None] * rows[inst.starts[i] + d[inst.k + i]] for i in range(inst.k)) % inst.q
 
 
 def check_wellspread(
@@ -305,7 +304,8 @@ def wellspread_excluded(inst: VecSumInstance, l: int) -> Optional[str]:
     or one collection's)."""
     if inst.q != 2 or inst.k * l % 3 == 0:
         return None
-    nonzero = [sorted({u for u in us if any(u)}) for us in inst.collections]
+    nonzero = [sorted({tuple(u) for u in inst.collection(i).tolist() if any(u)})
+               for i in range(inst.k)]
     for (i, us), (j, ws) in itertools.combinations_with_replacement(enumerate(nonzero), 2):
         for u, w in itertools.product(us, ws):
             s = tuple(a ^ b for a, b in zip(u, w))

@@ -72,7 +72,7 @@ from .lintest import (
 )
 from .randmap import LinearMapG, source_images
 from .rng import draws
-from .vecsum import VecSumInstance, check_int, check_modulus, residue_array, vector_sum
+from .vecsum import VecSumInstance, check_int, check_modulus, residue_array, residue_sum
 from .cliquesolve import DEFAULT_VERTEX_CAP, DenseGraph
 
 # vertices of a planted-layout clique past which its index arrays, and so
@@ -205,7 +205,8 @@ def value_relation(v: Vertex, q: int) -> dict[tuple[int, ...], set[tuple[int, ..
     rel: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
     rel.setdefault(v.alpha, set()).add(v.x)
     rel.setdefault(v.beta, set()).add(v.y)
-    rel.setdefault(vector_sum(q, (v.alpha, v.beta)), set()).add(vector_sum(q, (v.x, v.y)))
+    point = tuple((a + b) % q for a, b in zip(v.alpha, v.beta))
+    rel.setdefault(point, set()).add(tuple((a + b) % q for a, b in zip(v.x, v.y)))
     return rel
 
 
@@ -422,7 +423,7 @@ class CliqueInstance:
         the image product's own limits."""
         _, images = source_images(self.gmap, self.source)
         images = images.reshape(-1, self.params.l, self.params.k)
-        return np.split(images, np.cumsum(self.source.sizes)[:-1])
+        return np.split(images, self.source.starts[1:])
 
     # -- the edge oracle -----------------------------------------------------
 
@@ -920,7 +921,8 @@ def extract_witness(
     directions = _domain(q, k)[0][1:]
     chosen: list[int] = []
     for i in range(k):
-        us = instance.source.collections[i]
+        us = instance.source.collection(i)
+        ids = _row_ids(q, us)[0].tolist()
         # [d, r]: the weight of direction d's block-inner image of
         # theta_i - image(u_r), where theta_i (l x k) is the i-th domain block
         # of every coefficient vector, so that at a point supported on block i
@@ -937,9 +939,9 @@ def extract_witness(
             best_idx = row.index(min(row))
             residuals[abar] = (best_idx, Fraction(row[best_idx], l))
             in_bound = [idx for idx, w in enumerate(row) if w <= bound]
-            # ambiguity means two distinct VECTORS inside the bound; duplicate
-            # copies of one vector decode to the same witness and are fine
-            if len({us[idx] for idx in in_bound}) >= 2:
+            # ambiguity means two distinct VECTORS (ids) inside the bound;
+            # duplicate copies of one vector decode to the same witness
+            if len({ids[idx] for idx in in_bound}) >= 2:
                 ambiguous.append(abar)
             elif not in_bound:
                 out_of_bound.append(abar)
@@ -961,10 +963,11 @@ def extract_witness(
         if failure:
             return failed("decode", f"{failure} in collection {i}")
         direction.chosen_index = u_idx = votes.pop()
-        direction.chosen_vector = us[u_idx]
+        direction.chosen_vector = tuple(us[u_idx].tolist())
         chosen.append(u_idx)
 
-    z = vector_sum(q, (instance.source.collections[i][idx] for i, idx in enumerate(chosen)))
+    source = instance.source
+    z = tuple(residue_sum(q, source.vectors[np.add(source.starts, chosen)]).tolist())
     report.z_star = z
     if any(z):
         return failed("sum_check", "recovered tuple does not sum to zero")

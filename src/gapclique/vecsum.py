@@ -5,8 +5,8 @@ Generators produce either planted YES instances or brute-force-certified NO
 instances; certification is never probabilistic because downstream soundness
 experiments need ground truth.
 
-A vector is a plain tuple of residues in [0, q).  Instances, maps and linear
-functions refuse anything else (residue_array): they are also read from files.
+Vectors are int64 rows of residues in [0, q).  Instances, maps, tables and
+linear functions refuse anything else (residue_array): they are also read from files.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import functools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -26,6 +27,7 @@ from .errors import BudgetExceeded, ContractViolation, PropertyViolation
 from .rng import draws
 
 TUPLE_BUDGET = 2_000_000  # tuples brute force enumerates at most
+_TUPLE_BLOCK = 1 << 14  # tuples brute force sums at once
 
 
 def check_int(name: str, value, low: int = 1) -> int:
@@ -70,58 +72,57 @@ def residue_array(q: int, entries, shape: tuple[int, ...]) -> np.ndarray:
     return a
 
 
-def vector_sum(q: int, vectors) -> tuple[int, ...]:
-    """Coordinate-wise sum mod q of one or more residue tuples."""
-    vectors = iter(vectors)
-    total = next(vectors)
-    for v in vectors:
-        total = [a + b for a, b in zip(total, v)]
-    return tuple([a % q for a in total])
+def residue_sum(q: int, terms) -> np.ndarray:
+    """The sum mod q of residue arrays, broadcast together, as uint64 reduced
+    after each addition: exact for every modulus check_modulus admits, since
+    two residues add up below 2^64."""
+    return functools.reduce(lambda s, t: (s + t.astype(np.uint64)) % np.uint64(q), terms, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VecSumInstance:
     """k collections of m-dimensional vectors over F_q, with an optional
     planted witness (one index per collection) and provenance metadata.
-    `vectors` holds every vector as a row, collections concatenated, as the
-    read-only int64 array residue_array checked them in."""
+    `vectors` holds every vector as a row, collections concatenated (sizes[i]
+    rows from starts[i] on), as the read-only int64 array residue_array checked."""
 
     q: int
     k: int
     m: int
-    collections: tuple[tuple[tuple[int, ...], ...], ...]
+    vectors: np.ndarray
+    sizes: tuple[int, ...]
     planted: Optional[tuple[int, ...]] = None
     seed: Optional[int] = None
     generator: Optional[str] = None
-    certificate: Optional[dict] = field(default=None, compare=False)
+    certificate: Optional[dict] = None
 
     def __post_init__(self):
         check_int("k", self.k)
         check_int("dimension m", self.m)
-        cols = self.collections
-        if not isinstance(cols, (list, tuple)) or len(cols) != self.k:
-            raise ContractViolation(f"expected {self.k} collections")
-        if not all(isinstance(us, (list, tuple)) and us for us in cols):
-            raise ContractViolation("collections must be non-empty lists of vectors")
-        rows = [u for us in cols for u in us]  # one residue check for all, modulus included
-        object.__setattr__(self, "vectors", residue_array(self.q, rows, (len(rows), self.m)))
-        cols = tuple(tuple(map(tuple, us)) for us in cols)
-        object.__setattr__(self, "collections", cols)
+        sizes = self.sizes
+        if not isinstance(sizes, (list, tuple)) or len(sizes) != self.k or not all(
+                type(n) is int and n >= 1 for n in sizes):
+            raise ContractViolation(f"expected {self.k} non-empty collections")
+        object.__setattr__(self, "sizes", tuple(sizes))
+        vectors = residue_array(self.q, self.vectors, (sum(sizes), self.m))
+        object.__setattr__(self, "vectors", vectors)
         planted = self.planted
         if planted is not None:
-            if (
-                not isinstance(planted, (list, tuple))
-                or len(planted) != self.k
-                or not all(type(i) is int and 0 <= i < len(us) for i, us in zip(planted, cols))
-            ):
+            if not isinstance(planted, (list, tuple)) or len(planted) != self.k or not all(
+                    type(i) is int and 0 <= i < n for i, n in zip(planted, sizes)):
                 raise ContractViolation("planted witness needs one index per collection")
             object.__setattr__(self, "planted", tuple(planted))
-            if any(vector_sum(self.q, (us[i] for i, us in zip(planted, cols)))):
+            if residue_sum(self.q, vectors[np.add(self.starts, planted)]).any():
                 raise ContractViolation("planted witness does not sum to zero")
 
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(us) for us in self.collections)
+    @cached_property
+    def starts(self) -> tuple[int, ...]:
+        """The row of `vectors` at which each collection starts."""
+        return tuple(itertools.accumulate(self.sizes[:-1], initial=0))
+
+    def collection(self, i: int) -> np.ndarray:
+        """The rows of collection i."""
+        return self.vectors[self.starts[i] : self.starts[i] + self.sizes[i]]
 
     def tuple_count(self) -> int:
         return math.prod(self.sizes)
@@ -132,7 +133,7 @@ class VecSumInstance:
             "q": self.q,
             "k": self.k,
             "m": self.m,
-            "collections": [[list(u) for u in us] for us in self.collections],
+            "collections": [self.collection(i).tolist() for i in range(self.k)],
             "planted": list(self.planted) if self.planted is not None else None,
             "seed": self.seed,
             "generator": self.generator,
@@ -145,11 +146,15 @@ class VecSumInstance:
             raise ContractViolation("an instance document must be a JSON object")
         if doc.get("version") != 1:
             raise ContractViolation(f"unsupported instance version {doc.get('version')!r:.60}")
+        cols = doc.get("collections")
+        if not isinstance(cols, list) or not all(isinstance(us, list) and us for us in cols):
+            raise ContractViolation("collections must be non-empty lists of vectors")
         return cls(
             q=doc.get("q"),
             k=doc.get("k"),
             m=doc.get("m"),
-            collections=doc.get("collections"),
+            vectors=[u for us in cols for u in us],
+            sizes=tuple(map(len, cols)),
             planted=doc.get("planted"),
             seed=doc.get("seed"),
             generator=doc.get("generator"),
@@ -180,12 +185,6 @@ class Witness:
     indices: tuple[int, ...]
 
 
-def _uniform(rng: random.Random, q: int, m: int, count: int) -> list[tuple[int, ...]]:
-    """count uniform vectors of F_q^m, drawn entry by entry in one call."""
-    flat = draws(rng, q, count * m).tolist()
-    return [tuple(flat[i * m : (i + 1) * m]) for i in range(count)]
-
-
 def generate_planted(
     rng: random.Random, q: int, k: int, m: int, n_per_collection: int
 ) -> VecSumInstance:
@@ -194,38 +193,40 @@ def generate_planted(
     position of the last collection."""
     if n_per_collection < 1:
         raise ContractViolation("need at least one vector per collection")
-    cols: list[list[tuple[int, ...]]] = []
-    witness_prefix: list[int] = []
-    for _ in range(k - 1):
-        us = _uniform(rng, q, m, n_per_collection)
-        idx = rng.randrange(n_per_collection)
-        witness_prefix.append(idx)
-        cols.append(us)
-    partial = vector_sum(q, [(0,) * m] + [us[i] for us, i in zip(cols, witness_prefix)])
-    last = _uniform(rng, q, m, n_per_collection - 1)
-    pos = rng.randrange(n_per_collection)
-    last.insert(pos, tuple(-e % q for e in partial))
-    cols.append(last)
-    return VecSumInstance(
-        q=q,
-        k=k,
-        m=m,
-        collections=tuple(tuple(us) for us in cols),
-        planted=tuple(witness_prefix + [pos]),
-        generator="planted",
-    )
+    check_int("k", k), check_int("dimension m", m), check_modulus(q)  # before they shape arrays
+    n, q_, cols, witness = n_per_collection, np.uint64(q), [], []
+    for size in [n] * (k - 1) + [n - 1]:
+        cols.append(draws(rng, q, size * m))
+        witness.append(rng.randrange(n))
+    # draws hands out Python ints from 2^63 on, all below q
+    vectors = np.concatenate(cols).astype(np.int64).reshape(-1, m)
+    partial = residue_sum(q, vectors[[i * n + w for i, w in enumerate(witness[:-1])]])
+    at, last = (k - 1) * n + witness[-1], ((q_ - partial) % q_).astype(np.int64)
+    vectors = np.concatenate([vectors[:at], np.broadcast_to(last, (1, m)), vectors[at:]])
+    return VecSumInstance(q=q, k=k, m=m, vectors=vectors, sizes=(n,) * k,
+                          planted=tuple(witness), generator="planted")
 
 
 def brute_force_decide(inst: VecSumInstance) -> Optional[Witness]:
     """Full enumeration; returns the lexicographically first witness tuple or
-    None after checking every tuple."""
+    None after checking every tuple: the prefixes (every index but the last)
+    in lexicographic blocks, each with the whole last collection, about
+    _TUPLE_BLOCK tuples at a time."""
     total = inst.tuple_count()
     if total > TUPLE_BUDGET:
         raise BudgetExceeded("tuple enumeration", required=total, budget=TUPLE_BUDGET)
-    cols = inst.collections
-    for indices in itertools.product(*(range(len(us)) for us in cols)):
-        if not any(vector_sum(inst.q, (us[i] for us, i in zip(cols, indices)))):
-            return Witness(indices=indices)
+    q, radices, n = inst.q, inst.sizes[:-1], inst.sizes[-1]
+    prefixes, step = math.prod(radices), max(1, _TUPLE_BLOCK // n)
+    for start in range(0, prefixes, step):
+        t = np.arange(start, min(start + step, prefixes))
+        digits = np.unravel_index(t, radices) if radices else ()
+        # [p, j]: the sum of prefix p's vectors and vector j of the last collection
+        sums = residue_sum(q, [inst.collection(i)[d, None] for i, d in enumerate(digits)]
+                           + [inst.collection(inst.k - 1)])
+        hits = ~sums.any(axis=-1)
+        if hits.any():
+            p, last = divmod(int(hits.argmax()), n)
+            return Witness(indices=tuple(int(d[p]) for d in digits) + (last,))
     return None
 
 
@@ -243,13 +244,13 @@ def generate_unsat(
     check.  Raises PropertyViolation when retries run out, which is the
     expected outcome when q^m is small relative to the tuple count.
     """
-    total = n_per_collection**k
+    n, total = n_per_collection, n_per_collection**k
     if total > TUPLE_BUDGET:
         raise BudgetExceeded("tuple enumeration", required=total, budget=TUPLE_BUDGET)
+    check_int("k", k), check_int("dimension m", m), check_modulus(q)  # before they shape arrays
     for attempt in range(max_retries):
-        vectors, n = _uniform(rng, q, m, k * n_per_collection), n_per_collection
-        cols = tuple(tuple(vectors[i * n : (i + 1) * n]) for i in range(k))
-        inst = VecSumInstance(q=q, k=k, m=m, collections=cols, generator="unsat")
+        vectors = draws(rng, q, k * n * m).astype(np.int64).reshape(-1, m)
+        inst = VecSumInstance(q=q, k=k, m=m, vectors=vectors, sizes=(n,) * k, generator="unsat")
         if brute_force_decide(inst) is None:
             certificate = {"certified_no": True, "tuples_checked": total, "attempts": attempt + 1}
             return replace(inst, certificate=certificate)

@@ -18,8 +18,8 @@ import numpy as np
 from gapclique.cliquesolve import DenseGraph
 from gapclique.errors import ContractViolation, PropertyViolation
 from gapclique.reduction import Vertex, is_valid_vertex, value_relation
-from gapclique.vecsum import vector_sum
 
+from vecsum_reference import collections, total
 from field_reference import apply_map, block_inner, rank_tuple, scale, sub, unrank_tuple
 
 
@@ -38,10 +38,11 @@ def planted_clique(ci, indices):
     point sums, over the blocks, the block-inner product of the point's
     block with the image of that block's chosen vector."""
     q, k = ci.params.q, ci.params.k
-    images = [apply_map(ci.gmap, ci.source.collections[i][idx]) for i, idx in enumerate(indices)]
+    cols = collections(ci.source)
+    images = [apply_map(ci.gmap, cols[i][idx]) for i, idx in enumerate(indices)]
 
     def value(point):
-        return vector_sum(q, (block_inner(q, point[i * k : (i + 1) * k], images[i]) for i in range(k)))
+        return total(q, (block_inner(q, point[i * k : (i + 1) * k], images[i]) for i in range(k)))
 
     points = list(itertools.product(range(q), repeat=k * k))
     return [Vertex(a, b, value(a), value(b)) for a in points for b in points]
@@ -99,7 +100,7 @@ def var_points(v, q):
     """The up-to-three points the vertex assigns values to, deduplicated and
     in slot order (alpha, beta, alpha+beta)."""
     seen = []
-    for p in (v.alpha, v.beta, vector_sum(q, (v.alpha, v.beta))):
+    for p in (v.alpha, v.beta, total(q, (v.alpha, v.beta))):
         if p not in seen:
             seen.append(p)
     return tuple(seen)
@@ -163,7 +164,7 @@ class ReferenceOracle:
         if key not in self._value_sets:
             self._value_sets[key] = frozenset(
                 block_inner(self.q, abar, apply_map(self.ci.gmap, u))
-                for u in self.ci.source.collections[i]
+                for u in collections(self.ci.source)[i]
             )
         return self._value_sets[key]
 

@@ -37,7 +37,7 @@ def mat_vec(q, rows, cols, entries, b):
     """Matrix-vector product as the library computes it: randmap's
     source_images with a one-block map on an instance holding only b."""
     g = LinearMapG(q=q, k=rows, m=cols, l=1, matrices=(entries,))
-    inst = VecSumInstance(q=q, k=rows, m=len(b), collections=((b,),) * rows)
+    inst = VecSumInstance(q=q, k=rows, m=len(b), vectors=[b] * rows, sizes=(1,) * rows)
     return tuple(source_images(g, inst)[1][0].tolist())
 
 

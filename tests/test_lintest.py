@@ -388,7 +388,7 @@ class TestRankDispatch:
         # column is eliminated against the d pivots first
         q, d, l = 3, 2, 6
         f = spanned_table(rngmod.stream(2, "late"), q, d, l - 1, d)
-        g = FunctionTable(q, d, l, np.hstack([f.values, np.arange(q**d)[:, None]]))
+        g = FunctionTable(q, d, l, np.hstack([f.values, np.arange(q**d)[:, None] % q]))
         assert rank_mod(q, g.values) == d + 1
         assert lintest._column_basis(g) is None
         basis, coords = lintest._column_basis(f)
@@ -1097,7 +1097,7 @@ class TestPieceTogether:
         rng = np.random.default_rng(3)
         fn = LinearVecFn(q, d, tuple(tuple(rng.integers(q, size=d).tolist()) for _ in range(l)))
         wrong = rng.random((q**d, l)) < rng.random((q**d, 1))
-        f = FunctionTable(q, d, l, FunctionTable.from_linear(fn).values + wrong)
+        f = FunctionTable(q, d, l, (FunctionTable.from_linear(fn).values + wrong) % q)
         ranks = np.flatnonzero(rng.random(q**d) < 0.7)
         want = 0
         for r in ranks.tolist():
@@ -1162,6 +1162,29 @@ class TestSerialization:
         doc = {"version": 1, "q": q, "d": 1, "l": 1, "values": [0] * q}
         with pytest.raises(ContractViolation, match="not prime"):
             FunctionTable.from_json(doc)
+
+    @pytest.mark.parametrize("values", [
+        [[0.5], [1], [2]], [[0], [4.9], [2]], [[True], [1], [2]], [[0], [False], [2]],
+        [[0], [1], [-1]], [[0], [3], [2]], [[7], [1], [2]],
+        np.array([[0], [1], [3]]), np.array([[0], [-1], [2]]), np.array([[0.0], [1.0], [2.0]]),
+    ])
+    def test_values_are_residues_not_reduced(self, values):
+        # entries must be ints (no floats or bools) in [0, 3): none is
+        # truncated or reduced into range
+        with pytest.raises(ContractViolation, match="residues in \\[0, 3\\)"):
+            FunctionTable(3, 1, 1, values)
+        if isinstance(values, list):
+            doc = {"version": 1, "q": 3, "d": 1, "l": 1, "values": [v for (v,) in values]}
+            with pytest.raises(ContractViolation, match="residues in \\[0, 3\\)"):
+                FunctionTable.from_json(doc)
+
+    def test_coordinates_share_the_checked_values(self):
+        f = random_scalar_respecting_table(rngmod.stream(7, "coord"), 5, 2, 3)
+        for i in range(3):
+            c = f.coordinate(i)
+            assert (c.q, c.d, c.l) == (5, 2, 1) and np.shares_memory(c.values, f.values)
+            assert np.array_equal(c.values[:, 0], f.values[:, i]) and not c.values.flags.writeable
+            assert np.array_equal(FunctionTable(5, 2, 1, c.values).values, c.values)
 
     def test_version_gate(self):
         with pytest.raises(ContractViolation):

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -19,7 +20,13 @@ from hypothesis import given, settings, strategies as st
 
 from gapclique import rng as rngmod
 from gapclique.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_PROPERTY, main
-from gapclique.cliquesolve import DenseGraph, export_graph, read_dimacs, read_graph_json
+from gapclique.cliquesolve import (
+    EDGE_LIST_VERTEX_LIMIT,
+    DenseGraph,
+    export_graph,
+    read_dimacs,
+    read_graph_json,
+)
 from gapclique.errors import BudgetExceeded, ContractViolation
 from gapclique.ffield import next_prime
 from gapclique.lintest import FunctionTable, LinearScalarFn, LinearVecFn
@@ -97,7 +104,7 @@ def test_instance_loader(doc):
         inst = VecSumInstance.from_json(doc)
     except ContractViolation:
         return
-    assert VecSumInstance.from_json(inst.to_json()) == inst
+    assert VecSumInstance.from_json(inst.to_json()).to_json() == inst.to_json()
 
 
 @given(mutated(MAP_DOC))
@@ -222,7 +229,7 @@ class TestModulusPast64Bits:
             lambda: LinearMapG(q=q, k=1, m=2, l=1, matrices=[[1, 2]]),
             lambda: LinearMapG.from_json({**MAP_DOC, "q": q}),
             lambda: sample_g(rngmod.stream(1, "m"), q, 1, 2, 1),
-            lambda: VecSumInstance(q=q, k=1, m=2, collections=[[[1, 2]]]),
+            lambda: VecSumInstance(q=q, k=1, m=2, vectors=[[1, 2]], sizes=(1,)),
             lambda: VecSumInstance.from_json({**INSTANCE_DOC, "q": q}),
             lambda: LinearScalarFn(q, (1, 2)),
             lambda: LinearVecFn(q, 2, ((1, 2),)),
@@ -321,6 +328,19 @@ def test_edge_list_matches_reference(n, edges):
            for e in edges):
         array = np.array(edges, dtype=np.int64).reshape(-1, 2)
         assert _outcome(lambda: DenseGraph.from_edges(n, array).adj) == got
+
+
+def test_edge_list_at_the_vertex_limit_stays_small():
+    # the row list and its tuple take 8 bytes a vertex each; the widths and
+    # offsets of the rows cover the two rows with an edge only
+    tracemalloc.start()
+    try:
+        graph = DenseGraph.from_edges(EDGE_LIST_VERTEX_LIMIT, [(0, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.adj[:3] == (2, 1, 0) and graph.edge_count() == 1
+    assert peak <= 20_000_000
 
 
 @given(mutated(GRAPH_DOC).map(json.dumps) | RAW)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gapclique import randmap, rng as rngmod
 from gapclique.errors import BudgetExceeded, ContractViolation, PropertyViolation
@@ -24,9 +25,11 @@ from gapclique.randmap import (
     wellspread_sums,
 )
 from gapclique.experiments import SCREEN_BLOCK, certified_map, certified_no_instance
-from gapclique.vecsum import VecSumInstance, generate_planted, generate_unsat
+from gapclique.vecsum import generate_planted, generate_unsat
 
 import randmap_reference
+import vecsum_reference
+from vecsum_reference import collections, from_collections
 from field_reference import (
     add,
     apply_map,
@@ -41,7 +44,7 @@ from field_reference import (
 
 
 def single_vector_instance(q, entries):
-    return VecSumInstance(q=q, k=1, m=len(entries), collections=((tuple(entries),),))
+    return from_collections(q=q, k=1, m=len(entries), collections=((tuple(entries),),))
 
 
 def images(g, vectors):
@@ -49,7 +52,7 @@ def images(g, vectors):
     form the first collection, the other k - 1 collections repeat one."""
     vectors = list(vectors)
     cols = (vectors,) + ((vectors[0],),) * (g.k - 1)
-    _, imgs = source_images(g, VecSumInstance(q=g.q, k=g.k, m=g.m, collections=cols))
+    _, imgs = source_images(g, from_collections(q=g.q, k=g.k, m=g.m, collections=cols))
     assert imgs.shape == (len(vectors) + g.k - 1, g.l * g.k)
     return [tuple(row) for row in imgs[: len(vectors)].tolist()]
 
@@ -148,7 +151,7 @@ class TestWellspread:
         cx = cert.counterexample
         s = (0, 0, 0)
         for i, (gamma, idx) in enumerate(zip(cx["gammas"], cx["indices"])):
-            s = add(3, s, scale(3, gamma, inst.collections[i][idx]))
+            s = add(3, s, scale(3, gamma, collections(inst)[i][idx]))
         assert list(s) == cx["sum"]
         assert rel_weight(apply_map(g, s)) < Fraction(2, 3)
 
@@ -173,13 +176,14 @@ class TestWellspread:
         cert = check_wellspread(g, inst)
         reachable = set()
         for gammas in itertools.product(range(3), repeat=2):
-            for us in itertools.product(*inst.collections):
+            for us in itertools.product(*collections(inst)):
                 s = (0, 0)
                 for c, u in zip(gammas, us):
                     s = add(3, s, scale(3, c, u))
                 if any(s):
                     reachable.add(s)
-        merged = inst.collections[0] + inst.collections[1]
+        cols = collections(inst)
+        merged = cols[0] + cols[1]
         sumset = enumerate_sumset(3, merged, 2)
         assert reachable <= sumset
         ok = all(rel_weight(apply_map(g, s)) >= Fraction(2, 3) for s in reachable)
@@ -232,7 +236,7 @@ class TestPairwiseSeparation:
     def test_dependent_direction_pairs_not_checked(self):
         # at k=1 no pair of directions is linearly independent, so only the
         # degenerate single-difference case contributes checks
-        inst = VecSumInstance(
+        inst = from_collections(
             q=3,
             k=1,
             m=2,
@@ -310,7 +314,7 @@ class TestPairwiseSeparation:
         assert found is not None
         g, cert = found
         cx = cert.counterexample
-        us = inst.collections[cx["collection"]]
+        us = collections(inst)[cx["collection"]]
         if cx["case"] == "single-difference":
             a, b = cx["pair"]
             w = sub(3, us[a], us[b])
@@ -368,8 +372,8 @@ class TestWellspreadExcluded:
     def test_refusal_matches_exhaustive_check_over_every_map(self, name, l):
         # on these instances, refused exactly when no map at all passes the
         # exhaustive check; at l = 3, k * l = 6 and nothing is refused
-        collections, refused = self.TWO_COLLECTIONS[name]
-        inst = VecSumInstance(q=2, k=2, m=2, collections=collections)
+        cols, refused = self.TWO_COLLECTIONS[name]
+        inst = from_collections(q=2, k=2, m=2, collections=cols)
         passing = any(check_wellspread(g, inst).passed for g in all_maps(2, 2, 2, l))
         assert (wellspread_excluded(inst, l) is not None) == (refused and l != 3) == (not passing)
 
@@ -377,7 +381,7 @@ class TestWellspreadExcluded:
         # u, w and u + w in one collection are also case sums, so no map
         # passes, and the refusal covers them as well as u and w from two
         # collections
-        inst = VecSumInstance(q=2, k=2, m=2, collections=(((1, 0), (0, 1), (1, 1)), ((0, 0),)))
+        inst = from_collections(q=2, k=2, m=2, collections=(((1, 0), (0, 1), (1, 1)), ((0, 0),)))
         assert wellspread_excluded(inst, 1) is not None
         assert not any(check_wellspread(g, inst).passed for g in all_maps(2, 2, 2, 1))
 
@@ -391,14 +395,24 @@ class TestWellspreadExcluded:
         for _ in range(100):
             m = r.randint(2, 4)
             vec = lambda: tuple(r.randrange(2) if r.random() < 0.4 else 0 for _ in range(m))
-            collections = tuple(tuple(vec() for _ in range(r.randint(1, most))) for _ in range(k))
-            inst = VecSumInstance(q=2, k=k, m=m, collections=collections)
+            cols = tuple(tuple(vec() for _ in range(r.randint(1, most))) for _ in range(k))
+            inst = from_collections(q=2, k=k, m=m, collections=cols)
             sums = set(map(tuple, wellspread_sums(inst).tolist()))
             triple = any(tuple(x ^ y for x, y in zip(a, b)) in sums
                          for a, b in itertools.combinations(sums, 2))
             assert (wellspread_excluded(inst, l) is not None) == triple
             refused.append(triple)
         assert any(refused) and not all(refused)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_refusal_matches_tuple_reference(self, data):
+        # the same refusal, word for word, as on tuples, or None from both
+        k, m, l = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        vector = st.lists(st.sampled_from([0, 0, 1]), min_size=m, max_size=m).map(tuple)
+        cols = data.draw(st.lists(st.lists(vector, min_size=1, max_size=4), min_size=k, max_size=k))
+        inst = from_collections(q=2, k=k, m=m, collections=cols)
+        assert wellspread_excluded(inst, l) == vecsum_reference.wellspread_excluded(inst, l)
 
     def test_certified_no_instance_resamples_excluded(self):
         # attempt 0 of this label draws a, b and a + b into the one collection
@@ -432,14 +446,14 @@ class TestWellspreadExcluded:
 def reference_cases(g, inst, prop):
     """Every case of a property's case space in the documented order, as
     (counted, passed, counterexample), computed from the definitions."""
-    q, k = g.q, g.k
+    q, k, cols = g.q, g.k, collections(inst)
     dirs = list(itertools.product(range(q), repeat=k))[1:]
     if prop == "wellspread":
         for gammas in itertools.product(range(q), repeat=k):
             for idx in itertools.product(*(range(s) for s in inst.sizes)):
                 s = (0,) * inst.m
                 for i in range(k):
-                    s = add(q, s, scale(q, gammas[i], inst.collections[i][idx[i]]))
+                    s = add(q, s, scale(q, gammas[i], cols[i][idx[i]]))
                 w = rel_weight(apply_map(g, s))
                 cx = {"gammas": list(gammas), "indices": list(idx),
                       "sum": list(s), "weight": str(w)}
@@ -449,7 +463,7 @@ def reference_cases(g, inst, prop):
     def image(alpha, v):
         return block_inner(q, alpha, apply_map(g, v))
 
-    for i, us in enumerate(inst.collections):
+    for i, us in enumerate(cols):
         for a, b in itertools.product(range(len(us)), repeat=2):
             for alpha in dirs:
                 w = rel_weight(image(alpha, sub(q, us[a], us[b])))

@@ -30,17 +30,14 @@ from gapclique.reduction import (
     param_schedule,
     value_relation,
 )
-from gapclique.vecsum import VecSumInstance, generate_planted
+from gapclique.vecsum import generate_planted
 
 import edge_reference as reference
 from edge_reference import codec_rank, pair_rule_sets, unrank, var_points
 from field_reference import apply_map, block_inner, inner_product, sub, unrank_tuple
 from graph_reference import has_edge, is_clique
 from lintest_reference import value_at
-
-
-def total(q, vectors):
-    return tuple(sum(col) % q for col in zip(*vectors))
+from vecsum_reference import collections, from_collections, total
 
 
 def make_instance(seed, q, k, m, n, l, planted=True):
@@ -222,8 +219,9 @@ class TestPlantedClique:
         ci = make_instance(50, 3, 2, 4, 3, 2)
         src = ci.source
         bad = None
-        for idx in itertools.product(*(range(len(us)) for us in src.collections)):
-            if any(total(3, [src.collections[i][j] for i, j in enumerate(idx)])):
+        cols = collections(src)
+        for idx in itertools.product(*(range(len(us)) for us in cols)):
+            if any(total(3, [cols[i][j] for i, j in enumerate(idx)])):
                 bad = idx
                 break
         assert bad is not None
@@ -301,7 +299,7 @@ class TestPlantedClique:
     def test_matches_vertex_by_vertex_reference(self, q, k, l):
         ci = make_instance(52 + q + k + l, q, k, 8 if q == 2 else 4, 3, l)
         for indices in itertools.islice(
-            itertools.product(*(range(len(us)) for us in ci.source.collections)), 3
+            itertools.product(*map(range, ci.source.sizes)), 3
         ):
             got = ci.planted_clique(indices)
             assert list(got) == reference.planted_clique(ci, indices)
@@ -421,7 +419,7 @@ class TestGamma:
         ci = make_instance(60, 3, 1, 4, 4, 2)
         clique = ci.planted_clique(ci.source.planted)
         gamma = build_gamma(clique, ci, rng=rngmod.stream(60, "gamma-fill"))
-        u = ci.source.collections[0][ci.source.planted[0]]
+        u = collections(ci.source)[0][ci.source.planted[0]]
         img = apply_map(ci.gmap, u)
         for r in gamma.var_points.tolist():
             p = unrank_tuple(3, 1, r)
@@ -468,7 +466,7 @@ class TestExtraction:
         assert rep.verdict == "witness"
         assert all(d.max_residual == 0 for d in rep.directions)
         assert rep.z_star == (0,) * 4
-        chosen = [ci.source.collections[i][idx] for i, idx in enumerate(rep.witness_indices)]
+        chosen = [collections(ci.source)[i][idx] for i, idx in enumerate(rep.witness_indices)]
         assert total(3, chosen) == (0,) * 4
         assert rep.r_star_dense
 
@@ -519,7 +517,7 @@ class TestExtraction:
                     for p in (unrank_tuple(q, k * k, r) for r in gamma.var_points.tolist())]
             assert rep.r_star_size == sum(Fraction(m, l) <= kappa for m in mism)
             for d in rep.directions:
-                us = ci.source.collections[d.collection]
+                us = collections(ci.source)[d.collection]
                 theta = tuple(rho[d.collection * k + c] for rho in rep.fn.rhos for c in range(k))
                 for abar in directions:
                     weights = [sum(map(bool, block_inner(q, abar, sub(q, theta, apply_map(ci.gmap, u)))))
@@ -541,7 +539,7 @@ class TestExtraction:
         # a collapsing map sends two distinct source vectors to the same
         # image; the extractor must name the ambiguity instead of choosing
         q, m, l = 3, 2, 2
-        src = VecSumInstance(
+        src = from_collections(
             q=q,
             k=1,
             m=m,
@@ -647,7 +645,7 @@ class TestMaterializeExport:
         back = CliqueInstance.from_json(ci.to_json())
         assert back.codec.count == ci.codec.count
         assert back.gmap.to_json() == ci.gmap.to_json()
-        assert back.source.collections == ci.source.collections
+        assert back.source.to_json() == ci.source.to_json()
 
     def test_reduction_json_keeps_mode(self):
         # a desk document round-trips to equal parameters; any other mode, a
