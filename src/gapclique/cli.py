@@ -36,11 +36,7 @@ from .cliquesolve import (
 )
 from .lintest import FunctionTable, list_decode_scalar, pass_probability
 from .randmap import check_pairwise_separation, check_wellspread, sample_g
-from .reduction import (
-    CliqueInstance,
-    ReductionParams,
-    extract_witness,
-)
+from .reduction import CliqueInstance, ReductionParams, VertexCodec, extract_witness
 from .vecsum import VecSumInstance, brute_force_decide, generate_planted, generate_unsat
 
 EXIT_OK = 0
@@ -155,6 +151,9 @@ def cmd_reduce(cmd: Command) -> int:
     a = cmd.args
     inst = VecSumInstance.load(a.instance)
     params = ReductionParams(q=inst.q, k=inst.k, l=a.l)
+    count = VertexCodec(inst.q, inst.k, a.l).count  # set by (q, k, l): checked before any map
+    if count > a.vertex_cap:
+        raise BudgetExceeded("vertex count", required=count, budget=a.vertex_cap)
     if a.certify == "none":
         g = sample_g(
             rngmod.stream(cmd.seed, "matrices"), inst.q, inst.k, inst.m, a.l, seed=cmd.seed
@@ -167,11 +166,7 @@ def cmd_reduce(cmd: Command) -> int:
                 f"no {a.certify}-certified map within {a.map_tries} samples"
             )
         g, tries = got
-    ci = CliqueInstance(params, g, inst)
-    count = ci.codec.count
-    if count > a.vertex_cap:
-        raise BudgetExceeded("vertex count", required=count, budget=a.vertex_cap)
-    doc = ci.to_json()
+    doc = CliqueInstance(params, g, inst).to_json()
     doc["map_certification"] = {"property": a.certify, "samples_used": tries}
     target = cmd.write_artifact(a.out, "reduction", doc)
     print(f"wrote {target} (|V| = {count}, map certification: {a.certify})")
@@ -358,8 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=None, help="vectors per collection")
-    p.add_argument("--planted", action="store_true", help="planted YES instance (default)")
-    p.add_argument("--unsat", action="store_true", help="brute-force certified NO instance")
+    kind = p.add_mutually_exclusive_group()
+    kind.add_argument("--planted", action="store_true", help="planted YES instance (default)")
+    kind.add_argument("--unsat", action="store_true", help="brute-force certified NO instance")
     p.add_argument("--max-retries", type=int, default=None)
     p.set_defaults(fn=cmd_gen_vecsum)
 
@@ -500,10 +496,12 @@ def resolve_args(args: argparse.Namespace) -> dict:
             setattr(args, key, value)
         if key not in path_keys:
             semantic[key] = value
-    for key in ("vertex_cap", "map_tries", "max_retries"):
+    # `not v > 0` refuses NaN too; samples = 0 asks for the default (exact)
+    for key in ("vertex_cap", "map_tries", "max_retries", "time_budget", "restarts", "samples"):
         v = getattr(args, key, None)
-        if v is not None and v <= 0:
-            raise ContractViolation(f"budget {key} must be positive")
+        if v is not None and not (v > 0 or v == 0 and key == "samples"):
+            least = ">= 0" if key == "samples" else "> 0"
+            raise ContractViolation(f"budget {key} = {v} must be {least}")
     return semantic
 
 

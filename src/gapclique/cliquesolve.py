@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 import random
 import time
+from array import array
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -46,36 +47,44 @@ class DenseGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "DenseGraph":
-        """Graph on vertices 0..n-1 from (u, v) pairs, or from an (m, 2)
-        int64 array of them; refuses a self-loop, an endpoint that is not
-        an int in range, and an edge listed twice (in either order), the
-        first in list order, and refuses by budget a vertex count past
-        EDGE_LIST_VERTEX_LIMIT."""
+        """Graph on vertices 0..n-1 from an iterable of (u, v) pairs; refuses
+        a self-loop, an endpoint that is not an int in range, and an edge
+        listed twice (in either order), the first in list order, and refuses
+        by budget a vertex count past EDGE_LIST_VERTEX_LIMIT."""
+        ints = []
+        try:
+            for u, v in edges:
+                # an int past the limit is past every vertex, and might not fit int64
+                if not (type(u) is type(v) is int and 0 <= u < EDGE_LIST_VERTEX_LIMIT > v >= 0):
+                    raise ContractViolation(f"bad edge ({u!r:.20}, {v!r:.20})")
+                ints += u, v
+        finally:  # the pairs before the one the loop refuses, if any, are checked first
+            graph = cls._from_array(n, np.array(ints, np.int64).reshape(-1, 2), ints.__getitem__)
+        return graph
+
+    @classmethod
+    def _from_array(cls, n: int, uv: np.ndarray, given) -> "DenseGraph":
+        """from_edges on an (m, 2) int64 array; given(i) names uv.ravel()[i] in a refusal."""
         if type(n) is not int or n < 0:
             raise ContractViolation(f"vertex count must be an integer >= 0, got {n!r:.60}")
         if n > EDGE_LIST_VERTEX_LIMIT:
             raise BudgetExceeded("vertex count", required=n, budget=EDGE_LIST_VERTEX_LIMIT)
-        if isinstance(edges, np.ndarray) and edges.dtype == np.int64 and edges.shape[1:] == (2,):
-            uv = edges
-        else:
-            edges = list(edges)
-            uv = _int_array(edges, n)
         u, v = uv.T
         bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
         stop = int(bad.argmax()) if bad.any() else len(uv)
         u, v = u[:stop], v[:stop]
         _, firsts = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_index=True)
-        repeat = np.ones(stop, dtype=bool)
-        repeat[firsts] = False
-        if repeat.any():
-            raise ContractViolation("duplicate edge ({}, {})".format(*uv[repeat.argmax()].tolist()))
-        if stop < len(edges):
-            u, v = edges[stop].tolist() if isinstance(edges, np.ndarray) else edges[stop]
+        repeats = np.flatnonzero(np.bincount(firsts, minlength=stop) == 0)
+        if len(repeats):
+            raise ContractViolation("duplicate edge ({}, {})".format(*uv[repeats[0]].tolist()))
+        if stop < len(uv):
+            u, v = given(2 * stop), given(2 * stop + 1)
             raise ContractViolation(f"bad edge ({u!r:.20}, {v!r:.20})")
         # each edge sets a bit in both endpoints' rows, a row as the bytes up
         # to its last neighbour's, kept for rows with edges only; distinct edges set distinct bits
-        cols = np.concatenate([v, u])
-        live, rows = np.unique(np.concatenate([u, v]), return_inverse=True)
+        cols, ends = np.concatenate([v, u]), np.concatenate([u, v])
+        live = np.flatnonzero(np.bincount(ends))
+        rows = np.searchsorted(live, ends)
         width = np.zeros(len(live), dtype=np.int64)
         np.maximum.at(width, rows, cols // 8 + 1)
         start = np.cumsum(width) - width
@@ -144,28 +153,6 @@ def _degeneracy_order(graph: DenseGraph) -> list[int]:
                     buckets[e] ^= moved
                 buckets[e - 1] = buckets.get(e - 1, 0) | moved
     return order
-
-
-def _int_array(edges: list, n: int) -> np.ndarray:
-    """Edges as an (m, 2) int64 array: all of them when each is a pair of
-    ints (not bools) within int64, as read in a few passes in C; else those
-    before the first that is not a pair of ints in range(n)."""
-    try:
-        if set(map(len, edges)) <= {2} and set(map(type, chain.from_iterable(edges))) <= {int}:
-            return np.fromiter(chain.from_iterable(edges), np.int64).reshape(-1, 2)
-    except (TypeError, OverflowError):
-        pass
-    stop = next((i for i, e in enumerate(edges) if not _int_pair(e, n)), len(edges))
-    return np.fromiter(chain.from_iterable(edges[:stop]), np.int64).reshape(-1, 2)
-
-
-def _int_pair(edge, n: int) -> bool:
-    """Whether edge is a pair of ints (not bools) in range(n)."""
-    try:
-        u, v = edge
-    except (TypeError, ValueError):
-        return False
-    return type(u) is type(v) is int and 0 <= u < n and 0 <= v < n
 
 
 def _relabelled(adj: tuple[int, ...], order: list[int]) -> list[int]:
@@ -343,59 +330,51 @@ def export_graph(graph: DenseGraph, fmt: str, path, meta: Optional[dict] = None)
         raise ContractViolation(f"unknown graph format {fmt!r}")
 
 
-
-
 def read_dimacs(path) -> DenseGraph:
     """Read the 'p edge N M' / 'e u v' format with 1-indexed vertices.
 
     Besides 'c' comment lines and blank lines the file must hold exactly one
     problem line, followed by exactly M edge lines of two vertices each; a
-    duplicate edge or any other line is refused, the first in file order."""
+    duplicate edge or any other line is refused, the first in file order.
+    The layout is checked line by line, then one pass reads every edge
+    line's numbers as int() does into an int64 array."""
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise ContractViolation(f"DIMACS file is not text: {exc}") from exc
     header, tokens = None, []
-    for i, line in enumerate(lines):
+    for line in lines:
         parts = line.split()
         if len(parts) == 3 and parts[0] == "e" and header is not None:
-            tokens += parts[1:]
+            parts[0] = line  # names the line if int() refuses a number in it
+            tokens += parts
         elif parts and not parts[0].startswith("c"):
-            try:
+            with suppress(ValueError):
                 if parts[0] == "p" and header is None and len(parts) == 4 and parts[1] == "edge":
                     header = int(parts[2]), int(parts[3])
                     continue
-            except ValueError:
-                pass
-            _int_pairs(lines[:i])  # an earlier edge line int() cannot read goes first
-            raise ContractViolation(f"bad DIMACS line: {line!r:.80}")
+            tokens += line, "", ""  # no numbers: refused after any edge line before it
+            break
+    texts = tokens[::3]
+    del tokens[::3]
+    # len(ends) indexes a refused number (extend keeps what came before); 0 stands in past int64
+    numbers, ends = iter(tokens), array("q")
+    while len(ends) < len(tokens):
+        try:
+            ends.extend(map(int, numbers))
+        except OverflowError:
+            ends.append(0)
+        except ValueError:
+            raise ContractViolation(f"bad DIMACS line: {texts[len(ends) // 2]!r:.80}") from None
     if header is None:
         raise ContractViolation("missing problem line")
     n, m = header
-    try:
-        edges = np.array(tokens, dtype=np.int64).reshape(-1, 2) - 1
-    except (ValueError, OverflowError):  # a number int() cannot read, or one past int64
-        edges = None
-    if edges is None or not ((edges >= 0) & (edges < n)).all():
-        edges = _int_pairs(lines)  # so that a refusal names the first line or edge at fault
-    if m != len(edges):
-        raise ContractViolation(f"problem line announces {m} edges, the file lists {len(edges)}")
-    return DenseGraph.from_edges(n, edges)
-
-
-def _int_pairs(lines: list[str]) -> list[tuple[int, int]]:
-    """The 0-indexed vertex pairs of the edge lines among DIMACS lines of
-    valid layout, as int() reads them; refuses the first it cannot read."""
-    pairs = []
-    for line in lines:
-        parts = line.split()
-        if len(parts) == 3 and parts[0] == "e":
-            try:
-                pairs.append((int(parts[1]) - 1, int(parts[2]) - 1))
-            except ValueError:
-                raise ContractViolation(f"bad DIMACS line: {line!r:.80}") from None
-    return pairs
+    if m != len(texts):
+        raise ContractViolation(f"problem line announces {m} edges, the file lists {len(texts)}")
+    # int64's least value wraps past every vertex too; a refusal names the numbers as read
+    uv = np.frombuffer(ends, np.int64).reshape(-1, 2) - 1
+    return DenseGraph._from_array(n, uv, lambda i: int(tokens[i]) - 1)
 
 
 def read_graph_json(path) -> tuple[DenseGraph, dict]:
@@ -412,5 +391,4 @@ def read_graph_json(path) -> tuple[DenseGraph, dict]:
     edges = doc.get("edges")
     if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
         raise ContractViolation("graph edges must be a list of vertex pairs")
-    graph = DenseGraph.from_edges(doc.get("n"), [tuple(e) for e in edges])
-    return graph, doc.get("meta", {})
+    return DenseGraph.from_edges(doc.get("n"), edges), doc.get("meta", {})

@@ -90,6 +90,26 @@ class TestExitCodes:
         assert code == EXIT_BUDGET
         assert "513" in capsys.readouterr().err
 
+    def test_vertex_cap_is_checked_before_the_map_search(self, tmp_path, capsys):
+        # the vertex count depends on (q, k, l) alone: refused by budget,
+        # not after a search that runs out of tries (exit 3)
+        out = str(tmp_path)
+        assert run("--seed", "3", "--out-dir", out, "gen-vecsum", "--q", "3", "--k", "1",
+                   "--m", "6", "--n", "8", "--unsat") == EXIT_OK
+        capsys.readouterr()
+        code = run("--seed", "3", "--out-dir", out, "reduce", "--instance",
+                   os.path.join(out, "instance.json"), "--l", "2", "--certify", "wellspread",
+                   "--map-tries", "1", "--vertex-cap", "10")
+        assert code == EXIT_BUDGET
+        assert "needs budget 513" in capsys.readouterr().err
+
+    def test_planted_and_unsat_together_are_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("--out-dir", str(tmp_path), "gen-vecsum", "--planted", "--unsat")
+        assert exc.value.code == EXIT_INVALID
+        assert "not allowed with" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(str(tmp_path), "instance.json"))
+
     def test_property_violation_is_3(self, tmp_path):
         out = str(tmp_path)
         run("--seed", "2", "--out-dir", out, "gen-vecsum",
@@ -148,6 +168,14 @@ class TestExitCodes:
                    "--instance", os.path.join(out, "instance.json"),
                    "--l", "2", "--vertex-cap", "0")
         assert code == EXIT_INVALID
+
+    @pytest.mark.parametrize("flag", ["--time-budget", "--restarts"])
+    def test_zero_solve_budget_rejected(self, tmp_path, flag):
+        path = tmp_path / "g.dimacs"
+        path.write_text("p edge 3 1\ne 1 2\n")
+        assert run("--out-dir", str(tmp_path), "solve", "--graph", str(path), flag, "0") \
+            == EXIT_INVALID
+        assert not os.path.exists(tmp_path / "solve-report.json")
 
     def test_usage_error_is_invalid(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -357,6 +385,54 @@ WRONG_CONFIG_VALUES = {
     "choice": ["bogus", 1, None],
     "str": [5, None, ["a.json"]],
 }
+
+
+NUMERIC_COMMANDS = ("gen-vecsum", "check-map", "reduce", "export", "solve", "lintest")
+# every numeric flag of those commands at -1, and every float flag at nan too
+OUT_OF_RANGE = [
+    (command, a.option_strings[0], value)
+    for command in NUMERIC_COMMANDS for a in _subparsers().choices[command]._actions
+    if a.type in (int, float) for value in ["-1"] + ["nan"] * (a.type is float)
+]
+
+
+@pytest.fixture(scope="module")
+def valid_arguments(tmp_path_factory):
+    """Per command, arguments that run it to exit 0 on small inputs."""
+    from gapclique.lintest import FunctionTable, LinearScalarFn
+
+    d = str(tmp_path_factory.mktemp("inputs"))
+    path = lambda name: os.path.join(d, name)  # noqa: E731
+    assert run("--seed", "1", "--out-dir", d, "gen-vecsum", "--q", "3", "--k", "1",
+               "--m", "4", "--n", "4") == EXIT_OK
+    assert run("--seed", "1", "--out-dir", d, "reduce", "--instance", path("instance.json"),
+               "--l", "1") == EXIT_OK
+    assert run("--seed", "1", "--out-dir", d, "export",
+               "--reduction", path("reduction.json")) == EXIT_OK
+    with open(path("table.json"), "w") as fh:
+        json.dump(FunctionTable.from_linear(LinearScalarFn(3, (1, 2))).to_json(), fh)
+    return {
+        "gen-vecsum": [],
+        "check-map": ["--instance", path("instance.json")],
+        "reduce": ["--instance", path("instance.json")],
+        "export": ["--reduction", path("reduction.json")],
+        "solve": ["--graph", path("graph.dimacs")],
+        "lintest": ["--table", path("table.json"), "--decode-delta", "0.5"],
+    }
+
+
+@pytest.mark.parametrize("command", NUMERIC_COMMANDS)
+def test_sweep_arguments_are_valid(tmp_path, capsys, valid_arguments, command):
+    assert run("--seed", "1", "--out-dir", str(tmp_path), command,
+               *valid_arguments[command]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command, flag, value", OUT_OF_RANGE)
+def test_numeric_flag_out_of_range_is_invalid(tmp_path, capsys, valid_arguments,
+                                              command, flag, value):
+    # the --seed flag aside, no numeric flag takes -1 or nan
+    assert run("--seed", "1", "--out-dir", str(tmp_path), command,
+               *valid_arguments[command], flag, value) == EXIT_INVALID
 
 
 class TestConfig:

@@ -286,11 +286,13 @@ def _outcome(build):
         return type(exc), str(exc)
 
 
-# vertex numbers past int64 and the two ends of its range take the
-# line-by-line reading; "1_0" and "٣" are numbers int() reads
+# vertex numbers past int64 and the two ends of its range; "+2", "0_1",
+# "1_0" and "٣" are numbers int() reads but a digit test does not, "0x1",
+# "1e3" and "--1" numbers it refuses
 VERTEX_NUMBER = st.sampled_from(["1", "2", "3", "4", "5", "6"])
 DIMACS_NUMBER = VERTEX_NUMBER | VERTEX_NUMBER | VERTEX_NUMBER | st.sampled_from(
-    ["0", "7", "-1", "1_0", "٣", "x", "1.5", "9" * 30, str(2**63), str(-(2**63)), str(2**63 - 1)])
+    ["0", "7", "-1", "+2", "0_1", "1_0", "٣", "x", "1.5", "0x1", "1e3", "--1", "9" * 30,
+     str(2**63), str(-(2**63)), str(2**63 - 1)])
 EDGE_LINE = st.tuples(DIMACS_NUMBER, DIMACS_NUMBER).map(" ".join).map("e ".__add__)
 DIMACS_EDGES = st.builds(
     lambda lines, extra: "\n".join([f"p edge 6 {sum(s[:2] == 'e ' for s in lines) + extra}"] + lines),
@@ -320,14 +322,26 @@ EDGE_END = st.integers(-2, 7) | st.sampled_from([True, False, 1.0, "1", 2**64, -
                                     | st.lists(EDGE_END, max_size=3), max_size=10))
 @FUZZ
 def test_edge_list_matches_reference(n, edges):
-    # from pairs or from an int64 array of them: the same rows, or the
-    # same refusal, as inserting one edge at a time
+    # the same rows, or the same refusal, as inserting one edge at a time
     got = _outcome(lambda: DenseGraph.from_edges(n, edges).adj)
     assert got == _outcome(lambda: graph_from_edges(n, edges))
-    if all(type(e) is tuple and type(e[0]) is type(e[1]) is int and abs(e[0]) + abs(e[1]) < 99
-           for e in edges):
-        array = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        assert _outcome(lambda: DenseGraph.from_edges(n, array).adj) == got
+
+
+JSON_END = st.integers(-2, 7) | st.sampled_from(
+    [True, False, 1.0, 2.5, "1", None, 2**64, -(2**63) - 1, 2**63 - 1])
+
+
+@given(st.integers(-1, 7) | st.sampled_from([None, 2.0, True, "3", 2**64]),
+       st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)).map(list)
+                | st.lists(JSON_END, min_size=2, max_size=2), max_size=10))
+@FUZZ
+def test_graph_json_reader_matches_reference(n, edges):
+    # a JSON edge list: the same rows, or the same refusal with the same
+    # message, as inserting one edge at a time
+    with tempfile.TemporaryDirectory() as d:
+        path = _write(d, "g.json", json.dumps({"version": 1, "n": n, "edges": edges}))
+        got = _outcome(lambda: read_graph_json(path)[0].adj)
+    assert got == _outcome(lambda: graph_from_edges(n, edges))
 
 
 def test_edge_list_at_the_vertex_limit_stays_small():
