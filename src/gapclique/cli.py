@@ -496,6 +496,14 @@ def resolve_args(args: argparse.Namespace) -> dict:
             setattr(args, key, value)
         if key not in path_keys:
             semantic[key] = value
+    # an option the run does not read enters the hash at its default (an
+    # unset switch: False): gen-vecsum reads --unsat, not --planted
+    unread = {"planted": True, "max_retries": not getattr(args, "unsat", True),
+              "samples": getattr(args, "mode", None) == "exhaustive",
+              "map_tries": getattr(args, "certify", None) == "none",
+              "skip_verify": bool(getattr(args, "clique", None))}
+    for key in semantic.keys() & {key for key, skip in unread.items() if skip}:
+        semantic[key] = DEFAULTS.get(key, False)
     # `not v > 0` refuses NaN too; samples = 0 asks for the default (exact)
     for key in ("vertex_cap", "map_tries", "max_retries", "time_budget", "restarts", "samples"):
         v = getattr(args, key, None)

@@ -2,10 +2,11 @@
 soundness experiments, and the graph file formats (DIMACS and JSON) they
 read and the reduction's export writes.
 
-The exact solver is branch-and-bound with greedy-coloring upper bounds over
-bitset candidate sets (adjacency rows are Python ints used as bitmasks),
-with vertices pre-ordered by degeneracy.  Deterministic: with no time budget
-the reported optimum never depends on anything but the graph.
+A graph is its sorted edge array; only the searches build adjacency rows
+(Python ints used as bitmasks), through _rows.  The exact solver is
+branch-and-bound with greedy-coloring upper bounds over bitset candidate
+sets, with vertices relabelled along the reversed degeneracy order.
+Deterministic: with no time budget the optimum depends on the graph only.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import time
 from array import array
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -23,27 +25,31 @@ import numpy as np
 from .errors import BudgetExceeded, ContractViolation
 
 DEFAULT_VERTEX_CAP = 2000
-# vertex count past which an edge list is not turned into a graph: the
-# adjacency table alone would take 8 bytes per vertex before any edge is read
+# vertex count past which an edge list is not turned into a graph: a search's
+# row table alone would take 8 bytes per vertex before any edge is read
 EDGE_LIST_VERTEX_LIMIT = 1 << 20
-RELABEL_BITS = 1 << 22  # adjacency bits the exact search relabels at once, a byte each
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseGraph:
-    """Undirected graph as per-vertex adjacency bitmasks; no self-loops."""
+    """Undirected graph on vertices 0..n-1 as its edges: an (m, 2) int64
+    array of pairs u < v in strictly increasing (u, v) order.  Its bitmask
+    rows, adj, are built on first read (greedy_clique reads them)."""
 
     n: int
-    adj: tuple[int, ...]
+    uv: np.ndarray
 
     def __post_init__(self):
-        if len(self.adj) != self.n:
-            raise ContractViolation("adjacency length mismatch")
-        for v, row in enumerate(self.adj):
-            if row >> self.n:
-                raise ContractViolation("adjacency bits out of range")
-            if (row >> v) & 1:
-                raise ContractViolation(f"self-loop at vertex {v}")
+        n, uv = self.n, self.uv
+        if type(n) is not int or n < 0:
+            raise ContractViolation(f"vertex count must be an integer >= 0, got {n!r:.60}")
+        if not (isinstance(uv, np.ndarray) and uv.dtype == np.int64 and uv.shape[1:] == (2,)):
+            raise ContractViolation("edges must be an (m, 2) int64 array")
+        u, v = uv.T
+        du = np.diff(u)
+        if len(uv) and not (u[0] >= 0 and (u < v).all() and v.max() < n
+                            and ((du > 0) | (du == 0) & (np.diff(v) > 0)).all()):
+            raise ContractViolation("edges must be pairs 0 <= u < v < n in increasing order")
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "DenseGraph":
@@ -73,39 +79,59 @@ class DenseGraph:
         bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
         stop = int(bad.argmax()) if bad.any() else len(uv)
         u, v = u[:stop], v[:stop]
-        _, firsts = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_index=True)
+        # u < v < n <= 2^20, so the key u * n + v fits and sorts as (u, v)
+        keys, firsts = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_index=True)
         repeats = np.flatnonzero(np.bincount(firsts, minlength=stop) == 0)
         if len(repeats):
             raise ContractViolation("duplicate edge ({}, {})".format(*uv[repeats[0]].tolist()))
         if stop < len(uv):
             u, v = given(2 * stop), given(2 * stop + 1)
             raise ContractViolation(f"bad edge ({u!r:.20}, {v!r:.20})")
-        # each edge sets a bit in both endpoints' rows, a row as the bytes up
-        # to its last neighbour's, kept for rows with edges only; distinct edges set distinct bits
-        cols, ends = np.concatenate([v, u]), np.concatenate([u, v])
-        live = np.flatnonzero(np.bincount(ends))
-        rows = np.searchsorted(live, ends)
-        width = np.zeros(len(live), dtype=np.int64)
-        np.maximum.at(width, rows, cols // 8 + 1)
-        start = np.cumsum(width) - width
-        data = np.bincount(start[rows] + cols // 8, weights=1 << cols % 8,
-                           minlength=width.sum()).astype(np.uint8).tobytes()
-        adj = [0] * n
-        for v, a, w in zip(live.tolist(), start.tolist(), width.tolist()):
-            adj[v] = int.from_bytes(data[a : a + w], "little")
-        return cls(n, tuple(adj))
+        return cls(n, np.stack(np.divmod(keys, n), axis=1))
 
-    def edges(self):
-        """The edges (u, v), u < v, in (u, v) order, one set bit at a time."""
-        for u, row in enumerate(self.adj):
-            row >>= u + 1
-            while row:
-                low = row & -row
-                yield u, u + low.bit_length()
-                row ^= low
+    @cached_property
+    def adj(self) -> tuple[int, ...]:
+        """Per-vertex adjacency bitmasks: bit v of row u is the edge (u, v)."""
+        return tuple(_rows(self.n, self.uv))
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
+        return len(self.uv)
+
+
+def _rows(n: int, uv: np.ndarray) -> list[int]:
+    """Adjacency bitmask rows of n vertices from an (m, 2) array of distinct
+    edges in any order: row x has bit y for each edge {x, y}.  The keys
+    x * n + y of both ends are sorted once, then fill the rows' bytes a
+    block of rows at a time whose keys start within n of each other, so a
+    block's temporaries stay a small multiple of n, whatever m is."""
+    kind = np.int32 if n * (n + 1) < 2**31 else np.int64  # int32 halves the keys
+    keys = np.multiply(uv.T, n, dtype=kind, order="C")  # rows u * n and v * n
+    keys += uv.T[::-1]
+    keys = keys.ravel()
+    keys.sort()
+    # the rows with edges, each a run of keys listing its neighbours in order
+    first = np.searchsorted(keys, np.arange(n + 1, dtype=kind) * n)
+    live = np.flatnonzero(first[1:] > first[:-1])
+    lo, hi = first[live], first[live + 1]
+    width = keys[hi - 1] % n // 8 + 1  # a row's bytes, up to its last neighbour's
+    end = np.cumsum(width)
+    start = end - width
+    at = np.zeros(n, np.int64)  # the byte each row starts at
+    at[live] = start
+    rows, spans, i = [0] * n, list(zip(live.tolist(), start.tolist(), end.tolist())), 0
+    while i < len(live):
+        # live rows i..j-1: their keys start within n of row i's, and a row has fewer
+        j = int(np.searchsorted(lo, lo[i] + n, "right"))
+        row, col = np.divmod(keys[lo[i] : hi[j - 1]], n)
+        base = spans[i][1]
+        data = np.zeros(spans[j - 1][2] - base, np.uint8)
+        # distinct edges set distinct bits, so adding them ORs them
+        np.add.at(data, at[row] - base + col // 8, np.left_shift(1, col % 8).astype(np.uint8))
+        data = memoryview(data.tobytes())
+        for x, s, e in spans[i:j]:
+            rows[x] = int.from_bytes(data[s - base : e - base], "little")
+        i = j
+    return rows
 
 
 @dataclass(frozen=True)
@@ -121,9 +147,11 @@ def _degeneracy_order(graph: DenseGraph) -> list[int]:
     returns removal order.  Live vertices are kept in one bitmask per
     degree: the smallest vertex of the lowest bucket goes next, and its live
     neighbours move down one bucket, a whole bucket's share at a time, so a
-    removal costs one mask operation per distinct degree, not per edge."""
+    removal costs one mask operation per distinct degree, not per edge.
+    Its rows are not graph.adj's, so the exact search never holds two sets."""
+    adj = _rows(graph.n, graph.uv)
     buckets: dict[int, int] = {}
-    for v, row in enumerate(graph.adj):
+    for v, row in enumerate(adj):
         d = row.bit_count()
         buckets[d] = buckets.get(d, 0) | 1 << v
     alive = (1 << graph.n) - 1
@@ -142,7 +170,7 @@ def _degeneracy_order(graph: DenseGraph) -> list[int]:
         if low ^ 1 << v:
             buckets[d] = low ^ 1 << v
         alive ^= 1 << v
-        neighbours = graph.adj[v] & alive
+        neighbours = adj[v] & alive
         # ascending, so a vertex moved into bucket e - 1 is not moved again
         for e in sorted(buckets) if neighbours else ():
             moved = buckets[e] & neighbours
@@ -153,25 +181,6 @@ def _degeneracy_order(graph: DenseGraph) -> list[int]:
                     buckets[e] ^= moved
                 buckets[e - 1] = buckets.get(e - 1, 0) | moved
     return order
-
-
-def _relabelled(adj: tuple[int, ...], order: list[int]) -> list[int]:
-    """The adjacency rows with vertex order[i] renamed i: row i is row
-    order[i] with bit order[j] moved to bit j, done on unpacked bits about
-    RELABEL_BITS at a time.  An empty row stays empty."""
-    n, width = len(adj), (len(adj) + 7) // 8
-    # whole bytes a row: the padding bits past n are zero in every row
-    columns = order + [-1] * (8 * width - n)
-    live, rows = [i for i, v in enumerate(order) if adj[v]], [0] * n
-    step = max(1, RELABEL_BITS // n)
-    for start in range(0, len(live), step):
-        block = live[start : start + step]
-        packed = b"".join(adj[order[i]].to_bytes(width, "little") for i in block)
-        bits = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little")
-        packed = np.packbits(bits.reshape(len(block), -1)[:, columns], bitorder="little").tobytes()
-        for j, i in enumerate(block):
-            rows[i] = int.from_bytes(packed[j * width : (j + 1) * width], "little")
-    return rows
 
 
 class _TimeUp(Exception):
@@ -187,7 +196,8 @@ def max_clique_exact(
 
     When the optimality flag is set the returned size is the clique number;
     on time-budget exhaustion the best clique found so far is returned with
-    the flag cleared.
+    the flag cleared.  The budget holds from the first leaf on, so even
+    then the clique returned is maximal.
     """
     n = graph.n
     if n > vertex_cap:
@@ -198,7 +208,8 @@ def max_clique_exact(
 
     # relabel along the reversed degeneracy order: dense cores come first
     order = _degeneracy_order(graph)[::-1]
-    adj = _relabelled(graph.adj, order)
+    rank = np.argsort(order).astype(np.int32)  # int32 halves the relabelled edges
+    adj = _rows(n, rank[graph.uv])
 
     best: list[int] = [0]
     best_size = 1
@@ -223,7 +234,8 @@ def max_clique_exact(
         order still to branch on, taken from the end]."""
         nonlocal nodes
         nodes += 1
-        if deadline is not None and time.monotonic() > deadline:
+        # the first leaf, when the graph has an edge, sets best_size to 2 or more
+        if deadline is not None and best_size > 1 and time.monotonic() > deadline:
             raise _TimeUp
         return [cand, color_sort(cand)]
 
@@ -314,14 +326,14 @@ def export_graph(graph: DenseGraph, fmt: str, path, meta: Optional[dict] = None)
     'e u v' line per edge with 1-indexed u < v.  JSON: vertex count, edge
     list, and metadata."""
     if fmt == "dimacs":
-        body = "".join(f"e {u + 1} {v + 1}\n" for u, v in graph.edges())
         with open(path, "w") as fh:
-            fh.write(f"p edge {graph.n} {graph.edge_count()}\n{body}")
+            fh.write(f"p edge {graph.n} {graph.edge_count()}\n")
+            fh.writelines(f"e {u} {v}\n" for u, v in zip(*(graph.uv.T + 1).tolist()))
     elif fmt == "json":
         doc = {
             "version": 1,
             "n": graph.n,
-            "edges": [[u, v] for u, v in graph.edges()],
+            "edges": graph.uv.tolist(),
             "meta": meta or {},
         }
         with open(path, "w") as fh:

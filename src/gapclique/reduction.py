@@ -25,7 +25,7 @@ converts a caller's tuple list, and a Clique reads out as Vertex tuples.
 
 Between stages the data stay arrays: phase 1 hands phase 2 point and value
 rows, the decoded function names its phase-1 points by rank and tags every
-rank, and materialize returns bare bitmasks in the codec's vertex order.
+rank, and materialize returns the edge array in the codec's vertex order.
 
 Graphs are held implicitly (parameters + sampled map + source instance +
 an edge oracle); explicit adjacency is materialized only under budget.  The
@@ -597,13 +597,13 @@ class CliqueInstance:
     # -- materialization and export ---------------------------------------------
 
     def materialize(self, budget: int = DEFAULT_VERTEX_CAP) -> DenseGraph:
-        """Explicit adjacency over the whole vertex set, in codec order;
-        refuses with the exact vertex count when it exceeds the budget.  A
-        pair is a non-edge when rules 3-5 fire between its two (alpha, x)
-        classes or when a slot class of one conflicts with a slot of the
-        other (rule 2); rows are filled ROW_BLOCK at a time.  Rule 1 only
-        sets the diagonal: two distinct vertices of one (alpha, beta)
-        differ in x or y, so rule 2 fires at alpha or at beta."""
+        """The edges over the whole vertex set, in codec order; refuses with
+        the exact vertex count when it exceeds the budget.  A pair is a
+        non-edge when rules 3-5 fire between its (alpha, x) classes or a slot
+        class of one conflicts with a slot of the other (rule 2).  Rows go
+        ROW_BLOCK at a time against the columns from the block on: each pair
+        once, in (u, v) order.  Rule 1 only excludes the diagonal: distinct
+        vertices of one (alpha, beta) differ in x or y, so rule 2 fires."""
         count = self.codec.count
         if count > budget:
             raise BudgetExceeded("vertex count", required=count, budget=budget)
@@ -625,18 +625,17 @@ class CliqueInstance:
         # slot 0 is (alpha, x), so its class is the vertex's (alpha, x) class
         _, reps, ax = np.unique(slot[:, 0], return_index=True, return_inverse=True)
         table = self._class_rules(codes, reps)
-        adj: list[int] = []
+        edges = []
         for start in range(0, count, ROW_BLOCK):
-            rows = slice(start, start + ROW_BLOCK)
+            rows, size = slice(start, start + ROW_BLOCK), min(ROW_BLOCK, count - start)
             # np.take keeps the block C-ordered for the in-place ORs below
-            non_edge = np.take(table[ax[rows]], ax, axis=1)
-            np.fill_diagonal(non_edge[:, start:], True)
+            non_edge = np.take(table[ax[rows]], ax[start:], axis=1)
+            non_edge[:, :size] |= np.tri(size, dtype=bool)  # the diagonal and below
             for word in range(own.shape[1]):
-                non_edge |= (own[rows, word, None] & clash[:, word]) != 0
-            # row i, byte j >> 3, bit j & 7 is the edge (i, j)
-            packed = np.packbits(~non_edge, axis=1, bitorder="little")
-            adj.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-        return DenseGraph(count, tuple(adj))
+                non_edge |= (own[rows, word, None] & clash[start:, word]) != 0
+            u, v = np.divmod(np.flatnonzero(~non_edge), count - start)
+            edges.append(np.stack([u, v], axis=1) + start)
+        return DenseGraph(count, np.concatenate(edges))
 
     def to_json(self) -> dict:
         return {

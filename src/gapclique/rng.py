@@ -6,13 +6,14 @@ independently and reordering one stage never perturbs another.
 """
 
 import hashlib
+import math
 import random
 
 import numpy as np
 
 from .errors import ContractViolation
 
-_BLOCK_ENTRIES = 96  # draws from which a block of words beats one call a draw
+_BLOCK_ENTRIES = 96  # loop tries that cost about as much as one round of the block path
 
 
 def stream(seed: int, label: str) -> random.Random:
@@ -37,12 +38,18 @@ def draws(rng: random.Random, bound: int, count: int) -> np.ndarray:
     rng in the same state, as an int64 array (of Python ints past 2^63).  A
     draw repeats getrandbits(bound.bit_length()) until it falls below
     bound, as randrange does.  Below 2^32 such a draw keeps the top bits of
-    one 32-bit word, so from _BLOCK_ENTRIES draws on the words are read in
-    blocks as long as the draws still missing."""
+    one 32-bit word, so the words can be read in rounds, each a block as
+    long as the draws still missing.  A word is kept with probability
+    p = bound / 2^bits (at least 1/2), so the loop makes about count / p
+    tries and the blocks take about 1 + log(count) / log(1 / (1 - p))
+    rounds; the blocks are read when their rounds cost fewer tries."""
     if bound < 1:
         raise ContractViolation(f"draws need a bound >= 1, got {bound!r:.60}")
     bits, draw = bound.bit_length(), rng.getrandbits
-    if count < _BLOCK_ENTRIES or bits > 32:
+    keep = bound / 2**bits
+    # below _BLOCK_ENTRIES draws the blocks never pay, and that test is cheaper
+    if bits > 32 or count < _BLOCK_ENTRIES or count / keep < _BLOCK_ENTRIES * (
+            1 + math.log(count) / -math.log1p(-keep)):
         out = []
         for _ in range(count):
             r = draw(bits)

@@ -225,10 +225,8 @@ class ReferenceOracle:
     def materialize(self):
         codec = self.ci.codec
         vertices = [unrank(codec, r) for r in range(codec.count)]
-        adj = [0] * codec.count
-        for i, u in enumerate(vertices):
-            for j in range(i + 1, codec.count):
-                if not self.rules(u, vertices[j], first_only=True):
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        return DenseGraph(codec.count, tuple(adj))
+        edges = [
+            (i, j) for i, u in enumerate(vertices) for j in range(i + 1, codec.count)
+            if not self.rules(u, vertices[j], first_only=True)
+        ]
+        return DenseGraph(codec.count, np.array(edges, np.int64).reshape(-1, 2))

@@ -1,7 +1,8 @@
 """Definition-level graph queries that the tests use as reference oracles.
 
-The library keeps a graph as per-vertex adjacency bitmasks and never asks
-these questions of it; the tests do, one vertex or one pair at a time.
+The library keeps a graph as its sorted edge array, builds adjacency
+bitmask rows only for its searches, and never asks these questions of
+either; the tests do, one vertex or one pair at a time, on the rows.
 """
 
 from gapclique.cliquesolve import EDGE_LIST_VERTEX_LIMIT

@@ -435,6 +435,32 @@ def test_numeric_flag_out_of_range_is_invalid(tmp_path, capsys, valid_arguments,
                *valid_arguments[command], flag, value) == EXIT_INVALID
 
 
+@pytest.fixture(scope="module")
+def planted_files(tmp_path_factory):
+    """A planted (3,1,4,4) instance, its separation-certified reduction and
+    the certificate of its planted clique, by name."""
+    out = str(tmp_path_factory.mktemp("planted"))
+    files = {name: os.path.join(out, f"{name}.json")
+             for name in ("instance", "reduction", "clique-certificate")}
+    steps = [["gen-vecsum", "--q", "3", "--k", "1", "--m", "4", "--n", "4"],
+             ["reduce", "--instance", files["instance"], "--l", "2", "--certify", "separation"],
+             ["verify-complete", "--reduction", files["reduction"]]]
+    for step in steps:
+        assert run("--seed", "5", "--out-dir", out, *step) == EXIT_OK
+    return {name.replace("-", "_"): path for name, path in files.items()}
+
+
+# a command line, and a flag its run does not read
+UNREAD_OPTIONS = [
+    (["check-map", "--instance", "{instance}"], ["--samples", "500"]),
+    (["gen-vecsum"], ["--max-retries", "7"]),
+    (["gen-vecsum"], ["--planted"]),
+    (["reduce", "--instance", "{instance}", "--l", "2"], ["--map-tries", "7"]),
+    (["extract", "--reduction", "{reduction}", "--clique", "{clique_certificate}"],
+     ["--skip-verify"]),
+]
+
+
 class TestConfig:
     def test_config_file_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -463,6 +489,19 @@ class TestConfig:
                    "--m", "3", "--n", "3", "--out", "b.json") == EXIT_OK
         assert strip_timestamp(os.path.join(out, "a.json")) == strip_timestamp(
             os.path.join(out, "b.json"))
+
+    @pytest.mark.parametrize("base,flag", UNREAD_OPTIONS,
+                             ids=[f"{base[0]}{''.join(flag[:1])}" for base, flag in UNREAD_OPTIONS])
+    def test_an_option_the_run_does_not_read_leaves_the_artifact(self, tmp_path, planted_files,
+                                                                base, flag):
+        # the same payload under the same config hash, created_utc aside
+        argv = [arg.format(**planted_files) for arg in base]
+        docs = []
+        for extra in ([], flag):
+            out = str(tmp_path / str(len(docs)))
+            assert run("--seed", "5", "--out-dir", out, *argv, *extra, "--out", "a.json") == EXIT_OK
+            docs.append(strip_timestamp(os.path.join(out, "a.json")))
+        assert docs[0] == docs[1]
 
     @pytest.mark.parametrize("command,option", VALUED_OPTIONS,
                              ids=[f"{c}:{o.dest}" for c, o in VALUED_OPTIONS])

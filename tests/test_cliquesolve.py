@@ -5,19 +5,23 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gapclique.cli import EXIT_BUDGET, EXIT_OK, main
 from gapclique.errors import BudgetExceeded, ContractViolation
 from gapclique import cliquesolve
 from gapclique.cliquesolve import (
     DenseGraph,
     _degeneracy_order,
-    _relabelled,
+    _rows,
+    export_graph,
     greedy_clique,
     max_clique_exact,
     read_dimacs,
+    read_graph_json,
 )
 
-from graph_reference import has_edge, is_clique, relabelled
+from graph_reference import graph_from_edges, has_edge, is_clique, relabelled
 
 
 def complete_graph(n):
@@ -49,8 +53,7 @@ def bernoulli_graph(seed, n, p):
     """Each pair an edge with probability p, from a numpy stream (fast at
     n = 600, where random_graph would take 180,000 draws)."""
     upper = np.triu(np.random.default_rng(seed).random((n, n)) < p, 1)
-    packed = np.packbits(upper | upper.T, axis=1, bitorder="little")
-    return DenseGraph(n, tuple(int.from_bytes(row.tobytes(), "little") for row in packed))
+    return DenseGraph(n, np.argwhere(upper))
 
 
 def degeneracy_order_reference(g: DenseGraph) -> list[int]:
@@ -160,8 +163,7 @@ class TestExact:
         # the search descends one level per clique vertex, past Python's
         # default recursion limit of 1000 but within the 2000-vertex cap
         n = 1200
-        full = (1 << n) - 1
-        res = max_clique_exact(DenseGraph(n, tuple(full & ~(1 << v) for v in range(n))))
+        res = max_clique_exact(bernoulli_graph(0, n, 1.0))
         assert res.size == n and res.optimal
 
     def test_vertex_cap(self):
@@ -174,6 +176,16 @@ class TestExact:
         res = max_clique_exact(g, time_budget=0.0)
         assert not res.optimal
         assert is_clique(g, res.vertices)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_timed_out_clique_is_maximal(self, seed):
+        # the deadline holds from the first leaf on, and from there the best
+        # clique is one no vertex extends
+        g = random_graph(random.Random(seed), 60, 0.9)
+        res = max_clique_exact(g, time_budget=0.0)
+        assert not res.optimal and is_clique(g, res.vertices)
+        assert not any(is_clique(g, res.vertices + (v,)) for v in range(g.n)
+                       if v not in res.vertices)
 
 
 class TestGreedy:
@@ -251,24 +263,27 @@ class TestGreedyCeiling:
 
 
 class TestRelabel:
-    @pytest.mark.parametrize("bits", [1, 64, 1000, cliquesolve.RELABEL_BITS])
-    def test_matches_edge_by_edge_relabel(self, monkeypatch, bits):
-        # one row, a few rows or the whole graph relabelled at once
-        monkeypatch.setattr(cliquesolve, "RELABEL_BITS", bits)
-        rng = random.Random(bits)
+    @pytest.mark.parametrize("seed", [1, 64, 1000])
+    def test_matches_edge_by_edge_relabel(self, seed):
+        # the exact search's relabelled rows: _rows of the edges under the
+        # rank of each vertex in the order; a dense graph spans many blocks
+        rng = random.Random(seed)
         for n, p in [(1, 0.5), (7, 0.5), (8, 1.0), (9, 0.3), (70, 0.05), (130, 0.5)]:
             g = bernoulli_graph(n, n, p)
             order = list(range(n))
             rng.shuffle(order)
-            assert _relabelled(g.adj, order) == relabelled(g.adj, order)
+            rank = np.empty(n, np.int32)
+            rank[order] = np.arange(n)
+            want = relabelled(graph_from_edges(n, g.uv.tolist()), order)
+            assert _rows(n, rank[g.uv]) == want
 
 
 class TestGraphType:
     @pytest.mark.parametrize("n,p", [(1, 0.5), (70, 0.05), (70, 0.5), (130, 1.0)])
     def test_edges_in_order(self, n, p):
         g = bernoulli_graph(n, n, p)
-        expected = [(u, v) for u in range(n) for v in range(u + 1, n) if has_edge(g, u, v)]
-        assert list(g.edges()) == expected
+        expected = [[u, v] for u in range(n) for v in range(u + 1, n) if has_edge(g, u, v)]
+        assert g.uv.tolist() == expected
         assert len(expected) == g.edge_count()
 
     def test_rejects_self_loop(self):
@@ -279,7 +294,64 @@ class TestGraphType:
         g = DenseGraph.from_edges(4, [(0, 1), (2, 3)])
         assert all(has_edge(g, u, v) == has_edge(g, v, u) for u in range(4) for v in range(4))
         assert g.edge_count() == 2
-        assert sorted(g.edges()) == [(0, 1), (2, 3)]
+        assert g.uv.tolist() == [[0, 1], [2, 3]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_edge_array_is_the_sorted_edge_set(self, data):
+        # any valid edge list, in any order and orientation
+        n = data.draw(st.integers(0, 70))
+        pairs = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+        edges = data.draw(st.lists(pairs, unique_by=frozenset, max_size=300)) if n > 1 else []
+        g = DenseGraph.from_edges(n, edges)
+        assert g.uv.tolist() == sorted(sorted(e) for e in edges)
+        assert g.edge_count() == len(edges)
+        assert g.adj == graph_from_edges(n, edges)
+
+    @pytest.mark.parametrize("n,uv", [
+        (3, [[1, 2], [0, 1]]), (3, [[0, 1], [0, 1]]), (3, [[1, 0]]), (3, [[1, 1]]),
+        (3, [[0, 3]]), (3, [[-1, 2]]), (-1, []), (True, []),
+    ], ids=["unsorted", "repeated", "reversed", "self-loop", "past-n", "negative",
+            "negative-n", "bool-n"])
+    def test_construction_refuses_what_is_no_edge_array(self, n, uv):
+        with pytest.raises(ContractViolation):
+            DenseGraph(n, np.array(uv, np.int64).reshape(-1, 2))
+
+    @pytest.mark.parametrize("uv", [np.array([[0, 1]], np.int32), np.array([0, 1]), [[0, 1]]],
+                             ids=["int32", "flat", "list"])
+    def test_construction_refuses_another_array_type(self, uv):
+        with pytest.raises(ContractViolation):
+            DenseGraph(3, uv)
+
+    @pytest.mark.parametrize("n,p", [(0, 0.5), (1, 0.5), (9, 0.0), (70, 0.05), (130, 0.5)])
+    def test_export_reads_back_the_same_edges(self, tmp_path, n, p):
+        g = bernoulli_graph(n, n, p)
+        export_graph(g, "dimacs", tmp_path / "g.dimacs")
+        export_graph(g, "json", tmp_path / "g.json")
+        for back in (read_dimacs(tmp_path / "g.dimacs"), read_graph_json(tmp_path / "g.json")[0]):
+            assert back.n == n and np.array_equal(back.uv, g.uv)
+
+    def test_only_the_searches_build_rows(self, tmp_path, monkeypatch):
+        # with the row builder refusing, materialize, both exports, both
+        # readers and edge_count still work, and solve refuses a graph past
+        # --vertex-cap: nothing before the searches builds rows
+        def refuse(n, uv):
+            raise AssertionError("adjacency rows built")
+
+        monkeypatch.setattr(cliquesolve, "_rows", refuse)
+        out = str(tmp_path)
+        red = f"{out}/reduction.json"
+        steps = [["gen-vecsum", "--q", "3", "--k", "1", "--m", "6", "--n", "8", "--unsat"],
+                 ["reduce", "--instance", f"{out}/instance.json", "--certify", "wellspread"],
+                 ["export", "--reduction", red, "--out", "g.dimacs"],
+                 ["export", "--reduction", red, "--format", "json", "--out", "g.json"]]
+        for step in steps:
+            assert main(["--seed", "5", "--out-dir", out, *step]) == EXIT_OK
+        a, (b, _) = read_dimacs(f"{out}/g.dimacs"), read_graph_json(f"{out}/g.json")
+        assert a.edge_count() == b.edge_count() > 0 and np.array_equal(a.uv, b.uv)
+        for name in ("g.dimacs", "g.json"):
+            assert main(["--out-dir", out, "solve", "--graph", f"{out}/{name}",
+                         "--vertex-cap", str(a.n - 1)]) == EXIT_BUDGET
 
     def test_dimacs_reader_needs_problem_line(self, tmp_path):
         p = tmp_path / "bad.dimacs"
@@ -291,7 +363,8 @@ class TestGraphType:
 class TestDegeneracyOrder:
     def test_matches_quadratic_reference(self):
         rng = random.Random(20)
-        graphs = [DenseGraph(0, ()), DenseGraph(1, (0,)), DenseGraph(40, (0,) * 40),
+        graphs = [DenseGraph.from_edges(0, []), DenseGraph.from_edges(1, []),
+                  DenseGraph.from_edges(40, []),
                   complete_graph(1), complete_graph(2), complete_graph(33)]
         graphs += [tied_graph(rng, rng.randint(1, 60)) for _ in range(60)]
         graphs += [random_graph(rng, rng.randint(1, 50), p) for p in (0.05, 0.5, 0.95)

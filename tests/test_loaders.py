@@ -93,7 +93,7 @@ CLIQUE_DOC = {"vertices": [
     for v in SMALL_REDUCTION.planted_clique(SMALL_REDUCTION.source.planted)
 ]}
 GRAPH = DenseGraph.from_edges(4, [(0, 1), (1, 2), (0, 3)])
-GRAPH_DOC = {"version": 1, "n": 4, "edges": [list(e) for e in GRAPH.edges()], "meta": {"a": 1}}
+GRAPH_DOC = {"version": 1, "n": 4, "edges": GRAPH.uv.tolist(), "meta": {"a": 1}}
 DIMACS_LINES = ["c x", "p edge 4 3", "e 1 2", "e 2 3", "e 1 4"]
 
 
@@ -345,8 +345,7 @@ def test_graph_json_reader_matches_reference(n, edges):
 
 
 def test_edge_list_at_the_vertex_limit_stays_small():
-    # the row list and its tuple take 8 bytes a vertex each; the widths and
-    # offsets of the rows cover the two rows with an edge only
+    # reading builds no adjacency rows: the edge array and its checks only
     tracemalloc.start()
     try:
         graph = DenseGraph.from_edges(EDGE_LIST_VERTEX_LIMIT, [(0, 1)])
@@ -420,9 +419,8 @@ class TestReaderExamples:
         # a 300-vertex graph with one more line: the same graph, or the same
         # refusal with the same message, as reading one line at a time
         upper = np.triu(np.random.default_rng(3).random((300, 300)) < 0.3, 1)
-        rows = np.packbits(upper | upper.T, axis=1, bitorder="little")
-        g = DenseGraph(300, tuple(int.from_bytes(row.tobytes(), "little") for row in rows))
-        edges = "".join(f"e {u + 1} {v + 1}\n" for u, v in g.edges())
+        g = DenseGraph(300, np.argwhere(upper))
+        edges = "".join(f"e {u + 1} {v + 1}\n" for u, v in g.uv.tolist())
         m = g.edge_count() + tail.count("e ")
         path = _write(str(tmp_path), "g.dimacs", f"c big\np edge 300 {m}\n{edges}{tail}\n")
         got = _outcome(lambda: read_dimacs(path).adj)
