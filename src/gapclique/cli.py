@@ -34,7 +34,7 @@ from .cliquesolve import (
     read_dimacs,
     read_graph_json,
 )
-from .lintest import FunctionTable, list_decode_scalar, pass_probability
+from .lintest import FunctionTable, estimate_pass_probability, list_decode_scalar, pass_probability
 from .randmap import check_pairwise_separation, check_wellspread, sample_g
 from .reduction import CliqueInstance, ReductionParams, VertexCodec, extract_witness
 from .vecsum import VecSumInstance, brute_force_decide, generate_planted, generate_unsat
@@ -127,8 +127,8 @@ def cmd_check_map(cmd: Command) -> int:
     a = cmd.args
     inst = VecSumInstance.load(a.instance)
     g = sample_g(rngmod.stream(cmd.seed, "matrices"), inst.q, inst.k, inst.m, a.l, seed=cmd.seed)
-    # exhaustive mode reads neither the samples nor the stream
-    check = {"mode": a.mode, "samples": a.samples, "rng": rngmod.stream(cmd.seed, "map-check")}
+    check = {} if a.mode == "exhaustive" else {
+        "samples": a.samples, "rng": rngmod.stream(cmd.seed, "map-check")}
     ws = check_wellspread(g, inst, **check)
     sep = check_pairwise_separation(g, inst, **check)
     target = cmd.write_artifact(
@@ -192,9 +192,9 @@ def cmd_export(cmd: Command) -> int:
 def cmd_solve(cmd: Command) -> int:
     a = cmd.args
     if a.graph.endswith(".json"):
-        graph, _ = read_graph_json(a.graph)
+        graph, _ = read_graph_json(a.graph, vertex_cap=a.vertex_cap)
     else:
-        graph = read_dimacs(a.graph)
+        graph = read_dimacs(a.graph, vertex_cap=a.vertex_cap)
     exact = max_clique_exact(graph, time_budget=a.time_budget, vertex_cap=a.vertex_cap)
     # past the proven clique number no restart can change the greedy clique
     greedy = greedy_clique(graph, restarts=a.restarts, rng=rngmod.stream(cmd.seed, "greedy"),
@@ -279,10 +279,7 @@ def cmd_lintest(cmd: Command) -> int:
     table = FunctionTable.load(a.table)
     payload: dict = {"q": table.q, "d": table.d, "l": table.l}
     if a.samples:
-        est = pass_probability(
-            table, mode="monte_carlo", samples=a.samples,
-            rng=rngmod.stream(cmd.seed, "lintest"),
-        )
+        est = estimate_pass_probability(table, a.samples, rngmod.stream(cmd.seed, "lintest"))
         payload["pass_probability"] = {
             "mode": "monte_carlo",
             "estimate": est.estimate,

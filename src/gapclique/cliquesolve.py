@@ -323,12 +323,14 @@ def greedy_clique(
 
 def export_graph(graph: DenseGraph, fmt: str, path, meta: Optional[dict] = None):
     """Write a materialized graph.  DIMACS: 'p edge N M' header then one
-    'e u v' line per edge with 1-indexed u < v.  JSON: vertex count, edge
-    list, and metadata."""
+    'e u v' line per edge with 1-indexed u < v, 2^16 edges at a time.  JSON:
+    vertex count, edge list, and metadata."""
     if fmt == "dimacs":
         with open(path, "w") as fh:
             fh.write(f"p edge {graph.n} {graph.edge_count()}\n")
-            fh.writelines(f"e {u} {v}\n" for u, v in zip(*(graph.uv.T + 1).tolist()))
+            for s in range(0, graph.edge_count(), 1 << 16):
+                block = graph.uv[s : s + (1 << 16)] + 1
+                fh.write("e %d %d\n" * len(block) % tuple(block.ravel().tolist()))
     elif fmt == "json":
         doc = {
             "version": 1,
@@ -342,14 +344,15 @@ def export_graph(graph: DenseGraph, fmt: str, path, meta: Optional[dict] = None)
         raise ContractViolation(f"unknown graph format {fmt!r}")
 
 
-def read_dimacs(path) -> DenseGraph:
+def read_dimacs(path, vertex_cap: Optional[int] = None) -> DenseGraph:
     """Read the 'p edge N M' / 'e u v' format with 1-indexed vertices.
 
     Besides 'c' comment lines and blank lines the file must hold exactly one
     problem line, followed by exactly M edge lines of two vertices each; a
     duplicate edge or any other line is refused, the first in file order.
     The layout is checked line by line, then one pass reads every edge
-    line's numbers as int() does into an int64 array."""
+    line's numbers as int() does into an int64 array; a problem line past
+    vertex_cap vertices is refused by budget as soon as it is read."""
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -365,6 +368,8 @@ def read_dimacs(path) -> DenseGraph:
             with suppress(ValueError):
                 if parts[0] == "p" and header is None and len(parts) == 4 and parts[1] == "edge":
                     header = int(parts[2]), int(parts[3])
+                    if vertex_cap is not None and header[0] > vertex_cap:
+                        raise BudgetExceeded("vertex count", required=header[0], budget=vertex_cap)
                     continue
             tokens += line, "", ""  # no numbers: refused after any edge line before it
             break
@@ -389,8 +394,9 @@ def read_dimacs(path) -> DenseGraph:
     return DenseGraph._from_array(n, uv, lambda i: int(tokens[i]) - 1)
 
 
-def read_graph_json(path) -> tuple[DenseGraph, dict]:
-    """Read the JSON graph format; returns the graph and its metadata."""
+def read_graph_json(path, vertex_cap: Optional[int] = None) -> tuple[DenseGraph, dict]:
+    """Read the JSON graph format; returns the graph and its metadata, and
+    refuses by budget a vertex count past vertex_cap before any edge."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -400,7 +406,9 @@ def read_graph_json(path) -> tuple[DenseGraph, dict]:
         raise ContractViolation("a graph document must be a JSON object")
     if doc.get("version") != 1:
         raise ContractViolation(f"unsupported graph version {doc.get('version')!r:.60}")
-    edges = doc.get("edges")
+    n, edges = doc.get("n"), doc.get("edges")
+    if vertex_cap is not None and type(n) is int and n > vertex_cap:
+        raise BudgetExceeded("vertex count", required=n, budget=vertex_cap)
     if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
         raise ContractViolation("graph edges must be a list of vertex pairs")
-    return DenseGraph.from_edges(doc.get("n"), edges), doc.get("meta", {})
+    return DenseGraph.from_edges(n, edges), doc.get("meta", {})

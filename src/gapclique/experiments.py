@@ -28,8 +28,8 @@ from .errors import ContractViolation, PropertyViolation
 from .ffield import next_prime
 from .lintest import (
     FunctionTable,
-    LinearScalarFn,
     LIST_CONSTANT,
+    LinearVecFn,
     fourier_transform,
     list_decode_scalar,
     pass_probability,
@@ -386,7 +386,7 @@ def suite_lintest(seed: int = 0) -> list[dict]:
     for i in range(10):
         q, d = shapes[i % len(shapes)]
         r = rngmod.stream(seed, f"lintest/linear/{i}")
-        fn = LinearScalarFn(q, tuple(rngmod.draws(r, q, d).tolist()))
+        fn = LinearVecFn(q, d, (tuple(rngmod.draws(r, q, d).tolist()),))
         if pass_probability(FunctionTable.from_linear(fn)) != 1:
             linear_exact = False
     rows.append(
@@ -425,7 +425,7 @@ def _corrupted_linear_table(
 ) -> FunctionTable:
     """A linear scalar table with a fraction of its lines re-randomized,
     scalar-respecting closure re-applied per line."""
-    fn = LinearScalarFn(q, tuple(rngmod.draws(rng, q, d).tolist()))
+    fn = LinearVecFn(q, d, (tuple(rngmod.draws(rng, q, d).tolist()),))
     vals = FunctionTable.from_linear(fn).values[_lines(q, d)[:, 0]]
     for line in range(len(vals)):
         if rng.random() < corrupt_lines:

@@ -9,9 +9,9 @@ function out of the per-coordinate lists.  Every scalar-respecting table is
 built, and checked, by one closure step on one cached table of the lines
 through the origin (_scalar_closure, _lines).  Decoded lists stay arrays of
 coefficient-vector ranks (rows of the digit table _domain) through piecing;
-list_decode_scalar wraps them as LinearScalarFn.  Every transform over F_q^d
-is one _dft, and a table keeps its accepted counts (accepted_degrees) and
-the Fourier rows of its coordinates that the character sums took, which
+list_decode_scalar wraps them as one-row LinearVecFn.  Every transform over
+F_q^d is one _dft, and a table keeps its accepted counts (accepted_degrees)
+and the Fourier rows of its coordinates that the character sums took, which
 list decoding reads.
 
 All probabilities are exact rationals of integer counts.  Counts taken on
@@ -129,10 +129,9 @@ class FunctionTable:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_linear(cls, fn: "LinearScalarFn | LinearVecFn") -> "FunctionTable":
-        rhos = np.array([fn.rho]) if isinstance(fn, LinearScalarFn) else fn.matrix
+    def from_linear(cls, fn: "LinearVecFn") -> "FunctionTable":
         digits, _ = _domain(fn.q, fn.d)
-        return cls(fn.q, fn.d, len(rhos), digits @ rhos.T % fn.q)
+        return cls(fn.q, fn.d, len(fn.matrix), digits @ fn.matrix.T % fn.q)
 
     # -- indexing ----------------------------------------------------------
 
@@ -199,24 +198,10 @@ class FunctionTable:
 
 
 @dataclass(frozen=True)
-class LinearScalarFn:
-    """alpha -> <rho, alpha>; linear by construction."""
-
-    q: int
-    rho: tuple[int, ...]
-
-    def __post_init__(self):
-        residue_array(self.q, self.rho, (len(self.rho),))
-
-    @property
-    def d(self) -> int:
-        return len(self.rho)
-
-
-@dataclass(frozen=True)
 class LinearVecFn:
     """Vector-valued linear function; one coefficient vector per output
-    coordinate, as the rows of the checked (l, d) int64 array `matrix`."""
+    coordinate, as the rows of the checked (l, d) int64 array `matrix`.  A
+    scalar linear function alpha -> <rho, alpha> is the one with one row."""
 
     q: int
     d: int
@@ -225,6 +210,13 @@ class LinearVecFn:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", residue_array(self.q, self.rhos, (len(self.rhos), self.d)))
+
+    @property
+    def rho(self) -> tuple[int, ...]:
+        """The coefficient vector of a scalar function; refused past one row."""
+        if len(self.rhos) != 1:
+            raise ContractViolation(f"a function of {len(self.rhos)} rows has no single rho")
+        return self.rhos[0]
 
 
 # -- the test and its accepted pairs -------------------------------------------
@@ -414,30 +406,20 @@ class PassEstimate:
     ci_high: float
 
 
-def pass_probability(
-    f: FunctionTable,
-    mode: str = "exact",
-    samples: int = 0,
-    rng: Optional[random.Random] = None,
-):
-    """Probability that the test accepts f.
+def pass_probability(f: FunctionTable) -> Fraction:
+    """Probability that the test accepts f, exact: every one of the q^{2d}
+    pairs counted through accepted_degrees (budget-gated)."""
+    deg, _ = accepted_degrees(f)
+    return Fraction(int(deg.sum()), f.size**2)
 
-    Exact mode counts all q^{2d} pairs through accepted_degrees
-    (budget-gated) and returns an exact Fraction.  Monte Carlo mode samples
-    pairs and returns a PassEstimate with a 99% binomial confidence interval.
-    """
-    if mode == "exact":
-        deg, _ = accepted_degrees(f)
-        return Fraction(int(deg.sum()), f.size**2)
-    if mode != "monte_carlo":
-        raise ContractViolation(f"unknown mode {mode!r}")
+
+def estimate_pass_probability(f: FunctionTable, samples: int, rng: random.Random) -> PassEstimate:
+    """Monte Carlo estimate of the pass probability from `samples` uniform
+    pairs drawn from rng, with a 99% binomial confidence interval."""
     if samples < 1:
-        raise ContractViolation("monte_carlo mode needs samples >= 1")
-    if rng is None:
-        raise ContractViolation("monte_carlo mode needs an rng")
+        raise ContractViolation("a Monte Carlo estimate needs samples >= 1")
     q, n = f.q, f.size
     digits, place = _domain(q, f.d)
-    vals = f.values
     passes = 0
     # a block of samples at a time keeps memory flat in the sample count
     for start in range(0, samples, PAIR_BLOCK):
@@ -445,7 +427,7 @@ def pass_probability(
         # i then j for every sample, in the order the samples are drawn
         i, j = draws(rng, n, 2 * block).reshape(block, 2).T
         s = (digits[i] + digits[j]) % q @ place
-        passes += int(((vals[i] + vals[j]) % q == vals[s]).all(axis=1).sum())
+        passes += int(((f.values[i] + f.values[j]) % q == f.values[s]).all(axis=1).sum())
     lo, hi = wilson_interval(passes, samples)
     return PassEstimate(passes, samples, passes / samples, lo, hi)
 
@@ -568,7 +550,7 @@ def _list_decode(f: FunctionTable, deltas: tuple[float, ...]) -> tuple[np.ndarra
     return hits % n, np.searchsorted(hits, np.arange(0, n * len(deltas) + 1, n))
 
 
-def list_decode_scalar(f: FunctionTable, delta: float) -> tuple[LinearScalarFn, ...]:
+def list_decode_scalar(f: FunctionTable, delta: float) -> tuple[LinearVecFn, ...]:
     """All linear functions whose Fourier coefficient is at least
     LIST_CONSTANT * delta, in rank order of the coefficient vector.
 
@@ -581,9 +563,11 @@ def list_decode_scalar(f: FunctionTable, delta: float) -> tuple[LinearScalarFn, 
         raise ContractViolation("list decoding needs a scalar-range table")
     ranks, _ = _list_decode(f, (delta,))
     # rows of the digit table are residues already: the members skip the check
-    members = tuple(object.__new__(LinearScalarFn) for _ in ranks)
-    for fn, rho in zip(members, _domain(f.q, f.d)[0][ranks].tolist()):
-        fn.__dict__.update(q=f.q, rho=tuple(rho))
+    rows = _domain(f.q, f.d)[0][ranks]
+    rows.setflags(write=False)
+    members = tuple(object.__new__(LinearVecFn) for _ in ranks)
+    for i, (fn, rho) in enumerate(zip(members, rows.tolist())):
+        fn.__dict__.update(q=f.q, d=f.d, rhos=(tuple(rho),), matrix=rows[i : i + 1])
     return members
 
 

@@ -19,11 +19,12 @@ mixed-radix numbering in lexicographic order:
   of linearly independent directions).
 
 Cases whose sum vanishes, or whose differences vanish or coincide, are
-skipped and not counted in `checked`.  Exhaustive mode walks every index in
-order; Monte Carlo mode draws `samples` indices with `rng.randrange(total)`,
-so it reaches every kind of case, including the single-difference one that
-is all there is at k = 1.  Either way the first failing case in walk or draw
-order is the counterexample.  All images come from one (l*k x m)(m x N)
+skipped and not counted in `checked`.  A check walks every index in order
+(mode "exhaustive"), or, given an rng, draws `samples` indices with
+`rng.randrange(total)` (mode "monte_carlo"), so it reaches every kind of
+case, including the single-difference one that is all there is at k = 1.
+Either way the first failing case in walk or draw order is the
+counterexample.  All images come from one (l*k x m)(m x N)
 product mod q and every threshold is an integer comparison.  A Monte Carlo
 run that draws no countable case is inconclusive and raises
 PropertyViolation rather than passing.
@@ -46,6 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceeded, ContractViolation, PropertyViolation
+from .ffield import is_prime
 from .lintest import _domain
 from .rng import draws
 from .stats import wilson_interval
@@ -76,6 +78,8 @@ class LinearMapG:
     seed: Optional[int] = None
 
     def __post_init__(self):
+        if not is_prime(check_modulus(self.q)):  # past 2^63 is refused as such
+            raise ContractViolation(f"map modulus {self.q} is not prime")
         shape = (check_int("l", self.l), check_int("k", self.k) * check_int("dimension m", self.m))
         object.__setattr__(self, "matrices", residue_array(self.q, self.matrices, shape))
 
@@ -191,33 +195,32 @@ def _draws(parts: list, ends: list[int], count: int, rng: random.Random):
 
 
 def _run_check(name: str, what: str, parts: list, case_bytes: int, g: LinearMapG,
-               inst: VecSumInstance, mode: str, samples: int,
+               inst: VecSumInstance, samples: int,
                rng: Optional[random.Random]) -> GoodMapCertificate:
     """The engine behind both checks.  `parts` number the case space in
     blocks of (radices, evaluate, describe): a block's cases are the
     mixed-radix numbers over its radices; evaluate(digit arrays, flat or
     sparse grids) returns per case (counted, passed, detail), as arrays that
     broadcast to the digits' shape, using about case_bytes of working arrays
-    a case, and describe(digits, detail) the counterexample.  Exhaustive
-    mode walks every case number in order, part by part in batches of about
-    _BLOCK_BYTES; Monte Carlo mode draws `samples` of them, _CHUNK a batch,
+    a case, and describe(digits, detail) the counterexample.  With no rng
+    the check walks every case number in order, part by part in batches of
+    about _BLOCK_BYTES; with one it draws `samples` of them, _CHUNK a batch,
     each batch when it is reached.  The first counted failing case ends the
     check."""
     ends = list(itertools.accumulate(math.prod(radices) for radices, _, _ in parts))
-    if mode == "exhaustive":
+    if rng is None and samples or rng is not None and samples < 1:
+        raise ContractViolation("Monte Carlo sampling needs an rng and samples >= 1")
+    mode = "exhaustive" if rng is None else "monte_carlo"
+    if rng is None:
         if ends[-1] > CHECK_BUDGET:
             raise BudgetExceeded(f"{what} enumeration", required=ends[-1], budget=CHECK_BUDGET)
         limit = max(1, _BLOCK_BYTES // case_bytes)
         # a batch: per part in it (part, places in the batch, shape, digits)
         batches = ([(p, slice(None), shape, digits)] for p, (radices, _, _) in enumerate(parts)
                    for shape, digits in _blocks(radices, limit))
-    elif mode == "monte_carlo":
-        if rng is None or samples < 1:
-            raise ContractViolation("monte_carlo mode needs rng and samples >= 1")
+    else:
         batches = (_draws(parts, ends, min(_CHUNK, samples - s), rng)
                    for s in range(0, samples, _CHUNK))
-    else:
-        raise ContractViolation(f"unknown mode {mode!r}")
     checked = 0
     for pieces in batches:
         size = sum(math.prod(shape) for _, _, shape, _ in pieces)
@@ -238,7 +241,7 @@ def _run_check(name: str, what: str, parts: list, case_bytes: int, g: LinearMapG
                 name, mode, False, checked, counterexample, inst.fingerprint(), g.seed
             )
         checked += int(np.count_nonzero(counted))
-    if mode == "monte_carlo" and checked == 0:
+    if rng is not None and checked == 0:
         raise PropertyViolation(
             f"{what} check inconclusive: none of {samples} Monte Carlo samples is a countable case"
         )
@@ -254,7 +257,6 @@ def _combine(inst: VecSumInstance, rows: np.ndarray, d: list[np.ndarray]) -> np.
 def check_wellspread(
     g: LinearMapG,
     inst: VecSumInstance,
-    mode: str = "exhaustive",
     samples: int = 0,
     rng: Optional[random.Random] = None,
 ) -> GoodMapCertificate:
@@ -278,8 +280,7 @@ def check_wellspread(
     parts = [((q,) * k + inst.sizes, evaluate, describe)]
     # a case's working arrays: two int64 rows as wide as `rows`, a multiple
     # of a gathered row and the running sum
-    return _run_check("wellspread", "wellspread", parts, 16 * rows.shape[1], g, inst, mode,
-                      samples, rng)
+    return _run_check("wellspread", "wellspread", parts, 16 * rows.shape[1], g, inst, samples, rng)
 
 
 def wellspread_sums(inst: VecSumInstance) -> Optional[np.ndarray]:
@@ -354,7 +355,6 @@ def _differing(planes: np.ndarray, a: np.ndarray, b: Optional[np.ndarray] = None
 def check_pairwise_separation(
     g: LinearMapG,
     inst: VecSumInstance,
-    mode: str = "exhaustive",
     samples: int = 0,
     rng: Optional[random.Random] = None,
 ) -> GoodMapCertificate:
@@ -448,8 +448,7 @@ def check_pairwise_separation(
         first += n
     # a case's working arrays come to about 8 int64 entries: the XORs of its
     # rows' words, their OR, its weight and its verdicts
-    return _run_check("pairwise_separation", "separation", parts, 8 * 8, g, inst, mode,
-                      samples, rng)
+    return _run_check("pairwise_separation", "separation", parts, 8 * 8, g, inst, samples, rng)
 
 
 def union_bound_values(q: int, k: int, m: int, l: int, n: int) -> dict:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gapclique.lintest import PassEstimate
+from gapclique.lintest import LinearVecFn, PassEstimate
 from gapclique.stats import wilson_interval
 
 from field_reference import inner_product, rank_tuple, scale, unrank_tuple
@@ -28,6 +28,11 @@ from field_reference import inner_product, rank_tuple, scale, unrank_tuple
 def value_at(f, alpha) -> tuple:
     """The table's value at point alpha, as a tuple of ints."""
     return tuple(int(v) for v in f.values[rank_tuple(f.q, alpha)])
+
+
+def linear_scalar(q, rho) -> LinearVecFn:
+    """The scalar linear function alpha -> <rho, alpha>: a one-row LinearVecFn."""
+    return LinearVecFn(q, len(rho), (tuple(rho),))
 
 
 def eval_linear(c, alpha) -> int:

@@ -28,24 +28,23 @@ def digits(t, radices):
     return out[::-1]
 
 
-def run_check(name, what, parts, case_bytes, g, inst, mode, samples, rng):
+def run_check(name, what, parts, case_bytes, g, inst, samples, rng):
     sizes = [math.prod(radices) for radices, _, _ in parts]
     ends = list(itertools.accumulate(sizes))
     total = ends[-1]
+    if rng is None and samples or rng is not None and samples < 1:
+        raise ContractViolation("Monte Carlo sampling needs an rng and samples >= 1")
+    mode = "exhaustive" if rng is None else "monte_carlo"
     if mode == "exhaustive":
         if total > randmap.CHECK_BUDGET:
             raise BudgetExceeded(f"{what} enumeration", required=total, budget=randmap.CHECK_BUDGET)
         batches = (np.arange(s, min(s + BATCH, total)) for s in range(0, total, BATCH))
-    elif mode == "monte_carlo":
-        if rng is None or samples < 1:
-            raise ContractViolation("monte_carlo mode needs rng and samples >= 1")
+    else:
         dtype = np.int64 if total < 2**63 else object
         batches = (
             np.array([rng.randrange(total) for _ in range(min(BATCH, samples - s))], dtype=dtype)
             for s in range(0, samples, BATCH)
         )
-    else:
-        raise ContractViolation(f"unknown mode {mode!r}")
     checked = 0
     for idx in batches:
         part_of = np.searchsorted(ends, idx, side="right")

@@ -14,6 +14,8 @@ from gapclique.cli import (
 )
 from gapclique.reduction import CliqueInstance, extract_witness
 
+from lintest_reference import linear_scalar
+
 
 def run(*argv):
     return main(list(argv))
@@ -399,7 +401,7 @@ OUT_OF_RANGE = [
 @pytest.fixture(scope="module")
 def valid_arguments(tmp_path_factory):
     """Per command, arguments that run it to exit 0 on small inputs."""
-    from gapclique.lintest import FunctionTable, LinearScalarFn
+    from gapclique.lintest import FunctionTable
 
     d = str(tmp_path_factory.mktemp("inputs"))
     path = lambda name: os.path.join(d, name)  # noqa: E731
@@ -410,7 +412,7 @@ def valid_arguments(tmp_path_factory):
     assert run("--seed", "1", "--out-dir", d, "export",
                "--reduction", path("reduction.json")) == EXIT_OK
     with open(path("table.json"), "w") as fh:
-        json.dump(FunctionTable.from_linear(LinearScalarFn(3, (1, 2))).to_json(), fh)
+        json.dump(FunctionTable.from_linear(linear_scalar(3, (1, 2))).to_json(), fh)
     return {
         "gen-vecsum": [],
         "check-map": ["--instance", path("instance.json")],
@@ -541,11 +543,11 @@ class TestConfig:
 
 class TestLintestCommand:
     def test_exact_and_decode(self, tmp_path):
-        from gapclique.lintest import FunctionTable, LinearScalarFn
+        from gapclique.lintest import FunctionTable
 
         table = tmp_path / "table.json"
         with open(table, "w") as fh:
-            json.dump(FunctionTable.from_linear(LinearScalarFn(5, (2, 3))).to_json(), fh)
+            json.dump(FunctionTable.from_linear(linear_scalar(5, (2, 3))).to_json(), fh)
         out = str(tmp_path)
         assert run("--seed", "1", "--out-dir", out, "lintest",
                    "--table", str(table), "--decode-delta", "0.5") == EXIT_OK
@@ -557,22 +559,22 @@ class TestLintestCommand:
     def test_decode_delta_must_be_finite_and_positive(self, tmp_path, delta):
         # a non-finite delta would otherwise reach the report as NaN or
         # Infinity, which strict JSON readers refuse
-        from gapclique.lintest import FunctionTable, LinearScalarFn
+        from gapclique.lintest import FunctionTable
 
         table = tmp_path / "table.json"
         with open(table, "w") as fh:
-            json.dump(FunctionTable.from_linear(LinearScalarFn(5, (2, 3))).to_json(), fh)
+            json.dump(FunctionTable.from_linear(linear_scalar(5, (2, 3))).to_json(), fh)
         out = str(tmp_path)
         assert run("--seed", "1", "--out-dir", out, "lintest",
                    "--table", str(table), "--decode-delta", delta) == EXIT_INVALID
         assert not os.path.exists(os.path.join(out, "lintest-report.json"))
 
     def test_monte_carlo_mode(self, tmp_path):
-        from gapclique.lintest import FunctionTable, LinearScalarFn
+        from gapclique.lintest import FunctionTable
 
         table = tmp_path / "table.json"
         with open(table, "w") as fh:
-            json.dump(FunctionTable.from_linear(LinearScalarFn(3, (1, 2))).to_json(), fh)
+            json.dump(FunctionTable.from_linear(linear_scalar(3, (1, 2))).to_json(), fh)
         out = str(tmp_path)
         assert run("--seed", "1", "--out-dir", out, "lintest",
                    "--table", str(table), "--samples", "500") == EXIT_OK
@@ -606,6 +608,19 @@ class TestExperimentCommand:
 
 
 class TestCheckMapCommand:
+    @pytest.mark.parametrize("mode", [[], ["--mode", "monte_carlo", "--samples", "100"]],
+                             ids=["exhaustive", "monte_carlo"])
+    def test_composite_modulus_is_invalid(self, tmp_path, capsys, mode):
+        # the instance takes q = 4; no map over it is certified
+        out = str(tmp_path)
+        assert run("--seed", "1", "--out-dir", out, "gen-vecsum",
+                   "--q", "4", "--k", "1", "--m", "3", "--n", "3") == EXIT_OK
+        code = run("--seed", "1", "--out-dir", out, "check-map",
+                   "--instance", os.path.join(out, "instance.json"), "--l", "2", *mode)
+        assert code == EXIT_INVALID
+        assert "map modulus 4 is not prime" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "map-certificate.json"))
+
     def test_monte_carlo_reports_k1_separation_failure(self, tmp_path):
         # exhaustive mode fails this map after 21 cases; sampling must too
         out = str(tmp_path)

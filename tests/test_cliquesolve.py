@@ -1,13 +1,14 @@
 """Exact and greedy clique search against a naive subset-DP oracle."""
 
 import itertools
+import json
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gapclique.cli import EXIT_BUDGET, EXIT_OK, main
+from gapclique.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, main
 from gapclique.errors import BudgetExceeded, ContractViolation
 from gapclique import cliquesolve
 from gapclique.cliquesolve import (
@@ -353,6 +354,17 @@ class TestGraphType:
             assert main(["--out-dir", out, "solve", "--graph", f"{out}/{name}",
                          "--vertex-cap", str(a.n - 1)]) == EXIT_BUDGET
 
+    @pytest.mark.parametrize("m", [0, 1, 1 << 16, (1 << 16) + 1, 191_890],
+                             ids=["none", "one", "one-block", "two-blocks", "three-blocks"])
+    def test_dimacs_export_matches_one_line_per_edge(self, tmp_path, m):
+        # the export writes 2^16 edges a block: the same bytes as a writer
+        # that formats one edge at a time, at and across block boundaries
+        u, v = np.triu_indices(620, 1)
+        g = DenseGraph(620, np.stack([u, v], axis=1)[:m].astype(np.int64))
+        export_graph(g, "dimacs", tmp_path / "g.dimacs")
+        want = [f"p edge 620 {m}\n"] + [f"e {a + 1} {b + 1}\n" for a, b in g.uv.tolist()]
+        assert (tmp_path / "g.dimacs").read_text() == "".join(want)
+
     def test_dimacs_reader_needs_problem_line(self, tmp_path):
         p = tmp_path / "bad.dimacs"
         p.write_text("e 1 2\n")
@@ -392,3 +404,47 @@ class TestDegeneracyOrder:
         # a path 0-1-2-3: both ends have degree 1, so 0 goes first, then 1
         path = DenseGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         assert _degeneracy_order(path) == [0, 1, 2, 3]
+
+
+class TestReaderVertexCap:
+    """A reader given a vertex cap refuses a graph past it as max_clique_exact
+    would, from the vertex count alone: nothing after it is read."""
+
+    def want(self, n, cap):
+        with pytest.raises(BudgetExceeded) as exc:
+            max_clique_exact(DenseGraph(n, np.zeros((0, 2), np.int64)), vertex_cap=cap)
+        return str(exc.value)
+
+    def write(self, tmp_path, n):
+        # both files are malformed after their vertex count
+        dimacs, js = tmp_path / "g.dimacs", tmp_path / "g.json"
+        dimacs.write_text(f"c a comment\np edge {n} 2\ne 1 2\nnot an edge line\n")
+        js.write_text(json.dumps({"version": 1, "n": n, "edges": [[0, 1], "bad"]}))
+        return (dimacs, read_dimacs), (js, read_graph_json)
+
+    def test_refused_at_the_vertex_count(self, tmp_path):
+        for path, read in self.write(tmp_path, 5):
+            with pytest.raises(BudgetExceeded) as exc:
+                read(path, vertex_cap=4)
+            assert (exc.value.what, exc.value.required, exc.value.budget) == ("vertex count", 5, 4)
+            assert str(exc.value) == self.want(5, 4)
+            # at the cap, or with none, the malformed rest is read and refused
+            for cap in (5, None):
+                with pytest.raises(ContractViolation):
+                    read(path, vertex_cap=cap)
+
+    def test_json_count_that_is_no_int_is_refused_as_before(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"version": 1, "n": "5", "edges": [[0, 1]]}))
+        with pytest.raises(ContractViolation, match="vertex count must be an integer"):
+            read_graph_json(path, vertex_cap=4)
+
+    def test_solve_exits_budget_before_the_malformed_rest(self, tmp_path, capsys):
+        for path, _ in self.write(tmp_path, 5):
+            capsys.readouterr()
+            assert main(["--out-dir", str(tmp_path), "solve", "--graph", str(path),
+                         "--vertex-cap", "4"]) == EXIT_BUDGET
+            assert capsys.readouterr().err == f"refused: {self.want(5, 4)}\n"
+            assert main(["--out-dir", str(tmp_path), "solve", "--graph", str(path),
+                         "--vertex-cap", "5"]) == EXIT_INVALID
+        assert not (tmp_path / "solve-report.json").exists()

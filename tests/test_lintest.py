@@ -17,9 +17,9 @@ from gapclique.reduction import CliqueInstance, ReductionParams, build_gamma
 from gapclique.vecsum import generate_planted, paper_dimension
 from gapclique.lintest import (
     FunctionTable,
-    LinearScalarFn,
     LinearVecFn,
     accepted_degrees,
+    estimate_pass_probability,
     fourier_transform,
     list_decode_scalar,
     pass_probability,
@@ -36,6 +36,7 @@ from lintest_reference import (
     coordinate_masks,
     corrupted_linear_values,
     eval_linear,
+    linear_scalar,
     line_representatives,
     monte_carlo_estimate,
     per_coordinate_matches,
@@ -69,25 +70,25 @@ def arbitrary_table(r, q, d, l):
 
 def decoded_fns(q, d, ranks):
     """A decoded list of coefficient-vector ranks as linear functions."""
-    return tuple(LinearScalarFn(q, unrank_tuple(q, d, r)) for r in ranks.tolist())
+    return tuple(linear_scalar(q, unrank_tuple(q, d, r)) for r in ranks.tolist())
 
 
 class TestEvalLinear:
     def test_zero_coefficients(self):
-        c = LinearScalarFn(5, (0, 0, 0))
+        c = linear_scalar(5, (0, 0, 0))
         assert all(eval_linear(c, a) == 0 for a in itertools.product(range(5), repeat=3))
 
     def test_projection(self):
-        c = LinearScalarFn(7, (1, 0, 0))
+        c = linear_scalar(7, (1, 0, 0))
         assert eval_linear(c, (4, 5, 6)) == 4
 
     def test_wraps(self):
-        assert eval_linear(LinearScalarFn(5, (2, 3)), (1, 1)) == 0
+        assert eval_linear(linear_scalar(5, (2, 3)), (1, 1)) == 0
 
     @pytest.mark.parametrize("coeffs", [(5, 1), (-1, 0), (1.0, 2), (True, 1)])
     def test_non_canonical_coefficients_refused_not_reduced(self, coeffs):
         with pytest.raises(ContractViolation):
-            LinearScalarFn(5, coeffs)
+            linear_scalar(5, coeffs)
         with pytest.raises(ContractViolation):
             LinearVecFn(5, 2, ((1, 2), coeffs))
 
@@ -101,10 +102,19 @@ class TestEvalLinear:
         assert fn == same and hash(fn) == hash(same) and "matrix" not in repr(fn)
         assert fn != LinearVecFn(5, 2, ((1, 2), (3, 3)))
 
+    def test_rho_is_the_one_row(self):
+        fn = linear_scalar(5, (2, 3))
+        assert fn.rho == (2, 3) and fn.d == 2 and fn.matrix.tolist() == [[2, 3]]
+        assert fn == LinearVecFn(5, 2, ((2, 3),)) and hash(fn) == hash(LinearVecFn(5, 2, ((2, 3),)))
+        # a function of no rows or of several has no single coefficient vector
+        for rows in ((), ((1, 2), (3, 4))):
+            with pytest.raises(ContractViolation, match=f"{len(rows)} rows"):
+                LinearVecFn(5, 2, rows).rho
+
 
 class TestPassProbability:
     def test_linear_passes_exactly(self):
-        fn = LinearScalarFn(7, (3, 5))
+        fn = linear_scalar(7, (3, 5))
         assert pass_probability(FunctionTable.from_linear(fn)) == 1
 
     def test_constant_nonzero_never_passes(self):
@@ -124,7 +134,7 @@ class TestPassProbability:
     def test_monte_carlo_mode_brackets_exact(self):
         f = random_scalar_respecting_table(rngmod.stream(3, "mc"), 5, 2)
         exact = float(pass_probability(f))
-        est = pass_probability(f, mode="monte_carlo", samples=4000, rng=rngmod.stream(4, "mc"))
+        est = estimate_pass_probability(f, 4000, rngmod.stream(4, "mc"))
         assert est.ci_low <= exact <= est.ci_high
 
     @pytest.mark.parametrize("block", [7, lintest.PAIR_BLOCK])
@@ -135,9 +145,15 @@ class TestPassProbability:
             r = rngmod.stream(i, "mc-ref")
             for f in (arbitrary_table(r, q, d, l), random_scalar_respecting_table(r, q, d, l)):
                 got_rng, ref_rng = rngmod.stream(i, "mc-draws"), rngmod.stream(i, "mc-draws")
-                got = pass_probability(f, mode="monte_carlo", samples=100, rng=got_rng)
+                got = estimate_pass_probability(f, 100, got_rng)
                 assert got == monte_carlo_estimate(f, 100, ref_rng)
                 assert got_rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_estimate_needs_samples(self, samples):
+        f = random_scalar_respecting_table(rngmod.stream(3, "mc"), 5, 2)
+        with pytest.raises(ContractViolation, match="samples >= 1"):
+            estimate_pass_probability(f, samples, rngmod.stream(4, "mc"))
 
     def test_budget_refusal_reports_requirement(self, monkeypatch):
         # the values span one dimension, one line of characters: one DFT pair
@@ -151,7 +167,7 @@ class TestPassProbability:
 
 class TestAcceptedSet:
     def test_linear_accepts_everything(self):
-        f = FunctionTable.from_linear(LinearScalarFn(3, (1, 2)))
+        f = FunctionTable.from_linear(linear_scalar(3, (1, 2)))
         deg, _ = accepted_degrees(f)
         assert deg.sum() == 9 * 9
         assert (deg > 0).sum() == 9
@@ -163,7 +179,7 @@ class TestAcceptedSet:
         assert counts == tuple(coordinate_masks(f).sum(axis=(1, 2)).tolist())
 
     def test_single_corrupted_point_shrinks_set(self):
-        f = FunctionTable.from_linear(LinearScalarFn(3, (2,)))
+        f = FunctionTable.from_linear(linear_scalar(3, (2,)))
         vals = np.array(f.values, copy=True)
         vals[1] = (vals[1] + 1) % 3  # bump f at a nonzero point
         g = FunctionTable(3, 1, 1, vals)
@@ -633,7 +649,7 @@ class TestKeptRows:
         assert lintest._column_basis(high) is None
         # Monte Carlo counts only, and a table with no count at all
         sampled, fresh = noisy_linear_table(r, 7, 2, 1), noisy_linear_table(r, 7, 2, 1)
-        pass_probability(sampled, "monte_carlo", samples=200, rng=r)
+        estimate_pass_probability(sampled, 200, r)
         # not scalar respecting: sign pairs, whose scalar coordinate decodes alone
         mixed = FunctionTable(5, 2, 2, np.hstack([high.values[:, :1], arbitrary_table(r, 5, 2, 1).values]))
         for f in (high, mixed):
@@ -712,7 +728,7 @@ class TestDft:
 
 class TestFourier:
     def test_character_transform_is_delta(self):
-        fn = LinearScalarFn(5, (2, 3))
+        fn = linear_scalar(5, (2, 3))
         ft = fourier_transform(FunctionTable.from_linear(fn))
         assert abs(ft.coeffs[rank_tuple(5, (2, 3))] - 1) < 1e-12
         for rho in itertools.product(range(5), repeat=2):
@@ -759,12 +775,12 @@ def all_scalar_respecting_tables(q, d):
 
 class TestAgreementIdentity:
     def test_agreement_with_itself(self):
-        fn = LinearScalarFn(5, (1, 4))
+        fn = linear_scalar(5, (1, 4))
         assert agreement(FunctionTable.from_linear(fn), fn) == 1
 
     def test_distinct_characters_agree_exactly_one_in_q(self):
-        f = FunctionTable.from_linear(LinearScalarFn(3, (2,)))
-        assert agreement(f, LinearScalarFn(3, (1,))) == Fraction(1, 3)
+        f = FunctionTable.from_linear(linear_scalar(3, (2,)))
+        assert agreement(f, linear_scalar(3, (1,))) == Fraction(1, 3)
 
     @pytest.mark.parametrize("q,d", [(3, 2), (5, 2), (11, 2), (5, 1)])
     def test_suite_agreement_table_matches_reference(self, q, d):
@@ -775,7 +791,7 @@ class TestAgreementIdentity:
             r = rngmod.stream(i, f"agreements/{q}/{d}")
             for f in (random_scalar_respecting_table(r, q, d),
                       experiments._corrupted_linear_table(r, q, d, corrupt_lines=0.3)):
-                want = [agreement(f, LinearScalarFn(q, rho))
+                want = [agreement(f, linear_scalar(q, rho))
                         for rho in itertools.product(range(q), repeat=d)]
                 assert [Fraction(c, f.size) for c in experiments._agreements(f).tolist()] == want
 
@@ -804,14 +820,14 @@ class TestAgreementIdentity:
 
 class TestTripleCorrelation:
     def test_same_character_correlates_fully(self):
-        f = FunctionTable.from_linear(LinearScalarFn(3, (1, 2)))
+        f = FunctionTable.from_linear(linear_scalar(3, (1, 2)))
         rep = triple_correlation_check(f, f, f)
         assert rep.lhs == 1
         assert abs(rep.rhs - 1) < TOL
 
     def test_identity_exact_for_all_triples_q3_d1(self):
         # at d=1 every scalar-respecting table is a character; enumerate all
-        tables = [FunctionTable.from_linear(LinearScalarFn(3, (r,))) for r in range(3)]
+        tables = [FunctionTable.from_linear(linear_scalar(3, (r,))) for r in range(3)]
         for g1, g2, g3 in itertools.product(tables, repeat=3):
             rep = triple_correlation_check(g1, g2, g3)
             assert rep.abs_diff < TOL
@@ -829,9 +845,9 @@ class TestTripleCorrelation:
         # with g2 = g3 linear, coefficient mass of g2 is 1, so the largest
         # coefficient of g1 must reach (lhs - 1/q) * q / (q-1)
         q = 5
-        lin = FunctionTable.from_linear(LinearScalarFn(q, (2, 1)))
+        lin = FunctionTable.from_linear(linear_scalar(q, (2, 1)))
         g1 = corrupt_lines(
-            FunctionTable.from_linear(LinearScalarFn(q, (2, 1))),
+            FunctionTable.from_linear(linear_scalar(q, (2, 1))),
             [(rep, 3) for rep in line_representatives(q, 2)[:2]],
         )
         rep = triple_correlation_check(g1, lin, lin)
@@ -842,7 +858,7 @@ class TestTripleCorrelation:
 
 class TestListDecode:
     def test_exact_linear_decodes_to_itself(self):
-        fn = LinearScalarFn(7, (4, 2))
+        fn = linear_scalar(7, (4, 2))
         got = list_decode_scalar(FunctionTable.from_linear(fn), 0.5)
         assert [c.rho for c in got] == [(4, 2)]
 
@@ -856,7 +872,7 @@ class TestListDecode:
 
     def test_point_six_agreement_is_recovered(self):
         q, d = 11, 2
-        fn = LinearScalarFn(q, (3, 7))
+        fn = linear_scalar(q, (3, 7))
         reps = line_representatives(q, d)
         # corrupt 4 of 12 lines: agreement stays >= 0.6
         f = corrupt_lines(
@@ -876,7 +892,7 @@ class TestListDecode:
         for i in range(10):
             f = random_scalar_respecting_table(rngmod.stream(q * d + i, "order"), q, d)
             want = [rho for rho in itertools.product(range(q), repeat=d)
-                    if agreement(f, LinearScalarFn(q, rho)) >= thr]
+                    if agreement(f, linear_scalar(q, rho)) >= thr]
             assert [c.rho for c in list_decode_scalar(f, delta)] == want
             sizes.add(len(want))
         assert max(sizes) > 1
@@ -885,10 +901,13 @@ class TestListDecode:
         # members are built from digit-table rows without the constructor's check
         f = random_scalar_respecting_table(rngmod.stream(7, "members"), 5, 2)
         got = list_decode_scalar(f, 0.1)
-        checked = tuple(LinearScalarFn(5, c.rho) for c in got)
+        checked = tuple(linear_scalar(5, c.rho) for c in got)
         assert len(got) > 1 and got == checked
         assert list(map(hash, got)) == list(map(hash, checked)) and repr(got) == repr(checked)
         assert all(type(c.rho) is tuple and all(type(x) is int for x in c.rho) for c in got)
+        # each member's matrix is its own read-only row, as the constructor's is
+        assert all(c.matrix.tolist() == [list(c.rho)] and c.matrix.dtype == np.int64
+                   and not c.matrix.flags.writeable for c in got)
 
     def test_list_size_respects_parseval_cap(self):
         f = random_scalar_respecting_table(rngmod.stream(2, "cap"), 5, 2)
@@ -965,7 +984,7 @@ class TestListDecode:
         want = {
             rho
             for rho in itertools.product(range(q), repeat=d)
-            if agreement(f, LinearScalarFn(q, rho)) >= thr
+            if agreement(f, linear_scalar(q, rho)) >= thr
         }
         assert got == want
 
@@ -1009,7 +1028,7 @@ class TestPieceTogether:
             fi = f.coordinate(i)
             best = max(
                 itertools.product(range(q), repeat=d),
-                key=lambda rho: (agreement(fi, LinearScalarFn(q, rho)), rho),
+                key=lambda rho: (agreement(fi, linear_scalar(q, rho)), rho),
             )
             assert best == c0.rhos[i]
         # measured agreement satisfies the piecing guarantee
@@ -1102,7 +1121,7 @@ class TestPieceTogether:
         want = 0
         for r in ranks.tolist():
             p = unrank_tuple(q, d, r)
-            fn_at = tuple(eval_linear(LinearScalarFn(q, rho), p) for rho in fn.rhos)
+            fn_at = tuple(eval_linear(linear_scalar(q, rho), p) for rho in fn.rhos)
             want += Fraction(sum(u != v for u, v in zip(value_at(f, p), fn_at)), l) <= kappa
         assert lintest._within(f, fn, ranks, kappa) == want
 

@@ -29,13 +29,14 @@ from gapclique.cliquesolve import (
 )
 from gapclique.errors import BudgetExceeded, ContractViolation
 from gapclique.ffield import next_prime
-from gapclique.lintest import FunctionTable, LinearScalarFn, LinearVecFn
+from gapclique.lintest import FunctionTable, LinearVecFn
 from gapclique.randmap import LinearMapG, sample_g
 from gapclique.reduction import CliqueInstance, ReductionParams, Vertex, as_clique
 from gapclique.vecsum import VecSumInstance, generate_planted, residue_array
 
 from field_reference import residue_nested
 from graph_reference import dimacs_edges, graph_from_edges
+from lintest_reference import linear_scalar
 
 DOCUMENTED_EXIT_CODES = {EXIT_OK, EXIT_BUDGET, EXIT_PROPERTY, EXIT_IO, EXIT_INVALID}
 FUZZ = settings(max_examples=150, deadline=None)
@@ -87,7 +88,7 @@ INSTANCE_DOC = generate_planted(rngmod.stream(1, "fuzz"), 3, 2, 2, 2).to_json()
 MAP_DOC = sample_g(rngmod.stream(2, "fuzz"), 3, 2, 2, 2, seed=2).to_json()
 SMALL_REDUCTION = _small_reduction()
 REDUCTION_DOC = SMALL_REDUCTION.to_json()
-TABLE_DOC = FunctionTable.from_linear(LinearScalarFn(3, (1, 2))).to_json()
+TABLE_DOC = FunctionTable.from_linear(linear_scalar(3, (1, 2))).to_json()
 CLIQUE_DOC = {"vertices": [
     [list(v.alpha), list(v.beta), list(v.x), list(v.y)]
     for v in SMALL_REDUCTION.planted_clique(SMALL_REDUCTION.source.planted)
@@ -231,7 +232,6 @@ class TestModulusPast64Bits:
             lambda: sample_g(rngmod.stream(1, "m"), q, 1, 2, 1),
             lambda: VecSumInstance(q=q, k=1, m=2, vectors=[[1, 2]], sizes=(1,)),
             lambda: VecSumInstance.from_json({**INSTANCE_DOC, "q": q}),
-            lambda: LinearScalarFn(q, (1, 2)),
             lambda: LinearVecFn(q, 2, ((1, 2),)),
             lambda: FunctionTable.from_json({**TABLE_DOC, "q": q}),
             lambda: as_clique([Vertex((1,), (2,), (3,), (4,))], ReductionParams(q=q, k=1, l=1)),

@@ -73,6 +73,15 @@ class TestSampleApply:
         assert got.tolist() == want
         assert ours.getstate() == ref.getstate()
 
+    @pytest.mark.parametrize("q", [4, 6, 9, 2**63])
+    def test_composite_modulus_refused(self, q):
+        for build in (lambda: LinearMapG(q=q, k=1, m=2, l=1, matrices=[[1, 2]]),
+                      lambda: sample_g(rngmod.stream(1, "m"), q, 1, 2, 1)):
+            with pytest.raises(ContractViolation, match=f"modulus {q} is not prime"):
+                build()
+        # a source instance keeps any modulus whose residues fit int64
+        assert generate_planted(rngmod.stream(1, "s"), q, 1, 2, 2).q == q
+
     def test_same_seed_same_map(self):
         a = sample_g(rngmod.stream(5, "m"), 5, 2, 3, 4)
         b = sample_g(rngmod.stream(5, "m"), 5, 2, 3, 4)
@@ -267,8 +276,7 @@ class TestPairwiseSeparation:
         inst = generate_planted(rngmod.stream(11, "s"), 5, 6, 3, 1)
         g = sample_g(rngmod.stream(11, "sb"), 5, 6, 3, 200)
         with pytest.raises(BudgetExceeded, match="direction images"):
-            check_pairwise_separation(g, inst, mode="monte_carlo", samples=10,
-                                      rng=rngmod.stream(11, "mc"))
+            check_pairwise_separation(g, inst, samples=10, rng=rngmod.stream(11, "mc"))
 
     def test_difference_tables_are_bounded(self):
         # 4 directions x 128 source rows x 1024 blocks of direction images
@@ -279,8 +287,7 @@ class TestPairwiseSeparation:
         g = sample_g(rngmod.stream(13, "sb"), q, k, m, l)
         assert q**k * k * n * l <= 1 << 24
         with pytest.raises(BudgetExceeded) as exc:
-            check_pairwise_separation(g, inst, mode="monte_carlo", samples=10,
-                                      rng=rngmod.stream(13, "mc"))
+            check_pairwise_separation(g, inst, samples=10, rng=rngmod.stream(13, "mc"))
         assert exc.value.what == "separation direction images"
         assert exc.value.required == (q**k * l + m) * k * n * n + (q**k - 1) * (q**k - q)
         assert exc.value.budget == 1 << 24
@@ -534,7 +541,7 @@ class TestEngineAgainstReference:
             # Monte Carlo draws index the same space
             draws = rngmod.stream(seed, "ref/mc")
             want = reference_result(cases, [draws.randrange(len(cases)) for _ in range(30)])
-            mc = dict(mode="monte_carlo", samples=30, rng=rngmod.stream(seed, "ref/mc"))
+            mc = dict(samples=30, rng=rngmod.stream(seed, "ref/mc"))
             if want[1] == 0:
                 with pytest.raises(PropertyViolation):
                     check(g, inst, **mc)
@@ -543,7 +550,7 @@ class TestEngineAgainstReference:
             # and a drawn case gets its reference verdict (about 100 cases each)
             step = 1 + len(cases) // 100
             for t, (counted, passed, cx) in enumerate(cases[::step]):
-                one = dict(mode="monte_carlo", samples=1, rng=FixedDraws(step * t))
+                one = dict(samples=1, rng=FixedDraws(step * t))
                 if not counted:
                     with pytest.raises(PropertyViolation):
                         check(g, inst, **one)
@@ -586,6 +593,24 @@ def test_bit_plane_counts_match_entry_compares(q, l):
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("samples,sampler", [(10, False), (-1, False), (0, True), (-5, True)],
+                             ids=["samples-without-rng", "negative-without-rng",
+                                  "rng-without-samples", "rng-with-negative-samples"])
+    def test_sampling_needs_an_rng_and_samples(self, samples, sampler):
+        inst = generate_planted(rngmod.stream(1, "s"), 3, 1, 3, 3)
+        g = sample_g(rngmod.stream(1, "g"), 3, 1, 3, 2)
+        rng = rngmod.stream(1, "mc") if sampler else None
+        for check in CHECKS.values():
+            with pytest.raises(ContractViolation, match="an rng and samples >= 1"):
+                check(g, inst, samples=samples, rng=rng)
+
+    def test_the_sampler_decides_the_mode(self):
+        inst = generate_planted(rngmod.stream(1, "s"), 3, 1, 3, 3)
+        g = sample_g(rngmod.stream(1, "g"), 3, 1, 3, 2)
+        for check in CHECKS.values():
+            assert check(g, inst).mode == "exhaustive"
+            assert check(g, inst, samples=50, rng=rngmod.stream(1, "mc")).mode == "monte_carlo"
+
     def k1_map(self):
         # check-map --seed 3 at q=5, k=1, l=1 on gen-vecsum --seed 3 --q 5 --k 1
         inst = generate_planted(rngmod.stream(3, "instance"), 5, 1, 4, 4)
@@ -597,7 +622,7 @@ class TestMonteCarlo:
         g, inst = self.k1_map()
         ex = check_pairwise_separation(g, inst)
         mc = check_pairwise_separation(
-            g, inst, mode="monte_carlo", samples=1000, rng=rngmod.stream(3, "map-check")
+            g, inst, samples=1000, rng=rngmod.stream(3, "map-check")
         )
         assert not ex.passed and ex.checked == 21
         assert not mc.passed and mc.checked >= 1
@@ -609,8 +634,7 @@ class TestMonteCarlo:
         g = sample_g(rngmod.stream(5, "w"), 5, 1, 3, 4)
         assert check_wellspread(g, inst).passed
         with pytest.raises(PropertyViolation, match="1000 Monte Carlo samples"):
-            check_wellspread(g, inst, mode="monte_carlo", samples=1000,
-                             rng=rngmod.stream(5, "mc"))
+            check_wellspread(g, inst, samples=1000, rng=rngmod.stream(5, "mc"))
 
 
 # -- the grid walk against the numbered walk -------------------------------------
@@ -672,7 +696,7 @@ class TestWalkAgainstNumberedReference:
     @pytest.mark.parametrize("point", WALK_POINTS, ids=str)
     def test_monte_carlo_certificates_and_rng_match(self, monkeypatch, point):
         for check in CHECKS.values():
-            mc = dict(mode="monte_carlo", samples=2500)
+            mc = dict(samples=2500)
             want = walk_certificates(monkeypatch, point, randmap_reference.run_check, check, **mc)
             assert walk_certificates(monkeypatch, point, None, check, **mc) == want
 

@@ -15,7 +15,6 @@ from gapclique.experiments import _corrupted_linear_table
 from gapclique.lintest import (
     MAX_TABLE_SIZE,
     FunctionTable,
-    LinearScalarFn,
     _lines,
     _scalar_closure,
     random_scalar_respecting_table,
@@ -188,7 +187,7 @@ def test_oversized_domain_refused_after_phase_1():
 
 @pytest.mark.parametrize("make", [
     lambda: random_scalar_respecting_table(random.Random(0), 2, 25),
-    lambda: FunctionTable.from_linear(LinearScalarFn(2, (1,) * 25)),
+    lambda: FunctionTable.from_linear(reference.linear_scalar(2, (1,) * 25)),
     lambda: _lines(2, 25),
 ])
 def test_oversized_tables_refused_before_building(make):
