@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Vector-sum to gap-clique reduction pipeline and experiments",
     )
     parser.add_argument("--version", action="version", version=f"gapclique {__version__}")
-    parser.add_argument("--seed", type=int, default=None, help="master 64-bit seed")
+    parser.add_argument("--seed", type=int, default=None, help="master seed, any integer")
     parser.add_argument("--config", default=None, help="JSON config file; flags override")
     parser.add_argument("--out-dir", default=None, help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -322,26 +322,26 @@ def greedy_clique(
 
 
 def export_graph(graph: DenseGraph, fmt: str, path, meta: Optional[dict] = None):
-    """Write a materialized graph.  DIMACS: 'p edge N M' header then one
-    'e u v' line per edge with 1-indexed u < v, 2^16 edges at a time.  JSON:
-    vertex count, edge list, and metadata."""
+    """Write a materialized graph, its edges formatted 2^16 at a time.
+    DIMACS: 'p edge N M' header then one 'e u v' line per edge with
+    1-indexed u < v.  JSON: the bytes json.dump(sort_keys=True) writes for
+    the vertex count, the edge list of [u, v] pairs, and the metadata."""
     if fmt == "dimacs":
-        with open(path, "w") as fh:
-            fh.write(f"p edge {graph.n} {graph.edge_count()}\n")
-            for s in range(0, graph.edge_count(), 1 << 16):
-                block = graph.uv[s : s + (1 << 16)] + 1
-                fh.write("e %d %d\n" * len(block) % tuple(block.ravel().tolist()))
+        head, tail = f"p edge {graph.n} {graph.edge_count()}\n", ""
+        edge, sep, base = "e %d %d\n", "", 1
     elif fmt == "json":
-        doc = {
-            "version": 1,
-            "n": graph.n,
-            "edges": graph.uv.tolist(),
-            "meta": meta or {},
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
+        # "edges" sorts first: the rest of the document follows the list
+        rest = json.dumps({"meta": meta or {}, "n": graph.n, "version": 1}, sort_keys=True)
+        head, tail = '{"edges": [', "], " + rest[1:]
+        edge, sep, base = "[%d, %d]", ", ", 0
     else:
         raise ContractViolation(f"unknown graph format {fmt!r}")
+    with open(path, "w") as fh:
+        fh.write(head)
+        for s in range(0, graph.edge_count(), 1 << 16):
+            block = (graph.uv[s : s + (1 << 16)] + base).ravel().tolist()
+            fh.write((sep if s else "") + sep.join([edge] * (len(block) // 2)) % tuple(block))
+        fh.write(tail)
 
 
 def read_dimacs(path, vertex_cap: Optional[int] = None) -> DenseGraph:

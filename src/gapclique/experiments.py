@@ -68,8 +68,6 @@ from .vecsum import (
 )
 from .cliquesolve import max_clique_exact
 
-SUITES = ("lintest", "props", "soundness", "completeness")
-
 IDENTITY_TOL = 1e-9
 
 COMPLETENESS_POINTS = ((2, 1, 2), (3, 1, 2), (3, 1, 4), (2, 2, 1))
@@ -183,7 +181,7 @@ def _completeness_row(seed: int, q: int, k: int, l: int, runs: int) -> dict:
     )
 
 
-def suite_completeness(seed: int = 0) -> list[dict]:
+def suite_completeness(seed: int) -> list[dict]:
     rows = [_completeness_row(seed, q, k, l, COMPLETENESS_RUNS) for q, k, l in COMPLETENESS_POINTS]
     for q, k, l in VERTEX_COUNT_POINTS:
         codec = VertexCodec(q, k, l)
@@ -222,7 +220,7 @@ def certified_no_instance(seed: int, label: str, q: int, k: int, m: int, n: int,
     raise PropertyViolation(f"no certifiable NO instance after {NO_INSTANCE_TRIES} attempts")
 
 
-def suite_soundness(seed: int = 0) -> list[dict]:
+def suite_soundness(seed: int) -> list[dict]:
     rows = []
     q, k, l = SOUNDNESS_POINT
     target = q ** (2 * k * k)
@@ -312,12 +310,12 @@ def _agreements(f: FunctionTable) -> np.ndarray:
 def _agreement_identity_max_diff(f: FunctionTable) -> float:
     """Max over all coefficient vectors of |agreement - (1/q + (q-1)/q g^)|."""
     q = f.q
-    re = fourier_transform(f).real_parts()
+    re = fourier_transform(f)[0]
     rhs = 1.0 / q + (q - 1) / q * re
     return float(np.max(np.abs(_agreements(f) / f.size - rhs)))
 
 
-def suite_lintest(seed: int = 0) -> list[dict]:
+def suite_lintest(seed: int) -> list[dict]:
     rows = []
     shapes = ((3, 1), (3, 2), (5, 1), (5, 2))
     max_triple = 0.0
@@ -436,7 +434,7 @@ def _corrupted_linear_table(
 # -- props suite --------------------------------------------------------------------
 
 
-def suite_props(seed: int = 0) -> list[dict]:
+def suite_props(seed: int) -> list[dict]:
     rows = []
     q, k, n = PROPS_POINT["q"], PROPS_POINT["k"], PROPS_POINT["n"]
     m = paper_dimension(k, n)
@@ -533,13 +531,11 @@ def suite_props(seed: int = 0) -> list[dict]:
     return rows
 
 
+SUITES = {"lintest": suite_lintest, "props": suite_props, "soundness": suite_soundness,
+          "completeness": suite_completeness}
+
+
 def run_suite(suite: str, seed: int = 0) -> list[dict]:
-    if suite == "lintest":
-        return suite_lintest(seed)
-    if suite == "props":
-        return suite_props(seed)
-    if suite == "soundness":
-        return suite_soundness(seed)
-    if suite == "completeness":
-        return suite_completeness(seed)
-    raise PropertyViolation(f"unknown suite {suite!r}")
+    if suite not in SUITES:
+        raise PropertyViolation(f"unknown suite {suite!r}")
+    return SUITES[suite](seed)

@@ -11,8 +11,10 @@ through the origin (_scalar_closure, _lines).  Decoded lists stay arrays of
 coefficient-vector ranks (rows of the digit table _domain) through piecing;
 list_decode_scalar wraps them as one-row LinearVecFn.  Every transform over
 F_q^d is one _dft, and a table keeps its accepted counts (accepted_degrees)
-and the Fourier rows of its coordinates that the character sums took, which
-list decoding reads.
+and the Fourier rows of its coordinates that the character sums took.
+fourier_transform is the one source of a table's real Fourier rows, and
+their one check: the kept rows, or else one transform of every coordinate.
+List decoding, the triple-correlation check and the lintest suite read them.
 
 All probabilities are exact rationals of integer counts.  Counts taken on
 the Fourier side are rounded to integers under a 0.25 guard; Fourier
@@ -182,9 +184,10 @@ class FunctionTable:
         if not isinstance(doc, dict) or doc.get("version") != 1:
             raise ContractViolation("a function table must be a version 1 JSON object")
         q, d, l = (check_int(key, doc.get(key)) for key in ("q", "d", "l"))
+        check_modulus(q)  # before q^d, and before the table-size budget
         values = doc.get("values")
         # q^d <= len(values) bounds d before q^d is computed
-        if not isinstance(values, list) or d > len(values).bit_length():
+        if not isinstance(values, list) or d > len(values).bit_length() or len(values) != q**d * l:
             raise ContractViolation("table values must be a list of q^d * l residues")
         return cls(q, d, l, [values[i : i + l] for i in range(0, len(values), l)])
 
@@ -435,45 +438,24 @@ def estimate_pass_probability(f: FunctionTable, samples: int, rng: random.Random
 # -- Fourier analysis ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FourierTable:
-    """Fourier coefficients of alpha -> omega^{f(alpha)} against the
-    characters alpha -> omega^{<rho, alpha>}, indexed by the rank of rho;
-    one row per output coordinate when the table has several."""
-
-    q: int
-    d: int
-    coeffs: np.ndarray  # complex, shape (q^d,) or (coordinates, q^d)
-
-    def __post_init__(self):
-        power = np.sum(np.abs(self.coeffs) ** 2, axis=-1).reshape(-1)
-        bad = np.abs(power - 1.0) > FLOAT_TOL
-        if bad.any():
-            raise PropertyViolation(f"Parseval check failed: total power {power[bad][0]}")
-        self.coeffs.setflags(write=False)
-
-    def real_parts(self) -> np.ndarray:
-        """Real parts of all coefficients; raises if any imaginary part
-        exceeds FLOAT_TOL (they must all be real for scalar-respecting input)."""
-        worst = float(np.max(np.abs(self.coeffs.imag))) if self.coeffs.size else 0.0
-        if worst > FLOAT_TOL:
-            raise PropertyViolation(f"coefficient imaginary part {worst} exceeds {FLOAT_TOL}")
-        return self.coeffs.real
-
-
-def _transform(q: int, d: int, cols: np.ndarray) -> FourierTable:
-    """Fourier coefficients of the phase function of every row of cols, an
-    array of residues whose last axis runs over the q^d points: at rho, the
-    average of omega^{f(alpha)} times the conjugated character at alpha."""
-    coeffs = _dft(np.exp(2j * np.pi * np.arange(q) / q)[cols], q, d, -1) / q**d
-    return FourierTable(q, d, coeffs)
-
-
-def fourier_transform(f: FunctionTable) -> FourierTable:
-    """Fourier coefficients of the phase function of a scalar table."""
-    if f.l != 1:
-        raise ContractViolation("fourier_transform needs a scalar-range table")
-    return _transform(f.q, f.d, f.values[:, 0])
+def fourier_transform(f: FunctionTable) -> np.ndarray:
+    """Fourier rows of f's coordinates, real and (l, q^d): at the rank of
+    rho, the average of omega^{f_i(alpha)} times the conjugated character
+    alpha -> omega^{<rho, alpha>}.  The rows the character sums kept are
+    read as they are; otherwise one transform of every coordinate.  Each row
+    must pass Parseval and, as on a scalar-respecting table, have no
+    imaginary part past FLOAT_TOL."""
+    coeffs = f._rows
+    if coeffs is None:
+        coeffs = _dft(np.exp(2j * np.pi * np.arange(f.q) / f.q)[f.values.T], f.q, f.d, -1) / f.size
+    power = np.sum(np.abs(coeffs) ** 2, axis=1)
+    bad = np.abs(power - 1.0) > FLOAT_TOL
+    if bad.any():
+        raise PropertyViolation(f"Parseval check failed: total power {power[bad][0]}")
+    worst = float(np.max(np.abs(coeffs.imag)))
+    if worst > FLOAT_TOL:
+        raise PropertyViolation(f"coefficient imaginary part {worst} exceeds {FLOAT_TOL}")
+    return coeffs.real
 
 
 @dataclass(frozen=True)
@@ -515,9 +497,7 @@ def triple_correlation_check(
     for rows, sum_rank in _pair_blocks(q, d, d):
         count += int(((v1[rows, None] + v2) % q == v3[sum_rank]).sum())
     lhs = Fraction(count, n * n)
-    c1 = fourier_transform(g1).real_parts()
-    c2 = fourier_transform(g2).real_parts()
-    c3 = fourier_transform(g3).real_parts()
+    c1, c2, c3 = (fourier_transform(g)[0] for g in (g1, g2, g3))
     rhs = 1.0 / q + (q - 1) / q * float(np.sum(c1 * c2 * c3))
     return TripleCorrelationReport(
         lhs=lhs,
@@ -533,17 +513,14 @@ def triple_correlation_check(
 
 def _list_decode(f: FunctionTable, deltas: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Decoded list of every output coordinate i of f at threshold
-    LIST_CONSTANT * deltas[i], from the Fourier rows of all coordinates,
-    each passing its own Parseval and imaginary-part checks: (ranks,
-    bounds), the lists' ascending coefficient-vector ranks one after the
-    other, and where each list begins in them, with their total length
-    last.  The rows are the ones the character sums kept, or else one
-    transform over all coordinates."""
+    LIST_CONSTANT * deltas[i], from the checked rows of fourier_transform:
+    (ranks, bounds), the lists' ascending coefficient-vector ranks one
+    after the other, and where each list begins in them, with their total
+    length last."""
     if not all(0 < delta < math.inf for delta in deltas):  # NaN fails both
         raise ContractViolation("delta must be finite and positive")
     f.ensure_scalar_respecting()
-    coeffs = _transform(f.q, f.d, f.values.T) if f._rows is None else FourierTable(f.q, f.d, f._rows)
-    re = coeffs.real_parts()
+    re = fourier_transform(f)
     thresholds = np.array([LIST_CONSTANT * delta for delta in deltas], dtype=float)
     n = f.size  # the hits of coordinate i are numbered i * n + rank
     hits = np.flatnonzero(re >= thresholds[:, None] - FLOAT_TOL)

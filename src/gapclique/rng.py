@@ -1,4 +1,4 @@
-"""Labeled random streams derived from a single 64-bit seed.
+"""Labeled random streams derived from a single master seed, any integer.
 
 Every stage of the pipeline draws from its own named stream ("matrices",
 "instance", "gamma-fill", "greedy", ...) so stages can be replayed

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import shlex
 
 import pytest
 
@@ -32,7 +33,25 @@ def strip_timestamp(path):
     return json.dumps(doc, sort_keys=True)
 
 
+def readme_example(heading):
+    """The command lines of the README's CLI example under the comment
+    that starts with heading, up to the next blank line."""
+    with open(os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")) as fh:
+        lines = fh.read().split("\n")
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"# {heading}")) + 1
+    return lines[start : lines.index("", start)]
+
+
 class TestPipeline:
+    @pytest.mark.parametrize("heading", ["planted YES", "certified NO"])
+    def test_readme_example_runs(self, tmp_path, monkeypatch, heading):
+        monkeypatch.chdir(tmp_path)
+        lines = readme_example(heading)
+        assert len(lines) >= 4
+        for line in lines:
+            program, *argv = shlex.split(line)
+            assert program == "gapclique" and main(argv) == EXIT_OK, line
+
     def test_planted_round_trip(self, tmp_path):
         out = str(tmp_path)
         assert run("--seed", "7", "--out-dir", out, "gen-vecsum",
@@ -595,6 +614,18 @@ class TestLintestCommand:
         rep = read_json(os.path.join(out, "lintest-report.json"))
         want = pass_probability(f)
         assert rep["pass_probability"]["exact"] == f"{want.numerator}/{want.denominator}"
+
+    @pytest.mark.parametrize("q,values", [(2**61 - 1, 5), (5, 24), (5, 26)],
+                             ids=["past-the-budget", "short", "long"])
+    def test_values_of_the_wrong_count_are_invalid(self, tmp_path, capsys, q, values):
+        # no budget can admit a table whose file holds the wrong number of values
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"version": 1, "q": q, "d": 2 if q == 5 else 1, "l": 1,
+                                     "values": [0] * values}))
+        out = str(tmp_path)
+        assert run("--out-dir", out, "lintest", "--table", str(table)) == EXIT_INVALID
+        assert "q^d * l residues" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "lintest-report.json"))
 
 
 class TestExperimentCommand:

@@ -365,6 +365,19 @@ class TestGraphType:
         want = [f"p edge 620 {m}\n"] + [f"e {a + 1} {b + 1}\n" for a, b in g.uv.tolist()]
         assert (tmp_path / "g.dimacs").read_text() == "".join(want)
 
+    @pytest.mark.parametrize("m,meta", [
+        (0, None), (1, {}), ((1 << 16) + 1, {"seed": 3}),
+        (191_890, {"z": [1, {"b": 2.5, "a": None}], "config": {"q": 3, "name": "é"}}),
+    ], ids=["empty", "one", "two-blocks", "three-blocks-nested-meta"])
+    def test_json_export_matches_json_dump(self, tmp_path, m, meta):
+        # the export writes the edge list 2^16 edges a block: the same bytes
+        # as json.dump of the whole document with sorted keys
+        u, v = np.triu_indices(620, 1)
+        g = DenseGraph(620, np.stack([u, v], axis=1)[:m].astype(np.int64))
+        export_graph(g, "json", tmp_path / "g.json", meta=meta)
+        doc = {"version": 1, "n": 620, "edges": g.uv.tolist(), "meta": meta or {}}
+        assert (tmp_path / "g.json").read_text() == json.dumps(doc, sort_keys=True)
+
     def test_dimacs_reader_needs_problem_line(self, tmp_path):
         p = tmp_path / "bad.dimacs"
         p.write_text("e 1 2\n")

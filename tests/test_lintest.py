@@ -590,7 +590,7 @@ class TestKeptRows:
         """f's kept rows against a transform, and its decoded lists and
         pieced function against the same calls with no rows kept."""
         pass_probability(f)
-        want = lintest._transform(f.q, f.d, f.values.T).coeffs
+        want = fourier_transform(FunctionTable(f.q, f.d, f.l, f.values))
         assert f._rows.shape == want.shape and not f._rows.flags.writeable
         assert np.abs(f._rows - want).max() <= 1e-12
         schedule = lambda eps, eps_i: delta
@@ -729,16 +729,16 @@ class TestDft:
 class TestFourier:
     def test_character_transform_is_delta(self):
         fn = linear_scalar(5, (2, 3))
-        ft = fourier_transform(FunctionTable.from_linear(fn))
-        assert abs(ft.coeffs[rank_tuple(5, (2, 3))] - 1) < 1e-12
+        ft = fourier_transform(FunctionTable.from_linear(fn))[0]
+        assert abs(ft[rank_tuple(5, (2, 3))] - 1) < 1e-12
         for rho in itertools.product(range(5), repeat=2):
             if rho != (2, 3):
-                assert abs(ft.coeffs[rank_tuple(5, rho)]) < 1e-12
+                assert abs(ft[rank_tuple(5, rho)]) < 1e-12
 
     def test_zero_function(self):
         f = FunctionTable(3, 2, 1, [[0]] * 9)
-        ft = fourier_transform(f)
-        assert abs(ft.coeffs[0] - 1) < 1e-12
+        ft = fourier_transform(f)[0]
+        assert abs(ft[0] - 1) < 1e-12
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
     def test_root_of_unity_geometric_sums(self, q):
@@ -750,14 +750,46 @@ class TestFourier:
     @pytest.mark.parametrize("q,d", [(2, 1), (3, 2), (5, 2), (7, 1), (11, 2), (13, 2)])
     def test_inversion_reproduces_table(self, q, d):
         f = random_scalar_respecting_table(rngmod.stream(q * 100 + d, "inv"), q, d)
-        ft = fourier_transform(f)
+        ft = fourier_transform(f)[0]
         phases = np.exp(2j * np.pi * f.values[:, 0] / q)
-        synthesized = np.fft.ifftn(ft.coeffs.reshape((q,) * d) * q**d).reshape(-1)
+        synthesized = np.fft.ifftn(ft.reshape((q,) * d) * q**d).reshape(-1)
         assert np.max(np.abs(synthesized - phases)) < TOL
 
     def test_scalar_respecting_coefficients_are_real(self):
         f = random_scalar_respecting_table(rngmod.stream(17, "re"), 7, 2)
-        fourier_transform(f).real_parts()  # raises if any imaginary part > tol
+        fourier_transform(f)  # raises if any imaginary part > tol
+
+    @pytest.mark.parametrize("q,d,l", [(3, 2, 4), (7, 2, 3), (67, 1, 2)])
+    def test_rows_are_the_coordinates_transforms(self, q, d, l):
+        f = random_scalar_respecting_table(rngmod.stream(q * d * l, "ft-rows"), q, d, l)
+        rows = fourier_transform(f)
+        assert rows.shape == (l, q**d) and rows.dtype == np.float64
+        for i in range(l):
+            assert np.abs(rows[i] - fourier_transform(f.coordinate(i))[0]).max() <= 1e-12
+
+    def test_kept_rows_are_returned_as_they_are(self, monkeypatch):
+        f = random_scalar_respecting_table(rngmod.stream(5, "ft-kept"), 5, 2, 2)
+        pass_probability(f)
+        calls = dft_calls(monkeypatch)
+        rows = fourier_transform(f)
+        assert calls == [] and np.shares_memory(rows, f._rows)
+        assert np.array_equal(rows, f._rows.real)
+
+    def test_parseval_failure_is_refused(self):
+        f = random_scalar_respecting_table(rngmod.stream(6, "ft-parseval"), 5, 2, 2)
+        pass_probability(f)
+        rows = f._rows.copy()
+        rows[1] *= 1 + 1e-8
+        f._rows = rows
+        with pytest.raises(PropertyViolation, match="Parseval check failed"):
+            fourier_transform(f)
+
+    def test_table_that_does_not_respect_scalars_is_refused(self):
+        # its coefficients are not all real, and nothing else checks the table first
+        f = arbitrary_table(rngmod.stream(7, "ft-imag"), 5, 2, 1)
+        assert not f.is_scalar_respecting()
+        with pytest.raises(PropertyViolation, match="imaginary part"):
+            fourier_transform(f)
 
 
 def all_scalar_respecting_tables(q, d):
