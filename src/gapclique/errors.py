@@ -30,15 +30,3 @@ class BudgetExceeded(RuntimeError):
 
 class PropertyViolation(RuntimeError):
     """A verified invariant or measured property failed."""
-
-
-class PiecingRefused(PropertyViolation):
-    """Piecing was refused because the measured test pass probability is below
-    the requested threshold."""
-
-    def __init__(self, pass_probability, threshold):
-        self.pass_probability = pass_probability
-        self.threshold = threshold
-        super().__init__(
-            f"measured pass probability {pass_probability} below threshold {threshold}"
-        )

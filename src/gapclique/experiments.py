@@ -27,6 +27,7 @@ from . import rng as rngmod
 from .errors import ContractViolation, PropertyViolation
 from .ffield import next_prime
 from .lintest import (
+    FLOAT_TOL,
     FunctionTable,
     LIST_CONSTANT,
     LinearVecFn,
@@ -67,8 +68,6 @@ from .vecsum import (
     paper_dimension,
 )
 from .cliquesolve import max_clique_exact
-
-IDENTITY_TOL = 1e-9
 
 COMPLETENESS_POINTS = ((2, 1, 2), (3, 1, 2), (3, 1, 4), (2, 2, 1))
 COMPLETENESS_RUNS = 20
@@ -334,9 +333,9 @@ def suite_lintest(seed: int) -> list[dict]:
             "lintest",
             2,
             "triple correlation: enumeration vs Fourier formula (50 tables)",
-            "pass" if max_triple <= IDENTITY_TOL else "fail",
+            "pass" if max_triple <= FLOAT_TOL else "fail",
             max_triple,
-            f"<= {IDENTITY_TOL}",
+            f"<= {FLOAT_TOL}",
         )
     )
     rows.append(
@@ -344,9 +343,9 @@ def suite_lintest(seed: int) -> list[dict]:
             "lintest",
             2,
             "agreement vs Fourier coefficient identity (50 tables, all candidates)",
-            "pass" if max_agree <= IDENTITY_TOL else "fail",
+            "pass" if max_agree <= FLOAT_TOL else "fail",
             max_agree,
-            f"<= {IDENTITY_TOL}",
+            f"<= {FLOAT_TOL}",
         )
     )
 

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BudgetExceeded, ContractViolation, PiecingRefused, PropertyViolation
+from .errors import BudgetExceeded, ContractViolation, PropertyViolation
 from .ffield import is_prime
 from .rng import draws
 from .stats import wilson_interval
@@ -564,9 +564,10 @@ class PiecingState:
 class PiecingResult:
     """Outcome of the piecing procedure.
 
-    `fn` is the assembled linear function (None when no anchor point exists),
-    `agreement` the measured probability over the test's variable set that
-    the table is within the distance threshold of `fn`.
+    `fn` is the assembled linear function (None when `failure` names why
+    not), `agreement` the measured probability over the test's variable set
+    that the table is within the distance threshold of `fn`, and `state`
+    the decoded lists (None when refused before list decoding).
     """
 
     ok: bool
@@ -574,7 +575,7 @@ class PiecingResult:
     agreement: Optional[Fraction]
     pass_probability: Fraction
     coordinate_pass: tuple[Fraction, ...]
-    state: PiecingState
+    state: Optional[PiecingState]
     failure: Optional[str] = None
 
 
@@ -612,21 +613,23 @@ def piece_together(
     probability, over the variable set, of being within relative Hamming
     distance kappa of it.
 
-    Refuses (raises PiecingRefused) when the measured pass probability is
-    below eps; returns ok=False with failure="no_anchor" when the
-    intersection of V* and W* is empty.
+    Returns ok=False naming the failure: the measured pass probability
+    below eps, found before any list decoding (so with no state), or
+    "no_anchor" when the intersection of V* and W* is empty.
     """
     f.ensure_scalar_respecting()
     kappa = Fraction(kappa)
     n = f.size
     deg, coordinate_counts = accepted_degrees(f)
     eps_meas = Fraction(int(deg.sum()), n * n)
-    if eps_meas < eps:
-        raise PiecingRefused(eps_meas, eps)
-    eps_f = float(eps_meas)
-
     fractions = {count: Fraction(count, n * n) for count in set(coordinate_counts)}
     coord_pass = tuple(map(fractions.__getitem__, coordinate_counts))
+    if eps_meas < eps:
+        return PiecingResult(ok=False, fn=None, agreement=None, pass_probability=eps_meas,
+                             coordinate_pass=coord_pass, state=None,
+                             failure=f"measured pass probability {eps_meas} below threshold {eps}")
+    eps_f = float(eps_meas)
+
     # count / n^2 is float(Fraction(count, n^2)), without building the Fraction
     deltas = tuple(delta_schedule(eps_f, count / (n * n)) for count in coordinate_counts)
     members, bounds = _list_decode(f, deltas)

@@ -58,7 +58,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import BudgetExceeded, ContractViolation, PiecingRefused, PropertyViolation
+from .errors import BudgetExceeded, ContractViolation, PropertyViolation
 from .ffield import is_prime, next_prime
 from .lintest import (
     MAX_TABLE_SIZE,
@@ -197,19 +197,6 @@ def is_valid_vertex(v: Vertex, params: ReductionParams) -> bool:
     )
 
 
-def value_relation(v: Vertex, q: int) -> dict[tuple[int, ...], set[tuple[int, ...]]]:
-    """Every (point -> value) assignment the vertex makes, keeping all values
-    when slots collide on a point.  A vertex whose own slots disagree at a
-    collided point is internally inconsistent; it is still a member of the
-    vertex set, but it conflicts with anything sharing that point."""
-    rel: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-    rel.setdefault(v.alpha, set()).add(v.x)
-    rel.setdefault(v.beta, set()).add(v.y)
-    point = tuple((a + b) % q for a, b in zip(v.alpha, v.beta))
-    rel.setdefault(point, set()).add(tuple((a + b) % q for a, b in zip(v.x, v.y)))
-    return rel
-
-
 # -- cliques as arrays -------------------------------------------------------------
 
 
@@ -217,7 +204,7 @@ class Clique(Sequence):
     """Vertices of one reduction as arrays: a point table (P, k^2), a value
     table (V, l) whose rows may repeat, and index arrays a, b, x, y, so that
     vertex v is (points[a[v]], points[b[v]], values[x[v]], values[y[v]]).
-    Built without them it is the planted layout (see planted_clique), with
+    Built without them it is the planted layout (planted; see planted_clique), with
     a, b = divmod(v, P), x = a and y = b built on first read, and refused
     past GENERAL_PATH_BUDGET vertices.
     Its vertices are valid (as_clique validates a caller's).  It reads as
@@ -229,6 +216,7 @@ class Clique(Sequence):
         self.params, self.points, self.values = params, points, values
         self.size = len(rows[0]) if rows else len(points) ** 2
         self.__dict__.update(zip("abxy", rows))
+        self.planted = not rows
         self.planted_rows = None if rows else _planted_rows(params, values)
 
     def __getattr__(self, name: str):
@@ -681,37 +669,31 @@ class GammaTable:
 def _clique_values(clique: Clique, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Phase 1 of the decoded function: every point a vertex of the clique
     assigns, as rows of a (points, k^2) array in order of first assignment
-    (vertices sorted, slots alpha, beta, alpha + beta), and its value, as
-    the same row of a (points, l) array.  Refuses at the first vertex with a
-    slot whose value differs from the first slot's on its point, naming the
-    conflict as that vertex's loop meets it.  A linear planted clique
-    assigns its value table as it is: vertex (0, b) assigns b first."""
-    c, n = clique, len(clique)
+    (vertices in list order, slots alpha, beta, alpha + beta), and its
+    value, as the same row of a (points, l) array.  Refuses at the first
+    slot whose value differs from the first value its point got.  A linear
+    planted clique assigns its value table as it is: vertex (0, b) assigns
+    b first."""
+    c = clique
     if c.planted_rows is not None:
         return c.points, c.values
     x, y = c.values[c.x], c.values[c.y]
     point, point_sum = _row_ids(q, c.points, (c.points[c.a] + c.points[c.b]) % q)
     value, value_sum = _row_ids(q, c.values, (x + y) % q)
-    # ids order like their tuples, so this is the order of sorted(clique)
-    order = np.lexsort((value[c.y], value[c.x], point[c.b], point[c.a]))
-    point = np.stack([point[c.a[order]], point[c.b[order]], point_sum[order]], axis=1).reshape(-1)
-    value = np.stack([value[c.x[order]], value[c.y[order]], value_sum[order]], axis=1).reshape(-1)
+    # slot 3v + s is slot s of vertex v
+    point = np.stack([point[c.a], point[c.b], point_sum], axis=1).reshape(-1)
+    value = np.stack([value[c.x], value[c.y], value_sum], axis=1).reshape(-1)
     _, first, group = np.unique(point, return_index=True, return_inverse=True)
-    differ = value != value[first][group]
-    last = int(differ.argmax()) // 3 if differ.any() else n
-    vertex, slot = np.divmod(np.sort(first[first < 3 * last]), 3)
-    v, at = order[vertex], (np.arange(len(vertex)), slot)
+    differ = np.flatnonzero(value != value[first][group])
+    # the first conflicting slot and its point's first slot, else each point's first
+    slots = np.array([differ[0], first[group[differ[0]]]]) if differ.size else np.sort(first)
+    v, at = slots // 3, (np.arange(len(slots)), slots % 3)
     pa, pb = c.points[c.a[v]], c.points[c.b[v]]
     rows = np.stack([pa, pb, pa + pb], axis=1)[at] % q
     known = np.stack([x[v], y[v], x[v] + y[v]], axis=1)[at] % q
-    if last < n:
-        phase1 = dict(zip(*(map(tuple, t.tolist()) for t in (rows, known))))
-        for p, vs in value_relation(clique[order[last]], q).items():
-            for val in vs:
-                if phase1.setdefault(p, val) != val:
-                    raise PropertyViolation(
-                        f"conflicting clique values at point {p}: {phase1[p]} vs {val}"
-                    )
+    if differ.size:
+        p, (this, was) = tuple(rows[0].tolist()), map(tuple, known.tolist())
+        raise PropertyViolation(f"conflicting clique values at point {p}: {was} vs {this}")
     return rows, known
 
 
@@ -729,9 +711,9 @@ def build_gamma(
     which a verified clique cannot produce) is a refusal, then a domain past
     MAX_TABLE_SIZE.  Phase 2 closes one value per line under scalars: a line
     through a phase-1 point c * rep takes c^-1 times its value, any other
-    draws l uniform values in representative order.  The origin is 0 unless
-    phase 1 assigns it.  Phase-1 values are written last, and the result is
-    verified scalar respecting.
+    draws l uniform values in representative order; the origin is 0.  The
+    closed table must keep every phase-1 value, else the clique's values
+    are not scalar respecting, a refusal.
     """
     params = instance.params
     q, k, l = params.q, params.k, params.l
@@ -758,16 +740,14 @@ def build_gamma(
     # l fresh values for each unreached line's representative
     fresh = reps[~np.isin(reps, scaled)]
     vals[fresh] = draws(rng, q, len(fresh) * l).reshape(-1, l)
-    closed = _scalar_closure(q, kk, vals[reps]).values.copy()
-    closed[known] = known_vals  # phase 1 goes on top
-    tags = np.full(len(vals), "closure")
-    tags[fresh], tags[known] = "random", "clique"
-    table = FunctionTable(q, kk, l, closed)
-    if not table.is_scalar_respecting():
+    table = _scalar_closure(q, kk, vals[reps])
+    if not (table.values[known] == known_vals).all():
         raise PropertyViolation(
             "decoded function is not scalar respecting; the clique's shared "
             "points carry scalar-inconsistent values"
         )
+    tags = np.full(len(vals), "closure")
+    tags[fresh], tags[known] = "random", "clique"
     return GammaTable(table=table, var_points=np.sort(known), tags=tags)
 
 
@@ -858,7 +838,8 @@ def extract_witness(
     verify: bool = True,
 ) -> ExtractionReport:
     """Decode a source witness out of a large clique (a Clique or a list
-    of vertex tuples, validated, see as_clique).
+    of vertex tuples, validated, see as_clique).  A clique of fewer than
+    eps * q^(2k^2) distinct vertices is refused at the size gate.
 
     Builds the two-phase decoded function, pieces a linear function out of
     its coordinates, then for every collection scans the source vectors for
@@ -877,16 +858,12 @@ def extract_witness(
         kappa = params.kappa()
     kappa = Fraction(kappa)
     clique = as_clique(clique, params)
+    size = len(clique) if clique.planted else len(set(clique))  # distinct vertices
     threshold = eps * q ** (2 * k * k)
-    report = ExtractionReport(
-        verdict="refused",
-        stage="size_gate",
-        detail="",
-        clique_size=len(clique),
-        size_threshold=threshold,
-    )
-    if len(clique) < threshold:
-        report.detail = f"clique size {len(clique)} below {threshold:.6g}"
+    report = ExtractionReport(verdict="refused", stage="size_gate", detail="",
+                              clique_size=size, size_threshold=threshold)
+    if size < threshold:
+        report.detail = f"clique size {size} below {threshold:.6g}"
         return report
 
     def failed(stage: str, detail: str) -> ExtractionReport:
@@ -898,13 +875,10 @@ def extract_witness(
     except PropertyViolation as exc:
         return failed("gamma", str(exc))
 
-    try:
-        piece = piece_together(gamma.table, eps, kappa)
-    except PiecingRefused as exc:
-        return failed("piecing", str(exc))
+    piece = piece_together(gamma.table, eps, kappa)
     report.pass_probability = piece.pass_probability
     if not piece.ok:
-        return failed("piecing", piece.failure or "piecing failed")
+        return failed("piecing", piece.failure)
     report.piecing_agreement = piece.agreement
     report.fn = piece.fn
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from gapclique.cliquesolve import DenseGraph
 from gapclique.errors import ContractViolation, PropertyViolation
-from gapclique.reduction import Vertex, is_valid_vertex, value_relation
+from gapclique.reduction import Vertex, is_valid_vertex
 
 from vecsum_reference import collections, total
 from field_reference import apply_map, block_inner, rank_tuple, scale, sub, unrank_tuple
@@ -48,19 +48,33 @@ def planted_clique(ci, indices):
     return [Vertex(a, b, value(a), value(b)) for a in points for b in points]
 
 
+def slots(v, q):
+    """The vertex's three (point, value) assignments, in slot order: alpha
+    takes x, beta takes y, alpha + beta takes x + y."""
+    return ((v.alpha, v.x), (v.beta, v.y), (total(q, (v.alpha, v.beta)), total(q, (v.x, v.y))))
+
+
+def value_relation(v, q):
+    """Every (point -> value) assignment the vertex makes, keeping all values
+    when slots collide on a point.  A vertex whose own slots disagree at a
+    collided point is internally inconsistent; it is still a member of the
+    vertex set, but it conflicts with anything sharing that point."""
+    rel = {}
+    for p, val in slots(v, q):
+        rel.setdefault(p, set()).add(val)
+    return rel
+
+
 def clique_values(clique, q):
-    """Phase 1 of the decoded function, vertex by vertex in sorted order:
-    point -> value in order of first assignment, refusing at the first
-    point that receives a second value."""
+    """Phase 1 of the decoded function, slot by slot with the vertices in
+    list order: point -> value in order of first assignment, refusing at the
+    first slot whose value differs from the first value its point got."""
     phase1 = {}
-    for v in sorted(clique):
-        for p, vals in value_relation(v, q).items():
-            for val in vals:
-                prev = phase1.setdefault(p, val)
-                if prev != val:
-                    raise PropertyViolation(
-                        f"conflicting clique values at point {p}: {prev} vs {val}"
-                    )
+    for v in clique:
+        for p, val in slots(v, q):
+            prev = phase1.setdefault(p, val)
+            if prev != val:
+                raise PropertyViolation(f"conflicting clique values at point {p}: {prev} vs {val}")
     return phase1
 
 

@@ -18,6 +18,8 @@ tests/test_acceptance.py` doubles as the acceptance report.
  9. parameter schedule: first scheduled prime and the big-integer bound
 """
 
+import hashlib
+import json
 import time
 
 import pytest
@@ -45,16 +47,32 @@ CRITERIA = {
 
 RUNTIME_LIMITS = {"completeness": 60.0, "lintest": 30.0, "soundness": 600.0}
 
+# the first 16 hex digits of the SHA-256 of each suite's rows, serialized as
+# the experiment command writes them; a change that adds or alters rows
+# edits its pin
+SUITE_PINS = {
+    "completeness": "8d18df3dabc5b3ee",
+    "lintest": "c3f9465903a86f02",
+    "soundness": "a8469f52d10b01a6",
+    "props": "c3693c1f9df9df8b",
+}
+
 
 @pytest.fixture(scope="module")
-def all_rows():
-    rows = []
+def suite_rows():
+    rows = {}
     durations = {}
-    for suite in ("completeness", "lintest", "soundness", "props"):
+    for suite in SUITE_PINS:
         t0 = time.monotonic()
-        rows.extend(run_suite(suite, seed=SEED))
+        rows[suite] = run_suite(suite, seed=SEED)
         durations[suite] = time.monotonic() - t0
     return rows, durations
+
+
+@pytest.fixture(scope="module")
+def all_rows(suite_rows):
+    rows, durations = suite_rows
+    return [row for suite in rows.values() for row in suite], durations
 
 
 def rows_for(all_rows, criterion):
@@ -94,3 +112,9 @@ def test_runtime_budgets(all_rows):
     _, durations = all_rows
     for suite, limit in RUNTIME_LIMITS.items():
         assert durations[suite] <= limit, f"{suite} took {durations[suite]:.1f}s > {limit}s"
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_PINS))
+def test_suite_rows_pinned(suite_rows, suite):
+    text = "".join(json.dumps(row, sort_keys=True, default=str) + "\n" for row in suite_rows[0][suite])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == SUITE_PINS[suite]

@@ -71,6 +71,20 @@ class TestPipeline:
         rep = read_json(os.path.join(out, "extraction-report.json"))
         assert rep["verdict"] == "witness" and rep["brute_force_agrees"]
 
+    def test_repeated_vertex_counts_once_at_the_size_gate(self, tmp_path, monkeypatch):
+        # the README's planted run gives (3,1,2) and a gate of 3; one
+        # certificate vertex listed 9 times is one vertex
+        monkeypatch.chdir(tmp_path)
+        for line in readme_example("planted YES")[:4]:
+            assert main(shlex.split(line)[1:]) == EXIT_OK, line
+        for vertex in read_json("run/clique-certificate.json")["vertices"]:
+            with open("repeated.json", "w") as fh:
+                json.dump({"vertices": [vertex] * 9}, fh)
+            assert run("--seed", "7", "--out-dir", "run", "extract", "--reduction",
+                       "run/reduction.json", "--clique", "repeated.json") == EXIT_PROPERTY
+            rep = read_json("run/extraction-report.json")
+            assert (rep["verdict"], rep["stage"], rep["clique_size"]) == ("refused", "size_gate", 1)
+
     def test_unsat_solve_path(self, tmp_path):
         out = str(tmp_path)
         assert run("--seed", "3", "--out-dir", out, "gen-vecsum",

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gapclique import experiments, lintest, rng as rngmod
-from gapclique.errors import BudgetExceeded, ContractViolation, PiecingRefused, PropertyViolation
+from gapclique.errors import BudgetExceeded, ContractViolation, PropertyViolation
 from gapclique.randmap import sample_g
 from gapclique.reduction import CliqueInstance, ReductionParams, build_gamma
 from gapclique.vecsum import generate_planted, paper_dimension
@@ -1158,13 +1158,13 @@ class TestPieceTogether:
         assert lintest._within(f, fn, ranks, kappa) == want
 
     def test_low_pass_probability_refused(self):
-        f = FunctionTable(5, 1, 1, [[2]] * 5)
-        f._scalar_respecting = False
+        # refused before any list decoding, with the measured probabilities
         g = random_scalar_respecting_table(rngmod.stream(4, "low"), 5, 2)
         measured = pass_probability(g)
-        with pytest.raises(PiecingRefused) as exc:
-            piece_together(g, 0.99, Fraction(1, 4))
-        assert exc.value.pass_probability == measured
+        res = piece_together(g, 0.99, Fraction(1, 4))
+        assert not res.ok and res.fn is None and res.agreement is None and res.state is None
+        assert res.pass_probability == measured and res.coordinate_pass == (measured,)
+        assert res.failure == f"measured pass probability {measured} below threshold 0.99"
 
     def test_no_anchor_reported_not_raised(self):
         t = random_scalar_respecting_table(rngmod.stream(0, "na"), 5, 2, 2)
@@ -1185,10 +1185,7 @@ class TestPieceTogether:
                 FunctionTable.from_linear(c0),
                 [(rep, [r.randrange(q) for _ in range(l)]) for rep in reps[:n_corrupt]],
             )
-            try:
-                res = piece_together(f, 0.2, Fraction(1, 4), delta_schedule=lambda e, ei: 1.0)
-            except PiecingRefused:
-                continue
+            res = piece_together(f, 0.2, Fraction(1, 4), delta_schedule=lambda e, ei: 1.0)
             if res.ok:
                 hits += 1
                 eps = float(res.pass_probability)

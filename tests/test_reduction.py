@@ -7,12 +7,13 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gapclique import reduction, rng as rngmod
 from gapclique.errors import BudgetExceeded, ContractViolation, PropertyViolation
 from gapclique.cliquesolve import export_graph, max_clique_exact, read_dimacs, read_graph_json
-from gapclique.lintest import MAX_TABLE_SIZE, pass_probability
+from gapclique.lintest import MAX_TABLE_SIZE, pass_probability, random_scalar_respecting_table
 from gapclique.randmap import LinearMapG, sample_g
 from gapclique.reduction import (
     CliqueInstance,
@@ -28,12 +29,11 @@ from gapclique.reduction import (
     is_valid_vertex,
     normalized_ratio_fn,
     param_schedule,
-    value_relation,
 )
 from gapclique.vecsum import generate_planted
 
 import edge_reference as reference
-from edge_reference import codec_rank, pair_rule_sets, unrank, var_points
+from edge_reference import codec_rank, pair_rule_sets, unrank, value_relation, var_points
 from field_reference import apply_map, block_inner, inner_product, sub, unrank_tuple
 from graph_reference import has_edge, is_clique
 from lintest_reference import value_at
@@ -319,7 +319,7 @@ def phase1_outcome(compute):
 
 
 class TestGammaPhase1:
-    """Phase 1 of build_gamma against the vertex-by-vertex reference loop:
+    """Phase 1 of build_gamma against the slot-by-slot reference loop:
     the same dict in the same order, or the same refusal message."""
 
     def check(self, vertices, ci):
@@ -379,7 +379,7 @@ class TestGammaPhase1:
 
     @pytest.mark.parametrize("q,k,l", [(3, 1, 2), (2, 2, 1), (3, 2, 4)])
     def test_conflict_in_the_last_vertex(self, q, k, l):
-        # the vertex that sorts last is on the diagonal; new values there
+        # the last vertex of the list is on the diagonal; new values there
         # contradict the values its point got from earlier vertices
         ci = make_instance(71 + q + k + l, q, k, 8 if q == 2 else 4, 3, l)
         clique = ci.planted_clique(ci.source.planted)
@@ -389,7 +389,8 @@ class TestGammaPhase1:
         vertices = [v for v in clique if v != last] + [last._replace(x=x, y=x)]
         message = self.check(vertices, ci)
         assert message == f"conflicting clique values at point {last.alpha}: {last.x} vs {x}"
-        assert self.check(self.unshared(vertices)[::-1], ci) == message
+        # reversed, the first conflicting slot is another one
+        assert "conflicting clique values" in self.check(self.unshared(vertices)[::-1], ci)
 
     def test_internally_inconsistent_vertex(self):
         # beta = 0 collides the alpha and alpha + beta slots; y != 0 gives
@@ -403,12 +404,15 @@ class TestGammaPhase1:
                 build_gamma(vertices, ci, rng=rngmod.stream(67, "gamma-fill"), verify=False)
 
     def test_cross_vertex_conflict_without_verification(self):
+        # the conflict is named in list order: the value its point got first,
+        # then the value of the first slot that differs
         ci = make_instance(68, 3, 1, 4, 4, 2)
         v = Vertex((1,), (2,), (0, 1), (1, 1))
         w = Vertex((2,), (0,), (2, 2), (0, 0))  # point (2,): y = (1, 1) against x = (2, 2)
-        for vertices in ([v, w], [w, v], [v, v, w, w]):
+        for vertices, values in (([v, w], "(1, 1) vs (2, 2)"), ([w, v], "(2, 2) vs (1, 1)"),
+                                 ([v, v, w, w], "(1, 1) vs (2, 2)")):
             message = self.check(vertices, ci)
-            assert message == "conflicting clique values at point (2,): (1, 1) vs (2, 2)"
+            assert message == f"conflicting clique values at point (2,): {values}"
             with pytest.raises(PropertyViolation) as exc:
                 build_gamma(vertices, ci, rng=rngmod.stream(68, "gamma-fill"), verify=False)
             assert str(exc.value) == message
@@ -534,6 +538,29 @@ class TestExtraction:
         clique = ci.planted_clique(ci.source.planted)
         rep = extract_witness(clique[:2], ci, eps=0.9)
         assert rep.verdict == "refused" and rep.stage == "size_gate"
+
+    def test_repeated_vertices_count_once_at_gate(self):
+        # the gate of 3 at (3,1,2) counts distinct vertices, as verify_clique does
+        ci = make_instance(9, 3, 1, 4, 4, 2)
+        clique = ci.planted_clique(ci.source.planted)
+        for vertices, size in (([clique[4]] * 9, 1), (clique[:2] * 5, 2), (clique[:3] * 3, 3)):
+            rep = extract_witness(vertices, ci, rng=rngmod.stream(9, "gamma-fill"))
+            assert rep.clique_size == size
+            assert rep.size_threshold == 3 and (rep.stage == "size_gate") == (size < 3)
+
+    def test_piecing_refusal_reported_with_pass_probability(self, monkeypatch):
+        # a decoded table whose measured pass probability is below eps: the
+        # report names the piecing stage and carries the measured value
+        ci = make_instance(11, 2, 2, 8, 3, 1)
+        table = random_scalar_respecting_table(rngmod.stream(11, "low"), 2, 4)
+        measured = pass_probability(table)
+        assert measured < 0.9
+        gamma = reduction.GammaTable(table, np.arange(0), np.full(16, "random"))
+        monkeypatch.setattr(reduction, "build_gamma", lambda *args, **kwargs: gamma)
+        rep = extract_witness(ci.planted_clique(ci.source.planted), ci, eps=0.9)
+        assert (rep.verdict, rep.stage) == ("failed", "piecing")
+        assert rep.detail == f"measured pass probability {measured} below threshold 0.9"
+        assert rep.pass_probability == measured and rep.fn is None
 
     def test_ambiguity_reported_never_guessed(self):
         # a collapsing map sends two distinct source vectors to the same

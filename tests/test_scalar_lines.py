@@ -30,6 +30,8 @@ from field_reference import rank_tuple, scale
 LINE_SHAPES = [(2, 1), (2, 5), (3, 4), (11, 2), (101, 2), (31, 3)]
 GAMMA_POINTS = [(3, 1, 2), (3, 1, 4), (5, 1, 2), (2, 2, 2), (3, 2, 4), (7, 1, 3)]
 SUBCLIQUES = 30  # per point
+DIFFERENTIAL_POINTS = [(3, 1, 2), (5, 1, 1), (2, 2, 1), (3, 2, 2), (7, 1, 2)]
+DIFFERENTIAL_LISTS = 150  # per point
 
 
 @pytest.mark.parametrize("q,d", LINE_SHAPES)
@@ -125,6 +127,54 @@ def test_gamma_matches_point_by_point_reference(point):
         size = max(1, round(len(planted) ** (trial / (SUBCLIQUES - 1))))
         sub = r.sample(planted, size)
         assert gamma_outcome(sub, ci, trial) == reference_outcome(sub, ci, trial)
+
+
+def differential_lists(ci, r):
+    """DIFFERENTIAL_LISTS vertex lists of four kinds in turn: a planted
+    subset, the same with one value perturbed, a few random vertices, and
+    two vertices on one line whose values scale or not."""
+    q, k, l = ci.params.q, ci.params.k, ci.params.l
+    planted = list(ci.planted_clique(ci.source.planted))
+    origin, zero = (0,) * (k * k), (0,) * l
+
+    def residues(n):
+        return tuple(r.randrange(q) for _ in range(n))
+
+    for t in range(DIFFERENTIAL_LISTS):
+        if t % 4 < 2:
+            vertices = r.sample(planted, round(len(planted) ** r.random()))
+            if t % 4:
+                i, j = r.randrange(len(vertices)), r.randrange(l)
+                v = vertices[i]
+                x = v.x[:j] + ((v.x[j] + r.randrange(1, q)) % q,) + v.x[j + 1 :]
+                vertices[i] = v._replace(x=x, y=x if v.alpha == v.beta else v.y)
+        elif t % 4 == 2:
+            vertices = []
+            for _ in range(r.randrange(1, 4)):
+                alpha, beta, x = residues(k * k), residues(k * k), residues(l)
+                vertices.append(Vertex(alpha, beta, x, x if alpha == beta else residues(l)))
+        else:
+            p, c, x = origin, r.randrange(1, q), residues(l)
+            while p == origin:
+                p = residues(k * k)
+            y = scale(q, c, x) if r.random() < 0.5 else residues(l)
+            vertices = [Vertex(p, origin, x, zero), Vertex(scale(q, c, p), origin, y, zero)]
+        yield vertices
+
+
+@pytest.mark.parametrize("point", DIFFERENTIAL_POINTS, ids=str)
+def test_gamma_decides_like_reference_on_mixed_lists(point):
+    # every list decodes to the reference's table, phase-1 points, tags and
+    # rng state, or is refused with the reference's message
+    ci = make_instance(*point)
+    outcomes = set()
+    for seed, vertices in enumerate(differential_lists(ci, random.Random(sum(point)))):
+        got = gamma_outcome(vertices, ci, seed)
+        assert got == reference_outcome(vertices, ci, seed)
+        outcomes.add("table" if isinstance(got[0], tuple) else got[0][:20])
+    assert outcomes >= {"table", "conflicting clique v"}
+    if point[0] > 2:  # over F_2 only an assigned nonzero origin is scalar inconsistent
+        assert "decoded function is " in outcomes
 
 
 @pytest.mark.parametrize("point", GAMMA_POINTS, ids=str)
