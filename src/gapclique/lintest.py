@@ -466,8 +466,6 @@ class TripleCorrelationReport:
     lhs: Fraction
     rhs: float
     abs_diff: float
-    max_coeff_g1: float
-    same_g2_g3: bool
 
 
 def triple_correlation_check(
@@ -479,8 +477,6 @@ def triple_correlation_check(
 
     LHS: exact enumeration of Pr[f1(a) + f2(b) = f3(a+b)].
     RHS: 1/q + (q-1)/q * sum over rho of the coefficient triple product.
-    When g2 and g3 coincide, the largest coefficient of g1 is the quantity
-    bounded below by the correlation, so it is included in the report.
     """
     for g in (g1, g2, g3):
         if g.l != 1:
@@ -499,13 +495,7 @@ def triple_correlation_check(
     lhs = Fraction(count, n * n)
     c1, c2, c3 = (fourier_transform(g)[0] for g in (g1, g2, g3))
     rhs = 1.0 / q + (q - 1) / q * float(np.sum(c1 * c2 * c3))
-    return TripleCorrelationReport(
-        lhs=lhs,
-        rhs=rhs,
-        abs_diff=abs(float(lhs) - rhs),
-        max_coeff_g1=float(np.max(c1)),
-        same_g2_g3=bool(np.array_equal(g2.values, g3.values)),
-    )
+    return TripleCorrelationReport(lhs=lhs, rhs=rhs, abs_diff=abs(float(lhs) - rhs))
 
 
 # -- list decoding --------------------------------------------------------------
@@ -552,22 +542,13 @@ def list_decode_scalar(f: FunctionTable, delta: float) -> tuple[LinearVecFn, ...
 
 
 @dataclass
-class PiecingState:
-    """Intermediate objects of the piecing procedure, kept for inspection."""
-
-    lists: tuple[np.ndarray, ...]  # per coordinate, the decoded coefficient vectors' ranks
-    matches: np.ndarray  # (n, l) int; 0 = no unique match, else 1-based list index
-    var_ranks: np.ndarray
-
-
-@dataclass
 class PiecingResult:
     """Outcome of the piecing procedure.
 
     `fn` is the assembled linear function (None when `failure` names why
     not), `agreement` the measured probability over the test's variable set
-    that the table is within the distance threshold of `fn`, and `state`
-    the decoded lists (None when refused before list decoding).
+    that the table is within the distance threshold of `fn`, and the pass
+    probabilities are measured, overall and per coordinate.
     """
 
     ok: bool
@@ -575,7 +556,6 @@ class PiecingResult:
     agreement: Optional[Fraction]
     pass_probability: Fraction
     coordinate_pass: tuple[Fraction, ...]
-    state: Optional[PiecingState]
     failure: Optional[str] = None
 
 
@@ -613,9 +593,14 @@ def piece_together(
     probability, over the variable set, of being within relative Hamming
     distance kappa of it.
 
+    On a scalar-respecting f a point's mark and degree are those of every
+    nonzero multiple of it, so they are read at the origin and at each
+    line's representative, the smallest point of its line, alone: the first
+    of these in V* and W* is the anchor.
+
     Returns ok=False naming the failure: the measured pass probability
-    below eps, found before any list decoding (so with no state), or
-    "no_anchor" when the intersection of V* and W* is empty.
+    below eps, found before any list decoding, or "no_anchor" when the
+    intersection of V* and W* is empty.
     """
     f.ensure_scalar_respecting()
     kappa = Fraction(kappa)
@@ -626,17 +611,17 @@ def piece_together(
     coord_pass = tuple(map(fractions.__getitem__, coordinate_counts))
     if eps_meas < eps:
         return PiecingResult(ok=False, fn=None, agreement=None, pass_probability=eps_meas,
-                             coordinate_pass=coord_pass, state=None,
+                             coordinate_pass=coord_pass,
                              failure=f"measured pass probability {eps_meas} below threshold {eps}")
     eps_f = float(eps_meas)
 
     # count / n^2 is float(Fraction(count, n^2)), without building the Fraction
     deltas = tuple(delta_schedule(eps_f, count / (n * n)) for count in coordinate_counts)
     members, bounds = _list_decode(f, deltas)
-    cuts = bounds.tolist()
-    lists = tuple(members[start:end] for start, end in zip(cuts, cuts[1:]))
-    matches = np.zeros((n, f.l), dtype=np.int64)
     digits, _ = _domain(f.q, f.d)
+    # the origin, then every line's representative, in rank order
+    at = np.concatenate([[0], _lines(f.q, f.d)[:, 0]])
+    matches = np.zeros((at.size, f.l), dtype=np.int64)
     # every list side by side, a row per member: one product matches a block
     # of points against every member, and each nonempty list's run of rows
     # sums to its number of matches and, where that is 1, to the match's
@@ -647,33 +632,32 @@ def piece_together(
     if members.size:
         place = np.arange(1, members.size + 1)[:, None]
         rhos, owner = digits[members], np.repeat(np.arange(f.l), sizes)
+        points, values = digits[at], f.values[at]
         step = max(1, PAIR_BLOCK // members.size)
-        for s in range(0, n, step):
-            agree = rhos @ digits[s : s + step].T % f.q == f.values[s : s + step, owner].T
+        for s in range(0, at.size, step):
+            agree = rhos @ points[s : s + step].T % f.q == values[s : s + step, owner].T
             hits = np.add.reduceat(agree, heads)
             picked = np.add.reduceat(agree * place, heads) - heads[:, None]
             matches[s : s + step, owners] = np.where(hits == 1, picked, 0).T
 
-    var_ranks = np.nonzero(deg)[0]
-    var_count = var_ranks.size
-    # V* and W* as masks over the sorted var_ranks: the anchor is the first in both
-    in_v = (matches[var_ranks] != 0).mean(axis=1) >= 1.0 - eps_f**2.5
-    in_w = deg[var_ranks] >= (eps_f**2 / 2.0) * var_count
-    state = PiecingState(lists, matches, var_ranks)
-    both = var_ranks[in_v & in_w]
+    var_count = int(np.count_nonzero(deg))
+    # V* and W* as masks over the marked points: the anchor is the first in both
+    in_v = (matches != 0).mean(axis=1) >= 1.0 - eps_f**2.5
+    # W*: variables (deg >= 1) of high degree
+    in_w = deg[at] >= max((eps_f**2 / 2.0) * var_count, 1)
+    both = np.flatnonzero(in_v & in_w)
     if both.size == 0:
         return PiecingResult(ok=False, fn=None, agreement=None, pass_probability=eps_meas,
-                             coordinate_pass=coord_pass, state=state, failure="no_anchor")
-    anchor = int(both[0])
+                             coordinate_pass=coord_pass, failure="no_anchor")
 
     # the rank of the anchor's match on each coordinate, from its place among
     # all members, and rank 0, the zero vector, where it has none
-    match = matches[anchor]
+    match = matches[both[0]]
     ranks = np.where(match > 0, members[starts + match - 1], 0) if members.size else match
     fn = LinearVecFn(f.q, f.d, tuple(map(tuple, digits[ranks].tolist())))
-    within = _within(f, fn, var_ranks, kappa)
+    within = _within(f, fn, np.flatnonzero(deg), kappa)
     return PiecingResult(ok=True, fn=fn, agreement=Fraction(within, var_count),
-                         pass_probability=eps_meas, coordinate_pass=coord_pass, state=state)
+                         pass_probability=eps_meas, coordinate_pass=coord_pass)
 
 
 # -- scalar lines ------------------------------------------------------------------

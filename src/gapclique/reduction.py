@@ -24,8 +24,8 @@ take either.  Tuples remain at the boundary: as_clique validates and
 converts a caller's tuple list, and a Clique reads out as Vertex tuples.
 
 Between stages the data stay arrays: phase 1 hands phase 2 point and value
-rows, the decoded function names its phase-1 points by rank and tags every
-rank, and materialize returns the edge array in the codec's vertex order.
+rows, the decoded function names its phase-1 points by rank, and
+materialize returns the edge array in the codec's vertex order.
 
 Graphs are held implicitly (parameters + sampled map + source instance +
 an edge oracle); explicit adjacency is materialized only under budget.  The
@@ -657,13 +657,10 @@ class GammaTable:
     """Function decoded from a clique: defined by the clique's own values on
     its shared points, then extended by scalar closure along the lines
     through the origin, with fresh uniform values only where none reaches.
-    var_points holds the ranks of the clique's points in ascending order,
-    and tags[r] says where the value at rank r came from: "clique",
-    "closure" or "random"."""
+    var_points holds the ranks of the clique's points in ascending order."""
 
     table: FunctionTable
     var_points: np.ndarray
-    tags: np.ndarray
 
 
 def _clique_values(clique: Clique, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -746,9 +743,7 @@ def build_gamma(
             "decoded function is not scalar respecting; the clique's shared "
             "points carry scalar-inconsistent values"
         )
-    tags = np.full(len(vals), "closure")
-    tags[fresh], tags[known] = "random", "clique"
-    return GammaTable(table=table, var_points=np.sort(known), tags=tags)
+    return GammaTable(table=table, var_points=np.sort(known))
 
 
 # -- witness extraction ----------------------------------------------------------
@@ -858,7 +853,11 @@ def extract_witness(
         kappa = params.kappa()
     kappa = Fraction(kappa)
     clique = as_clique(clique, params)
-    size = len(clique) if clique.planted else len(set(clique))  # distinct vertices
+    size = len(clique)
+    if not clique.planted:  # distinct vertices: distinct (alpha, beta) and (x, y) id pairs
+        c, (point,), (value,) = clique, _row_ids(q, clique.points), _row_ids(q, clique.values)
+        ab, xy = _pair_ids(point[c.a], point[c.b])[0], _pair_ids(value[c.x], value[c.y])[0]
+        size = len(_pair_ids(ab, xy)[1])
     threshold = eps * q ** (2 * k * k)
     report = ExtractionReport(verdict="refused", stage="size_gate", detail="",
                               clique_size=size, size_threshold=threshold)

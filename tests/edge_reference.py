@@ -80,14 +80,13 @@ def clique_values(clique, q):
 
 def decoded_function(clique, q, kk, l, rng):
     """Both phases of the decoded function on F_q^kk: the table's values as
-    a list of l-tuples in rank order, the phase-1 points and the fill log.
+    a list of l-tuples in rank order and the phase-1 points.
     Phase 2 walks every other point in lexicographic order: the origin is
     zero; another point takes c times the value of c^-1 times itself when
     that point is valued (phase-1 points first, then scalars c in increasing
     order); any other point draws l fresh values."""
     phase1 = clique_values(clique, q)
     fill = {}
-    fill_log = {p: "clique" for p in phase1}
     domain = list(itertools.product(range(q), repeat=kk))
     for p in domain:
         if p in phase1:
@@ -95,19 +94,16 @@ def decoded_function(clique, q, kk, l, rng):
         assigned = None
         if not any(p):
             assigned = (0,) * l
-            fill_log[p] = "closure"
         else:
             for known, c in itertools.product((phase1, fill), range(1, q)):
                 base = scale(q, pow(c, -1, q), p)
                 if base in known:
                     assigned = scale(q, c, known[base])
-                    fill_log[p] = "closure"
                     break
         if assigned is None:
             assigned = tuple(rng.randrange(q) for _ in range(l))
-            fill_log[p] = "random"
         fill[p] = assigned
-    return [phase1.get(p) or fill[p] for p in domain], frozenset(phase1), fill_log
+    return [phase1.get(p) or fill[p] for p in domain], frozenset(phase1)
 
 
 def var_points(v, q):

@@ -6,8 +6,9 @@ block of first points at a time (or only a few points' rows of pairs), and
 the Monte Carlo estimate from one sampled pair at a time.
 Also the lines through the origin from a walk over every point, the
 corrupted linear tables of the lintest suite one line at a time, the rank of
-a table's values from a row reduction over Python ints, and piecing's match
-labels one decoded list at a time.
+a table's values from a row reduction over Python ints, piecing's match
+labels one decoded list at a time, and piecing's outcome from the labels of
+every point.
 
 Points, ranks and values go through rank_tuple, unrank_tuple and
 value_at below, not through lintest's digit matrices or pair blocks; the
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gapclique.lintest import LinearVecFn, PassEstimate
+from gapclique.lintest import LinearVecFn, PassEstimate, _list_decode, accepted_degrees
 from gapclique.stats import wilson_interval
 
 from field_reference import inner_product, rank_tuple, scale, unrank_tuple
@@ -124,6 +125,39 @@ def per_coordinate_matches(f, lists) -> np.ndarray:
             unique = agree.sum(axis=1) == 1
             matches[unique, i] = agree[unique].argmax(axis=1) + 1
     return matches
+
+
+def per_point_piecing(f, eps, kappa, delta_schedule) -> tuple:
+    """Piecing's (ok, fn, agreement, failure, pass probability, coordinate
+    pass probabilities), with every point labelled by per_coordinate_matches:
+    V* and W* over every variable point, the anchor the smallest point in
+    both, and the agreement one variable point at a time.  The accepted
+    degrees and decoded lists are lintest's."""
+    n = f.size
+    deg, counts = accepted_degrees(f)
+    measured, coordinate = Fraction(int(deg.sum()), n * n), tuple(Fraction(c, n * n) for c in counts)
+    if measured < eps:
+        failure = f"measured pass probability {measured} below threshold {eps}"
+        return False, None, None, failure, measured, coordinate
+    eps_f = float(measured)
+    ranks, bounds = _list_decode(f, tuple(delta_schedule(eps_f, float(p)) for p in coordinate))
+    lists = [ranks[start:end] for start, end in zip(bounds[:-1], bounds[1:])]
+    matches = per_coordinate_matches(f, lists)
+    var = np.flatnonzero(deg)
+    in_v = (matches[var] != 0).mean(axis=1) >= 1.0 - eps_f**2.5
+    in_w = deg[var] >= (eps_f**2 / 2.0) * var.size
+    both = var[in_v & in_w]
+    if both.size == 0:
+        return False, None, None, "no_anchor", measured, coordinate
+    points = list(itertools.product(range(f.q), repeat=f.d))
+    anchor = matches[both[0]].tolist()
+    fn = LinearVecFn(f.q, f.d, tuple(points[members[m - 1]] if m else (0,) * f.d
+                                     for members, m in zip(lists, anchor)))
+    within = 0
+    for a in var.tolist():
+        wrong = sum(v != inner_product(f.q, rho, points[a]) for v, rho in zip(value_at(f, points[a]), fn.rhos))
+        within += Fraction(wrong, f.l) <= kappa
+    return True, fn, Fraction(within, var.size), None, measured, coordinate
 
 
 def accepted_mask(f) -> np.ndarray:

@@ -456,10 +456,14 @@ class TestGamma:
 
     def test_fill_log_covers_domain(self):
         ci = make_instance(64, 3, 1, 4, 2, 2)
-        sub = ci.planted_clique(ci.source.planted)[:2]
-        gamma = build_gamma(sub, ci, rng=rngmod.stream(64, "gamma-fill"))
-        assert gamma.tags.shape == (3,)  # one tag per rank of the domain
-        assert all(tag in ("clique", "closure", "random") for tag in gamma.tags.tolist())
+        planted = ci.planted_clique(ci.source.planted)
+        rng = rngmod.stream(64, "gamma-fill")
+        gamma = build_gamma(planted[:2], ci, rng=rng)
+        # (0, 0) and (0, 1) assign the origin and the one line's point 1: a
+        # value per rank of the domain, the planted one, and no fresh draw
+        assert gamma.var_points.tolist() == [0, 1]
+        assert np.array_equal(gamma.table.values, planted.values)
+        assert rng.getstate() == rngmod.stream(64, "gamma-fill").getstate()
 
 
 class TestExtraction:
@@ -548,6 +552,25 @@ class TestExtraction:
             assert rep.clique_size == size
             assert rep.size_threshold == 3 and (rep.stage == "size_gate") == (size < 3)
 
+    @pytest.mark.parametrize("point", [(3, 1, 2), (2, 2, 1), (3, 2, 4)], ids=str)
+    def test_gate_counts_distinct_vertices_as_a_set_does(self, point):
+        # lists drawn with repeats from planted and random vertices and from
+        # twins differing in y alone; a gate above every list's length
+        # reports the count
+        q, k, l = point
+        ci = make_instance(12, q, k, 8 if q == 2 else 4, 4, l)
+        planted = list(ci.planted_clique(ci.source.planted))
+        r = rngmod.stream(12, "distinct")
+        sizes = set()
+        for _ in range(20):
+            pool = r.sample(planted, r.randrange(1, 8)) + [random_vertex(r, q, k, l) for _ in range(r.randrange(4))]
+            pool += [v._replace(y=tuple((e + 1) % q for e in v.y)) for v in pool[:3] if v.alpha != v.beta]
+            for vertices in (pool, [r.choice(pool) for _ in range(r.randrange(1, 30))]):
+                rep = extract_witness(vertices, ci, eps=2.0, verify=False)
+                assert rep.stage == "size_gate" and rep.clique_size == len(set(vertices))
+                sizes.add(len(vertices) - rep.clique_size)
+        assert 0 in sizes and max(sizes) > 0
+
     def test_piecing_refusal_reported_with_pass_probability(self, monkeypatch):
         # a decoded table whose measured pass probability is below eps: the
         # report names the piecing stage and carries the measured value
@@ -555,7 +578,7 @@ class TestExtraction:
         table = random_scalar_respecting_table(rngmod.stream(11, "low"), 2, 4)
         measured = pass_probability(table)
         assert measured < 0.9
-        gamma = reduction.GammaTable(table, np.arange(0), np.full(16, "random"))
+        gamma = reduction.GammaTable(table, np.arange(0))
         monkeypatch.setattr(reduction, "build_gamma", lambda *args, **kwargs: gamma)
         rep = extract_witness(ci.planted_clique(ci.source.planted), ci, eps=0.9)
         assert (rep.verdict, rep.stage) == ("failed", "piecing")

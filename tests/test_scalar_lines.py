@@ -91,29 +91,29 @@ def make_instance(q, k, l):
 
 
 def gamma_outcome(vertices, ci, seed):
-    """build_gamma's table values, phase-1 point ranks and fill tags (in rank
-    order), or its refusal message; with the rng state after the call."""
+    """build_gamma's table values and phase-1 point ranks, or its refusal
+    message; with the rng state after the call."""
     rng = random.Random(seed)
     try:
         gamma = build_gamma(vertices, ci, rng=rng, verify=False)
     except PropertyViolation as exc:
         return str(exc), rng.getstate()
     values = list(map(tuple, gamma.table.values.tolist()))
-    return (values, gamma.var_points.tolist(), gamma.tags.tolist()), rng.getstate()
+    return (values, gamma.var_points.tolist()), rng.getstate()
 
 
 def reference_outcome(vertices, ci, seed):
     q, k, l = ci.params.q, ci.params.k, ci.params.l
     rng = random.Random(seed)
     try:
-        values, var_points, fill_log = edge_reference.decoded_function(vertices, q, k * k, l, rng)
+        values, var_points = edge_reference.decoded_function(vertices, q, k * k, l, rng)
     except PropertyViolation as exc:
         return str(exc), rng.getstate()
     if not FunctionTable(q, k * k, l, values).is_scalar_respecting():
         return ("decoded function is not scalar respecting; the clique's shared "
                 "points carry scalar-inconsistent values"), rng.getstate()
     ranks = sorted(rank_tuple(q, p) for p in var_points)
-    return (values, ranks, [tag for _, tag in sorted(fill_log.items())]), rng.getstate()
+    return (values, ranks), rng.getstate()
 
 
 @pytest.mark.parametrize("point", GAMMA_POINTS, ids=str)
@@ -164,8 +164,8 @@ def differential_lists(ci, r):
 
 @pytest.mark.parametrize("point", DIFFERENTIAL_POINTS, ids=str)
 def test_gamma_decides_like_reference_on_mixed_lists(point):
-    # every list decodes to the reference's table, phase-1 points, tags and
-    # rng state, or is refused with the reference's message
+    # every list decodes to the reference's table, phase-1 points and rng
+    # state, or is refused with the reference's message
     ci = make_instance(*point)
     outcomes = set()
     for seed, vertices in enumerate(differential_lists(ci, random.Random(sum(point)))):
@@ -210,11 +210,15 @@ def test_gamma_edge_cases_match_reference(point):
 @pytest.mark.parametrize("point", GAMMA_POINTS, ids=str)
 def test_empty_clique_decodes_to_scalar_respecting_table(point):
     q, k, l = point
-    gamma = build_gamma([], make_instance(q, k, l), rng=random.Random(5), verify=False)
+    rng, want = random.Random(5), random.Random(5)
+    gamma = build_gamma([], make_instance(q, k, l), rng=rng, verify=False)
     assert scalar_respecting(q, k * k, gamma.table.values)
     assert not gamma.table.values[0].any()
     assert gamma.var_points.size == 0
-    assert gamma.tags[0] == "closure" and (gamma.tags[_lines(q, k * k)[:, 0]] == "random").all()
+    # every line's representative draws its l values, in order
+    reps = _lines(q, k * k)[:, 0]
+    assert (gamma.table.values[reps] == rngmod.draws(want, q, len(reps) * l).reshape(-1, l)).all()
+    assert rng.getstate() == want.getstate()
 
 
 def test_oversized_domain_refused_after_phase_1():
