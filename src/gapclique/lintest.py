@@ -600,8 +600,10 @@ def piece_together(
 
     Returns ok=False naming the failure: the measured pass probability
     below eps, found before any list decoding, or "no_anchor" when the
-    intersection of V* and W* is empty.
+    intersection of V* and W* is empty.  Refuses a NaN eps.
     """
+    if eps != eps:  # NaN: no measured pass probability is below it
+        raise ContractViolation("eps must be a number, got NaN")
     f.ensure_scalar_respecting()
     kappa = Fraction(kappa)
     n = f.size

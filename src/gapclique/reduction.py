@@ -28,15 +28,16 @@ rows, the decoded function names its phase-1 points by rank, and
 materialize returns the edge array in the codec's vertex order.
 
 Graphs are held implicitly (parameters + sampled map + source instance +
-an edge oracle); explicit adjacency is materialized only under budget.  The
-oracle encodes a clique once, naming points and values by their base-q
-ranks (by sorted byte strings where a rank outgrows 64 bits), and evaluates
-the rules on batches of about PAIR_BATCH pairs, so its memory does not grow
-with the pair count.  Each rule reads little of a vertex: rules 3-5 only
-(alpha, x), rule 1 only (alpha, beta), rule 2 only the three (point, value)
-slots.  So materialize evaluates rules 3-5 once per pair of (alpha, x)
-classes and rule 2 once per pair of slot classes, and verify_clique decides
-on groups before it scans pairs.
+an edge oracle); explicit adjacency is materialized only under budget.  A
+clique encodes itself once, for the oracle, phase 1 and the size gate: ids
+of its slots, vertices and rule-3/5 rows, naming points and values by their
+base-q ranks (by sorted byte strings where a rank outgrows 64 bits).  The
+oracle evaluates the rules on batches of about PAIR_BATCH pairs, so its
+memory does not grow with the pair count.  Each rule reads little of a
+vertex: rules 3-5 only (alpha, x), rule 1 only (alpha, beta), rule 2 only
+the three (point, value) slots.  So materialize evaluates rules 3-5 once per
+pair of (alpha, x) classes and rule 2 once per pair of slot classes, and
+verify_clique decides on groups before it scans pairs.
 
 A planted clique is one value table X: vertex (alpha, beta) carries X[alpha]
 and X[beta].  If X = digits @ R is linear (R: its rows at the unit points),
@@ -209,7 +210,8 @@ class Clique(Sequence):
     past GENERAL_PATH_BUDGET vertices.
     Its vertices are valid (as_clique validates a caller's).  It reads as
     the list of its Vertex tuples: len, iteration (one tuple per table row,
-    shared) and clique[i] give Vertex tuples, slices give lists."""
+    shared) and clique[i] give Vertex tuples, slices give lists.  The ids
+    the rules compare are computed on first read and kept."""
 
     def __init__(self, params: ReductionParams, points: np.ndarray, values: np.ndarray,
                  *rows: np.ndarray):
@@ -249,7 +251,47 @@ class Clique(Sequence):
         """Vertex i becomes `vertex`, validated as a caller's tuple is."""
         vertices = list(self)
         vertices[i] = vertex
-        self.__dict__.update(as_clique(vertices, self.params).__dict__)
+        # the whole state, so no id computed for the old vertices survives
+        self.__dict__ = as_clique(vertices, self.params).__dict__
+
+    @cached_property
+    def slot_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n, 3) ids of the slot points alpha, beta, alpha + beta of each
+        vertex and of their values x, y, x + y (see _row_ids)."""
+        q, points, values = self.params.q, self.points, self.values
+        point, point_sum = _row_ids(q, points, (points[self.a] + points[self.b]) % q)
+        value, value_sum = _row_ids(q, values, (values[self.x] + values[self.y]) % q)
+        return (np.stack([point[self.a], point[self.b], point_sum], axis=1),
+                np.stack([value[self.x], value[self.y], value_sum], axis=1))
+
+    @cached_property
+    def vertex_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n,) ids of the vertices, equal iff the Vertex tuples are, and the
+        first position of each id."""
+        point, value = self.slot_ids
+        return _pair_ids(_pair_ids(point[:, 0], point[:, 1])[0], _pair_ids(value[:, 0], value[:, 1])[0])
+
+    @cached_property
+    def rule_ids(self) -> tuple[np.ndarray, ...]:
+        """(n,) arrays rules 3 and 5 compare: ids of alpha's scalar line
+        (alpha over its leading entry) and of x over that entry, alpha = 0
+        with x != 0, and ids of alpha minus its first block in every block.
+        Refuses a modulus whose products overflow int64."""
+        q, k, points, a = self.params.q, self.params.k, self.points, self.a
+        if (q - 1) ** 2 >= 2**63:
+            raise ContractViolation(f"modulus {q} is too large for 64-bit vertex arithmetic")
+        # scaling alpha by the inverse of its leading nonzero entry names its
+        # scalar line; x scaled alike must agree along the line (rule 3)
+        lead = points[np.arange(len(points)), (points != 0).argmax(axis=1)]
+        leads, which = np.unique(lead, return_inverse=True)
+        inv = np.array([pow(e, -1, q) if e else 0 for e in leads.tolist()], dtype=np.int64)[which]
+        # patterns are equal iff the difference of two alphas is a constant
+        # block pattern (rule 5)
+        line, pattern = (ids[a] for ids in _row_ids(
+            q, points * inv[:, None] % q, (points - np.tile(points[:, :k], k)) % q))
+        scaled_x = _row_ids(q, self.values[self.x] * inv[a, None] % q)[0]
+        off_line = ~points.any(axis=1)[a] & self.values.any(axis=1)[self.x]
+        return line, scaled_x, off_line, pattern
 
 
 def as_clique(vertices, params: ReductionParams) -> Clique:
@@ -328,18 +370,6 @@ class VertexCodec:
 # -- the implicit graph -----------------------------------------------------------
 
 
-class _Codes(NamedTuple):
-    """A clique encoded for the edge oracle; row v is vertex v."""
-
-    clique: Clique  # the residues, for rule 4
-    point: np.ndarray  # (n, 3) ids of the slot points alpha, beta, alpha + beta
-    value: np.ndarray  # (n, 3) ids of the slot values x, y, x + y
-    line: np.ndarray  # (n,) id of alpha's scalar line (alpha over its leading entry)
-    scaled_x: np.ndarray  # (n,) id of x over alpha's leading entry
-    off_line: np.ndarray  # (n,) alpha = 0 and x != 0
-    pattern: np.ndarray  # (n,) id of alpha minus its first block in every block
-
-
 def _row_ids(q: int, *blocks: np.ndarray) -> list[np.ndarray]:
     """Ids of the rows of equally wide residue arrays, one id array per
     array: equal iff the rows are, and ordered like the rows (as tuples).
@@ -415,44 +445,15 @@ class CliqueInstance:
 
     # -- the edge oracle -----------------------------------------------------
 
-    def _encode(self, vertices) -> _Codes:
-        """The arrays the rules compare, for a Clique or a list of vertex
-        tuples (validated first, see as_clique).  Whatever reads only alpha
-        is computed once per row of the point table."""
-        q, k = self.params.q, self.params.k
-        if (q - 1) ** 2 >= 2**63:
-            raise ContractViolation(f"modulus {q} is too large for 64-bit vertex arithmetic")
-        c = as_clique(vertices, self.params)
-        points = c.points
-        # scaling alpha by the inverse of its leading nonzero entry names its
-        # scalar line; x scaled alike must agree along the line (rule 3)
-        lead = points[np.arange(len(points)), (points != 0).argmax(axis=1)]
-        leads, which = np.unique(lead, return_inverse=True)
-        inv = np.array([pow(e, -1, q) if e else 0 for e in leads.tolist()], dtype=np.int64)
-        inv = inv[which.reshape(-1)]
-        point, point_sum = _row_ids(q, points, (points[c.a] + points[c.b]) % q)
-        line, pattern = (_row_ids(q, rows)[0] for rows in (
-            points * inv[:, None] % q,
-            # alpha minus its first block in every block: equal iff the
-            # difference of two alphas is a constant block pattern (rule 5)
-            (points - np.tile(points[:, :k], k)) % q,
-        ))
-        x, y = c.values[c.x], c.values[c.y]
-        value, value_sum, scaled_x = _row_ids(q, c.values, (x + y) % q, x * inv[c.a, None] % q)
-        return _Codes(
-            clique=c, point=np.stack([point[c.a], point[c.b], point_sum], axis=1),
-            value=np.stack([value[c.x], value[c.y], value_sum], axis=1),
-            line=line[c.a], scaled_x=scaled_x,
-            off_line=~points.any(axis=1)[c.a] & c.values.any(axis=1)[c.x], pattern=pattern[c.a],
-        )
-
-    def _pair_rules(self, codes: _Codes, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+    def _pair_rules(self, c: Clique, I: np.ndarray, J: np.ndarray) -> np.ndarray:
         """The (len(I), 5) boolean matrix of the non-edge rules that fire
-        between vertices I[t] and J[t] of an encoded list; column r - 1 is
-        rule r.  Every rule is symmetric in the pair."""
+        between vertices I[t] and J[t] of a clique; column r - 1 is rule r.
+        Every rule is symmetric in the pair."""
         q, k = self.params.q, self.params.k
+        line, scaled_x, off_line, pattern = c.rule_ids
+        point, value = c.slot_ids
         out = np.zeros((len(I), 5), dtype=bool)
-        pi, pj, vi, vj = codes.point[I], codes.point[J], codes.value[I], codes.value[J]
+        pi, pj, vi, vj = point[I], point[J], value[I], value[J]
         # 1: same (alpha, beta)
         out[:, 0] = (pi[:, :2] == pj[:, :2]).all(axis=1)
         # 2: a slot of each on one point, with different values; slot pairs
@@ -462,16 +463,12 @@ class CliqueInstance:
         out[:, 1] = (shared & (vi[:, :, None] != vj[:, None, :])).any(axis=(1, 2))
         # 3: alpha = c alpha' with x != c x'; for alpha = 0 the scalar c = 0
         # fits against every vertex, so then any nonzero x fires
-        out[:, 2] = (
-            (codes.line[I] == codes.line[J]) & (codes.scaled_x[I] != codes.scaled_x[J])
-            | codes.off_line[I] | codes.off_line[J]
-        )
+        out[:, 2] = (line[I] == line[J]) & (scaled_x[I] != scaled_x[J]) | off_line[I] | off_line[J]
         # 5: alpha - alpha' repeats one block, with x != x'
-        out[:, 4] = (codes.pattern[I] == codes.pattern[J]) & (vi[:, 0] != vj[:, 0])
+        out[:, 4] = (pattern[I] == pattern[J]) & (vi[:, 0] != vj[:, 0])
         # 4: alpha - alpha' lives on one block, and no vector of that block's
         # collection has x - x' as the block-inner product of its image with
         # the difference (compared in chunks of about PAIR_BATCH * 64 entries)
-        c = codes.clique
         diff = ((c.points[c.a[I]] - c.points[c.a[J]]) % q).reshape(-1, k, k)
         moved = diff.any(axis=2)
         single = np.flatnonzero(moved.sum(axis=1) == 1)
@@ -490,36 +487,37 @@ class CliqueInstance:
 
     # -- the oracle on classes ----------------------------------------------------
 
-    def _class_rules(self, codes: _Codes, reps: np.ndarray) -> np.ndarray:
+    def _class_rules(self, clique: Clique, reps: np.ndarray) -> np.ndarray:
         """The symmetric table of whether rules 3-5 fire between vertices
-        reps[i] and reps[j] of an encoded list; these rules read only
-        (alpha, x), so each vertex stands for its whole (alpha, x) class."""
+        reps[i] and reps[j] of a clique; these rules read only (alpha, x), so
+        each vertex stands for its whole (alpha, x) class."""
         c = len(reps)
         table = np.zeros((c, c), dtype=bool)
         for I, J in _pair_batches(c):
-            table[I, J] = table[J, I] = self._pair_rules(codes, reps[I], reps[J])[:, 2:].any(axis=1)
-        table[np.diag_indices(c)] = self._pair_rules(codes, reps, reps)[:, 2:].any(axis=1)
+            table[I, J] = table[J, I] = self._pair_rules(clique, reps[I], reps[J])[:, 2:].any(axis=1)
+        table[np.diag_indices(c)] = self._pair_rules(clique, reps, reps)[:, 2:].any(axis=1)
         return table
 
-    def _grouped_clique(self, codes: _Codes) -> bool:
-        """Whether an encoded list is a clique, decided on groups instead of
+    def _grouped_clique(self, clique: Clique) -> bool:
+        """Whether a clique's vertices are one, decided on groups instead of
         pairs.  Among its distinct vertices: no point carries two values and
         is touched by two vertices (rule 2, internally inconsistent vertices
         included), and rules 3-5 fire between no two (alpha, x) classes, nor
         within a class of two or more vertices.  Rule 1 needs no group of
         its own: two distinct vertices of one (alpha, beta) differ in x or
         y, so rule 2 fires at alpha or at beta."""
-        cloud = _pair_ids(codes.point[:, 0], codes.point[:, 1])[0]
-        keep = _pair_ids(cloud, _pair_ids(codes.value[:, 0], codes.value[:, 1])[0])[1]
-        point, value = codes.point[keep].reshape(-1), codes.value[keep].reshape(-1)
+        keep = clique.vertex_ids[1]
+        point, value = (ids[keep] for ids in clique.slot_ids)
+        ax = _pair_ids(point[:, 0], value[:, 0])[0]
+        point, value = point.reshape(-1), value.reshape(-1)
         owner = np.repeat(np.arange(len(keep)), 3)
-        values_at = np.bincount(point[_pair_ids(point, value)[1]])
-        owners_at = np.bincount(point[_pair_ids(point, owner)[1]])
+        # per point touched, in point order: its values, its vertices
+        values_at, owners_at = (np.unique(point[_pair_ids(point, other)[1]], return_counts=True)[1]
+                                for other in (value, owner))
         if ((values_at > 1) & (owners_at > 1)).any():
             return False
-        ax = _pair_ids(codes.point[keep, 0], codes.value[keep, 0])[0]
         _, first, size = np.unique(ax, return_index=True, return_counts=True)
-        table = self._class_rules(codes, keep[first])
+        table = self._class_rules(clique, keep[first])
         # a class of one vertex has no pair within it
         np.fill_diagonal(table, table.diagonal() & (size > 1))
         return not table.any()
@@ -570,13 +568,12 @@ class CliqueInstance:
                 for images, M in zip(self._images, blocks.transpose(0, 2, 1))
             ):
                 return None
-        codes = self._encode(clique)
-        if self._grouped_clique(codes):
+        if self._grouped_clique(clique):
             return None
+        ids = clique.vertex_ids[0]
         for I, J in _pair_batches(len(clique)):
-            rules = self._pair_rules(codes, I, J)
-            repeat = rules[:, 0] & (codes.value[I, :2] == codes.value[J, :2]).all(axis=1)
-            bad = np.flatnonzero(rules.any(axis=1) & ~repeat)
+            rules = self._pair_rules(clique, I, J)
+            bad = np.flatnonzero(rules.any(axis=1) & (ids[I] != ids[J]))
             if bad.size:
                 t = bad[0]
                 return clique[I[t]], clique[J[t]], frozenset((np.flatnonzero(rules[t]) + 1).tolist())
@@ -600,11 +597,11 @@ class CliqueInstance:
         q = self.params.q
         clique = Clique(self.params, _domain(q, self.codec.kk)[0],
                         _domain(q, self.params.l)[0], *self.codec.ranks())
-        codes = self._encode(clique)
-        slot, first = _pair_ids(codes.point, codes.value)
+        point, value = clique.slot_ids
+        slot, first = _pair_ids(point, value)
         # two slot classes conflict when they share a point, not a value; a
         # conflict of the two alpha slots is rule 3 with scalar 1 as well
-        point, value = codes.point.reshape(-1)[first], codes.value.reshape(-1)[first]
+        point, value = point.reshape(-1)[first], value.reshape(-1)[first]
         conflict = _bitmasks((point[:, None] == point) & (value[:, None] != value))
         # bitmasks over slot classes: own[i] holds the classes of vertex i,
         # clash[j] those that conflict with a slot of vertex j
@@ -612,7 +609,7 @@ class CliqueInstance:
         clash = np.bitwise_or.reduce(conflict[slot], axis=1)
         # slot 0 is (alpha, x), so its class is the vertex's (alpha, x) class
         _, reps, ax = np.unique(slot[:, 0], return_index=True, return_inverse=True)
-        table = self._class_rules(codes, reps)
+        table = self._class_rules(clique, reps)
         edges = []
         for start in range(0, count, ROW_BLOCK):
             rows, size = slice(start, start + ROW_BLOCK), min(ROW_BLOCK, count - start)
@@ -663,7 +660,7 @@ class GammaTable:
     var_points: np.ndarray
 
 
-def _clique_values(clique: Clique, q: int) -> tuple[np.ndarray, np.ndarray]:
+def _clique_values(c: Clique, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Phase 1 of the decoded function: every point a vertex of the clique
     assigns, as rows of a (points, k^2) array in order of first assignment
     (vertices in list order, slots alpha, beta, alpha + beta), and its
@@ -671,15 +668,10 @@ def _clique_values(clique: Clique, q: int) -> tuple[np.ndarray, np.ndarray]:
     slot whose value differs from the first value its point got.  A linear
     planted clique assigns its value table as it is: vertex (0, b) assigns
     b first."""
-    c = clique
     if c.planted_rows is not None:
         return c.points, c.values
-    x, y = c.values[c.x], c.values[c.y]
-    point, point_sum = _row_ids(q, c.points, (c.points[c.a] + c.points[c.b]) % q)
-    value, value_sum = _row_ids(q, c.values, (x + y) % q)
     # slot 3v + s is slot s of vertex v
-    point = np.stack([point[c.a], point[c.b], point_sum], axis=1).reshape(-1)
-    value = np.stack([value[c.x], value[c.y], value_sum], axis=1).reshape(-1)
+    point, value = (ids.reshape(-1) for ids in c.slot_ids)
     _, first, group = np.unique(point, return_index=True, return_inverse=True)
     differ = np.flatnonzero(value != value[first][group])
     # the first conflicting slot and its point's first slot, else each point's first
@@ -687,7 +679,8 @@ def _clique_values(clique: Clique, q: int) -> tuple[np.ndarray, np.ndarray]:
     v, at = slots // 3, (np.arange(len(slots)), slots % 3)
     pa, pb = c.points[c.a[v]], c.points[c.b[v]]
     rows = np.stack([pa, pb, pa + pb], axis=1)[at] % q
-    known = np.stack([x[v], y[v], x[v] + y[v]], axis=1)[at] % q
+    x, y = c.values[c.x[v]], c.values[c.y[v]]
+    known = np.stack([x, y, x + y], axis=1)[at] % q
     if differ.size:
         p, (this, was) = tuple(rows[0].tolist()), map(tuple, known.tolist())
         raise PropertyViolation(f"conflicting clique values at point {p}: {was} vs {this}")
@@ -849,15 +842,13 @@ def extract_witness(
     q, k, l = params.q, params.k, params.l
     if eps is None:
         eps = params.epsilon()
+    if eps != eps:  # NaN would pass the size gate and piecing's threshold alike
+        raise ContractViolation("eps must be a number, got NaN")
     if kappa is None:
         kappa = params.kappa()
     kappa = Fraction(kappa)
     clique = as_clique(clique, params)
-    size = len(clique)
-    if not clique.planted:  # distinct vertices: distinct (alpha, beta) and (x, y) id pairs
-        c, (point,), (value,) = clique, _row_ids(q, clique.points), _row_ids(q, clique.values)
-        ab, xy = _pair_ids(point[c.a], point[c.b])[0], _pair_ids(value[c.x], value[c.y])[0]
-        size = len(_pair_ids(ab, xy)[1])
+    size = len(clique) if clique.planted else len(clique.vertex_ids[1])  # distinct vertices
     threshold = eps * q ** (2 * k * k)
     report = ExtractionReport(verdict="refused", stage="size_gate", detail="",
                               clique_size=size, size_threshold=threshold)

@@ -11,9 +11,10 @@ import random
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import BudgetExceeded, ContractViolation
 
 _BLOCK_ENTRIES = 96  # loop tries that cost about as much as one round of the block path
+DRAW_BUDGET = 1 << 25  # draws a call makes at most: 2^26 words pass getrandbits' limit
 
 
 def stream(seed: int, label: str) -> random.Random:
@@ -42,9 +43,12 @@ def draws(rng: random.Random, bound: int, count: int) -> np.ndarray:
     long as the draws still missing.  A word is kept with probability
     p = bound / 2^bits (at least 1/2), so the loop makes about count / p
     tries and the blocks take about 1 + log(count) / log(1 / (1 - p))
-    rounds; the blocks are read when their rounds cost fewer tries."""
+    rounds; the blocks are read when their rounds cost fewer tries.  More
+    than DRAW_BUDGET draws are refused before rng is touched."""
     if bound < 1:
         raise ContractViolation(f"draws need a bound >= 1, got {bound!r:.60}")
+    if count > DRAW_BUDGET:
+        raise BudgetExceeded("random draws", required=count, budget=DRAW_BUDGET)
     bits, draw = bound.bit_length(), rng.getrandbits
     keep = bound / 2**bits
     # below _BLOCK_ENTRIES draws the blocks never pay, and that test is cheaper

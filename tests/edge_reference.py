@@ -17,19 +17,17 @@ import numpy as np
 
 from gapclique.cliquesolve import DenseGraph
 from gapclique.errors import ContractViolation, PropertyViolation
-from gapclique.reduction import Vertex, is_valid_vertex
+from gapclique.reduction import Vertex, as_clique, is_valid_vertex
 
 from vecsum_reference import collections, total
 from field_reference import apply_map, block_inner, rank_tuple, scale, sub, unrank_tuple
 
 
 def pair_rule_sets(ci, pairs):
-    """The library's rule sets of the vertex pairs (u, v), from one encoding
+    """The library's rule sets of the vertex pairs (u, v), from one clique
     of all their vertices and one batch."""
-    vertices = [v for pair in pairs for v in pair]
-    rules = ci._pair_rules(
-        ci._encode(vertices), np.arange(0, len(vertices), 2), np.arange(1, len(vertices), 2)
-    )
+    vertices = as_clique([v for pair in pairs for v in pair], ci.params)
+    rules = ci._pair_rules(vertices, np.arange(0, len(vertices), 2), np.arange(1, len(vertices), 2))
     return [frozenset((np.flatnonzero(row) + 1).tolist()) for row in rules]
 
 

@@ -250,6 +250,23 @@ class TestExitCodes:
         assert "vertex count" in capsys.readouterr().err
 
 
+    def test_draws_past_their_budget_refused(self, tmp_path, capsys):
+        # 4 * 10^9 instance entries, 4 * 10^8 map entries: refused as draws,
+        # before any is drawn or any file is written
+        out, empty = str(tmp_path / "out"), str(tmp_path / "empty")
+        assert run("--seed", "1", "--out-dir", out, "gen-vecsum", "--q", "3", "--k", "1",
+                   "--m", "4", "--n", "4", "--planted") == EXIT_OK
+        capsys.readouterr()
+        for out_dir, argv in ((empty, ["gen-vecsum", "--q", "3", "--k", "1", "--m", "1000000000",
+                                       "--n", "4"]),
+                              (out, ["check-map", "--instance", os.path.join(out, "instance.json"),
+                                     "--l", "100000000"])):
+            os.makedirs(out_dir, exist_ok=True)
+            before = sorted(os.listdir(out_dir))
+            assert run("--seed", "1", "--out-dir", out_dir, *argv) == EXIT_BUDGET
+            assert "random draws: needs budget" in capsys.readouterr().err
+            assert sorted(os.listdir(out_dir)) == before
+
     def test_large_planted_clique_refused_by_budget(self, tmp_path, capsys):
         # (7,2,1): verify-complete would list the planted clique's 5,764,801
         # vertices in its certificate, so it refuses before building the clique

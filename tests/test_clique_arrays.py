@@ -2,8 +2,8 @@
 verify_clique's first pair, phase 1 of the decoded function and extraction
 reports are the same whether a clique is given as a Clique or as its list
 of Vertex tuples, and equal the references in edge_reference.  Also the
-one converter for caller tuples, the list behaviour of the type, and rank
-ids against byte-string ids."""
+one converter for caller tuples, the list behaviour of the type, rank ids
+against byte-string ids, and the ids a clique keeps against its rows."""
 
 import json
 import os
@@ -185,7 +185,7 @@ def decision_cases(ci, r):
 
 
 def refuse(*args):
-    raise AssertionError("a planted clique accepted from its value table is never encoded")
+    raise AssertionError("a planted clique accepted from its value table never computes slot ids")
 
 
 @pytest.mark.parametrize("q,k,l", DECISION_POINTS)
@@ -198,7 +198,7 @@ def test_planted_layout_decided_as_the_scan_decides(q, k, l, monkeypatch):
             want = ci.verify_clique(list(clique))
             with monkeypatch.context() as m:
                 if want is None and kind != "off layout":
-                    m.setattr(CliqueInstance, "_encode", refuse)
+                    m.setattr(Clique, "slot_ids", property(refuse))
                 assert ci.verify_clique(clique) == want
             rules = want[2] if want else frozenset()
             kinds.setdefault(kind, set()).add(rules)
@@ -234,7 +234,7 @@ def test_planted_layout_decided_once_per_clique(monkeypatch):
     clique = ci.planted_clique(ci.source.planted)
     assert clique.planted_rows is not None
     with monkeypatch.context() as m:
-        m.setattr(CliqueInstance, "_encode", refuse)
+        m.setattr(Clique, "slot_ids", property(refuse))
         extract_witness(clique, ci, eps=0.5, verify=True)
         assert ci.verify_clique(clique) is None
     v = clique[1]
@@ -249,7 +249,7 @@ def test_large_planted_cliques_never_reach_the_general_path(q, k, l, monkeypatch
     # 5,764,801 and 214,358,881 vertices: index arrays of P^2 entries would
     # take 88 MB and 3.4 GB; the planted layout holds P value rows instead
     ci = make_instance(7, q, k, l)
-    monkeypatch.setattr(CliqueInstance, "_encode", refuse)
+    monkeypatch.setattr(Clique, "slot_ids", property(refuse))
     tracemalloc.start()
     try:
         clique = ci.planted_clique(ci.source.planted)
@@ -362,6 +362,45 @@ def test_rank_ids_are_byte_ids_relabelled(q, w, monkeypatch):
     assert (np.unique(ranks, return_inverse=True)[1] == bytes_).all()
     rows = [tuple(row) for row in np.concatenate(blocks).tolist()]
     assert (ranks == [rank_tuple(q, row) for row in rows]).all()
+
+
+@pytest.mark.parametrize("q,k,l", [(3, 1, 2), (2, 2, 1), (3, 2, 4), (3, 1, 40)])
+def test_clique_ids_equal_iff_the_rows_are(q, k, l):
+    # (3,1,40): 3^40 > 2^63, so the value ids are byte-string ids
+    r = random.Random(f"ids-{q}-{k}-{l}")
+    pool = [random_vertex(r, q, k, l) for _ in range(12)]
+    params = ReductionParams(q=q, k=k, l=l)
+    for size in (1, 5, 30):
+        vertices = [r.choice(pool) for _ in range(size)]
+        clique = as_clique(vertices, params)
+        point, value = clique.slot_ids
+        slots = [reference.slots(v, q) for v in vertices]
+        rows = [[s[0] for s in vs] for vs in slots], [[s[1] for s in vs] for vs in slots]
+        for ids, rows_of in zip((point, value), rows):
+            flat, flat_rows = ids.reshape(-1), [row for vs in rows_of for row in vs]
+            assert ids.shape == (size, 3)
+            assert all((flat[i] == flat[j]) == (flat_rows[i] == flat_rows[j])
+                       for i in range(len(flat)) for j in range(len(flat)))
+        ids, first = clique.vertex_ids
+        assert all((ids[i] == ids[j]) == (vertices[i] == vertices[j])
+                   for i in range(size) for j in range(size))
+        assert sorted(first.tolist()) == sorted(vertices.index(v) for v in set(vertices))
+        assert (ids[first] == np.arange(len(first))).all()
+
+
+def test_replaced_vertex_recomputes_the_ids():
+    ci = INSTANCES[(3, 1, 2)]
+    r = random.Random("replace-ids")
+    clique = as_clique([random_vertex(r, 3, 1, 2) for _ in range(8)], ci.params)
+    names = ("slot_ids", "vertex_ids", "rule_ids")
+    for i, v in [(2, clique[5]), (0, random_vertex(r, 3, 1, 2)), (7, clique[0])]:
+        for name in names:
+            getattr(clique, name)  # cached for the vertices before the replacement
+        clique[i] = v
+        fresh = as_clique(list(clique), ci.params)
+        for name in names:
+            assert all(np.array_equal(a, b) for a, b in zip(getattr(clique, name), getattr(fresh, name)))
+        assert ci.verify_clique(clique) == ci.verify_clique(fresh) == ReferenceOracle(ci).verify(list(clique))
 
 
 def test_pair_ids_past_64_bit_keys():

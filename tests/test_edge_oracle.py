@@ -4,6 +4,7 @@ violation verify_clique reports, and materialized adjacency."""
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from gapclique import reduction, rng as rngmod
 from gapclique.errors import ContractViolation
 from gapclique.randmap import sample_g
-from gapclique.reduction import CliqueInstance, ReductionParams, Vertex, is_valid_vertex
+from gapclique.reduction import CliqueInstance, ReductionParams, Vertex, as_clique, is_valid_vertex
 from gapclique.vecsum import generate_planted
 
 from edge_reference import ReferenceOracle, codec_vertices, pair_rule_sets, unrank
@@ -197,6 +198,26 @@ def test_modulus_past_64_bit_products_refused():
         ci.verify_clique([Vertex((1,), (2,), (3,), (4,)), Vertex((q - 1,), (2,), (3,), (4,))])
 
 
+def test_grouped_test_counts_only_the_points_touched():
+    # point ids are base-q ranks up to 2^31 - 2: one bin per possible point
+    # would take 16 GiB.  Rule 2 fires at beta = 2 (y = 4 against 5), rule 3
+    # as alpha' = -alpha with x' = x != -x; k = 1 plants the zero vector,
+    # whose image explains x - x' = 0, so rule 4 stays silent.  (The
+    # reference oracle tries every scalar, too many at this modulus.)
+    q = 2**31 - 1
+    src = generate_planted(rngmod.stream(1, "instance"), q, 1, 2, 2)
+    ci = CliqueInstance(ReductionParams(q=q, k=1, l=1), sample_g(rngmod.stream(1, "g"), q, 1, 2, 1), src)
+    vertices = [Vertex((1,), (2,), (3,), (4,)), Vertex((q - 1,), (2,), (3,), (5,))]
+    tracemalloc.start()
+    try:
+        got = ci.verify_clique(vertices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (*vertices, frozenset({2, 3}))
+    assert peak <= 1_000_000
+
+
 # -- the grouped decision against the scan ----------------------------------------------
 
 
@@ -204,7 +225,7 @@ def grouped_against_scan(ci, vertices):
     """The reference scan's first violation, after checking that the grouped
     decision agrees with it and verify_clique returns it."""
     expected = ReferenceOracle(ci).verify(vertices)
-    assert ci._grouped_clique(ci._encode(vertices)) == (expected is None)
+    assert ci._grouped_clique(as_clique(vertices, ci.params)) == (expected is None)
     assert ci.verify_clique(vertices) == expected
     return expected
 

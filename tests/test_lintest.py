@@ -1,9 +1,11 @@
 """Linearity testing: the test itself, Fourier identities, list decoding
 against brute-force oracles, and the piecing procedure."""
 
+import functools
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -677,12 +679,22 @@ class TestKeptRows:
             assert calls == [(-1, f.l)]  # one forward transform of every coordinate
 
 
+@functools.cache
+def budgets_table(q, d):
+    """The values of the budget tests' corrupted (q, d) table, built once
+    per test run through the reference loop, and the state of the stream it
+    was drawn from right after."""
+    r = rngmod.stream(q * 10 + d, "budgets-large")
+    return corrupted_linear_values(r, q, d, 0.1), r.getstate()
+
+
 class TestBudgets:
     @pytest.mark.parametrize("q,d", [(509, 2), (61, 3)])
     def test_large_primes_exact_under_defaults(self, q, d):
         n = q**d
-        r = rngmod.stream(q * 10 + d, "budgets-large")
-        values = corrupted_linear_values(r, q, d, 0.1)
+        values, state = budgets_table(q, d)
+        r = random.Random()
+        r.setstate(state)
         f = FunctionTable(q, d, 1, values)
         p = pass_probability(f)
         # a fresh table, so that piecing counts the accepted pairs itself; a
@@ -708,8 +720,7 @@ class TestBudgets:
         # corrupted_linear_values draws the planted rho first
         planted = rngmod.stream(q * 10 + d, "budgets-large")
         rho = tuple(planted.randrange(q) for _ in range(d))
-        values = corrupted_linear_values(rngmod.stream(q * 10 + d, "budgets-large"), q, d, 0.1)
-        f = FunctionTable(q, d, 1, values)
+        f = FunctionTable(q, d, 1, budgets_table(q, d)[0])
         res = piece_together(f, 0.5, Fraction(1, 4))
         assert res.ok and res.fn == linear_scalar(q, rho)
         assert res.agreement == Fraction(229109, 259081)
@@ -990,6 +1001,12 @@ class TestListDecode:
             list_decode_scalar(f.coordinate(0), delta)
         with pytest.raises(ContractViolation, match="finite and positive"):
             piece_together(f, 0.5, Fraction(1, 4), delta_schedule=lambda e, ei: delta)
+
+    def test_nan_eps_refused(self):
+        # no measured pass probability is below NaN, so piecing would run on
+        f = FunctionTable.from_linear(LinearVecFn(5, 2, ((1, 2), (3, 4))))
+        with pytest.raises(ContractViolation, match="NaN"):
+            piece_together(f, math.nan, Fraction(1, 8))
 
     @pytest.mark.parametrize("spoil", [lambda row: row * (1 + 1e-8), lambda row: row + 1e-6j])
     def test_each_coordinate_of_the_batch_is_checked(self, spoil, monkeypatch):

@@ -3,6 +3,7 @@ function, extraction, materialization, export."""
 
 import itertools
 import json
+import math
 import time
 import tracemalloc
 from fractions import Fraction
@@ -229,8 +230,7 @@ class TestPlantedClique:
         violation = ci.verify_clique(t)
         assert violation is not None
         # scan for a rule-5 pair specifically
-        codes = ci._encode(t)
-        assert any(ci._pair_rules(codes, I, J)[:, 4].any() for I, J in _pair_batches(len(t)))
+        assert any(ci._pair_rules(t, I, J)[:, 4].any() for I, J in _pair_batches(len(t)))
 
     def test_budget_refusal(self):
         # (7,3,1): 7^9 points, past the table cap; refused before the point
@@ -542,6 +542,14 @@ class TestExtraction:
         clique = ci.planted_clique(ci.source.planted)
         rep = extract_witness(clique[:2], ci, eps=0.9)
         assert rep.verdict == "refused" and rep.stage == "size_gate"
+
+    def test_nan_eps_refused(self):
+        # NaN compares false both ways: it would pass the gate as eps <= 0 does
+        ci = make_instance(9, 3, 1, 4, 4, 4)
+        one = ci.planted_clique(ci.source.planted)[:1]
+        with pytest.raises(ContractViolation, match="NaN"):
+            extract_witness(one, ci, eps=math.nan)
+        assert extract_witness(one, ci, eps=0.0).stage != "size_gate"
 
     def test_repeated_vertices_count_once_at_gate(self):
         # the gate of 3 at (3,1,2) counts distinct vertices, as verify_clique does

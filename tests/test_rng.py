@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gapclique import rng as rngmod
-from gapclique.errors import ContractViolation
+from gapclique.errors import BudgetExceeded, ContractViolation
 
 
 # 2 and 5 reject often; 65537 and 2^32 - 5 use the top 17 and all 32 bits of
@@ -39,4 +39,17 @@ def test_bound_below_one_is_refused(bound, count):
     state = rng.getstate()
     with pytest.raises(ContractViolation):
         rngmod.draws(rng, bound, count)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("bound", [3, 2**40])
+def test_draws_past_the_budget_refused(bound):
+    # a block of 2^26 words is 2^31 bits, more than getrandbits takes
+    assert rngmod.DRAW_BUDGET < 2**26
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(BudgetExceeded) as exc:
+        rngmod.draws(rng, bound, rngmod.DRAW_BUDGET + 1)
+    assert (exc.value.what, exc.value.required, exc.value.budget) == (
+        "random draws", rngmod.DRAW_BUDGET + 1, rngmod.DRAW_BUDGET)
     assert rng.getstate() == state
