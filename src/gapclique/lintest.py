@@ -7,14 +7,15 @@ unity, threshold list decoding of near-linear scalar functions, and the
 constructive piecing procedure that assembles one linear vector-valued
 function out of the per-coordinate lists.  Every scalar-respecting table is
 built, and checked, by one closure step on one cached table of the lines
-through the origin (_scalar_closure, _lines).  Decoded lists stay arrays of
-coefficient-vector ranks (rows of the digit table _domain) through piecing;
-list_decode_scalar wraps them as one-row LinearVecFn.  Every transform over
-F_q^d is one _dft, and a table keeps its accepted counts (accepted_degrees)
-and the Fourier rows of its coordinates that the character sums took.
-fourier_transform is the one source of a table's real Fourier rows, and
-their one check: the kept rows, or else one transform of every coordinate.
-List decoding, the triple-correlation check and the lintest suite read them.
+through the origin (_scalar_closure, _lines); _lead_inverse names the line
+of any other row of points.  Decoded lists stay arrays of coefficient-vector
+ranks (rows of the digit table _domain) through piecing; list_decode_scalar
+wraps them as one-row LinearVecFn.  Every transform over F_q^d is one _dft,
+and a table keeps its accepted counts (accepted_degrees) and the Fourier
+rows of its coordinates that the character sums took.  fourier_transform
+is the one source of a table's real Fourier rows, and their one check: the
+kept rows, or else one transform of every coordinate.  List decoding, the
+triple-correlation check and the lintest suite read them.
 
 All probabilities are exact rationals of integer counts.  Counts taken on
 the Fourier side are rounded to integers under a 0.25 guard; Fourier
@@ -676,6 +677,14 @@ def _lines(q: int, d: int) -> np.ndarray:
     lines = np.stack([reps * c % q @ place for c in range(1, q)], axis=1)
     lines.setflags(write=False)
     return lines
+
+
+def _lead_inverse(q: int, rows: np.ndarray) -> np.ndarray:
+    """Per row of residues, the inverse of its first nonzero entry, or 0 for
+    a zero row: the row times it is its line's representative."""
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    leads, which = np.unique(lead, return_inverse=True)
+    return np.array([pow(e, -1, q) if e else 0 for e in leads.tolist()], dtype=np.int64)[which]
 
 
 def _scalar_closure(q: int, d: int, line_values: np.ndarray) -> FunctionTable:

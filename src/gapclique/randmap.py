@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, ContractViolation, PropertyViolation
 from .ffield import is_prime
-from .lintest import _domain
+from .lintest import _domain, _lead_inverse
 from .rng import draws
 from .stats import wilson_interval
 from .vecsum import VecSumInstance, check_int, check_modulus, residue_array
@@ -398,13 +398,11 @@ def check_pairwise_separation(
     ).astype(narrow).transpose(1, 0, 2)
     vecs = vecs.astype(narrow)
     # [p]: the p-th ordered pair (alpha, beta) of direction ranks with beta no
-    # multiple of alpha, in lexicographic order; at k = 1 there is none, and
-    # no triple case
+    # multiple of alpha (line: the ranks of their line representatives, 0 at
+    # the origin), in lexicographic order; at k = 1 there is none, nor triples
     if per_alpha:
-        multiples = (np.arange(q)[:, None] * coords[1:, None, :] % q) @ place
-        others = np.ones((size - 1, size), dtype=bool)
-        others[np.arange(size - 1)[:, None], multiples] = False
-        alphas, betas = np.nonzero(others)
+        line = coords * _lead_inverse(q, coords)[:, None] % q @ place
+        alphas, betas = np.nonzero((line[1:, None] != line) & (line > 0))
         alphas += 1
 
     def single(n, planes, ids, d):

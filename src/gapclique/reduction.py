@@ -24,7 +24,7 @@ take either.  Tuples remain at the boundary: as_clique validates and
 converts a caller's tuple list, and a Clique reads out as Vertex tuples.
 
 Between stages the data stay arrays: phase 1 hands phase 2 point and value
-rows, the decoded function names its phase-1 points by rank, and
+rows, build_gamma returns its table and sorted phase-1 point ranks, and
 materialize returns the edge array in the codec's vertex order.
 
 Graphs are held implicitly (parameters + sampled map + source instance +
@@ -65,6 +65,7 @@ from .lintest import (
     MAX_TABLE_SIZE,
     FunctionTable,
     _domain,
+    _lead_inverse,
     _lines,
     _scalar_closure,
     _within,
@@ -194,7 +195,7 @@ def is_valid_vertex(v: Vertex, params: ReductionParams) -> bool:
         isinstance(v, (list, tuple))
         and [len(p) if isinstance(p, (list, tuple)) else None for p in v] == [kk, kk, l, l]
         and all(type(e) is int and 0 <= e < params.q for part in v for e in part)
-        and (v[0] != v[1] or v[2] == v[3])
+        and (tuple(v[0]) != tuple(v[1]) or tuple(v[2]) == tuple(v[3]))
     )
 
 
@@ -259,8 +260,10 @@ class Clique(Sequence):
         """(n, 3) ids of the slot points alpha, beta, alpha + beta of each
         vertex and of their values x, y, x + y (see _row_ids)."""
         q, points, values = self.params.q, self.points, self.values
-        point, point_sum = _row_ids(q, points, (points[self.a] + points[self.b]) % q)
-        value, value_sum = _row_ids(q, values, (values[self.x] + values[self.y]) % q)
+        # sums in uint64, where two residues cannot wrap; _row_ids takes int64
+        (point, point_sum), (value, value_sum) = (
+            _row_ids(q, t, residue_sum(q, (t[i], t[j])).astype(np.int64))
+            for t, i, j in ((points, self.a, self.b), (values, self.x, self.y)))
         return (np.stack([point[self.a], point[self.b], point_sum], axis=1),
                 np.stack([value[self.x], value[self.y], value_sum], axis=1))
 
@@ -282,9 +285,7 @@ class Clique(Sequence):
             raise ContractViolation(f"modulus {q} is too large for 64-bit vertex arithmetic")
         # scaling alpha by the inverse of its leading nonzero entry names its
         # scalar line; x scaled alike must agree along the line (rule 3)
-        lead = points[np.arange(len(points)), (points != 0).argmax(axis=1)]
-        leads, which = np.unique(lead, return_inverse=True)
-        inv = np.array([pow(e, -1, q) if e else 0 for e in leads.tolist()], dtype=np.int64)[which]
+        inv = _lead_inverse(q, points)
         # patterns are equal iff the difference of two alphas is a constant
         # block pattern (rule 5)
         line, pattern = (ids[a] for ids in _row_ids(
@@ -649,17 +650,6 @@ class CliqueInstance:
 # -- the decoded function -----------------------------------------------------------
 
 
-@dataclass
-class GammaTable:
-    """Function decoded from a clique: defined by the clique's own values on
-    its shared points, then extended by scalar closure along the lines
-    through the origin, with fresh uniform values only where none reaches.
-    var_points holds the ranks of the clique's points in ascending order."""
-
-    table: FunctionTable
-    var_points: np.ndarray
-
-
 def _clique_values(c: Clique, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Phase 1 of the decoded function: every point a vertex of the clique
     assigns, as rows of a (points, k^2) array in order of first assignment
@@ -678,9 +668,9 @@ def _clique_values(c: Clique, q: int) -> tuple[np.ndarray, np.ndarray]:
     slots = np.array([differ[0], first[group[differ[0]]]]) if differ.size else np.sort(first)
     v, at = slots // 3, (np.arange(len(slots)), slots % 3)
     pa, pb = c.points[c.a[v]], c.points[c.b[v]]
-    rows = np.stack([pa, pb, pa + pb], axis=1)[at] % q
+    rows = np.stack([pa, pb, residue_sum(q, (pa, pb)).astype(np.int64)], axis=1)[at]
     x, y = c.values[c.x[v]], c.values[c.y[v]]
-    known = np.stack([x, y, x + y], axis=1)[at] % q
+    known = np.stack([x, y, residue_sum(q, (x, y)).astype(np.int64)], axis=1)[at]
     if differ.size:
         p, (this, was) = tuple(rows[0].tolist()), map(tuple, known.tolist())
         raise PropertyViolation(f"conflicting clique values at point {p}: {was} vs {this}")
@@ -692,18 +682,19 @@ def build_gamma(
     instance: CliqueInstance,
     rng: Optional[random.Random] = None,
     verify: bool = True,
-) -> GammaTable:
-    """Two-phase construction of the decoded function, from a Clique or a
-    list of vertex tuples (validated, see as_clique).
+) -> tuple[FunctionTable, np.ndarray]:
+    """The decoded function of a Clique or a list of vertex tuples
+    (validated, see as_clique): its table and sorted phase-1 point ranks.
 
     Phase 1 copies the clique's values on every point some vertex assigns;
     a conflict (within a vertex whose slots collide, or across vertices,
     which a verified clique cannot produce) is a refusal, then a domain past
-    MAX_TABLE_SIZE.  Phase 2 closes one value per line under scalars: a line
-    through a phase-1 point c * rep takes c^-1 times its value, any other
-    draws l uniform values in representative order; the origin is 0.  The
-    closed table must keep every phase-1 value, else the clique's values
-    are not scalar respecting, a refusal.
+    MAX_TABLE_SIZE.  Phase 2 gives each line through the origin one value at
+    its representative rep: a phase-1 point c * rep gives c^-1 (the inverse
+    of its leading entry) times its value, a line without one draws l
+    uniform values, in representative order.  The table is their scalar
+    closure, 0 at the origin; it must keep every phase-1 value, else the
+    clique's values are not scalar respecting, a refusal.
     """
     params = instance.params
     q, k, l = params.q, params.k, params.l
@@ -719,16 +710,17 @@ def build_gamma(
                 f"not a clique: rules {sorted(types)} fire between {u} and {v}"
             )
     points, known_vals = _clique_values(clique, q)
-    reps, (digits, place) = _lines(q, kk)[:, 0], _domain(q, kk)
+    # the domain is refused before the products below, which it keeps in int64
+    reps, place = _lines(q, kk)[:, 0], _domain(q, kk)[1]
     known = points @ place
-    # c times a phase-1 point takes c times its value; a reached line's
-    # representative reads its value off this table
-    scalars = np.arange(1, q)[:, None]
-    scaled = digits[known][:, None, :] * scalars % q @ place
+    # a phase-1 point c * rep gives rep c^-1 times its value (the origin
+    # writes 0 at rank 0, no representative); a later point of a line wins
+    inv = _lead_inverse(q, points)[:, None]
+    line = points * inv % q @ place
     vals = np.zeros((q**kk, l), dtype=np.int64)
-    vals[scaled] = known_vals[:, None, :] * scalars % q
+    vals[line] = known_vals * inv % q
     # l fresh values for each unreached line's representative
-    fresh = reps[~np.isin(reps, scaled)]
+    fresh = reps[~np.isin(reps, line)]
     vals[fresh] = draws(rng, q, len(fresh) * l).reshape(-1, l)
     table = _scalar_closure(q, kk, vals[reps])
     if not (table.values[known] == known_vals).all():
@@ -736,7 +728,7 @@ def build_gamma(
             "decoded function is not scalar respecting; the clique's shared "
             "points carry scalar-inconsistent values"
         )
-    return GammaTable(table=table, var_points=np.sort(known))
+    return table, np.sort(known)
 
 
 # -- witness extraction ----------------------------------------------------------
@@ -861,11 +853,11 @@ def extract_witness(
         return report
 
     try:
-        gamma = build_gamma(clique, instance, rng=rng, verify=verify)
+        table, var_points = build_gamma(clique, instance, rng=rng, verify=verify)
     except PropertyViolation as exc:
         return failed("gamma", str(exc))
 
-    piece = piece_together(gamma.table, eps, kappa)
+    piece = piece_together(table, eps, kappa)
     report.pass_probability = piece.pass_probability
     if not piece.ok:
         return failed("piecing", piece.failure)
@@ -873,7 +865,7 @@ def extract_witness(
     report.fn = piece.fn
 
     # the subset of shared points where the pieced function is within kappa
-    r_star = _within(gamma.table, piece.fn, gamma.var_points, kappa)
+    r_star = _within(table, piece.fn, var_points, kappa)
     report.r_star_size = r_star
     report.r_star_dense = r_star * q > q ** (k * k)
 

@@ -6,9 +6,9 @@ every point of the domain.  Also the tests' entry point to the library's
 batched rule evaluator.
 
 Every rule is read straight off its definition, one vertex pair at a time,
-on residue tuples; the images of the source vectors come from the
-definition-level map image in field_reference, not from the library's
-matrix product.
+on residue tuples (rule 3 tries the one scalar that can fit, not all q);
+the images of the source vectors come from the definition-level map image
+in field_reference, not from the library's matrix product.
 """
 
 import itertools
@@ -177,10 +177,16 @@ class ReferenceOracle:
         return self._value_sets[key]
 
     def _rule3(self, u, v):
+        """Some scalar c has u.alpha = c v.alpha but u.x != c v.x.  For a
+        nonzero v.alpha the one candidate is u.alpha[j] / v.alpha[j], j its
+        leading index; a zero v.alpha fits every c against a zero u.alpha,
+        and some c misses u.x unless both x are zero."""
         q = self.q
-        return any(
-            u.alpha == scale(q, c, v.alpha) and u.x != scale(q, c, v.x) for c in range(q)
-        )
+        j = next((j for j, e in enumerate(v.alpha) if e), None)
+        if j is None:
+            return not any(u.alpha) and (any(u.x) or any(v.x))
+        c = u.alpha[j] * pow(v.alpha[j], -1, q) % q
+        return u.alpha == scale(q, c, v.alpha) and u.x != scale(q, c, v.x)
 
     def rules(self, u, v, first_only=False):
         """The set of rules the pair fires; with first_only, at most the

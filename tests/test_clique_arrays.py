@@ -336,6 +336,22 @@ def test_clique_values_on_crowded_lists(q, k, l):
     assert str in outcomes
 
 
+def test_slot_sums_past_2_to_the_62():
+    # two residues of this modulus can add past 2^63: the sum slots must
+    # not wrap, in the ids the rules read nor in phase 1's rows
+    q = 6917529027641081903
+    params = ReductionParams(q=q, k=1, l=1)
+    vertices = [Vertex((q - 1,), (q - 2,), (1,), (1,)), Vertex((q - 3,), (5,), (2,), (7,)),
+                Vertex((7,), (8,), (q - 1,), (q - 2,))]
+    clique = as_clique(vertices, params)
+    point, value = clique.slot_ids
+    assert point.tolist() == [[q - 1, q - 2, q - 3], [q - 3, 5, 2], [7, 8, 15]]
+    assert value.tolist() == [[1, 1, 2], [2, 7, 9], [q - 1, q - 2, q - 3]]
+    want = phase1_outcome(lambda: reference.clique_values(vertices, q))
+    assert phase1_outcome(lambda: _clique_values(clique, q)) == want
+    assert want[2] == ((q - 3,), (2,))
+
+
 @pytest.mark.parametrize("q,k,l", POINTS + EXTRACTION_POINTS)
 def test_extraction_report_same_for_the_type_and_its_list(q, k, l):
     ci = INSTANCES[(q, k, l)]
@@ -447,6 +463,7 @@ def first_invalid(vertices, params):
     5,  # not a sequence
     None,
     "abcd",  # four parts, none a list
+    ([1], (1,), [0, 1], (1, 1)),  # alpha = beta, x != y, as a list and a tuple
 ])
 def test_converter_names_the_first_invalid_vertex(bad):
     ci = INSTANCES[(3, 1, 2)]
@@ -461,6 +478,17 @@ def test_converter_names_the_first_invalid_vertex(bad):
                      lambda c: extract_witness(c, ci)):
             with pytest.raises(ContractViolation, match="invalid vertex"):
                 read(vertices)
+
+
+def test_parts_compare_as_sequences():
+    # a list and a tuple with the same entries are one part: alpha = beta
+    # needs x = y whatever the sequence types, as the array check reads them
+    params = ReductionParams(3, 1, 1)
+    with pytest.raises(ContractViolation) as exc:
+        as_clique([([1], (1,), [0], [1])], params)
+    assert str(exc.value) == "invalid vertex ([1], (1,), [0], [1])"
+    assert list(as_clique([([1], (1,), [0], (0,)), ([1], (2,), [0], (1,))], params)) == [
+        Vertex((1,), (1,), (0,), (0,)), Vertex((1,), (2,), (0,), (1,))]
 
 
 def test_converter_accepts_plain_tuples_and_refuses_other_parameters():

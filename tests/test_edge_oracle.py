@@ -202,8 +202,7 @@ def test_grouped_test_counts_only_the_points_touched():
     # point ids are base-q ranks up to 2^31 - 2: one bin per possible point
     # would take 16 GiB.  Rule 2 fires at beta = 2 (y = 4 against 5), rule 3
     # as alpha' = -alpha with x' = x != -x; k = 1 plants the zero vector,
-    # whose image explains x - x' = 0, so rule 4 stays silent.  (The
-    # reference oracle tries every scalar, too many at this modulus.)
+    # whose image explains x - x' = 0, so rule 4 stays silent
     q = 2**31 - 1
     src = generate_planted(rngmod.stream(1, "instance"), q, 1, 2, 2)
     ci = CliqueInstance(ReductionParams(q=q, k=1, l=1), sample_g(rngmod.stream(1, "g"), q, 1, 2, 1), src)
@@ -214,8 +213,33 @@ def test_grouped_test_counts_only_the_points_touched():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got == (*vertices, frozenset({2, 3}))
+    assert got == ReferenceOracle(ci).verify(vertices)
+    assert got[2] == {2, 3}
     assert peak <= 1_000_000
+
+
+def rule3_by_every_scalar(q, u, v):
+    """Rule 3 read off its definition: some c in F_q has u.alpha = c v.alpha
+    but u.x != c v.x."""
+    return any(u.alpha == scale(q, c, v.alpha) and u.x != scale(q, c, v.x) for c in range(q))
+
+
+@pytest.mark.parametrize("q,k,l", [(2, 2, 1), (3, 1, 2), (5, 2, 2), (7, 1, 1), (13, 2, 2)])
+def test_reference_rule3_matches_every_scalar(q, k, l):
+    # the reference's one candidate scalar decides as trying all q of them;
+    # targeted pairs put alpha on the other's line, and the zero alpha and
+    # zero x cases are listed whole
+    ref = ReferenceOracle(make_instance(q + k + l, q, k, l))
+    zero, one, xs = (0,) * (k * k), (1,) + (0,) * (k * k - 1), ((0,) * l, (1,) * l)
+    pairs = seeded_pairs(f"rule3-{q}-{k}-{l}", q, k, l, 1000)
+    pairs += [(_vertex(a, zero, x, xs[0]), _vertex(zero, zero, y, y))
+              for a in (zero, one) for x in xs for y in xs]
+    fired = set()
+    for u, v in pairs + [(v, u) for u, v in pairs]:
+        want = rule3_by_every_scalar(q, u, v)
+        assert ref._rule3(u, v) == want, (u, v)
+        fired.add(want)
+    assert fired == {False, True}
 
 
 # -- the grouped decision against the scan ----------------------------------------------

@@ -370,9 +370,9 @@ def extraction_gamma_tables(seed=0):
                                paper_dimension(k, 4 * k), 4)
         g, _ = experiments.certified_map(seed, label, src, l, "separation", max_tries=2000)
         ci = CliqueInstance(ReductionParams(q=q, k=k, l=l), g, src)
-        gamma = build_gamma(ci.planted_clique(src.planted), ci,
-                            rng=rngmod.stream(seed, f"{label}/gamma-fill"), verify=False)
-        tables.append(gamma.table)
+        table, _ = build_gamma(ci.planted_clique(src.planted), ci,
+                               rng=rngmod.stream(seed, f"{label}/gamma-fill"), verify=False)
+        tables.append(table)
     return tables
 
 
@@ -568,7 +568,7 @@ def gamma_table(seed, q, k, l):
     g = sample_g(rngmod.stream(seed, "gamma/map"), q, k, src.m, l)
     ci = CliqueInstance(ReductionParams(q=q, k=k, l=l), g, src)
     return build_gamma(ci.planted_clique(src.planted), ci, rng=rngmod.stream(seed, "gamma/fill"),
-                       verify=False).table
+                       verify=False)[0]
 
 
 def dft_calls(monkeypatch) -> list:

@@ -146,6 +146,23 @@ class TestWellspread:
         assert not cert.passed
         assert cert.counterexample is not None
 
+    @pytest.mark.parametrize("q,k", [(2, 4), (3, 3), (5, 2), (13, 2)])
+    def test_direction_pairs_are_the_independent_ones(self, monkeypatch, q, k):
+        # the triple cases' (alpha, beta), read back through the description
+        # of each: every nonzero alpha and every beta no multiple of it, in
+        # lexicographic order
+        inst = generate_planted(rngmod.stream(q, "pairs"), q, k, 2, 2)
+        g = sample_g(rngmod.stream(q, "pairs/map"), q, k, 2, 1)
+        parts = []
+        monkeypatch.setattr(randmap, "_run_check", lambda name, what, p, *rest: parts.extend(p))
+        check_pairwise_separation(g, inst)
+        (*_, pairs), _, describe = parts[1]
+        got = [(tuple(cx["alpha"]), tuple(cx["beta"]))
+               for cx in (describe([0, 0, 0, p], 0) for p in range(pairs))]
+        dirs = list(itertools.product(range(q), repeat=k))
+        assert got == [(a, b) for a in dirs[1:] for b in dirs
+                       if b not in {scale(q, c, a) for c in range(q)}]
+
     def test_counterexample_reverifies(self):
         inst = generate_planted(rngmod.stream(6, "w"), 3, 2, 3, 3)
         found = None

@@ -422,18 +422,18 @@ class TestGamma:
     def test_planted_gamma_matches_image_sums(self):
         ci = make_instance(60, 3, 1, 4, 4, 2)
         clique = ci.planted_clique(ci.source.planted)
-        gamma = build_gamma(clique, ci, rng=rngmod.stream(60, "gamma-fill"))
+        table, var_points = build_gamma(clique, ci, rng=rngmod.stream(60, "gamma-fill"))
         u = collections(ci.source)[0][ci.source.planted[0]]
         img = apply_map(ci.gmap, u)
-        for r in gamma.var_points.tolist():
+        for r in var_points.tolist():
             p = unrank_tuple(3, 1, r)
-            assert value_at(gamma.table, p) == block_inner(3, p, img)
+            assert value_at(table, p) == block_inner(3, p, img)
 
     def test_gamma_scalar_respecting(self):
         ci = make_instance(61, 3, 1, 4, 4, 2)
         clique = ci.planted_clique(ci.source.planted)
-        gamma = build_gamma(clique, ci, rng=rngmod.stream(61, "gamma-fill"))
-        assert gamma.table.is_scalar_respecting()
+        table, _ = build_gamma(clique, ci, rng=rngmod.stream(61, "gamma-fill"))
+        assert table.is_scalar_respecting()
 
     def test_pass_probability_meets_clique_density(self):
         # a sub-clique of the planted set: the decoded function still passes
@@ -443,8 +443,8 @@ class TestGamma:
         q, k = 3, 1
         for size in (1, 3, len(clique)):
             sub = clique[:size]
-            gamma = build_gamma(sub, ci, rng=rngmod.stream(62, "gamma-fill"))
-            assert pass_probability(gamma.table) >= Fraction(size, q ** (4 * k * k))
+            table, _ = build_gamma(sub, ci, rng=rngmod.stream(62, "gamma-fill"))
+            assert pass_probability(table) >= Fraction(size, q ** (4 * k * k))
 
     def test_non_clique_refused_with_pair(self):
         ci = make_instance(63, 3, 1, 4, 4, 2)
@@ -458,11 +458,11 @@ class TestGamma:
         ci = make_instance(64, 3, 1, 4, 2, 2)
         planted = ci.planted_clique(ci.source.planted)
         rng = rngmod.stream(64, "gamma-fill")
-        gamma = build_gamma(planted[:2], ci, rng=rng)
+        table, var_points = build_gamma(planted[:2], ci, rng=rng)
         # (0, 0) and (0, 1) assign the origin and the one line's point 1: a
         # value per rank of the domain, the planted one, and no fresh draw
-        assert gamma.var_points.tolist() == [0, 1]
-        assert np.array_equal(gamma.table.values, planted.values)
+        assert var_points.tolist() == [0, 1]
+        assert np.array_equal(table.values, planted.values)
         assert rng.getstate() == rngmod.stream(64, "gamma-fill").getstate()
 
 
@@ -503,9 +503,9 @@ class TestExtraction:
             rep = extract_witness(clique, ci, kappa=kappa, rng=rngmod.stream(14, "gamma-fill"),
                                   verify=False)
             assert any(map(any, rep.fn.rhos))
-            gamma = build_gamma(clique, ci, rng=rngmod.stream(14, "gamma-fill"), verify=False)
+            table, _ = build_gamma(clique, ci, rng=rngmod.stream(14, "gamma-fill"), verify=False)
             points = reference.clique_values(list(clique), q)
-            mism = [sum(value_at(gamma.table, p)[j] != inner_product(q, rho, p)
+            mism = [sum(value_at(table, p)[j] != inner_product(q, rho, p)
                         for j, rho in enumerate(rep.fn.rhos)) for p in points]
             assert rep.r_star_size == sum(Fraction(m, l) <= kappa for m in mism)
 
@@ -519,10 +519,10 @@ class TestExtraction:
         outcomes = set()
         for kappa in [Fraction(j, 8) for j in range(9)] + [Fraction(3, 10), Fraction(7, 20)]:
             rep = extract_witness(clique, ci, kappa=kappa, rng=rngmod.stream(12, "gamma-fill"))
-            gamma = build_gamma(clique, ci, rng=rngmod.stream(12, "gamma-fill"))
-            mism = [sum(value_at(gamma.table, p)[j] != inner_product(q, rho, p)
+            table, var_points = build_gamma(clique, ci, rng=rngmod.stream(12, "gamma-fill"))
+            mism = [sum(value_at(table, p)[j] != inner_product(q, rho, p)
                         for j, rho in enumerate(rep.fn.rhos))
-                    for p in (unrank_tuple(q, k * k, r) for r in gamma.var_points.tolist())]
+                    for p in (unrank_tuple(q, k * k, r) for r in var_points.tolist())]
             assert rep.r_star_size == sum(Fraction(m, l) <= kappa for m in mism)
             for d in rep.directions:
                 us = collections(ci.source)[d.collection]
@@ -586,8 +586,7 @@ class TestExtraction:
         table = random_scalar_respecting_table(rngmod.stream(11, "low"), 2, 4)
         measured = pass_probability(table)
         assert measured < 0.9
-        gamma = reduction.GammaTable(table, np.arange(0))
-        monkeypatch.setattr(reduction, "build_gamma", lambda *args, **kwargs: gamma)
+        monkeypatch.setattr(reduction, "build_gamma", lambda *args, **kwargs: (table, np.arange(0)))
         rep = extract_witness(ci.planted_clique(ci.source.planted), ci, eps=0.9)
         assert (rep.verdict, rep.stage) == ("failed", "piecing")
         assert rep.detail == f"measured pass probability {measured} below threshold 0.9"

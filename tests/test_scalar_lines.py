@@ -1,10 +1,12 @@
 """The line table of lintest and the closure step on it, against the loops
 they replace: the lines through the origin from a walk over every point,
-the decoded function's phase 2 point by point, and the lintest suite's
-corrupted linear tables line by line.  Also the refusal of a domain too
-large to tabulate, before any table of it is built."""
+the leading-entry inverse against the table, the decoded function's phase
+2 point by point, and the lintest suite's corrupted linear tables line by
+line.  Also phase 2's memory, one value per phase-1 point, and the refusal
+of a domain too large to tabulate, before any table of it is built."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from gapclique.experiments import _corrupted_linear_table
 from gapclique.lintest import (
     MAX_TABLE_SIZE,
     FunctionTable,
+    _lead_inverse,
     _lines,
     _scalar_closure,
     random_scalar_respecting_table,
@@ -42,6 +45,21 @@ def test_lines_match_reference(q, d):
     assert _lines(q, d).tolist() == want
     # each line's representative is the first point of its row
     assert tuple(map(tuple, lintest._domain(q, d)[0][_lines(q, d)[:, 0]].tolist())) == reps
+
+
+@pytest.mark.parametrize("q,d", [(2, 4), (3, 3), (5, 2), (13, 2)])
+def test_lead_inverse_names_the_line_of_every_point(q, d):
+    # the inverse of every point's leading entry (0 at the origin) takes it
+    # to its line's representative in the line table
+    digits, place = lintest._domain(q, d)
+    inv = _lead_inverse(q, digits)
+    lines = _lines(q, d)
+    rep = np.zeros(q**d, dtype=np.int64)
+    rep[lines] = lines[:, :1]
+    assert (digits * inv[:, None] % q @ place == rep).all()
+    for point, got in zip(digits.tolist(), inv.tolist()):
+        lead = next((e for e in point if e), 0)
+        assert got == (pow(lead, -1, q) if lead else 0)
 
 
 def scalar_respecting(q, d, vals):
@@ -95,11 +113,11 @@ def gamma_outcome(vertices, ci, seed):
     message; with the rng state after the call."""
     rng = random.Random(seed)
     try:
-        gamma = build_gamma(vertices, ci, rng=rng, verify=False)
+        table, var_points = build_gamma(vertices, ci, rng=rng, verify=False)
     except PropertyViolation as exc:
         return str(exc), rng.getstate()
-    values = list(map(tuple, gamma.table.values.tolist()))
-    return (values, gamma.var_points.tolist()), rng.getstate()
+    values = list(map(tuple, table.values.tolist()))
+    return (values, var_points.tolist()), rng.getstate()
 
 
 def reference_outcome(vertices, ci, seed):
@@ -211,14 +229,29 @@ def test_gamma_edge_cases_match_reference(point):
 def test_empty_clique_decodes_to_scalar_respecting_table(point):
     q, k, l = point
     rng, want = random.Random(5), random.Random(5)
-    gamma = build_gamma([], make_instance(q, k, l), rng=rng, verify=False)
-    assert scalar_respecting(q, k * k, gamma.table.values)
-    assert not gamma.table.values[0].any()
-    assert gamma.var_points.size == 0
+    table, var_points = build_gamma([], make_instance(q, k, l), rng=rng, verify=False)
+    assert scalar_respecting(q, k * k, table.values)
+    assert not table.values[0].any()
+    assert var_points.size == 0
     # every line's representative draws its l values, in order
     reps = _lines(q, k * k)[:, 0]
-    assert (gamma.table.values[reps] == rngmod.draws(want, q, len(reps) * l).reshape(-1, l)).all()
+    assert (table.values[reps] == rngmod.draws(want, q, len(reps) * l).reshape(-1, l)).all()
     assert rng.getstate() == want.getstate()
+
+
+def test_phase_2_writes_one_value_per_phase_1_point():
+    # at (11,2,16) the decoded table takes 1.8 MiB; a copy of every phase-1
+    # value onto its q - 1 multiples alone would take ten times as much
+    ci = make_instance(11, 2, 16)
+    clique = ci.planted_clique(ci.source.planted)
+    tracemalloc.start()
+    try:
+        table, _ = build_gamma(clique, ci, rng=random.Random(0), verify=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(table.values, clique.values)
+    assert peak <= 6 * table.values.nbytes
 
 
 def test_oversized_domain_refused_after_phase_1():
