@@ -17,15 +17,17 @@ class BudgetExceeded(RuntimeError):
 
     Carries the budget that was in force and the budget that would have been
     needed, so a refusal can tell the caller exactly what to raise it to.
+    The message names a count of 2^64 or more by its bit length: str() of an
+    int past 4,300 digits raises.
     """
 
     def __init__(self, what: str, required: int, budget: int):
         self.what = what
         self.required = required
         self.budget = budget
-        super().__init__(
-            f"{what}: needs budget {required}, configured budget is {budget}"
-        )
+        needs, has = (str(n) if n < 1 << 64 else f"a {n.bit_length()}-bit count"
+                      for n in (required, budget))
+        super().__init__(f"{what}: needs budget {needs}, configured budget is {has}")
 
 
 class PropertyViolation(RuntimeError):

@@ -145,7 +145,9 @@ class FunctionTable:
     def coordinate(self, i: int) -> "FunctionTable":
         """The scalar table obtained by projecting to output coordinate i; a
         coordinate of a scalar-respecting table is one too, and keeps its
-        Fourier row."""
+        Fourier row.  Refuses an i outside range(l)."""
+        if not 0 <= i < self.l:
+            raise ContractViolation(f"coordinate {i} of a table with {self.l} coordinates")
         t = copy.copy(self)  # its values were checked with the parent's
         t.l, t.values, t._accepted = 1, self.values[:, i : i + 1], None
         t._scalar_respecting = self._scalar_respecting or None
@@ -253,24 +255,26 @@ def _column_basis(f: FunctionTable) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """V[:, C] for the first columns C of f's values V that span them mod q,
     and the nonzero rows M of V's reduced row echelon form: V = V[:, C] @ M
     mod q, with M[:, C] the identity (a zero table keeps column 0, M = 0).
-    None once a (d + 1)-th pivot turns up; a table of at most d coordinates
-    is its own basis, with no elimination."""
-    if f.l <= f.d:
-        return f.values, np.eye(f.l, dtype=np.int64)
-    q, a, pivots = f.q, f.values.copy(), []
-    while (live := np.flatnonzero(a[len(pivots) :].any(axis=0))).size:
-        r, j = len(pivots), live[0]
+    None once a (d + 1)-th pivot turns up.  |C| is the true rank of V, and a
+    table of full column rank has M = I."""
+    # transposed, so that a column of V is a contiguous row of a: a[:, p] is
+    # point p's values, and the pivot points move to the front
+    q, a, pivots = f.q, f.values.T.copy(), []
+    while (live := a[:, len(pivots) :] != 0).any():
+        r = len(pivots)
+        # the first live column j, and its first live point p
+        j, p = divmod(int(live.argmax()), live.shape[1])
         if r == f.d:
             return None
-        p = r + np.flatnonzero(a[r:, j])[0]
-        row = a[p] * pow(int(a[p, j]), -1, q) % q
-        # row r moves to p, and every row but the pivot's loses column j
-        a[p] = a[r]
-        a = (a - np.outer(a[:, j], row)) % q
-        a[r] = row
+        row = a[:, r + p] * pow(int(a[j, r + p]), -1, q) % q
+        # point r moves to r + p, and every point but the pivot's loses column j
+        a[:, r + p] = a[:, r]
+        a -= row[:, None] * a[j]
+        a %= q
+        a[:, r] = row
         pivots.append(j)
     pivots = pivots or [0]
-    return f.values[:, pivots], a[: len(pivots)]
+    return f.values[:, pivots], a[:, : len(pivots)].T
 
 
 def _character_sums(f: FunctionTable) -> Optional[tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:

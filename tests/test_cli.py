@@ -27,6 +27,14 @@ def read_json(path):
         return json.load(fh)
 
 
+def refusal(capsys) -> str:
+    """The refusal a budget exit printed: one line of at most 200
+    characters on stderr."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("refused: ") and len(lines[0]) <= 200
+    return lines[0]
+
+
 def strip_timestamp(path):
     doc = read_json(path)
     doc["meta"].pop("created_utc")
@@ -123,7 +131,7 @@ class TestExitCodes:
                    "--instance", os.path.join(out, "instance.json"),
                    "--l", "2", "--vertex-cap", "10")
         assert code == EXIT_BUDGET
-        assert "513" in capsys.readouterr().err
+        assert "513" in refusal(capsys)
 
     def test_vertex_cap_is_checked_before_the_map_search(self, tmp_path, capsys):
         # the vertex count depends on (q, k, l) alone: refused by budget,
@@ -136,7 +144,7 @@ class TestExitCodes:
                    os.path.join(out, "instance.json"), "--l", "2", "--certify", "wellspread",
                    "--map-tries", "1", "--vertex-cap", "10")
         assert code == EXIT_BUDGET
-        assert "needs budget 513" in capsys.readouterr().err
+        assert "needs budget 513" in refusal(capsys)
 
     def test_planted_and_unsat_together_are_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -247,7 +255,24 @@ class TestExitCodes:
         code = run("--seed", "1", "--out-dir", out, "reduce",
                    "--instance", os.path.join(out, "instance.json"), "--l", "1")
         assert code == EXIT_BUDGET
-        assert "vertex count" in capsys.readouterr().err
+        assert "vertex count" in refusal(capsys)
+
+    @pytest.mark.parametrize("argv,what", [
+        (["reduce", "--l", "10000"], "vertex count: needs budget a 31702-bit count,"),
+        (["gen-vecsum", "--unsat", "--q", "3", "--k", "20000", "--m", "2", "--n", "2"],
+         "tuple enumeration: needs budget a 20001-bit count,"),
+    ], ids=["reduce", "gen-vecsum"])
+    def test_counts_past_64_bits_refused_by_their_bit_length(self, tmp_path, capsys, argv, what):
+        # 3^20000 vertices, 2^20000 tuples: past the 4,300 digits str() of an
+        # int allows, so the refusal names the count by its bit length
+        out = str(tmp_path)
+        assert run("--seed", "1", "--out-dir", out, "gen-vecsum", "--q", "3", "--k", "1",
+                   "--m", "4", "--n", "4", "--planted") == EXIT_OK
+        capsys.readouterr()
+        if argv[0] == "reduce":
+            argv = argv + ["--instance", os.path.join(out, "instance.json")]
+        assert run("--seed", "1", "--out-dir", out, *argv) == EXIT_BUDGET
+        assert what in refusal(capsys)
 
 
     def test_draws_past_their_budget_refused(self, tmp_path, capsys):
@@ -264,7 +289,7 @@ class TestExitCodes:
             os.makedirs(out_dir, exist_ok=True)
             before = sorted(os.listdir(out_dir))
             assert run("--seed", "1", "--out-dir", out_dir, *argv) == EXIT_BUDGET
-            assert "random draws: needs budget" in capsys.readouterr().err
+            assert "random draws: needs budget" in refusal(capsys)
             assert sorted(os.listdir(out_dir)) == before
 
     def test_large_planted_clique_refused_by_budget(self, tmp_path, capsys):
@@ -278,7 +303,7 @@ class TestExitCodes:
         capsys.readouterr()
         assert run("--seed", "1", "--out-dir", out, "verify-complete",
                    "--reduction", os.path.join(out, "reduction.json")) == EXIT_BUDGET
-        err = capsys.readouterr().err
+        err = refusal(capsys)
         assert "clique certificate vertices: needs budget 5764801" in err
         assert f"budget is {CERTIFICATE_VERTICES}" in err
         assert not os.path.exists(os.path.join(out, "clique-certificate.json"))

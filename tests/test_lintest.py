@@ -502,19 +502,32 @@ class TestScalarOrbits:
     ]
 
     @pytest.mark.parametrize("q,d,l", POINTS)
-    def test_orbit_fold_matches_sign_pairs(self, q, d, l):
+    def test_orbit_fold_matches_sign_pairs(self, q, d, l, monkeypatch):
         r = rngmod.stream(q * 1000 + d * 10 + l, "orbits")
         if l <= d:
-            tables = [random_scalar_respecting_table(r, q, d, l)]
+            # a random table, then its last column made -1 times its first
+            # (rank below l once l >= 2), or zero
+            f = random_scalar_respecting_table(r, q, d, l)
+            minus = np.hstack([f.values[:, :-1], -f.values[:, :1] % q])
+            tables = [f, FunctionTable(q, d, l, minus), with_columns(f, [*range(l - 1), None])]
         else:
             # past d coordinates, values spanning d and d - 1 dimensions, and zero
             tables = [spanned_table(r, q, d, l, rank, arbitrary=False) for rank in (d, d - 1)]
             tables.append(with_columns(tables[0], [None] * l))
+        inverse_transforms = count_inverse_transforms(monkeypatch)
         for f in tables:
             assert f.is_scalar_respecting()
-            deg, counts, _ = lintest._character_sums(f)
+            # M has one nonzero row per dimension the values span; a zero
+            # table keeps one zero row, and its character sums take r = 1
+            rank = rank_mod(q, f.values)
+            _, coords = lintest._column_basis(f)
+            assert np.count_nonzero(coords.any(axis=1)) == rank and len(coords) == max(rank, 1)
+            inverse_transforms.clear()
+            deg, counts = accepted_degrees(f)
+            # one DFT pair per line through the origin of F_q^r
+            assert sum(shape[0] for shape in inverse_transforms) == (q ** max(rank, 1) - 1) // (q - 1)
             ref_deg, ref_counts, rows = lintest._character_sums(as_unknown(f))
-            assert np.array_equal(deg, ref_deg) and np.array_equal(counts, ref_counts)
+            assert np.array_equal(deg, ref_deg) and counts == tuple(ref_counts.tolist())
             assert rows is None  # Fourier rows are kept for scalar-respecting tables only
 
     def test_large_prime_rows_match_enumeration(self):
@@ -1321,6 +1334,13 @@ class TestSerialization:
             assert (c.q, c.d, c.l) == (5, 2, 1) and np.shares_memory(c.values, f.values)
             assert np.array_equal(c.values[:, 0], f.values[:, i]) and not c.values.flags.writeable
             assert np.array_equal(FunctionTable(5, 2, 1, c.values).values, c.values)
+
+    @pytest.mark.parametrize("i", [2, 5, -1])
+    def test_coordinate_outside_the_table_refused(self, i):
+        # a slice past the columns would be a table of l = 1 with no values
+        f = random_scalar_respecting_table(rngmod.stream(8, "coord"), 5, 2, 2)
+        with pytest.raises(ContractViolation, match=f"coordinate {i} of a table with 2"):
+            f.coordinate(i)
 
     def test_version_gate(self):
         with pytest.raises(ContractViolation):

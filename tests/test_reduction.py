@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gapclique import reduction, rng as rngmod
+from gapclique import lintest, reduction, rng as rngmod
 from gapclique.errors import BudgetExceeded, ContractViolation, PropertyViolation
 from gapclique.cliquesolve import export_graph, max_clique_exact, read_dimacs, read_graph_json
 from gapclique.lintest import MAX_TABLE_SIZE, pass_probability, random_scalar_respecting_table
@@ -477,6 +477,19 @@ class TestExtraction:
         chosen = [collections(ci.source)[i][idx] for i, idx in enumerate(rep.witness_indices)]
         assert total(3, chosen) == (0,) * 4
         assert rep.r_star_dense
+
+    @pytest.mark.parametrize("q", [11, 13])
+    def test_k2_planted_clique_at_l_equal_d(self, q):
+        # rule 5 makes M_2 = -M_1, so the gamma table has rank 2: its
+        # character sums take the q + 1 lines of F_q^2, under CHARACTER_BUDGET,
+        # where the (q^4 - 1)/(q - 1) lines of F_q^4 would pass it
+        ci = make_instance(q, q, 2, 4, 4, 4)
+        clique = ci.planted_clique(ci.source.planted)
+        table, _ = build_gamma(clique, ci, rng=rngmod.stream(q, "gamma-fill"), verify=False)
+        assert (table.d, table.l) == (4, 4) and len(lintest._column_basis(table)[1]) == 2
+        rep = extract_witness(clique, ci, rng=rngmod.stream(q, "gamma-fill"))
+        assert rep.verdict == "witness"
+        assert all(d.max_residual == 0 for d in rep.directions)
 
     def test_zero_kappa_still_exact(self):
         # a separation-certified map keeps distinct source vectors apart, so
