@@ -224,6 +224,14 @@ class LinearVecFn:
             raise ContractViolation(f"a function of {len(self.rhos)} rows has no single rho")
         return self.rhos[0]
 
+    @classmethod
+    def _of_rows(cls, q: int, d: int, rows: np.ndarray) -> "LinearVecFn":
+        """The function of `rows`, made read-only: digit table rows need no check."""
+        rows.setflags(write=False)
+        fn = object.__new__(cls)
+        fn.__dict__.update(q=q, d=d, rhos=tuple(map(tuple, rows.tolist())), matrix=rows)
+        return fn
+
 
 # -- the test and its accepted pairs -------------------------------------------
 
@@ -254,7 +262,7 @@ def _pair_blocks(q: int, d: int, width: int):
 def _column_basis(f: FunctionTable) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """V[:, C] for the first columns C of f's values V that span them mod q,
     and the nonzero rows M of V's reduced row echelon form: V = V[:, C] @ M
-    mod q, with M[:, C] the identity (a zero table keeps column 0, M = 0).
+    mod q, with M[:, C] the identity (a zero table has no columns in C).
     None once a (d + 1)-th pivot turns up.  |C| is the true rank of V, and a
     table of full column rank has M = I."""
     # transposed, so that a column of V is a contiguous row of a: a[:, p] is
@@ -273,7 +281,6 @@ def _column_basis(f: FunctionTable) -> Optional[tuple[np.ndarray, np.ndarray]]:
         a %= q
         a[:, r] = row
         pivots.append(j)
-    pivots = pivots or [0]
     return f.values[:, pivots], a[:, : len(pivots)].T
 
 
@@ -292,8 +299,9 @@ def _character_sums(f: FunctionTable) -> Optional[tuple[np.ndarray, np.ndarray, 
     conjugate of the autocorrelation, the inverse DFT of |G|^2 over n.
     Coordinate i is <M[:, i], f_C>: its count keeps the q characters
     c * M[:, i] with multiplicity (a zero column counts lambda = 0, whose term
-    is n with no DFT, q times).  One DFT pair serves each orbit of the other
-    characters, which share its pair sum: for a scalar-respecting f, c lambda's
+    is n with no DFT, q times; a zero table has r = 0, no other character).
+    One DFT pair serves each orbit of the other characters, which share its
+    pair sum: for a scalar-respecting f, c lambda's
     term at a is lambda's at c a, so an orbit is a line of F_q^r and a's degree
     sums its representative's terms over a's line of F_q^d; otherwise g and S
     conjugate at -lambda, so {lambda, -lambda} is an orbit.
@@ -534,13 +542,8 @@ def list_decode_scalar(f: FunctionTable, delta: float) -> tuple[LinearVecFn, ...
     if f.l != 1:
         raise ContractViolation("list decoding needs a scalar-range table")
     ranks, _ = _list_decode(f, (delta,))
-    # rows of the digit table are residues already: the members skip the check
     rows = _domain(f.q, f.d)[0][ranks]
-    rows.setflags(write=False)
-    members = tuple(object.__new__(LinearVecFn) for _ in ranks)
-    for i, (fn, rho) in enumerate(zip(members, rows.tolist())):
-        fn.__dict__.update(q=f.q, d=f.d, rhos=(tuple(rho),), matrix=rows[i : i + 1])
-    return members
+    return tuple(LinearVecFn._of_rows(f.q, f.d, rows[i : i + 1]) for i in range(len(ranks)))
 
 
 # -- piecing ---------------------------------------------------------------------
@@ -661,7 +664,7 @@ def piece_together(
     # all members, and rank 0, the zero vector, where it has none
     match = matches[both[0]]
     ranks = np.where(match > 0, members[starts + match - 1], 0) if members.size else match
-    fn = LinearVecFn(f.q, f.d, tuple(map(tuple, digits[ranks].tolist())))
+    fn = LinearVecFn._of_rows(f.q, f.d, digits[ranks])
     within = _within(f, fn, np.flatnonzero(deg), kappa)
     return PiecingResult(ok=True, fn=fn, agreement=Fraction(within, var_count),
                          pass_probability=eps_meas, coordinate_pass=coord_pass)
@@ -677,10 +680,20 @@ def _lines(q: int, d: int) -> np.ndarray:
     entry [i, c - 1] is the rank of c times line i's representative."""
     digits, place = _domain(q, d)
     # the representatives are the points whose first nonzero digit is 1
-    reps = digits[np.concatenate([np.arange(q**t, 2 * q**t) for t in range(d)])]
+    reps = digits[np.concatenate([np.arange(0), *(np.arange(q**t, 2 * q**t) for t in range(d))])]
     lines = np.stack([reps * c % q @ place for c in range(1, q)], axis=1)
     lines.setflags(write=False)
     return lines
+
+
+def _independent_pairs(q: int, d: int) -> np.ndarray:
+    """The ordered pairs (alpha, beta) of nonzero points of F_q^d on distinct
+    lines through the origin, as the two rows of a rank array, in
+    lexicographic order; at d = 1 there is none, and no q x q mask is built.
+    Not cached: within separation's budget it may hold 2^24 pairs."""
+    lines, line = _lines(q, d), np.zeros(q**d, dtype=np.int64)
+    line[lines] = np.arange(len(lines))[:, None]
+    return np.array(np.nonzero(line[1:, None] != line[1:])) + 1 if d > 1 else np.zeros((2, 0), np.int64)
 
 
 def _lead_inverse(q: int, rows: np.ndarray) -> np.ndarray:

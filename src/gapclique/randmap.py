@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, ContractViolation, PropertyViolation
 from .ffield import is_prime
-from .lintest import _domain, _lead_inverse
+from .lintest import _domain, _independent_pairs
 from .rng import draws
 from .stats import wilson_interval
 from .vecsum import VecSumInstance, check_int, check_modulus, residue_array
@@ -334,8 +334,9 @@ def _bit_planes(x: np.ndarray, q: int) -> np.ndarray:
     at a time (of 8, 16 or 32 for shorter rows, which keeps them no larger
     than ~log2 q bytes), and an entry past the row's end is zero, so that
     two rows differ at an entry iff some plane of their XOR has its bit set."""
-    shifts = np.arange(int(q - 1).bit_length(), dtype=x.dtype)[:, None]
-    bits = np.packbits((x[:, None, :] >> shifts) & 1, axis=2, bitorder="little")
+    # one plane at a time, which keeps one temporary the size of x
+    bits = np.stack([np.packbits(x & (1 << p), axis=1, bitorder="little")
+                     for p in range(int(q - 1).bit_length())], axis=1)
     width = min(8, 1 << (bits.shape[2] - 1).bit_length())  # bytes per word
     bits = np.pad(bits, ((0, 0), (0, 0), (0, -bits.shape[2] % width)))
     return np.ascontiguousarray(bits.view(f"u{width}").transpose(2, 1, 0))
@@ -381,42 +382,52 @@ def check_pairwise_separation(
         )
     # row r of coords is the direction of rank r, first coordinate most
     # significant; rank 0 is the zero direction
-    coords, place = _domain(q, k)
-    # [d, r, j]: <direction d, block j of the image of source row r>.  These,
-    # the source rows and their differences are kept in the narrowest type
-    # that holds a difference of residues, which keeps the batches small.
+    coords = _domain(q, k)[0]
+    # [p]: the p-th ordered pair (alpha, beta) of direction ranks with beta no
+    # multiple of alpha, in lexicographic order; at k = 1 there is none, nor triples
+    alphas, betas = _independent_pairs(q, k)
+    # all P ordered pairs of vectors: pair offset[i] + a * n + b of collection
+    # i is (u_a, u_b), source rows A and B at that entry
+    offset = np.cumsum([0, *(n * n for n in inst.sizes)])
+    A, B = np.concatenate([first + np.indices((n, n)).reshape(2, -1)
+                           for first, n in zip(inst.starts, inst.sizes)], axis=1)
+    P = len(A)
+    # differences of residues lie in (-q, q), so adding q to the negative ones
+    # reduces them; they and their rows are kept in the narrowest type that
+    # holds one, which keeps the batches small
     narrow = np.min_scalar_type(-2 * q)
 
-    def differences(x, axis):
-        # [..., a, b, ...]: x[a] - x[b] mod q along the axis; a difference of
-        # residues lies in (-q, q), so adding q to the negative ones reduces it
-        d = np.expand_dims(x, axis + 1) - np.expand_dims(x, axis)
-        return d + (d < 0) * narrow.type(q)
+    def differences(x):
+        # pair p's difference along x's second-to-last axis, in place; the
+        # shift by all but the sign bit is -1 where d < 0, masking q in there
+        d = np.take(x, A, axis=-2)
+        d -= np.take(x, B, axis=-2)
+        neg = d >> (8 * d.itemsize - 1)
+        d += np.bitwise_and(neg, q, out=neg)
+        return d
 
-    dir_images = (
-        coords @ images.reshape(len(vecs), l, k).transpose(0, 2, 1) % q
-    ).astype(narrow).transpose(1, 0, 2)
-    vecs = vecs.astype(narrow)
-    # [p]: the p-th ordered pair (alpha, beta) of direction ranks with beta no
-    # multiple of alpha (line: the ranks of their line representatives, 0 at
-    # the origin), in lexicographic order; at k = 1 there is none, nor triples
-    if per_alpha:
-        line = coords * _lead_inverse(q, coords)[:, None] % q @ place
-        alphas, betas = np.nonzero((line[1:, None] != line) & (line > 0))
-        alphas += 1
+    # row d * P + p of planes: pair p's difference under direction d; entry p
+    # of ids: the id of pair p's difference, equal differences alike, so entry
+    # offset[i] is the zero difference's
+    dir_images = (coords @ images.reshape(len(vecs), l, k).transpose(0, 2, 1) % q).astype(narrow)
+    planes = _bit_planes(differences(dir_images.transpose(1, 0, 2)).reshape(-1, l), q)
+    vdiffs = differences(vecs.astype(narrow))
+    ids = np.unique(vdiffs.view(np.dtype((np.void, vdiffs.shape[1] * narrow.itemsize))),
+                    return_inverse=True)[1].reshape(-1)
 
-    def single(n, planes, ids, d):
-        # u_a - u_b under the direction: row (d, a, b) of the differences
+    def single(n, first, d):
+        # u_a - u_b under the direction
         a, b, rank = d[0], d[1], d[2] + 1
-        weight = _differing(planes, (rank * n + a) * n + b)
-        return ids[a * n + b] != ids[0], 2 * weight >= l, weight
+        weight = _differing(planes, rank * P + first + a * n + b)
+        return ids[first + a * n + b] != ids[first], 2 * weight >= l, weight
 
-    def triple(n, planes, ids, d):
+    def triple(n, first, d):
         # d1 = u_t3 - u_t1 under alpha against d2 = u_t2 - u_t3 under beta
         t1, t2, t3 = d[0], d[1], d[2]
         alpha, beta = alphas[d[3]], betas[d[3]]
-        dist = _differing(planes, (alpha * n + t3) * n + t1, (beta * n + t2) * n + t3)
-        return ids[t3 * n + t1] != ids[t2 * n + t3], 2 * dist >= l, dist
+        d1, d2 = first + t3 * n + t1, first + t2 * n + t3
+        dist = _differing(planes, alpha * P + d1, beta * P + d2)
+        return ids[d1] != ids[d2], 2 * dist >= l, dist
 
     def describe_single(i, d, weight):
         return {"collection": i, "case": "single-difference", "pair": d[:2],
@@ -429,21 +440,10 @@ def check_pairwise_separation(
                 "beta": beta, "distance": str(Fraction(int(dist), l))}
 
     parts = []
-    first = 0
-    for i, n in enumerate(inst.sizes):
-        us, block = vecs[first : first + n], dir_images[:, first : first + n]
-        # row (d, a, b): the image of u_a - u_b under direction d; entry
-        # a * n + b of ids: the id of u_a - u_b, equal differences alike, so
-        # entry 0 is the zero difference's
-        planes = _bit_planes(differences(block, 1).reshape(-1, l), q)
-        vdiffs = differences(us, 0).reshape(n * n, -1)
-        ids = np.unique(vdiffs.view(np.dtype((np.void, vdiffs.shape[1] * narrow.itemsize))),
-                        return_inverse=True)[1].reshape(-1)
-        parts.append(((n, n, size - 1), partial(single, n, planes, ids),
-                      partial(describe_single, i)))
-        parts.append(((n, n, n, (size - 1) * per_alpha), partial(triple, n, planes, ids),
+    for i, (n, first) in enumerate(zip(inst.sizes, offset.tolist())):
+        parts.append(((n, n, size - 1), partial(single, n, first), partial(describe_single, i)))
+        parts.append(((n, n, n, len(alphas)), partial(triple, n, first),
                       partial(describe_triple, i)))
-        first += n
     # a case's working arrays come to about 8 int64 entries: the XORs of its
     # rows' words, their OR, its weight and its verdicts
     return _run_check("pairwise_separation", "separation", parts, 8 * 8, g, inst, samples, rng)

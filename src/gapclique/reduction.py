@@ -720,7 +720,9 @@ def build_gamma(
     vals = np.zeros((q**kk, l), dtype=np.int64)
     vals[line] = known_vals * inv % q
     # l fresh values for each unreached line's representative
-    fresh = reps[~np.isin(reps, line)]
+    reached = np.zeros(q**kk, dtype=bool)
+    reached[line] = True
+    fresh = reps[~reached[reps]]
     vals[fresh] = draws(rng, q, len(fresh) * l).reshape(-1, l)
     table = _scalar_closure(q, kk, vals[reps])
     if not (table.values[known] == known_vals).all():
@@ -872,25 +874,24 @@ def extract_witness(
     # the residual bound, twice kappa, on integer weights: its floor decides
     # alike
     bound = math.floor(2 * kappa * l)
-    rhos = piece.fn.matrix
     directions = _domain(q, k)[0][1:]
+    source = instance.source
+    # [r, d]: for source row r = u_r of collection i, the weight of direction
+    # d's block-inner image of theta_i - image(u_r), theta_i (l x k) the i-th
+    # domain block of the pieced coefficient vectors (at a point supported on
+    # block i alone, the pieced function is the block-inner product against it)
+    thetas = np.repeat(piece.fn.matrix.reshape(l, k, k).transpose(1, 0, 2), source.sizes, axis=0)
+    weights = np.count_nonzero((thetas - np.concatenate(instance._images)) @ directions.T % q, axis=1)
+    vector_ids = _row_ids(q, source.vectors)[0]
     chosen: list[int] = []
-    for i in range(k):
-        us = instance.source.collection(i)
-        ids = _row_ids(q, us)[0].tolist()
-        # [d, r]: the weight of direction d's block-inner image of
-        # theta_i - image(u_r), where theta_i (l x k) is the i-th domain block
-        # of every coefficient vector, so that at a point supported on block i
-        # alone the pieced function is the block-inner product against theta_i
-        diffs = (rhos[:, i * k : (i + 1) * k] - instance._images[i]) % q
-        weights = np.count_nonzero(
-            np.einsum("dc,rjc->drj", directions, diffs) % q, axis=2
-        ).tolist()
+    for i, (first, n) in enumerate(zip(source.starts, source.sizes)):
+        us = source.collection(i)
+        ids = vector_ids[first : first + n].tolist()
         residuals: dict[tuple[int, ...], tuple[int, Fraction]] = {}
         ambiguous = []
         out_of_bound = []
         votes = set()
-        for abar, row in zip(map(tuple, directions.tolist()), weights):
+        for abar, row in zip(map(tuple, directions.tolist()), weights[first : first + n].T.tolist()):
             best_idx = row.index(min(row))
             residuals[abar] = (best_idx, Fraction(row[best_idx], l))
             in_bound = [idx for idx, w in enumerate(row) if w <= bound]
@@ -921,7 +922,6 @@ def extract_witness(
         direction.chosen_vector = tuple(us[u_idx].tolist())
         chosen.append(u_idx)
 
-    source = instance.source
     z = tuple(residue_sum(q, source.vectors[np.add(source.starts, chosen)]).tolist())
     report.z_star = z
     if any(z):

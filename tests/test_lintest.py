@@ -409,10 +409,13 @@ class TestRankDispatch:
             g = with_columns(f, cols)
             inverse_transforms.clear()
             _assert_matches_reference(g)
-            assert inverse_transforms
+            # the all-zero table has rank 0: its counts take no transform
+            assert bool(inverse_transforms) == any(c is not None for c in cols)
         zero = with_columns(f, layouts[-1])
         deg, counts = accepted_degrees(zero)
         assert (deg == zero.size).all() and counts == (zero.size**2,) * (d + 2)
+        # every coordinate's Fourier row is the delta at the origin
+        assert np.array_equal(lintest.fourier_transform(zero), np.eye(1, zero.size).repeat(d + 2, axis=0))
 
     def test_elimination_stops_at_pivot_d_plus_one(self):
         # the (d + 1)-th independent column is the last one: every earlier
@@ -437,7 +440,8 @@ class TestRankDispatch:
             assert f.l > f.d and rank_mod(f.q, f.values) <= f.d
             inverse_transforms.clear()
             _assert_matches_reference(f)
-            assert inverse_transforms
+            # a k = 1 table is zero (its planted vector is), rank 0: no transform
+            assert bool(inverse_transforms) == f.values.any()
             ref_deg, ref_counts = blocked_accepted_counts(f)
             deg, counts = accepted_degrees(f)
             assert np.array_equal(deg, ref_deg) and counts == ref_counts
@@ -517,15 +521,15 @@ class TestScalarOrbits:
         inverse_transforms = count_inverse_transforms(monkeypatch)
         for f in tables:
             assert f.is_scalar_respecting()
-            # M has one nonzero row per dimension the values span; a zero
-            # table keeps one zero row, and its character sums take r = 1
+            # M has one row per dimension the values span, all nonzero; a
+            # zero table has none, and its character sums take r = 0
             rank = rank_mod(q, f.values)
             _, coords = lintest._column_basis(f)
-            assert np.count_nonzero(coords.any(axis=1)) == rank and len(coords) == max(rank, 1)
+            assert np.count_nonzero(coords.any(axis=1)) == rank == len(coords)
             inverse_transforms.clear()
             deg, counts = accepted_degrees(f)
             # one DFT pair per line through the origin of F_q^r
-            assert sum(shape[0] for shape in inverse_transforms) == (q ** max(rank, 1) - 1) // (q - 1)
+            assert sum(shape[0] for shape in inverse_transforms) == (q**rank - 1) // (q - 1)
             ref_deg, ref_counts, rows = lintest._character_sums(as_unknown(f))
             assert np.array_equal(deg, ref_deg) and counts == tuple(ref_counts.tolist())
             assert rows is None  # Fourier rows are kept for scalar-respecting tables only

@@ -252,6 +252,17 @@ class TestWellspread:
 
 
 class TestPairwiseSeparation:
+    def test_one_bit_plane_table_for_every_collection(self, monkeypatch):
+        # the pairs of both collections, 4 and 9, under the 9 directions of
+        # F_3^2 are packed by one _bit_planes call
+        shapes, bit_planes = [], randmap._bit_planes
+        monkeypatch.setattr(randmap, "_bit_planes",
+                            lambda x, q: shapes.append(x.shape) or bit_planes(x, q))
+        inst = from_collections(q=3, k=2, m=3, collections=(((0, 1, 2), (1, 1, 0)),
+                                                            ((2, 0, 0), (1, 2, 1), (0, 0, 1))))
+        check_pairwise_separation(sample_g(rngmod.stream(3, "planes"), 3, 2, 3, 6), inst)
+        assert shapes == [(9 * (4 + 9), 6)]
+
     def test_equal_differences_excluded(self):
         # a collection of one vector has no distinct differences at all
         inst = single_vector_instance(5, (1, 2, 3))
@@ -536,6 +547,40 @@ def outcome(cert):
     return cert.passed, cert.checked, cert.counterexample
 
 
+def assert_matches_reference(prop, g, inst, seed, monkeypatch):
+    """Both modes of a check give the reference's certificates on every case
+    of its space; returns whether the exhaustive check passed."""
+    check = CHECKS[prop]
+    cases = list(reference_cases(g, inst, prop))
+    # the case space has exactly the reference's cases, in its order
+    want = reference_result(cases, range(len(cases)))
+    monkeypatch.setattr(randmap, "CHECK_BUDGET", len(cases))
+    assert outcome(check(g, inst)) == want
+    passed = want[0]
+    monkeypatch.setattr(randmap, "CHECK_BUDGET", len(cases) - 1)
+    with pytest.raises(BudgetExceeded):
+        check(g, inst)
+    # Monte Carlo draws index the same space
+    draws = rngmod.stream(seed, "ref/mc")
+    want = reference_result(cases, [draws.randrange(len(cases)) for _ in range(30)])
+    mc = dict(samples=30, rng=rngmod.stream(seed, "ref/mc"))
+    if want[1] == 0:
+        with pytest.raises(PropertyViolation):
+            check(g, inst, **mc)
+    else:
+        assert outcome(check(g, inst, **mc)) == want
+    # and a drawn case gets its reference verdict (about 100 cases each)
+    step = 1 + len(cases) // 100
+    for t, (counted, passed_t, cx) in enumerate(cases[::step]):
+        one = dict(samples=1, rng=FixedDraws(step * t))
+        if not counted:
+            with pytest.raises(PropertyViolation):
+                check(g, inst, **one)
+        else:
+            assert outcome(check(g, inst, **one)) == (passed_t, 1, None if passed_t else cx)
+    return passed
+
+
 class TestEngineAgainstReference:
     @pytest.mark.parametrize("prop", sorted(CHECKS))
     @pytest.mark.parametrize(
@@ -543,36 +588,29 @@ class TestEngineAgainstReference:
                     (2, 2, 4, 4), (3, 2, 6, 4), (5, 1, 70, 4), (7, 1, 129, 3), (3, 2, 70, 2)]
     )
     def test_both_modes_match_reference(self, q, k, l, n, prop, monkeypatch):
-        check = CHECKS[prop]
         for seed in range(3):
             inst = generate_planted(rngmod.stream(seed, f"ref/{q}/{k}/{n}"), q, k, 3, n)
             g = sample_g(rngmod.stream(seed, f"ref/{q}/{k}/{l}/map"), q, k, 3, l)
-            cases = list(reference_cases(g, inst, prop))
-            # the case space has exactly the reference's cases, in its order
-            want = reference_result(cases, range(len(cases)))
-            monkeypatch.setattr(randmap, "CHECK_BUDGET", len(cases))
-            assert outcome(check(g, inst)) == want
-            monkeypatch.setattr(randmap, "CHECK_BUDGET", len(cases) - 1)
-            with pytest.raises(BudgetExceeded):
-                check(g, inst)
-            # Monte Carlo draws index the same space
-            draws = rngmod.stream(seed, "ref/mc")
-            want = reference_result(cases, [draws.randrange(len(cases)) for _ in range(30)])
-            mc = dict(samples=30, rng=rngmod.stream(seed, "ref/mc"))
-            if want[1] == 0:
-                with pytest.raises(PropertyViolation):
-                    check(g, inst, **mc)
-            else:
-                assert outcome(check(g, inst, **mc)) == want
-            # and a drawn case gets its reference verdict (about 100 cases each)
-            step = 1 + len(cases) // 100
-            for t, (counted, passed, cx) in enumerate(cases[::step]):
-                one = dict(samples=1, rng=FixedDraws(step * t))
-                if not counted:
-                    with pytest.raises(PropertyViolation):
-                        check(g, inst, **one)
-                else:
-                    assert outcome(check(g, inst, **one)) == (passed, 1, None if passed else cx)
+            assert_matches_reference(prop, g, inst, seed, monkeypatch)
+
+    @pytest.mark.parametrize("prop", sorted(CHECKS))
+    @pytest.mark.parametrize("sizes,repeat", [((1, 3), False), ((4, 2), False), ((3, 3), True)])
+    def test_unequal_sizes_match_reference(self, sizes, repeat, prop, monkeypatch):
+        # k = 2 collections of unequal sizes, or of equal sizes with u_0 = u_1
+        # in each: every collection's pairs sit at its own offset of one list
+        q, k, m = 3, 2, 3
+        verdicts = set()
+        for seed in range(3):
+            r = rngmod.stream(seed, f"ref/sizes/{sizes}")
+            cols = [[tuple(r.randrange(q) for _ in range(m)) for _ in range(n)] for n in sizes]
+            for us in cols if repeat else ():
+                us[1] = us[0]
+            inst = from_collections(q=q, k=k, m=m, collections=cols)
+            for l in (4, 24, 70):
+                g = sample_g(rngmod.stream(seed, f"ref/sizes/{l}/map"), q, k, m, l)
+                verdicts.add(assert_matches_reference(prop, g, inst, seed, monkeypatch))
+        # separation both passes and fails on each layout
+        assert prop != "separation" or verdicts == {True, False}
 
 
     @pytest.mark.parametrize("q,k,l,n", [(2, 2, 4, 4), (3, 2, 6, 4)])
@@ -749,3 +787,21 @@ def test_walk_peak_memory(monkeypatch, check, point, margin):
             tracemalloc.stop()
         monkeypatch.undo()
     assert peaks[1] <= peaks[0] + margin
+
+
+def test_separation_peak_holds_about_two_difference_tables():
+    # near the 2^24-entry budget: both collections' image differences,
+    # 9 * 2 * 84^2 rows of 128 one-byte residues, are one table, taken in
+    # place and packed a bit plane at a time; all planes at once and
+    # out-of-place differences took about 5 such tables
+    q, k, m, n, l = 3, 2, 12, 84, 128
+    inst = generate_planted(rngmod.stream(0, "peak"), q, k, m, n)
+    g = sample_g(rngmod.stream(0, "peak/map"), q, k, m, l)
+    table = q**k * k * n * n * l
+    tracemalloc.start()
+    try:
+        check_pairwise_separation(g, inst, samples=50, rng=rngmod.stream(1, "peak/mc"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * table

@@ -491,6 +491,39 @@ class TestExtraction:
         assert rep.verdict == "witness"
         assert all(d.max_residual == 0 for d in rep.directions)
 
+    @pytest.mark.parametrize("l", [2, 3, 8])
+    def test_decode_weights_on_unequal_collections(self, l):
+        # collections of 2 and 5 vectors, the planted pair (1, 0) on either
+        # side of the collections' boundary in the one product: each decoded
+        # collection's residuals are those of a per-collection reference, the
+        # weights of theta_i - image(u_r) under every nonzero direction
+        q, k, m = 3, 2, 4
+        r = rngmod.stream(l, "unequal")
+        cols = [[tuple(r.randrange(q) for _ in range(m)) for _ in range(n)] for n in (2, 5)]
+        cols[1][0] = tuple(-a % q for a in cols[0][1])
+        src = from_collections(q=q, k=k, m=m, collections=cols, planted=(1, 0))
+        gmap = sample_g(rngmod.stream(l, "unequal/map"), q, k, m, l)
+        ci = CliqueInstance(ReductionParams(q=q, k=k, l=l), gmap, src)
+        rep = extract_witness(ci.planted_clique(src.planted), ci, rng=rngmod.stream(l, "gamma-fill"),
+                              verify=False)
+        directions = lintest._domain(q, k)[0][1:]
+        bound = math.floor(2 * Fraction(ci.params.kappa()) * l)
+        for i, dec in enumerate(rep.directions):
+            diffs = (rep.fn.matrix[:, i * k : (i + 1) * k] - ci._images[i]) % q
+            want = np.count_nonzero(np.einsum("dc,rjc->drj", directions, diffs) % q, axis=2)
+            abars = list(map(tuple, directions.tolist()))
+            assert dec.residuals == {a: (int(row.argmin()), Fraction(int(row.min()), l))
+                                     for a, row in zip(abars, want)}
+            assert dec.out_of_bound_at == [a for a, row in zip(abars, want) if row.min() > bound]
+            # the planted vector is at distance 0 under every direction
+            assert not want[:, src.planted[i]].any()
+        # another vector is as close at some direction in collection 0 at
+        # l = 2 (which ends the decode there) and in collection 1 at l = 3
+        assert (rep.stage, rep.detail, rep.witness_indices) == {
+            2: ("decode", "ambiguous minimizer in collection 0", None),
+            3: ("decode", "ambiguous minimizer in collection 1", None),
+            8: ("complete", "recovered tuple sums to zero", (1, 0))}[l]
+
     def test_zero_kappa_still_exact(self):
         # a separation-certified map keeps distinct source vectors apart, so
         # tightening the distance bound to zero still decodes exactly
