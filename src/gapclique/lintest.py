@@ -15,7 +15,8 @@ and a table keeps its accepted counts (accepted_degrees) and the Fourier
 rows of its coordinates that the character sums took.  fourier_transform
 is the one source of a table's real Fourier rows, and their one check: the
 kept rows, or else one transform of every coordinate.  List decoding, the
-triple-correlation check and the lintest suite read them.
+triple-correlation check and the lintest suite read them.  Counts, rows,
+piecing and _within take each group of equal columns once (_units).
 
 All probabilities are exact rationals of integer counts.  Counts taken on
 the Fourier side are rounded to integers under a 0.25 guard; Fourier
@@ -24,7 +25,6 @@ coefficients themselves live in floating point, with a 1e-9 tolerance.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import random
@@ -128,6 +128,8 @@ class FunctionTable:
         self._accepted: Optional[tuple[np.ndarray, tuple[int, ...]]] = None
         # the coordinates' Fourier coefficient rows, kept by the character sums
         self._rows: Optional[np.ndarray] = None
+        # the groups of equal columns (_units); one column is one group
+        self._groups = None if l > 1 else (np.zeros(1, dtype=np.int64),) * 2
 
     # -- constructors ------------------------------------------------------
 
@@ -148,11 +150,27 @@ class FunctionTable:
         Fourier row.  Refuses an i outside range(l)."""
         if not 0 <= i < self.l:
             raise ContractViolation(f"coordinate {i} of a table with {self.l} coordinates")
-        t = copy.copy(self)  # its values were checked with the parent's
-        t.l, t.values, t._accepted = 1, self.values[:, i : i + 1], None
+        return self._columns(slice(i, i + 1))
+
+    def _columns(self, at) -> "FunctionTable":
+        """The table of the columns `at`, their Fourier rows and a True scalar-respecting flag."""
+        t = object.__new__(type(self))  # its values were checked with the parent's
+        t.__dict__.update(vars(self), values=self.values[:, at], _accepted=None, _groups=None)
+        t.l = t.values.shape[1]
         t._scalar_respecting = self._scalar_respecting or None
-        t._rows = None if self._rows is None else self._rows[i : i + 1]
+        t._rows = None if self._rows is None else self._rows[at]
         return t
+
+    def _units(self, keys=None) -> tuple[np.ndarray, np.ndarray]:
+        """_first_of the columns, found once, or of (column, keys[i]) where keys split a group."""
+        if self._groups is None:  # a column's key: its residues in the narrowest type
+            cols = self.values.astype(np.min_scalar_type(self.q - 1)).T.tobytes()
+            width = len(cols) // self.l
+            self._groups = _first_of([cols[i * width : (i + 1) * width] for i in range(self.l)])
+        firsts, which = self._groups
+        if keys is None or [keys[j] for j in firsts[which].tolist()] == list(keys):
+            return self._groups
+        return _first_of(zip(which.tolist(), keys))
 
     # -- scalar-respecting flag ---------------------------------------------
 
@@ -259,6 +277,14 @@ def _pair_blocks(q: int, d: int, width: int):
         yield slice(start, start + len(r)), sums.reshape(len(r), n)
 
 
+def _first_of(keys) -> tuple[np.ndarray, np.ndarray]:
+    """Where each distinct key first appears (firsts), and keys[i]'s place among them (which)."""
+    seen: dict = {}
+    same = [seen.setdefault(key, i) for i, key in enumerate(keys)]
+    firsts = np.fromiter(seen.values(), np.int64, len(seen))
+    return firsts, np.searchsorted(firsts, np.fromiter(same, np.int64, len(same)))
+
+
 def _column_basis(f: FunctionTable) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """V[:, C] for the first columns C of f's values V that span them mod q,
     and the nonzero rows M of V's reduced row echelon form: V = V[:, C] @ M
@@ -310,7 +336,8 @@ def _character_sums(f: FunctionTable) -> Optional[tuple[np.ndarray, np.ndarray, 
     row is G_{lambda_i} / n.  On the line path c lambda_i is its line's
     representative for some scalar c, and G_{rep / c}(u) = G_rep(c u); a zero
     lambda_i has the delta at the origin."""
-    basis = _column_basis(f)
+    firsts, which = f._units()  # equal columns have equal counts and Fourier rows
+    basis = _column_basis(f._columns(firsts))
     if basis is None:
         return None
     basis_values, coords = basis
@@ -364,6 +391,7 @@ def _character_sums(f: FunctionTable) -> Optional[tuple[np.ndarray, np.ndarray, 
             scaled, at = np.zeros(n, dtype=np.int64), np.equal(low, c)
             scaled[lines] = lines[:, (c + 1) * np.arange(1, q) % q - 1]
             rows[at] = rows[at][:, scaled]
+        rows = rows[which]
         rows.setflags(write=False)
     pair_sums = np.empty(q**r)
     pair_sums[0], pair_sums[orbits] = n * n, orbit_sums[:, None]
@@ -372,7 +400,7 @@ def _character_sums(f: FunctionTable) -> Optional[tuple[np.ndarray, np.ndarray, 
     worst = float(np.max(np.abs(sums - rounded)))
     if worst > ROUNDING_GUARD:
         raise PropertyViolation(f"a character-sum count is {worst} away from an integer")
-    return rounded[:n].astype(np.int64), rounded[n:].astype(np.int64), rows
+    return rounded[:n].astype(np.int64), rounded[n:][which].astype(np.int64), rows
 
 
 def accepted_degrees(f: FunctionTable) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -577,7 +605,10 @@ def _within(f: FunctionTable, fn: LinearVecFn, ranks: np.ndarray, kappa: Fractio
     """How many of the points ranks are within relative Hamming distance
     kappa of fn: f differs from fn on at most kappa * l coordinates there."""
     digits, _ = _domain(f.q, f.d)
-    mism = (f.values[ranks] != digits[ranks] @ fn.matrix.T % f.q).sum(axis=1)
+    # one product per distinct (column, row of fn), read by each of its coordinates
+    firsts, which = f._units(fn.rhos)
+    unit_values = fn.matrix[firsts] @ digits[ranks].T % f.q
+    mism = (f.values[ranks].T != unit_values[which]).sum(axis=0)
     # mismatch counts are integers, so the floor of kappa * l bounds them
     # alike, without comparing every count to a Fraction
     return int((mism <= math.floor(kappa * f.l)).sum())
@@ -627,11 +658,13 @@ def piece_together(
 
     # count / n^2 is float(Fraction(count, n^2)), without building the Fraction
     deltas = tuple(delta_schedule(eps_f, count / (n * n)) for count in coordinate_counts)
-    members, bounds = _list_decode(f, deltas)
+    # one list and one match per distinct (column, delta), on the table u of those
+    firsts, which = f._units(deltas)
+    members, bounds = _list_decode(u := f._columns(firsts), tuple(deltas[i] for i in firsts.tolist()))
     digits, _ = _domain(f.q, f.d)
     # the origin, then every line's representative, in rank order
     at = np.concatenate([[0], _lines(f.q, f.d)[:, 0]])
-    matches = np.zeros((at.size, f.l), dtype=np.int64)
+    matches = np.zeros((at.size, u.l), dtype=np.int64)
     # every list side by side, a row per member: one product matches a block
     # of points against every member, and each nonempty list's run of rows
     # sums to its number of matches and, where that is 1, to the match's
@@ -641,8 +674,8 @@ def piece_together(
     heads = starts[owners]
     if members.size:
         place = np.arange(1, members.size + 1)[:, None]
-        rhos, owner = digits[members], np.repeat(np.arange(f.l), sizes)
-        points, values = digits[at], f.values[at]
+        rhos, owner = digits[members], np.repeat(np.arange(u.l), sizes)
+        points, values = digits[at], u.values[at]
         step = max(1, PAIR_BLOCK // members.size)
         for s in range(0, at.size, step):
             agree = rhos @ points[s : s + step].T % f.q == values[s : s + step, owner].T
@@ -652,7 +685,7 @@ def piece_together(
 
     var_count = int(np.count_nonzero(deg))
     # V* and W* as masks over the marked points: the anchor is the first in both
-    in_v = (matches != 0).mean(axis=1) >= 1.0 - eps_f**2.5
+    in_v = (matches != 0) @ np.bincount(which) / f.l >= 1.0 - eps_f**2.5
     # W*: variables (deg >= 1) of high degree
     in_w = deg[at] >= max((eps_f**2 / 2.0) * var_count, 1)
     both = np.flatnonzero(in_v & in_w)
@@ -664,7 +697,7 @@ def piece_together(
     # all members, and rank 0, the zero vector, where it has none
     match = matches[both[0]]
     ranks = np.where(match > 0, members[starts + match - 1], 0) if members.size else match
-    fn = LinearVecFn._of_rows(f.q, f.d, digits[ranks])
+    fn = LinearVecFn._of_rows(f.q, f.d, digits[ranks[which]])
     within = _within(f, fn, np.flatnonzero(deg), kappa)
     return PiecingResult(ok=True, fn=fn, agreement=Fraction(within, var_count),
                          pass_probability=eps_meas, coordinate_pass=coord_pass)

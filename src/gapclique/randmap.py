@@ -58,7 +58,7 @@ CHECK_BUDGET = 5_000_000  # case numbers an exhaustive check walks at most
 # Monte Carlo draws per batch, each batch drawn whole: the rng state a failing
 # check leaves, which check-map hands on to its second check, depends on it
 _CHUNK = 1024
-_BLOCK_BYTES = 1 << 21  # working arrays of one exhaustive block of cases
+_BLOCK_BYTES = 1 << 21  # working arrays of one exhaustive block, or of separation's
 # entries of separation's direction images (an int64 product: 128 MB at
 # the limit), difference tables and independent direction pairs
 _DIRECTION_IMAGE_LIMIT = 1 << 24
@@ -406,11 +406,13 @@ def check_pairwise_separation(
         d += np.bitwise_and(neg, q, out=neg)
         return d
 
-    # row d * P + p of planes: pair p's difference under direction d; entry p
-    # of ids: the id of pair p's difference, equal differences alike, so entry
-    # offset[i] is the zero difference's
+    # row d * P + p of planes: pair p's difference under direction d, packed
+    # a block of directions at a time; entry p of ids: the id of pair p's
+    # difference, equal differences alike, so entry offset[i] is the zero's
     dir_images = (coords @ images.reshape(len(vecs), l, k).transpose(0, 2, 1) % q).astype(narrow)
-    planes = _bit_planes(differences(dir_images.transpose(1, 0, 2)).reshape(-1, l), q)
+    step = max(1, _BLOCK_BYTES // (P * l * narrow.itemsize))
+    planes = np.concatenate([_bit_planes(differences(x.transpose(1, 0, 2)).reshape(-1, l), q)
+                             for x in np.split(dir_images, range(step, size, step), axis=1)], axis=2)
     vdiffs = differences(vecs.astype(narrow))
     ids = np.unique(vdiffs.view(np.dtype((np.void, vdiffs.shape[1] * narrow.itemsize))),
                     return_inverse=True)[1].reshape(-1)

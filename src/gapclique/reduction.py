@@ -781,7 +781,7 @@ class ExtractionReport:
     stage: str
     detail: str
     clique_size: int
-    size_threshold: float
+    size_threshold: Optional[float]
     pass_probability: Optional[Fraction] = None
     piecing_agreement: Optional[Fraction] = None
     fn: Optional[LinearVecFn] = None
@@ -836,18 +836,20 @@ def extract_witness(
     q, k, l = params.q, params.k, params.l
     if eps is None:
         eps = params.epsilon()
-    if eps != eps:  # NaN would pass the size gate and piecing's threshold alike
-        raise ContractViolation("eps must be a number, got NaN")
+    if not math.isfinite(eps):  # NaN would pass the gate and piecing alike; inf has no exact gate
+        raise ContractViolation(f"eps must be a finite number, got {'NaN' if eps != eps else eps}")
     if kappa is None:
         kappa = params.kappa()
     kappa = Fraction(kappa)
     clique = as_clique(clique, params)
     size = len(clique) if clique.planted else len(clique.vertex_ids[1])  # distinct vertices
-    threshold = eps * q ** (2 * k * k)
+    target = q ** (2 * k * k)
+    threshold = eps * target if target < 2**1024 else None  # null past the float range
     report = ExtractionReport(verdict="refused", stage="size_gate", detail="",
                               clique_size=size, size_threshold=threshold)
-    if size < threshold:
-        report.detail = f"clique size {size} below {threshold:.6g}"
+    if size < Fraction(eps) * target:  # exact, where the float threshold rounds
+        shown = f"{eps:.6g} * {q}^{2 * k * k}" if threshold is None else f"{threshold:.6g}"
+        report.detail = f"clique size {size} below {shown}"
         return report
 
     def failed(stage: str, detail: str) -> ExtractionReport:

@@ -8,7 +8,7 @@ Also the lines through the origin from a walk over every point, the
 corrupted linear tables of the lintest suite one line at a time, the rank of
 a table's values from a row reduction over Python ints, piecing's match
 labels one decoded list at a time, and piecing's outcome from the labels of
-every point.
+every point, with lintest's counts and lists or with each coordinate's own.
 
 Points, ranks and values go through rank_tuple, unrank_tuple and
 value_at below, not through lintest's digit matrices or pair blocks; the
@@ -20,7 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from gapclique.lintest import LinearVecFn, PassEstimate, _list_decode, accepted_degrees
+from gapclique.lintest import (
+    FunctionTable, LinearVecFn, PassEstimate, _list_decode, accepted_degrees, list_decode_scalar,
+)
 from gapclique.stats import wilson_interval
 
 from field_reference import inner_product, rank_tuple, scale, unrank_tuple
@@ -127,21 +129,29 @@ def per_coordinate_matches(f, lists) -> np.ndarray:
     return matches
 
 
-def per_point_piecing(f, eps, kappa, delta_schedule) -> tuple:
+def per_point_piecing(f, eps, kappa, delta_schedule, per_coordinate=False) -> tuple:
     """Piecing's (ok, fn, agreement, failure, pass probability, coordinate
     pass probabilities), with every point labelled by per_coordinate_matches:
     V* and W* over every variable point, the anchor the smallest point in
     both, and the agreement one variable point at a time.  The accepted
-    degrees and decoded lists are lintest's."""
+    degrees and decoded lists are lintest's; with per_coordinate, they are
+    blocked_accepted_counts' and list_decode_scalar's on a new table of each
+    coordinate alone, so that no column of f is decoded for another."""
     n = f.size
-    deg, counts = accepted_degrees(f)
+    deg, counts = blocked_accepted_counts(f) if per_coordinate else accepted_degrees(f)
     measured, coordinate = Fraction(int(deg.sum()), n * n), tuple(Fraction(c, n * n) for c in counts)
     if measured < eps:
         failure = f"measured pass probability {measured} below threshold {eps}"
         return False, None, None, failure, measured, coordinate
     eps_f = float(measured)
-    ranks, bounds = _list_decode(f, tuple(delta_schedule(eps_f, float(p)) for p in coordinate))
-    lists = [ranks[start:end] for start, end in zip(bounds[:-1], bounds[1:])]
+    deltas = tuple(delta_schedule(eps_f, float(p)) for p in coordinate)
+    if per_coordinate:
+        lists = [np.array([rank_tuple(f.q, c.rho) for c in list_decode_scalar(
+                     FunctionTable(f.q, f.d, 1, f.values[:, i : i + 1]), delta)], dtype=np.int64)
+                 for i, delta in enumerate(deltas)]
+    else:
+        ranks, bounds = _list_decode(f, deltas)
+        lists = [ranks[start:end] for start, end in zip(bounds[:-1], bounds[1:])]
     matches = per_coordinate_matches(f, lists)
     var = np.flatnonzero(deg)
     in_v = (matches[var] != 0).mean(axis=1) >= 1.0 - eps_f**2.5

@@ -153,6 +153,28 @@ class TestExitCodes:
         assert "not allowed with" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(str(tmp_path), "instance.json"))
 
+    def test_size_gate_past_the_float_range_is_3(self, tmp_path):
+        # at (q, k) = (1000003, 8) the gate eps * q^128 passes the float
+        # range: a one-vertex clique is refused there, and the report holds
+        # no Infinity
+        q, k = 1000003, 8
+        red, clique, report = (os.path.join(str(tmp_path), name) for name in
+                               ("reduction.json", "clique.json", "extraction-report.json"))
+        doc = {"version": 1, "params": {"q": q, "k": k, "l": 1, "mode": "desk"},
+               "map": {"version": 1, "q": q, "k": k, "m": 1, "l": 1, "matrices": [[1] * k]},
+               "instance": {"version": 1, "q": q, "k": k, "m": 1, "collections": [[[0]]] * k,
+                            "planted": [0] * k}}
+        with open(red, "w") as fh:
+            json.dump(doc, fh)
+        with open(clique, "w") as fh:
+            json.dump({"vertices": [[[0] * k * k, [0] * k * k, [0], [0]]]}, fh)
+        assert run("--seed", "1", "--out-dir", str(tmp_path), "extract", "--reduction", red,
+                   "--clique", clique) == EXIT_PROPERTY
+        with open(report) as fh:
+            rep = json.load(fh, parse_constant=lambda name: pytest.fail(f"{name} in the report"))
+        assert (rep["verdict"], rep["stage"], rep["clique_size"]) == ("refused", "size_gate", 1)
+        assert rep["size_threshold"] is None and rep["detail"].endswith(f"* {q}^{2 * k * k}")
+
     def test_property_violation_is_3(self, tmp_path):
         out = str(tmp_path)
         run("--seed", "2", "--out-dir", out, "gen-vecsum",

@@ -2,10 +2,13 @@
 against brute-force oracles, and the piecing procedure."""
 
 import functools
+import importlib.util
 import itertools
 import json
 import math
+import os
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -599,6 +602,193 @@ def dft_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(lintest, "_dft", counted)
     return calls
+
+
+BENCH_WORKLOADS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench",
+                               "workloads.py")
+
+
+def bench_workloads():
+    """bench/workloads.py's WORKLOADS, read as the bench reads them."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_WORKLOADS)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def mixed_columns(r, base, l):
+    """l columns, each a random combination of base's: at most q^base.l
+    distinct ones, scalar respecting when base is."""
+    mix = np.array([[r.randrange(base.q) for _ in range(l)] for _ in range(base.l)], dtype=np.int64)
+    return FunctionTable(base.q, base.d, l, base.values @ mix % base.q)
+
+
+def repeated_column_tables():
+    """Scalar-respecting tables whose columns repeat: random combinations of
+    near-linear columns at (3,4,128) rank 2, (5,2,64) rank 1 and (2,5,40)
+    rank 3; zero columns and multiples c != 1 of a column, each twice; a
+    corrupted column twice; columns of two-byte residues at q = 257; and
+    l = 1."""
+    r = rngmod.stream(44, "groups")
+    tables = [mixed_columns(r, noisy_linear_table(r, q, d, rank), l)
+              for q, d, l, rank in ((3, 4, 128, 2), (5, 2, 64, 1), (2, 5, 40, 3))]
+    base = noisy_linear_table(r, 5, 2, 2).values
+    zero = np.zeros(len(base), dtype=np.int64)
+    cols = [base[:, 0], zero, 2 * base[:, 0] % 5, base[:, 1], zero, base[:, 0],
+            2 * base[:, 0] % 5, 4 * base[:, 1] % 5, base[:, 1], 4 * base[:, 1] % 5]
+    tables.append(FunctionTable(5, 2, len(cols), np.stack(cols, axis=1)))
+    fn = LinearVecFn(7, 2, ((1, 2), (3, 0), (0, 5)))
+    reps = line_representatives(7, 2)
+    corrupted = corrupt_lines(FunctionTable.from_linear(fn), [(reps[2], (4, 0, 1)), (reps[5], (2, 3, 3))])
+    tables.append(FunctionTable(7, 2, 5, corrupted.values[:, [0, 1, 0, 2, 0]]))
+    # residues of two bytes
+    wide = random_scalar_respecting_table(r, 257, 1, 2).values
+    tables.append(FunctionTable(257, 1, 5, wide[:, [0, 1, 0, 1, 0]]))
+    tables.append(random_scalar_respecting_table(r, 7, 2, 1))
+    for f in tables:
+        f._scalar_respecting = True
+    return tables
+
+
+def fresh(f):
+    """A copy of f that keeps nothing of f's but its scalar-respecting flag."""
+    g = FunctionTable(f.q, f.d, f.l, f.values)
+    g._scalar_respecting = f._scalar_respecting
+    return g
+
+
+def ungrouped(f):
+    """A copy of f that groups no columns: every coordinate's counts, Fourier
+    row, list and match are taken for it alone."""
+    g = fresh(f)
+    g._groups = (np.arange(f.l),) * 2
+    return g
+
+
+def within_per_coordinate(f, fn, ranks, kappa):
+    """_within's count, one coordinate at a time."""
+    points = np.array([unrank_tuple(f.q, f.d, r) for r in ranks.tolist()], dtype=np.int64)
+    mism = sum((f.values[ranks, i] != points @ np.array(rho) % f.q).astype(np.int64)
+               for i, rho in enumerate(fn.rhos))
+    return sum(Fraction(int(m), f.l) <= kappa for m in mism)
+
+
+class TestColumnGroups:
+    # a table's equal columns are counted, transformed, decoded and matched
+    # once, and every output is the per-coordinate one
+    TABLES = repeated_column_tables()
+
+    @pytest.mark.parametrize("f", TABLES, ids=lambda f: f"{f.q}-{f.d}-{f.l}")
+    def test_counts_and_rows_match_each_coordinate(self, f):
+        f = fresh(f)
+        distinct = len({col.tobytes() for col in f.values.T})
+        assert len(f._units()[0]) == distinct and (f.l == 1 or distinct < f.l)
+        ref_deg, ref_counts = blocked_accepted_counts(f)
+        deg, counts = accepted_degrees(f)
+        assert np.array_equal(deg, ref_deg) and counts == ref_counts
+        alone = ungrouped(f)
+        assert np.array_equal(deg, accepted_degrees(alone)[0]) and counts == accepted_degrees(alone)[1]
+        # the kept rows are those of the ungrouped table, and each is its
+        # coordinate's transform on a table of its own
+        if alone._rows is None:  # values past d dimensions, counted by enumeration
+            assert f._rows is None
+        else:
+            assert np.array_equal(f._rows, alone._rows) and not f._rows.flags.writeable
+        rows = fourier_transform(f)
+        assert np.array_equal(rows, fourier_transform(alone))
+        for i in range(f.l):
+            want = fourier_transform(FunctionTable(f.q, f.d, 1, f.values[:, i : i + 1]))[0]
+            assert np.abs(rows[i] - want).max() <= 1e-12
+
+    def test_rounding_refusal_reads_as_without_groups(self, monkeypatch):
+        # with no margin every count is refused, naming the worst error of
+        # the same sums
+        monkeypatch.setattr(lintest, "ROUNDING_GUARD", -1.0)
+        for f in self.TABLES[:4]:
+            messages = []
+            for g in (fresh(f), ungrouped(f)):
+                with pytest.raises(PropertyViolation, match="character-sum count") as exc:
+                    accepted_degrees(g)
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("f", TABLES, ids=lambda f: f"{f.q}-{f.d}-{f.l}")
+    def test_piecing_matches_each_coordinate(self, f):
+        f = fresh(f)
+        schedule = lambda eps, eps_i: 0.5
+        res = piece_together(f, 0, Fraction(1, 4), delta_schedule=schedule)
+        assert outcome(res) == per_point_piecing(f, 0, Fraction(1, 4), schedule, per_coordinate=True)
+        assert res == piece_together(ungrouped(f), 0, Fraction(1, 4), delta_schedule=schedule)
+
+    def test_equal_columns_with_unequal_deltas_decode_apart(self):
+        # a stateful schedule gives a later copy t of a nonzero column a
+        # threshold above every coefficient: its list is empty, so the
+        # pieced row there is zero while its first copy's is not
+        f = fresh(self.TABLES[0])
+        firsts, which = f._units()
+        t = next(i for i in range(f.l) if i not in firsts and f.values[:, i].any())
+
+        def schedule():
+            calls = itertools.count()
+            return lambda eps, eps_i: 5.0 if next(calls) == t else 0.5
+
+        res = piece_together(f, 0, Fraction(1, 4), delta_schedule=schedule())
+        assert outcome(res) == per_point_piecing(f, 0, Fraction(1, 4), schedule(), per_coordinate=True)
+        assert res == piece_together(ungrouped(f), 0, Fraction(1, 4), delta_schedule=schedule())
+        assert res.ok and not any(res.fn.rhos[t]) and any(res.fn.rhos[firsts[which[t]]])
+
+    @pytest.mark.parametrize("f", TABLES, ids=lambda f: f"{f.q}-{f.d}-{f.l}")
+    def test_within_matches_each_coordinate(self, f):
+        f = fresh(f)
+        r = rngmod.stream(f.l, "within-groups")
+        pieced = piece_together(f, 0, Fraction(1, 4), delta_schedule=lambda eps, eps_i: 0.5).fn
+        # rows drawn per coordinate differ inside a group of equal columns
+        drawn = LinearVecFn(f.q, f.d, tuple(tuple(r.randrange(f.q) for _ in range(f.d))
+                                            for _ in range(f.l)))
+        ranks = np.flatnonzero(np.array([r.random() < 0.7 for _ in range(f.size)]))
+        for fn in filter(None, (pieced, drawn)):
+            for kappa in (Fraction(0), Fraction(1, 8), Fraction(1, 2), Fraction(1)):
+                want = within_per_coordinate(f, fn, ranks, kappa)
+                assert lintest._within(f, fn, ranks, kappa) == want
+                assert lintest._within(ungrouped(f), fn, ranks, kappa) == want
+
+    def test_coordinates_group_no_columns(self):
+        # an l = 1 table is one group with no detection; a coordinate keeps
+        # none of its table's groups and finds its one group when asked
+        f = self.TABLES[0]
+        assert len(f._units()[0]) < f.l
+        single = FunctionTable(3, 2, 1, np.zeros((9, 1), dtype=np.int64))
+        assert single._groups is not None
+        for t in (f.coordinate(0), f.coordinate(f.l - 1), single):
+            assert [g.tolist() for g in t._units()] == [[0], [0]]
+
+    def test_extract_gamma_table_reaches_the_basis_by_its_distinct_columns(self, monkeypatch, tmp_path):
+        # seed-0 extract instance 0: a (3,2,128) gamma table of rank 2,
+        # whose 128 coordinates hold 9 distinct columns
+        widths, basis = [], lintest._column_basis
+        monkeypatch.setattr(lintest, "_column_basis", lambda f: widths.append(f.l) or basis(f))
+        workload = bench_workloads()["extract"]
+        _, rep, _ = workload.run(workload.inputs(0, 0), str(tmp_path))
+        assert rep.verdict == "witness" and widths == [9]
+
+    def test_lintest_tables_merge_no_columns(self, monkeypatch, tmp_path):
+        # their columns are distinct: each coordinate is a group of its own,
+        # and the basis and the lists are taken on every column in order
+        workload = bench_workloads()["lintest-tables"]
+        basis, columns, seen, taken = lintest._column_basis, FunctionTable._columns, [], []
+        monkeypatch.setattr(lintest, "_column_basis", lambda f: seen.append(f) or basis(f))
+        monkeypatch.setattr(FunctionTable, "_columns", lambda f, at: taken.append((f, at)) or columns(f, at))
+        for i in range(len(workload.points)):
+            inp = workload.inputs(0, i)
+            seen.clear()
+            taken.clear()
+            workload.run(inp, str(tmp_path))
+            f = inp["table"]
+            assert f.l <= 2 and [g.tolist() for g in f._units()] == [list(range(f.l))] * 2
+            assert len(seen) == 1 and np.array_equal(seen[0].values, f.values)
+            # the basis and the lists take every column; coordinate() one
+            assert sorted(str(at) for g, at in taken if g is f and not isinstance(at, slice)) == [
+                str(np.arange(f.l))] * 2
 
 
 class TestKeptRows:

@@ -805,3 +805,34 @@ def test_separation_peak_holds_about_two_difference_tables():
     finally:
         tracemalloc.stop()
     assert peak <= 2.6 * table
+
+
+@pytest.mark.parametrize("point,per_collection_peak", [
+    # the traced peaks of one check when each collection's differences were
+    # packed alone, before the checks packed every collection at once
+    ((3, 3, 12, 56, 64), 29.1),
+    ((2, 2, 12, 90, 128), 13.0),
+])
+def test_separation_peak_below_per_collection_packing(point, per_collection_peak):
+    # a block of directions' differences is packed at a time
+    q, k, m, n, l = point
+    inst = generate_planted(rngmod.stream(0, "peak"), q, k, m, n)
+    g = sample_g(rngmod.stream(0, "peak/map"), q, k, m, l)
+    tracemalloc.start()
+    try:
+        check_pairwise_separation(g, inst, samples=50, rng=rngmod.stream(1, "peak/mc"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < per_collection_peak * 2**20
+
+
+@pytest.mark.parametrize("block_bytes", [1, 1000, 1 << 14])
+@pytest.mark.parametrize("point", WALK_POINTS, ids=str)
+def test_direction_blocks_keep_monte_carlo_certificates(monkeypatch, point, block_bytes):
+    # blocks of one or a few directions pack the same bit planes: the same
+    # certificates, and the same rng states after them
+    check = CHECKS["separation"]
+    want = walk_certificates(monkeypatch, point, None, check, samples=500)
+    monkeypatch.setattr(randmap, "_BLOCK_BYTES", block_bytes)
+    assert walk_certificates(monkeypatch, point, None, check, samples=500) == want
