@@ -378,13 +378,13 @@ def suite_lintest(seed: int) -> list[dict]:
         )
     )
 
-    # baselines: linear tables pass exactly, random tables average near 1/q
+    # baselines: linear tables (bare values, so counted) pass exactly, random tables average near 1/q
     linear_exact = True
     for i in range(10):
         q, d = shapes[i % len(shapes)]
         r = rngmod.stream(seed, f"lintest/linear/{i}")
         fn = LinearVecFn(q, d, (tuple(rngmod.draws(r, q, d).tolist()),))
-        if pass_probability(FunctionTable.from_linear(fn)) != 1:
+        if pass_probability(FunctionTable(q, d, 1, FunctionTable.from_linear(fn).values)) != 1:
             linear_exact = False
     rows.append(
         _row(

@@ -16,7 +16,9 @@ rows of its coordinates that the character sums took.  fourier_transform
 is the one source of a table's real Fourier rows, and their one check: the
 kept rows, or else one transform of every coordinate.  List decoding, the
 triple-correlation check and the lintest suite read them.  Counts, rows,
-piecing and _within take each group of equal columns once (_units).
+piecing and _within take each group of equal columns once (_units).  A
+table built as digits @ R.T (from_linear, a planted gamma table) keeps R
+(_linear) and is decided from it, with no transform and no list.
 
 All probabilities are exact rationals of integer counts.  Counts taken on
 the Fourier side are rounded to integers under a 0.25 guard; Fourier
@@ -130,13 +132,16 @@ class FunctionTable:
         self._rows: Optional[np.ndarray] = None
         # the groups of equal columns (_units); one column is one group
         self._groups = None if l > 1 else (np.zeros(1, dtype=np.int64),) * 2
+        self._linear: Optional[np.ndarray] = None  # rows R of values = digits @ R.T, by construction
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_linear(cls, fn: "LinearVecFn") -> "FunctionTable":
         digits, _ = _domain(fn.q, fn.d)
-        return cls(fn.q, fn.d, len(fn.matrix), digits @ fn.matrix.T % fn.q)
+        t = cls(fn.q, fn.d, len(fn.matrix), digits @ fn.matrix.T % fn.q)
+        t._linear = fn.matrix
+        return t
 
     # -- indexing ----------------------------------------------------------
 
@@ -153,12 +158,12 @@ class FunctionTable:
         return self._columns(slice(i, i + 1))
 
     def _columns(self, at) -> "FunctionTable":
-        """The table of the columns `at`, their Fourier rows and a True scalar-respecting flag."""
+        """The table of the columns `at`, their Fourier rows and rows R, and a True scalar-respecting flag."""
         t = object.__new__(type(self))  # its values were checked with the parent's
         t.__dict__.update(vars(self), values=self.values[:, at], _accepted=None, _groups=None)
         t.l = t.values.shape[1]
         t._scalar_respecting = self._scalar_respecting or None
-        t._rows = None if self._rows is None else self._rows[at]
+        t._rows, t._linear = (None if a is None else a[at] for a in (self._rows, self._linear))
         return t
 
     def _units(self, keys=None) -> tuple[np.ndarray, np.ndarray]:
@@ -408,18 +413,23 @@ def accepted_degrees(f: FunctionTable) -> tuple[np.ndarray, tuple[int, ...]]:
     as an (n,) int array, and the number of pairs the test accepts on each
     output coordinate alone.
 
-    The pair count is deg.sum() and the test's variable set is deg > 0.
-    When the values span at most d dimensions (at most n characters) the
-    counts come from character-sum FFTs, rounded under a ROUNDING_GUARD
-    check and gated on CHARACTER_BUDGET; otherwise every pair is enumerated
-    a block of rows at a time, gated on the n^2 pairs against PAIR_BUDGET.
-    The result is kept on the table, and so are the coordinates' Fourier
-    rows when the character sums ran on a scalar-respecting table.
+    The pair count is deg.sum() and the test's variable set is deg > 0.  A
+    table that keeps its rows R passes every pair: deg = n, every count n^2,
+    and coordinate i's Fourier row the exact delta at R_i.  Otherwise, when
+    the values span at most d dimensions (at most n characters), the counts
+    come from character-sum FFTs, rounded under a ROUNDING_GUARD check and
+    gated on CHARACTER_BUDGET; else every pair is enumerated a block of rows
+    at a time, gated on the n^2 pairs against PAIR_BUDGET.  The result is
+    kept on the table, and so are the deltas or a scalar-respecting f's sums.
     """
     if f._accepted is not None:
         return f._accepted
     n = f.size
-    if (sums := _character_sums(f)) is not None:
+    if f._linear is not None:  # every pair passes; row i is the delta at R_i's rank
+        deg, counts, f._rows = np.full(n, n), np.full(f.l, n * n), np.zeros((f.l, n))
+        f._rows[np.arange(f.l), f._linear @ _domain(f.q, f.d)[1]] = 1.0
+        f._rows.setflags(write=False)
+    elif (sums := _character_sums(f)) is not None:
         deg, counts, f._rows = sums
     else:
         if n * n > PAIR_BUDGET:
@@ -604,6 +614,8 @@ def default_delta_schedule(eps: float, eps_i: float) -> float:
 def _within(f: FunctionTable, fn: LinearVecFn, ranks: np.ndarray, kappa: Fraction) -> int:
     """How many of the points ranks are within relative Hamming distance
     kappa of fn: f differs from fn on at most kappa * l coordinates there."""
+    if f._linear is not None and np.array_equal(fn.matrix, f._linear):  # no mismatch anywhere
+        return len(ranks) if math.floor(kappa * f.l) >= 0 else 0
     digits, _ = _domain(f.q, f.d)
     # one product per distinct (column, row of fn), read by each of its coordinates
     firsts, which = f._units(fn.rhos)
@@ -620,8 +632,7 @@ def piece_together(
     kappa,
     delta_schedule: Callable[[float, float], float] = default_delta_schedule,
 ) -> PiecingResult:
-    """Assemble one linear vector-valued function from per-coordinate decoded
-    lists.
+    """Assemble one linear vector-valued function from per-coordinate decoded lists.
 
     Procedure: list-decode each output coordinate, mark every domain point
     with the unique list member matching there (0 if none), keep the points
@@ -635,7 +646,9 @@ def piece_together(
     On a scalar-respecting f a point's mark and degree are those of every
     nonzero multiple of it, so they are read at the origin and at each
     line's representative, the smallest point of its line, alone: the first
-    of these in V* and W* is the anchor.
+    of these in V* and W* is the anchor.  A table that keeps its rows R, at
+    thresholds LIST_CONSTANT * delta in (FLOAT_TOL, 1 + FLOAT_TOL] where every
+    list is {R_i}, matches R at every point: R is returned with no list.
 
     Returns ok=False naming the failure: the measured pass probability
     below eps, found before any list decoding, or "no_anchor" when the
@@ -658,6 +671,10 @@ def piece_together(
 
     # count / n^2 is float(Fraction(count, n^2)), without building the Fraction
     deltas = tuple(delta_schedule(eps_f, count / (n * n)) for count in coordinate_counts)
+    if f._linear is not None and all(FLOAT_TOL < LIST_CONSTANT * t <= 1 + FLOAT_TOL for t in deltas):
+        fn = LinearVecFn._of_rows(f.q, f.d, f._linear)  # each list is {R_i}, matched at every point
+        return PiecingResult(ok=True, fn=fn, agreement=Fraction(_within(f, fn, np.arange(n), kappa), n),
+                             pass_probability=eps_meas, coordinate_pass=coord_pass)
     # one list and one match per distinct (column, delta), on the table u of those
     firsts, which = f._units(deltas)
     members, bounds = _list_decode(u := f._columns(firsts), tuple(deltas[i] for i in firsts.tolist()))

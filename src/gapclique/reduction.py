@@ -730,6 +730,9 @@ def build_gamma(
             "decoded function is not scalar respecting; the clique's shared "
             "points carry scalar-inconsistent values"
         )
+    # _planted_rows checked values = digits @ R at the planted layout's points, the
+    # whole domain, and the comparison above covered each: the table is digits @ R
+    table._linear = None if clique.planted_rows is None else clique.planted_rows.T
     return table, np.sort(known)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gapclique import experiments, lintest, rng as rngmod
+from gapclique import experiments, lintest, reduction, rng as rngmod
 from gapclique.errors import BudgetExceeded, ContractViolation, PropertyViolation
 from gapclique.randmap import sample_g
 from gapclique.reduction import CliqueInstance, ReductionParams, build_gamma
@@ -438,16 +438,19 @@ class TestRankDispatch:
         assert np.array_equal(basis @ coords % q, f.values)
 
     def test_extraction_gamma_tables(self, monkeypatch):
+        # a planted gamma table carries its rows R and takes no transform; a
+        # bare copy of its values takes the character sums
         inverse_transforms = count_inverse_transforms(monkeypatch)
         for f in extraction_gamma_tables(0):
-            assert f.l > f.d and rank_mod(f.q, f.values) <= f.d
-            inverse_transforms.clear()
-            _assert_matches_reference(f)
-            # a k = 1 table is zero (its planted vector is), rank 0: no transform
-            assert bool(inverse_transforms) == f.values.any()
-            ref_deg, ref_counts = blocked_accepted_counts(f)
-            deg, counts = accepted_degrees(f)
-            assert np.array_equal(deg, ref_deg) and counts == ref_counts
+            assert f.l > f.d and rank_mod(f.q, f.values) <= f.d and f._linear is not None
+            for g in (f, fresh(f)):
+                inverse_transforms.clear()
+                _assert_matches_reference(g)
+                # a k = 1 table is zero (its planted vector is), rank 0: no transform
+                assert bool(inverse_transforms) == (g is not f and f.values.any())
+                ref_deg, ref_counts = blocked_accepted_counts(g)
+                deg, counts = accepted_degrees(g)
+                assert np.array_equal(deg, ref_deg) and counts == ref_counts
 
 
 class TestAcceptedMemo:
@@ -581,14 +584,19 @@ def noisy_linear_table(r, q, d, l, share=0.1):
     return FunctionTable(q, d, l, lintest._scalar_closure(q, d, line_values).values)
 
 
-def gamma_table(seed, q, k, l):
-    """The decoded table of a planted clique under a random map: linear,
-    l coordinates over F_q^(k^2)."""
+def planted_case(seed, q, k, l):
+    """A planted instance under a random map, and its planted clique."""
     src = generate_planted(rngmod.stream(seed, "gamma/instance"), q, k, paper_dimension(k, 4 * k), 4)
     g = sample_g(rngmod.stream(seed, "gamma/map"), q, k, src.m, l)
     ci = CliqueInstance(ReductionParams(q=q, k=k, l=l), g, src)
-    return build_gamma(ci.planted_clique(src.planted), ci, rng=rngmod.stream(seed, "gamma/fill"),
-                       verify=False)[0]
+    return ci, ci.planted_clique(src.planted)
+
+
+def gamma_table(seed, q, k, l):
+    """The decoded table of a planted clique under a random map: linear,
+    l coordinates over F_q^(k^2)."""
+    ci, clique = planted_case(seed, q, k, l)
+    return build_gamma(clique, ci, rng=rngmod.stream(seed, "gamma/fill"), verify=False)[0]
 
 
 def dft_calls(monkeypatch) -> list:
@@ -764,12 +772,18 @@ class TestColumnGroups:
 
     def test_extract_gamma_table_reaches_the_basis_by_its_distinct_columns(self, monkeypatch, tmp_path):
         # seed-0 extract instance 0: a (3,2,128) gamma table of rank 2,
-        # whose 128 coordinates hold 9 distinct columns
+        # whose 128 coordinates hold 9 distinct columns; the planted table
+        # is decided from its rows, and a bare copy reaches the basis
         widths, basis = [], lintest._column_basis
         monkeypatch.setattr(lintest, "_column_basis", lambda f: widths.append(f.l) or basis(f))
+        tables = gamma_spy(monkeypatch)
         workload = bench_workloads()["extract"]
         _, rep, _ = workload.run(workload.inputs(0, 0), str(tmp_path))
-        assert rep.verdict == "witness" and widths == [9]
+        assert rep.verdict == "witness" and widths == []
+        (f,) = tables
+        deg, counts = accepted_degrees(fresh(f))
+        assert widths == [9] and np.array_equal(deg, accepted_degrees(f)[0])
+        assert counts == accepted_degrees(f)[1]
 
     def test_lintest_tables_merge_no_columns(self, monkeypatch, tmp_path):
         # their columns are distinct: each coordinate is a group of its own,
@@ -789,6 +803,167 @@ class TestColumnGroups:
             # the basis and the lists take every column; coordinate() one
             assert sorted(str(at) for g, at in taken if g is f and not isinstance(at, slice)) == [
                 str(np.arange(f.l))] * 2
+
+
+def record_tables():
+    """Tables that carry their rows R: from_linear at l = 1, l < d and l > d,
+    the zero function, and planted gamma tables at (3,2,128), (5,2,64) and
+    (3,1,4), the last zero."""
+    r = rngmod.stream(46, "record")
+    fns = [LinearVecFn(q, d, tuple(tuple(r.randrange(q) for _ in range(d)) for _ in range(l)))
+           for q, d, l in ((7, 2, 1), (3, 3, 2), (5, 2, 3))]
+    fns.append(LinearVecFn(3, 2, ((0, 0), (0, 0))))
+    return [FunctionTable.from_linear(fn) for fn in fns] + [
+        gamma_table(0, q, k, l) for q, k, l in ((3, 2, 128), (5, 2, 64), (3, 1, 4))]
+
+
+class TestLinearRecord:
+    # a table known to be digits @ R.T is decided from R; every output is
+    # that of a bare copy of its values, which takes the general path
+    TABLES = record_tables()
+    IDS = [f"{f.q}-{f.d}-{f.l}" for f in TABLES]
+
+    @pytest.mark.parametrize("f", TABLES, ids=IDS)
+    def test_record_is_the_values(self, f):
+        # both constructors' tables, and each of their coordinates
+        digits, _ = lintest._domain(f.q, f.d)
+        for t in [f] + [f.coordinate(i) for i in range(f.l)]:
+            assert t._linear.shape == (t.l, t.d)
+            assert np.array_equal(digits @ t._linear.T % t.q, t.values)
+
+    def test_other_tables_carry_no_record(self):
+        q, d = 5, 2
+        fn = LinearVecFn(q, d, ((1, 2), (3, 4)))
+        values = FunctionTable.from_linear(fn).values
+        doc = FunctionTable.from_linear(fn).to_json()
+        for t in (FunctionTable(q, d, 2, values), FunctionTable.from_json(doc),
+                  lintest._scalar_closure(q, d, values[lintest._lines(q, d)[:, 0]])):
+            assert t._linear is None and t.coordinate(1)._linear is None
+
+    @pytest.mark.parametrize("f", TABLES, ids=IDS)
+    def test_counts_rows_and_lists_match_a_bare_copy(self, f, monkeypatch):
+        f, bare = fresh_record(f), fresh(f)
+        calls = count_character_sums(monkeypatch)
+        deg, counts = accepted_degrees(f)
+        assert calls == [] and not f._rows.flags.writeable
+        assert np.array_equal(deg, accepted_degrees(bare)[0]) and counts == accepted_degrees(bare)[1]
+        assert calls == [bare] and deg.dtype == np.int64
+        rows = fourier_transform(f)
+        assert rows.shape == fourier_transform(bare).shape
+        assert np.abs(rows - fourier_transform(bare)).max() <= 1e-12
+        # 1e-12: the whole domain; 5: past every coefficient, no member
+        for delta in (1e-12, 0.1, 0.5, 1.0, 4.0, 5.0):
+            for i in range(f.l):
+                got = list_decode_scalar(f.coordinate(i), delta)
+                assert got == list_decode_scalar(bare.coordinate(i), delta)
+                assert len(got) == (f.size if delta < 1e-9 else 0 if delta > 4 else 1)
+
+    @pytest.mark.parametrize("f", TABLES, ids=IDS)
+    def test_piecing_and_within_match_a_bare_copy(self, f):
+        rng = rngmod.stream(f.l, "record-within")
+        drawn = LinearVecFn(f.q, f.d, tuple(tuple(rng.randrange(f.q) for _ in range(f.d))
+                                            for _ in range(f.l)))
+        ranks = np.flatnonzero(np.array([rng.random() < 0.7 for _ in range(f.size)]))
+        for kappa in (Fraction(1, 4), Fraction(0), Fraction(-1, 8)):
+            for delta in (None, 1e-12, 0.5, 4.0, 5.0):
+                schedule = {} if delta is None else {"delta_schedule": lambda eps, eps_i: delta}
+                res = piece_together(fresh_record(f), Fraction(1, 2), kappa, **schedule)
+                assert res == piece_together(fresh(f), Fraction(1, 2), kappa, **schedule)
+                # the record path's own outcome: R, within kappa at every point iff kappa >= 0
+                if delta is None or 1e-9 < 0.25 * delta <= 1:
+                    assert res.ok and np.array_equal(res.fn.matrix, f._linear)
+                    assert res.agreement == (1 if kappa >= 0 else 0)
+            for fn in (LinearVecFn(f.q, f.d, tuple(map(tuple, f._linear.tolist()))), drawn):
+                assert lintest._within(f, fn, ranks, kappa) == lintest._within(fresh(f), fn, ranks, kappa)
+                assert lintest._within(f, fn, ranks, kappa) == within_per_coordinate(f, fn, ranks, kappa)
+
+    @pytest.mark.parametrize("f", TABLES, ids=IDS)
+    def test_a_stateful_schedule_is_called_alike(self, f):
+        # the schedule runs l times, in coordinate order, on either path; a
+        # last threshold past every coefficient sends the record table down
+        # the general path, on its delta rows
+        def schedule(seen, last):
+            return lambda eps, eps_i: seen.append((eps, eps_i)) or (last if len(seen) == f.l else 0.5)
+
+        for last in (0.5, 5.0):
+            seen, ref = [], []
+            res = piece_together(fresh_record(f), 0, Fraction(1, 4), delta_schedule=schedule(seen, last))
+            assert res == piece_together(fresh(f), 0, Fraction(1, 4), delta_schedule=schedule(ref, last))
+            assert seen == ref and len(seen) == f.l
+            # the last row is R's, or zero where its list is empty
+            rows = f._linear.tolist()
+            assert res.ok and list(map(list, res.fn.rhos)) == rows[:-1] + [rows[-1] if last < 4 else [0] * f.d]
+
+    @pytest.mark.parametrize("delta", [0.0, -0.5, math.nan, math.inf, -math.inf])
+    def test_refusals_read_as_on_a_bare_copy(self, delta):
+        for f in self.TABLES[:4]:
+            messages = []
+            for g in (fresh_record(f), fresh(f)):
+                with pytest.raises(ContractViolation) as exc:
+                    piece_together(g, 0.5, Fraction(1, 4), delta_schedule=lambda e, ei: delta)
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1] == "delta must be finite and positive"
+
+    @pytest.mark.parametrize("q,k,l", [(3, 2, 128), (5, 2, 64), (3, 1, 4)])
+    @pytest.mark.parametrize("kappa", [None, Fraction(-1, 8)])
+    def test_extraction_reports_match_a_bare_copy(self, q, k, l, kappa, monkeypatch):
+        ci, clique = planted_case(0, q, k, l)
+        run = lambda: reduction.extract_witness(clique, ci, kappa=kappa, verify=False,
+                                                rng=rngmod.stream(0, "gamma/fill")).to_json()
+        calls = count_character_sums(monkeypatch)
+        report = run()
+        assert calls == []
+        # the same extraction on a bare copy of the gamma table
+        gamma_spy(monkeypatch, fresh)
+        assert run() == report and len(calls) == 1
+        if kappa is None and k == 2:
+            assert report["verdict"] == "witness" and report["piecing_agreement"] == "1/1"
+
+    def test_bench_extract_instance_runs_no_transform(self, monkeypatch, tmp_path):
+        ran = []
+        for name in ("_character_sums", "_dft", "_column_basis"):
+            monkeypatch.setattr(lintest, name, lambda *a, name=name, real=getattr(lintest, name):
+                                ran.append(name) or real(*a))
+        workload = bench_workloads()["extract"]
+        _, rep, _ = workload.run(workload.inputs(0, 0), str(tmp_path))
+        assert rep.verdict == "witness" and ran == []
+
+    def test_lintest_tables_carry_no_record(self, monkeypatch, tmp_path):
+        workload = bench_workloads()["lintest-tables"]
+        calls = count_character_sums(monkeypatch)
+        for i in range(len(workload.points)):
+            inp = workload.inputs(0, i)
+            calls.clear()
+            workload.run(inp, str(tmp_path))
+            assert inp["table"]._linear is None and calls == [inp["table"]]
+
+
+def fresh_record(f):
+    """fresh(f), keeping f's rows R."""
+    g = fresh(f)
+    g._linear = f._linear
+    return g
+
+
+def gamma_spy(monkeypatch, swap=lambda t: t) -> list:
+    """The gamma tables build_gamma returns from here on, each swapped for
+    swap(table) on its way to the caller."""
+    tables, build = [], reduction.build_gamma
+
+    def spied(*args, **kwargs):
+        table, known = build(*args, **kwargs)
+        tables.append(table)
+        return swap(table), known
+
+    monkeypatch.setattr(reduction, "build_gamma", spied)
+    return tables
+
+
+def count_character_sums(monkeypatch) -> list:
+    """The tables whose character sums run from here on."""
+    calls, sums = [], lintest._character_sums
+    monkeypatch.setattr(lintest, "_character_sums", lambda f: calls.append(f) or sums(f))
+    return calls
 
 
 class TestKeptRows:
@@ -1222,6 +1397,10 @@ class TestListDecode:
         # transform of a table whose three coordinates span three dimensions
         # over F_5^2, so that its pair counts take no transform
         f = FunctionTable.from_linear(LinearVecFn(5, 2, ((1, 2), (3, 4), (0, 1))))
+        assert piece_together(f, 0.5, Fraction(1, 4)).ok
+        # f is pieced from its rows R with no list; a bare copy of its values
+        # decodes its lists from the rows its character sums kept
+        f = FunctionTable(5, 2, 3, f.values)
         assert piece_together(f, 0.5, Fraction(1, 4)).ok
         rows = f._rows.copy()
         rows[-1] = spoil(rows[-1])
