@@ -14,11 +14,12 @@ wraps them as one-row LinearVecFn.  Every transform over F_q^d is one _dft,
 and a table keeps its accepted counts (accepted_degrees) and the Fourier
 rows of its coordinates that the character sums took.  fourier_transform
 is the one source of a table's real Fourier rows, and their one check: the
-kept rows, or else one transform of every coordinate.  List decoding, the
-triple-correlation check and the lintest suite read them.  Counts, rows,
-piecing and _within take each group of equal columns once (_units).  A
-table built as digits @ R.T (from_linear, a planted gamma table) keeps R
-(_linear) and is decided from it, with no transform and no list.
+kept rows, a linear table's deltas, or else one transform of every
+coordinate.  List decoding, the triple-correlation check and the lintest
+suite read them.  Counts, rows, piecing and _within take each group of
+equal columns once (_units).  A table built as digits @ R.T (from_linear,
+a planted gamma table) keeps R (_linear) and is decided from it, with no
+transform, no list and no Fourier row.
 
 All probabilities are exact rationals of integer counts.  Counts taken on
 the Fourier side are rounded to integers under a 0.25 guard; Fourier
@@ -414,21 +415,19 @@ def accepted_degrees(f: FunctionTable) -> tuple[np.ndarray, tuple[int, ...]]:
     output coordinate alone.
 
     The pair count is deg.sum() and the test's variable set is deg > 0.  A
-    table that keeps its rows R passes every pair: deg = n, every count n^2,
-    and coordinate i's Fourier row the exact delta at R_i.  Otherwise, when
-    the values span at most d dimensions (at most n characters), the counts
+    table that keeps its rows R passes every pair: deg = n and every count
+    n^2, with no Fourier row built.  Otherwise, when the values span at most
+    d dimensions (at most n characters), the counts
     come from character-sum FFTs, rounded under a ROUNDING_GUARD check and
     gated on CHARACTER_BUDGET; else every pair is enumerated a block of rows
     at a time, gated on the n^2 pairs against PAIR_BUDGET.  The result is
-    kept on the table, and so are the deltas or a scalar-respecting f's sums.
+    kept on the table, and so are a scalar-respecting f's Fourier rows.
     """
     if f._accepted is not None:
         return f._accepted
     n = f.size
-    if f._linear is not None:  # every pair passes; row i is the delta at R_i's rank
-        deg, counts, f._rows = np.full(n, n), np.full(f.l, n * n), np.zeros((f.l, n))
-        f._rows[np.arange(f.l), f._linear @ _domain(f.q, f.d)[1]] = 1.0
-        f._rows.setflags(write=False)
+    if f._linear is not None:  # every pair passes
+        deg, counts = np.full(n, n), np.full(f.l, n * n)
     elif (sums := _character_sums(f)) is not None:
         deg, counts, f._rows = sums
     else:
@@ -493,11 +492,15 @@ def fourier_transform(f: FunctionTable) -> np.ndarray:
     """Fourier rows of f's coordinates, real and (l, q^d): at the rank of
     rho, the average of omega^{f_i(alpha)} times the conjugated character
     alpha -> omega^{<rho, alpha>}.  The rows the character sums kept are
-    read as they are; otherwise one transform of every coordinate.  Each row
-    must pass Parseval and, as on a scalar-respecting table, have no
-    imaginary part past FLOAT_TOL."""
+    read as they are; a table that keeps its rows R has row i the exact
+    delta at R_i's rank, built here; otherwise one transform of every
+    coordinate.  Each row must pass Parseval and, as on a scalar-respecting
+    table, have no imaginary part past FLOAT_TOL."""
     coeffs = f._rows
-    if coeffs is None:
+    if coeffs is None and f._linear is not None:
+        coeffs = np.zeros((f.l, f.size))
+        coeffs[np.arange(f.l), f._linear @ _domain(f.q, f.d)[1]] = 1.0
+    elif coeffs is None:
         coeffs = _dft(np.exp(2j * np.pi * np.arange(f.q) / f.q)[f.values.T], f.q, f.d, -1) / f.size
     power = np.sum(np.abs(coeffs) ** 2, axis=1)
     bad = np.abs(power - 1.0) > FLOAT_TOL

@@ -39,13 +39,15 @@ the three (point, value) slots.  So materialize evaluates rules 3-5 once per
 pair of (alpha, x) classes and rule 2 once per pair of slot classes, and
 verify_clique decides on groups before it scans pairs.
 
-A planted clique is one value table X: vertex (alpha, beta) carries X[alpha]
-and X[beta].  If X = digits @ R is linear (R: its rows at the unit points),
-every slot carries X of its point, so rules 1-3 cannot fire; alphas that
-differ by delta in block i alone (by d in every block) get values differing
-by M_i delta (by the sum of the M_i d), M_i being block i of R.  So it is a
+A planted clique is one linear value table X = digits @ R: vertex
+(alpha, beta) carries X[alpha] and X[beta], and planted_clique builds R (its
+rows at the unit points) first and hands it to the Clique.  Every slot
+carries X of its point, so rules 1-3 cannot fire; alphas that differ by
+delta in block i alone (by d in every block) get values differing by
+M_i delta (by the sum of the M_i d), M_i being block i of R.  So it is a
 clique iff the M_i sum to 0 (rule 5) and each M_i delta is the image of a
-vector of collection i (rule 4): verify_clique decides it from R alone.
+vector of collection i (rule 4): verify_clique decides it from R alone, and
+build_gamma returns X itself, its phase 1 reaching every point.
 """
 from __future__ import annotations
 
@@ -80,8 +82,8 @@ from .cliquesolve import DEFAULT_VERTEX_CAP, DenseGraph
 # vertices of a planted-layout clique past which its index arrays, and so
 # the general path (the grouped test, the pair scan, phase 1), are refused
 GENERAL_PATH_BUDGET = 1 << 20
-# int64 entries of a planted layout's value table (points times l); its
-# planted rows and their product with the digits take as many again
+# int64 entries of a planted layout's value table (points times l); the
+# product that builds it takes as many again
 PLANTED_VALUE_BUDGET = 1 << 20
 
 PAIR_BATCH = 1024  # edge oracle batch: whole rows of pairs, at least this many
@@ -208,19 +210,20 @@ class Clique(Sequence):
     vertex v is (points[a[v]], points[b[v]], values[x[v]], values[y[v]]).
     Built without them it is the planted layout (planted; see planted_clique), with
     a, b = divmod(v, P), x = a and y = b built on first read, and refused
-    past GENERAL_PATH_BUDGET vertices.
+    past GENERAL_PATH_BUDGET vertices.  planted_rows is the R it was built
+    with, values = digits @ R mod q by construction, or None: a clique
+    without it takes the general path.
     Its vertices are valid (as_clique validates a caller's).  It reads as
     the list of its Vertex tuples: len, iteration (one tuple per table row,
     shared) and clique[i] give Vertex tuples, slices give lists.  The ids
     the rules compare are computed on first read and kept."""
 
     def __init__(self, params: ReductionParams, points: np.ndarray, values: np.ndarray,
-                 *rows: np.ndarray):
+                 *rows: np.ndarray, planted_rows: Optional[np.ndarray] = None):
         self.params, self.points, self.values = params, points, values
         self.size = len(rows[0]) if rows else len(points) ** 2
         self.__dict__.update(zip("abxy", rows))
-        self.planted = not rows
-        self.planted_rows = None if rows else _planted_rows(params, values)
+        self.planted, self.planted_rows = not rows, planted_rows
 
     def __getattr__(self, name: str):
         if name not in ("a", "b", "x", "y"):  # only the planted layout's can be unbuilt
@@ -322,17 +325,6 @@ def as_clique(vertices, params: ReductionParams) -> Clique:
     index = np.arange(n)
     return Clique(params, np.concatenate([alpha, beta]), np.concatenate([x, y]),
                   index, index + n, index, index + n)
-
-
-def _planted_rows(params: ReductionParams, values: np.ndarray) -> Optional[np.ndarray]:
-    """R, the planted layout's value rows at the k^2 unit points, if values
-    = digits @ R; else None, as where int64 products could wrap."""
-    q, kk = params.q, params.k**2
-    if kk * q * q >= 2**63:
-        return None
-    digits, place = _domain(q, kk)
-    R = values[place]
-    return R if (digits @ R % q == values).all() else None
 
 
 # -- vertex codec ----------------------------------------------------------------
@@ -528,10 +520,12 @@ class CliqueInstance:
     def planted_clique(self, indices: Sequence[int]) -> Clique:
         """The clique of a source tuple (an int index per collection), in the
         planted layout: one vertex per (alpha, beta) in lexicographic order,
-        one value row per point, summing the tuple's per-block images.  Its
-        cost is the point and value tables, so a layout of more than
-        MAX_TABLE_SIZE points, or of more than PLANTED_VALUE_BUDGET value
-        entries (points times l), is refused before either is built."""
+        and the value table points @ R mod q, whose rows R (block i: the
+        transposed image of collection i's chosen vector) the clique keeps
+        as planted_rows.  Its cost is the point and value tables, so a
+        layout of more than MAX_TABLE_SIZE points, or of more than
+        PLANTED_VALUE_BUDGET value entries (points times l), is refused
+        before either is built."""
         q, k, l = self.params.q, self.params.k, self.params.l
         size = q ** (k * k)  # past MAX_TABLE_SIZE, _domain refuses it as "table size"
         if size <= MAX_TABLE_SIZE and size * l > PLANTED_VALUE_BUDGET:
@@ -541,23 +535,18 @@ class CliqueInstance:
         if not isinstance(indices, (list, tuple)) or len(indices) != k or not all(
                 type(i) is int and 0 <= i < n for i, n in zip(indices, self.source.sizes)):
             raise ContractViolation("need one index in range per collection")
-        # per collection, the chosen vector's block-inner image under every
-        # direction, summed over the blocks of each point: row r of x is the
-        # value at the point of rank r (block 0 most significant)
-        directions = _domain(q, k)[0]
-        x = np.zeros((1, l), dtype=np.int64)
-        for i, idx in enumerate(indices):
-            table = directions @ self._images[i][idx].T % q
-            x = (x[:, None, :] + table).reshape(-1, l) % q
-        return Clique(self.params, points, x)
+        # point p's value is the sum over blocks i of p's block i times M_i;
+        # under MAX_TABLE_SIZE, k^2 (q - 1)^2 stays far inside int64
+        R = np.concatenate([self._images[i][idx].T for i, idx in enumerate(indices)])
+        return Clique(self.params, points, points @ R % q, planted_rows=R)
 
     def verify_clique(self, vertices) -> Optional[tuple[Vertex, Vertex, frozenset]]:
         """The first violating pair in (i, j) order with its triggered rules,
         or None when the set is a clique.  Takes a Clique or a list of vertex
         tuples, validated before any pair is compared; repeated vertices are
-        skipped.  A linear planted clique is decided from its rows R (see
-        the module docstring); any other list goes to the grouped test, and
-        only a list that rejects is scanned pair by pair."""
+        skipped.  A clique that carries its planted rows R is decided from
+        them (see the module docstring); any other list goes to the grouped
+        test, and only a list that rejects is scanned pair by pair."""
         clique = as_clique(vertices, self.params)
         R = clique.planted_rows
         if R is not None:
@@ -655,11 +644,7 @@ def _clique_values(c: Clique, q: int) -> tuple[np.ndarray, np.ndarray]:
     assigns, as rows of a (points, k^2) array in order of first assignment
     (vertices in list order, slots alpha, beta, alpha + beta), and its
     value, as the same row of a (points, l) array.  Refuses at the first
-    slot whose value differs from the first value its point got.  A linear
-    planted clique assigns its value table as it is: vertex (0, b) assigns
-    b first."""
-    if c.planted_rows is not None:
-        return c.points, c.values
+    slot whose value differs from the first value its point got."""
     # slot 3v + s is slot s of vertex v
     point, value = (ids.reshape(-1) for ids in c.slot_ids)
     _, first, group = np.unique(point, return_index=True, return_inverse=True)
@@ -695,6 +680,11 @@ def build_gamma(
     uniform values, in representative order.  The table is their scalar
     closure, 0 at the origin; it must keep every phase-1 value, else the
     clique's values are not scalar respecting, a refusal.
+
+    A clique that carries its planted rows R assigns every point in phase 1
+    (vertex (0, b) assigns b first) and its values are digits @ R, so the
+    table is its own value table, with no draw: it is returned as it is,
+    keeping R, with every point a phase-1 point.
     """
     params = instance.params
     q, k, l = params.q, params.k, params.l
@@ -709,6 +699,10 @@ def build_gamma(
             raise PropertyViolation(
                 f"not a clique: rules {sorted(types)} fire between {u} and {v}"
             )
+    if clique.planted_rows is not None:
+        table = FunctionTable(q, kk, l, clique.values)
+        table._linear, table._scalar_respecting = clique.planted_rows.T, True
+        return table, np.arange(q**kk)
     points, known_vals = _clique_values(clique, q)
     # the domain is refused before the products below, which it keeps in int64
     reps, place = _lines(q, kk)[:, 0], _domain(q, kk)[1]
@@ -730,9 +724,6 @@ def build_gamma(
             "decoded function is not scalar respecting; the clique's shared "
             "points carry scalar-inconsistent values"
         )
-    # _planted_rows checked values = digits @ R at the planted layout's points, the
-    # whole domain, and the comparison above covered each: the table is digits @ R
-    table._linear = None if clique.planted_rows is None else clique.planted_rows.T
     return table, np.sort(known)
 
 

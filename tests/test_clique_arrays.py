@@ -141,9 +141,21 @@ def test_verify_clique_past_64_bit_pair_keys(q, l):
 DECISION_POINTS = [(2, 1, 2), (3, 1, 2), (5, 1, 1), (2, 2, 1), (2, 2, 3), (3, 2, 1)]
 
 
+def planted_rows(params, values):
+    """R, the planted layout's value rows at the k^2 unit points, if values
+    = digits @ R; else None, as where int64 products could wrap."""
+    q, kk = params.q, params.k**2
+    if kk * q * q >= 2**63:
+        return None
+    digits, place = reduction._domain(q, kk)
+    R = values[place]
+    return R if (digits @ R % q == values).all() else None
+
+
 def with_values(clique, values):
-    # the planted layout over another value table
-    return Clique(clique.params, clique.points, values)
+    # the planted layout over another value table, with its rows R where
+    # the table is linear, as planted_clique hands them over
+    return Clique(clique.params, clique.points, values, planted_rows=planted_rows(clique.params, values))
 
 
 def decision_cases(ci, r):
@@ -210,20 +222,83 @@ def test_planted_layout_decided_as_the_scan_decides(q, k, l, monkeypatch):
     assert {4} in kinds["rule 4"] or {4, 5} in kinds["rule 4"]
 
 
+def gamma_outcome(clique, ci, seed, verify=False):
+    """build_gamma's table and phase-1 ranks as bytes, or its refusal, and
+    the state its rng is left in."""
+    rng = rngmod.stream(seed, "gamma-fill")
+    try:
+        table, ranks = build_gamma(clique, ci, rng=rng, verify=verify)
+        got = tuple((a.tobytes(), a.shape, a.dtype.str) for a in (table.values, ranks))
+    except PropertyViolation as exc:
+        got = str(exc)
+    return got, rng.getstate()
+
+
 @pytest.mark.parametrize("q,k,l", DECISION_POINTS)
 def test_planted_layout_phase1_is_the_general_path(q, k, l):
+    # a planted layout that carries its rows R (the planted clique, and the
+    # linear "rule 4" and "rule 5" tables) gets its own value table back;
+    # the general path on its vertex list builds the same bytes, draws
+    # nothing, and refuses the corrupted tables alike
     outcomes = set()
     for seed in range(4):
         ci = make_instance(seed, q, k, l)
         for kind, clique in decision_cases(ci, random.Random(f"phase1-{seed}")):
-            want = phase1_outcome(lambda: _clique_values(as_clique(list(clique), ci.params), q))
-            assert phase1_outcome(lambda: _clique_values(clique, q)) == want
-            outcomes.add((kind, type(want)))
-            if kind == "planted":
-                general = _clique_values(as_clique(list(clique), ci.params), q)
-                got = _clique_values(clique, q)
-                assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, general))
-    assert ("corrupted", str) in outcomes
+            want = gamma_outcome(as_clique(list(clique), ci.params), ci, seed)
+            assert gamma_outcome(clique, ci, seed) == want
+            outcomes.add((kind, type(want[0]), clique.planted_rows is not None))
+    assert ("corrupted", str, False) in outcomes
+    assert {("planted", tuple, True), ("rule 5", tuple, True)} <= outcomes
+
+
+@pytest.mark.parametrize("q,k,l", [(2, 2, 1), (2, 2, 2), (2, 2, 3), (3, 1, 4), (3, 2, 16), (5, 2, 8),
+                                   (13, 2, 16)])
+def test_planted_rows_are_the_recognized_rows(q, k, l):
+    # planted_clique's R and value table, byte for byte, against the rows
+    # the recognizer reads off the table and the per-block broadcast sums
+    ci = make_instance(47, q, k, l)
+    r = random.Random(f"rows-{q}-{k}-{l}")
+    directions = reduction._domain(q, k)[0]
+    for indices in (ci.source.planted, tuple(r.randrange(n) for n in ci.source.sizes)):
+        clique = ci.planted_clique(list(indices))
+        broadcast = np.zeros((1, l), dtype=np.int64)
+        for i, idx in enumerate(indices):
+            broadcast = (broadcast[:, None, :] + directions @ ci._images[i][idx].T % q).reshape(-1, l) % q
+        R = planted_rows(ci.params, clique.values)
+        for got, want in ((clique.planted_rows, R), (clique.values, broadcast)):
+            assert (got.tobytes(), got.shape, got.dtype) == (want.tobytes(), want.shape, want.dtype)
+
+
+@pytest.mark.parametrize("q,k,l", [(3, 1, 2), (3, 2, 1), (2, 2, 2)])
+@pytest.mark.parametrize("verify", [False, True])
+def test_planted_gamma_table_is_the_general_path(q, k, l, verify):
+    # a planted clique's gamma table is the general path's on its vertex
+    # list, neither drawing from the rng; it carries R and is scalar respecting
+    ci = make_instance(47, q, k, l)
+    clique = ci.planted_clique(ci.source.planted)
+    want = gamma_outcome(as_clique(list(clique), ci.params), ci, q + l, verify)
+    assert gamma_outcome(clique, ci, q + l, verify) == want
+    assert want[1] == rngmod.stream(q + l, "gamma-fill").getstate()
+    table, _ = build_gamma(clique, ci, verify=verify)
+    assert np.array_equal(table._linear, clique.planted_rows.T) and table._scalar_respecting is True
+
+
+def test_clique_without_planted_rows_takes_the_general_path(monkeypatch):
+    # the planted layout built without R is decided, and its table built,
+    # as its vertex list is: grouped test and phase 1, to the same outcome
+    ci = INSTANCES[(2, 2, 1)]
+    planted = ci.planted_clique(ci.source.planted)
+    bare = Clique(ci.params, planted.points, planted.values)
+    assert bare.planted and bare.planted_rows is None
+    grouped, phase1 = [], []
+    group, values = CliqueInstance._grouped_clique, reduction._clique_values
+    monkeypatch.setattr(CliqueInstance, "_grouped_clique", lambda s, c: grouped.append(c) or group(s, c))
+    monkeypatch.setattr(reduction, "_clique_values", lambda c, q: phase1.append(c) or values(c, q))
+    assert ci.verify_clique(bare) is None and grouped == [bare]
+    assert gamma_outcome(bare, ci, 0) == gamma_outcome(planted, ci, 0) and phase1 == [bare]
+    grouped.clear()
+    assert ci.verify_clique(planted) is None and gamma_outcome(planted, ci, 0) and grouped == []
+    assert phase1 == [bare]
 
 
 def test_planted_layout_decided_once_per_clique(monkeypatch):

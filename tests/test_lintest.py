@@ -845,7 +845,7 @@ class TestLinearRecord:
         f, bare = fresh_record(f), fresh(f)
         calls = count_character_sums(monkeypatch)
         deg, counts = accepted_degrees(f)
-        assert calls == [] and not f._rows.flags.writeable
+        assert calls == [] and f._rows is None  # the delta rows are built only when read
         assert np.array_equal(deg, accepted_degrees(bare)[0]) and counts == accepted_degrees(bare)[1]
         assert calls == [bare] and deg.dtype == np.int64
         rows = fourier_transform(f)
@@ -928,6 +928,23 @@ class TestLinearRecord:
         _, rep, _ = workload.run(workload.inputs(0, 0), str(tmp_path))
         assert rep.verdict == "witness" and ran == []
 
+    def test_bench_extract_instance_rebuilds_no_gamma_table(self, monkeypatch, tmp_path):
+        # the planted clique's value table is its gamma table: no scalar
+        # closure, line or leading-entry pass, no transform, and no float
+        # rows on the table piecing reads
+        ran = []
+        for module, name in ((reduction, "_scalar_closure"), (reduction, "_lead_inverse"),
+                             (reduction, "_lines"), (lintest, "_scalar_closure"),
+                             (lintest, "_lead_inverse"), (lintest, "_dft")):
+            monkeypatch.setattr(module, name, lambda *a, name=name, real=getattr(module, name):
+                                ran.append(name) or real(*a))
+        tables = gamma_spy(monkeypatch)
+        workload = bench_workloads()["extract"]
+        _, rep, _ = workload.run(workload.inputs(0, 0), str(tmp_path))
+        (f,) = tables
+        assert rep.verdict == "witness" and ran == []
+        assert f._linear is not None and f._rows is None and f._accepted is not None
+
     def test_lintest_tables_carry_no_record(self, monkeypatch, tmp_path):
         workload = bench_workloads()["lintest-tables"]
         calls = count_character_sums(monkeypatch)
@@ -988,8 +1005,13 @@ class TestKeptRows:
         pieced function against the same calls with no rows kept."""
         pass_probability(f)
         want = fourier_transform(FunctionTable(f.q, f.d, f.l, f.values))
-        assert f._rows.shape == want.shape and not f._rows.flags.writeable
-        assert np.abs(f._rows - want).max() <= 1e-12
+        if f._linear is None:
+            rows = f._rows
+            assert not rows.flags.writeable
+        else:  # a table that keeps its rows R keeps no Fourier rows; its deltas are built when read
+            assert f._rows is None
+            rows = fourier_transform(f)
+        assert rows.shape == want.shape and np.abs(rows - want).max() <= 1e-12
         schedule = lambda eps, eps_i: delta
         lists = [list_decode_scalar(f.coordinate(i), delta) for i in range(f.l)]
         res = piece_together(f, 0, Fraction(1, 4), delta_schedule=schedule)
