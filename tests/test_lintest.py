@@ -665,14 +665,6 @@ def fresh(f):
     return g
 
 
-def ungrouped(f):
-    """A copy of f that groups no columns: every coordinate's counts, Fourier
-    row, list and match are taken for it alone."""
-    g = fresh(f)
-    g._groups = (np.arange(f.l),) * 2
-    return g
-
-
 def within_per_coordinate(f, fn, ranks, kappa):
     """_within's count, one coordinate at a time."""
     points = np.array([unrank_tuple(f.q, f.d, r) for r in ranks.tolist()], dtype=np.int64)
@@ -681,40 +673,44 @@ def within_per_coordinate(f, fn, ranks, kappa):
     return sum(Fraction(int(m), f.l) <= kappa for m in mism)
 
 
+def first_copies(f) -> list:
+    """[i]: the first coordinate of f whose column equals column i."""
+    first: dict = {}
+    return [first.setdefault(col.tobytes(), i) for i, col in enumerate(f.values.T)]
+
+
 class TestColumnGroups:
-    # a table's equal columns are counted, transformed, decoded and matched
-    # once, and every output is the per-coordinate one
+    # tables whose columns repeat, in groups of equal columns: each
+    # coordinate is counted, decoded and matched for itself, and every
+    # output is the per-coordinate one
     TABLES = repeated_column_tables()
 
     @pytest.mark.parametrize("f", TABLES, ids=lambda f: f"{f.q}-{f.d}-{f.l}")
     def test_counts_and_rows_match_each_coordinate(self, f):
         f = fresh(f)
-        distinct = len({col.tobytes() for col in f.values.T})
-        assert len(f._units()[0]) == distinct and (f.l == 1 or distinct < f.l)
+        assert f.l == 1 or len(set(first_copies(f))) < f.l
         ref_deg, ref_counts = blocked_accepted_counts(f)
         deg, counts = accepted_degrees(f)
         assert np.array_equal(deg, ref_deg) and counts == ref_counts
-        alone = ungrouped(f)
-        assert np.array_equal(deg, accepted_degrees(alone)[0]) and counts == accepted_degrees(alone)[1]
-        # the kept rows are those of the ungrouped table, and each is its
-        # coordinate's transform on a table of its own
-        if alone._rows is None:  # values past d dimensions, counted by enumeration
-            assert f._rows is None
-        else:
-            assert np.array_equal(f._rows, alone._rows) and not f._rows.flags.writeable
+        # rows are kept iff the character sums ran: values of at most d dimensions
+        assert (f._rows is None) == (rank_mod(f.q, f.values) > f.d)
+        assert f._rows is None or not f._rows.flags.writeable
+        # each row is its coordinate's transform on a table of its own
         rows = fourier_transform(f)
-        assert np.array_equal(rows, fourier_transform(alone))
         for i in range(f.l):
             want = fourier_transform(FunctionTable(f.q, f.d, 1, f.values[:, i : i + 1]))[0]
             assert np.abs(rows[i] - want).max() <= 1e-12
 
     def test_rounding_refusal_reads_as_without_groups(self, monkeypatch):
         # with no margin every count is refused, naming the worst error of
-        # the same sums
+        # the same sums as on the table of the distinct columns alone: a
+        # repeated column adds no rank, so the basis and the floats agree
         monkeypatch.setattr(lintest, "ROUNDING_GUARD", -1.0)
         for f in self.TABLES[:4]:
+            distinct = sorted(set(first_copies(f)))
             messages = []
-            for g in (fresh(f), ungrouped(f)):
+            for g in (fresh(f), FunctionTable(f.q, f.d, len(distinct), f.values[:, distinct])):
+                g._scalar_respecting = True
                 with pytest.raises(PropertyViolation, match="character-sum count") as exc:
                     accepted_degrees(g)
                 messages.append(str(exc.value))
@@ -726,15 +722,14 @@ class TestColumnGroups:
         schedule = lambda eps, eps_i: 0.5
         res = piece_together(f, 0, Fraction(1, 4), delta_schedule=schedule)
         assert outcome(res) == per_point_piecing(f, 0, Fraction(1, 4), schedule, per_coordinate=True)
-        assert res == piece_together(ungrouped(f), 0, Fraction(1, 4), delta_schedule=schedule)
 
     def test_equal_columns_with_unequal_deltas_decode_apart(self):
         # a stateful schedule gives a later copy t of a nonzero column a
         # threshold above every coefficient: its list is empty, so the
         # pieced row there is zero while its first copy's is not
         f = fresh(self.TABLES[0])
-        firsts, which = f._units()
-        t = next(i for i in range(f.l) if i not in firsts and f.values[:, i].any())
+        first = first_copies(f)
+        t = next(i for i in range(f.l) if first[i] != i and f.values[:, i].any())
 
         def schedule():
             calls = itertools.count()
@@ -742,8 +737,7 @@ class TestColumnGroups:
 
         res = piece_together(f, 0, Fraction(1, 4), delta_schedule=schedule())
         assert outcome(res) == per_point_piecing(f, 0, Fraction(1, 4), schedule(), per_coordinate=True)
-        assert res == piece_together(ungrouped(f), 0, Fraction(1, 4), delta_schedule=schedule())
-        assert res.ok and not any(res.fn.rhos[t]) and any(res.fn.rhos[firsts[which[t]]])
+        assert res.ok and not any(res.fn.rhos[t]) and any(res.fn.rhos[first[t]])
 
     @pytest.mark.parametrize("f", TABLES, ids=lambda f: f"{f.q}-{f.d}-{f.l}")
     def test_within_matches_each_coordinate(self, f):
@@ -756,53 +750,42 @@ class TestColumnGroups:
         ranks = np.flatnonzero(np.array([r.random() < 0.7 for _ in range(f.size)]))
         for fn in filter(None, (pieced, drawn)):
             for kappa in (Fraction(0), Fraction(1, 8), Fraction(1, 2), Fraction(1)):
-                want = within_per_coordinate(f, fn, ranks, kappa)
-                assert lintest._within(f, fn, ranks, kappa) == want
-                assert lintest._within(ungrouped(f), fn, ranks, kappa) == want
+                assert lintest._within(f, fn, ranks, kappa) == within_per_coordinate(f, fn, ranks, kappa)
 
-    def test_coordinates_group_no_columns(self):
-        # an l = 1 table is one group with no detection; a coordinate keeps
-        # none of its table's groups and finds its one group when asked
-        f = self.TABLES[0]
-        assert len(f._units()[0]) < f.l
-        single = FunctionTable(3, 2, 1, np.zeros((9, 1), dtype=np.int64))
-        assert single._groups is not None
-        for t in (f.coordinate(0), f.coordinate(f.l - 1), single):
-            assert [g.tolist() for g in t._units()] == [[0], [0]]
-
-    def test_extract_gamma_table_reaches_the_basis_by_its_distinct_columns(self, monkeypatch, tmp_path):
+    def test_extract_gamma_table_reaches_the_basis_by_all_its_columns(self, monkeypatch, tmp_path):
         # seed-0 extract instance 0: a (3,2,128) gamma table of rank 2,
         # whose 128 coordinates hold 9 distinct columns; the planted table
-        # is decided from its rows, and a bare copy reaches the basis
-        widths, basis = [], lintest._column_basis
-        monkeypatch.setattr(lintest, "_column_basis", lambda f: widths.append(f.l) or basis(f))
+        # is decided from its rows, and a bare copy reaches the basis with
+        # every column
+        seen, basis = [], lintest._column_basis
+
+        def spied(f):
+            found = basis(f)
+            seen.append((f.l, None if found is None else len(found[1])))
+            return found
+
+        monkeypatch.setattr(lintest, "_column_basis", spied)
         tables = gamma_spy(monkeypatch)
         workload = bench_workloads()["extract"]
         _, rep, _ = workload.run(workload.inputs(0, 0), str(tmp_path))
-        assert rep.verdict == "witness" and widths == []
+        assert rep.verdict == "witness" and seen == []
         (f,) = tables
+        assert len(set(first_copies(f))) == 9
         deg, counts = accepted_degrees(fresh(f))
-        assert widths == [9] and np.array_equal(deg, accepted_degrees(f)[0])
+        assert seen == [(128, 2)] and np.array_equal(deg, accepted_degrees(f)[0])
         assert counts == accepted_degrees(f)[1]
 
-    def test_lintest_tables_merge_no_columns(self, monkeypatch, tmp_path):
-        # their columns are distinct: each coordinate is a group of its own,
-        # and the basis and the lists are taken on every column in order
+    def test_lintest_tables_reach_the_basis_as_themselves(self, monkeypatch, tmp_path):
+        # the basis is taken once, on the table itself, not on a copy of
+        # its columns
         workload = bench_workloads()["lintest-tables"]
-        basis, columns, seen, taken = lintest._column_basis, FunctionTable._columns, [], []
+        basis, seen = lintest._column_basis, []
         monkeypatch.setattr(lintest, "_column_basis", lambda f: seen.append(f) or basis(f))
-        monkeypatch.setattr(FunctionTable, "_columns", lambda f, at: taken.append((f, at)) or columns(f, at))
         for i in range(len(workload.points)):
             inp = workload.inputs(0, i)
             seen.clear()
-            taken.clear()
             workload.run(inp, str(tmp_path))
-            f = inp["table"]
-            assert f.l <= 2 and [g.tolist() for g in f._units()] == [list(range(f.l))] * 2
-            assert len(seen) == 1 and np.array_equal(seen[0].values, f.values)
-            # the basis and the lists take every column; coordinate() one
-            assert sorted(str(at) for g, at in taken if g is f and not isinstance(at, slice)) == [
-                str(np.arange(f.l))] * 2
+            assert len(seen) == 1 and seen[0] is inp["table"]
 
 
 def record_tables():
