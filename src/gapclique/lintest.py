@@ -14,11 +14,10 @@ wraps them as one-row LinearVecFn.  Every transform over F_q^d is one _dft,
 and a table keeps its accepted counts (accepted_degrees) and the Fourier
 rows of its coordinates that the character sums took.  fourier_transform
 is the one source of a table's real Fourier rows, and their one check: the
-kept rows, a linear table's deltas, or else one transform of every
-coordinate.  List decoding, the triple-correlation check and the lintest
-suite read them.  A table built as digits @ R.T (from_linear, a planted
-gamma table) keeps R (_linear) and is decided from it, with no transform,
-no list and no Fourier row.
+kept rows, or else one transform of every coordinate.  List decoding, the
+triple-correlation check and the lintest suite read them.  A table built as
+digits @ R.T (from_linear, a planted gamma table) keeps R (_linear) and is
+decided from it, with no transform, no list and no Fourier row.
 
 All probabilities are exact rationals of integer counts.  Counts taken on
 the Fourier side are rounded to integers under a 0.25 guard; Fourier
@@ -464,15 +463,11 @@ def fourier_transform(f: FunctionTable) -> np.ndarray:
     """Fourier rows of f's coordinates, real and (l, q^d): at the rank of
     rho, the average of omega^{f_i(alpha)} times the conjugated character
     alpha -> omega^{<rho, alpha>}.  The rows the character sums kept are
-    read as they are; a table that keeps its rows R has row i the exact
-    delta at R_i's rank, built here; otherwise one transform of every
-    coordinate.  Each row must pass Parseval and, as on a scalar-respecting
-    table, have no imaginary part past FLOAT_TOL."""
+    read as they are, otherwise one transform of every coordinate.  Each
+    row must pass Parseval and, as on a scalar-respecting table, have no
+    imaginary part past FLOAT_TOL."""
     coeffs = f._rows
-    if coeffs is None and f._linear is not None:
-        coeffs = np.zeros((f.l, f.size))
-        coeffs[np.arange(f.l), f._linear @ _domain(f.q, f.d)[1]] = 1.0
-    elif coeffs is None:
+    if coeffs is None:
         coeffs = _dft(np.exp(2j * np.pi * np.arange(f.q) / f.q)[f.values.T], f.q, f.d, -1) / f.size
     power = np.sum(np.abs(coeffs) ** 2, axis=1)
     bad = np.abs(power - 1.0) > FLOAT_TOL
@@ -527,20 +522,15 @@ def triple_correlation_check(
 # -- list decoding --------------------------------------------------------------
 
 
-def _list_decode(f: FunctionTable, deltas: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _list_decode(f: FunctionTable, deltas: tuple[float, ...]) -> list[np.ndarray]:
     """Decoded list of every output coordinate i of f at threshold
     LIST_CONSTANT * deltas[i], from the checked rows of fourier_transform:
-    (ranks, bounds), the lists' ascending coefficient-vector ranks one
-    after the other, and where each list begins in them, with their total
-    length last."""
+    its ascending coefficient-vector ranks."""
     if not all(0 < delta < math.inf for delta in deltas):  # NaN fails both
         raise ContractViolation("delta must be finite and positive")
     f.ensure_scalar_respecting()
-    re = fourier_transform(f)
-    thresholds = np.array([LIST_CONSTANT * delta for delta in deltas], dtype=float)
-    n = f.size  # the hits of coordinate i are numbered i * n + rank
-    hits = np.flatnonzero(re >= thresholds[:, None] - FLOAT_TOL)
-    return hits % n, np.searchsorted(hits, np.arange(0, n * len(deltas) + 1, n))
+    return [np.flatnonzero(row >= LIST_CONSTANT * delta - FLOAT_TOL)
+            for row, delta in zip(fourier_transform(f), deltas, strict=True)]
 
 
 def list_decode_scalar(f: FunctionTable, delta: float) -> tuple[LinearVecFn, ...]:
@@ -554,7 +544,7 @@ def list_decode_scalar(f: FunctionTable, delta: float) -> tuple[LinearVecFn, ...
     """
     if f.l != 1:
         raise ContractViolation("list decoding needs a scalar-range table")
-    ranks, _ = _list_decode(f, (delta,))
+    (ranks,) = _list_decode(f, (delta,))
     rows = _domain(f.q, f.d)[0][ranks]
     return tuple(LinearVecFn._of_rows(f.q, f.d, rows[i : i + 1]) for i in range(len(ranks)))
 
@@ -647,28 +637,21 @@ def piece_together(
         fn = LinearVecFn._of_rows(f.q, f.d, f._linear)  # each list is {R_i}, matched at every point
         return PiecingResult(ok=True, fn=fn, agreement=Fraction(_within(f, fn, np.arange(n), kappa), n),
                              pass_probability=eps_meas, coordinate_pass=coord_pass)
-    members, bounds = _list_decode(f, deltas)
+    lists = _list_decode(f, deltas)
     digits, _ = _domain(f.q, f.d)
     # the origin, then every line's representative, in rank order
     at = np.concatenate([[0], _lines(f.q, f.d)[:, 0]])
+    points, values = digits[at], f.values[at]
+    # [point, i]: the 1-based place in coordinate i's list of its one member
+    # matching there, 0 where none or several do; a product matches a block
+    # of points against the whole list
     matches = np.zeros((at.size, f.l), dtype=np.int64)
-    # every list side by side, a row per member: one product matches a block
-    # of points against every member, and each nonempty list's run of rows
-    # sums to its number of matches and, where that is 1, to the match's
-    # 1-based place in the list (from its place among all members)
-    starts, sizes = bounds[:-1], np.diff(bounds)
-    owners = np.flatnonzero(sizes)
-    heads = starts[owners]
-    if members.size:
-        place = np.arange(1, members.size + 1)[:, None]
-        rhos, owner = digits[members], np.repeat(np.arange(f.l), sizes)
-        points, values = digits[at], f.values[at]
-        step = max(1, PAIR_BLOCK // members.size)
+    for i, members in enumerate(lists):
+        rhos, place = digits[members], np.arange(1, members.size + 1)[:, None]
+        step = max(1, PAIR_BLOCK // max(1, members.size))
         for s in range(0, at.size, step):
-            agree = rhos @ points[s : s + step].T % f.q == values[s : s + step, owner].T
-            hits = np.add.reduceat(agree, heads)
-            picked = np.add.reduceat(agree * place, heads) - heads[:, None]
-            matches[s : s + step, owners] = np.where(hits == 1, picked, 0).T
+            agree = rhos @ points[s : s + step].T % f.q == values[s : s + step, i]
+            matches[s : s + step, i] = np.where(agree.sum(axis=0) == 1, (agree * place).sum(axis=0), 0)
 
     var_count = int(np.count_nonzero(deg))
     # V* and W* as masks over the marked points: the anchor is the first in both
@@ -680,10 +663,9 @@ def piece_together(
         return PiecingResult(ok=False, fn=None, agreement=None, pass_probability=eps_meas,
                              coordinate_pass=coord_pass, failure="no_anchor")
 
-    # the rank of the anchor's match on each coordinate, from its place among
-    # all members, and rank 0, the zero vector, where it has none
-    match = matches[both[0]]
-    ranks = np.where(match > 0, members[starts + match - 1], 0) if members.size else match
+    # the rank of the anchor's match on each coordinate, and rank 0, the zero
+    # vector, where it has none
+    ranks = [members[m - 1] if m else 0 for members, m in zip(lists, matches[both[0]].tolist())]
     fn = LinearVecFn._of_rows(f.q, f.d, digits[ranks])
     within = _within(f, fn, np.flatnonzero(deg), kappa)
     return PiecingResult(ok=True, fn=fn, agreement=Fraction(within, var_count),

@@ -150,8 +150,7 @@ def per_point_piecing(f, eps, kappa, delta_schedule, per_coordinate=False) -> tu
                      FunctionTable(f.q, f.d, 1, f.values[:, i : i + 1]), delta)], dtype=np.int64)
                  for i, delta in enumerate(deltas)]
     else:
-        ranks, bounds = _list_decode(f, deltas)
-        lists = [ranks[start:end] for start, end in zip(bounds[:-1], bounds[1:])]
+        lists = _list_decode(f, deltas)
     matches = per_coordinate_matches(f, lists)
     var = np.flatnonzero(deg)
     in_v = (matches[var] != 0).mean(axis=1) >= 1.0 - eps_f**2.5

@@ -2,6 +2,7 @@
 against brute-force oracles, and the piecing procedure."""
 
 import functools
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -77,13 +78,6 @@ def arbitrary_table(r, q, d, l):
 def decoded_fns(q, d, ranks):
     """A decoded list of coefficient-vector ranks as linear functions."""
     return tuple(linear_scalar(q, unrank_tuple(q, d, r)) for r in ranks.tolist())
-
-
-def decoded_lists(f, deltas):
-    """Every coordinate's decoded list at its threshold, as coefficient-vector
-    ranks."""
-    ranks, bounds = lintest._list_decode(f, deltas)
-    return [ranks[start:end] for start, end in zip(bounds[:-1], bounds[1:])]
 
 
 def outcome(res) -> tuple:
@@ -828,12 +822,12 @@ class TestLinearRecord:
         f, bare = fresh_record(f), fresh(f)
         calls = count_character_sums(monkeypatch)
         deg, counts = accepted_degrees(f)
-        assert calls == [] and f._rows is None  # the delta rows are built only when read
+        assert calls == [] and f._rows is None  # fourier_transform transforms its values
         assert np.array_equal(deg, accepted_degrees(bare)[0]) and counts == accepted_degrees(bare)[1]
         assert calls == [bare] and deg.dtype == np.int64
         rows = fourier_transform(f)
         assert rows.shape == fourier_transform(bare).shape
-        assert np.abs(rows - fourier_transform(bare)).max() <= 1e-12
+        assert np.abs(rows - fourier_transform(bare)).max() <= lintest.FLOAT_TOL
         # 1e-12: the whole domain; 5: past every coefficient, no member
         for delta in (1e-12, 0.1, 0.5, 1.0, 4.0, 5.0):
             for i in range(f.l):
@@ -864,7 +858,7 @@ class TestLinearRecord:
     def test_a_stateful_schedule_is_called_alike(self, f):
         # the schedule runs l times, in coordinate order, on either path; a
         # last threshold past every coefficient sends the record table down
-        # the general path, on its delta rows
+        # the general path, on its values' transform
         def schedule(seen, last):
             return lambda eps, eps_i: seen.append((eps, eps_i)) or (last if len(seen) == f.l else 0.5)
 
@@ -938,6 +932,39 @@ class TestLinearRecord:
             assert inp["table"]._linear is None and calls == [inp["table"]]
 
 
+class TestGeneralPathPins:
+    # the general path on linear tables, which the bench's extract workload
+    # never takes: piecing a bare copy of a planted gamma table, and
+    # extraction from a planted clique passed as a vertex list (CLI extract
+    # --clique); the SHA-256 of each outcome
+    PIECING = {
+        (3, 2, 128): "072d426dad7c5d09d2b9420790dd6b0565f0662771cdc5d4689f7968922fc228",
+        (5, 2, 64): "3445d65eb5d68ff36cfa74282ebbdd06cae20c6f2803e9757ab3f1972297f187",
+        (13, 2, 16): "05dc29ce94d93860b570adb3d99cb475308e919b1e4e1eed9d9e4d16cbedcd6c",
+    }
+    EXTRACTION = {
+        (3, 2, 128): "aceff005a97e1039848ef9bb004fc6b2a028ea025da8a23e83897de97f8e5879",
+        (3, 2, 64): "9b8a81666831ad1ac76de8dfc512b3d22c27f113186806a119d132a9ebcfb488",
+    }
+
+    @pytest.mark.parametrize("q,k,l", list(PIECING))
+    def test_piecing_a_bare_gamma_table(self, q, k, l):
+        params = ReductionParams(q=q, k=k, l=l)
+        res = piece_together(fresh(gamma_table(0, q, k, l)), params.epsilon(), params.kappa())
+        doc = [res.ok, res.fn and [list(r) for r in res.fn.rhos], str(res.agreement), res.failure,
+               str(res.pass_probability), [str(p) for p in res.coordinate_pass]]
+        assert res.ok and hashlib.sha256(json.dumps(doc).encode()).hexdigest() == self.PIECING[q, k, l]
+
+    @pytest.mark.parametrize("q,k,l", list(EXTRACTION))
+    def test_extraction_from_a_vertex_list(self, q, k, l):
+        ci, planted = planted_case(0, q, k, l)
+        report = reduction.extract_witness(reduction.as_clique(list(planted), ci.params), ci, verify=True,
+                                           rng=rngmod.stream(0, "gamma/fill"))
+        doc = json.dumps(report.to_json(), sort_keys=True)
+        assert report.verdict == "witness"
+        assert hashlib.sha256(doc.encode()).hexdigest() == self.EXTRACTION[q, k, l]
+
+
 def fresh_record(f):
     """fresh(f), keeping f's rows R."""
     g = fresh(f)
@@ -991,7 +1018,7 @@ class TestKeptRows:
         if f._linear is None:
             rows = f._rows
             assert not rows.flags.writeable
-        else:  # a table that keeps its rows R keeps no Fourier rows; its deltas are built when read
+        else:  # a table that keeps its rows R keeps no Fourier rows: they are its values' transform
             assert f._rows is None
             rows = fourier_transform(f)
         assert rows.shape == want.shape and np.abs(rows - want).max() <= 1e-12
@@ -1032,15 +1059,24 @@ class TestKeptRows:
             assert np.array_equal(f.coordinate(i)._rows, f._rows[i : i + 1])
 
     def test_no_transform_after_the_character_sums(self, monkeypatch):
+        # a table that keeps its rows R (the planted gamma table) has no
+        # character sums: each coordinate's list takes one transform, as on a
+        # bare copy with no counts, and piecing it reads no list
         tables = self.tables(11, 3, 2) + self.wide_tables()
         for f in tables:
             pass_probability(f)
         calls = dft_calls(monkeypatch)
         for f in tables:
-            for i in range(f.l):
-                list_decode_scalar(f.coordinate(i), 0.5)
+            calls.clear()
+            lists = [list_decode_scalar(f.coordinate(i), 0.5) for i in range(f.l)]
             piece_together(f, 0, Fraction(1, 4), delta_schedule=lambda eps, eps_i: 0.5)
-        assert calls == []
+            if f._linear is None:
+                assert calls == []
+                continue
+            assert calls == [(-1, 1)] * f.l
+            bare = FunctionTable(f.q, f.d, f.l, f.values)
+            assert lists == [list_decode_scalar(bare.coordinate(i), 0.5) for i in range(f.l)]
+            assert np.abs(fourier_transform(f) - fourier_transform(bare)).max() <= lintest.FLOAT_TOL
 
     def test_tables_without_a_character_pass_transform(self, monkeypatch):
         r = rngmod.stream(9, "kept-none")
@@ -1112,7 +1148,7 @@ class TestBudgets:
         assert res.ok and res.fn == linear_scalar(q, rho)
         assert res.agreement == Fraction(229109, 259081)
         deltas = (lintest.default_delta_schedule(float(res.pass_probability), float(res.coordinate_pass[0])),)
-        assert lintest._list_decode(f, deltas)[0].size == 1450
+        assert sum(ranks.size for ranks in lintest._list_decode(f, deltas)) == 1450
 
     def test_high_rank_table_past_the_pair_budget_refused(self):
         # three coordinates spanning three dimensions over F_67^2: enumeration
@@ -1507,7 +1543,7 @@ class TestPieceTogether:
     @pytest.mark.parametrize("q,d,l", [(3, 4, 128), (11, 2, 3)])
     def test_lists_match_one_coordinate_at_a_time(self, q, d, l):
         f = random_scalar_respecting_table(rngmod.stream(q * d * l, "batch"), q, d, l)
-        lists = tuple(decoded_fns(q, d, ranks) for ranks in decoded_lists(f, (0.3,) * l))
+        lists = tuple(decoded_fns(q, d, ranks) for ranks in lintest._list_decode(f, (0.3,) * l))
         assert lists == tuple(list_decode_scalar(f.coordinate(i), 0.3) for i in range(l))
 
     @pytest.mark.parametrize("block", [1, 7, lintest.PAIR_BLOCK])
@@ -1519,7 +1555,7 @@ class TestPieceTogether:
         monkeypatch.setattr(lintest, "PAIR_BLOCK", block)
         f = random_scalar_respecting_table(rngmod.stream(q * d * l, "labels"), q, d, l)
         schedule = lambda e, ei: 0.5
-        lists = decoded_lists(f, (0.5,) * l)
+        lists = lintest._list_decode(f, (0.5,) * l)
         points = list(itertools.product(range(q), repeat=d))
         want = np.zeros((q**d, l), dtype=np.int64)
         for i, ranks in enumerate(lists):
@@ -1551,7 +1587,7 @@ class TestPieceTogether:
                 schedule = lambda e, ei: delta
                 res = piece_together(f, 0, Fraction(1, 4), delta_schedule=schedule)
                 assert outcome(res) == per_point_piecing(f, 0, Fraction(1, 4), schedule)
-                lists = decoded_lists(f, (delta,) * l)
+                lists = lintest._list_decode(f, (delta,) * l)
                 sizes = {ranks.size for ranks in lists}
                 seen.update(("empty" if not s else "one" if s == 1 else "several") for s in sizes)
                 points = np.array(list(itertools.product(range(q), repeat=d)))
@@ -1589,7 +1625,7 @@ class TestPieceTogether:
             assert got == per_point_piecing(f, eps, kappa, schedule), (q, d, l, share, eps, kappa, delta)
             seen.add("ok" if got[0] else "no_anchor" if got[3] == "no_anchor" else "refused")
             if got[3] == "no_anchor" or got[0]:
-                lists = decoded_lists(f, tuple(schedule(float(got[4]), float(p)) for p in got[5]))
+                lists = lintest._list_decode(f, tuple(schedule(float(got[4]), float(p)) for p in got[5]))
                 seen.update("empty" if not m.size else "one" if m.size == 1 else "several" for m in lists)
                 # two members matching at a point past the origin: a label 0 there
                 points = lintest._domain(q, d)[0]
